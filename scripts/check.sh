@@ -36,11 +36,13 @@
 #     its byte-identical explicit-vs-bitset report comparison or its
 #     relaxed 3x speedup floor (the 10x gate runs in the full sweep:
 #     `python -m pytest benchmarks/bench_model_check.py`),
-#   * the fleet-kernel benchmark (quick mode, FLEET_QUICK=1) fails to
-#     complete or to emit valid JSON.  Quick mode runs a small fleet
-#     with no speedup assertion; the 100x aggregate-throughput gate at
-#     N=1000 runs in the full benchmark
-#     (`python -m pytest benchmarks/bench_fleet.py`),
+#   * the benchmark suite's smoke (`benchmarks/suite/run.py --smoke`:
+#     one reduced round of each of the five workloads with every output
+#     check, including the fleet workload for all four managers with
+#     rows 0 and N-1 compared against the scalar oracle) reports an
+#     incorrect output or a failed operation, or the suite's own tests
+#     (`benchmarks/suite/tests`) fail.  Timings are printed, never
+#     asserted,
 #   * the symbolic-synthesis benchmark (quick mode, SYNTH_QUICK=1)
 #     fails its byte-identical explicit-vs-symbolic bundle comparison
 #     or its relaxed 3x speedup floor (the 20x gate and the 10-cluster
@@ -124,21 +126,9 @@ print("symbolic_synthesis.json is valid")
 EOF
 
 echo
-echo "== fleet-kernel benchmark (quick mode) =="
-FLEET_QUICK=1 python -m pytest -x -q benchmarks/bench_fleet.py
-python - <<'EOF'
-import json
-with open("benchmarks/results/fleet.json") as fh:
-    payload = json.load(fh)
-for key in (
-    "scalar_steps_per_s",
-    "fleet_aggregate_steps_per_s",
-    "aggregate_speedup",
-):
-    assert key in payload, f"fleet.json missing {key!r}"
-assert payload["fleet_aggregate_steps_per_s"], "fleet.json has no sizes"
-print("fleet.json is valid")
-EOF
+echo "== benchmark suite smoke (five workloads, every output checked) =="
+python3 benchmarks/suite/run.py --smoke
+python -m pytest -q benchmarks/suite/tests
 
 echo
 echo "== shapes-analyzer benchmark (incremental rescan invariants) =="

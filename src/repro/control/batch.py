@@ -164,8 +164,8 @@ class BatchedLQGServo:
     ``gain_sets`` is the palette of gain sets rows may run; every row
     starts on ``gain_sets[initial]``.  References are physical, one
     ``(N, p)`` row each; managers with a fleet-wide reference use
-    :meth:`set_reference`, per-row supervisors write ``references``
-    directly and call :meth:`refresh_references`.
+    :meth:`set_reference`; SPECTR's supervisor writes per-row
+    ``references`` directly and calls :meth:`refresh_references`.
     """
 
     def __init__(

@@ -33,6 +33,8 @@ from repro.exec.scenario_jobs import (
     _RUN_KEYS,
     _SPECTR_KEYS,
     build_manager_factory,
+    fault_setup,
+    spectr_override_factory,
     workload_by_name,
 )
 from repro.experiments.fleet import (
@@ -40,14 +42,10 @@ from repro.experiments.fleet import (
     fleet_manager_factory,
     run_fleet_scenario,
 )
-from repro.experiments.figures import case_study_supervisor, identified_systems
+from repro.experiments.figures import identified_systems
 from repro.experiments.runner import ScenarioTrace, run_scenario
 from repro.experiments.scenario import three_phase_scenario
 from repro.managers.fleet import FLEET_GAIN_NAMES, FleetSPECTR
-from repro.platform.faults import (
-    inject_actuator_fault,
-    inject_power_sensor_fault,
-)
 
 __all__ = [
     "FLEET_RUNNER",
@@ -58,6 +56,20 @@ __all__ = [
 ]
 
 FLEET_RUNNER = "repro.exec.fleet_jobs.execute_fleet"
+
+# The per-device (steps, N) series of a FleetTrace; faulted rows splice
+# their scalar-oracle trace into every one of them.
+_DEVICE_SERIES = (
+    "qos",
+    "chip_power",
+    "big_power",
+    "little_power",
+    "big_frequency",
+    "big_cores",
+    "little_frequency",
+    "little_cores",
+    "gain_ids",
+)
 
 
 def fleet_seeds(base_seed: int, n_devices: int) -> tuple[int, ...]:
@@ -140,38 +152,11 @@ class FleetScenarioJob(ScenarioJob):
 
 def build_fleet_manager_factory(name: str, systems, params: dict):
     """Fleet mirror of ``scenario_jobs.build_manager_factory``."""
-    if name != "SPECTR" or not any(key in params for key in _SPECTR_KEYS):
-        return fleet_manager_factory(name, systems)
-    supervisor = case_study_supervisor()
-    kwargs = {}
-    for key in _SPECTR_KEYS:
-        if key in params:
-            target = "name" if key == "manager_name" else key
-            kwargs[target] = params[key]
-
-    def factory(platform, goals):
-        return FleetSPECTR(
-            platform,
-            goals,
-            big_system=systems.big,
-            little_system=systems.little,
-            verified_supervisor=supervisor,
-            **kwargs,
-        )
-
-    return factory
-
-
-def _fault_setup(fault: FaultSpec, seed: int):
-    """Scalar-oracle fault injection for one faulted device row."""
-
-    def setup(soc) -> None:
-        if fault.fault_class == "sensor":
-            inject_power_sensor_fault(soc, fault.target, fault.build())
-        else:
-            inject_actuator_fault(soc, fault.target, fault.build(), seed=seed)
-
-    return setup
+    if name == "SPECTR":
+        factory = spectr_override_factory(FleetSPECTR, systems, params)
+        if factory is not None:
+            return factory
+    return fleet_manager_factory(name, systems)
 
 
 def _gain_id(name: str) -> int:
@@ -184,18 +169,11 @@ def _gain_id(name: str) -> int:
         ) from None
 
 
-def _splice_scalar_row(
-    arrays: dict[str, np.ndarray], row: int, trace: ScenarioTrace
-) -> None:
-    arrays["qos"][:, row] = trace.qos
-    arrays["chip_power"][:, row] = trace.chip_power
-    arrays["big_power"][:, row] = trace.big_power
-    arrays["little_power"][:, row] = trace.little_power
-    arrays["big_frequency"][:, row] = trace.big_frequency
-    arrays["big_cores"][:, row] = trace.big_cores
-    arrays["little_frequency"][:, row] = trace.little_frequency
-    arrays["little_cores"][:, row] = trace.little_cores
-    arrays["gain_ids"][:, row] = [_gain_id(g) for g in trace.gain_sets]
+def _scalar_series(trace: ScenarioTrace, name: str):
+    """One device series of a scalar trace, in fleet-trace encoding."""
+    if name == "gain_ids":
+        return [_gain_id(g) for g in trace.gain_sets]
+    return getattr(trace, name)
 
 
 def execute_fleet(job: FleetScenarioJob) -> FleetTrace:
@@ -243,7 +221,7 @@ def execute_fleet(job: FleetScenarioJob) -> FleetTrace:
                 workload,
                 scenario,
                 seed=seeds[row],
-                soc_setup=_fault_setup(fault, seeds[row]),
+                soc_setup=fault_setup(fault, seeds[row]),
                 **run_kwargs,
             )
 
@@ -265,50 +243,18 @@ def execute_fleet(job: FleetScenarioJob) -> FleetTrace:
         qos_reference = reference.qos_reference
         power_reference = reference.power_reference
         manager_name = reference.manager
-    n = job.n_devices
     arrays = {
-        name: np.zeros((steps, n), dtype=float)
-        for name in (
-            "qos",
-            "chip_power",
-            "big_power",
-            "little_power",
-            "big_frequency",
-            "big_cores",
-            "little_frequency",
-            "little_cores",
+        name: np.zeros(
+            (steps, job.n_devices),
+            dtype=np.int8 if name == "gain_ids" else float,
         )
+        for name in _DEVICE_SERIES
     }
-    arrays["gain_ids"] = np.zeros((steps, n), dtype=np.int8)
-    if fleet_trace is not None:
-        for batched_column, row in enumerate(clean_rows):
-            arrays["qos"][:, row] = fleet_trace.qos[:, batched_column]
-            arrays["chip_power"][:, row] = fleet_trace.chip_power[
-                :, batched_column
-            ]
-            arrays["big_power"][:, row] = fleet_trace.big_power[
-                :, batched_column
-            ]
-            arrays["little_power"][:, row] = fleet_trace.little_power[
-                :, batched_column
-            ]
-            arrays["big_frequency"][:, row] = fleet_trace.big_frequency[
-                :, batched_column
-            ]
-            arrays["big_cores"][:, row] = fleet_trace.big_cores[
-                :, batched_column
-            ]
-            arrays["little_frequency"][:, row] = (
-                fleet_trace.little_frequency[:, batched_column]
-            )
-            arrays["little_cores"][:, row] = fleet_trace.little_cores[
-                :, batched_column
-            ]
-            arrays["gain_ids"][:, row] = fleet_trace.gain_ids[
-                :, batched_column
-            ]
-    for row, trace in scalar_traces.items():
-        _splice_scalar_row(arrays, row, trace)
+    for name, series in arrays.items():
+        if fleet_trace is not None:
+            series[:, clean_rows] = getattr(fleet_trace, name)
+        for row, trace in scalar_traces.items():
+            series[:, row] = _scalar_series(trace, name)
 
     return FleetTrace(
         manager=manager_name,
@@ -316,15 +262,7 @@ def execute_fleet(job: FleetScenarioJob) -> FleetTrace:
         scenario=scenario,
         seeds=seeds,
         times=times.copy(),
-        qos=arrays["qos"],
         qos_reference=qos_reference.copy(),
-        chip_power=arrays["chip_power"],
         power_reference=power_reference.copy(),
-        big_power=arrays["big_power"],
-        little_power=arrays["little_power"],
-        big_frequency=arrays["big_frequency"],
-        big_cores=arrays["big_cores"],
-        little_frequency=arrays["little_frequency"],
-        little_cores=arrays["little_cores"],
-        gain_ids=arrays["gain_ids"],
+        **arrays,
     )

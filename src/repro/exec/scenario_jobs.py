@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.exec.job import ScenarioJob
+from repro.exec.job import FaultSpec, ScenarioJob
 from repro.experiments.figures import (
     IdentifiedSystems,
     case_study_supervisor,
@@ -36,7 +36,14 @@ from repro.platform.faults import (
 )
 from repro.workloads import QoSWorkload, all_qos_workloads
 
-__all__ = ["build_manager_factory", "build_soc_setup", "execute", "workload_by_name"]
+__all__ = [
+    "build_manager_factory",
+    "build_soc_setup",
+    "execute",
+    "fault_setup",
+    "spectr_override_factory",
+    "workload_by_name",
+]
 
 _SPECTR_KEYS = (
     "supervisor_period_epochs",
@@ -58,24 +65,24 @@ def workload_by_name(name: str) -> QoSWorkload:
         ) from None
 
 
-def build_manager_factory(
-    name: str, systems: IdentifiedSystems, params: dict[str, Any]
+def spectr_override_factory(
+    manager_cls, systems: IdentifiedSystems, params: dict[str, Any]
 ):
-    """Manager factory for a job, honoring SPECTR ablation overrides."""
-    if name != "SPECTR" or not any(key in params for key in _SPECTR_KEYS):
-        return manager_factory(name, systems)
-    from repro.managers.spectr import SPECTRManager
-
+    """Factory for ``manager_cls`` (``SPECTRManager`` or its fleet
+    mirror) built with the SPECTR overrides in ``params``; ``None`` when
+    ``params`` names none of them."""
+    kwargs = {
+        ("name" if key == "manager_name" else key): params[key]
+        for key in _SPECTR_KEYS
+        if key in params
+    }
+    if not kwargs:
+        return None
     supervisor = case_study_supervisor()
-    kwargs: dict[str, Any] = {}
-    for key in _SPECTR_KEYS:
-        if key in params:
-            target = "name" if key == "manager_name" else key
-            kwargs[target] = params[key]
 
-    def factory(soc, goals):
-        return SPECTRManager(
-            soc,
+    def factory(device, goals):
+        return manager_cls(
+            device,
             goals,
             big_system=systems.big,
             little_system=systems.little,
@@ -86,21 +93,36 @@ def build_manager_factory(
     return factory
 
 
-def build_soc_setup(job: ScenarioJob) -> Callable[[Any], None] | None:
-    """SoC setup hook injecting the job's fault, if any."""
-    fault = job.fault
-    if fault is None:
-        return None
+def build_manager_factory(
+    name: str, systems: IdentifiedSystems, params: dict[str, Any]
+):
+    """Manager factory for a job, honoring SPECTR ablation overrides."""
+    if name == "SPECTR":
+        from repro.managers.spectr import SPECTRManager
+
+        factory = spectr_override_factory(SPECTRManager, systems, params)
+        if factory is not None:
+            return factory
+    return manager_factory(name, systems)
+
+
+def fault_setup(fault: FaultSpec, seed: int) -> Callable[[Any], None]:
+    """SoC setup hook injecting ``fault`` into a device seeded ``seed``."""
 
     def setup(soc) -> None:
         if fault.fault_class == "sensor":
             inject_power_sensor_fault(soc, fault.target, fault.build())
         else:
-            inject_actuator_fault(
-                soc, fault.target, fault.build(), seed=job.seed
-            )
+            inject_actuator_fault(soc, fault.target, fault.build(), seed=seed)
 
     return setup
+
+
+def build_soc_setup(job: ScenarioJob) -> Callable[[Any], None] | None:
+    """SoC setup hook injecting the job's fault, if any."""
+    if job.fault is None:
+        return None
+    return fault_setup(job.fault, job.seed)
 
 
 def execute(job: ScenarioJob) -> ScenarioTrace:

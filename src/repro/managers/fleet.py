@@ -6,25 +6,26 @@ top of :class:`~repro.control.batch.BatchedLQGServo` and a
 bit-identical to running the scalar manager on N independent scalar
 SoCs (``tests/platform/test_fleet_equivalence.py``).
 
-The numeric hot path (servo advance, DVFS snap, hotplug deadband) is
-fully vectorized.  SPECTR's supervisory layer is deliberately *not*: it
-is pure Python branching on per-row scalars (automaton walks, guard
-checks, reference arithmetic), runs only every ``supervisor_period``
-invocations, and its decisions feed back into the batch as grouped
-``switch_rows`` calls and reference-column rewrites.  Gain switches are
-collected during the per-row pass and applied afterwards, which is
-bit-identical because a bumpless switch reads only the estimator state
-(``X``/``DU``) that nothing in the supervision pass mutates.
+Everything is vectorized, SPECTR's supervisory layer included.  The
+verified supervisor runs as an ``(N,)`` state index over a dense
+``next[event, state]`` table built from its
+:func:`~repro.automata.symbolic.encode_automaton` encoding; the
+three-band event abstraction is masked comparisons on telemetry
+columns; each action slot is a priority argmax over enabled, guarded
+actions, followed by masked updates of the two power-reference columns
+and ``switch_rows`` gain switches.  Guards and effects evaluate the
+same float expressions, on the same constants, as
+:class:`~repro.managers.spectr.SPECTRManager`, which stays the oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.automata.symbolic import encode_automaton
 from repro.control.batch import BatchedLQGServo
 from repro.control.lqg import ActuatorLimits
-from repro.core.events import EventAbstractor, ThreeBandThresholds
-from repro.core.supervisor import PriorityPolicy, SupervisorEngine
+from repro.core.events import ThreeBandThresholds
 from repro.core.synthesis_flow import (
     VerifiedSupervisor,
     build_case_study_supervisor,
@@ -47,20 +48,35 @@ from repro.managers.mm import (
 from repro.managers.spectr import (
     ACTION_PRIORITIES,
     BIG_POWER_FLOOR_W,
+    BIG_RAISE_GUARD_W,
+    BIG_RAISE_STEP_W,
+    BIG_TRIM_GUARD_W,
+    BIG_TRIM_MARGIN_W,
     CAPPING_TARGET_FRACTION,
     HARD_DROP_FACTOR,
     INITIAL_BIG_SHARE,
     INITIAL_LITTLE_SHARE,
+    LITTLE_BUSY_IPS,
+    LITTLE_CAP_SHARE,
+    LITTLE_GUARD_W,
+    LITTLE_IDLE_IPS,
     LITTLE_IPS_REFERENCE as SPECTR_LITTLE_IPS_REFERENCE,
     LITTLE_POWER_FLOOR_W,
+    LITTLE_RAISE_STEP_W,
+    LITTLE_TRIM_MARGIN_W,
+    MAX_ACTIONS_PER_INVOCATION,
 )
 from repro.core.alphabet import (
     CONTROL_POWER,
+    CRITICAL,
     DECREASE_BIG_POWER,
     DECREASE_CRITICAL_POWER,
     DECREASE_LITTLE_POWER,
     INCREASE_BIG_POWER,
     INCREASE_LITTLE_POWER,
+    QOS_MET,
+    QOS_NOT_MET,
+    SAFE_POWER,
     SWITCH_GAINS,
     SWITCH_QOS,
 )
@@ -322,275 +338,19 @@ class FleetFullSystem(FleetResourceManager):
 # ----------------------------------------------------------------------
 # SPECTR
 # ----------------------------------------------------------------------
-class _RowCluster:
-    """One row's per-cluster readings for the supervisory layer."""
-
-    __slots__ = ("power_w", "ips")
-
-    def __init__(self, power_w: float, ips: float) -> None:
-        self.power_w = power_w
-        self.ips = ips
-
-
-class _RowView:
-    """Duck-typed scalar telemetry view of one fleet row.
-
-    Carries exactly the fields the event abstraction and the action
-    guards read (``EventAbstractor.classify`` is duck-typed over
-    ``chip_power_w`` / ``qos_rate``).
-    """
-
-    __slots__ = ("time_s", "qos_rate", "chip_power_w", "big", "little")
-
-    def __init__(
-        self,
-        time_s: float,
-        qos_rate: float,
-        chip_power_w: float,
-        big: _RowCluster,
-        little: _RowCluster,
-    ) -> None:
-        self.time_s = time_s
-        self.qos_rate = qos_rate
-        self.chip_power_w = chip_power_w
-        self.big = big
-        self.little = little
-
-
-class _RowSupervisor:
-    """One row's supervisory state: a verbatim scalar-SPECTR mirror.
-
-    Holds the row's own automaton walk, event abstraction, priority
-    policy and power references — all Python floats, so every guard and
-    effect computes exactly what ``SPECTRManager`` would on a scalar
-    device.  Gain switches are *requested* through the owning manager
-    (which batches them into ``switch_rows`` calls).
-    """
-
-    __slots__ = (
-        "manager",
-        "row",
-        "engine",
-        "abstractor",
-        "big_power_ref_w",
-        "little_power_ref_w",
-        "big_gains",
-        "little_gains",
-        "_telemetry",
-        "_policy",
-        "_effects",
-    )
-
-    def __init__(
-        self,
-        manager: "FleetSPECTR",
-        row: int,
-        verified: VerifiedSupervisor,
-        thresholds: ThreeBandThresholds | None,
-    ) -> None:
-        self.manager = manager
-        self.row = row
-        self.engine = SupervisorEngine(
-            verified.supervisor, record_trace=False
-        )
-        self.abstractor = EventAbstractor(thresholds)
-        goals = manager.goals
-        self.big_power_ref_w = INITIAL_BIG_SHARE * goals.power_budget_w
-        self.little_power_ref_w = max(
-            LITTLE_POWER_FLOOR_W, INITIAL_LITTLE_SHARE * goals.power_budget_w
-        )
-        self.big_gains = QOS_GAINS
-        self.little_gains = QOS_GAINS
-        self._telemetry: _RowView | None = None
-        self._policy = PriorityPolicy(
-            priorities=ACTION_PRIORITIES,
-            guards={
-                DECREASE_BIG_POWER: self._guard_decrease_big,
-                INCREASE_BIG_POWER: self._guard_increase_big,
-                DECREASE_LITTLE_POWER: self._guard_decrease_little,
-                INCREASE_LITTLE_POWER: self._guard_increase_little,
-            },
-            max_actions_per_invocation=2,
-        )
-        self._effects = {
-            SWITCH_GAINS: self._effect_switch_power_gains,
-            SWITCH_QOS: self._effect_switch_qos_gains,
-            CONTROL_POWER: self._effect_control_power,
-            DECREASE_CRITICAL_POWER: self._effect_decrease_critical,
-            DECREASE_BIG_POWER: self._effect_decrease_big,
-            INCREASE_BIG_POWER: self._effect_increase_big,
-            DECREASE_LITTLE_POWER: self._effect_decrease_little,
-            INCREASE_LITTLE_POWER: self._effect_increase_little,
-        }
-
-    def supervise(self, view: _RowView) -> None:
-        self._telemetry = view
-        goals = self.manager.goals
-        events = self.abstractor.classify(
-            view,
-            qos_reference=goals.qos_reference,
-            power_budget_w=goals.power_budget_w,
-        )
-        self.engine.invoke(
-            events, self._policy, time_s=view.time_s, effects=self._effects
-        )
-
-    # -- budget arithmetic (scalar mirror) -----------------------------
-    def _capping_allocations(self) -> tuple[float, float]:
-        budget_w = self.manager.goals.power_budget_w
-        target = CAPPING_TARGET_FRACTION * budget_w
-        little = min(
-            max(LITTLE_POWER_FLOOR_W, self.little_power_ref_w),
-            0.15 * budget_w,
-        )
-        big = max(BIG_POWER_FLOOR_W, target - little)
-        return big, little
-
-    def _big_headroom_cap(self) -> float:
-        return self.manager.goals.power_budget_w - max(
-            LITTLE_POWER_FLOOR_W, self.little_power_ref_w
-        )
-
-    # -- guards (scalar mirror) ----------------------------------------
-    def _guard_decrease_big(self) -> bool:
-        t = self._telemetry
-        return (
-            t is not None
-            and self.big_power_ref_w > t.big.power_w + 0.15
-            and self.big_power_ref_w > BIG_POWER_FLOOR_W
-        )
-
-    def _guard_increase_big(self) -> bool:
-        return self.big_power_ref_w < self._big_headroom_cap() - 0.05
-
-    def _guard_decrease_little(self) -> bool:
-        t = self._telemetry
-        return (
-            t is not None
-            and t.little.ips < 0.1
-            and self.little_power_ref_w > LITTLE_POWER_FLOOR_W + 0.02
-        )
-
-    def _guard_increase_little(self) -> bool:
-        t = self._telemetry
-        return (
-            t is not None
-            and t.little.ips > 0.3
-            and self.little_power_ref_w
-            < 0.15 * self.manager.goals.power_budget_w - 0.02
-        )
-
-    # -- effects (scalar mirror) ---------------------------------------
-    def _switch(self, cluster_key: str, gains: str) -> bool:
-        """Mirror of ``ClusterMIMO.switch_gains`` on this row."""
-        current = (
-            self.big_gains if cluster_key == "big" else self.little_gains
-        )
-        if gains == current:
-            return False
-        if cluster_key == "big":
-            self.big_gains = gains
-        else:
-            self.little_gains = gains
-        self.manager._pend_switch(
-            cluster_key, self.row, FLEET_GAIN_NAMES.index(gains)
-        )
-        return True
-
-    def _effect_switch_power_gains(self) -> None:
-        manager = self.manager
-        if not manager.enable_gain_scheduling:
-            return
-        now = self._telemetry.time_s if self._telemetry else 0.0
-        if self._switch("big", POWER_GAINS):
-            manager.gain_events.append((now, self.row, "big", POWER_GAINS))
-        if self._switch("little", POWER_GAINS):
-            manager.gain_events.append(
-                (now, self.row, "little", POWER_GAINS)
-            )
-
-    def _effect_switch_qos_gains(self) -> None:
-        manager = self.manager
-        if manager.enable_gain_scheduling:
-            now = self._telemetry.time_s if self._telemetry else 0.0
-            if self._switch("big", QOS_GAINS):
-                manager.gain_events.append((now, self.row, "big", QOS_GAINS))
-            if self._switch("little", QOS_GAINS):
-                manager.gain_events.append(
-                    (now, self.row, "little", QOS_GAINS)
-                )
-        if manager.enable_reference_regulation:
-            budget_w = manager.goals.power_budget_w
-            self.big_power_ref_w = INITIAL_BIG_SHARE * budget_w
-            self.little_power_ref_w = max(
-                LITTLE_POWER_FLOOR_W, INITIAL_LITTLE_SHARE * budget_w
-            )
-            manager._refs_dirty = True
-
-    def _effect_control_power(self) -> None:
-        manager = self.manager
-        if not manager.enable_reference_regulation:
-            return
-        self.big_power_ref_w, self.little_power_ref_w = (
-            self._capping_allocations()
-        )
-        manager._refs_dirty = True
-
-    def _effect_decrease_critical(self) -> None:
-        manager = self.manager
-        if not manager.enable_reference_regulation:
-            return
-        big, little = self._capping_allocations()
-        self.big_power_ref_w = max(
-            BIG_POWER_FLOOR_W, HARD_DROP_FACTOR * big
-        )
-        self.little_power_ref_w = max(
-            LITTLE_POWER_FLOOR_W, HARD_DROP_FACTOR * little
-        )
-        manager._refs_dirty = True
-
-    def _effect_decrease_big(self) -> None:
-        t = self._telemetry
-        manager = self.manager
-        if t is None or not manager.enable_reference_regulation:
-            return
-        self.big_power_ref_w = max(
-            BIG_POWER_FLOOR_W, t.big.power_w + 0.10
-        )
-        manager._refs_dirty = True
-
-    def _effect_increase_big(self) -> None:
-        manager = self.manager
-        if not manager.enable_reference_regulation:
-            return
-        self.big_power_ref_w = min(
-            self._big_headroom_cap(), self.big_power_ref_w + 0.30
-        )
-        manager._refs_dirty = True
-
-    def _effect_decrease_little(self) -> None:
-        t = self._telemetry
-        manager = self.manager
-        if t is None or not manager.enable_reference_regulation:
-            return
-        self.little_power_ref_w = max(
-            LITTLE_POWER_FLOOR_W, t.little.power_w + 0.05
-        )
-        manager._refs_dirty = True
-
-    def _effect_increase_little(self) -> None:
-        manager = self.manager
-        if not manager.enable_reference_regulation:
-            return
-        self.little_power_ref_w = min(
-            0.15 * manager.goals.power_budget_w,
-            self.little_power_ref_w + 0.10,
-        )
-        manager._refs_dirty = True
+# The scalar manager's event abstraction runs on the default band edges.
+_THRESHOLDS = ThreeBandThresholds()
+_ACTION = {name: k for k, name in enumerate(ACTION_PRIORITIES)}
+_OBSERVATIONS = (CRITICAL, SAFE_POWER, QOS_MET, QOS_NOT_MET)
 
 
 class FleetSPECTR(FleetResourceManager):
-    """Batched SPECTR: per-row supervisors over two batched 2x2 servos."""
+    """Batched SPECTR: an array supervisor over two batched 2x2 servos.
+
+    ``state`` holds every row's supervisor-state index (labels in
+    ``encoded.state_names``); ``big_power_ref_w`` / ``little_power_ref_w``
+    are the rows' power references.
+    """
 
     def __init__(
         self,
@@ -601,7 +361,6 @@ class FleetSPECTR(FleetResourceManager):
         little_system: IdentifiedSystem,
         verified_supervisor: VerifiedSupervisor | None = None,
         supervisor_period_epochs: int = 2,
-        thresholds: ThreeBandThresholds | None = None,
         enable_gain_scheduling: bool = True,
         enable_reference_regulation: bool = True,
         name: str = "SPECTR",
@@ -624,35 +383,48 @@ class FleetSPECTR(FleetResourceManager):
             name="little-mimo",
         )
         self.verified = verified_supervisor or build_case_study_supervisor()
-        self.gain_events: list[tuple[float, int, str, str]] = []
-        self.rows = [
-            _RowSupervisor(self, row, self.verified, thresholds)
-            for row in range(n)
-        ]
+        encoded = self.encoded = encode_automaton(self.verified.supervisor)
+        # next[event, state]: successor state index, -1 where disabled.
+        # The extra last row stands in for events outside the alphabet
+        # and, for the action table, for uncontrollable events.
+        table = np.full(
+            (encoded.n_events + 1, encoded.n_states), -1, dtype=np.intp
+        )
+        for event in range(encoded.n_events):
+            table[event, encoded.src[event]] = encoded.dst[event]
+        def successors(name: str, *, action: bool = False) -> np.ndarray:
+            index = encoded.event_index(name)
+            if index is None or (
+                action and not encoded.event_controllable[index]
+            ):
+                index = encoded.n_events
+            return table[index]
+
+        self._next = {name: successors(name) for name in _OBSERVATIONS}
+        # (action, state), in ACTION_PRIORITIES order.
+        self._next_action = np.stack(
+            [successors(name, action=True) for name in ACTION_PRIORITIES]
+        )
+        self.state = np.full(n, encoded.initial, dtype=np.intp)
+        # EventAbstractor's counters and capping flag, one per row.
+        self._capping = np.zeros(n, dtype=bool)
+        self._since_critical = np.zeros(n, dtype=np.int64)
+        self._below_uncapping = np.zeros(n, dtype=np.int64)
+        self._over_cap_streak = np.zeros(n, dtype=np.int64)
+        budget_w = goals.power_budget_w
+        self.big_power_ref_w = np.full(
+            n, INITIAL_BIG_SHARE * budget_w, dtype=float
+        )
+        self.little_power_ref_w = np.full(
+            n,
+            max(LITTLE_POWER_FLOOR_W, INITIAL_LITTLE_SHARE * budget_w),
+            dtype=float,
+        )
         self._y_big = np.empty((n, 2), dtype=float)
         self._y_little = np.empty((n, 2), dtype=float)
         self._tick = 0
         self._refs_dirty = True
         self._written_qos_reference: float | None = None
-        self._pending: dict[str, list[tuple[int, list[int]]]] = {
-            "big": [],
-            "little": [],
-        }
-
-    # -- switch batching -----------------------------------------------
-    def _pend_switch(self, cluster_key: str, row: int, gain_id: int) -> None:
-        """Queue one row's gain switch, merging same-gain runs.
-
-        Ops are applied in request order after the supervision pass;
-        merging only *adjacent* same-gain requests preserves each row's
-        switch order (a row's consecutive switches always differ in
-        gain, so they land in different groups).
-        """
-        ops = self._pending[cluster_key]
-        if ops and ops[-1][0] == gain_id:
-            ops[-1][1].append(row)
-        else:
-            ops.append((gain_id, [row]))
 
     # -- control -------------------------------------------------------
     def _control(self, telemetry: FleetTelemetry) -> None:
@@ -673,31 +445,176 @@ class FleetSPECTR(FleetResourceManager):
         )
         self._tick += 1
 
+    # -- supervision ---------------------------------------------------
     def _supervise(self, telemetry: FleetTelemetry) -> None:
-        n = self.platform.n_devices
-        chip = _column_list(telemetry.chip_power_w, n)
-        qos = _column_list(telemetry.qos_rate, n)
-        big_power_w = _column_list(telemetry.big.power_w, n)
-        little_power_w = _column_list(telemetry.little.power_w, n)
-        little_ips = _column_list(telemetry.little.ips, n)
-        now = telemetry.time_s
-        for row, supervisor in enumerate(self.rows):
-            view = _RowView(
-                now,
-                qos[row],
-                chip[row],
-                _RowCluster(big_power_w[row], 0.0),
-                _RowCluster(little_power_w[row], little_ips[row]),
+        """One invocation on every row: ``SupervisorEngine.invoke``.
+
+        Each action slot lets every row fire the first action in
+        ``ACTION_PRIORITIES`` that its state enables and whose guard
+        holds (the scalar ``PriorityPolicy``); guards read the
+        references as the previous slot's effects left them.
+        """
+        budget_w = self.goals.power_budget_w
+        state = self._observe(telemetry, budget_w)
+        big_power_w = telemetry.big.power_w
+        little_idle = telemetry.little.ips < LITTLE_IDLE_IPS
+        little_busy = telemetry.little.ips > LITTLE_BUSY_IPS
+        columns = np.arange(state.size)
+        for _ in range(MAX_ACTIONS_PER_INVOCATION):
+            big = self.big_power_ref_w
+            little = self.little_power_ref_w
+            successors = self._next_action[:, state]
+            allowed = successors >= 0
+            allowed[_ACTION[DECREASE_BIG_POWER]] &= (
+                big > big_power_w + BIG_TRIM_GUARD_W
+            ) & (big > BIG_POWER_FLOOR_W)
+            allowed[_ACTION[INCREASE_BIG_POWER]] &= (
+                big
+                < (budget_w - np.maximum(LITTLE_POWER_FLOOR_W, little))
+                - BIG_RAISE_GUARD_W
             )
-            supervisor.supervise(view)
-        for cluster_key, servo in (
-            ("big", self.big_servo),
-            ("little", self.little_servo),
-        ):
-            ops = self._pending[cluster_key]
-            for gain_id, rows in ops:
-                servo.switch_rows(rows, gain_id)
-            ops.clear()
+            allowed[_ACTION[DECREASE_LITTLE_POWER]] &= little_idle & (
+                little > LITTLE_POWER_FLOOR_W + LITTLE_GUARD_W
+            )
+            allowed[_ACTION[INCREASE_LITTLE_POWER]] &= little_busy & (
+                little < LITTLE_CAP_SHARE * budget_w - LITTLE_GUARD_W
+            )
+            fired = allowed.any(axis=0)
+            if not fired.any():
+                break
+            choice = allowed.argmax(axis=0)
+            state = np.where(fired, successors[choice, columns], state)
+            self._apply_effects(
+                np.where(fired, choice, -1), telemetry, budget_w
+            )
+        self.state = state
+
+    def _observe(
+        self, telemetry: FleetTelemetry, budget_w: float
+    ) -> np.ndarray:
+        """``EventAbstractor.classify`` and the engine's observation
+        steps, row-wise; returns the post-observation states."""
+        th = _THRESHOLDS
+        chip_w = telemetry.chip_power_w
+        over_cap = chip_w > th.capping_fraction * budget_w
+        self._below_uncapping = np.where(
+            chip_w < th.uncapping_fraction * budget_w,
+            self._below_uncapping + 1,
+            0,
+        )
+        self._over_cap_streak = np.where(
+            over_cap, self._over_cap_streak + 1, 0
+        )
+        self._since_critical += 1
+        capping = self._capping
+        onset = over_cap & ~capping
+        escalate = (
+            capping
+            & (self._since_critical >= th.escalation_grace)
+            & (self._over_cap_streak >= 2)
+        )
+        safe = (
+            capping
+            & ~escalate
+            & (self._below_uncapping >= th.uncapping_dwell)
+        )
+        critical = onset | escalate
+        self._since_critical[critical] = 0
+        self._capping = (capping | onset) & ~safe
+        # Power observations first, then the QoS one, as the scalar
+        # abstraction orders them; a disabled event leaves the state.
+        state = self.state
+        for event, mask in ((CRITICAL, critical), (SAFE_POWER, safe)):
+            target = self._next[event][state]
+            state = np.where(mask & (target >= 0), target, state)
+        qos_met = (
+            telemetry.qos_rate
+            >= th.qos_tolerance * self.goals.qos_reference
+        )
+        target = np.where(
+            qos_met, self._next[QOS_MET][state], self._next[QOS_NOT_MET][state]
+        )
+        return np.where(target >= 0, target, state)
+
+    def _apply_effects(
+        self, action: np.ndarray, telemetry: FleetTelemetry, budget_w: float
+    ) -> None:
+        """The scalar ``_effect_*`` methods on the rows that fired each
+        action (``action`` is the row's index into ACTION_PRIORITIES,
+        -1 for none)."""
+        fired = {name: action == k for name, k in _ACTION.items()}
+        if self.enable_gain_scheduling:
+            for name, gain_id in (
+                (SWITCH_GAINS, _POWER_ID),
+                (SWITCH_QOS, _QOS_ID),
+            ):
+                for servo in (self.big_servo, self.little_servo):
+                    rows = np.flatnonzero(
+                        fired[name] & (servo.gain_ids != gain_id)
+                    )
+                    if rows.size:
+                        servo.switch_rows(rows, gain_id)
+        if not self.enable_reference_regulation:
+            return
+        big = self.big_power_ref_w
+        little = self.little_power_ref_w
+        # _capping_allocations on the references before this slot.
+        capped_little = np.minimum(
+            np.maximum(LITTLE_POWER_FLOOR_W, little),
+            LITTLE_CAP_SHARE * budget_w,
+        )
+        capped_big = np.maximum(
+            BIG_POWER_FLOOR_W,
+            CAPPING_TARGET_FRACTION * budget_w - capped_little,
+        )
+        self.big_power_ref_w = np.select(
+            [
+                fired[SWITCH_QOS],
+                fired[CONTROL_POWER],
+                fired[DECREASE_CRITICAL_POWER],
+                fired[DECREASE_BIG_POWER],
+                fired[INCREASE_BIG_POWER],
+            ],
+            [
+                INITIAL_BIG_SHARE * budget_w,
+                capped_big,
+                np.maximum(BIG_POWER_FLOOR_W, HARD_DROP_FACTOR * capped_big),
+                np.maximum(
+                    BIG_POWER_FLOOR_W,
+                    telemetry.big.power_w + BIG_TRIM_MARGIN_W,
+                ),
+                np.minimum(
+                    budget_w - np.maximum(LITTLE_POWER_FLOOR_W, little),
+                    big + BIG_RAISE_STEP_W,
+                ),
+            ],
+            big,
+        )
+        self.little_power_ref_w = np.select(
+            [
+                fired[SWITCH_QOS],
+                fired[CONTROL_POWER],
+                fired[DECREASE_CRITICAL_POWER],
+                fired[DECREASE_LITTLE_POWER],
+                fired[INCREASE_LITTLE_POWER],
+            ],
+            [
+                max(LITTLE_POWER_FLOOR_W, INITIAL_LITTLE_SHARE * budget_w),
+                capped_little,
+                np.maximum(
+                    LITTLE_POWER_FLOOR_W, HARD_DROP_FACTOR * capped_little
+                ),
+                np.maximum(
+                    LITTLE_POWER_FLOOR_W,
+                    telemetry.little.power_w + LITTLE_TRIM_MARGIN_W,
+                ),
+                np.minimum(
+                    LITTLE_CAP_SHARE * budget_w, little + LITTLE_RAISE_STEP_W
+                ),
+            ],
+            little,
+        )
+        self._refs_dirty = True
 
     def _refresh_references(self) -> None:
         qos_reference = self.goals.qos_reference
@@ -708,11 +625,11 @@ class FleetSPECTR(FleetResourceManager):
             return
         big_refs = self.big_servo.references
         big_refs[:, 0] = qos_reference
-        big_refs[:, 1] = [s.big_power_ref_w for s in self.rows]
+        big_refs[:, 1] = self.big_power_ref_w
         self.big_servo.refresh_references()
         little_refs = self.little_servo.references
         little_refs[:, 0] = SPECTR_LITTLE_IPS_REFERENCE
-        little_refs[:, 1] = [s.little_power_ref_w for s in self.rows]
+        little_refs[:, 1] = self.little_power_ref_w
         self.little_servo.refresh_references()
         self._refs_dirty = False
         self._written_qos_reference = qos_reference
@@ -720,10 +637,3 @@ class FleetSPECTR(FleetResourceManager):
     def gain_set_ids(self) -> np.ndarray:
         # The scalar actuation record reports the Big MIMO's active set.
         return self.big_servo.gain_ids
-
-
-def _column_list(values, n: int) -> list[float]:
-    """An (N,) array (or fleet-wide scalar) as a list of Python floats."""
-    if isinstance(values, np.ndarray):
-        return values.tolist()
-    return [float(values)] * n

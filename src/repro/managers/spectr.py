@@ -47,6 +47,22 @@ HARD_DROP_FACTOR = 0.85  # decreaseCriticalPower's cut below the target
 BIG_POWER_FLOOR_W = 0.6
 LITTLE_POWER_FLOOR_W = 0.10
 LITTLE_IPS_REFERENCE = 1.5  # generous: serve background work freely
+LITTLE_CAP_SHARE = 0.15  # ceiling on the little cluster's budget share
+
+# Guard and effect margins (W) of the reference-regulation actions, and
+# the little-cluster IPS levels that count as idle / busy.  Shared with
+# the batched mirror in ``repro.managers.fleet``.
+BIG_TRIM_GUARD_W = 0.15  # decreaseBigPower: reference above measured power
+BIG_TRIM_MARGIN_W = 0.10  # decreaseBigPower: new reference above measured
+BIG_RAISE_GUARD_W = 0.05  # increaseBigPower: headroom left under the cap
+BIG_RAISE_STEP_W = 0.30
+LITTLE_GUARD_W = 0.02  # little-reference distance from its floor / ceiling
+LITTLE_TRIM_MARGIN_W = 0.05
+LITTLE_RAISE_STEP_W = 0.10
+LITTLE_IDLE_IPS = 0.1
+LITTLE_BUSY_IPS = 0.3
+
+MAX_ACTIONS_PER_INVOCATION = 2
 
 ACTION_PRIORITIES = (
     SWITCH_GAINS,
@@ -118,7 +134,7 @@ class SPECTRManager(ResourceManager):
                 DECREASE_LITTLE_POWER: self._guard_decrease_little,
                 INCREASE_LITTLE_POWER: self._guard_increase_little,
             },
-            max_actions_per_invocation=2,
+            max_actions_per_invocation=MAX_ACTIONS_PER_INVOCATION,
         )
         self._effects = {
             SWITCH_GAINS: self._effect_switch_power_gains,
@@ -192,7 +208,7 @@ class SPECTRManager(ResourceManager):
         target = CAPPING_TARGET_FRACTION * self.goals.power_budget_w
         little = min(
             max(LITTLE_POWER_FLOOR_W, self.little_power_ref_w),
-            0.15 * self.goals.power_budget_w,
+            LITTLE_CAP_SHARE * self.goals.power_budget_w,
         )
         big = max(BIG_POWER_FLOOR_W, target - little)
         return big, little
@@ -211,28 +227,30 @@ class SPECTRManager(ResourceManager):
         t = self._telemetry
         return (
             t is not None
-            and self.big_power_ref_w > t.big.power_w + 0.15
+            and self.big_power_ref_w > t.big.power_w + BIG_TRIM_GUARD_W
             and self.big_power_ref_w > BIG_POWER_FLOOR_W
         )
 
     def _guard_increase_big(self) -> bool:
-        return self.big_power_ref_w < self._big_headroom_cap() - 0.05
+        return (
+            self.big_power_ref_w < self._big_headroom_cap() - BIG_RAISE_GUARD_W
+        )
 
     def _guard_decrease_little(self) -> bool:
         t = self._telemetry
         return (
             t is not None
-            and t.little.ips < 0.1
-            and self.little_power_ref_w > LITTLE_POWER_FLOOR_W + 0.02
+            and t.little.ips < LITTLE_IDLE_IPS
+            and self.little_power_ref_w > LITTLE_POWER_FLOOR_W + LITTLE_GUARD_W
         )
 
     def _guard_increase_little(self) -> bool:
         t = self._telemetry
         return (
             t is not None
-            and t.little.ips > 0.3
+            and t.little.ips > LITTLE_BUSY_IPS
             and self.little_power_ref_w
-            < 0.15 * self.goals.power_budget_w - 0.02
+            < LITTLE_CAP_SHARE * self.goals.power_budget_w - LITTLE_GUARD_W
         )
 
     # ------------------------------------------------------------------
@@ -287,14 +305,14 @@ class SPECTRManager(ResourceManager):
         if t is None or not self.enable_reference_regulation:
             return
         self.big_power_ref_w = max(
-            BIG_POWER_FLOOR_W, t.big.power_w + 0.10
+            BIG_POWER_FLOOR_W, t.big.power_w + BIG_TRIM_MARGIN_W
         )
 
     def _effect_increase_big(self) -> None:
         if not self.enable_reference_regulation:
             return
         self.big_power_ref_w = min(
-            self._big_headroom_cap(), self.big_power_ref_w + 0.30
+            self._big_headroom_cap(), self.big_power_ref_w + BIG_RAISE_STEP_W
         )
 
     def _effect_decrease_little(self) -> None:
@@ -302,12 +320,13 @@ class SPECTRManager(ResourceManager):
         if t is None or not self.enable_reference_regulation:
             return
         self.little_power_ref_w = max(
-            LITTLE_POWER_FLOOR_W, t.little.power_w + 0.05
+            LITTLE_POWER_FLOOR_W, t.little.power_w + LITTLE_TRIM_MARGIN_W
         )
 
     def _effect_increase_little(self) -> None:
         if not self.enable_reference_regulation:
             return
         self.little_power_ref_w = min(
-            0.15 * self.goals.power_budget_w, self.little_power_ref_w + 0.10
+            LITTLE_CAP_SHARE * self.goals.power_budget_w,
+            self.little_power_ref_w + LITTLE_RAISE_STEP_W,
         )

@@ -11,8 +11,12 @@ that contract at every layer:
   with mid-run noise-chunk refills;
 * managers: every paper manager's closed-loop fleet run equals the
   scalar runner row for row, gain switches included;
+* supervisor: hypothesis-drawn telemetry programs drive N scalar
+  SPECTR supervisors and one array supervisor; state, both power
+  references and both gain sets must match after every invocation;
 * exec: faulted rows spliced by :func:`execute_fleet` equal scalar
-  fault-injected jobs;
+  fault-injected jobs, and ablation-overridden SPECTR fleet jobs equal
+  overridden scalar jobs;
 * guards: configurations the kernel does not reproduce (idle
   insertion, >= 8 cores, fault layers, ineligible sensors) are
   rejected loudly instead of silently diverging.
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.control.batch import (
@@ -40,26 +44,36 @@ from repro.exec.job import FaultSpec, ScenarioJob, derive_seed
 from repro.exec.scenario_jobs import execute
 from repro.experiments.figures import (
     MANAGER_NAMES,
+    case_study_supervisor,
     identified_systems,
     manager_factory,
 )
 from repro.experiments.fleet import fleet_manager_factory, run_fleet_scenario
 from repro.experiments.runner import run_scenario
+from repro.managers.base import ManagerGoals
+from repro.managers.fleet import FLEET_GAIN_NAMES, FleetSPECTR
 from repro.managers.mimo import (
     POWER_GAINS,
     QOS_GAINS,
     build_gain_library,
     cluster_actuator_limits,
 )
+from repro.managers.spectr import ACTION_PRIORITIES, SPECTRManager
 from repro.experiments.scenario import three_phase_scenario
 from repro.platform.faults import ActuatorFaultModel, inject_actuator_fault
-from repro.platform.fleet import FleetPlatform
+from repro.platform.fleet import (
+    FleetClusterTelemetry,
+    FleetPlatform,
+    FleetTelemetry,
+)
 from repro.platform.opp import OPP, OPPTable, big_cluster_opps
 from repro.platform.sensors import NoisySensor
 from repro.platform.soc import (
+    ClusterTelemetry,
     ExynosSoC,
     PlatformError,
     SoCConfig,
+    Telemetry,
     fleet_sensor_layout,
 )
 from repro.workloads import canneal, x264
@@ -270,6 +284,210 @@ class TestFaultedRowSplice:
                 assert np.array_equal(
                     getattr(row, field), getattr(scalar, field)
                 ), f"row {index} {field}"
+
+
+class TestSPECTROverrides:
+    """Ablation-overridden fleet SPECTR jobs equal overridden scalar jobs."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            (("enable_gain_scheduling", False),),
+            (("enable_reference_regulation", False),),
+            (("supervisor_period_epochs", 1),),
+            (("supervisor_period_epochs", 3),),
+        ],
+        ids=["no-gain-scheduling", "no-reference-regulation", "period-1",
+             "period-3"],
+    )
+    def test_execute_fleet_matches_scalar_jobs(self, overrides, systems):
+        scenario = three_phase_scenario(phase_duration_s=1.0)
+        job = FleetScenarioJob(
+            manager="SPECTR",
+            scenario=scenario,
+            seed=2018,
+            n_devices=3,
+            overrides=overrides,
+        )
+        fleet_trace = execute_fleet(job)
+        for index, seed in enumerate(job.seeds()):
+            scalar = execute(
+                ScenarioJob(
+                    manager="SPECTR",
+                    scenario=scenario,
+                    seed=seed,
+                    overrides=overrides,
+                )
+            )
+            row = fleet_trace.row(index)
+            assert row.gain_sets == scalar.gain_sets, index
+            for field in TRACE_FIELDS:
+                assert np.array_equal(
+                    getattr(row, field), getattr(scalar, field)
+                ), f"row {index} {field}"
+
+
+# Telemetry regimes for the supervisor-layer differential test.
+_CHIP_BANDS = (0.5, 0.8, 0.98, 1.1)  # x budget: around 0.72 and 1.02
+_QOS_SIDES = (0.9, 1.0)  # x reference: either side of qos_tolerance 0.97
+_LITTLE_IPS = (0.05, 0.1, 0.2, 0.3, 0.6)  # at and around 0.1 and 0.3
+# (budget W, QoS ref); 0.8 W is tight enough for the reference floors
+# to bind.
+_GOALS = ((5.0, 60.0), (3.5, 30.0), (6.0, 45.0), (0.8, 20.0))
+_MAX_ROWS = 4
+
+# (invocations, per-row (band, QoS side, little IPS), goal change or None)
+_segments = st.tuples(
+    st.integers(1, 12),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_CHIP_BANDS),
+            st.sampled_from(_QOS_SIDES),
+            st.sampled_from(_LITTLE_IPS),
+        ),
+        min_size=_MAX_ROWS,
+        max_size=_MAX_ROWS,
+    ),
+    st.one_of(st.none(), st.sampled_from(_GOALS)),
+)
+_programs = st.tuples(
+    st.integers(1, _MAX_ROWS),
+    st.lists(_segments, min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+
+# Walks every action: QoS-mode regulation of both clusters at 6 W (the
+# big reference climbs to its headroom cap, so the little raise gets a
+# slot), a capping episode whose budget is cut to 3.5 W before it
+# escalates (the hard drop then starts from a little reference above
+# the new cap), its release, and finally idle little cores with the big
+# cluster well under its reference.
+_ALL_ACTIONS_PROGRAM = (
+    2,
+    [
+        (10, [(0.8, 0.9, 0.6)] * _MAX_ROWS, (6.0, 45.0)),
+        (4, [(1.1, 1.0, 0.2)] * _MAX_ROWS, None),
+        (8, [(1.1, 1.0, 0.2)] * _MAX_ROWS, (3.5, 30.0)),
+        (4, [(0.5, 1.0, 0.2)] * _MAX_ROWS, (6.0, 45.0)),
+        (4, [(0.5, 1.0, 0.05)] * _MAX_ROWS, None),
+    ],
+    0,
+)
+
+
+def _fleet_cluster(power_w, ips):
+    zeros = np.zeros_like(power_w)
+    return FleetClusterTelemetry(zeros, zeros, zeros, zeros, power_w, ips)
+
+
+def _scalar_cluster(power_w, ips):
+    return ClusterTelemetry(0.0, 0.0, 0, 0.0, power_w, ips, np.zeros(4))
+
+
+def _drive_supervisors(systems, program) -> set[str]:
+    """Run one telemetry program through N scalar supervisors and one
+    fleet supervisor, comparing every row after every invocation.
+
+    Returns the set of actions the scalar supervisors executed.
+    """
+    n, segments, noise_seed = program
+    goals = ManagerGoals(qos_reference=60.0, power_budget_w=5.0)
+    supervisor = case_study_supervisor()
+    kwargs = dict(
+        big_system=systems.big,
+        little_system=systems.little,
+        verified_supervisor=supervisor,
+    )
+    fleet = FleetSPECTR(FleetPlatform(seeds=list(range(n))), goals, **kwargs)
+    scalars = [
+        SPECTRManager(ExynosSoC(config=SoCConfig(seed=row)), goals, **kwargs)
+        for row in range(n)
+    ]
+    rng = np.random.default_rng(noise_seed)
+    fired: set[str] = set()
+    invocation = 0
+    for length, regimes, goal_change in segments:
+        if goal_change is not None:
+            budget_w, qos_reference = goal_change
+            for manager in (fleet, *scalars):
+                manager.set_power_budget(budget_w)
+                manager.set_qos_reference(qos_reference)
+        band, qos_side, little_ips = (
+            np.array(column) for column in zip(*regimes[:n])
+        )
+        for _ in range(length):
+            budget_w = fleet.goals.power_budget_w
+            jitter = rng.uniform(0.98, 1.02, (3, n))
+            chip_w = band * budget_w * jitter[0]
+            little_w = chip_w * 0.05 * jitter[1]
+            big_w = chip_w - little_w
+            qos = qos_side * fleet.goals.qos_reference * jitter[2]
+            time_s = invocation * 0.1
+            fleet._supervise(
+                FleetTelemetry(
+                    time_s=time_s,
+                    qos_rate=qos,
+                    qos_raw=qos,
+                    big=_fleet_cluster(big_w, np.zeros(n)),
+                    little=_fleet_cluster(little_w, little_ips),
+                    chip_power_w=big_w + little_w,
+                )
+            )
+            for row, scalar in enumerate(scalars):
+                telemetry = Telemetry(
+                    time_s=time_s,
+                    qos_rate=float(qos[row]),
+                    qos_raw=float(qos[row]),
+                    big=_scalar_cluster(float(big_w[row]), 0.0),
+                    little=_scalar_cluster(
+                        float(little_w[row]), float(little_ips[row])
+                    ),
+                )
+                scalar._telemetry = telemetry  # as _control sets it
+                scalar._supervise(telemetry)
+                fired.update(scalar.engine.trace[-1].executed)
+                where = f"invocation {invocation} row {row}"
+                assert (
+                    fleet.encoded.state_names[fleet.state[row]]
+                    == scalar.engine.state.name
+                ), where
+                assert (
+                    float(fleet.big_power_ref_w[row])
+                    == scalar.big_power_ref_w
+                ), where
+                assert (
+                    float(fleet.little_power_ref_w[row])
+                    == scalar.little_power_ref_w
+                ), where
+                assert (
+                    FLEET_GAIN_NAMES[fleet.big_servo.gain_ids[row]]
+                    == scalar.big_mimo.active_gains
+                ), where
+                assert (
+                    FLEET_GAIN_NAMES[fleet.little_servo.gain_ids[row]]
+                    == scalar.little_mimo.active_gains
+                ), where
+            invocation += 1
+    return fired
+
+
+class TestSupervisorDifferential:
+    """The array supervisor equals N scalar supervisors, invocation by
+    invocation: state, both power references, both gain sets."""
+
+    def test_supervise_matches_scalar_rows(self, systems):
+        fired: set[str] = set()
+
+        @settings(max_examples=40, deadline=None, derandomize=True)
+        @given(program=_programs)
+        @example(program=_ALL_ACTIONS_PROGRAM)
+        def check(program):
+            fired.update(_drive_supervisors(systems, program))
+
+        check()
+        assert fired == set(ACTION_PRIORITIES), sorted(
+            set(ACTION_PRIORITIES) - fired
+        )
 
 
 class TestKernelGuards:
