@@ -30,7 +30,10 @@ A primitive that fails its probe silently falls back to plain
 speed varies.
 
 Rows may run different gain sets simultaneously (SPECTR's supervisor
-switches rows independently): the batch is advanced per gain group via
+switches rows independently).  The compiled step
+(:mod:`repro.control.fused`) reads each row's gain id directly, so it
+serves uniform and mixed batches alike.  Without it (``fused_reason``
+says why) the numpy path advances a mixed batch per gain group via
 gather/scatter, which preserves bit-identity because every operation is
 row-independent.
 """
@@ -39,7 +42,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.control.fused import dot_variant, fused_kernel
+from repro.control.fused import (
+    NO_VARIANT,
+    dot_variant,
+    fused_kernel,
+    unavailable_reason,
+)
 from repro.control.lqg import ActuatorLimits, LQGGains
 from repro.control.statespace import ModelError, OperatingPoint
 
@@ -49,6 +57,25 @@ __all__ = ["BatchedGainSet", "BatchedLQGServo"]
 # path, and a scale sweep so exponent-dependent behavior would show.
 _PROBE_ROWS = (2, 3, 17, 256)
 _PROBE_SCALES = (1e-3, 1.0, 1e3)
+
+# The gain matrices the fused kernel reduces, in its gain_pack order.
+_FUSED_MATRICES = (
+    "C",
+    "A",
+    "B",
+    "D",
+    "L",
+    "neg_K_state",
+    "K_integral",
+    "K_integral_pinv",
+)
+
+
+# Differential-probe verdicts keyed by everything the probe reads (see
+# BatchedLQGServo._probe_key).  The probe is deterministic, so an
+# identical servo always re-derives the same verdict; a fleet run
+# rebuilds its managers and would otherwise repeat the probe every run.
+_PROBE_MEMO: dict[bytes, bool] = {}
 
 
 def _probe_batches(n_cols: int):
@@ -136,26 +163,38 @@ class BatchedGainSet:
         self.ki_pinv_columns_exact = _matvec_by_columns_exact(  # repro: shape[bool]
             self.K_integral_pinv
         )
-        # Per-matrix dot variants for the fused C kernel (None when any
-        # matrix has no bit-exact inlined reduction on this machine).
-        self.fused_variants = None  # repro: shape[(8,) i1 | none]
+        # Per-row dot variants for the fused C kernel: every row of the
+        # _FUSED_MATRICES, concatenated in that order.  None without a
+        # kernel, or when some row has no bit-exact inlined reduction on
+        # this machine (``fused_gap`` names it).
+        self.fused_variants = None  # repro: shape[(3*n+3*p+2*m,) i1 | none]
+        self.fused_gap: str | None = None
         kernel = fused_kernel()
         if kernel is not None:
-            codes = [
-                dot_variant(kernel, matrix)
-                for matrix in (
-                    self.C,
-                    self.A,
-                    self.B,
-                    self.D,
-                    self.L,
-                    self.neg_K_state,
-                    self.K_integral,
-                    self.K_integral_pinv,
-                )
-            ]
-            if None not in codes:
-                self.fused_variants = np.array(codes, dtype=np.int8)
+            codes = []
+            for name in _FUSED_MATRICES:
+                rows = dot_variant(kernel, getattr(self, name))
+                missing = np.flatnonzero(rows == NO_VARIANT)
+                if missing.size:
+                    self.fused_gap = (
+                        f"no bit-exact dot variant: {name} row {missing[0]}"
+                    )
+                    break
+                codes.append(rows)
+            else:
+                self.fused_variants = np.concatenate(codes)
+
+    def fused_pack(self) -> list[int]:
+        """This set's row of the fused kernel's gain-pack table: the
+        matrix, integral-mask and per-matrix variant-code addresses."""
+        matrices = [getattr(self, name) for name in _FUSED_MATRICES]
+        base = self.fused_variants.ctypes.data
+        starts = np.cumsum([0] + [matrix.shape[0] for matrix in matrices])
+        return (
+            [matrix.ctypes.data for matrix in matrices]
+            + [self.integral_mask.ctypes.data]
+            + [base + int(start) for start in starts[:-1]]
+        )
 
 
 class BatchedLQGServo:
@@ -166,6 +205,8 @@ class BatchedLQGServo:
     ``(N, p)`` row each; managers with a fleet-wide reference use
     :meth:`set_reference`; SPECTR's supervisor writes per-row
     ``references`` directly and calls :meth:`refresh_references`.
+    ``fused_reason`` is ``None`` when :meth:`step` runs the compiled
+    kernel, and otherwise says why it runs numpy.
     """
 
     def __init__(
@@ -242,18 +283,37 @@ class BatchedLQGServo:
         self.invocations = 0  # repro: shape[int]
         # Compiled whole-step kernel: enabled only when available for
         # these dimensions AND a differential probe reproduces the
-        # numpy path bit-for-bit for every gain set in the palette.
+        # numpy path bit-for-bit for every gain set in the palette,
+        # uniform and mixed.
         self._dims = (n, m, p)
         self._fused = None
-        self._fused_tails = None
+        self._fused_args: tuple | None = None
+        self._packs = None  # repro: shape[(G, 17) i8 | none]
+        self.fused_reason = self._enable_fused()
+
+    def _enable_fused(self) -> str | None:
+        """Turn the compiled step on, or return why it stays off."""
         kernel = fused_kernel()
-        if (
-            kernel is not None
-            and kernel.fits(n, m, p)
-            and all(g.fused_variants is not None for g in self.sets)
-        ):
-            if self._probe_fused(kernel):
-                self._fused = kernel
+        if kernel is None:
+            return unavailable_reason()
+        if not kernel.fits(*self._dims):
+            return "dims"
+        for g in self.sets:
+            if g.fused_gap is not None:
+                return g.fused_gap
+        self._packs = np.array(
+            [g.fused_pack() for g in self.sets], dtype=np.int64
+        )
+        key = self._probe_key()
+        verdict = _PROBE_MEMO.get(key)
+        if verdict is None:
+            verdict = self._probe_fused(kernel)
+            if len(_PROBE_MEMO) < 256:
+                _PROBE_MEMO[key] = verdict
+        if not verdict:
+            return "differential probe mismatch"
+        self._fused = kernel
+        return None
 
     # ------------------------------------------------------------------
     def set_reference(self, reference) -> None:
@@ -300,6 +360,9 @@ class BatchedLQGServo:
             z = np.matvec(g.K_integral_pinv, rhs)
             self.Z[rows] = z * g.integral_mask
         self.gain_ids[rows] = np.int8(new_id)
+        self._sync_uniform()
+
+    def _sync_uniform(self) -> None:
         unique = np.unique(self.gain_ids)
         self._uniform = int(unique[0]) if unique.size == 1 else None
 
@@ -307,7 +370,7 @@ class BatchedLQGServo:
     def step(self, measured_outputs: np.ndarray) -> np.ndarray:
         # repro: shape[measured_outputs: (N, p) f8; -> (N, m) f8]
         """One control interval for every row; returns ``(N, m)`` u."""
-        if self._fused is not None and self._uniform is not None:
+        if self._fused is not None:
             return self._step_fused(measured_outputs)
         return self._step_numpy(measured_outputs)
 
@@ -321,23 +384,22 @@ class BatchedLQGServo:
             or not Y.flags.c_contiguous
         ):
             Y = np.ascontiguousarray(Y, dtype=float)
-        tails = self._fused_tails
-        if tails is None:
-            tails = self._fused_tails = [
-                self._fused_tail(g) for g in self.sets
-            ]
+        tail = self._fused_args
+        if tail is None:
+            tail = self._fused_args = self._fused_tail()
         n, m, p = self._dims
         (kernel or self._fused).servo_step_ptrs(
-            self.n_rows, n, m, p, Y.ctypes.data, tails[self._uniform]
+            self.n_rows, n, m, p, Y.ctypes.data, tail
         )
         self.invocations += 1
         return self._u_next
 
-    def _fused_tail(self, g: BatchedGainSet) -> tuple:
-        # repro: shape[g: obj[BatchedGainSet]]
-        """Raw pointer arguments for one gain set's fused call.
+    def _fused_tail(self) -> tuple:
+        # repro: shape[-> ?]
+        """Raw pointer arguments of the fused call after ``Y``.
 
         Captured addresses stay valid because every referenced buffer
+        (``gain_ids`` included: :meth:`switch_rows` writes it in place)
         is updated strictly in place on the fused path; the numpy path
         rotates buffers, so it drops the cache (``_step_numpy``).
         """
@@ -354,15 +416,8 @@ class BatchedLQGServo:
             self.DU.ctypes.data,
             self.U_prev.ctypes.data,
             self._u_next.ctypes.data,
-            g.C.ctypes.data,
-            g.A.ctypes.data,
-            g.B.ctypes.data,
-            g.D.ctypes.data,
-            g.L.ctypes.data,
-            g.neg_K_state.ctypes.data,
-            g.K_integral.ctypes.data,
-            g.K_integral_pinv.ctypes.data,
-            g.integral_mask.ctypes.data,
+            self._packs.ctypes.data,
+            self.gain_ids.ctypes.data,
             op.y.ctypes.data,
             op.y_scale.ctypes.data,
             op.u.ctypes.data,
@@ -373,7 +428,6 @@ class BatchedLQGServo:
             step_ptr,
             has_step,
             self.anti_windup,
-            g.fused_variants.ctypes.data,
         )
 
     def _step_numpy(self, measured_outputs: np.ndarray) -> np.ndarray:
@@ -413,7 +467,7 @@ class BatchedLQGServo:
         self.DU = du_next
         self._u_next = self.U_prev
         self.U_prev = u
-        self._fused_tails = None
+        self._fused_args = None
         self.invocations += 1
         return u
 
@@ -494,13 +548,36 @@ class BatchedLQGServo:
         self._z_spare, self.Z = Z, z_new
         return du
 
+    def _probe_key(self) -> bytes:
+        """Everything :meth:`_probe_fused` reads: row count, gain
+        matrices, operating point, limits and anti-windup gain (the
+        probe runs from the construction-time state and references,
+        which these determine)."""
+        op = self.operating_point
+        limits = self.limits
+        header = [self.n_rows, *self._dims, len(self.sets)]
+        header.append(limits.max_step is not None)
+        parts = [
+            np.array(header, dtype=np.int64),
+            np.array([self.anti_windup]),
+            op.y, op.y_scale, op.u, op.u_scale,
+            limits.lower, limits.upper,
+        ]
+        if limits.max_step is not None:
+            parts.append(limits.max_step)
+        for g in self.sets:
+            parts.extend(getattr(g, name) for name in _FUSED_MATRICES)
+            parts.append(g.integral_mask)
+        return b"".join(np.ascontiguousarray(part).tobytes() for part in parts)
+
     def _probe_fused(self, kernel) -> bool:
         """Differential gate for the compiled kernel.
 
         Runs the numpy and fused paths over identical random inputs —
-        covering every gain set and both saturated and unsaturated
-        regimes — and enables the kernel only on bit-exact agreement
-        of every output and every piece of internal state.
+        covering every gain set uniformly, then random per-row gain ids,
+        in both saturated and unsaturated regimes — and enables the
+        kernel only on bit-exact agreement of every output and every
+        piece of internal state.
         """
         saved = (
             self.X.copy(),
@@ -520,9 +597,20 @@ class BatchedLQGServo:
                 self._restore_probe_state(saved)
                 rng = np.random.default_rng(0xF05ED)
                 run: list[np.ndarray] = []
-                for set_index in range(len(self.sets)):
-                    self.gain_ids[:] = np.int8(set_index)
-                    self._uniform = set_index
+                n_sets = len(self.sets)
+                for set_index in [*range(n_sets), None]:
+                    if set_index is None:
+                        # Random per-row ids, but every other 8-row
+                        # lane block uniform (cycling through the sets):
+                        # mixed and uniform blocks in one batch.
+                        ids = rng.integers(0, n_sets, self.n_rows)
+                        block = np.arange(self.n_rows) // 8
+                        whole = block % 2 == 0
+                        ids[whole] = block[whole] // 2 % n_sets
+                        self.gain_ids[:] = ids
+                    else:
+                        self.gain_ids[:] = np.int8(set_index)
+                    self._sync_uniform()
                     for scale in (0.5, 3.0, 50.0):
                         for _ in range(2):
                             Y = op.y + op.y_scale * scale * (

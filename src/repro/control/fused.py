@@ -22,21 +22,33 @@ runs where it is machine-verified bit-identical.
 Bit-identity with ``M @ x`` is the hard part: BLAS picks a different
 reduction order per matrix shape (FMA lanes with a horizontal-sum tree
 for wide kernels, alternating non-FMA accumulators for short-output
-shapes, a single FMA for inner dimension 2).  The kernel implements
-each observed reduction as a *dot variant*; :func:`dot_variant` probes
-a matrix against ``np.matvec`` and returns the variant that reproduces
-it bit-for-bit on random data, or ``None`` when no candidate matches —
-in which case the caller keeps the numpy path.  On top of the
-per-matrix probe, :class:`~repro.control.batch.BatchedLQGServo` only
-enables the kernel after an end-to-end differential probe shows the
-fused step reproduces the numpy path bit-for-bit for every gain set.
+shapes, a single FMA for inner dimension 2, and for inner dimension
+``4q + 2`` either blocked reduction over the first ``4q`` elements with
+the last two folded in as one FMA pair).  It may even differ between
+rows of one matrix: OpenBLAS reduces rows in blocks of 4 and the
+remainder rows with another kernel.  The kernel implements each
+observed reduction as a *dot variant*, and :func:`dot_variant` probes a
+matrix against ``np.matvec`` and returns one variant code *per row* —
+the code that reproduces that row bit-for-bit on random data, or
+:data:`NO_VARIANT` when no candidate does, in which case the caller
+keeps the numpy path.
+
+The servo step serves a whole gain-scheduled palette at once: it takes
+a table of per-gain-set pointers (matrices, integral mask, per-row
+variant codes) and each row's gain id.  A block of 8 rows sharing one
+gain set steps lane-parallel; a mixed block steps row by row, each row
+with its own set.  On top of the per-row probe,
+:class:`~repro.control.batch.BatchedLQGServo` only enables the kernel
+after an end-to-end differential probe shows the fused step reproduces
+the numpy path bit-for-bit for every gain set, uniform and mixed.
 
 The kernel is strictly optional: it compiles lazily with the system C
 compiler into a cached shared object, and any failure (no compiler,
-failed build, unprobeable matrix) silently falls back to numpy.
-``REPRO_DISABLE_FUSED=1`` forces the numpy path (used by tests to
-cover both implementations).  Nothing here changes results — only how
-fast they are produced.
+failed build, unprobeable matrix) falls back to numpy with the reason
+recorded — :func:`unavailable_reason` for the kernel,
+``BatchedLQGServo.fused_reason`` per servo.  ``REPRO_DISABLE_FUSED=1``
+forces the numpy path (used by tests to cover both implementations).
+Nothing here changes results — only how fast they are produced.
 """
 
 from __future__ import annotations
@@ -49,7 +61,13 @@ import tempfile
 
 import numpy as np
 
-__all__ = ["dot_variant", "fused_kernel", "FusedKernel"]
+__all__ = [
+    "NO_VARIANT",
+    "dot_variant",
+    "fused_kernel",
+    "unavailable_reason",
+    "FusedKernel",
+]
 
 # Stack-buffer capacity in the C source; callers must check fits().
 _MAX_DIM = 32
@@ -89,15 +107,27 @@ static double dot2_fma(const double *a, const double *x, i64 k) {
     return fma(a[0], x[0], a[1] * x[1]);
 }
 
+/* Codes 3 and 4 serve inner dimension k = 4q + 2: codes 0 and 1 over
+ * the first k-2 elements, then the 2-wide tail folded in as one FMA
+ * pair.  Each reduction has one call site, so all of them inline. */
 static double dot(int variant, const double *a, const double *x, i64 k) {
+    const i64 body = variant >= 3 ? k - 2 : k;
+    double s;
     switch (variant) {
     case 0:
-        return dot_v4_h2(a, x, k);
+    case 3:
+        s = dot_v4_h2(a, x, body);
+        break;
     case 1:
-        return dot_x2_nofma(a, x, k);
+    case 4:
+        s = dot_x2_nofma(a, x, body);
+        break;
     default:
         return dot2_fma(a, x, k);
     }
+    if (variant >= 3)
+        s = s + fma(a[k - 2], x[k - 2], a[k - 1] * x[k - 1]);
+    return s;
 }
 
 /* Exported so the Python probe can compare variants against numpy. */
@@ -105,30 +135,42 @@ double fused_dot(i64 variant, const double *a, const double *x, i64 k) {
     return dot((int)variant, a, x, k);
 }
 
-/* out = M @ x with M (r, k) row-major, one probed dot per output. */
-static void matvec(const double *M, i64 r, i64 k, int variant,
+/* out = M @ x with M (r, k) row-major, row i reduced with the probed
+ * dot variant v[i]. */
+static void matvec(const double *M, i64 r, i64 k, const signed char *v,
                    const double *x, double *out) {
     i64 i;
-    for (i = 0; i < r; ++i) out[i] = dot(variant, M + i * k, x, k);
+    for (i = 0; i < r; ++i) out[i] = dot(v[i], M + i * k, x, k);
 }
 
+/* One gain set: its matrices, then each matrix's per-row dot variant
+ * codes.  Python passes the palette as a (G, 17) int64 table of these
+ * addresses, so the struct must be exactly 17 pointer-sized slots. */
+typedef struct {
+    const double *Cm, *Am, *Bm, *Dm, *Lm, *negK, *Ki, *Kipinv, *imask;
+    const signed char *vC, *vA, *vB, *vD, *vL, *vK, *vKi, *vP;
+} gain_pack;
+
+_Static_assert(sizeof(gain_pack) == 17 * sizeof(i64), "gain_pack layout");
+
 /* Shared per-call servo context: dimensions, state pointers, gain
- * matrices, operating point and limits. */
+ * palette with per-row gain ids, operating point and limits. */
 typedef struct {
     i64 n, m, p;
     const double *Y, *dr;
     double *X, *Z, *DU, *U_prev, *U_out;
-    const double *Cm, *Am, *Bm, *Dm, *Lm, *negK, *Ki, *Kipinv, *imask;
+    const gain_pack *packs;
+    const signed char *gain_ids;
     const double *op_y, *y_scale, *op_u, *u_scale, *u_scale_safe;
     const double *lower, *upper, *max_step;
     int has_max_step;
     double anti_windup;
-    int vC, vA, vB, vD, vL, vK, vKi, vP;
 } servo_ctx;
 
-/* One LQGServoController.step for rows [r0, r1).  Elementwise algebra
- * mirrors the scalar source line for line.  X, Z, DU, U_prev update
- * in place; U_out receives the saturated physical command. */
+/* One LQGServoController.step for rows [r0, r1), each row with its own
+ * gain set.  Elementwise algebra mirrors the scalar source line for
+ * line.  X, Z, DU, U_prev update in place; U_out receives the
+ * saturated physical command. */
 static void servo_rows(const servo_ctx *c, i64 r0, i64 r1)
 {
     double dy[32], ypred[32], resid[32], tmp[32], xnew[32];
@@ -136,6 +178,7 @@ static void servo_rows(const servo_ctx *c, i64 r0, i64 r1)
     const i64 n = c->n, m = c->m, p = c->p;
     i64 r, i, j;
     for (r = r0; r < r1; ++r) {
+        const gain_pack *g = &c->packs[c->gain_ids[r]];
         const double *y = c->Y + r * p;
         const double *drr = c->dr + r * p;
         double *x = c->X + r * n;
@@ -149,26 +192,26 @@ static void servo_rows(const servo_ctx *c, i64 r0, i64 r1)
             dy[i] = (y[i] - c->op_y[i]) / c->y_scale[i];
 
         /* y_pred = C @ x + D @ du_prev */
-        matvec(c->Cm, p, n, c->vC, x, ypred);
-        matvec(c->Dm, p, m, c->vD, duprev, tmp);
+        matvec(g->Cm, p, n, g->vC, x, ypred);
+        matvec(g->Dm, p, m, g->vD, duprev, tmp);
         for (i = 0; i < p; ++i) ypred[i] = ypred[i] + tmp[i];
 
         /* xhat = (A @ x + B @ du_prev) + L @ (dy - y_pred) */
-        matvec(c->Am, n, n, c->vA, x, xnew);
-        matvec(c->Bm, n, m, c->vB, duprev, tmp);
+        matvec(g->Am, n, n, g->vA, x, xnew);
+        matvec(g->Bm, n, m, g->vB, duprev, tmp);
         for (i = 0; i < n; ++i) xnew[i] = xnew[i] + tmp[i];
         for (i = 0; i < p; ++i) resid[i] = dy[i] - ypred[i];
-        matvec(c->Lm, n, p, c->vL, resid, tmp);
+        matvec(g->Lm, n, p, g->vL, resid, tmp);
         for (i = 0; i < n; ++i) xnew[i] = xnew[i] + tmp[i];
         for (i = 0; i < n; ++i) x[i] = xnew[i];
 
         /* z = z + integral_mask * (dr - dy) */
         for (i = 0; i < p; ++i)
-            z[i] = z[i] + c->imask[i] * (drr[i] - dy[i]);
+            z[i] = z[i] + g->imask[i] * (drr[i] - dy[i]);
 
         /* du = (-K_state) @ xhat - K_integral @ z */
-        matvec(c->negK, m, n, c->vK, xnew, du);
-        matvec(c->Ki, m, p, c->vKi, z, kiz);
+        matvec(g->negK, m, n, g->vK, xnew, du);
+        matvec(g->Ki, m, p, g->vKi, z, kiz);
         for (j = 0; j < m; ++j) du[j] = du[j] - kiz[j];
 
         /* u_raw = op.u + du * u_scale; slew + bound clip; excess.
@@ -193,7 +236,7 @@ static void servo_rows(const servo_ctx *c, i64 r0, i64 r1)
         /* Anti-windup back-calculation, per row like the scalar. */
         for (j = 0; j < m; ++j) {
             if (exc[j] != 0.0) {
-                matvec(c->Kipinv, p, m, c->vP, exc, corr);
+                matvec(g->Kipinv, p, m, g->vP, exc, corr);
                 for (i = 0; i < p; ++i)
                     z[i] = z[i] + c->anti_windup * corr[i];
                 break;
@@ -256,31 +299,41 @@ static void dot4_2fma(const double *a, const double *xT, i64 k,
         out[l] = fma(a[0], xT[l], a[1] * xT[LANES + l]);
 }
 
+/* Same code split as dot(). */
 static void dot4(int variant, const double *a, const double *xT, i64 k,
                  double *out) {
+    const i64 body = variant >= 3 ? k - 2 : k;
+    int l;
     switch (variant) {
     case 0:
-        dot4_v4_h2(a, xT, k, out);
+    case 3:
+        dot4_v4_h2(a, xT, body, out);
         break;
     case 1:
-        dot4_x2_nofma(a, xT, k, out);
+    case 4:
+        dot4_x2_nofma(a, xT, body, out);
         break;
     default:
         dot4_2fma(a, xT, k, out);
+        return;
     }
+    if (variant >= 3)
+        for (l = 0; l < LANES; ++l)
+            out[l] = out[l] + fma(a[k - 2], xT[(k - 2) * LANES + l],
+                                  a[k - 1] * xT[(k - 1) * LANES + l]);
 }
 
-static void matvec4(const double *M, i64 r, i64 k, int variant,
+static void matvec4(const double *M, i64 r, i64 k, const signed char *v,
                     const double *xT, double *outT) {
     i64 i;
     for (i = 0; i < r; ++i)
-        dot4(variant, M + i * k, xT, k, outT + i * LANES);
+        dot4(v[i], M + i * k, xT, k, outT + i * LANES);
 }
 
 /* One full LANES-row block: transpose in, lane-parallel step,
  * scatter out.  Per-lane op order matches servo_rows statement for
  * statement. */
-static void servo_block(const servo_ctx *c, i64 r0)
+static void servo_block(const servo_ctx *c, i64 r0, const gain_pack *g)
 {
     double xT[32 * LANES], dupT[32 * LANES], dyT[32 * LANES];
     double ypredT[32 * LANES], tmpT[32 * LANES], xnewT[32 * LANES];
@@ -305,16 +358,16 @@ static void servo_block(const servo_ctx *c, i64 r0)
                 (c->Y[(r0 + l) * p + i] - c->op_y[i]) / c->y_scale[i];
 
     /* y_pred = C @ x + D @ du_prev */
-    matvec4(c->Cm, p, n, c->vC, xT, ypredT);
-    matvec4(c->Dm, p, m, c->vD, dupT, tmpT);
+    matvec4(g->Cm, p, n, g->vC, xT, ypredT);
+    matvec4(g->Dm, p, m, g->vD, dupT, tmpT);
     for (i = 0; i < p; ++i)
         for (l = 0; l < LANES; ++l)
             ypredT[i * LANES + l] =
                 ypredT[i * LANES + l] + tmpT[i * LANES + l];
 
     /* xhat = (A @ x + B @ du_prev) + L @ (dy - y_pred) */
-    matvec4(c->Am, n, n, c->vA, xT, xnewT);
-    matvec4(c->Bm, n, m, c->vB, dupT, tmpT);
+    matvec4(g->Am, n, n, g->vA, xT, xnewT);
+    matvec4(g->Bm, n, m, g->vB, dupT, tmpT);
     for (i = 0; i < n; ++i)
         for (l = 0; l < LANES; ++l)
             xnewT[i * LANES + l] =
@@ -323,7 +376,7 @@ static void servo_block(const servo_ctx *c, i64 r0)
         for (l = 0; l < LANES; ++l)
             tmpT[i * LANES + l] =
                 dyT[i * LANES + l] - ypredT[i * LANES + l];
-    matvec4(c->Lm, n, p, c->vL, tmpT, ypredT);
+    matvec4(g->Lm, n, p, g->vL, tmpT, ypredT);
     for (i = 0; i < n; ++i)
         for (l = 0; l < LANES; ++l)
             xnewT[i * LANES + l] =
@@ -337,12 +390,12 @@ static void servo_block(const servo_ctx *c, i64 r0)
         for (l = 0; l < LANES; ++l)
             zT[i * LANES + l] =
                 c->Z[(r0 + l) * p + i]
-                + c->imask[i]
+                + g->imask[i]
                       * (c->dr[(r0 + l) * p + i] - dyT[i * LANES + l]);
 
     /* du = (-K_state) @ xhat - K_integral @ z */
-    matvec4(c->negK, m, n, c->vK, xnewT, duT);
-    matvec4(c->Ki, m, p, c->vKi, zT, kizT);
+    matvec4(g->negK, m, n, g->vK, xnewT, duT);
+    matvec4(g->Ki, m, p, g->vKi, zT, kizT);
     for (j = 0; j < m; ++j)
         for (l = 0; l < LANES; ++l)
             duT[j * LANES + l] = duT[j * LANES + l] - kizT[j * LANES + l];
@@ -372,7 +425,7 @@ static void servo_block(const servo_ctx *c, i64 r0)
             if (excT[j * LANES + l] != 0.0) {
                 for (jj = 0; jj < m; ++jj)
                     excl[jj] = excT[jj * LANES + l];
-                matvec(c->Kipinv, p, m, c->vP, excl, corr);
+                matvec(g->Kipinv, p, m, g->vP, excl, corr);
                 for (i = 0; i < p; ++i)
                     zT[i * LANES + l] =
                         zT[i * LANES + l] + c->anti_windup * corr[i];
@@ -395,39 +448,42 @@ static void servo_block(const servo_ctx *c, i64 r0)
     }
 }
 
-/* Entry point: full blocks of LANES rows, then a scalar remainder.
- * variants[8] gives the probed dot reduction for, in order,
- * C, A, B, D, L, negK, Ki, Kipinv. */
+/* Entry point.  Row r runs gain set packs[gain_ids[r]].  A full block
+ * of LANES rows that share one gain id steps lane-parallel; a mixed
+ * block, and the remainder rows, step one row at a time. */
 void fused_servo_step(
     i64 N, i64 n, i64 m, i64 p,
     const double *Y, const double *dr,
     double *X, double *Z, double *DU, double *U_prev, double *U_out,
-    const double *Cm, const double *Am, const double *Bm, const double *Dm,
-    const double *Lm, const double *negK, const double *Ki,
-    const double *Kipinv, const double *imask,
+    const gain_pack *packs, const signed char *gain_ids,
     const double *op_y, const double *y_scale,
     const double *op_u, const double *u_scale, const double *u_scale_safe,
     const double *lower, const double *upper,
     const double *max_step, int has_max_step,
-    double anti_windup, const signed char *variants)
+    double anti_windup)
 {
     servo_ctx c;
     i64 r0;
     i64 blocked = N - (N % LANES);
+    int l, same;
     c.n = n; c.m = m; c.p = p;
     c.Y = Y; c.dr = dr;
     c.X = X; c.Z = Z; c.DU = DU; c.U_prev = U_prev; c.U_out = U_out;
-    c.Cm = Cm; c.Am = Am; c.Bm = Bm; c.Dm = Dm; c.Lm = Lm;
-    c.negK = negK; c.Ki = Ki; c.Kipinv = Kipinv; c.imask = imask;
+    c.packs = packs; c.gain_ids = gain_ids;
     c.op_y = op_y; c.y_scale = y_scale; c.op_u = op_u;
     c.u_scale = u_scale; c.u_scale_safe = u_scale_safe;
     c.lower = lower; c.upper = upper; c.max_step = max_step;
     c.has_max_step = has_max_step;
     c.anti_windup = anti_windup;
-    c.vC = variants[0]; c.vA = variants[1]; c.vB = variants[2];
-    c.vD = variants[3]; c.vL = variants[4]; c.vK = variants[5];
-    c.vKi = variants[6]; c.vP = variants[7];
-    for (r0 = 0; r0 < blocked; r0 += LANES) servo_block(&c, r0);
+    for (r0 = 0; r0 < blocked; r0 += LANES) {
+        same = 1;
+        for (l = 1; l < LANES; ++l)
+            same &= gain_ids[r0 + l] == gain_ids[r0];
+        if (same)
+            servo_block(&c, r0, &packs[gain_ids[r0]]);
+        else
+            servo_rows(&c, r0, r0 + LANES);
+    }
     servo_rows(&c, blocked, N);
 }
 
@@ -569,13 +625,14 @@ class FusedKernel:
         self._dot = dot
         step = lib.fused_servo_step
         step.restype = None
-        # 4 dims, 23 array pointers, then the max_step pointer (NULLable,
-        # passed as a raw address), has_max_step, anti_windup, variants.
+        # 4 dims; Y and 6 state pointers; the gain-pack table and the
+        # per-row gain ids; 7 operating-point/limit pointers and the
+        # max_step pointer (passed as a raw address); has_max_step,
+        # anti_windup.
         step.argtypes = (
             [ctypes.c_longlong] * 4
-            + [ctypes.c_void_p] * 24
+            + [ctypes.c_void_p] * 17
             + [ctypes.c_int, ctypes.c_double]
-            + [ctypes.c_void_p]
         )
         self._step = step
         telemetry = lib.fleet_telemetry
@@ -612,7 +669,8 @@ class FusedKernel:
         )
 
     def servo_step_ptrs(self, rows, n, m, p, y_ptr, tail) -> None:
-        """:meth:`servo_step` with every post-``Y`` argument pre-resolved.
+        """One ``fused_servo_step`` call with every post-``Y`` argument
+        pre-resolved.
 
         ``tail`` is the tuple of raw pointer/flag/scalar arguments the
         caller captured once (the underlying buffers are updated in
@@ -719,76 +777,121 @@ class FusedKernel:
         )
 
 
+# Dot variant codes of the C ``dot`` switch: 0 v4_h2, 1 x2_nofma,
+# 2 dot2_fma, 3 v4_h2+pair, 4 x2+pair.  ``NO_VARIANT`` marks a row that
+# no candidate reproduces.
+NO_VARIANT = -1
+
+
+def _candidates(k: int) -> tuple[int, ...]:
+    """Applicable codes for inner dimension ``k``, in probe order."""
+    if k == 2:
+        return (2, 1)
+    if k % 4 == 0:
+        return (1, 0)
+    if k % 4 == 2:
+        return (3, 4, 1)
+    return ()
+
+
 # Probe verdicts keyed by matrix content; the probe is deterministic
 # (fixed rng seed, data-dependent only), so identical matrices always
-# re-derive the same variant.  Rebuilding the same controllers per run
+# re-derive the same variants.  Rebuilding the same controllers per run
 # would otherwise repeat every probe.
-_VARIANT_MEMO: dict[bytes, int | None] = {}
+_VARIANT_MEMO: dict[bytes, np.ndarray] = {}
 
 
-def dot_variant(kernel: FusedKernel, matrix: np.ndarray) -> int | None:
-    """The dot variant reproducing ``np.matvec(matrix, ·)`` bit-exactly.
+def dot_variant(kernel: FusedKernel, matrix: np.ndarray) -> np.ndarray:
+    # repro: shape[matrix: (r, k) f8; -> (r,) i1]
+    """Per-row dot variants reproducing ``np.matvec(matrix, ·)`` bit-exactly.
 
-    Probes every applicable reduction order against numpy on random
-    vectors across magnitudes; returns its code, or ``None`` when no
-    candidate matches (the caller then keeps the numpy path).
+    BLAS may reduce different rows of one matrix differently (OpenBLAS
+    reduces rows in blocks of 4 and the remainder rows with another
+    kernel), so each row gets its own code.  The first candidate that
+    reproduces *every* row on random vectors across magnitudes is used
+    for all of them; failing that, each row takes the first candidate
+    that reproduces it.  A row no candidate reproduces gets
+    :data:`NO_VARIANT`; the caller then keeps the numpy path and reports
+    the row.
     """
     key = matrix.shape[1].to_bytes(4, "little") + matrix.tobytes()
-    if key in _VARIANT_MEMO:
-        return _VARIANT_MEMO[key]
-    verdict = _dot_variant_probe(kernel, matrix)
-    if len(_VARIANT_MEMO) < 4096:
-        _VARIANT_MEMO[key] = verdict
-    return verdict
+    codes = _VARIANT_MEMO.get(key)
+    if codes is None:
+        codes = _dot_variant_probe(kernel, matrix)
+        codes.flags.writeable = False
+        if len(_VARIANT_MEMO) < 4096:
+            _VARIANT_MEMO[key] = codes
+    return codes
 
 
-def _dot_variant_probe(kernel: FusedKernel, matrix: np.ndarray) -> int | None:
+def _dot_variant_probe(kernel: FusedKernel, matrix: np.ndarray) -> np.ndarray:
+    matrix = np.ascontiguousarray(matrix, dtype=float)
     r, k = matrix.shape
-    candidates: list[int] = []
-    if k == 2:
-        candidates.append(2)
-    if k % 2 == 0:
-        candidates.append(1)
-    if k % 4 == 0:
-        candidates.append(0)
-    if not candidates:
-        return None
     rng = np.random.default_rng(0xD07)
     batches = [
         rng.standard_normal((17, k)) * scale for scale in (1e-3, 1.0, 1e3)
     ]
+    # (vector address, reference products) pairs; raw addresses keep
+    # the thousands of probe calls off the ndarray.ctypes path.
+    samples = [
+        (X.ctypes.data + 8 * k * j, reference)
+        for X in batches
+        for j, reference in enumerate(np.matvec(matrix, X).tolist())
+    ]
+
+    def reproduces(code: int, i: int) -> bool:
+        row = matrix.ctypes.data + 8 * k * i
+        return all(
+            kernel._dot(code, row, x, k) == reference[i]
+            for x, reference in samples
+        )
+
+    candidates = _candidates(k)
+    codes = np.full(r, NO_VARIANT, dtype=np.int8)
     for code in candidates:
-        if all(
-            all(
-                kernel.dot(code, matrix[i], x) == reference[i]
-                for i in range(r)
-            )
-            for X in batches
-            for x, reference in zip(X, np.matvec(matrix, X))
-        ):
-            return code
-    return None
+        if all(reproduces(code, i) for i in range(r)):
+            codes[:] = code
+            return codes
+    for i in range(r):
+        codes[i] = next(
+            (code for code in candidates if reproduces(code, i)), NO_VARIANT
+        )
+    return codes
 
 
 _KERNEL: FusedKernel | None = None
+_UNAVAILABLE: str | None = None
 _TRIED = False
 
 
 def fused_kernel() -> FusedKernel | None:
     """The process-wide kernel, or ``None`` when unavailable.
 
-    Unavailability is silent and sticky: no compiler, a failed build,
-    or ``REPRO_DISABLE_FUSED=1`` all mean the numpy path runs instead,
-    with identical results.
+    Unavailability is sticky and explained by :func:`unavailable_reason`:
+    ``REPRO_DISABLE_FUSED=1``, no compiler or a failed build all mean
+    the numpy path runs instead, with identical results.
     """
-    global _KERNEL, _TRIED
+    global _KERNEL, _TRIED, _UNAVAILABLE
     if _TRIED:
         return _KERNEL
     _TRIED = True
     if os.environ.get("REPRO_DISABLE_FUSED", "") not in ("", "0"):
+        _UNAVAILABLE = "disabled"
         return None
     try:
         _KERNEL = FusedKernel(_compile(_C_SOURCE))
-    except Exception:
+    except Exception as error:
         _KERNEL = None
+        # A failed compile carries the compiler's diagnostics in stderr.
+        stderr = getattr(error, "stderr", None) or b""
+        detail = stderr.decode(errors="replace")
+        _UNAVAILABLE = f"no kernel: {error} {detail}".strip()
     return _KERNEL
+
+
+def unavailable_reason() -> str | None:
+    """Why :func:`fused_kernel` returned ``None`` (``None`` when it did
+    not): ``"disabled"`` under ``REPRO_DISABLE_FUSED``, otherwise
+    ``"no kernel: ..."`` with the build error text."""
+    fused_kernel()
+    return _UNAVAILABLE

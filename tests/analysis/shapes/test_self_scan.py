@@ -62,3 +62,8 @@ class TestSelfScan:
         params = {p.name: p for p in functions["fused_servo_step"].params}
         assert params["max_step"].kind == "pointer"
         assert params["max_step"].decl == "const double *"
+        # Per-row gain ids are the servo's int8 gain_ids buffer; the
+        # gain-pack table is a pointer, not an integer handle.
+        assert params["gain_ids"].kind == "pointer"
+        assert params["gain_ids"].decl == "const signed char *"
+        assert params["packs"].kind == "pointer"

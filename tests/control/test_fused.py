@@ -1,0 +1,195 @@
+"""The compiled servo kernel's variant probe, fallback reasons and reach.
+
+Bit-identity of the fused step itself is the differential harness's job
+(``tests/platform/test_fleet_equivalence.py``).  These tests pin what
+decides *whether* the kernel runs: per-row dot variants, the reason a
+servo stays on numpy, and that every fleet manager's servo is fused
+wherever the kernel builds.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro
+from repro.control.batch import BatchedGainSet, BatchedLQGServo
+from repro.control.fused import (
+    NO_VARIANT,
+    dot_variant,
+    fused_kernel,
+    unavailable_reason,
+)
+from repro.control.lqg import ActuatorLimits, design_lqg_servo
+from repro.control.statespace import OperatingPoint, StateSpaceModel
+from repro.experiments.figures import MANAGER_NAMES, identified_systems
+from repro.experiments.fleet import fleet_manager_factory
+from repro.managers.base import ManagerGoals
+from repro.managers.mimo import POWER_GAINS, QOS_GAINS, build_gain_library
+from repro.platform.fleet import FleetPlatform
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    k = fused_kernel()
+    if k is None:
+        pytest.skip(unavailable_reason())
+    return k
+
+
+@pytest.fixture(scope="module")
+def systems():
+    return identified_systems()
+
+
+def _fleet_servos(manager):
+    if hasattr(manager, "controller"):
+        return [manager.controller]
+    return [manager.big_servo, manager.little_servo]
+
+
+def _old_per_matrix_code(kernel, matrix):
+    """The single per-matrix verdict of the former probe: the first of
+    dot2_fma / x2_nofma / v4_h2 that reproduces every row."""
+    r, k = matrix.shape
+    candidates = [
+        code
+        for code, applies in ((2, k == 2), (1, k % 2 == 0), (0, k % 4 == 0))
+        if applies
+    ]
+    rng = np.random.default_rng(0xD07)
+    batches = [rng.standard_normal((17, k)) * s for s in (1e-3, 1.0, 1e3)]
+    for code in candidates:
+        if all(
+            kernel.dot(code, matrix[i], x) == ref[i]
+            for X in batches
+            for x, ref in zip(X, np.matvec(matrix, X))
+            for i in range(r)
+        ):
+            return code
+    return None
+
+
+class TestPerRowDotVariants:
+    def test_fs_matrices_get_a_reproducing_code_for_every_row(
+        self, kernel, systems
+    ):
+        library = build_gain_library(
+            systems.full,
+            qos_outputs=(0,),
+            power_outputs=(1,),
+            integral_weight=0.05,
+        )
+        g = BatchedGainSet(library.get(POWER_GAINS))
+        rng = np.random.default_rng(0xF5)
+        for matrix in (g.A, g.C, g.neg_K_state):
+            assert matrix.shape[1] == 18
+            codes = dot_variant(kernel, matrix)
+            assert codes.shape == (matrix.shape[0],)
+            assert codes.dtype == np.int8
+            assert NO_VARIANT not in codes, (matrix.shape, codes)
+            # Fresh batches, unseen by the probe.
+            for scale in (1e-6, 1e-2, 1.0, 1e2, 1e5):
+                X = rng.standard_normal((64, 18)) * scale
+                reference = np.matvec(matrix, X)
+                for i, code in enumerate(codes):
+                    got = [kernel.dot(int(code), matrix[i], x) for x in X]
+                    assert np.array_equal(got, reference[:, i]), (
+                        matrix.shape,
+                        i,
+                        int(code),
+                        scale,
+                    )
+
+    def test_mm_matrices_keep_their_per_matrix_code(self, kernel, systems):
+        library = build_gain_library(systems.big, integral_weight=0.08)
+        for name in (QOS_GAINS, POWER_GAINS):
+            g = BatchedGainSet(library.get(name))
+            for matrix in (g.A, g.C, g.neg_K_state):
+                assert matrix.shape in ((8, 8), (2, 8))
+                old = _old_per_matrix_code(kernel, matrix)
+                assert old is not None
+                codes = dot_variant(kernel, matrix)
+                assert codes.tolist() == [old] * matrix.shape[0]
+
+    def test_odd_inner_dimension_has_no_variant(self, kernel):
+        matrix = np.arange(6.0).reshape(2, 3)
+        assert dot_variant(kernel, matrix).tolist() == [NO_VARIANT] * 2
+
+
+def _three_state_servo(n_rows):
+    model = StateSpaceModel(
+        A=[[0.6, 0.1, 0.0], [0.05, 0.5, 0.1], [0.0, 0.1, 0.4]],
+        B=[[0.8, 0.3], [0.2, 0.7], [0.1, 0.1]],
+        C=[[1.0, 0.2, 0.0], [0.1, 1.0, 0.3]],
+        D=np.zeros((2, 2)),
+    )
+    gains = design_lqg_servo(
+        model, output_weights=[1.0, 1.0], effort_weights=[1.0, 1.0]
+    )
+    op = OperatingPoint(u=[1.0, 1.0], y=[2.0, 2.0])
+    limits = ActuatorLimits(lower=[-10.0, -10.0], upper=[10.0, 10.0])
+    return BatchedLQGServo([gains], op, limits, n_rows)
+
+
+class TestFusedReason:
+    def test_odd_inner_dimension_names_matrix_and_row(self, kernel):
+        servo = _three_state_servo(4)
+        assert servo._fused is None
+        assert servo.fused_reason == "no bit-exact dot variant: C row 0"
+        # The numpy fallback still steps.
+        u = servo.step(np.full((4, 2), 2.5))
+        assert u.shape == (4, 2)
+
+    def test_disabled_kernel_is_reported(self):
+        # The kernel's availability is decided once per process, so the
+        # disabled case runs in a fresh interpreter.
+        code = (
+            "import numpy as np\n"
+            "from repro.control.batch import BatchedLQGServo\n"
+            "from repro.control.lqg import ActuatorLimits, design_lqg_servo\n"
+            "from repro.control.statespace import OperatingPoint, StateSpaceModel\n"
+            "model = StateSpaceModel(A=np.eye(2) * 0.5, B=np.eye(2), "
+            "C=np.eye(2), D=np.zeros((2, 2)))\n"
+            "gains = design_lqg_servo(model, output_weights=[1.0, 1.0], "
+            "effort_weights=[1.0, 1.0])\n"
+            "servo = BatchedLQGServo([gains], OperatingPoint(u=[0, 0], "
+            "y=[0, 0]), ActuatorLimits(lower=[-1, -1], upper=[1, 1]), 3)\n"
+            "print(servo.fused_reason)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "REPRO_DISABLE_FUSED": "1", "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        )
+        assert result.stdout.strip() == "disabled"
+
+
+class TestFusedCoverage:
+    """Every fleet manager's servo runs the compiled step.
+
+    Guards the gain against silently regressing when a gain library (or
+    the BLAS) changes: a servo that falls back names why.
+    """
+
+    @pytest.mark.parametrize("manager", MANAGER_NAMES)
+    def test_fleet_manager_servos_are_fused(self, manager, systems):
+        platform = FleetPlatform(seeds=tuple(range(1, 10)))
+        fleet = fleet_manager_factory(manager, systems)(
+            platform, ManagerGoals(60.0, 5.0)
+        )
+        servos = _fleet_servos(fleet)
+        if fused_kernel() is None:
+            pytest.skip(servos[0].fused_reason)
+        assert [s.fused_reason for s in servos] == [None] * len(servos)
+        assert all(s._fused is not None for s in servos)

@@ -689,6 +689,74 @@ class TestServoStateDifferential:
                 assert np.array_equal(u_batch[row], u_scalar), (row, tick)
                 _assert_state_equal(batched, scalar, row, tick)
 
+    @pytest.mark.parametrize(
+        "pattern",
+        ["uniform", "odd-lane", "alternating", "blocks", "random", "switch"],
+    )
+    @pytest.mark.parametrize("n_rows", [1, 7, 8, 9, 17, 1000])
+    @pytest.mark.parametrize("manager", ["MM-Perf", "FS"])
+    def test_fused_step_matches_numpy_per_row_gains(
+        self, manager, n_rows, pattern, systems
+    ):
+        # The compiled step reads each row's gain id: uniform 8-lane
+        # blocks step lane-parallel, mixed blocks and the remainder row
+        # by row.  Both must equal the numpy gather/scatter path.
+        platform = FleetPlatform(seeds=[1, 2])
+        fleet = fleet_manager_factory(manager, systems)(
+            platform, ManagerGoals(60.0, 5.0)
+        )
+        template = getattr(fleet, "controller", None) or fleet.big_servo
+
+        def build():
+            return BatchedLQGServo(
+                [g.gains for g in template.sets],
+                template.operating_point,
+                template.limits,
+                n_rows,
+                anti_windup=template.anti_windup,
+            )
+
+        fused, numpy_servo = build(), build()
+        if fused._fused is None:
+            pytest.skip(fused.fused_reason)
+        rng = np.random.default_rng(1300 + n_rows)
+        rows = np.arange(n_rows)
+        switch_at = {
+            "uniform": {},
+            "odd-lane": {0: rows[rows % 8 == 3]},
+            "alternating": {0: rows[rows % 2 == 1]},
+            # Whole 8-lane blocks alternate sets: uniform lane-parallel
+            # blocks on different gain sets within one batch.
+            "blocks": {0: rows[rows // 8 % 2 == 1]},
+            "random": {0: rows[rng.random(n_rows) < 0.4]},
+            "switch": {
+                12: rows[rng.random(n_rows) < 0.5],
+                24: rows[rng.random(n_rows) < 0.3],
+            },
+        }[pattern]
+        op = template.operating_point
+        p = op.y.size
+        references = op.y * (1.0 + 0.2 * rng.standard_normal((n_rows, p)))
+        for servo in (fused, numpy_servo):
+            servo.references[...] = references
+            servo.refresh_references()
+        for tick in range(36):
+            if tick in switch_at:
+                # Later switches send rows back to set 0: still mixed.
+                new_id = 1 if tick < 24 else 0
+                for servo in (fused, numpy_servo):
+                    servo.switch_rows(switch_at[tick], new_id)
+            assert np.array_equal(fused.gain_ids, numpy_servo.gain_ids)
+            scale = (0.5, 3.0, 50.0)[tick % 3]
+            Y = op.y + op.y_scale * scale * rng.standard_normal((n_rows, p))
+            u_fused = fused.step(Y).copy()
+            u_numpy = numpy_servo._step_numpy(Y).copy()
+            assert np.array_equal(u_fused, u_numpy), (tick, "u")
+            for name in ("X", "Z", "DU", "U_prev"):
+                assert np.array_equal(
+                    getattr(fused, name), getattr(numpy_servo, name)
+                ), (tick, name)
+
     def test_fast_primitives_match_plain_matvec(self, systems):
         # Whichever fast paths the construction probe enabled, their
         # results must equal plain matvec on batch shapes (N >= 2).
