@@ -11,7 +11,8 @@
 #     (REPRO_DISABLE_FUSED=1) diverges from the scalar oracle — the
 #     pure-numpy fallback must stay bit-identical too,
 #   * `python -m repro.analysis all` reports a non-baselined error in
-#     any tier: classic (artifact defects, lint errors,
+#     any tier (all four share one walk, one parse per module and one
+#     content-hash cache): classic (artifact defects, lint errors,
 #     architecture-layer violations), flow (whole-program rules: RNG
 #     provenance, picklability, hot-path purity, unit flow,
 #     frozen-dataclass mutation), models (model-check rules
@@ -47,11 +48,7 @@
 #     fails its byte-identical explicit-vs-symbolic bundle comparison
 #     or its relaxed 3x speedup floor (the 20x gate and the 10-cluster
 #     scale points run in the full sweep:
-#     `python -m pytest benchmarks/bench_symbolic_synthesis.py`),
-#   * the shapes-analyzer benchmark fails its incremental-rescan
-#     invariants (warm scan rescans 0 modules, a one-module edit
-#     rescans exactly 1) or fails to emit valid JSON.  Wall-clock is
-#     recorded but never asserted — the rescan counts are the gate.
+#     `python -m pytest benchmarks/bench_symbolic_synthesis.py`).
 #
 # Optional third-party linters (ruff/mypy, `pip install -e .[lint]`) run
 # only when installed, so the gate works on the bare numpy toolchain.
@@ -129,21 +126,6 @@ echo
 echo "== benchmark suite smoke (five workloads, every output checked) =="
 python3 benchmarks/suite/run.py --smoke
 python -m pytest -q benchmarks/suite/tests
-
-echo
-echo "== shapes-analyzer benchmark (incremental rescan invariants) =="
-python -m pytest -x -q benchmarks/bench_analysis_shapes.py
-python - <<'EOF'
-import json
-with open("benchmarks/results/analysis_shapes.json") as fh:
-    payload = json.load(fh)
-for key in ("modules", "cold_scan_s", "warm_scan_s", "warm_rescanned",
-            "one_edit_rescanned"):
-    assert key in payload, f"analysis_shapes.json missing {key!r}"
-assert payload["warm_rescanned"] == 0, "warm scan rescanned modules"
-assert payload["one_edit_rescanned"] == 1, "one edit must rescan exactly 1"
-print("analysis_shapes.json is valid")
-EOF
 
 if command -v ruff >/dev/null 2>&1; then
     echo

@@ -2,9 +2,11 @@
 
 SPECTR's guarantee rests on artifacts that are verified *before* they
 reach the 50 ms control loop (Figure 11 steps 4-5).  This package makes
-that discipline a repo-wide gate with three analyzers sharing one
-finding/severity/report core:
+that discipline a repo-wide gate: four analyzer tiers behind one
+module pass, one command line and one finding/severity/report core.
 
+* :mod:`repro.analysis.project` — one walk of the inputs, one parse per
+  module feeding every tier's per-module pass, one content-hash cache;
 * :mod:`repro.analysis.artifacts` — validates serialized control
   artifacts (automaton JSON, policy bundles with LQG gain sets) without
   running the plant;
@@ -13,22 +15,24 @@ finding/severity/report core:
   numpy allocation in hot paths, missing ``__all__``, unit-suffix
   conventions);
 * :mod:`repro.analysis.arch` — enforces the architecture layering of
-  DESIGN.md by walking import graphs;
+  DESIGN.md over the import graph;
 * :mod:`repro.analysis.flow` — whole-program analysis: project call
   graph + dataflow rules for determinism (RNG provenance), cross-process
   picklability, interprocedural hot-path purity, unit-suffix flow and
-  frozen-dataclass mutation, with incremental content-hash caching;
+  frozen-dataclass mutation;
 * :mod:`repro.analysis.models` — formal model analyzer: symbolic
   reachability over serialized automata and policy bundles, with
   shortest counterexample traces for blocking/controllability defects,
   runtime-monitor consistency and stale-bundle detection
-  (REPRO-M001..M007).
+  (REPRO-M001..M007);
+* :mod:`repro.analysis.shapes` — array-contract analyzer: symbolic
+  shape/dtype abstract interpretation and ctypes ABI conformance
+  (REPRO-S000..S005).
 
-Run everything with ``python -m repro.analysis [paths...]``; the exit
-code is nonzero iff any error-severity finding was produced.  The flow
-analyzer runs separately as ``python -m repro.analysis flow [paths...]``
-(it is whole-program, so it wants package roots, not single files), and
-the model analyzer as ``python -m repro.analysis models [paths...]``.
+``python -m repro.analysis [paths...]`` runs the classic tier (lint,
+artifacts, architecture); ``flow``, ``models`` and ``shapes`` run one
+other tier and ``all`` runs every tier (see :mod:`repro.analysis.cli`).
+The exit code is nonzero iff any error-severity finding was produced.
 """
 
 from repro.analysis.arch import ALLOWED_IMPORTS, check_architecture
@@ -41,7 +45,8 @@ from repro.analysis.automata_checks import (
     check_modular_alphabets,
     check_supervisor_against_plant,
 )
-from repro.analysis.cli import analyze_paths, flow_main, main, models_main
+from repro.analysis.cli import analyze_paths, main
+from repro.analysis.project import ModuleCache, ProjectScan, walk
 from repro.analysis.findings import (
     RULE_REGISTRY,
     Finding,
@@ -50,12 +55,13 @@ from repro.analysis.findings import (
     known_rule_ids,
 )
 from repro.analysis.gain_checks import check_gains
-from repro.analysis.lint import lint_file, lint_source
 from repro.analysis.suppress import collect_suppressions, filter_findings
 
 __all__ = [
     "ALLOWED_IMPORTS",
     "Finding",
+    "ModuleCache",
+    "ProjectScan",
     "RULE_REGISTRY",
     "Report",
     "Severity",
@@ -69,10 +75,7 @@ __all__ = [
     "check_supervisor_against_plant",
     "collect_suppressions",
     "filter_findings",
-    "flow_main",
     "known_rule_ids",
-    "lint_file",
-    "lint_source",
     "main",
-    "models_main",
+    "walk",
 ]

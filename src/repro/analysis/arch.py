@@ -1,7 +1,8 @@
 """Architecture-layer checker for the ``repro`` package.
 
-Enforces the layering documented in DESIGN.md by walking the import
-graph with ``ast`` (no imports are executed):
+Enforces the layering documented in DESIGN.md over the import graph
+(no imports are executed; :mod:`repro.analysis.project` records each
+module's ``repro.*`` imports with their lines during its one parse):
 
 ====================  ====  =============================================
 package               rank  may import
@@ -38,10 +39,10 @@ new inter-layer boundary.
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from repro.analysis.project import ProjectScan, walk
 from repro.analysis.findings import Finding, Severity
 
 __all__ = ["ALLOWED_IMPORTS", "check_architecture", "import_edges"]
@@ -55,7 +56,7 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     "analysis": frozenset({"automata", "control", "core"}),
     # Same rank as its parent: the whole-program analyzer may see the
     # layers `analysis` sees (plus `analysis` itself, implicitly, as its
-    # ancestor).  It must NOT import `exec` — the incremental cache
+    # ancestor).  It must NOT import `exec` — the module cache
     # re-implements the sidecar pattern rather than importing it.
     "analysis.flow": frozenset({"automata", "control", "core", "analysis"}),
     # The formal model analyzer may additionally reuse flow's baseline
@@ -65,10 +66,9 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     "analysis.models": frozenset(
         {"automata", "control", "core", "analysis", "analysis.flow"}
     ),
-    # The array-contract analyzer reuses flow's cache/baseline/SARIF
-    # plumbing and the shared suppression machinery; like every analysis
-    # tier it must not import the code it scans (`platform`, `managers`)
-    # nor `exec`.
+    # The array-contract analyzer reads the per-module records;
+    # like every analysis tier it must not import the code it scans
+    # (`platform`, `managers`) nor `exec`.
     "analysis.shapes": frozenset(
         {"automata", "control", "core", "analysis", "analysis.flow"}
     ),
@@ -149,57 +149,33 @@ def _longest_mapped_prefix(
     return parts[0]
 
 
-def _imported_packages(
-    tree: ast.AST, known: frozenset[str]
-) -> list[tuple[int, str]]:
-    """(line, subpackage) pairs for every ``repro.<pkg>`` import."""
-    edges: list[tuple[int, str]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0 and module.startswith("repro."):
-                edges.append(
-                    (node.lineno, _longest_mapped_prefix(module[6:], known))
-                )
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith("repro."):
-                    edges.append(
-                        (
-                            node.lineno,
-                            _longest_mapped_prefix(alias.name[6:], known),
-                        )
-                    )
-    return edges
-
-
 def import_edges(
     package_root: Path,
     *,
     known_packages: frozenset[str] | None = None,
+    scan: ProjectScan | None = None,
 ) -> dict[str, list[tuple[str, int, str]]]:
     """Import graph of a ``repro`` package tree.
 
     Maps each subpackage to ``(file, line, imported_subpackage)`` edges,
     where both sides are resolved to their longest dotted prefix present
     in ``known_packages`` (default: the layer map).  ``package_root`` is
-    the directory containing ``repro``'s ``__init__.py``.
+    the directory containing ``repro``'s ``__init__.py``; ``scan``
+    shares module records with the other tiers of a run.
     """
     known = (
         frozenset(ALLOWED_IMPORTS) if known_packages is None else known_packages
     )
+    scan = scan or ProjectScan()
     graph: dict[str, list[tuple[str, int, str]]] = {}
-    for path in sorted(package_root.rglob("*.py")):
-        relative = path.relative_to(package_root)
+    for record in scan.modules(walk([package_root]).python):
+        relative = Path(record.path).relative_to(package_root)
         if len(relative.parts) == 1:
             continue  # composition root: repro/__init__.py, __main__.py
         package = _longest_mapped_prefix(".".join(relative.parts[:-1]), known)
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        except SyntaxError:
-            continue  # the lint pass reports the syntax error
-        for line, imported in _imported_packages(tree, known):
-            graph.setdefault(package, []).append((str(path), line, imported))
+        for line, module in record.imports:
+            imported = _longest_mapped_prefix(module[len("repro.") :], known)
+            graph.setdefault(package, []).append((record.path, line, imported))
     return graph
 
 
@@ -207,6 +183,7 @@ def check_architecture(
     package_root: str | Path,
     *,
     allowed: Mapping[str, Iterable[str]] | None = None,
+    scan: ProjectScan | None = None,
 ) -> list[Finding]:
     """Report every import that violates the layer rules (REPRO-R001).
 
@@ -220,7 +197,7 @@ def check_architecture(
     }
     findings: list[Finding] = []
     edges_by_package = import_edges(
-        package_root, known_packages=frozenset(rules)
+        package_root, known_packages=frozenset(rules), scan=scan
     )
     for package, edges in edges_by_package.items():
         if package not in rules:

@@ -1,122 +1,95 @@
-"""Command line for the static-analysis subsystem.
+"""Command line for the static-analysis subsystem: one parser, every tier.
 
-``python -m repro.analysis [paths...]`` walks the given files and
-directories (default: the repository's ``src`` tree if present,
-otherwise the current directory) and runs:
+``python -m repro.analysis [COMMAND] [options] [paths...]`` runs:
 
-* the repo-specific AST lint on every ``*.py`` file;
-* the artifact verifier on every automaton ``*.json`` file and every
-  policy-bundle directory (``bundle.json`` + ``gains.npz``);
-* the architecture-layer checker on any walked ``repro`` package tree.
+* no command — the classic tier: the repo-specific AST lint on every
+  ``*.py`` file, the artifact verifier on every automaton ``*.json``
+  file and policy-bundle directory (``bundle.json`` + ``gains.npz``),
+  and the architecture-layer checker on every walked ``repro`` package
+  tree;
+* ``flow`` — the whole-program flow analyzer (call graph + dataflow
+  rules REPRO-F001..F005), see :mod:`repro.analysis.flow`;
+* ``models`` — the formal model analyzer (symbolic reachability +
+  counterexample rules REPRO-M001..M007) over automaton files,
+  model-set directories and policy bundles, see
+  :mod:`repro.analysis.models`;
+* ``shapes`` — the array-contract analyzer (symbolic shape/dtype
+  abstract interpretation + ctypes ABI conformance, rules
+  REPRO-S000..S005), see :mod:`repro.analysis.shapes`;
+* ``all`` — every tier in one run with one exit code: each tier's
+  findings, then one summary table.  This is the one invocation
+  ``scripts/check.sh`` gates on.
+
+Every tier reads Python through one
+:class:`~repro.analysis.project.ProjectScan`: one walk of the inputs,
+one parse per module, one content-hash cache.  Default paths are
+``src`` (``artifacts`` for models) when present, else ``.``; without
+paths, ``all`` runs the model tier only when ``artifacts`` is present.
+Each tier drops the findings accepted in its committed baseline
+(``analysis-baseline.json`` for flow, ``models-baseline.json``,
+``shapes-baseline.json``).
 
 Exit code 0 iff no error-severity finding was produced — warnings are
 printed but do not fail the run (use ``--strict`` to fail on warnings
-too).  This is the single pre-merge gate wired into CI via
-``scripts/check.sh``.
-
-``python -m repro.analysis flow [paths...]`` runs the whole-program
-flow analyzer instead (call graph + dataflow rules REPRO-F001..F005),
-with incremental caching, baseline support and JSON/SARIF output — see
-:mod:`repro.analysis.flow`.
-
-``python -m repro.analysis models [paths...]`` runs the formal model
-analyzer (symbolic reachability + counterexample rules
-REPRO-M001..M007) over automaton files, model-set directories and
-policy bundles — see :mod:`repro.analysis.models`.
-
-``python -m repro.analysis shapes [paths...]`` runs the array-contract
-analyzer (symbolic shape/dtype abstract interpretation + ctypes ABI
-conformance, rules REPRO-S000..S005) — see
-:mod:`repro.analysis.shapes`.
-
-``python -m repro.analysis all`` runs every tier — classic
-(lint/artifacts/arch), flow, models, shapes — with each tier's
-canonical roots and committed baseline, prints one combined summary
-table, merges the per-tier SARIF outputs into a single
-``analysis-report.sarif`` (one run per tool) and exits non-zero if any
-tier fails.  This is the one invocation ``scripts/check.sh`` gates on.
+too).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import sys
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from repro.analysis import flow, shapes
 from repro.analysis.arch import check_architecture
 from repro.analysis.artifacts import (
     analyze_automaton_file,
     analyze_bundle_dir,
     looks_like_automaton_payload,
-    looks_like_bundle_dir,
+)
+from repro.analysis.project import (
+    DEFAULT_CACHE_DIR,
+    Inputs,
+    ModuleCache,
+    ProjectScan,
+    missing_input_findings,
+    walk,
 )
 from repro.analysis.findings import Finding, Report, Severity
-from repro.analysis.lint import lint_file
+from repro.analysis.flow.baseline import Baseline, apply_baseline, write_baseline
+from repro.analysis.flow.sarif import (
+    report_to_json,
+    reports_to_json,
+    reports_to_sarif,
+)
+from repro.analysis.models import scan as models_scan
 
-__all__ = [
-    "all_main",
-    "analyze_paths",
-    "flow_main",
-    "main",
-    "models_main",
-    "shapes_main",
-]
+__all__ = ["analyze_paths", "main"]
 
-_SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "results", "output"}
-
-
-def _walk(paths: Iterable[Path]) -> tuple[list[Path], list[Path], list[Path]]:
-    """Partition inputs into (python files, json files, bundle dirs)."""
-    python_files: list[Path] = []
-    json_files: list[Path] = []
-    bundle_dirs: list[Path] = []
-
-    def visit_dir(directory: Path) -> None:
-        if looks_like_bundle_dir(directory):
-            bundle_dirs.append(directory)
-            return
-        for child in sorted(directory.iterdir()):
-            if child.name in _SKIP_DIRS or child.name.startswith("."):
-                continue
-            if child.is_dir():
-                visit_dir(child)
-            else:
-                visit_file(child)
-
-    def visit_file(file: Path) -> None:
-        if file.suffix == ".py":
-            python_files.append(file)
-        elif file.suffix == ".json" and file.name != "bundle.json":
-            json_files.append(file)
-
-    for path in paths:
-        if path.is_dir():
-            visit_dir(path)
-        elif path.exists():
-            if looks_like_bundle_dir(path.parent) and path.name == "bundle.json":
-                bundle_dirs.append(path.parent)
-            else:
-                visit_file(path)
-    return python_files, json_files, bundle_dirs
+COMMANDS = ("all", "flow", "models", "shapes")
 
 
-def _find_package_roots(paths: Iterable[Path]) -> list[Path]:
-    """Directories containing a ``repro/__init__.py`` under the inputs."""
-    roots: set[Path] = set()
-    for path in paths:
-        if not path.is_dir():
-            path = path.parent
-        # The input itself may live inside the package tree.
-        for candidate in (path, *path.resolve().parents):
-            if (candidate / "repro" / "__init__.py").is_file():
-                roots.add(candidate)
-                break
-        for init in path.rglob("repro/__init__.py"):
-            roots.add(init.parent.parent)
-    return sorted(roots)
+@dataclass(frozen=True)
+class _Tier:
+    tool: str  # report tool name and summary-table row
+    report_stem: str | None  # the tier's own files under --report-dir
+    baseline: str | None  # committed baseline of accepted findings
 
 
+_TIERS = {
+    "classic": _Tier("repro-analysis", None, None),
+    "flow": _Tier("repro-flow", "flow-report", "analysis-baseline.json"),
+    "models": _Tier("repro-models", "model-report", "models-baseline.json"),
+    "shapes": _Tier("repro-shapes", "shapes-report", "shapes-baseline.json"),
+}
+
+
+# ----------------------------------------------------------------------
+# The classic tier
+# ----------------------------------------------------------------------
 def _is_automaton_json(path: Path) -> bool:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -125,74 +98,73 @@ def _is_automaton_json(path: Path) -> bool:
     return looks_like_automaton_payload(payload)
 
 
-def analyze_paths(paths: Sequence[str | Path]) -> Report:
-    """Run all three analyzers over ``paths`` and aggregate a report.
+def _package_roots(paths: Sequence[str | Path], inputs: Inputs) -> list[Path]:
+    """Directories holding a ``repro`` package: the one each input lies
+    in, and every one the walk went through (each counted once)."""
+    roots: dict[Path, Path] = {}
+    for path in map(Path, paths):
+        start = path if path.is_dir() else path.parent
+        for candidate in (start, *start.resolve().parents):
+            if (candidate / "repro" / "__init__.py").is_file():
+                roots.setdefault(candidate.resolve(), candidate)
+                break
+    for file in inputs.python:
+        if file.name == "__init__.py" and file.parent.name == "repro":
+            root = file.parent.parent
+            roots.setdefault(root.resolve(), root)
+    return sorted(roots.values())
+
+
+def analyze_paths(
+    paths: Sequence[str | Path], *, scan: ProjectScan | None = None
+) -> Report:
+    """Lint, artifact and architecture checks over ``paths``.
 
     JSON files named explicitly are always treated as automaton
     artifacts; JSON files *discovered* while walking a directory are
     analyzed only when they have the serialization format's key shape,
     so unrelated data files (benchmark results, configs) pass through.
+    ``scan`` shares module records with other tiers of the same run.
     """
-    resolved = [Path(p) for p in paths]
-    explicit = {p for p in resolved if p.is_file()}
-    report = Report()
-    for path in resolved:
-        # A gate that silently passes on a typo'd path is no gate.
-        if not path.exists():
-            report.add(
-                Finding(
-                    path=str(path),
-                    line=0,
-                    rule="REPRO-C001",
-                    severity=Severity.ERROR,
-                    message="input path does not exist",
-                )
-            )
-    python_files, json_files, bundle_dirs = _walk(resolved)
+    scan = scan or ProjectScan()
+    inputs = walk(paths)
+    report = Report(findings=missing_input_findings(inputs))
+
+    records = scan.modules(inputs.python)
+    for record in records:
+        report.extend(record.lint_findings)
+    report.files_checked = len(records)
+
     json_files = [
-        f for f in json_files if f in explicit or _is_automaton_json(f)
+        f for f in inputs.json if f in inputs.explicit or _is_automaton_json(f)
     ]
-
-    for file in python_files:
-        report.extend(lint_file(file))
-    report.files_checked += len(python_files)
-
     for file in json_files:
         report.extend(analyze_automaton_file(file))
-    for bundle in bundle_dirs:
+    for bundle in inputs.bundles:
         report.extend(analyze_bundle_dir(bundle))
-    report.artifacts_checked += len(json_files) + len(bundle_dirs)
+    report.artifacts_checked = len(json_files) + len(inputs.bundles)
 
-    for root in _find_package_roots(resolved):
-        report.extend(check_architecture(root / "repro"))
+    for root in _package_roots(paths, inputs):
+        report.extend(check_architecture(root / "repro", scan=scan))
     return report
 
 
-def flow_main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.analysis flow [options] [paths...]``."""
-    # Imported here so the classic analyzers keep working even if the
-    # flow subpackage is mid-refactor.
-    from repro.analysis.flow import (
-        DEFAULT_ENTRY_POINTS,
-        Baseline,
-        ModuleCache,
-        analyze_project,
-        report_to_json,
-        report_to_sarif,
-        write_baseline,
-    )
-    from repro.analysis.flow.cache import DEFAULT_CACHE_DIR
-
+# ----------------------------------------------------------------------
+# The command line
+# ----------------------------------------------------------------------
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis flow",
-        description="Whole-program flow analysis: project call graph + "
-        "dataflow rules (RNG provenance, picklability, hot-path purity, "
-        "unit flow, frozen mutation)",
+        prog="python -m repro.analysis [all|flow|models|shapes]",
+        description="SPECTR static analysis. No command: AST lint, "
+        "artifact verifier, architecture layers. flow: whole-program "
+        "rules. models: model checking of formal artifacts. shapes: "
+        "array contracts. all: every tier, one exit code.",
     )
     parser.add_argument(
         "paths",
         nargs="*",
-        help="roots to analyze (default: ./src if present, else .)",
+        help="files/directories to analyze (default: ./src if present, "
+        "./artifacts for models, else .)",
     )
     parser.add_argument(
         "--format",
@@ -209,14 +181,14 @@ def flow_main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--baseline",
         type=Path,
-        default=Path("analysis-baseline.json"),
-        help="baseline file of accepted findings (default: "
-        "analysis-baseline.json; missing file = empty baseline)",
+        default=None,
+        help="baseline file of accepted findings (default: the tier's "
+        "committed baseline; a missing file is an empty baseline)",
     )
     parser.add_argument(
         "--write-baseline",
         action="store_true",
-        help="write the current findings to --baseline and exit 0",
+        help="write the current findings to the baseline and exit 0",
     )
     parser.add_argument(
         "--cache-dir",
@@ -230,264 +202,158 @@ def flow_main(argv: Sequence[str] | None = None) -> int:
         help="disable the incremental cache",
     )
     parser.add_argument(
-        "--entry",
-        action="append",
-        default=None,
-        metavar="PATTERN",
-        help="hot-path entry-point pattern for REPRO-F003 (repeatable; "
-        "default: the step-kernel entry points)",
-    )
-    parser.add_argument(
         "--strict",
         action="store_true",
         help="treat warnings as errors",
-    )
-    args = parser.parse_args(argv)
-
-    paths = args.paths or (["src"] if Path("src").is_dir() else ["."])
-    cache = None if args.no_cache else ModuleCache(args.cache_dir)
-    baseline = None
-    if not args.write_baseline and args.baseline.is_file():
-        baseline = Baseline.load(args.baseline)
-    entry_points = tuple(args.entry) if args.entry else DEFAULT_ENTRY_POINTS
-
-    result = analyze_project(
-        paths, cache=cache, baseline=baseline, entry_points=entry_points
-    )
-    report = result.report
-
-    if args.write_baseline:
-        count = write_baseline(list(report), args.baseline)
-        print(f"wrote {count} baseline entries to {args.baseline}")
-        return 0
-
-    if args.format == "json":
-        rendered = report_to_json(report, stats=result.stats.as_dict())
-    elif args.format == "sarif":
-        rendered = report_to_sarif(report)
-    else:
-        rendered = report.format_text() + "\n"
-    if args.output is not None:
-        args.output.write_text(rendered, encoding="utf-8")
-        print(f"wrote {args.output}: {report.summary()}")
-    else:
-        print(rendered, end="")
-
-    failing = Severity.WARNING if args.strict else Severity.ERROR
-    has_failures = any(f.severity >= failing for f in report.findings)
-    return 1 if has_failures else 0
-
-
-def models_main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.analysis models [options] [paths...]``."""
-    # Lazy import, same reasoning as flow_main.
-    from repro.analysis.models.cli import models_main as run
-
-    return run(argv)
-
-
-def shapes_main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.analysis shapes [options] [paths...]``."""
-    # Lazy import, same reasoning as flow_main.
-    from repro.analysis.shapes.cli import shapes_main as run
-
-    return run(argv)
-
-
-def all_main(argv: Sequence[str] | None = None) -> int:
-    """``python -m repro.analysis all [options]`` — every tier, one gate.
-
-    Each tier runs with its canonical roots and committed baseline (the
-    same configuration ``scripts/check.sh`` used to spell out as four
-    separate invocations).  Per-tier JSON/SARIF reports are written as
-    secondary outputs next to the merged ``analysis-report.sarif``.
-    """
-    from repro.analysis.flow import (
-        Baseline,
-        ModuleCache,
-        report_to_json,
-        report_to_sarif,
-    )
-    from repro.analysis.flow import analyze_project as flow_analyze
-    from repro.analysis.flow.sarif import reports_to_sarif
-    from repro.analysis.models.scan import scan_paths as models_scan
-    from repro.analysis.shapes import analyze_project as shapes_analyze
-    from repro.analysis.shapes import make_cache as shapes_cache
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis all",
-        description="Run every analyzer tier (classic lint/artifacts/arch, "
-        "flow, models, shapes) with one merged exit code and a combined "
-        "summary table",
     )
     parser.add_argument(
         "--report-dir",
         type=Path,
         default=None,
         metavar="DIR",
-        help="write analysis-report.sarif plus per-tier "
-        "{flow,model,shapes}-report.{json,sarif} files into DIR "
-        "(default: no files, table only)",
+        help="also write analysis-report.sarif (one run per tier) and "
+        "each tier's {flow,model,shapes}-report.{json,sarif} into DIR",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental caches of the flow/shapes tiers",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat warnings as errors",
-    )
-    args = parser.parse_args(argv)
+    return parser
 
-    def load_baseline(name: str) -> "Baseline | None":
-        path = Path(name)
-        return Baseline.load(path) if path.is_file() else None
 
-    tiers: list[tuple[str, Report, dict | None]] = []
+def _default_roots(tier: str) -> list[str]:
+    candidate = "artifacts" if tier == "models" else "src"
+    return [candidate] if Path(candidate).is_dir() else ["."]
 
-    classic_roots = ["src"] if Path("src").is_dir() else ["."]
-    tiers.append(("repro-analysis", analyze_paths(classic_roots), None))
 
-    flow_roots = ["src/repro"] if Path("src/repro").is_dir() else ["."]
-    flow_result = flow_analyze(
-        flow_roots,
-        cache=None if args.no_cache else ModuleCache(),
-        baseline=load_baseline("analysis-baseline.json"),
-    )
-    tiers.append(
-        ("repro-flow", flow_result.report, flow_result.stats.as_dict())
-    )
+def _run_tier(
+    tier: str,
+    roots: Sequence[str],
+    scan: ProjectScan,
+    models_cache: ModuleCache | None,
+) -> tuple[Report, dict | None]:
+    """One tier's report and stats.  The tier functions are looked up
+    on their modules at call time, so a profiler can wrap them."""
+    if tier == "classic":
+        return analyze_paths(roots, scan=scan), None
+    if tier == "flow":
+        result = flow.analyze_project(roots, scan=scan)
+    elif tier == "shapes":
+        result = shapes.analyze_project(roots, scan=scan)
+    else:
+        result = models_scan.scan_paths(roots, cache=models_cache)
+    return result.report, result.stats.as_dict()
 
-    if Path("artifacts").is_dir():
-        models_result = models_scan(["artifacts"], cache=None)
-        models_report = models_result.report
-        baseline = load_baseline("models-baseline.json")
-        if baseline is not None:
-            from repro.analysis.flow.baseline import apply_baseline
 
-            models_report = Report(
-                findings=apply_baseline(
-                    sorted(models_report.findings), baseline
-                ),
-                files_checked=models_report.files_checked,
-                artifacts_checked=models_report.artifacts_checked,
-            )
-        tiers.append(
-            ("repro-models", models_report, models_result.stats.as_dict())
-        )
-
-    shapes_result = shapes_analyze(
-        flow_roots,
-        cache=None if args.no_cache else shapes_cache(),
-        baseline=load_baseline("shapes-baseline.json"),
-    )
-    tiers.append(
-        ("repro-shapes", shapes_result.report, shapes_result.stats.as_dict())
-    )
-
-    failing = Severity.WARNING if args.strict else Severity.ERROR
-
-    # Per-tier findings first, then the combined summary table.
-    for name, report, _ in tiers:
-        for finding in report:
-            if finding.severity >= failing:
-                print(f"[{name}] {finding.format()}")
-
+def _summary_table(
+    results: list[tuple[str, Report, dict | None]],
+    merged: Report,
+    failing: Severity,
+) -> str:
+    lines = [
+        f"[{_TIERS[tier].tool}] {finding.format()}"
+        for tier, report, _ in results
+        for finding in report
+        if finding.severity >= failing
+    ]
     header = f"{'tool':<16} {'files':>5} {'errors':>6} {'warnings':>8} {'notes':>5}"
-    print(header)
-    print("-" * len(header))
-    merged_fail = False
-    for name, report, _ in tiers:
-        errors = report.count(Severity.ERROR)
-        warnings = report.count(Severity.WARNING)
-        notes = report.count(Severity.INFO)
-        print(
-            f"{name:<16} {report.files_checked:>5} {errors:>6} "
-            f"{warnings:>8} {notes:>5}"
+    lines += [header, "-" * len(header)]
+    rows = [(_TIERS[tier].tool, report) for tier, report, _ in results]
+    for name, report in [*rows, ("merged", merged)]:
+        lines.append(
+            f"{name:<16} {report.files_checked:>5} "
+            f"{report.count(Severity.ERROR):>6} "
+            f"{report.count(Severity.WARNING):>8} "
+            f"{report.count(Severity.INFO):>5}"
         )
-        if any(f.severity >= failing for f in report.findings):
-            merged_fail = True
-    print(
-        f"{'merged':<16} {sum(r.files_checked for _, r, _ in tiers):>5} "
-        f"{sum(r.count(Severity.ERROR) for _, r, _ in tiers):>6} "
-        f"{sum(r.count(Severity.WARNING) for _, r, _ in tiers):>8} "
-        f"{sum(r.count(Severity.INFO) for _, r, _ in tiers):>5}"
-    )
-
-    if args.report_dir is not None:
-        args.report_dir.mkdir(parents=True, exist_ok=True)
-        merged = reports_to_sarif(
-            [(name, report) for name, report, _ in tiers]
-        )
-        merged_path = args.report_dir / "analysis-report.sarif"
-        merged_path.write_text(merged, encoding="utf-8")
-        file_stem = {
-            "repro-flow": "flow-report",
-            "repro-models": "model-report",
-            "repro-shapes": "shapes-report",
-        }
-        for name, report, stats in tiers:
-            stem = file_stem.get(name)
-            if stem is None:
-                continue
-            (args.report_dir / f"{stem}.json").write_text(
-                report_to_json(report, stats=stats, tool_name=name),
-                encoding="utf-8",
-            )
-            (args.report_dir / f"{stem}.sarif").write_text(
-                report_to_sarif(report, tool_name=name), encoding="utf-8"
-            )
-        print(f"wrote {merged_path} (+ per-tier secondary reports)")
-
-    return 1 if merged_fail else 0
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    import sys
-
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    # Subcommand dispatch: `flow`/`models` switch analyzers; anything
-    # else is the legacy positional-paths interface (a file literally
-    # named `flow` is vanishingly unlikely and can be passed as
-    # `./flow`).
-    if argv[:1] == ["flow"]:
-        return flow_main(argv[1:])
-    if argv[:1] == ["models"]:
-        return models_main(argv[1:])
-    if argv[:1] == ["shapes"]:
-        return shapes_main(argv[1:])
-    if argv[:1] == ["all"]:
-        return all_main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis",
-        description="SPECTR static analysis: artifact verifier, AST lint, "
-        "architecture-layer checker",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        help="files/directories to analyze (default: ./src if present, "
-        "else .)",
-    )
-    parser.add_argument(
-        "--strict",
-        action="store_true",
-        help="treat warnings as errors",
-    )
-    parser.add_argument(
-        "--quiet",
-        action="store_true",
-        help="print only errors (and warnings with --strict)",
-    )
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # A file literally named like a command can be passed as ./flow.
+    command = argv.pop(0) if argv[:1] and argv[0] in COMMANDS else "classic"
+    parser = _parser()
     args = parser.parse_args(argv)
+    if command == "all":
+        if args.baseline is not None or args.write_baseline:
+            parser.error("all applies each tier's committed baseline")
+        tiers = ["classic", "flow", "models", "shapes"]
+        if not args.paths and not Path("artifacts").is_dir():
+            tiers.remove("models")
+    else:
+        tiers = [command]
+        if args.write_baseline and not (args.baseline or _TIERS[command].baseline):
+            parser.error("--write-baseline needs --baseline for this tier")
 
-    paths = args.paths or (["src"] if Path("src").is_dir() else ["."])
-    report = analyze_paths(paths)
+    scan = ProjectScan(None if args.no_cache else ModuleCache(args.cache_dir))
+    # `all` always re-runs the model checks: REPRO-M007 compares against
+    # a re-synthesis by the current synthesis code, which the content
+    # key of a unit does not cover.
+    models_cache = None
+    if not args.no_cache and command == "models":
+        models_cache = models_scan.unit_cache(args.cache_dir)
+    results: list[tuple[str, Report, dict | None]] = []
+    seen: set[Finding] = set()
+    for tier in tiers:
+        roots = args.paths or _default_roots(tier)
+        report, stats = _run_tier(tier, roots, scan, models_cache)
+        baseline = args.baseline or _TIERS[tier].baseline
+        if args.write_baseline:
+            count = write_baseline(sorted(report.findings), baseline)
+            print(f"wrote {count} baseline entries to {baseline}")
+            return 0
+        if baseline is not None and Path(baseline).is_file():
+            report.findings = apply_baseline(
+                sorted(report.findings), Baseline.load(baseline)
+            )
+        # A defect two tiers both see (a module's syntax error or bad
+        # suppression, a missing input) is reported by the first.
+        report.findings = [f for f in report.findings if f not in seen]
+        seen.update(report.findings)
+        results.append((tier, report, stats))
 
     failing = Severity.WARNING if args.strict else Severity.ERROR
-    min_shown = failing if args.quiet else Severity.INFO
-    print(report.format_text(min_severity=min_shown))
-    has_failures = any(f.severity >= failing for f in report.findings)
-    return 1 if has_failures else 0
+    merged = Report(
+        findings=[f for _, report, _ in results for f in report.findings],
+        files_checked=len(scan.records)
+        + sum(r.files_checked for tier, r, _ in results if tier == "models"),
+        artifacts_checked=sum(r.artifacts_checked for _, r, _ in results),
+    )
+    if len(results) == 1:
+        merged = results[0][1]
+    named = [(_TIERS[tier].tool, report) for tier, report, _ in results]
+
+    if args.format == "sarif":
+        rendered = reports_to_sarif(named)
+    elif args.format == "json" and len(results) == 1:
+        ((tier, report, stats),) = results
+        rendered = report_to_json(report, stats, tool_name=_TIERS[tier].tool)
+    elif args.format == "json":
+        rendered = reports_to_json(
+            [(_TIERS[tier].tool, r, stats) for tier, r, stats in results]
+        )
+    elif len(results) == 1:
+        rendered = merged.format_text() + "\n"
+    else:
+        rendered = _summary_table(results, merged, failing)
+    if args.output is not None:
+        args.output.write_text(rendered, encoding="utf-8")
+        print(f"wrote {args.output}: {merged.summary()}")
+    else:
+        print(rendered, end="")
+
+    if args.report_dir is not None:
+        args.report_dir.mkdir(parents=True, exist_ok=True)
+        merged_path = args.report_dir / "analysis-report.sarif"
+        merged_path.write_text(reports_to_sarif(named), encoding="utf-8")
+        for tier, report, stats in results:
+            stem = _TIERS[tier].report_stem
+            if stem is None:
+                continue
+            tool = _TIERS[tier].tool
+            (args.report_dir / f"{stem}.json").write_text(
+                report_to_json(report, stats, tool_name=tool), encoding="utf-8"
+            )
+            (args.report_dir / f"{stem}.sarif").write_text(
+                reports_to_sarif([(tool, report)]), encoding="utf-8"
+            )
+        print(f"wrote {merged_path} (+ per-tier secondary reports)")
+
+    return 1 if any(f.severity >= failing for f in merged.findings) else 0

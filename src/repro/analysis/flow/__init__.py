@@ -2,7 +2,8 @@
 
 Where :mod:`repro.analysis.lint` checks one file at a time, this
 subpackage analyzes the *project*: a per-module symbol table
-(:mod:`~repro.analysis.flow.symbols`, incrementally cached by content
+(:mod:`~repro.analysis.flow.symbols`, extracted from the one parse of
+each module by :mod:`repro.analysis.project` and cached by content
 hash), an import-resolved call graph with bounded attribute resolution
 (:mod:`~repro.analysis.flow.callgraph`), and a small forward dataflow
 engine (:mod:`~repro.analysis.flow.dataflow`) feed five cross-module
@@ -20,19 +21,13 @@ findings live in ``analysis-baseline.json`` and inline
 :mod:`repro.analysis.suppress`).
 """
 
-from repro.analysis.flow.analyze import (
-    FlowResult,
-    FlowStats,
-    analyze_project,
-    collect_python_files,
-)
+from repro.analysis.flow.analyze import FlowResult, FlowStats, analyze_project
 from repro.analysis.flow.baseline import (
     Baseline,
     BaselineEntry,
     apply_baseline,
     write_baseline,
 )
-from repro.analysis.flow.cache import ANALYSIS_SCHEMA, ModuleCache
 from repro.analysis.flow.callgraph import CallGraph, ProjectIndex, ResolvedCall
 from repro.analysis.flow.dataflow import ForwardAnalysis, unit_of
 from repro.analysis.flow.rules import (
@@ -40,7 +35,11 @@ from repro.analysis.flow.rules import (
     DEFAULT_PICKLE_ROOTS,
     run_all_rules,
 )
-from repro.analysis.flow.sarif import report_to_json, report_to_sarif
+from repro.analysis.flow.sarif import (
+    report_to_json,
+    reports_to_json,
+    reports_to_sarif,
+)
 from repro.analysis.flow.symbols import (
     ModuleAnalysis,
     extract_module,
@@ -48,7 +47,6 @@ from repro.analysis.flow.symbols import (
 )
 
 __all__ = [
-    "ANALYSIS_SCHEMA",
     "Baseline",
     "BaselineEntry",
     "CallGraph",
@@ -58,16 +56,15 @@ __all__ = [
     "FlowStats",
     "ForwardAnalysis",
     "ModuleAnalysis",
-    "ModuleCache",
     "ProjectIndex",
     "ResolvedCall",
     "analyze_project",
     "apply_baseline",
-    "collect_python_files",
     "extract_module",
     "module_name_for_path",
     "report_to_json",
-    "report_to_sarif",
+    "reports_to_json",
+    "reports_to_sarif",
     "run_all_rules",
     "unit_of",
     "write_baseline",

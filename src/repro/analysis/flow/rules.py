@@ -368,8 +368,6 @@ def collect_local_findings(index: ProjectIndex) -> list[Finding]:
     findings: list[Finding] = []
     for analysis in index.modules.values():
         findings.extend(analysis.local_findings)
-        if analysis.parse_error is not None:
-            findings.append(analysis.parse_error)
     return findings
 
 

@@ -1,12 +1,12 @@
-"""JSON and SARIF 2.1.0 emitters for flow-analysis reports.
+"""JSON and SARIF 2.1.0 emitters for every analyzer tier's report.
 
 The JSON payload is the machine-readable twin of
 :meth:`repro.analysis.findings.Report.format_text` — stable keys, sorted
 findings, plus the scan statistics the benchmark asserts on.  The SARIF
 payload follows the OASIS SARIF 2.1.0 schema closely enough for GitHub
-code-scanning upload: one ``run`` with a rule catalogue drawn from
-:data:`repro.analysis.findings.RULE_REGISTRY` and one ``result`` per
-finding.
+code-scanning upload: one ``run`` per tier with a rule catalogue drawn
+from :data:`repro.analysis.findings.RULE_REGISTRY` and one ``result``
+per finding.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.analysis.findings import RULE_REGISTRY, Finding, Report, Severity
 __all__ = [
     "SARIF_VERSION",
     "report_to_json",
-    "report_to_sarif",
+    "reports_to_json",
     "reports_to_sarif",
 ]
 
@@ -47,12 +47,9 @@ def _finding_payload(finding: Finding) -> dict[str, Any]:
     }
 
 
-def report_to_json(
-    report: Report,
-    stats: dict[str, Any] | None = None,
-    *,
-    tool_name: str = "repro-flow",
-) -> str:
+def _json_payload(
+    report: Report, stats: dict[str, Any] | None, tool_name: str
+) -> dict[str, Any]:
     payload: dict[str, Any] = {
         "schema": f"{tool_name}-report/1",
         "tool": {"name": tool_name, "version": __version__},
@@ -67,7 +64,25 @@ def report_to_json(
     }
     if stats is not None:
         payload["stats"] = stats
-    return json.dumps(payload, indent=2) + "\n"
+    return payload
+
+
+def report_to_json(
+    report: Report,
+    stats: dict[str, Any] | None = None,
+    *,
+    tool_name: str = "repro-flow",
+) -> str:
+    return json.dumps(_json_payload(report, stats, tool_name), indent=2) + "\n"
+
+
+def reports_to_json(
+    reports: list[tuple[str, Report, dict[str, Any] | None]],
+) -> str:
+    """One JSON document with one payload per (tool_name, report,
+    stats) tier, under ``"tiers"``."""
+    payloads = [_json_payload(r, stats, name) for name, r, stats in reports]
+    return json.dumps({"tiers": payloads}, indent=2) + "\n"
 
 
 def _sarif_run(report: Report, tool_name: str) -> dict[str, Any]:
@@ -117,26 +132,16 @@ def _sarif_run(report: Report, tool_name: str) -> dict[str, Any]:
     }
 
 
-def _sarif_document(runs: list[dict[str, Any]]) -> str:
-    payload = {
-        "$schema": _SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": runs,
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def report_to_sarif(report: Report, *, tool_name: str = "repro-flow") -> str:
-    return _sarif_document([_sarif_run(report, tool_name)])
-
-
 def reports_to_sarif(reports: list[tuple[str, Report]]) -> str:
     """One SARIF document with one run per (tool_name, report) pair.
 
-    This is what ``python -m repro.analysis all`` emits: CI uploads a
-    single ``analysis-report.sarif`` artifact in which each analyzer
-    tier remains an individually attributable run.
+    ``python -m repro.analysis all --report-dir`` writes one for every
+    tier: CI uploads a single ``analysis-report.sarif`` artifact in
+    which each analyzer tier remains an individually attributable run.
     """
-    return _sarif_document(
-        [_sarif_run(report, tool_name) for tool_name, report in reports]
-    )
+    payload = {
+        "$schema": _SARIF_SCHEMA,
+        "version": SARIF_VERSION,
+        "runs": [_sarif_run(report, tool_name) for tool_name, report in reports],
+    }
+    return json.dumps(payload, indent=2) + "\n"

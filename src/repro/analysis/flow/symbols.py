@@ -1,17 +1,17 @@
 """Per-module symbol table and fact extraction for the flow analyzer.
 
-One parse of a module produces a :class:`ModuleAnalysis`: the imports
-map (local alias -> dotted target), per-class facts (bases, frozen-ness,
-annotated fields, inferred attribute types, statically-unpicklable
-members) and per-function facts (call sites, numpy temporaries,
-attribute writes, raised exceptions, inferred local variable types),
-plus the module's inline suppressions and the module-local half of the
-unit-suffix rule (REPRO-F004 assignments).
+:func:`extract_module` turns a module's tree (parsed once by
+:mod:`repro.analysis.project`) into a :class:`ModuleAnalysis`: the
+imports map (local alias -> dotted target), per-class facts (bases,
+frozen-ness, annotated fields, inferred attribute types,
+statically-unpicklable members) and per-function facts (call sites,
+numpy temporaries, attribute writes, raised exceptions, inferred local
+variable types), plus the module-local half of the unit-suffix rule
+(REPRO-F004 assignments).
 
 Everything in a :class:`ModuleAnalysis` is plain picklable data — no
-AST nodes survive extraction — so the incremental cache
-(:mod:`repro.analysis.flow.cache`) can store one entry per module keyed
-by content hash, and the cross-module rules
+AST nodes survive extraction — so the content-hash module cache can
+store it inside the module's record, and the cross-module rules
 (:mod:`repro.analysis.flow.rules`) re-run over cached facts without
 re-parsing unchanged files.
 """
@@ -19,7 +19,6 @@ re-parsing unchanged files.
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,7 +31,6 @@ from repro.analysis.flow.dataflow import (
     suffix_of,
     unit_of,
 )
-from repro.analysis.suppress import collect_suppressions
 
 __all__ = [
     "AttrWrite",
@@ -43,7 +41,6 @@ __all__ = [
     "ModuleAnalysis",
     "extract_module",
     "module_name_for_path",
-    "source_digest",
 ]
 
 # Pseudo-function holding module-level statements' facts.
@@ -170,24 +167,15 @@ class ModuleAnalysis:
 
     module: str
     path: str
-    content_hash: str
     imports: dict[str, str] = field(default_factory=dict)
     classes: dict[str, ClassFacts] = field(default_factory=dict)
     functions: dict[str, FunctionFacts] = field(default_factory=dict)
     local_findings: tuple[Finding, ...] = ()
-    suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
-    suppression_findings: tuple[Finding, ...] = ()
-    parse_error: Finding | None = None
 
 
 # ----------------------------------------------------------------------
 # Name plumbing
 # ----------------------------------------------------------------------
-def source_digest(source: str, *, salt: str = "") -> str:
-    payload = f"{salt}\x00{source}".encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
-
-
 def module_name_for_path(path: Path) -> str:
     """Dotted module name, walking up through ``__init__.py`` packages."""
     path = path.resolve()
@@ -766,35 +754,8 @@ def _self_attr_type(
     return None
 
 
-def extract_module(
-    source: str,
-    path: str | Path,
-    module: str | None = None,
-) -> ModuleAnalysis:
-    """Index one module's source into plain-data facts."""
-    path_str = str(path).replace("\\", "/")
-    if module is None:
-        module = module_name_for_path(Path(path))
-    digest = source_digest(source)
-    suppressions, suppression_findings = collect_suppressions(source, path_str)
-    try:
-        tree = ast.parse(source, filename=path_str)
-    except SyntaxError as exc:
-        return ModuleAnalysis(
-            module=module,
-            path=path_str,
-            content_hash=digest,
-            suppressions=suppressions,
-            suppression_findings=tuple(suppression_findings),
-            parse_error=Finding(
-                path=path_str,
-                line=exc.lineno or 0,
-                rule="REPRO-L000",
-                severity=Severity.ERROR,
-                message=f"syntax error: {exc.msg}",
-            ),
-        )
-
+def extract_module(tree: ast.Module, path: str, module: str) -> ModuleAnalysis:
+    """Index one parsed module into plain-data facts."""
     imports = _ImportMap(module)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -812,20 +773,20 @@ def extract_module(
     for stmt in tree.body:
         if isinstance(stmt, ast.ClassDef):
             class_facts, class_functions, unit_findings = _extract_class(
-                stmt, module, path_str, imports
+                stmt, module, path, imports
             )
             classes[stmt.name] = class_facts
             functions.update(class_functions)
             local_findings.extend(unit_findings)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             facts, unit_findings = _run_function_pass(
-                stmt, module, path_str, imports, None
+                stmt, module, path, imports, None
             )
             functions[stmt.name] = facts
             local_findings.extend(unit_findings)
 
     # Module-level statements (imports, constants, __main__ guards).
-    module_pass = _FunctionPass(module, path_str, imports, f"{module}.{MODULE_SCOPE}", None)
+    module_pass = _FunctionPass(module, path, imports, f"{module}.{MODULE_SCOPE}", None)
     module_env = module_pass.run(tree)
     functions[MODULE_SCOPE] = FunctionFacts(
         qualname=f"{module}.{MODULE_SCOPE}",
@@ -847,12 +808,9 @@ def extract_module(
 
     return ModuleAnalysis(
         module=module,
-        path=path_str,
-        content_hash=digest,
+        path=path,
         imports=dict(imports.aliases),
         classes=classes,
         functions=functions,
         local_findings=tuple(local_findings),
-        suppressions=suppressions,
-        suppression_findings=tuple(suppression_findings),
     )

@@ -69,11 +69,9 @@ import ast
 from pathlib import Path
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.suppress import collect_suppressions, filter_findings
 
 __all__ = [
-    "lint_source",
-    "lint_file",
+    "lint_tree",
     "EXEC_PATH_FRAGMENTS",
     "EXECUTION_LAYER_FRAGMENTS",
     "HOT_PATH_FRAGMENTS",
@@ -545,29 +543,12 @@ class _Linter(ast.NodeVisitor):
 
 
 def _at_class_body_level(node: ast.AST) -> bool:
-    # Set by lint_source's parent annotation pass.
+    # Set by lint_tree's parent annotation pass.
     return isinstance(getattr(node, "_repro_parent", None), ast.ClassDef)
 
 
-def lint_source(source: str, path: str) -> list[Finding]:
-    """Lint one module's source text; returns findings (possibly empty).
-
-    Inline ``# repro: noqa[RULE-ID]`` comments suppress findings of the
-    named rules on their line; a suppression naming an unknown rule id
-    is itself an error (REPRO-N001 — see :mod:`repro.analysis.suppress`).
-    """
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                path=path,
-                line=exc.lineno or 0,
-                rule="REPRO-L000",
-                severity=Severity.ERROR,
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
+def lint_tree(tree: ast.Module, path: str) -> list[Finding]:
+    """Every L-rule over one parsed module, before suppression."""
     for parent in ast.walk(tree):
         for child in ast.iter_child_nodes(parent):
             child._repro_parent = parent  # type: ignore[attr-defined]
@@ -596,14 +577,4 @@ def lint_source(source: str, path: str) -> list[Finding]:
                 "package __init__.py re-exports names but defines no "
                 "__all__; declare the public surface explicitly",
             )
-
-    suppressions, suppression_findings = collect_suppressions(source, path)
-    findings = filter_findings(linter.findings, suppressions)
-    findings.extend(suppression_findings)
-    return sorted(findings)
-
-
-def lint_file(path: str | Path) -> list[Finding]:
-    """Lint one file on disk."""
-    path = Path(path)
-    return lint_source(path.read_text(encoding="utf-8"), str(path))
+    return linter.findings

@@ -1,20 +1,14 @@
 """Formal model analyzer: REPRO-M rules over automata and bundles.
 
-The third analyzer tier.  Where the artifact verifier (A-rules) checks
-*payload shape* and the flow analyzer (F-rules) checks *Python source*,
-this tier model-checks the *behaviour* of the formal artifacts the repo
-ships — plants, specifications, synthesized supervisors, persisted
-policy bundles — with the bitset reachability kernel from
-:mod:`repro.automata.symbolic`, attaching a shortest counterexample
-trace to every negative verdict.
+The model tier of :mod:`repro.analysis`. Where the artifact verifier
+(A-rules) checks *payload shape* and the flow analyzer (F-rules) checks
+*Python source*, this tier model-checks the *behaviour* of the formal
+artifacts the repo ships — plants, specifications, synthesized
+supervisors, persisted policy bundles — with the bitset reachability
+kernel from :mod:`repro.automata.symbolic`, attaching a shortest
+counterexample trace to every negative verdict.
 """
 
-from repro.analysis.models.cache import (
-    DEFAULT_MODEL_CACHE_DIR,
-    MODEL_CHECK_SCHEMA,
-    ModelCheckCache,
-)
-from repro.analysis.models.cli import models_main
 from repro.analysis.models.rules import (
     check_alphabet_consistency,
     check_bundle_freshness,
@@ -28,18 +22,18 @@ from repro.analysis.models.scan import (
     MODEL_ROLES,
     ModelScanResult,
     ModelScanStats,
+    UnitRecord,
     analyze_model_set,
     infer_role,
     scan_paths,
+    unit_cache,
 )
 
 __all__ = [
-    "DEFAULT_MODEL_CACHE_DIR",
-    "MODEL_CHECK_SCHEMA",
     "MODEL_ROLES",
-    "ModelCheckCache",
     "ModelScanResult",
     "ModelScanStats",
+    "UnitRecord",
     "analyze_model_set",
     "check_alphabet_consistency",
     "check_bundle_freshness",
@@ -49,6 +43,6 @@ __all__ = [
     "check_pair_controllability",
     "check_reachability",
     "infer_role",
-    "models_main",
     "scan_paths",
+    "unit_cache",
 ]

@@ -12,9 +12,12 @@ The analyzer checks *model-check units*:
   rules (M003 controllability, M004 alphabet consistency, M007
   staleness) apply.
 
-Each unit is cached by the sha256 of its raw content
-(:class:`~repro.analysis.models.cache.ModelCheckCache`): unchanged
-artifacts replay their stored findings without re-running reachability.
+Units are discovered by the analysis package's one walker
+(:func:`repro.analysis.project.walk`).  Each unit is cached by the
+sha256 of its raw content in the shared
+:class:`~repro.analysis.project.ModuleCache` (:func:`unit_cache`):
+unchanged artifacts replay their stored :class:`UnitRecord` without
+re-running reachability.
 """
 
 from __future__ import annotations
@@ -22,10 +25,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
+from repro.analysis.project import (
+    DEFAULT_CACHE_DIR,
+    ModuleCache,
+    missing_input_findings,
+    walk,
+)
 from repro.analysis.findings import Finding, Report, Severity
-from repro.analysis.models.cache import ModelCheckCache
 from repro.analysis.models.rules import (
     check_alphabet_consistency,
     check_bundle_freshness,
@@ -40,9 +48,11 @@ __all__ = [
     "MODEL_ROLES",
     "ModelScanResult",
     "ModelScanStats",
+    "UnitRecord",
     "analyze_model_set",
     "infer_role",
     "scan_paths",
+    "unit_cache",
 ]
 
 # File-stem -> canonical role.  ``spec`` is accepted as an alias because
@@ -53,9 +63,6 @@ MODEL_ROLES: dict[str, str] = {
     "spec": "specification",
     "supervisor": "supervisor",
 }
-
-_SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "results", "output"}
-
 
 def infer_role(stem: str) -> str | None:
     """Canonical model role for a file stem, or ``None``."""
@@ -73,19 +80,26 @@ class ModelScanStats:
     resynthesized: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "units_scanned": self.units_scanned,
-            "models_checked": self.models_checked,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "resynthesized": self.resynthesized,
-        }
+        return dict(vars(self))
 
 
 @dataclass
 class ModelScanResult:
     report: Report
     stats: ModelScanStats = field(default_factory=ModelScanStats)
+
+
+@dataclass(frozen=True)
+class UnitRecord:
+    """What one model-check unit reported: all a cache hit replays."""
+
+    findings: tuple[Finding, ...]
+    models_checked: int
+
+
+def unit_cache(root: str | Path = DEFAULT_CACHE_DIR) -> ModuleCache:
+    """The model tier's view of the shared analysis cache."""
+    return ModuleCache(root, schema="model-unit", expected_type=UnitRecord)
 
 
 def _finding(path: str, rule: str, message: str) -> Finding:
@@ -165,53 +179,6 @@ def analyze_model_set(
 # ----------------------------------------------------------------------
 # Unit discovery
 # ----------------------------------------------------------------------
-def _looks_like_bundle_dir(path: Path) -> bool:
-    return path.is_dir() and (path / BUNDLE_MANIFEST).is_file()
-
-
-def _walk_units(
-    paths: Iterable[Path],
-) -> tuple[list[Path], list[Path], list[Path]]:
-    """Partition inputs into (single model files, set dirs, bundle dirs)."""
-    model_files: list[Path] = []
-    set_dirs: list[Path] = []
-    bundle_dirs: list[Path] = []
-
-    def role_files(directory: Path) -> list[Path]:
-        return [
-            child
-            for child in sorted(directory.iterdir())
-            if child.is_file()
-            and child.suffix == ".json"
-            and infer_role(child.stem) is not None
-        ]
-
-    def visit_dir(directory: Path) -> None:
-        if _looks_like_bundle_dir(directory):
-            bundle_dirs.append(directory)
-            return
-        grouped = role_files(directory)
-        if len(grouped) >= 2:
-            set_dirs.append(directory)
-        else:
-            model_files.extend(grouped)
-        for child in sorted(directory.iterdir()):
-            if child.name in _SKIP_DIRS or child.name.startswith("."):
-                continue
-            if child.is_dir():
-                visit_dir(child)
-
-    for path in paths:
-        if path.is_dir():
-            visit_dir(path)
-        elif path.is_file():
-            if path.name == BUNDLE_MANIFEST:
-                bundle_dirs.append(path.parent)
-            elif path.suffix == ".json":
-                model_files.append(path)
-    return model_files, set_dirs, bundle_dirs
-
-
 def _unit_content(files: Sequence[Path]) -> bytes:
     chunks: list[bytes] = []
     for file in files:
@@ -222,25 +189,6 @@ def _unit_content(files: Sequence[Path]) -> bytes:
             chunks.append(b"<unreadable>")
         chunks.append(b"\x00")
     return b"".join(chunks)
-
-
-def _pack_unit(findings: list[Finding], models: int) -> list[Finding]:
-    """Prefix a marker finding carrying the unit's model count so cache
-    replays can restore the stats without re-decoding the artifacts."""
-    marker = Finding(
-        path="",
-        line=0,
-        rule="REPRO-C001",
-        severity=Severity.INFO,
-        message=f"__models_checked__:{models}",
-    )
-    return [marker, *findings]
-
-
-def _unpack_unit(cached: list[Finding]) -> tuple[list[Finding], int]:
-    if cached and cached[0].message.startswith("__models_checked__:"):
-        return cached[1:], int(cached[0].message.rsplit(":", 1)[1])
-    return cached, 0
 
 
 # ----------------------------------------------------------------------
@@ -353,72 +301,65 @@ def _analyze_bundle_unit(
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
+def _units(paths: Sequence[str | Path]) -> tuple[list, list[Finding]]:
+    """(unit name, content files, analyzer) per unit, plus C001s.
+
+    A JSON file named as an input is one model file; a walked directory
+    holding two or more role-named JSON files is one model set, one
+    holding a single role-named file a model file; a policy bundle is
+    one unit.
+    """
+    inputs = walk(paths)
+    groups: dict[Path, list[Path]] = {}
+    for file in inputs.json:
+        if file in inputs.explicit:
+            groups[file] = [file]
+        elif infer_role(file.stem) is not None:
+            groups.setdefault(file.parent, []).append(file)
+    units: list[tuple[str, Sequence[Path], Any]] = []
+    for key, members in groups.items():
+        if len(members) >= 2:
+            units.append((str(key), members, _analyze_set_dir))
+        else:
+            units.append((str(members[0]), members, _analyze_model_file))
+    for directory in inputs.bundles:
+        units.append(
+            (str(directory), (directory / BUNDLE_MANIFEST,), _analyze_bundle_unit)
+        )
+    return units, missing_input_findings(inputs)
+
+
 def scan_paths(
     paths: Sequence[str | Path],
     *,
-    cache: ModelCheckCache | None = None,
+    cache: ModuleCache | None = None,
     resynthesize: bool = True,
 ) -> ModelScanResult:
     """Model-check every unit under ``paths`` and aggregate a report."""
-    resolved = [Path(p) for p in paths]
-    report = Report()
+    units, missing = _units(paths)
+    report = Report(findings=missing)
     stats = ModelScanStats()
-    for path in resolved:
-        if not path.exists():
-            report.add(
-                Finding(
-                    path=str(path),
-                    line=0,
-                    rule="REPRO-C001",
-                    severity=Severity.ERROR,
-                    message="input path does not exist",
-                )
-            )
-
-    model_files, set_dirs, bundle_dirs = _walk_units(resolved)
     # The resynthesize flag changes what a unit reports, so cached runs
     # with a different flag must not be replayed.
     mode = b"resynth\x00" if resynthesize else b"quick\x00"
 
-    units: list[tuple[str, Sequence[Path], Any]] = []
-    for file in model_files:
-        units.append((str(file), (file,), _analyze_model_file))
-    for directory in set_dirs:
-        members = [
-            child
-            for child in sorted(directory.iterdir())
-            if child.is_file()
-            and child.suffix == ".json"
-            and infer_role(child.stem) is not None
-        ]
-        units.append((str(directory), members, _analyze_set_dir))
-    for directory in bundle_dirs:
-        units.append(
-            (str(directory), (directory / BUNDLE_MANIFEST,), _analyze_bundle_unit)
-        )
-
     for unit_name, content_files, analyzer in units:
         stats.units_scanned += 1
         content = mode + _unit_content(content_files)
-        if cache is not None:
-            cached = cache.load(unit_name, content)
-            if cached is not None:
-                findings, models = _unpack_unit(cached)
-                report.extend(findings)
-                stats.models_checked += models
-                stats.cache_hits += 1
-                continue
-            stats.cache_misses += 1
-        target = Path(unit_name)
-        findings, models, ran_resynthesis = analyzer(
-            target, resynthesize=resynthesize
-        )
-        if ran_resynthesis:
-            stats.resynthesized += 1
-        report.extend(findings)
-        stats.models_checked += models
-        if cache is not None:
-            cache.store(unit_name, content, _pack_unit(findings, models))
+        record = cache.load(unit_name, content) if cache is not None else None
+        if record is not None:
+            stats.cache_hits += 1
+        else:
+            findings, models, ran_resynthesis = analyzer(
+                Path(unit_name), resynthesize=resynthesize
+            )
+            stats.resynthesized += ran_resynthesis
+            record = UnitRecord(tuple(findings), models)
+            if cache is not None:
+                stats.cache_misses += 1
+                cache.store(unit_name, content, record)
+        report.extend(record.findings)
+        stats.models_checked += record.models_checked
 
     report.artifacts_checked = stats.models_checked
     report.files_checked = stats.units_scanned

@@ -1,9 +1,9 @@
 """Array-contract analyzer: symbolic shape/dtype abstract interpretation.
 
-The fourth analyzer tier (after lint L-rules, flow F-rules and model
-M-rules): an abstract interpreter over symbolic array shapes and dtypes
-seeded from inline ``# repro: shape[...]`` contracts, plus a ctypes↔C
-signature cross-checker for the embedded compiled kernels.
+The array tier of :mod:`repro.analysis`: an abstract interpreter over
+symbolic array shapes and dtypes seeded from inline
+``# repro: shape[...]`` contracts, plus a ctypes↔C signature
+cross-checker for the embedded compiled kernels.
 
 Rules:
 
@@ -15,13 +15,6 @@ Rules:
 * ``REPRO-S005`` — static RNG draw-count mismatch
 """
 
-from repro.analysis.shapes.analyze import (
-    ShapesResult,
-    ShapesStats,
-    analyze_project,
-    make_cache,
-)
-from repro.analysis.shapes.cli import shapes_main
 from repro.analysis.shapes.contracts import (
     ModuleContracts,
     Spec,
@@ -29,22 +22,17 @@ from repro.analysis.shapes.contracts import (
     parse_spec,
 )
 from repro.analysis.shapes.rules import (
-    SHAPES_SCHEMA,
-    ShapeModuleScan,
-    scan_module,
+    ShapesResult,
+    ShapesStats,
+    analyze_project,
 )
 
 __all__ = [
-    "SHAPES_SCHEMA",
     "ModuleContracts",
-    "ShapeModuleScan",
     "ShapesResult",
     "ShapesStats",
     "Spec",
     "analyze_project",
     "collect_contracts",
-    "make_cache",
     "parse_spec",
-    "scan_module",
-    "shapes_main",
 ]

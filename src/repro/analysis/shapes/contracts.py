@@ -53,9 +53,7 @@ a typo'd contract silently checking nothing would be worse than none.
 from __future__ import annotations
 
 import ast
-import io
 import re
-import tokenize
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -291,21 +289,6 @@ def _parse_items(body: str) -> list[tuple[Optional[str], Spec]]:
 # ----------------------------------------------------------------------
 # Collection + AST attachment
 # ----------------------------------------------------------------------
-def _contract_comments(source: str) -> dict[int, str]:
-    """lineno -> contract body text for every shape-contract comment."""
-    out: dict[int, str] = {}
-    try:
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
-            if token.type != tokenize.COMMENT:
-                continue
-            match = CONTRACT_PATTERN.search(token.string)
-            if match is not None:
-                out[token.start[0]] = match.group("body")
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        pass  # broken source is REPRO-L000's problem
-    return out
-
-
 def _finding(path: str, line: int, message: str) -> Finding:
     return Finding(
         path=path,
@@ -445,22 +428,24 @@ class _Collector(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def collect_contracts(source: str, path: str) -> ModuleContracts:
-    """Parse every shape contract in ``source`` and attach it to its
-    AST site; dangling or malformed contracts become REPRO-S000."""
+def collect_contracts(
+    tree: ast.Module, comments: list[tuple[int, str]], path: str
+) -> ModuleContracts:
+    """Parse every shape contract among a module's ``comments``
+    (:func:`repro.analysis.suppress.comment_tokens`) and attach it to
+    its site in ``tree``; dangling or malformed contracts become
+    REPRO-S000."""
     result = ModuleContracts()
-    if "repro:" not in source:  # cheap pre-filter, mirrors suppress.py
+    bodies: dict[int, str] = {}
+    for line, text in comments:
+        match = CONTRACT_PATTERN.search(text)
+        if match is not None:
+            bodies[line] = match.group("body")
+    if not bodies:
         return result
-    comments = _contract_comments(source)
-    if not comments:
-        return result
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return result  # REPRO-L000 territory
-    collector = _Collector(comments, path, result)
+    collector = _Collector(bodies, path, result)
     collector.visit(tree)
-    for line in sorted(set(comments) - collector.consumed):
+    for line in sorted(set(bodies) - collector.consumed):
         result.findings.append(
             _finding(
                 path,

@@ -1,83 +1,80 @@
-"""Per-module scan for the array-contract analyzer (REPRO-S rules).
+"""Project-level view of the array-contract analyzer (REPRO-S rules).
 
-One module is one independent scan unit: every S-rule is
-intra-module (contracts attach inside the file that declares them, and
-the ctypes↔C check compares a binding against the C source embedded in
-the same file).  That is what makes the scan cacheable at module
-granularity — :class:`ShapeModuleScan` is the pickled record, keyed by
-content hash exactly like the flow analyzer's ``ModuleAnalysis``.
+Every S-rule is intra-module: contracts attach inside the file that
+declares them, and the ctypes↔C check compares a binding against the C
+source embedded in the same file.  So :mod:`repro.analysis.project`
+runs the whole pipeline inside its one pass per module and caches the
+*findings themselves* in the module's record::
 
-Pipeline per module::
+    tree --(contracts.collect_contracts)--> ModuleContracts  (S000)
+         --(interp.interpret_module)-----> shape findings    (S001-S003, S005)
+         --(csig.check_ctypes_bindings)--> ABI findings      (S004)
 
-    source --(contracts.collect_contracts)--> ModuleContracts  (S000)
-           --(interp.interpret_module)-----> shape findings    (S001-S003, S005)
-           --(csig.check_ctypes_bindings)--> ABI findings      (S004)
-           --(suppress.collect_suppressions)-> noqa map        (N001)
-
-Suppression *filtering* happens at project level (analyze.py) so the
-cached record keeps the raw findings plus the suppression map — the
-same split the flow analyzer uses.
+A warm scan over an unchanged tree does no parsing, no interpretation
+and no C-signature cross-checks at all: :func:`analyze_project` only
+re-applies each module's (cheap, always-fresh) suppression filter.
 """
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Iterable
 
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.flow.symbols import source_digest
-from repro.analysis.shapes.contracts import collect_contracts
-from repro.analysis.shapes.csig import check_ctypes_bindings
-from repro.analysis.shapes.interp import interpret_module
-from repro.analysis.suppress import collect_suppressions
+# A module import: `project` imports this package's per-module passes.
+from repro.analysis import project
+from repro.analysis.findings import Finding, Report
 
-__all__ = ["SHAPES_SCHEMA", "ShapeModuleScan", "scan_module"]
-
-# Bump whenever the contract grammar, interpreter semantics, or the
-# recorded fields change: the schema is part of the cache salt.
-SHAPES_SCHEMA = "shapes-cache/1"
+__all__ = ["ShapesResult", "ShapesStats", "analyze_project"]
 
 
 @dataclass
-class ShapeModuleScan:
-    """Cacheable result of scanning one module."""
+class ShapesStats:
+    """Scan statistics (asserted on by the incremental benchmark)."""
 
-    module: str
-    path: str
-    content_hash: str = ""
-    findings: list[Finding] = field(default_factory=list)
-    suppressions: dict[int, frozenset[str]] = field(default_factory=dict)
-    suppression_findings: list[Finding] = field(default_factory=list)
-    parse_error: str | None = None
-    contracted: bool = False  # module declares at least one contract
+    modules_total: int = 0
+    rescanned: int = 0
+    cache_hits: int = 0
+    contracted_modules: int = 0
+
+    def as_dict(self) -> dict[str, int]:
+        return dict(vars(self))
 
 
-def scan_module(source: str, path: str, *, module: str = "") -> ShapeModuleScan:
-    """Run every S-rule over one module's source."""
-    scan = ShapeModuleScan(
-        module=module, path=path, content_hash=source_digest(source)
+@dataclass
+class ShapesResult:
+    """Report plus the per-module records tests want to poke at."""
+
+    report: Report
+    stats: ShapesStats
+    records: dict[str, "project.ModuleRecord"] = field(default_factory=dict)
+
+
+def analyze_project(
+    roots: Iterable[str | Path],
+    *,
+    cache: "project.ModuleCache | None" = None,
+    scan: "project.ProjectScan | None" = None,
+) -> ShapesResult:
+    """Report every REPRO-S violation in the modules under ``roots``.
+
+    ``scan`` shares module records with other tiers of the same run;
+    without one, a fresh scan over ``cache`` is used.
+    """
+    scan = scan or project.ProjectScan(cache)
+    records = scan.modules(project.walk(roots).python)
+    rescanned = sum(record.path in scan.parsed for record in records)
+    stats = ShapesStats(
+        modules_total=len(records),
+        rescanned=rescanned,
+        cache_hits=len(records) - rescanned,
     )
-    scan.suppressions, scan.suppression_findings = collect_suppressions(
-        source, path
-    )
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        scan.parse_error = str(exc)
-        scan.findings.append(
-            Finding(
-                path=path,
-                line=exc.lineno or 1,
-                rule="REPRO-L000",
-                severity=Severity.ERROR,
-                message=f"syntax error: {exc.msg}",
-            )
-        )
-        return scan
-    contracts = collect_contracts(source, path)
-    scan.contracted = not contracts.empty
-    scan.findings.extend(contracts.findings)
-    scan.findings.extend(interpret_module(tree, contracts, path))
-    scan.findings.extend(check_ctypes_bindings(tree, path))
-    scan.findings.sort()
-    return scan
+    # Later roots win on module-name collisions (same as sys.path).
+    by_module = {record.module: record for record in records}
+    kept: list[Finding] = []
+    for record in by_module.values():
+        stats.contracted_modules += record.contracted
+        kept.extend(record.kept([*record.shapes, *record.parse_errors]))
+        kept.extend(record.suppression_findings)
+    report = Report(findings=kept, files_checked=stats.modules_total)
+    return ShapesResult(report=report, stats=stats, records=by_module)

@@ -10,9 +10,9 @@ silences and is validated against the rule registry.  A suppression
 naming an unknown rule id is itself an error finding (``REPRO-N001``,
 the lint-of-the-lint), so a typo cannot silently disable nothing.
 
-Both the file-local lint (:mod:`repro.analysis.lint`) and the
-whole-program flow analyzer (:mod:`repro.analysis.flow`) honor the same
-markers through this module.
+Every tier honors the same markers through this module: the module
+pass (:mod:`repro.analysis.project`) collects each module's map once
+and every tier filters its findings with it.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from repro.analysis.findings import Finding, Severity, known_rule_ids
 __all__ = [
     "SUPPRESSION_PATTERN",
     "collect_suppressions",
+    "comment_tokens",
     "filter_findings",
 ]
 
@@ -37,9 +38,13 @@ SUPPRESSION_PATTERN = re.compile(
 )
 
 
-def _comment_tokens(source: str) -> list[tuple[int, str]]:
-    """(lineno, text) for each comment token; [] if tokenization fails."""
+def comment_tokens(source: str) -> list[tuple[int, str]]:
+    """(lineno, text) for each comment token of a module that mentions
+    ``repro:`` (suppressions and shape contracts); [] otherwise, and
+    the comments read so far if tokenization fails."""
     comments: list[tuple[int, str]] = []
+    if "repro:" not in source:  # cheap pre-filter for the common case
+        return comments
     try:
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type == tokenize.COMMENT:
@@ -50,21 +55,20 @@ def _comment_tokens(source: str) -> list[tuple[int, str]]:
 
 
 def collect_suppressions(
-    source: str, path: str
+    comments: list[tuple[int, str]], path: str
 ) -> tuple[dict[int, frozenset[str]], list[Finding]]:
-    """Parse suppression markers out of ``source``.
+    """Parse suppression markers out of a module's ``comments``
+    (:func:`comment_tokens`).
 
     Returns ``(suppressions, findings)`` where ``suppressions`` maps a
     1-based line number to the rule ids suppressed on that line, and
     ``findings`` holds one ``REPRO-N001`` error per id that is not in
     the rule registry (including an empty bracket list).
     """
-    if "repro:" not in source:  # cheap pre-filter for the common case
-        return {}, []
     known = known_rule_ids()
     suppressions: dict[int, frozenset[str]] = {}
     findings: list[Finding] = []
-    for lineno, comment in _comment_tokens(source):
+    for lineno, comment in comments:
         match = SUPPRESSION_PATTERN.match(comment)
         if match is None:
             continue

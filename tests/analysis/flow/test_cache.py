@@ -1,47 +1,44 @@
 """Incremental-cache tests: hits, invalidation, corruption eviction."""
 
+from repro.analysis.project import ModuleCache, scan_source
 from repro.analysis.flow.analyze import analyze_project
-from repro.analysis.flow.cache import ModuleCache
-from repro.analysis.flow.symbols import extract_module
 
 SOURCE = "def f(x):\n    return x\n"
+NAME = "m\x00src/m.py"
 
 
 class TestModuleCache:
     def test_roundtrip_hit(self, tmp_path):
         cache = ModuleCache(tmp_path / "cache")
-        analysis = extract_module(SOURCE, "src/m.py", module="m")
-        cache.store(analysis, SOURCE)
-        loaded = cache.load("m", "src/m.py", SOURCE)
+        cache.store(NAME, SOURCE, scan_source(SOURCE, "src/m.py", "m"))
+        loaded = cache.load(NAME, SOURCE)
         assert loaded is not None
-        assert loaded.functions["f"].qualname == "m.f"
+        assert loaded.flow.functions["f"].qualname == "m.f"
         assert cache.hits == 1
 
     def test_content_change_misses(self, tmp_path):
         cache = ModuleCache(tmp_path / "cache")
-        analysis = extract_module(SOURCE, "src/m.py", module="m")
-        cache.store(analysis, SOURCE)
-        assert cache.load("m", "src/m.py", SOURCE + "\n# edited\n") is None
+        cache.store(NAME, SOURCE, scan_source(SOURCE, "src/m.py", "m"))
+        assert cache.load(NAME, SOURCE + "\n# edited\n") is None
         assert cache.misses == 1
 
     def test_corrupt_payload_is_evicted(self, tmp_path):
         cache = ModuleCache(tmp_path / "cache")
-        analysis = extract_module(SOURCE, "src/m.py", module="m")
-        cache.store(analysis, SOURCE)
-        key = cache.key_for("m", "src/m.py", SOURCE)
+        cache.store(NAME, SOURCE, scan_source(SOURCE, "src/m.py", "m"))
+        key = cache.key_for(NAME, SOURCE)
         entry = cache._entry_path(key)
         entry.write_bytes(b"garbage")
-        assert cache.load("m", "src/m.py", SOURCE) is None
+        assert cache.load(NAME, SOURCE) is None
         assert cache.evictions == 1
         assert not entry.exists()
 
     def test_key_distinguishes_module_and_path(self, tmp_path):
         cache = ModuleCache(tmp_path / "cache")
-        assert cache.key_for("a", "src/a.py", SOURCE) != cache.key_for(
-            "b", "src/a.py", SOURCE
+        assert cache.key_for("a\x00src/a.py", SOURCE) != cache.key_for(
+            "b\x00src/a.py", SOURCE
         )
-        assert cache.key_for("a", "src/a.py", SOURCE) != cache.key_for(
-            "a", "src/b.py", SOURCE
+        assert cache.key_for("a\x00src/a.py", SOURCE) != cache.key_for(
+            "a\x00src/b.py", SOURCE
         )
 
 

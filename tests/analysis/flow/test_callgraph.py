@@ -2,9 +2,9 @@
 
 from pathlib import Path
 
+from repro.analysis.project import scan_source
 from repro.analysis.flow.analyze import analyze_project
 from repro.analysis.flow.callgraph import CallGraph, ProjectIndex
-from repro.analysis.flow.symbols import extract_module
 
 
 def build(sources: dict[str, str]) -> CallGraph:
@@ -12,7 +12,7 @@ def build(sources: dict[str, str]) -> CallGraph:
     modules = {}
     for module, source in sources.items():
         path = "src/" + module.replace(".", "/") + ".py"
-        modules[module] = extract_module(source, path, module=module)
+        modules[module] = scan_source(source, path, module).flow
     return CallGraph.build(ProjectIndex(modules))
 
 

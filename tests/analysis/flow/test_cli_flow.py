@@ -2,7 +2,8 @@
 
 import json
 
-from repro.analysis.cli import flow_main, main
+from repro.analysis.cli import main
+from repro.analysis.flow import analyze_project
 from tests.analysis.flow.conftest import write_project
 
 CLEAN = {"pkg/__init__.py": "", "pkg/mod.py": "def f(x):\n    return x\n"}
@@ -20,19 +21,19 @@ class TestFlowCli:
     def test_clean_tree_exits_zero(self, tmp_path, monkeypatch, capsys):
         write_project(tmp_path, CLEAN)
         monkeypatch.chdir(tmp_path)
-        assert flow_main(["--no-cache", "pkg"]) == 0
+        assert main(["flow", "--no-cache", "pkg"]) == 0
         assert "0 errors" in capsys.readouterr().out
 
     def test_error_finding_exits_one(self, tmp_path, monkeypatch, capsys):
         write_project(tmp_path, BAD)
         monkeypatch.chdir(tmp_path)
-        assert flow_main(["--no-cache", "pkg"]) == 1
+        assert main(["flow", "--no-cache", "pkg"]) == 1
         assert "REPRO-F001" in capsys.readouterr().out
 
     def test_json_format(self, tmp_path, monkeypatch, capsys):
         write_project(tmp_path, BAD)
         monkeypatch.chdir(tmp_path)
-        flow_main(["--no-cache", "--format", "json", "pkg"])
+        main(["flow", "--no-cache", "--format", "json", "pkg"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "repro-flow-report/1"
         assert payload["summary"]["errors"] == 1
@@ -41,7 +42,7 @@ class TestFlowCli:
     def test_sarif_format(self, tmp_path, monkeypatch, capsys):
         write_project(tmp_path, BAD)
         monkeypatch.chdir(tmp_path)
-        flow_main(["--no-cache", "--format", "sarif", "pkg"])
+        main(["flow", "--no-cache", "--format", "sarif", "pkg"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == "2.1.0"
         (run,) = payload["runs"]
@@ -51,22 +52,22 @@ class TestFlowCli:
     def test_write_and_use_baseline(self, tmp_path, monkeypatch, capsys):
         write_project(tmp_path, BAD)
         monkeypatch.chdir(tmp_path)
-        assert flow_main(["--no-cache", "--write-baseline", "pkg"]) == 0
+        assert main(["flow", "--no-cache", "--write-baseline", "pkg"]) == 0
         capsys.readouterr()
         # With the baseline in place the same scan passes.
-        assert flow_main(["--no-cache", "pkg"]) == 0
+        assert main(["flow", "--no-cache", "pkg"]) == 0
 
     def test_cache_dir_is_populated_and_reused(self, tmp_path, monkeypatch):
         write_project(tmp_path, CLEAN)
         monkeypatch.chdir(tmp_path)
-        flow_main(["--cache-dir", "cachedir", "pkg"])
+        main(["flow", "--cache-dir", "cachedir", "pkg"])
         assert any((tmp_path / "cachedir").rglob("*.pkl"))
-        assert flow_main(["--cache-dir", "cachedir", "pkg"]) == 0
+        assert main(["flow", "--cache-dir", "cachedir", "pkg"]) == 0
 
     def test_output_file(self, tmp_path, monkeypatch, capsys):
         write_project(tmp_path, CLEAN)
         monkeypatch.chdir(tmp_path)
-        flow_main(["--no-cache", "--format", "json", "--output", "r.json", "pkg"])
+        main(["flow", "--no-cache", "--format", "json", "--output", "r.json", "pkg"])
         assert json.loads((tmp_path / "r.json").read_text())["summary"]["ok"]
 
     def test_strict_fails_on_warnings(self, tmp_path, monkeypatch):
@@ -81,8 +82,8 @@ class TestFlowCli:
             },
         )
         monkeypatch.chdir(tmp_path)
-        assert flow_main(["--no-cache", "pkg"]) == 0
-        assert flow_main(["--no-cache", "--strict", "pkg"]) == 1
+        assert main(["flow", "--no-cache", "pkg"]) == 0
+        assert main(["flow", "--no-cache", "--strict", "pkg"]) == 1
 
     def test_main_dispatches_flow_subcommand(self, tmp_path, monkeypatch, capsys):
         write_project(tmp_path, CLEAN)
@@ -90,7 +91,9 @@ class TestFlowCli:
         assert main(["flow", "--no-cache", "pkg"]) == 0
         assert "0 errors" in capsys.readouterr().out
 
-    def test_custom_entry_pattern(self, tmp_path, monkeypatch, capsys):
+    def test_custom_entry_pattern(self, tmp_path):
+        # Hot-path entry points are an API option (the CLI uses the
+        # step-kernel defaults).
         write_project(
             tmp_path,
             {
@@ -102,9 +105,8 @@ class TestFlowCli:
                 ),
             },
         )
-        monkeypatch.chdir(tmp_path)
-        assert flow_main(["--no-cache", "pkg"]) == 0  # no entry matches
-        assert (
-            flow_main(["--no-cache", "--entry", "pkg.mod.tick", "pkg"]) == 1
+        assert not analyze_project([tmp_path / "pkg"]).report.errors
+        result = analyze_project(
+            [tmp_path / "pkg"], entry_points=("pkg.mod.tick",)
         )
-        assert "REPRO-F003" in capsys.readouterr().out
+        assert [f.rule for f in result.report.errors] == ["REPRO-F003"]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow import Baseline, analyze_project
+from repro.analysis.flow import Baseline, analyze_project, apply_baseline
 
 REPO = Path(__file__).resolve().parents[3]
 SRC_REPRO = REPO / "src" / "repro"
@@ -14,7 +14,11 @@ BASELINE = REPO / "analysis-baseline.json"
 
 @pytest.fixture(scope="module")
 def scan():
-    return analyze_project([SRC_REPRO], baseline=Baseline.load(BASELINE))
+    result = analyze_project([SRC_REPRO])
+    result.report.findings = apply_baseline(
+        result.report.findings, Baseline.load(BASELINE)
+    )
+    return result
 
 
 class TestSelfScan:

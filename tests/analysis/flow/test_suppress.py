@@ -1,7 +1,15 @@
 """Suppression (`# repro: noqa[...]`) parsing and filtering tests."""
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.suppress import collect_suppressions, filter_findings
+from repro.analysis.suppress import (
+    collect_suppressions,
+    comment_tokens,
+    filter_findings,
+)
+
+
+def collect(source):
+    return collect_suppressions(comment_tokens(source), "m.py")
 
 
 def finding(line, rule="REPRO-F004"):
@@ -16,34 +24,30 @@ class TestCollectSuppressions:
             "x = 1  # repro: noqa[REPRO-L006]\n"
             "y = 2  # repro: noqa[REPRO-F003, REPRO-F004]\n"
         )
-        suppressions, findings = collect_suppressions(source, "m.py")
+        suppressions, findings = collect(source)
         assert findings == []
         assert suppressions[1] == frozenset({"REPRO-L006"})
         assert suppressions[2] == frozenset({"REPRO-F003", "REPRO-F004"})
 
     def test_unknown_rule_id_is_n001(self):
-        suppressions, findings = collect_suppressions(
-            "x = 1  # repro: noqa[REPRO-BOGUS]\n", "m.py"
-        )
+        suppressions, findings = collect("x = 1  # repro: noqa[REPRO-BOGUS]\n")
         assert suppressions == {}
         assert [f.rule for f in findings] == ["REPRO-N001"]
         assert "REPRO-BOGUS" in findings[0].message
 
     def test_empty_bracket_is_n001(self):
-        _suppressions, findings = collect_suppressions(
-            "x = 1  # repro: noqa[]\n", "m.py"
-        )
+        _suppressions, findings = collect("x = 1  # repro: noqa[]\n")
         assert [f.rule for f in findings] == ["REPRO-N001"]
 
     def test_docstring_mention_is_not_a_suppression(self):
         source = '"""Use `# repro: noqa[REPRO-L006]` to suppress."""\n'
-        suppressions, findings = collect_suppressions(source, "m.py")
+        suppressions, findings = collect(source)
         assert suppressions == {}
         assert findings == []
 
     def test_mid_comment_mention_is_not_a_suppression(self):
         source = "# the marker (`# repro: noqa[RULE]`) is documented here\n"
-        suppressions, findings = collect_suppressions(source, "m.py")
+        suppressions, findings = collect(source)
         assert suppressions == {}
         assert findings == []
 

@@ -2,16 +2,12 @@
 
 import textwrap
 
-from repro.analysis.flow.symbols import (
-    MODULE_SCOPE,
-    extract_module,
-    module_name_for_path,
-    source_digest,
-)
+from repro.analysis.project import scan_source, source_digest
+from repro.analysis.flow.symbols import MODULE_SCOPE, module_name_for_path
 
 
 def extract(source: str, path: str = "src/proj/mod.py", module: str = "proj.mod"):
-    return extract_module(textwrap.dedent(source), path, module=module)
+    return scan_source(textwrap.dedent(source), path, module).flow
 
 
 class TestImportResolution:
@@ -213,6 +209,6 @@ class TestDigestsAndNames:
         assert module_name_for_path(tmp_path / "pkg" / "__init__.py") == "pkg"
 
     def test_syntax_error_becomes_parse_error_finding(self):
-        analysis = extract("def broken(:\n")
-        assert analysis.parse_error is not None
-        assert analysis.parse_error.rule == "REPRO-L000"
+        record = scan_source("def broken(:\n", "src/proj/mod.py", "proj.mod")
+        assert record.parse_error is not None
+        assert record.parse_error.rule == "REPRO-L000"

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.analysis.cli import main, models_main
+from repro.analysis.cli import main
 from repro.automata.automaton import automaton_from_table
 from repro.automata.events import Alphabet, controllable, uncontrollable
 from repro.automata.serialization import automaton_to_dict
@@ -43,14 +43,14 @@ def _chdir_with(tmp_path, monkeypatch, automaton, stem="plant"):
 class TestModelsCli:
     def test_clean_model_exits_zero(self, tmp_path, monkeypatch, capsys):
         _chdir_with(tmp_path, monkeypatch, _clean_plant())
-        assert models_main(["--no-cache", "models"]) == 0
+        assert main(["models", "--no-cache", "models"]) == 0
         out = capsys.readouterr().out
         assert "1 files, 1 artifacts checked" in out
         assert "0 errors" in out
 
     def test_blocking_model_exits_one(self, tmp_path, monkeypatch, capsys):
         _chdir_with(tmp_path, monkeypatch, _blocking_plant())
-        assert models_main(["--no-cache", "models"]) == 1
+        assert main(["models", "--no-cache", "models"]) == 1
         assert "REPRO-M002" in capsys.readouterr().out
 
     def test_strict_promotes_warnings(self, tmp_path, monkeypatch, capsys):
@@ -64,18 +64,18 @@ class TestModelsCli:
             marked=["Idle"],
         )
         _chdir_with(tmp_path, monkeypatch, debris)
-        assert models_main(["--no-cache", "models"]) == 0
+        assert main(["models", "--no-cache", "models"]) == 0
         capsys.readouterr()
-        assert models_main(["--no-cache", "--strict", "models"]) == 1
+        assert main(["models", "--no-cache", "--strict", "models"]) == 1
 
     def test_missing_path_reports_c001(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        assert models_main(["--no-cache", "nowhere"]) == 1
+        assert main(["models", "--no-cache", "nowhere"]) == 1
         assert "REPRO-C001" in capsys.readouterr().out
 
     def test_json_format_carries_stats(self, tmp_path, monkeypatch, capsys):
         _chdir_with(tmp_path, monkeypatch, _blocking_plant())
-        models_main(["--no-cache", "--format", "json", "models"])
+        main(["models", "--no-cache", "--format", "json", "models"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "repro-models-report/1"
         assert payload["summary"]["errors"] == 1
@@ -84,7 +84,7 @@ class TestModelsCli:
 
     def test_sarif_format(self, tmp_path, monkeypatch, capsys):
         _chdir_with(tmp_path, monkeypatch, _blocking_plant())
-        models_main(["--no-cache", "--format", "sarif", "models"])
+        main(["models", "--no-cache", "--format", "sarif", "models"])
         payload = json.loads(capsys.readouterr().out)
         (run,) = payload["runs"]
         assert run["tool"]["driver"]["name"] == "repro-models"
@@ -94,11 +94,11 @@ class TestModelsCli:
     def test_write_and_use_baseline(self, tmp_path, monkeypatch, capsys):
         _chdir_with(tmp_path, monkeypatch, _blocking_plant())
         assert (
-            models_main(["--no-cache", "--write-baseline", "models"]) == 0
+            main(["models", "--no-cache", "--write-baseline", "models"]) == 0
         )
         capsys.readouterr()
         # Accepted findings are filtered; scan passes, counters remain.
-        assert models_main(["--no-cache", "models"]) == 0
+        assert main(["models", "--no-cache", "models"]) == 0
         out = capsys.readouterr().out
         assert "0 errors" in out
         assert (tmp_path / "models-baseline.json").is_file()
@@ -106,8 +106,9 @@ class TestModelsCli:
     def test_output_file(self, tmp_path, monkeypatch, capsys):
         _chdir_with(tmp_path, monkeypatch, _blocking_plant())
         target = tmp_path / "report.sarif"
-        models_main(
+        main(
             [
+                "models",
                 "--no-cache",
                 "--format",
                 "sarif",
@@ -122,11 +123,11 @@ class TestModelsCli:
     def test_cache_dir_reused_across_runs(self, tmp_path, monkeypatch, capsys):
         _chdir_with(tmp_path, monkeypatch, _clean_plant())
         cache_dir = tmp_path / "mc"
-        argv = ["--cache-dir", str(cache_dir), "--format", "json", "models"]
-        models_main(argv)
+        argv = ["models", "--cache-dir", str(cache_dir), "--format", "json", "models"]
+        main(argv)
         first = json.loads(capsys.readouterr().out)
         assert first["stats"]["cache_misses"] == 1
-        models_main(argv)
+        main(argv)
         second = json.loads(capsys.readouterr().out)
         assert second["stats"]["cache_hits"] == 1
         assert any(cache_dir.rglob("*.pkl"))
@@ -142,7 +143,7 @@ class TestModelsCli:
             json.dumps(manifest), encoding="utf-8"
         )
         monkeypatch.chdir(tmp_path)
-        assert models_main(["--no-cache", "bundle"]) == 0
+        assert main(["models", "--no-cache", "bundle"]) == 0
         assert "1 files, 1 artifacts checked" in capsys.readouterr().out
 
     def test_bundle_without_supervisor_is_a009(
@@ -152,7 +153,7 @@ class TestModelsCli:
         bundle.mkdir()
         (bundle / "bundle.json").write_text("{}", encoding="utf-8")
         monkeypatch.chdir(tmp_path)
-        assert models_main(["--no-cache", "bundle"]) == 1
+        assert main(["models", "--no-cache", "bundle"]) == 1
         assert "REPRO-A009" in capsys.readouterr().out
 
     def test_undecodable_model_is_a002(self, tmp_path, monkeypatch, capsys):
@@ -160,7 +161,7 @@ class TestModelsCli:
         path.parent.mkdir(parents=True)
         path.write_text('{"name": "broken"}', encoding="utf-8")
         monkeypatch.chdir(tmp_path)
-        assert models_main(["--no-cache", "models"]) == 1
+        assert main(["models", "--no-cache", "models"]) == 1
         assert "REPRO-A002" in capsys.readouterr().out
 
     def test_dispatch_through_analysis_main(

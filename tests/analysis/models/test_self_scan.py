@@ -11,13 +11,41 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.analysis.findings import Report
 from repro.analysis.flow.baseline import Baseline, apply_baseline
-from repro.analysis.models.cli import _case_study_result
-from repro.analysis.models.scan import analyze_model_set, scan_paths
+from repro.analysis.models.scan import (
+    ModelScanResult,
+    ModelScanStats,
+    analyze_model_set,
+    scan_paths,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 ARTIFACTS = REPO_ROOT / "artifacts" / "case_study"
 BASELINE = REPO_ROOT / "models-baseline.json"
+
+
+def _case_study_result(*, resynthesize: bool) -> ModelScanResult:
+    """Synthesize the paper's case-study supervisor and scan it."""
+    from repro.core.synthesis_flow import build_case_study_supervisor
+
+    verified = build_case_study_supervisor()
+    findings = analyze_model_set(
+        {
+            "plant": verified.plant,
+            "specification": verified.specification,
+            "supervisor": verified.supervisor,
+        },
+        path="<case-study>",
+        resynthesize=resynthesize,
+    )
+    report = Report(findings=findings, files_checked=1, artifacts_checked=3)
+    stats = ModelScanStats(
+        units_scanned=1,
+        models_checked=3,
+        resynthesized=1 if resynthesize else 0,
+    )
+    return ModelScanResult(report=report, stats=stats)
 
 
 class TestSelfScan:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.shapes.rules import scan_module
+import repro.analysis.project as analysis_project
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -28,8 +28,9 @@ def project(tmp_path):
 
 
 def scan_source(source: str, path: str = "mod.py"):
-    """Scan one dedented source string; returns the sorted findings."""
-    return scan_module(textwrap.dedent(source), path, module="mod").findings
+    """Scan one dedented source string; returns the sorted S-findings."""
+    record = analysis_project.scan_source(textwrap.dedent(source), path, "mod")
+    return list(record.shapes)
 
 
 def triples(findings):

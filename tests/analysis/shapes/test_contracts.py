@@ -1,5 +1,6 @@
 """Unit tests for the ``# repro: shape[...]`` contract grammar/collector."""
 
+import ast
 import textwrap
 
 import pytest
@@ -10,10 +11,12 @@ from repro.analysis.shapes.contracts import (
     parse_spec,
 )
 from repro.analysis.shapes.lattice import DTYPE_F64, DTYPE_I8, Dim
+from repro.analysis.suppress import comment_tokens
 
 
 def collect(source: str, path: str = "mod.py"):
-    return collect_contracts(textwrap.dedent(source), path)
+    source = textwrap.dedent(source)
+    return collect_contracts(ast.parse(source), comment_tokens(source), path)
 
 
 class TestParseSpec:

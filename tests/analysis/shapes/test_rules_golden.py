@@ -8,7 +8,7 @@ when the bug is still "caught".
 
 import pytest
 
-from repro.analysis.shapes.rules import scan_module
+from repro.analysis.project import scan_source
 
 from tests.analysis.shapes.conftest import FIXTURES
 
@@ -17,10 +17,10 @@ BADPROJ = FIXTURES / "badproj"
 
 def scan_fixture(stem: str):
     path = BADPROJ / f"{stem}.py"
-    scan = scan_module(
-        path.read_text(encoding="utf-8"), str(path), module=f"badproj.{stem}"
+    record = scan_source(
+        path.read_text(encoding="utf-8"), str(path), f"badproj.{stem}"
     )
-    return [(f.line, f.rule, f.message) for f in scan.findings]
+    return [(f.line, f.rule, f.message) for f in record.shapes]
 
 
 class TestS000Contracts:
@@ -168,7 +168,7 @@ class TestCleanFixture:
 
     def test_clean_module_counts_as_contracted(self):
         path = BADPROJ / "clean.py"
-        scan = scan_module(
-            path.read_text(encoding="utf-8"), str(path), module="badproj.clean"
+        record = scan_source(
+            path.read_text(encoding="utf-8"), str(path), "badproj.clean"
         )
-        assert scan.contracted
+        assert record.contracted

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.flow.baseline import Baseline
-from repro.analysis.shapes.analyze import analyze_project
+from repro.analysis.flow.baseline import Baseline, apply_baseline
+from repro.analysis.shapes import analyze_project
 
 REPO = Path(__file__).resolve().parents[3]
 SRC_REPRO = REPO / "src" / "repro"
@@ -22,7 +22,11 @@ BASELINE = REPO / "shapes-baseline.json"
 
 @pytest.fixture(scope="module")
 def scan():
-    return analyze_project([SRC_REPRO], baseline=Baseline.load(BASELINE))
+    result = analyze_project([SRC_REPRO])
+    result.report.findings = apply_baseline(
+        result.report.findings, Baseline.load(BASELINE)
+    )
+    return result
 
 
 class TestSelfScan:
@@ -39,7 +43,7 @@ class TestSelfScan:
 
     def test_kernel_modules_are_contracted(self, scan):
         contracted = {
-            name for name, s in scan.scans.items() if s.contracted
+            name for name, r in scan.records.items() if r.contracted
         }
         assert {
             "repro.platform.fleet",

@@ -1,7 +1,7 @@
 """Tests for the repo-specific AST lint rules."""
 
+from repro.analysis.project import scan_source
 from repro.analysis.findings import Severity
-from repro.analysis.lint import lint_source
 
 COLD = "src/repro/experiments/mod.py"
 HOT = "src/repro/managers/mod.py"
@@ -9,6 +9,15 @@ HOT = "src/repro/managers/mod.py"
 
 def rules(findings):
     return [f.rule for f in findings]
+
+
+def lint_source(source, path):
+    """The lint tier's findings for one module's source."""
+    return sorted(scan_source(source, path, "mod").lint_findings)
+
+
+def lint_file(path):
+    return lint_source(path.read_text(encoding="utf-8"), str(path))
 
 
 class TestL001MutableDefaults:
@@ -272,10 +281,7 @@ class TestL009NumpyTemporaries:
     def test_kernel_sources_in_repo_stay_clean(self):
         from pathlib import Path
 
-        from repro.analysis.lint import (
-            STEP_KERNEL_PATH_FRAGMENTS,
-            lint_file,
-        )
+        from repro.analysis.lint import STEP_KERNEL_PATH_FRAGMENTS
 
         root = Path(__file__).resolve().parents[2] / "src" / "repro"
         checked = 0
@@ -358,8 +364,6 @@ class TestL010BoundedWaits:
 
     def test_execution_layer_sources_in_repo_stay_clean(self):
         from pathlib import Path
-
-        from repro.analysis.lint import lint_file
 
         root = Path(__file__).resolve().parents[2] / "src" / "repro"
         checked = 0

@@ -59,13 +59,6 @@ class TestSeverityGating:
         out = capsys.readouterr().out
         assert "REPRO-L006" in out
 
-    def test_quiet_hides_warnings(self, tmp_path, capsys):
-        path = tmp_path / "mod.py"
-        path.write_text("def f(period):\n    return period\n")
-        assert main(["--quiet", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "REPRO-L006" not in out
-
     def test_nonexistent_path_fails_the_gate(self, capsys):
         # A typo'd path in CI must not pass green with "0 files checked".
         assert main([str(REPO / "no-such-dir")]) == 1
