@@ -12,11 +12,11 @@ family and asserts:
   size;
 * the symbolic engine is at least 20x faster at the largest size
   (7 clusters, ~61k product states);
-* a 10-cluster scale point — supervisors over millions of product
-  states, synthesized from ``encode_composition`` without ever
-  materializing the plant as an ``Automaton`` — completes symbolically
-  while the explicit engine cannot finish inside the benchmark budget
-  (probed in a subprocess with a hard timeout).
+* a 10-cluster scale point — plants of up to 1.65M reachable states,
+  synthesized from ``encode_composition`` without ever materializing
+  the plant as an ``Automaton`` — completes symbolically while the
+  explicit engine cannot finish inside the benchmark budget (probed in
+  a subprocess with a hard timeout).
 
 Timings, scale points and the explicit-DNF probe land in
 ``benchmarks/results/symbolic_synthesis.json``.
@@ -213,8 +213,8 @@ def _run_scale_point(point):
     )
     return {
         **point,
-        "plant_index_space": plant_enc.n_states * len(spec),
-        "reachable_pairs": int(fixpoint.reachable.sum()),
+        "plant_states": plant_enc.n_states,
+        "reachable_pairs": fixpoint.pair.product.n_states,
         "supervisor_states": fixpoint.n_supervisor_states,
         "removed_uncontrollable": int(fixpoint.removed_uncontrollable.sum()),
         "removed_blocking": int(fixpoint.removed_blocking.sum()),
@@ -304,7 +304,8 @@ def test_symbolic_synthesis_speedup(save_result):
         )
         lines += [
             f"  {p['model']}-{p['n_clusters']}x{p['levels']}: "
-            f"{p['plant_index_space']:,} index space -> "
+            f"{p['plant_states']:,} plant states, "
+            f"{p['reachable_pairs']:,} reachable pairs -> "
             f"{p['supervisor_states']:,} supervisor states in "
             f"{p['encode_s'] + p['symbolic_s']:.1f}s "
             f"(explicit: {p['explicit']['status']})"

@@ -59,8 +59,8 @@ from repro.automata.symbolic import (
     forward_reachable,
     forward_search,
     nearest_state,
+    reachable_product,
     restrict_states,
-    synchronous_product,
     witness_trace,
 )
 from repro.automata.synthesis import SynthesisError, synthesize_supervisor
@@ -469,11 +469,13 @@ def check_monitor_consistency(
     tracker = encode_automaton(_episode_tracker(supervisor.alphabet))
     # Sorted state order puts Free at 0, Locked at 1.
     locked_index = tracker.state_names.index("Locked")  # type: ignore[union-attr]
-    pair = synchronous_product(enc, tracker)
+    pair = reachable_product(enc, tracker)
     tree = forward_search(pair.product)
-    visited = tree.visited.reshape(enc.n_states, tracker.n_states)
-    locked_reach = visited[:, locked_index]
-    free_reach = visited[:, 1 - locked_index]
+    states, flags = pair.factor_states()
+    locked_reach = np.zeros(enc.n_states, dtype=bool)
+    locked_reach[states[flags == locked_index]] = True
+    free_reach = np.zeros(enc.n_states, dtype=bool)
+    free_reach[states[flags != locked_index]] = True
 
     # RES-I2 shadow: budget raises while the episode flag is set.
     for event_name in (INCREASE_BIG_POWER, INCREASE_LITTLE_POWER):
@@ -481,7 +483,7 @@ def check_monitor_consistency(
             continue
         raised = locked_reach & enc.event_enabled(event_name)
         for state in np.flatnonzero(raised)[:MAX_PER_RULE]:
-            target = int(state) * tracker.n_states + locked_index
+            target = pair.index(int(state), locked_index)
             findings.append(
                 _finding(
                     path,
@@ -514,8 +516,9 @@ def check_monitor_consistency(
             )
             if (closure & drop_enabled).any():
                 continue
-            pair_source = source * tracker.n_states + locked_index
-            trace = witness_trace(pair.product, tree, pair_source)
+            trace = witness_trace(
+                pair.product, tree, pair.index(source, locked_index)
+            )
             emitted += 1
             findings.append(
                 _finding(

@@ -63,20 +63,18 @@ from repro.automata.symbolic_synthesis import (
     encode_composition,
     supremal_fixpoint,
     symbolic_synthesize_supervisor,
-    synthesis_product,
 )
 from repro.automata.symbolic import (
     EncodedAutomaton,
     PairEncoding,
     SearchTree,
     backward_reachable,
-    controllability_product,
     encode_automaton,
     forward_reachable,
     forward_search,
     nearest_state,
+    reachable_product,
     restrict_states,
-    synchronous_product,
     witness_trace,
 )
 from repro.automata.verification import (
@@ -120,7 +118,6 @@ __all__ = [
     "coaccessible",
     "coaccessible_states",
     "compose_all",
-    "controllability_product",
     "controllability_witness",
     "controllable",
     "dumps",
@@ -139,13 +136,12 @@ __all__ = [
     "loads",
     "marked_language_difference",
     "nearest_state",
+    "reachable_product",
     "restrict_states",
     "supremal_controllable",
     "supremal_fixpoint",
     "symbolic_synthesize_supervisor",
     "synchronous_composition",
-    "synchronous_product",
-    "synthesis_product",
     "synthesize_modular",
     "synthesize_supervisor",
     "trim",

@@ -14,10 +14,11 @@ Three ingredients:
 * :func:`encode_automaton` — freeze an :class:`Automaton` into sorted
   index space (:class:`EncodedAutomaton`) with per-event ``src``/``dst``
   transition arrays.
-* :func:`synchronous_product` / :func:`controllability_product` — build
-  the encoded product ``A || B`` directly in pair-index space
-  (``pair = i * n_B + j``) without materializing a composed
-  :class:`Automaton`.
+* :func:`reachable_product` — build the encoded product of two
+  deterministic factors (synchronous, synthesis or controllability
+  semantics) over the pairs reachable from the joint initial pair,
+  without materializing a composed :class:`Automaton` or anything
+  sized by the full cross product.
 * :func:`forward_reachable` / :func:`backward_reachable` /
   :func:`forward_search` — level-synchronized bitset BFS; the search
   variant records parent pointers so shortest counterexample event
@@ -42,13 +43,13 @@ __all__ = [
     "PairEncoding",
     "SearchTree",
     "backward_reachable",
-    "controllability_product",
     "encode_automaton",
     "forward_reachable",
     "forward_search",
     "nearest_state",
+    "reachable_product",
     "restrict_states",
-    "synchronous_product",
+    "successor_table",
     "witness_trace",
 ]
 
@@ -215,160 +216,204 @@ def _encode_automaton_uncached(automaton: Automaton) -> EncodedAutomaton:
 
 
 # ----------------------------------------------------------------------
-# Products in pair-index space
+# Products over reachable pairs
 # ----------------------------------------------------------------------
 @dataclass
 class PairEncoding:
-    """An encoded product plus the factor encodings that label its pairs.
+    """An encoded product over its reachable pairs, plus the factor
+    encodings that label them.
 
-    Pair ``k`` decodes to ``(k // right.n_states, k % right.n_states)``.
+    Product state ``k`` is the pair key ``pairs[k] = i * right.n_states +
+    j``.  ``pairs`` is ascending, so a product index is the rank of its
+    key among the reachable keys: index order is key order, and every
+    smallest-index tie-break picks the same pair it would pick over the
+    full ``left.n_states * right.n_states`` key space.
     """
 
     product: EncodedAutomaton
     left: EncodedAutomaton
     right: EncodedAutomaton
+    pairs: np.ndarray
 
-    def split(self, pair: int) -> tuple[int, int]:
-        return divmod(pair, self.right.n_states)
+    def split(self, state: int) -> tuple[int, int]:
+        return divmod(int(self.pairs[state]), self.right.n_states)
 
-    def pair_label(self, pair: int) -> str:
-        i, j = self.split(pair)
+    def factor_states(self) -> tuple[np.ndarray, np.ndarray]:
+        """The left and right factor index of every product state."""
+        return np.divmod(self.pairs, self.right.n_states)
+
+    def index(self, i: int, j: int) -> int:
+        """The product state of factor pair ``(i, j)``; ``-1`` when the
+        pair is unreachable."""
+        key = i * self.right.n_states + j
+        state = int(np.searchsorted(self.pairs, key))
+        if state < self.pairs.size and self.pairs[state] == key:
+            return state
+        return -1
+
+    def pair_label(self, state: int) -> str:
+        i, j = self.split(state)
         return f"{self.left.state_label(i)}.{self.right.state_label(j)}"
 
 
-def _cross_pairs(
-    sa: np.ndarray, da: np.ndarray, sb: np.ndarray, db: np.ndarray, nb: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """All pair transitions of a shared event: the cross join of the two
-    factors' transition arrays, in pair-index space.  Broadcasting
-    (row-major ravel) gives the same ordering repeat/tile would, without
-    their intermediate copies."""
-    src = (sa[:, None] * nb + sb[None, :]).ravel()
-    dst = (da[:, None] * nb + db[None, :]).ravel()
-    return src, dst
+def successor_table(enc: EncodedAutomaton) -> np.ndarray:
+    """``table[e, s]`` is the successor of state ``s`` on event ``e``,
+    ``-1`` where the event is disabled.
 
-
-def _private_pairs(
-    s: np.ndarray, d: np.ndarray, other_n: int, *, left: bool, nb: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pair transitions of a private event: the other factor holds still."""
-    other = np.arange(other_n, dtype=_INDEX_DTYPE)
-    if left:
-        src = (s[:, None] * nb + other[None, :]).ravel()
-        dst = (d[:, None] * nb + other[None, :]).ravel()
-    else:
-        src = (other[:, None] * nb + s[None, :]).ravel()
-        dst = (other[:, None] * nb + d[None, :]).ravel()
-    return src, dst
-
-
-def synchronous_product(
-    left: EncodedAutomaton, right: EncodedAutomaton
-) -> PairEncoding:
-    """``left || right`` in pair-index space (Section 4.3.1 semantics):
-    shared events synchronize, private events interleave.  Marked pairs
-    are pairs of marked states; a pair is forbidden if either component
-    is."""
-    names = sorted(set(left.event_names) | set(right.event_names))
-    nb = right.n_states
-    src_arrays: list[np.ndarray] = []
-    dst_arrays: list[np.ndarray] = []
-    controllable: list[bool] = []
-    empty = np.asarray([], dtype=_INDEX_DTYPE)
-    for name in names:
-        li = left.event_index(name)
-        ri = right.event_index(name)
-        if li is not None and ri is not None:
-            sa, da = left.src[li], left.dst[li]
-            sb, db = right.src[ri], right.dst[ri]
-            if sa.size and sb.size:
-                src, dst = _cross_pairs(sa, da, sb, db, nb)
-            else:
-                src, dst = empty, empty
-            controllable.append(bool(left.event_controllable[li]))
-        elif li is not None:
-            src, dst = _private_pairs(
-                left.src[li], left.dst[li], nb, left=True, nb=nb
-            )
-            controllable.append(bool(left.event_controllable[li]))
-        else:
-            assert ri is not None
-            src, dst = _private_pairs(
-                right.src[ri], right.dst[ri], left.n_states, left=False, nb=nb
-            )
-            controllable.append(bool(right.event_controllable[ri]))
-        src_arrays.append(src)
-        dst_arrays.append(dst)
-
-    marked = (left.marked[:, None] & right.marked[None, :]).ravel()
-    forbidden = (left.forbidden[:, None] | right.forbidden[None, :]).ravel()
-    initial = (
-        left.initial * nb + right.initial
-        if left.initial >= 0 and right.initial >= 0
-        else -1
-    )
-    product = EncodedAutomaton(
-        name=f"{left.name}||{right.name}",
-        n_states=left.n_states * nb,
-        event_names=tuple(names),
-        event_controllable=np.asarray(controllable, dtype=bool),
-        src=tuple(src_arrays),
-        dst=tuple(dst_arrays),
-        initial=initial,
-        marked=marked,
-        forbidden=forbidden,
-    )
-    return PairEncoding(product=product, left=left, right=right)
-
-
-def controllability_product(
-    plant: EncodedAutomaton, supervisor: EncodedAutomaton
-) -> PairEncoding:
-    """The joint walk used by controllability checking.
-
-    Only *plant* events drive the pair space, and a pair advances only
-    when both factors enable the event — supervisor-private events never
-    fire, and a plant event the supervisor's alphabet lacks is treated
-    as disabled by the supervisor (matching the explicit checker).
+    Raises ``ValueError`` when an event has two transitions from one
+    state: a dense table holds one successor, and keeping the last
+    write would silently drop the other edge.
     """
-    nb = supervisor.n_states
-    src_arrays: list[np.ndarray] = []
-    dst_arrays: list[np.ndarray] = []
-    empty = np.asarray([], dtype=_INDEX_DTYPE)
-    for e, name in enumerate(plant.event_names):
-        si = supervisor.event_index(name)
-        if si is None:
-            src, dst = empty, empty
+    table = np.full((enc.n_events, enc.n_states), -1, dtype=_INDEX_DTYPE)
+    for e in range(enc.n_events):
+        src = enc.src[e]
+        table[e, src] = enc.dst[e]
+        if np.count_nonzero(table[e] >= 0) != src.size:
+            raise ValueError(
+                f"automaton {enc.name!r} is not deterministic: event "
+                f"{enc.event_names[e]!r} has two transitions from one state"
+            )
+    return table
+
+
+_SEMANTICS = ("synchronous", "synthesis", "controllability")
+
+
+def _event_plan(
+    left: EncodedAutomaton, right: EncodedAutomaton, semantics: str
+) -> list[tuple[str, int | None, int | None, bool]]:
+    """Per product event ``(name, left event, right event, controllable)``.
+
+    A factor whose event index is ``None`` holds still while the other
+    moves; an event neither factor moves on never fires.
+    """
+    if semantics == "controllability":
+        # Only plant events drive the walk; one the supervisor's
+        # alphabet lacks counts as disabled by the supervisor.
+        plan = []
+        for e, name in enumerate(left.event_names):
+            r = right.event_index(name)
+            l = e if r is not None else None
+            plan.append((name, l, r, bool(left.event_controllable[e])))
+        return plan
+    plan = []
+    for name in sorted(set(left.event_names) | set(right.event_names)):
+        l, r = left.event_index(name), right.event_index(name)
+        if l is not None:
+            controllable = bool(left.event_controllable[l])
         else:
-            sa, da = plant.src[e], plant.dst[e]
-            sb, db = supervisor.src[si], supervisor.dst[si]
-            if sa.size and sb.size:
-                src, dst = _cross_pairs(sa, da, sb, db, nb)
+            assert r is not None
+            controllable = bool(right.event_controllable[r])
+            if semantics == "synthesis":
+                # A spec-private event is a constraint the plant cannot
+                # execute: silenced rather than interleaved.
+                r = None
+        plan.append((name, l, r, controllable))
+    return plan
+
+
+def reachable_product(
+    left: EncodedAutomaton,
+    right: EncodedAutomaton,
+    semantics: str = "synchronous",
+) -> PairEncoding:
+    """The product of two deterministic encodings over the pairs
+    reachable from the joint initial pair.
+
+    ``semantics`` fixes what each event does:
+
+    * ``"synchronous"`` — ``left || right`` (Section 4.3.1): shared
+      events synchronize, private events interleave;
+    * ``"synthesis"`` — the plant x spec product: as synchronous, but
+      spec-private events are silenced (a specification constrains only
+      what the plant can do);
+    * ``"controllability"`` — the joint plant/supervisor walk: only
+      plant events fire, each only when both factors enable it, so a
+      plant event the supervisor's alphabet lacks is disabled.
+
+    A pair is marked iff both components are, forbidden if either is.
+    The search is a level-synchronized BFS over pair keys with one
+    vectorized successor-table lookup per event per level; the
+    transition arrays are then built in one pass over the reachable
+    pairs, so nothing is ever sized by the full cross product.
+    """
+    if semantics not in _SEMANTICS:
+        raise ValueError(
+            f"unknown product semantics {semantics!r}; "
+            f"expected one of {_SEMANTICS}"
+        )
+    plan = _event_plan(left, right, semantics)
+    moves = [
+        (e, l, r)
+        for e, (_, l, r, _) in enumerate(plan)
+        if l is not None or r is not None
+    ]
+    left_table = successor_table(left)
+    right_table = successor_table(right)
+    nb = right.n_states
+
+    def successors(keys: np.ndarray):
+        i, j = np.divmod(keys, nb)
+        for e, l, r in moves:
+            if r is None:
+                ni = left_table[l].take(i)
+                ok = ni >= 0
+                targets = ni * nb + j
+            elif l is None:
+                nj = right_table[r].take(j)
+                ok = nj >= 0
+                targets = i * nb + nj
             else:
-                src, dst = empty, empty
-        src_arrays.append(src)
-        dst_arrays.append(dst)
-    marked = (plant.marked[:, None] & supervisor.marked[None, :]).ravel()
-    forbidden = (
-        plant.forbidden[:, None] | supervisor.forbidden[None, :]
-    ).ravel()
-    initial = (
-        plant.initial * nb + supervisor.initial
-        if plant.initial >= 0 and supervisor.initial >= 0
-        else -1
-    )
+                ni = left_table[l].take(i)
+                nj = right_table[r].take(j)
+                ok = (ni >= 0) & (nj >= 0)
+                targets = ni * nb + nj
+            yield e, ok, targets[ok]
+
+    empty = np.asarray([], dtype=_INDEX_DTYPE)
+    if left.initial >= 0 and right.initial >= 0:
+        start = left.initial * nb + right.initial
+        pairs = np.asarray([start], dtype=_INDEX_DTYPE)
+        frontier = pairs
+        while frontier.size:
+            found = np.sort(
+                np.concatenate([empty, *(t for _, _, t in successors(frontier))])
+            )
+            # Sort-based dedup (np.unique's hash path is several times
+            # slower on these key batches), then drop known pairs and
+            # insert the fresh ones at their sorted positions.
+            fresh = np.ones(found.size, dtype=bool)
+            fresh[1:] = found[1:] != found[:-1]
+            at = np.searchsorted(pairs, found)
+            fresh &= pairs[np.minimum(at, pairs.size - 1)] != found
+            frontier = found[fresh]
+            pairs = np.insert(pairs, at[fresh], frontier)
+        initial = int(np.searchsorted(pairs, start))
+    else:
+        pairs, initial = empty, -1
+
+    # Sources come out ascending and each (source, event) has at most
+    # one target, so every event's arrays are sorted by (source, target).
+    src_arrays = [empty] * len(plan)
+    dst_arrays = [empty] * len(plan)
+    for e, ok, targets in successors(pairs):
+        src_arrays[e] = np.flatnonzero(ok)
+        dst_arrays[e] = np.searchsorted(pairs, targets)
+
+    i, j = np.divmod(pairs, nb)
+    joiner = "/" if semantics == "controllability" else "||"
     product = EncodedAutomaton(
-        name=f"{plant.name}/{supervisor.name}",
-        n_states=plant.n_states * nb,
-        event_names=plant.event_names,
-        event_controllable=plant.event_controllable.copy(),
+        name=f"{left.name}{joiner}{right.name}",
+        n_states=int(pairs.size),
+        event_names=tuple(name for name, *_ in plan),
+        event_controllable=np.asarray([c for *_, c in plan], dtype=bool),
         src=tuple(src_arrays),
         dst=tuple(dst_arrays),
         initial=initial,
-        marked=marked,
-        forbidden=forbidden,
+        marked=left.marked[i] & right.marked[j],
+        forbidden=left.forbidden[i] | right.forbidden[j],
     )
-    return PairEncoding(product=product, left=plant, right=supervisor)
+    return PairEncoding(product=product, left=left, right=right, pairs=pairs)
 
 
 def restrict_states(enc: EncodedAutomaton, keep: np.ndarray) -> EncodedAutomaton:

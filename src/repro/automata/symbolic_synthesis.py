@@ -8,10 +8,10 @@ uncontrollable-extension pruning, iterated to convergence (Section
 4.3.4) — entirely as whole-array operations on
 :class:`~repro.automata.symbolic.EncodedAutomaton`:
 
-* the synthesis product is built in pair-index space by
-  :func:`~repro.automata.symbolic.synchronous_product`, with
-  spec-private events silenced (a constraint event the plant does not
-  model can never fire — matching the explicit builder);
+* the synthesis product is built over its reachable pairs only by
+  :func:`~repro.automata.symbolic.reachable_product` with synthesis
+  semantics: spec-private events are silenced (a constraint event the
+  plant does not model can never fire — matching the explicit builder);
 * the extension pass evaluates one *uncontrollable-escape mask* per
   plant event: ``escape = good & plant_enables_pairs & ~has_good_edge``,
   a handful of vectorized scatters instead of a per-state loop;
@@ -27,10 +27,10 @@ attribution canonical, so :func:`symbolic_synthesize_supervisor` and the
 explicit oracle agree field-for-field, not just up to isomorphism.
 
 For models too large to compose explicitly, :func:`encode_composition`
-folds :func:`synchronous_product` over encoded factors, pruning to the
-reachable part after every fold — the 10-cluster fleet plants (millions
-of product states) never exist as Python object graphs at all, and
-:func:`supremal_fixpoint` synthesizes directly on the encoding.
+folds the reachable synchronous product over encoded factors — the
+10-cluster plants (up to 1.65M reachable states) never exist as Python
+object graphs at all, and :func:`supremal_fixpoint` synthesizes
+directly on the encoding.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ from repro.automata.symbolic import (
     backward_reachable,
     encode_automaton,
     forward_reachable,
+    reachable_product,
     restrict_states,
-    synchronous_product,
 )
 from repro.automata.synthesis import (
     ProductState,
@@ -63,52 +63,22 @@ __all__ = [
     "encode_composition",
     "supremal_fixpoint",
     "symbolic_synthesize_supervisor",
-    "synthesis_product",
 ]
-
-
-def synthesis_product(
-    plant: EncodedAutomaton, spec: EncodedAutomaton
-) -> PairEncoding:
-    """The plant x spec product with synthesis semantics, in pair space.
-
-    Shared events synchronize and plant-private events interleave (the
-    specification does not constrain them), exactly as in
-    :func:`~repro.automata.symbolic.synchronous_product` — but events
-    private to the *specification* are constraints the plant cannot
-    execute, so their transitions are silenced rather than interleaved.
-    A pair is forbidden if either component is forbidden, marked iff
-    both are.
-    """
-    pair = synchronous_product(plant, spec)
-    product = pair.product
-    empty = np.asarray([], dtype=_INDEX_DTYPE)
-    src = list(product.src)
-    dst = list(product.dst)
-    muted = False
-    for e, name in enumerate(product.event_names):
-        if plant.event_index(name) is None and src[e].size:
-            src[e], dst[e] = empty, empty
-            muted = True
-    if muted:
-        product = replace(product, src=tuple(src), dst=tuple(dst))
-        pair = PairEncoding(product=product, left=plant, right=spec)
-    return pair
 
 
 @dataclass
 class SupremalFixpoint:
-    """Raw outcome of the symbolic supremal fixpoint, in pair space.
+    """Raw outcome of the symbolic supremal fixpoint.
 
-    All masks live in the product's (unrestricted) pair index space:
-    ``good`` is the supervisor's state set, ``removed_uncontrollable`` /
-    ``removed_blocking`` partition the pruned (initially reachable,
-    non-forbidden) pairs, and ``restricted`` is the product limited to
-    the surviving states — the supervisor, still encoded.
+    All masks live in the synthesis product's state space — its
+    reachable pairs, mapped back to ``plant * n_spec + spec`` keys by
+    ``pair.pairs``: ``good`` is the supervisor's state set,
+    ``removed_uncontrollable`` / ``removed_blocking`` partition the
+    pruned (non-forbidden) pairs, and ``restricted`` is the product
+    limited to the surviving states — the supervisor, still encoded.
     """
 
     pair: PairEncoding
-    reachable: np.ndarray
     good: np.ndarray
     removed_uncontrollable: np.ndarray
     removed_blocking: np.ndarray
@@ -126,7 +96,7 @@ class SupremalFixpoint:
 
 
 def _uncontrollable_escape_masks(
-    plant: EncodedAutomaton, product: EncodedAutomaton, n_spec: int
+    plant: EncodedAutomaton, pair: PairEncoding
 ) -> list[tuple[int, np.ndarray]]:
     """Per uncontrollable plant event: ``(product event index, mask of
     pairs whose plant component enables the event)``.
@@ -136,6 +106,8 @@ def _uncontrollable_escape_masks(
     unchanged.  Spec-private uncontrollable events are skipped: they can
     never fire, so they cannot escape.
     """
+    product = pair.product
+    plant_states, _ = pair.factor_states()
     masks: list[tuple[int, np.ndarray]] = []
     for e, name in enumerate(product.event_names):
         if product.event_controllable[e]:
@@ -145,7 +117,7 @@ def _uncontrollable_escape_masks(
             continue
         plant_on = np.zeros(plant.n_states, dtype=bool)
         plant_on[plant.src[pe]] = True
-        masks.append((e, np.repeat(plant_on, n_spec)))
+        masks.append((e, plant_on[plant_states]))
     return masks
 
 
@@ -158,14 +130,13 @@ def supremal_fixpoint(
     :func:`encode_composition`; only :func:`symbolic_synthesize_supervisor`
     needs state names for decoding.
     """
-    pair = synthesis_product(plant, spec)
+    pair = reachable_product(plant, spec, "synthesis")
     product = pair.product
     n = product.n_states
-    reachable = forward_reachable(product)
-    good = reachable & ~product.forbidden
+    good = ~product.forbidden
     removed_uncontrollable = np.zeros(n, dtype=bool)
     removed_blocking = np.zeros(n, dtype=bool)
-    escapes = _uncontrollable_escape_masks(plant, product, spec.n_states)
+    escapes = _uncontrollable_escape_masks(plant, pair)
 
     current = restrict_states(product, good)
     iterations = 0
@@ -204,7 +175,6 @@ def supremal_fixpoint(
 
     return SupremalFixpoint(
         pair=pair,
-        reachable=reachable,
         good=good,
         removed_uncontrollable=removed_uncontrollable,
         removed_blocking=removed_blocking,
@@ -214,14 +184,14 @@ def supremal_fixpoint(
 
 
 def _pair_states(pair: PairEncoding, mask: np.ndarray) -> frozenset[State]:
-    """Decode a pair-space mask into ``plantState.specState`` labels."""
+    """Decode a product-state mask into ``plantState.specState`` labels."""
     left_names = pair.left.state_names
     right_names = pair.right.state_names
     assert left_names is not None and right_names is not None
-    n_right = pair.right.n_states
+    lefts, rights = np.divmod(pair.pairs[mask], pair.right.n_states)
     return frozenset(
-        State(f"{left_names[k // n_right]}.{right_names[k % n_right]}")
-        for k in np.flatnonzero(mask).tolist()
+        State(f"{left_names[i]}.{right_names[j]}")
+        for i, j in zip(lefts.tolist(), rights.tolist())
     )
 
 
@@ -252,12 +222,12 @@ def _decode_result(
     supervisor = Automaton(f"S({plant.name})", alphabet)
     state_map: dict[State, ProductState] = {}
     kept = np.flatnonzero(fixpoint.good)
-    lefts, rights = np.divmod(kept, n_right)
+    lefts, rights = np.divmod(pair.pairs[kept], n_right)
     kept_states = [
         State(f"{left_names[i]}.{right_names[j]}")
         for i, j in zip(lefts.tolist(), rights.tolist())
     ]
-    # Pair index -> State as an object array, so transition decoding is
+    # Product state -> State as an object array, so transition decoding is
     # a vectorized pointer gather instead of a dict probe per edge.
     labels = np.empty(pair.product.n_states, dtype=object)
     labels[kept] = kept_states
@@ -349,11 +319,11 @@ def encode_composition(
     """Fold the synchronous product over ``components``, fully encoded.
 
     The composed plant never exists as an :class:`Automaton`: each fold
-    step builds the pair encoding and immediately restricts it to its
-    forward-reachable part, so the transition arrays stay proportional
-    to the *reachable* product even though the index space is the full
-    cross product.  This is the entry point for models whose explicit
-    composition is itself infeasible (the 10-cluster fleet plants).
+    step builds the product over its reachable pairs only, so states and
+    transition arrays stay proportional to the *reachable* product, and
+    the next fold starts from that compact index space.  This is the
+    entry point for models whose explicit composition is itself
+    infeasible (the 10-cluster fleet plants).
 
     The result has no state names; pair it with
     :func:`supremal_fixpoint` for scale runs, or with named encodings
@@ -369,10 +339,7 @@ def encode_composition(
         raise SynthesisError("encode_composition requires at least one component")
     accumulated = encoded[0]
     for factor in encoded[1:]:
-        accumulated = synchronous_product(accumulated, factor).product
-        accumulated = restrict_states(
-            accumulated, forward_reachable(accumulated)
-        )
+        accumulated = reachable_product(accumulated, factor).product
     if name is not None:
         accumulated = replace(accumulated, name=name)
     return accumulated

@@ -13,9 +13,9 @@ that the verdicts refer to the actual closed loop, matching the checks
 Supremica performs for the paper.
 
 Since the REPRO-M analyzer landed, the checks run on the bitset kernel
-of :mod:`repro.automata.symbolic` — the closed loop is explored in
-pair-index space without materializing the composed automaton, and every
-controllability violation carries a shortest witness trace.  The
+of :mod:`repro.automata.symbolic` — the closed loop is built over its
+reachable pairs only, without materializing the composed automaton, and
+every controllability violation carries a shortest witness trace.  The
 original explicit-state walks survive as :func:`explicit_verify_supervisor`
 and :func:`explicit_check_controllability`, kept solely as test oracles
 for the equivalence suite.
@@ -38,11 +38,10 @@ from repro.automata.operations import (
 from repro.automata.symbolic import (
     EncodedAutomaton,
     backward_reachable,
-    controllability_product,
     encode_automaton,
     forward_reachable,
     forward_search,
-    synchronous_product,
+    reachable_product,
     witness_trace,
 )
 
@@ -190,28 +189,28 @@ def _symbolic_controllability(
     plant_enc: EncodedAutomaton,
     sup_enc: EncodedAutomaton,
 ) -> tuple[bool, tuple[ControllabilityViolation, ...]]:
-    pair = controllability_product(plant_enc, sup_enc)
+    pair = reachable_product(plant_enc, sup_enc, "controllability")
     tree = forward_search(pair.product)
-    reachable = tree.visited.reshape(plant_enc.n_states, sup_enc.n_states)
+    plant_states, sup_states = pair.factor_states()
     violations: list[ControllabilityViolation] = []
     for e, name in enumerate(plant_enc.event_names):
         if plant_enc.event_controllable[e]:
             continue
         assert plant_enc.enabled is not None
-        plant_on = plant_enc.enabled[e]
-        sup_on = sup_enc.event_enabled(name)
-        bad = reachable & plant_on[:, None] & ~sup_on[None, :]
+        plant_on = plant_enc.enabled[e][plant_states]
+        sup_on = sup_enc.event_enabled(name)[sup_states]
+        bad = plant_on & ~sup_on
         if not bad.any():
             continue
         event = plant.alphabet[name]
-        for flat in np.flatnonzero(bad.ravel()):
-            i, j = pair.split(int(flat))
+        for state in np.flatnonzero(bad).tolist():
+            i, j = pair.split(state)
             violations.append(
                 ControllabilityViolation(
                     plant_state=State(plant_enc.state_label(i)),
                     supervisor_state=State(sup_enc.state_label(j)),
                     event=event,
-                    trace=witness_trace(pair.product, tree, int(flat)),
+                    trace=witness_trace(pair.product, tree, state),
                 )
             )
     violations.sort(key=_violation_sort_key)
@@ -247,24 +246,19 @@ def verify_supervisor(plant: Automaton, supervisor: Automaton) -> VerificationRe
     reported blocking states are composite ``plant.supervisor`` states of
     the closed loop.
 
-    The closed loop is explored symbolically in pair-index space; the
+    The closed loop is built symbolically over its reachable pairs; the
     composed automaton is never materialized.  An automaton without an
     initial state yields an empty closed loop, which is trivially
     nonblocking.
     """
     plant_enc = encode_automaton(plant)
     sup_enc = encode_automaton(supervisor)
-    pair = synchronous_product(plant_enc, sup_enc)
-    reachable = forward_reachable(pair.product)
-    blocking: frozenset[State] = frozenset()
-    nonblocking = True
-    if reachable.any():
-        blocked = reachable & ~backward_reachable(pair.product)
-        if blocked.any():
-            nonblocking = False
-            blocking = frozenset(
-                State(pair.pair_label(int(i))) for i in np.flatnonzero(blocked)
-            )
+    pair = reachable_product(plant_enc, sup_enc)
+    blocked = ~backward_reachable(pair.product)
+    nonblocking = not blocked.any()
+    blocking = frozenset(
+        State(pair.pair_label(i)) for i in np.flatnonzero(blocked).tolist()
+    )
     if plant.has_initial and supervisor.has_initial:
         controllable, violations = _symbolic_controllability(
             plant, supervisor, plant_enc, sup_enc

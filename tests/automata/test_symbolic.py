@@ -11,27 +11,31 @@ missing initial states, self-loops, and uncontrollable escapes.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.automata.automaton import Automaton, automaton_from_table
 from repro.automata.events import Alphabet, controllable, uncontrollable
 from repro.automata.language import languages_equal
+from repro.automata import verification
 from repro.automata.operations import (
     accessible_states,
     coaccessible_states,
+    compose_all,
     synchronous_composition,
 )
 from repro.automata.serialization import canonical_digest
 from repro.automata.symbolic import (
+    EncodedAutomaton,
     backward_reachable,
-    controllability_product,
     encode_automaton,
     forward_reachable,
     forward_search,
     nearest_state,
+    reachable_product,
     restrict_states,
-    synchronous_product,
+    successor_table,
     witness_trace,
 )
 from repro.automata.verification import (
@@ -195,7 +199,7 @@ class TestProducts:
     def test_product_reachable_matches_explicit_composition(self, left, right):
         composed = synchronous_composition(left, right)
         explicit = {s.name for s in accessible_states(composed)}
-        pair = synchronous_product(
+        pair = reachable_product(
             encode_automaton(left), encode_automaton(right)
         )
         symbolic = {
@@ -217,8 +221,10 @@ class TestProducts:
             [("S0", "c1", "S1"), ("S1", "c2", "S0")],
             initial="S0",
         )
-        pair = controllability_product(
-            encode_automaton(plant), encode_automaton(supervisor)
+        pair = reachable_product(
+            encode_automaton(plant),
+            encode_automaton(supervisor),
+            "controllability",
         )
         # c2 is supervisor-private: not an event of the product at all.
         assert pair.product.event_names == ("c1", "u1")
@@ -227,6 +233,97 @@ class TestProducts:
             pair.pair_label(int(i)) for i in np.flatnonzero(reach)
         }
         assert labels == {"P0.S0", "P1.S1"}
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(automata(name="L"), automata(name="R"))
+    def test_product_holds_only_reachable_pairs_in_key_order(self, left, right):
+        composed = synchronous_composition(left, right)
+        pair = reachable_product(
+            encode_automaton(left), encode_automaton(right)
+        )
+        assert pair.product.n_states == len(accessible_states(composed))
+        assert forward_reachable(pair.product).all()
+        # The compact index is the rank of the pair key: ascending keys,
+        # and index() inverts split().
+        assert (np.diff(pair.pairs) > 0).all()
+        for state in range(pair.product.n_states):
+            assert pair.index(*pair.split(state)) == state
+
+    def test_unknown_semantics_rejected(self):
+        enc = encode_automaton(
+            automaton_from_table("M", SIGMA, [("A", "c1", "B")], initial="A")
+        )
+        with pytest.raises(ValueError, match="semantics"):
+            reachable_product(enc, enc, "cross")
+
+    def test_nondeterministic_encoding_rejected(self):
+        # Two c1 edges leave state 0: a successor table can hold only
+        # one, so the builder must refuse rather than keep the last.
+        enc = EncodedAutomaton(
+            name="hand",
+            n_states=3,
+            event_names=("c1",),
+            event_controllable=np.array([True]),
+            src=(np.array([0, 0]),),
+            dst=(np.array([1, 2]),),
+            initial=0,
+            marked=np.zeros(3, dtype=bool),
+            forbidden=np.zeros(3, dtype=bool),
+        )
+        with pytest.raises(ValueError, match="not deterministic"):
+            successor_table(enc)
+        other = encode_automaton(
+            automaton_from_table("M", SIGMA, [("A", "c1", "B")], initial="A")
+        )
+        with pytest.raises(ValueError, match="not deterministic"):
+            reachable_product(other, enc)
+
+
+class TestProductSize:
+    """Products must stay the size of their reachable part, never grow
+    back to the ``left.n_states * right.n_states`` cross product."""
+
+    def test_scalable_closed_loop_is_supervisor_sized(self, monkeypatch):
+        from repro.core.scalable import (
+            scalable_alphabet,
+            scalable_counter_plant,
+            scalable_specification,
+        )
+        from repro.automata.synthesis import synthesize_supervisor
+
+        sigma = scalable_alphabet(4)
+        plant = scalable_counter_plant(4, 3, sigma)
+        supervisor = synthesize_supervisor(
+            plant, scalable_specification(4, sigma)
+        ).supervisor
+        built = []
+
+        def spy(*args, **kwargs):
+            pair = reachable_product(*args, **kwargs)
+            built.append(pair)
+            return pair
+
+        monkeypatch.setattr(verification, "reachable_product", spy)
+        assert verification.verify_supervisor(plant, supervisor).verified
+        closed_loop = built[0]
+        assert closed_loop.product.name == f"{plant.name}||{supervisor.name}"
+        assert len(supervisor) == 1620
+        assert closed_loop.product.n_states == len(supervisor)
+
+    def test_folded_plant_has_only_accessible_states(self):
+        from repro.automata.symbolic_synthesis import encode_composition
+        from repro.core.scalable import (
+            scalable_alphabet,
+            scalable_plant_components,
+        )
+
+        sigma = scalable_alphabet(3)
+        components = scalable_plant_components(3, 3, sigma)
+        folded = encode_composition(components)
+        composed = compose_all(components)
+        assert folded.n_states == len(accessible_states(composed))
+        assert folded.n_transitions == composed.n_transitions
 
 
 # ----------------------------------------------------------------------

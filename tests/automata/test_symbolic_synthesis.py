@@ -19,6 +19,7 @@ from repro.automata import (
     SynthesisError,
     automaton_to_dict,
     canonical_digest,
+    compose_all,
     encode_automaton,
     encode_composition,
     explicit_synthesize_supervisor,
@@ -86,7 +87,7 @@ def assert_engines_agree(plant, spec):
 
 
 @st.composite
-def des_automata(draw, name, events, max_states=5, max_forbidden=2):
+def des_automata(draw, name, events, max_states=5, max_forbidden=2, min_marked=0):
     n_states = draw(st.integers(min_value=1, max_value=max_states))
     states = [f"{name}{i}" for i in range(n_states)]
     automaton = Automaton(name, Alphabet.of(events))
@@ -102,7 +103,12 @@ def des_automata(draw, name, events, max_states=5, max_forbidden=2):
             if automaton.step(source, event) is None:
                 automaton.add_transition(source, event, target)
     for state in draw(
-        st.lists(st.sampled_from(states), max_size=n_states, unique=True)
+        st.lists(
+            st.sampled_from(states),
+            min_size=min_marked,
+            max_size=n_states,
+            unique=True,
+        )
     ):
         automaton.mark(state)
     for state in draw(
@@ -123,6 +129,47 @@ def synthesis_pairs(draw):
     )
     spec = draw(des_automata("S", shared + private, max_states=4))
     return plant, spec
+
+
+@st.composite
+def fold_problems(draw):
+    """2-3 deterministic components over random subsets of the plant
+    events, plus a spec over some of their events and spec-private
+    ones."""
+    n_components = draw(st.integers(min_value=2, max_value=3))
+    components = []
+    for name in "ABC"[:n_components]:
+        events = draw(
+            st.lists(
+                st.sampled_from(PLANT_EVENTS), min_size=1, max_size=4, unique=True
+            )
+        )
+        components.append(
+            draw(
+                des_automata(
+                    name, events, max_states=3, max_forbidden=1, min_marked=1
+                )
+            )
+        )
+    plant_events = {event.name for c in components for event in c.alphabet}
+    shared = draw(
+        st.lists(
+            st.sampled_from(
+                [e for e in PLANT_EVENTS if e.name in plant_events]
+            ),
+            max_size=4,
+            unique=True,
+        )
+    )
+    private = draw(
+        st.lists(st.sampled_from(SPEC_PRIVATE), max_size=1, unique=True)
+    )
+    spec = draw(
+        des_automata(
+            "S", shared + private, max_states=4, max_forbidden=1, min_marked=1
+        )
+    )
+    return components, spec
 
 
 class TestHypothesisEquivalence:
@@ -304,6 +351,27 @@ class TestEncodedFoldPath:
     def test_empty_components_rejected(self):
         with pytest.raises(SynthesisError):
             encode_composition([])
+
+    @given(fold_problems())
+    @settings(max_examples=80, deadline=None)
+    def test_random_fold_matches_explicit_composition(self, problem):
+        # Folding the reachable product over random components (shared
+        # and private events, forbidden states) must synthesize what
+        # the explicit oracle synthesizes from the composed plant.
+        components, spec = problem
+        folded = supremal_fixpoint(
+            encode_composition(components), encode_automaton(spec)
+        )
+        reference = explicit_synthesize_supervisor(compose_all(components), spec)
+        assert folded.n_supervisor_states == len(reference.supervisor)
+        assert folded.iterations == reference.iterations
+        assert int(folded.removed_uncontrollable.sum()) == len(
+            reference.removed_uncontrollable
+        )
+        assert int(folded.removed_blocking.sum()) == len(
+            reference.removed_blocking
+        )
+        assert folded.is_empty == reference.is_empty
 
 
 class TestEncodeMemo:
