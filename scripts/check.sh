@@ -11,8 +11,8 @@
 #     (REPRO_DISABLE_FUSED=1) diverges from the scalar oracle — the
 #     pure-numpy fallback must stay bit-identical too,
 #   * `python -m repro.analysis all` reports a non-baselined error in
-#     any tier (all four share one walk, one parse per module and one
-#     content-hash cache): classic (artifact defects, lint errors,
+#     any tier (all four share one file walk, one parse and one tree
+#     traversal per module, and one content-hash cache): classic (artifact defects, lint errors,
 #     architecture-layer violations), flow (whole-program rules: RNG
 #     provenance, picklability, hot-path purity, unit flow,
 #     frozen-dataclass mutation), models (model-check rules

@@ -5,8 +5,9 @@ reach the 50 ms control loop (Figure 11 steps 4-5).  This package makes
 that discipline a repo-wide gate: four analyzer tiers behind one
 module pass, one command line and one finding/severity/report core.
 
-* :mod:`repro.analysis.project` — one walk of the inputs, one parse per
-  module feeding every tier's per-module pass, one content-hash cache;
+* :mod:`repro.analysis.project` — one walk of the inputs, one parse and
+  one traversal per module feeding every tier's per-module pass, one
+  content-hash cache;
 * :mod:`repro.analysis.artifacts` — validates serialized control
   artifacts (automaton JSON, policy bundles with LQG gain sets) without
   running the plant;

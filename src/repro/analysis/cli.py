@@ -22,7 +22,7 @@
 
 Every tier reads Python through one
 :class:`~repro.analysis.project.ProjectScan`: one walk of the inputs,
-one parse per module, one content-hash cache.  Default paths are
+one parse and one traversal per module, one content-hash cache.  Default paths are
 ``src`` (``artifacts`` for models) when present, else ``.``; without
 paths, ``all`` runs the model tier only when ``artifacts`` is present.
 Each tier drops the findings accepted in its committed baseline

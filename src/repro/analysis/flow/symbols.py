@@ -21,6 +21,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.lint import _L009_NUMPY_CALLS
@@ -31,6 +32,9 @@ from repro.analysis.flow.dataflow import (
     suffix_of,
     unit_of,
 )
+
+if TYPE_CHECKING:  # the project module imports this one
+    from repro.analysis.project import TreeIndex
 
 __all__ = [
     "AttrWrite",
@@ -300,12 +304,14 @@ class _FunctionPass(ForwardAnalysis):
         module: str,
         path: str,
         imports: _ImportMap,
+        calls_in: dict[int, list[ast.Call]],
         qualname: str,
         cls: str | None,
     ) -> None:
         self.module = module
         self.path = path
         self.imports = imports
+        self.calls_in = calls_in
         self.qualname = qualname
         self.cls = cls
         self.calls: list[CallSite] = []
@@ -384,10 +390,9 @@ class _FunctionPass(ForwardAnalysis):
         for expr in expr_statements(stmt):
             # One pass for additive/comparison unit mixes (F004)...
             unit_of(expr, lookup, self._on_unit_mix)
-            # ...and one walk for call sites.
-            for node in ast.walk(expr):
-                if isinstance(node, ast.Call):
-                    self._record_call(node, env)
+            # ...and the call sites under it, from the module's index.
+            for node in self.calls_in.get(id(expr), ()):
+                self._record_call(node, env)
 
     # -- collection ----------------------------------------------------
     def _record_attr_write(self, target: ast.Attribute, env: dict) -> None:
@@ -578,11 +583,12 @@ def _run_function_pass(
     module: str,
     path: str,
     imports: _ImportMap,
+    calls_in: dict[int, list[ast.Call]],
     cls: str | None,
 ) -> tuple[FunctionFacts, list[Finding]]:
     local = f"{cls}.{node.name}" if cls else node.name
     qualname = f"{module}.{local}"
-    analysis = _FunctionPass(module, path, imports, qualname, cls)
+    analysis = _FunctionPass(module, path, imports, calls_in, qualname, cls)
     env, params = _initial_env(node, imports)
     final_env = analysis.run(node, env)
     var_types = {
@@ -640,6 +646,8 @@ def _extract_class(
     module: str,
     path: str,
     imports: _ImportMap,
+    calls_in: dict[int, list[ast.Call]],
+    bindings_in: dict[int, list[ast.Assign | ast.AnnAssign]],
 ) -> tuple[ClassFacts, dict[str, FunctionFacts], list[Finding]]:
     qualname = f"{module}.{node.name}"
     bases = tuple(
@@ -679,14 +687,12 @@ def _extract_class(
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             methods.append(stmt.name)
             facts, fn_units = _run_function_pass(
-                stmt, module, path, imports, node.name
+                stmt, module, path, imports, calls_in, node.name
             )
             functions[f"{node.name}.{stmt.name}"] = facts
             unit_findings.extend(fn_units)
             # self.attr = <value> assignments: member types + pickle bans.
-            for body_stmt in ast.walk(stmt):
-                if not isinstance(body_stmt, (ast.Assign, ast.AnnAssign)):
-                    continue
+            for body_stmt in bindings_in.get(id(stmt), ()):
                 targets = (
                     body_stmt.targets
                     if isinstance(body_stmt, ast.Assign)
@@ -754,17 +760,70 @@ def _self_attr_type(
     return None
 
 
-def extract_module(tree: ast.Module, path: str, module: str) -> ModuleAnalysis:
+def _calls_by_expression(index: TreeIndex) -> dict[int, list[ast.Call]]:
+    """The calls under each expression a statement evaluates itself
+    (those :func:`expr_statements` yields), keyed by the expression's
+    ``id``, each list in ``ast.walk(expression)`` order."""
+    parent = index.parent
+    grouped: dict[int, list[ast.Call]] = {}
+    for call in index.calls:
+        # Climb to the statement; `child` hangs directly under it.
+        below, child, up = None, call, parent(call)
+        while up is not None and not isinstance(up, ast.stmt):
+            below, child, up = child, up, parent(up)
+        if up is None:
+            continue
+        if isinstance(child, ast.expr):
+            top = child
+        elif isinstance(child, ast.keyword) or (
+            isinstance(child, ast.withitem) and below is child.context_expr
+        ):
+            top = below
+        else:  # function arguments, except-handler types, match cases
+            continue
+        grouped.setdefault(id(top), []).append(call)
+    return grouped
+
+
+def _bindings_by_method(
+    index: TreeIndex,
+) -> dict[int, list[ast.Assign | ast.AnnAssign]]:
+    """The assignments anywhere inside each method of each top-level
+    class, keyed by the method's ``id``, each list in
+    ``ast.walk(method)`` order."""
+    parent = index.parent
+    grouped: dict[int, list[ast.Assign | ast.AnnAssign]] = {}
+    for node in index.assignments:
+        chain = [node]
+        up = parent(node)
+        while up is not None:
+            chain.append(up)
+            up = parent(up)
+        # chain[-1] is the module, chain[-2] a top-level statement.
+        if (
+            len(chain) >= 3
+            and isinstance(chain[-2], ast.ClassDef)
+            and isinstance(chain[-3], (ast.FunctionDef, ast.AsyncFunctionDef))
+        ):
+            grouped.setdefault(id(chain[-3]), []).append(node)
+    return grouped
+
+
+def extract_module(
+    tree: ast.Module, index: TreeIndex, path: str, module: str
+) -> ModuleAnalysis:
     """Index one parsed module into plain-data facts."""
     imports = _ImportMap(module)
-    for node in ast.walk(tree):
+    for node in index.imports:
         if isinstance(node, ast.Import):
             imports.add_import(node)
-        elif isinstance(node, ast.ImportFrom):
+        else:
             imports.add_import_from(node)
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             imports.module_scope.add(stmt.name)
+    calls_in = _calls_by_expression(index)
+    bindings_in = _bindings_by_method(index)
 
     classes: dict[str, ClassFacts] = {}
     functions: dict[str, FunctionFacts] = {}
@@ -773,20 +832,22 @@ def extract_module(tree: ast.Module, path: str, module: str) -> ModuleAnalysis:
     for stmt in tree.body:
         if isinstance(stmt, ast.ClassDef):
             class_facts, class_functions, unit_findings = _extract_class(
-                stmt, module, path, imports
+                stmt, module, path, imports, calls_in, bindings_in
             )
             classes[stmt.name] = class_facts
             functions.update(class_functions)
             local_findings.extend(unit_findings)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             facts, unit_findings = _run_function_pass(
-                stmt, module, path, imports, None
+                stmt, module, path, imports, calls_in, None
             )
             functions[stmt.name] = facts
             local_findings.extend(unit_findings)
 
     # Module-level statements (imports, constants, __main__ guards).
-    module_pass = _FunctionPass(module, path, imports, f"{module}.{MODULE_SCOPE}", None)
+    module_pass = _FunctionPass(
+        module, path, imports, calls_in, f"{module}.{MODULE_SCOPE}", None
+    )
     module_env = module_pass.run(tree)
     functions[MODULE_SCOPE] = FunctionFacts(
         qualname=f"{module}.{MODULE_SCOPE}",

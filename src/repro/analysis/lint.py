@@ -67,8 +67,12 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.analysis.findings import Finding, Severity
+
+if TYPE_CHECKING:  # the project module imports this one
+    from repro.analysis.project import TreeIndex
 
 __all__ = [
     "lint_tree",
@@ -243,9 +247,24 @@ def _is_mutable_literal(node: ast.expr) -> bool:
     )
 
 
+# Nodes no L-rule reads and that hold no node one does: the linter does
+# not visit them (about two thirds of a module's nodes).
+_LEAVES = (
+    ast.Name,
+    ast.Constant,
+    ast.alias,
+    ast.expr_context,
+    ast.boolop,
+    ast.operator,
+    ast.unaryop,
+    ast.cmpop,
+)
+
+
 class _Linter(ast.NodeVisitor):
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, index: TreeIndex) -> None:
         self.path = path
+        self.index = index
         self.hot = _is_hot_path(path)
         self.resilience = _is_resilience_path(path)
         self.exec_layer = _is_exec_path(path)
@@ -258,6 +277,18 @@ class _Linter(ast.NodeVisitor):
         self.wait_aliases: set[str] = set()
         self._class_depth = 0
         self._function_stack: list[str] = []
+
+    # -- traversal -----------------------------------------------------
+    def generic_visit(self, node: ast.AST) -> None:
+        """ast.NodeVisitor's depth-first recursion, minus the leaves."""
+        for name in node._fields:
+            value = getattr(node, name, None)
+            if isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.AST) and not isinstance(item, _LEAVES):
+                        self.visit(item)
+            elif isinstance(value, ast.AST) and not isinstance(value, _LEAVES):
+                self.visit(value)
 
     # -- helpers -------------------------------------------------------
     def _add(self, line: int, rule: str, severity: Severity, message: str) -> None:
@@ -527,7 +558,9 @@ class _Linter(ast.NodeVisitor):
         self._class_depth -= 1
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        if self._class_depth == 0 or not _at_class_body_level(node):
+        if self._class_depth == 0 or not isinstance(
+            self.index.parent(node), ast.ClassDef
+        ):
             for target in node.targets:
                 if isinstance(target, ast.Name) and _missing_unit_suffix(
                     target.id
@@ -542,18 +575,9 @@ class _Linter(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _at_class_body_level(node: ast.AST) -> bool:
-    # Set by lint_tree's parent annotation pass.
-    return isinstance(getattr(node, "_repro_parent", None), ast.ClassDef)
-
-
-def lint_tree(tree: ast.Module, path: str) -> list[Finding]:
+def lint_tree(tree: ast.Module, index: TreeIndex, path: str) -> list[Finding]:
     """Every L-rule over one parsed module, before suppression."""
-    for parent in ast.walk(tree):
-        for child in ast.iter_child_nodes(parent):
-            child._repro_parent = parent  # type: ignore[attr-defined]
-
-    linter = _Linter(path)
+    linter = _Linter(path, index)
     linter.visit(tree)
 
     # L005: packages must declare their public surface.

@@ -5,14 +5,19 @@ Every tier that reads Python source goes through this module:
 * :func:`walk` is the one file walker: it partitions the inputs into
   Python modules, artifact JSON files and policy-bundle directories,
   and every tier skips the same directories (:func:`skipped`);
-* :func:`scan_source` reads one module's comments once, runs
-  ``ast.parse`` once and hands that one tree to every intra-module
-  pass — the lint visitor (L-rules), the ``repro.*`` import edges the
-  architecture checker needs (R-rules), the flow analyzer's symbol
-  facts (inputs of the F-rules) and the shapes analyzer's contracts,
-  abstract interpreter and C-signature check (S-rules).  The result is
-  one plain-data :class:`ModuleRecord`; the tree is dropped before the
-  next module is read, so memory does not grow with module count;
+* :func:`scan_source` reads one module's comments once, and makes one
+  parse and one traversal per module: ``ast.parse`` once, then one
+  breadth-first pass that builds a :class:`TreeIndex` (every node in
+  ``ast.walk`` order with its parent link, and the imports,
+  assignments and calls, in that order).  The tree and its index go
+  to every intra-module pass — the lint visitor (L-rules), the
+  ``repro.*`` import edges the architecture checker needs (R-rules),
+  the flow analyzer's symbol facts (inputs of the F-rules) and the
+  shapes analyzer's contracts, abstract interpreter and C-signature
+  check (S-rules) — and none walks the whole tree again.  The result
+  is one plain-data :class:`ModuleRecord`; the tree and its index are
+  dropped before the next module is read, so memory does not grow
+  with module count;
 * :class:`ModuleCache` stores one record per module under a content
   hash (and, with another schema, the model analyzer's per-unit
   records), so a warm run parses nothing;
@@ -62,6 +67,7 @@ __all__ = [
     "ModuleRecord",
     "ProjectScan",
     "SKIP_DIRS",
+    "TreeIndex",
     "missing_input_findings",
     "scan_source",
     "skipped",
@@ -146,7 +152,73 @@ def missing_input_findings(inputs: Inputs) -> list[Finding]:
 
 
 # ----------------------------------------------------------------------
-# One module, one parse
+# One traversal
+# ----------------------------------------------------------------------
+# Walk order is part of the index's contract: flow's import aliases and
+# the ctypes checker's alias bindings are last-binding-wins, and the
+# architecture checker's import edges are reported in order.  Because
+# ``ast.walk`` is breadth-first, the nodes of any subtree appear in the
+# index in the order ``ast.walk`` gives for that subtree alone, so a pass
+# that walked one function or one expression reads the index instead.
+class TreeIndex:
+    """Every node of one tree in ``ast.walk`` order, with its parent.
+
+    ``imports`` (``Import``/``ImportFrom``), ``assignments``
+    (``Assign``/``AnnAssign``) and ``calls`` (``Call``) hold those nodes
+    in walk order.  A node that appears under several parents
+    (``ast.parse`` shares its ``Load``/``Store``/``Del`` context and
+    operator instances) keeps the last parent the walk meets, as a pass
+    over ``ast.walk`` and ``ast.iter_child_nodes`` would record it.
+    Nodes are keyed by identity, so the index is valid only while its
+    tree is alive.
+    """
+
+    __slots__ = ("nodes", "imports", "assignments", "calls", "_parent_of")
+
+    def __init__(self, tree: ast.AST) -> None:
+        AST = ast.AST
+        self.imports: list[ast.Import | ast.ImportFrom] = []
+        self.assignments: list[ast.Assign | ast.AnnAssign] = []
+        self.calls: list[ast.Call] = []
+        # Keyed by exact class, which is what ``ast.parse`` builds.
+        buckets: dict[type, list] = {
+            ast.Import: self.imports,
+            ast.ImportFrom: self.imports,
+            ast.Assign: self.assignments,
+            ast.AnnAssign: self.assignments,
+            ast.Call: self.calls,
+        }
+        # ``parents[i]`` is the parent of ``nodes[i]``.  Iterating a
+        # list that grows behind the cursor is a FIFO queue: the same
+        # order as ``ast.walk``'s deque.
+        nodes: list[ast.AST] = [tree]
+        parents: list[ast.AST | None] = [None]
+        push, link = nodes.append, parents.append
+        for node in nodes:
+            bucket = buckets.get(node.__class__)
+            if bucket is not None:
+                bucket.append(node)
+            for name in node._fields:
+                value = getattr(node, name, None)
+                if isinstance(value, AST):
+                    push(value)
+                    link(node)
+                elif isinstance(value, list):
+                    for item in value:
+                        if isinstance(item, AST):
+                            push(item)
+                            link(node)
+        self.nodes = nodes
+        # Later entries win, as they would in the walk.
+        self._parent_of = dict(zip(map(id, nodes), parents))
+
+    def parent(self, node: ast.AST) -> ast.AST | None:
+        """The node ``node`` hangs under; ``None`` for the root."""
+        return self._parent_of.get(id(node))
+
+
+# ----------------------------------------------------------------------
+# One module, one parse, one traversal
 # ----------------------------------------------------------------------
 @dataclass
 class ModuleRecord:
@@ -185,14 +257,14 @@ class ModuleRecord:
         ]
 
 
-def _repro_imports(tree: ast.Module) -> tuple[tuple[int, str], ...]:
+def _repro_imports(index: TreeIndex) -> tuple[tuple[int, str], ...]:
     """(line, module) for every absolute ``repro.*`` import."""
     edges: list[tuple[int, str]] = []
-    for node in ast.walk(tree):
+    for node in index.imports:
         if isinstance(node, ast.ImportFrom):
             if node.level == 0 and (node.module or "").startswith("repro."):
                 edges.append((node.lineno, node.module))
-        elif isinstance(node, ast.Import):
+        else:
             edges.extend(
                 (node.lineno, alias.name)
                 for alias in node.names
@@ -202,7 +274,8 @@ def _repro_imports(tree: ast.Module) -> tuple[tuple[int, str], ...]:
 
 
 def scan_source(source: str, path: str, module: str) -> ModuleRecord:
-    """Run every intra-module pass over one parse of ``source``."""
+    """Run every intra-module pass over one parse and one traversal of
+    ``source``."""
     comments = comment_tokens(source)
     suppressions, suppression_findings = collect_suppressions(comments, path)
     record = ModuleRecord(
@@ -223,16 +296,17 @@ def scan_source(source: str, path: str, module: str) -> ModuleRecord:
         )
         record.flow = ModuleAnalysis(module=module, path=path)
         return record
+    index = TreeIndex(tree)
     contracts = collect_contracts(tree, comments, path)
-    record.lint = tuple(lint_tree(tree, path))
-    record.imports = _repro_imports(tree)
-    record.flow = extract_module(tree, path, module)
+    record.lint = tuple(lint_tree(tree, index, path))
+    record.imports = _repro_imports(index)
+    record.flow = extract_module(tree, index, path, module)
     record.shapes = tuple(
         sorted(
             [
                 *contracts.findings,
                 *interpret_module(tree, contracts, path),
-                *check_ctypes_bindings(tree, path),
+                *check_ctypes_bindings(index, path),
             ]
         )
     )

@@ -33,9 +33,12 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.findings import Finding, Severity
+
+if TYPE_CHECKING:  # the project module imports this one
+    from repro.analysis.project import TreeIndex
 
 __all__ = ["check_ctypes_bindings", "parse_c_functions"]
 
@@ -260,14 +263,20 @@ def _alias_key(node: ast.expr) -> Optional[str]:
     return None
 
 
-def check_ctypes_bindings(tree: ast.Module, path: str) -> list[Finding]:
+def check_ctypes_bindings(index: TreeIndex, path: str) -> list[Finding]:
     """Cross-check every ``lib.<symbol>`` binding against the embedded
-    C source found in the same module (REPRO-S004)."""
+    C source found in the same module (REPRO-S004).
+
+    All three passes read the module's ``Assign`` nodes in walk order,
+    so a rebound alias keeps its last binding.
+    """
+    assigns = [
+        node for node in index.assignments if isinstance(node, ast.Assign)
+    ]
     functions: dict[str, CFunction] = {}
-    for node in ast.walk(tree):
+    for node in assigns:
         if (
-            isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Constant)
+            isinstance(node.value, ast.Constant)
             and isinstance(node.value.value, str)
             and ("(" in node.value.value)
         ):
@@ -276,8 +285,8 @@ def check_ctypes_bindings(tree: ast.Module, path: str) -> list[Finding]:
         return []
 
     bindings: dict[str, _Binding] = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+    for node in assigns:
+        if len(node.targets) != 1:
             continue
         target = node.targets[0]
         value = node.value
@@ -295,8 +304,8 @@ def check_ctypes_bindings(tree: ast.Module, path: str) -> list[Finding]:
                 bindings[dst_key] = bindings[src_key]
             continue
 
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+    for node in assigns:
+        if len(node.targets) != 1:
             continue
         target = node.targets[0]
         if not isinstance(target, ast.Attribute):

@@ -1,18 +1,22 @@
-"""One walker, one parse per module, one cache for every analyzer tier.
+"""One walker, one parse and one traversal per module, one cache for
+every analyzer tier.
 
 Every tier reads Python through :class:`repro.analysis.project.ProjectScan`,
 so a cold ``all`` parses each module exactly once, a warm one parses
 none, and a one-module edit parses that module once for every tier.
+Every intra-module pass reads the module's :class:`TreeIndex` instead
+of walking the tree again.
 """
 
 import ast
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.cli import analyze_paths, main
-from repro.analysis.project import SKIP_DIRS, walk
+from repro.analysis.project import SKIP_DIRS, TreeIndex, walk
 from repro.analysis.flow import analyze_project as flow_analyze
 from repro.analysis.models.scan import scan_paths
 from repro.analysis.shapes import analyze_project as shapes_analyze
@@ -46,6 +50,21 @@ def parses(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """One entry per ``ast.walk`` call over a whole module."""
+    calls: list[ast.Module] = []
+    real = ast.walk
+
+    def counting(node):
+        if isinstance(node, ast.Module):
+            calls.append(node)
+        return real(node)
+
+    monkeypatch.setattr(ast, "walk", counting)
+    return calls
+
+
 def _gate(capsys) -> dict:
     """One ``all`` run; returns the flow/shapes stats and the output."""
     code = main(["all", "--report-dir", "reports"])
@@ -58,7 +77,9 @@ def _gate(capsys) -> dict:
 
 
 class TestOneParsePerModule:
-    def test_cold_warm_and_one_edit(self, tmp_path, monkeypatch, capsys, parses):
+    def test_cold_warm_and_one_edit(
+        self, tmp_path, monkeypatch, capsys, parses, walks
+    ):
         write_project(tmp_path, MODULES)
         monkeypatch.chdir(tmp_path)
         paths = sorted(MODULES)
@@ -66,6 +87,9 @@ class TestOneParsePerModule:
         cold = _gate(capsys)
         assert cold["code"] == 0
         assert Counter(parses) == Counter(paths)
+        # One traversal per module, and it is the index's own: no pass
+        # walks a whole module again.
+        assert walks == []
         assert cold["flow"]["reanalyzed"] == cold["shapes"]["rescanned"] == 4
 
         parses.clear()
@@ -102,6 +126,44 @@ class TestOneParsePerModule:
         assert len(list((tmp_path / ".analysis-cache").rglob("*.sha256"))) == len(
             MODULES
         )
+
+
+_REPO = Path(__file__).resolve().parents[2]
+_INDEXED = sorted(
+    {
+        *(_REPO / "src" / "repro").rglob("*.py"),
+        *(_REPO / "tests" / "analysis").glob("**/fixtures/**/*.py"),
+    }
+)
+
+
+class TestTreeIndexOrder:
+    """The index is ``ast.walk`` in one pass: same nodes, same order,
+    same parent links (last parent wins for the shared context and
+    operator nodes)."""
+
+    @pytest.mark.parametrize(
+        "path", _INDEXED, ids=lambda path: path.relative_to(_REPO).as_posix()
+    )
+    def test_index_matches_ast_walk(self, path):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        index = TreeIndex(tree)
+        walked = list(ast.walk(tree))
+        assert index.nodes == walked
+        for attribute, kind in (
+            ("imports", (ast.Import, ast.ImportFrom)),
+            ("assignments", (ast.Assign, ast.AnnAssign)),
+            ("calls", ast.Call),
+        ):
+            assert getattr(index, attribute) == [
+                node for node in walked if isinstance(node, kind)
+            ], attribute
+        parents: dict[int, ast.AST] = {}
+        for parent in walked:
+            for child in ast.iter_child_nodes(parent):
+                parents[id(child)] = parent
+        for node in walked:
+            assert index.parent(node) is parents.get(id(node))
 
 
 class TestOneWalker:
