@@ -29,26 +29,16 @@
 #     cache-corruption storm, interrupted and resumed once, must
 #     reproduce the unfaulted serial results byte-for-byte with zero
 #     lost or duplicated jobs),
-#   * the step-kernel benchmark (quick mode) fails to complete or to
-#     emit valid JSON.  Quick mode asserts completion only — wall-clock
-#     on a loaded CI box is noise; the 2x speedup gate runs in the full
-#     benchmark (`python -m pytest benchmarks/bench_step_kernel.py`),
-#   * the model-check benchmark (quick mode, MODEL_CHECK_QUICK=1) fails
-#     its byte-identical explicit-vs-bitset report comparison or its
-#     relaxed 3x speedup floor (the 10x gate runs in the full sweep:
-#     `python -m pytest benchmarks/bench_model_check.py`),
 #   * the benchmark suite's smoke (`benchmarks/suite/run.py --smoke`:
 #     one reduced round of each of the five workloads with every output
 #     check, including the fleet workload for all four managers with
 #     rows 0 and N-1 compared against the scalar oracle) reports an
 #     incorrect output or a failed operation, or the suite's own tests
 #     (`benchmarks/suite/tests`) fail.  Timings are printed, never
-#     asserted,
-#   * the symbolic-synthesis benchmark (quick mode, SYNTH_QUICK=1)
-#     fails its byte-identical explicit-vs-symbolic bundle comparison
-#     or its relaxed 3x speedup floor (the 20x gate and the 10-cluster
-#     scale points run in the full sweep:
-#     `python -m pytest benchmarks/bench_symbolic_synthesis.py`).
+#     asserted: the speed floors (step kernel, fleet kernel, symbolic
+#     vs explicit verification and synthesis) and the explicit-oracle
+#     equivalence checks are tier-1 tests (tests/perf/test_speed_floors.py,
+#     tests/automata/).
 #
 # Optional third-party linters (ruff/mypy, `pip install -e .[lint]`) run
 # only when installed, so the gate works on the bare numpy toolchain.
@@ -79,48 +69,6 @@ python -m repro.resilience --smoke
 echo
 echo "== chaos smoke (campaign-runtime fault drill) =="
 python -m repro.exec chaos --smoke
-
-echo
-echo "== step-kernel benchmark (quick mode) =="
-STEP_KERNEL_QUICK=1 python -m pytest -x -q benchmarks/bench_step_kernel.py
-python - <<'EOF'
-import json
-with open("benchmarks/results/step_kernel.json") as fh:
-    payload = json.load(fh)
-for key in ("baseline_steps_per_s", "optimized_steps_per_s", "speedup"):
-    assert key in payload, f"step_kernel.json missing {key!r}"
-print("step_kernel.json is valid")
-EOF
-
-echo
-echo "== model-check benchmark (quick mode) =="
-MODEL_CHECK_QUICK=1 python -m pytest -x -q benchmarks/bench_model_check.py
-python - <<'EOF'
-import json
-with open("benchmarks/results/model_check.json") as fh:
-    payload = json.load(fh)
-assert payload["sizes"], "model_check.json has no size rows"
-for row in payload["sizes"]:
-    for key in ("plant_states", "explicit_s", "symbolic_s", "speedup"):
-        assert key in row, f"model_check.json row missing {key!r}"
-print("model_check.json is valid")
-EOF
-
-echo
-echo "== symbolic-synthesis benchmark (quick mode) =="
-SYNTH_QUICK=1 python -m pytest -x -q benchmarks/bench_symbolic_synthesis.py
-python - <<'EOF'
-import json
-with open("benchmarks/results/symbolic_synthesis.json") as fh:
-    payload = json.load(fh)
-assert payload["sizes"], "symbolic_synthesis.json has no size rows"
-for row in payload["sizes"] + [payload["fleet"]]:
-    for key in ("plant_states", "supervisor_states", "explicit_s",
-                "symbolic_s", "speedup", "iterations"):
-        assert key in row, f"symbolic_synthesis.json row missing {key!r}"
-assert "scale" in payload, "symbolic_synthesis.json missing scale section"
-print("symbolic_synthesis.json is valid")
-EOF
 
 echo
 echo "== benchmark suite smoke (five workloads, every output checked) =="

@@ -582,13 +582,12 @@ def check_bundle_freshness(
     ``supC(plant, supervisor)`` reproduces it exactly, so any
     difference means the artifact predates a model change.
 
-    Re-synthesis runs on the symbolic engine (the explicit oracle yields
-    an identical supervisor, only slower — large persisted bundles made
-    this rule the analyzer's long pole before the bitset fixpoint).
+    Re-synthesis runs on the symbolic engine (large persisted bundles
+    made this rule the analyzer's long pole before the bitset fixpoint).
     """
     spec = specification if specification is not None else supervisor
     try:
-        synthesis = synthesize_supervisor(plant, spec, engine="symbolic")
+        synthesis = synthesize_supervisor(plant, spec)
     except (SynthesisError, ValueError) as exc:
         return [
             _finding(

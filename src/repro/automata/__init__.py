@@ -54,7 +54,6 @@ from repro.automata.serialization import (
 from repro.automata.synthesis import (
     SynthesisError,
     SynthesisResult,
-    explicit_synthesize_supervisor,
     supremal_controllable,
     synthesize_supervisor,
 )
@@ -82,8 +81,6 @@ from repro.automata.verification import (
     VerificationReport,
     check_controllability,
     check_nonblocking,
-    explicit_check_controllability,
-    explicit_verify_supervisor,
     verify_supervisor,
 )
 
@@ -124,9 +121,6 @@ __all__ = [
     "encode_automaton",
     "encode_composition",
     "enumerate_words",
-    "explicit_check_controllability",
-    "explicit_synthesize_supervisor",
-    "explicit_verify_supervisor",
     "forward_reachable",
     "forward_search",
     "is_nonblocking",

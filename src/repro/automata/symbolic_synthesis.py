@@ -1,11 +1,10 @@
 """Supremal supervisor synthesis on the bitset kernel.
 
-The explicit Ramadge-Wonham fixpoint in :mod:`repro.automata.synthesis`
-enumerates the plant x spec product one Python ``(State, Event)`` lookup
-at a time, which caps synthesis around the 61k-state scalable models.
-This module runs the *same* fixpoint — trimming composed with the
-uncontrollable-extension pruning, iterated to convergence (Section
-4.3.4) — entirely as whole-array operations on
+An explicit Ramadge-Wonham fixpoint enumerates the plant x spec product
+one Python ``(State, Event)`` lookup at a time, which caps synthesis
+around the 61k-state scalable models.  This module runs the fixpoint —
+trimming composed with the uncontrollable-extension pruning, iterated to
+convergence (Section 4.3.4) — entirely as whole-array operations on
 :class:`~repro.automata.symbolic.EncodedAutomaton`:
 
 * the synthesis product is built over its reachable pairs only by
@@ -18,13 +17,14 @@ uncontrollable-extension pruning, iterated to convergence (Section
 * trimming is ``forward_reachable & backward_reachable`` on the
   restriction of the product to the surviving states.
 
-Both engines run the fixpoint on the *Jacobi* (snapshot) schedule: each
-extension pass judges every state against the round-start good set.  The
-supremal fixpoint is unique regardless of schedule, but the bookkeeping
-that attributes a pruned state to ``removed_uncontrollable`` versus
+The fixpoint runs on the *Jacobi* (snapshot) schedule: each extension
+pass judges every state against the round-start good set.  The supremal
+fixpoint is unique regardless of schedule, but the bookkeeping that
+attributes a pruned state to ``removed_uncontrollable`` versus
 ``removed_blocking`` is not — the snapshot schedule makes the
 attribution canonical, so :func:`symbolic_synthesize_supervisor` and the
-explicit oracle agree field-for-field, not just up to isomorphism.
+explicit test oracle (``tests/automata/explicit_oracle.py``) agree
+field-for-field, not just up to isomorphism.
 
 For models too large to compose explicitly, :func:`encode_composition`
 folds the reachable synchronous product over encoded factors — the
@@ -294,19 +294,19 @@ def symbolic_synthesize_supervisor(
 ) -> SynthesisResult:
     """Supremal controllable nonblocking synthesis on the bitset kernel.
 
-    Drop-in replacement for the explicit engine: the returned
-    :class:`SynthesisResult` matches it field-for-field (same supervisor
-    states, transitions, marking and initial state; same
-    ``removed_uncontrollable`` / ``removed_blocking`` attribution; same
-    round count) — the equivalence suite asserts exact equality, not
-    just isomorphism.
+    The engine behind :func:`~repro.automata.synthesis.synthesize_supervisor`:
+    the returned :class:`SynthesisResult` matches the explicit test
+    oracle field-for-field (same supervisor states, transitions, marking
+    and initial state; same ``removed_uncontrollable`` /
+    ``removed_blocking`` attribution; same round count) — the
+    equivalence suite asserts exact equality, not just isomorphism.
     """
     if not plant.has_initial:
         raise SynthesisError("plant has no initial state")
     if not spec.has_initial:
         raise SynthesisError("specification has no initial state")
     # Resolve the union alphabet first so conflicting controllability
-    # attributes fail before any heavy work, as the explicit builder does.
+    # attributes fail before any heavy work, as the explicit oracle does.
     plant.alphabet.union(spec.alphabet)
     fixpoint = supremal_fixpoint(encode_automaton(plant), encode_automaton(spec))
     return _decode_result(plant, spec, fixpoint)

@@ -13,30 +13,23 @@ where an uncontrollable plant event would escape the specification,
 ensuring controllability) "must be run successively and iteratively,
 until they return the same result".
 
-Two engines implement the fixpoint.  :func:`synthesize_supervisor`
-dispatches to the *symbolic* one by default — whole-array passes over
-the bitset encoding of :mod:`repro.automata.symbolic_synthesis`, which
-scales to millions of product states.  The original explicit-state
-enumeration survives as :func:`explicit_synthesize_supervisor`, kept as
-the test oracle the equivalence suite compares against.  Both engines
-run the extension pass on the same canonical *snapshot* (Jacobi)
-schedule — every state is judged against the round-start good set — so
-their results agree exactly, including the ``removed_*`` attribution
-and the round count (the supremal fixpoint itself is unique under any
-schedule; only the bookkeeping needs canonicalizing).
+:func:`synthesize_supervisor` runs the fixpoint as whole-array passes
+over the bitset encoding of :mod:`repro.automata.symbolic_synthesis`,
+which scales to millions of product states.  The extension pass uses a
+canonical *snapshot* (Jacobi) schedule — every state is judged against
+the round-start good set — so the ``removed_*`` attribution and the
+round count are canonical (the supremal fixpoint itself is unique under
+any schedule; only the bookkeeping needs canonicalizing).  The original
+explicit-state enumeration is kept as a test oracle
+(``tests/automata/explicit_oracle.py``) that the equivalence suite
+compares against field-for-field.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from repro.automata.automaton import Automaton, State
-from repro.automata.events import Event
-from repro.automata.operations import (
-    accessible_states,
-    coaccessible_states,
-)
 
 
 @dataclass(frozen=True)
@@ -84,60 +77,7 @@ class SynthesisError(RuntimeError):
     """Raised when synthesis preconditions are violated."""
 
 
-def _build_product(
-    plant: Automaton, spec: Automaton
-) -> tuple[Automaton, dict[State, ProductState]]:
-    """Reachable product of plant and spec with pair bookkeeping.
-
-    Events private to the plant are interleaved (the specification does
-    not constrain them); events private to the specification are treated
-    as constraints the plant cannot execute, hence never fire.  A product
-    state is forbidden if either component is forbidden.
-    """
-    alphabet = plant.alphabet.union(spec.alphabet)
-    product = Automaton(f"sup({plant.name},{spec.name})", alphabet)
-    start = ProductState(plant.initial, spec.initial)
-    state_map: dict[State, ProductState] = {start.label(): start}
-    product.add_state(
-        start.label(),
-        marked=plant.is_marked(plant.initial) and spec.is_marked(spec.initial),
-        forbidden=plant.is_forbidden(plant.initial)
-        or spec.is_forbidden(spec.initial),
-        initial=True,
-    )
-    frontier = deque([start])
-    visited = {start}
-    while frontier:
-        pair = frontier.popleft()
-        for event in plant.alphabet:
-            next_plant = plant.step(pair.plant, event)
-            if next_plant is None:
-                continue
-            if event in spec.alphabet:
-                next_spec = spec.step(pair.spec, event)
-                if next_spec is None:
-                    continue
-            else:
-                next_spec = pair.spec
-            nxt = ProductState(next_plant, next_spec)
-            if nxt not in visited:
-                visited.add(nxt)
-                state_map[nxt.label()] = nxt
-                product.add_state(
-                    nxt.label(),
-                    marked=plant.is_marked(next_plant)
-                    and spec.is_marked(next_spec),
-                    forbidden=plant.is_forbidden(next_plant)
-                    or spec.is_forbidden(next_spec),
-                )
-                frontier.append(nxt)
-            product.add_transition(pair.label(), event, nxt.label())
-    return product, state_map
-
-
-def synthesize_supervisor(
-    plant: Automaton, spec: Automaton, *, engine: str = "symbolic"
-) -> SynthesisResult:
+def synthesize_supervisor(plant: Automaton, spec: Automaton) -> SynthesisResult:
     """Compute the supremal controllable, nonblocking supervisor.
 
     Parameters
@@ -148,12 +88,6 @@ def synthesize_supervisor(
     spec:
         The intended-behaviour specification ``SP``.  Forbidden states in
         either automaton are excluded from the supervisor outright.
-    engine:
-        ``"symbolic"`` (default) runs the fixpoint as whole-array passes
-        on the bitset kernel; ``"explicit"`` is the original state-at-a-
-        time enumeration, kept as the equivalence oracle.  Both return
-        identical results — same supervisor, same ``removed_*``
-        attribution, same round count.
 
     Returns
     -------
@@ -162,101 +96,13 @@ def synthesize_supervisor(
         sublanguage of ``L(P || SP)`` w.r.t. ``L(P)``; it is trim and
         controllable, or empty when no supervisor exists.
     """
-    if engine == "symbolic":
-        # Imported lazily: symbolic_synthesis depends on this module's
-        # dataclasses, so a top-level import would be circular.
-        from repro.automata.symbolic_synthesis import (
-            symbolic_synthesize_supervisor,
-        )
+    # Imported lazily: symbolic_synthesis depends on this module's
+    # dataclasses, so a top-level import would be circular.
+    from repro.automata.symbolic_synthesis import symbolic_synthesize_supervisor
 
-        return symbolic_synthesize_supervisor(plant, spec)
-    if engine == "explicit":
-        return explicit_synthesize_supervisor(plant, spec)
-    raise ValueError(
-        f"unknown synthesis engine {engine!r}; "
-        "choose 'symbolic' or 'explicit'"
-    )
-
-
-def explicit_synthesize_supervisor(
-    plant: Automaton, spec: Automaton
-) -> SynthesisResult:
-    """The explicit-state fixpoint (test oracle for the symbolic engine).
-
-    Same contract as :func:`synthesize_supervisor`; enumerates the
-    product with Python dict/deque walks, one state at a time.
-    """
-    if not plant.has_initial:
-        raise SynthesisError("plant has no initial state")
-    if not spec.has_initial:
-        raise SynthesisError("specification has no initial state")
-
-    product, state_map = _build_product(plant, spec)
-
-    good: set[State] = {
-        s for s in product.states if not product.is_forbidden(s)
-    }
-    removed_uncontrollable: set[State] = set()
-    removed_blocking: set[State] = set()
-
-    iterations = 0
-    changed = True
-    while changed:
-        iterations += 1
-        changed = False
-
-        # Extension algorithm: drop states where the plant can fire an
-        # uncontrollable event whose product successor has been removed
-        # (or which the product never allowed at all).  Every state is
-        # judged against the round-start snapshot — the canonical Jacobi
-        # schedule shared with the symbolic engine — so which pass a
-        # cascading state falls to is schedule-independent.
-        snapshot = frozenset(good)
-        for state in sorted(snapshot):
-            pair = state_map[state]
-            for event in plant.enabled_events(pair.plant):
-                if event.controllable:
-                    continue
-                target = product.step(state, event)
-                if target is None or target not in snapshot:
-                    good.discard(state)
-                    removed_uncontrollable.add(state)
-                    changed = True
-                    break
-
-        # Trimming algorithm: keep only accessible and coaccessible
-        # states of the surviving sub-automaton.
-        candidate = product.restricted_to(good)
-        keep = accessible_states(candidate) & coaccessible_states(candidate)
-        dropped = good - keep
-        if dropped:
-            removed_blocking.update(dropped)
-            good = set(keep)
-            changed = True
-
-    supervisor = product.restricted_to(good, name=f"S({plant.name})")
-    surviving_map = {s: state_map[s] for s in supervisor.states}
-    return SynthesisResult(
-        supervisor=supervisor,
-        iterations=iterations,
-        removed_uncontrollable=frozenset(removed_uncontrollable),
-        removed_blocking=frozenset(removed_blocking),
-        state_map=surviving_map,
-    )
+    return symbolic_synthesize_supervisor(plant, spec)
 
 
 def supremal_controllable(plant: Automaton, spec: Automaton) -> Automaton:
     """Convenience wrapper returning only the supervisor automaton."""
     return synthesize_supervisor(plant, spec).supervisor
-
-
-def supervisor_enabled_events(
-    supervisor: Automaton, state: State
-) -> frozenset[Event]:
-    """Control action of the supervisor at ``state``.
-
-    The supervisor's control decision is the set of events it leaves
-    enabled; uncontrollable events are always implicitly enabled (the
-    supervisor merely tracks them).
-    """
-    return supervisor.enabled_events(state)

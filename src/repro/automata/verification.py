@@ -16,9 +16,8 @@ Since the REPRO-M analyzer landed, the checks run on the bitset kernel
 of :mod:`repro.automata.symbolic` — the closed loop is built over its
 reachable pairs only, without materializing the composed automaton, and
 every controllability violation carries a shortest witness trace.  The
-original explicit-state walks survive as :func:`explicit_verify_supervisor`
-and :func:`explicit_check_controllability`, kept solely as test oracles
-for the equivalence suite.
+original explicit-state walks are kept as test oracles
+(``tests/automata/explicit_oracle.py``) for the equivalence suite.
 """
 
 from __future__ import annotations
@@ -30,11 +29,6 @@ import numpy as np
 
 from repro.automata.automaton import Automaton, State
 from repro.automata.events import Event
-from repro.automata.operations import (
-    blocking_states,
-    is_nonblocking,
-    synchronous_composition,
-)
 from repro.automata.symbolic import (
     EncodedAutomaton,
     backward_reachable,
@@ -50,8 +44,6 @@ __all__ = [
     "VerificationReport",
     "check_controllability",
     "check_nonblocking",
-    "explicit_check_controllability",
-    "explicit_verify_supervisor",
     "verify_supervisor",
 ]
 
@@ -269,74 +261,5 @@ def verify_supervisor(plant: Automaton, supervisor: Automaton) -> VerificationRe
         nonblocking=nonblocking,
         controllable=controllable,
         blocking_states=blocking,
-        violations=violations,
-    )
-
-
-# ----------------------------------------------------------------------
-# Explicit-state oracles (test-only reference implementations)
-# ----------------------------------------------------------------------
-def explicit_check_controllability(
-    plant: Automaton, supervisor: Automaton
-) -> tuple[bool, tuple[ControllabilityViolation, ...]]:
-    """The original explicit-state controllability walk, kept as the
-    test oracle for the bitset kernel.
-
-    Level-synchronized BFS over joint (plant, supervisor) states with
-    events expanded in alphabet order, so witness traces match the
-    symbolic kernel's deterministic tie-breaking exactly.
-    """
-    if not plant.has_initial or not supervisor.has_initial:
-        return True, ()
-    start = (plant.initial, supervisor.initial)
-    words: dict[tuple[State, State], tuple[str, ...]] = {start: ()}
-    frontier = [start]
-    violations: list[ControllabilityViolation] = []
-    events = list(plant.alphabet)
-    while frontier:
-        frontier.sort(key=lambda pair: (pair[0].name, pair[1].name))
-        for plant_state, sup_state in frontier:
-            sup_enabled = supervisor.enabled_events(sup_state)
-            for event in plant.enabled_events(plant_state):
-                if event not in sup_enabled and not event.controllable:
-                    violations.append(
-                        ControllabilityViolation(
-                            plant_state,
-                            sup_state,
-                            event,
-                            trace=words[(plant_state, sup_state)],
-                        )
-                    )
-        next_frontier: list[tuple[State, State]] = []
-        for event in events:
-            for plant_state, sup_state in frontier:
-                next_plant = plant.step(plant_state, event)
-                next_sup = supervisor.step(sup_state, event)
-                if next_plant is None or next_sup is None:
-                    continue
-                nxt = (next_plant, next_sup)
-                if nxt not in words:
-                    words[nxt] = words[(plant_state, sup_state)] + (event.name,)
-                    next_frontier.append(nxt)
-        frontier = next_frontier
-    violations.sort(key=_violation_sort_key)
-    return not violations, tuple(violations)
-
-
-def explicit_verify_supervisor(
-    plant: Automaton, supervisor: Automaton
-) -> VerificationReport:
-    """The original explicit-state verification pass (test oracle):
-    materializes ``plant || supervisor`` and walks it with Python sets."""
-    closed_loop = synchronous_composition(
-        plant, supervisor, name=f"{plant.name}||{supervisor.name}"
-    )
-    nonblocking = is_nonblocking(closed_loop)
-    blocked = blocking_states(closed_loop)
-    controllable, violations = explicit_check_controllability(plant, supervisor)
-    return VerificationReport(
-        nonblocking=nonblocking,
-        controllable=controllable,
-        blocking_states=blocked,
         violations=violations,
     )

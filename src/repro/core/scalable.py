@@ -20,9 +20,9 @@ every cluster's budget raises during a fleet capping episode.  The
 fleet plant multiplies the counter plant's state space by another
 factor of seven, which pushes the synthesis product into the millions
 of pairs — the scale regime only the symbolic engine of
-:mod:`repro.automata.symbolic_synthesis` can synthesize; the explicit
-fixpoint cannot finish inside the benchmark budget
-(``benchmarks/bench_symbolic_synthesis.py``).
+:mod:`repro.automata.symbolic_synthesis` can synthesize.  The benchmark
+suite's ``synthesis`` workload (``benchmarks/suite/``) times the
+scalable 7x3 and fleet 10x2 folds.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ def budget_level_plant(
     its own increase/decrease events.  Unlike the paper's flat-state
     supervisors, composing one counter per cluster multiplies the state
     space by ``levels`` each time — ``levels ** n`` states overall —
-    which is precisely what the model-check benchmark needs: a family
+    which is precisely what the model-check stress tests need: a family
     of *large* closed-loop models whose verification verdicts are known
     by construction (every state is marked, so the loop is nonblocking,
     and only controllable events move the counters).
@@ -185,8 +185,8 @@ def scalable_plant_components(
 
     Feed these to
     :func:`repro.automata.symbolic_synthesis.encode_composition` when
-    the composed plant is too large to materialize (the 10-cluster
-    synthesis benchmark points).
+    the composed plant is too large to materialize (the benchmark
+    suite's 7-cluster synthesis point).
     """
     sigma = alphabet or scalable_alphabet(n_clusters)
     components = [
@@ -207,8 +207,8 @@ def scalable_counter_plant(
     """The scalable plant with per-cluster budget counters composed in.
 
     State count grows as ``levels ** n_clusters`` times the flat plant's
-    — the stress model for the symbolic-vs-explicit verification
-    benchmark (``benchmarks/bench_model_check.py``).
+    — the stress model for the symbolic-vs-explicit equivalence and
+    speed-floor tests (``tests/perf/test_speed_floors.py``).
     """
     return compose_all(
         scalable_plant_components(n_clusters, levels, alphabet),
@@ -426,7 +426,7 @@ def build_fleet_supervisor(
 
     Composes the plant explicitly, so this entry point is for sizes
     where that is still feasible (tests, the case-study scale); the
-    benchmark's fleet scale points go through
+    benchmark suite's fleet 10x2 point goes through
     :func:`fleet_plant_components` and the encoded fold instead.
     """
     sigma = fleet_alphabet(n_clusters)

@@ -63,14 +63,12 @@ class VerifiedSupervisor:
 
 
 def synthesize_and_verify(
-    plant: Automaton, specification: Automaton, *, engine: str = "symbolic"
+    plant: Automaton, specification: Automaton
 ) -> VerifiedSupervisor:
     """Run steps 3-5 on the given models.
 
-    Synthesis runs on the symbolic (bitset-kernel) engine by default;
-    pass ``engine="explicit"`` to use the state-at-a-time oracle — both
-    produce identical supervisors, and verification re-checks the result
-    independently either way.
+    Synthesis runs on the symbolic (bitset-kernel) engine; verification
+    re-checks the result independently.
 
     Raises
     ------
@@ -79,7 +77,7 @@ def synthesize_and_verify(
         correct-by-construction synthesis failing verification indicates
         a modelling bug worth failing loudly on).
     """
-    synthesis = synthesize_supervisor(plant, specification, engine=engine)
+    synthesis = synthesize_supervisor(plant, specification)
     if synthesis.is_empty:
         raise SynthesisFlowError(
             "synthesis produced an empty supervisor: the specification "

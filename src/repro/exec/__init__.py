@@ -50,11 +50,6 @@ from repro.exec.job import (
     canonical_encode,
     derive_seed,
 )
-from repro.exec.synthesis_memo import (
-    SYNTHESIS_MEMO_SCHEMA,
-    cached_synthesize,
-    synthesis_digest,
-)
 from repro.exec.supervision import (
     FAILURE_KINDS,
     JOURNAL_SCHEMA,
@@ -87,10 +82,8 @@ __all__ = [
     "ResultCache",
     "RunInterrupted",
     "RunJournal",
-    "SYNTHESIS_MEMO_SCHEMA",
     "ScenarioJob",
     "SupervisionPolicy",
-    "cached_synthesize",
     "canonical_encode",
     "chaos_jobs",
     "current_attempt",
@@ -99,5 +92,4 @@ __all__ = [
     "execute_fleet",
     "fleet_seeds",
     "run_chaos",
-    "synthesis_digest",
 ]

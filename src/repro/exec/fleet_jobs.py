@@ -114,6 +114,12 @@ class FleetScenarioJob(ScenarioJob):
                 raise ValueError(
                     "device_faults must be (row, FaultSpec) pairs"
                 )
+            # 1.0 and True compare equal to 1 but digest differently,
+            # and a float row cannot index the trace series.
+            if type(row) is not int:
+                raise ValueError(
+                    f"device fault row {row!r} must be an int"
+                )
             if not 0 <= row < self.n_devices:
                 raise ValueError(
                     f"device fault row {row} outside fleet of "

@@ -13,8 +13,10 @@ CLI::
 
     python -m repro.perf profile spectr
 
-prints a hotspot table for one scenario run.  The regression benchmark
-lives in ``benchmarks/bench_step_kernel.py``.
+prints a hotspot table for one scenario run.  The benchmark suite
+(``benchmarks/suite/``) times the hot path per layer, and
+``tests/perf/test_speed_floors.py`` gates its speedup over the
+pre-rework baseline.
 """
 
 from repro.perf.profiler import STAGES, StageStats, StepProfiler

@@ -38,10 +38,10 @@ from repro.automata.symbolic import (
     successor_table,
     witness_trace,
 )
-from repro.automata.verification import (
+from repro.automata.verification import verify_supervisor
+from tests.automata.explicit_oracle import (
     explicit_check_controllability,
     explicit_verify_supervisor,
-    verify_supervisor,
 )
 
 EVENTS = [
@@ -485,10 +485,11 @@ def test_counter_plant_equivalence_small():
         scalable_counter_plant,
     )
 
-    sigma = scalable_alphabet(2)
-    plant = scalable_counter_plant(2, 3, sigma)
-    supervisor = build_scalable_supervisor(2).supervisor
-    symbolic = verify_supervisor(plant, supervisor)
-    explicit = explicit_verify_supervisor(plant, supervisor)
-    assert symbolic.to_dict() == explicit.to_dict()
-    assert symbolic.verified
+    for n_clusters in (2, 4):
+        sigma = scalable_alphabet(n_clusters)
+        plant = scalable_counter_plant(n_clusters, 3, sigma)
+        supervisor = build_scalable_supervisor(n_clusters).supervisor
+        symbolic = verify_supervisor(plant, supervisor)
+        explicit = explicit_verify_supervisor(plant, supervisor)
+        assert symbolic.to_dict() == explicit.to_dict()
+        assert symbolic.verified

@@ -7,8 +7,8 @@ transitions, marking, initial), same ``removed_uncontrollable`` /
 ``removed_blocking`` attribution, same round count, same ``state_map``.
 This suite asserts exactly that on every committed model, on
 hypothesis-generated plant/spec pairs (including spec-private events,
-forbidden states, empty supervisors), and on the degenerate edges the
-dispatcher must reject identically.
+forbidden states, empty supervisors), and on the degenerate edges both
+engines must reject identically.
 """
 
 from hypothesis import given, settings
@@ -22,7 +22,6 @@ from repro.automata import (
     compose_all,
     encode_automaton,
     encode_composition,
-    explicit_synthesize_supervisor,
     supremal_fixpoint,
     synthesize_supervisor,
 )
@@ -40,6 +39,7 @@ from repro.core.scalable import (
     scalable_specification,
 )
 from repro.core.specification import case_study_specification
+from tests.automata.explicit_oracle import explicit_synthesize_supervisor
 
 PLANT_EVENTS = [
     controllable("c1"),
@@ -54,7 +54,7 @@ SPEC_PRIVATE = [controllable("sc"), uncontrollable("su")]
 
 def assert_engines_agree(plant, spec):
     explicit = explicit_synthesize_supervisor(plant, spec)
-    symbolic = synthesize_supervisor(plant, spec, engine="symbolic")
+    symbolic = synthesize_supervisor(plant, spec)
     assert symbolic.supervisor.name == explicit.supervisor.name
     assert symbolic.supervisor.states == explicit.supervisor.states
     assert symbolic.supervisor.transitions == explicit.supervisor.transitions
@@ -195,7 +195,7 @@ class TestCommittedModels:
         assert not result.is_empty
 
     def test_scalable_counter_models(self):
-        for n_clusters, levels in [(1, 2), (2, 3)]:
+        for n_clusters, levels in [(1, 2), (2, 3), (4, 3)]:
             sigma = scalable_alphabet(n_clusters)
             result = assert_engines_agree(
                 scalable_counter_plant(n_clusters, levels, sigma),
@@ -258,24 +258,17 @@ class TestEdgeCases:
         headless.add_state("A", marked=True)
         spec = Automaton("spec", sigma, initial="S")
         spec.mark("S")
-        for engine in ("symbolic", "explicit"):
+        for synthesize in (synthesize_supervisor, explicit_synthesize_supervisor):
             with pytest.raises(SynthesisError):
-                synthesize_supervisor(headless, spec, engine=engine)
+                synthesize(headless, spec)
 
     def test_missing_spec_initial_raises_in_both_engines(self):
         sigma, plant = self._machine()
         spec = Automaton("spec", sigma)
         spec.add_state("S", marked=True)
-        for engine in ("symbolic", "explicit"):
+        for synthesize in (synthesize_supervisor, explicit_synthesize_supervisor):
             with pytest.raises(SynthesisError):
-                synthesize_supervisor(plant, spec, engine=engine)
-
-    def test_unknown_engine_rejected(self):
-        sigma, plant = self._machine()
-        spec = Automaton("spec", sigma, initial="S")
-        spec.mark("S")
-        with pytest.raises(ValueError, match="unknown synthesis engine"):
-            synthesize_supervisor(plant, spec, engine="bdd")
+                synthesize(plant, spec)
 
     def test_forbidden_initial_yields_empty_supervisor(self):
         sigma, plant = self._machine()

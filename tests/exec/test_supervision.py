@@ -4,6 +4,7 @@ circuit breaker, and resume semantics."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -266,6 +267,41 @@ class TestResumeSemantics:
         assert all(r.ok for r in final)
         assert {e.digest for e in journal.raw_entries()
                 if e.status == "done"} == {r.digest for r in final}
+
+
+# ----------------------------------------------------------------------
+# What supervision charges a healthy run
+# ----------------------------------------------------------------------
+class TestSupervisionCost:
+    def test_journal_and_resume_leave_results_byte_identical(self, tmp_path):
+        jobs = [_echo_job(f"job-{index:04d}") for index in range(200)]
+        bare = _engine(max_workers=1).run(jobs)
+
+        cache = ResultCache(tmp_path / "cache")
+        journal = RunJournal(tmp_path / "journal.jsonl", salt=cache.salt)
+        journaled = _engine(max_workers=1, cache=cache, journal=journal).run(
+            jobs
+        )
+        # Resume on the populated journal + cache: nothing recomputes.
+        resumed = _engine(max_workers=1, cache=cache, journal=journal).run(
+            jobs
+        )
+        assert all(r.mode in ("cache", "journal") for r in resumed)
+        assert [r.result for r in journaled] == [r.result for r in bare]
+        assert [r.result for r in resumed] == [r.result for r in bare]
+
+    def test_journal_append_is_one_write_and_sync(self, tmp_path):
+        # An fsync per append on spinning disks is ~10 ms; above 50 ms
+        # the journal is doing per-append work beyond one write + sync.
+        # Measured 0.17 ms on a 2-CPU x86 box.
+        appends = 200
+        journal = RunJournal(tmp_path / "raw.jsonl", salt="cost")
+        start = time.perf_counter()
+        for index in range(appends):
+            journal.record(f"{index:064x}", "done", attempts=1, duration_s=0.0)
+        append_ms = (time.perf_counter() - start) / appends * 1e3
+        assert append_ms < 50.0, f"journal append costs {append_ms:.1f} ms"
+        assert len(journal.load()) == appends
 
 
 # ----------------------------------------------------------------------
