@@ -6,7 +6,11 @@
 #   * any tier-1 test fails,
 #   * the exec-engine smoke subset (`-m exec_smoke`: job digests,
 #     cache integrity, golden traces) fails — kept as a dedicated step
-#     so engine regressions are identified before the longer gates run,
+#     so engine regressions are identified before the longer gates run
+#     — with the compiled fast paths on, or with them disabled
+#     (REPRO_DISABLE_FUSED=1): the scalar servo runs the fused kernel
+#     by default, so this run pins its numpy reference step to the
+#     committed golden traces,
 #   * the fleet equivalence drill with the compiled fast paths disabled
 #     (REPRO_DISABLE_FUSED=1) diverges from the scalar oracle — the
 #     pure-numpy fallback must stay bit-identical too,
@@ -53,6 +57,7 @@ python -m pytest -x -q
 echo
 echo "== exec-engine smoke (serial/parallel/cache equivalence) =="
 python -m pytest -x -q -m exec_smoke
+REPRO_DISABLE_FUSED=1 python -m pytest -x -q -m exec_smoke
 
 echo
 echo "== fleet equivalence drill without compiled fast paths =="

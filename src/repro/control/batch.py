@@ -43,9 +43,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.control.fused import (
-    NO_VARIANT,
-    dot_variant,
     fused_kernel,
+    servo_context_key,
+    servo_tail,
     unavailable_reason,
 )
 from repro.control.lqg import ActuatorLimits, LQGGains
@@ -57,19 +57,6 @@ __all__ = ["BatchedGainSet", "BatchedLQGServo"]
 # path, and a scale sweep so exponent-dependent behavior would show.
 _PROBE_ROWS = (2, 3, 17, 256)
 _PROBE_SCALES = (1e-3, 1.0, 1e3)
-
-# The gain matrices the fused kernel reduces, in its gain_pack order.
-_FUSED_MATRICES = (
-    "C",
-    "A",
-    "B",
-    "D",
-    "L",
-    "neg_K_state",
-    "K_integral",
-    "K_integral_pinv",
-)
-
 
 # Differential-probe verdicts keyed by everything the probe reads (see
 # BatchedLQGServo._probe_key).  The probe is deterministic, so an
@@ -126,33 +113,30 @@ def _matvec_columns(matrix: np.ndarray, X: np.ndarray, out: np.ndarray):
 class BatchedGainSet:
     """Contiguous views of one :class:`LQGGains` set for batched use.
 
-    Construction probes which fast primitives are bit-exact for these
-    matrices on the running BLAS (see module docstring); the flags are
-    consulted by the servo's hot path every tick.
+    The matrices are the gain set's shared kernel pack
+    (``gains.fused_pack``).  Construction probes which fast primitives
+    are bit-exact for these matrices on the running BLAS (see module
+    docstring); the flags are consulted by the servo's hot path every
+    tick.
     """
 
     def __init__(self, gains: LQGGains) -> None:
         self.gains = gains
         self.name = gains.name
-        model = gains.model
-        self.A = np.ascontiguousarray(model.A)  # repro: shape[(n, n) f8]
-        self.B = np.ascontiguousarray(model.B)  # repro: shape[(n, m) f8]
-        self.C = np.ascontiguousarray(model.C)  # repro: shape[(p, n) f8]
-        self.D = np.ascontiguousarray(model.D)  # repro: shape[(p, m) f8]
-        self.L = np.ascontiguousarray(gains.L)  # repro: shape[(n, p) f8]
+        pack = gains.fused_pack
+        self.pack = pack
+        self.A = pack.A  # repro: shape[(n, n) f8]
+        self.B = pack.B  # repro: shape[(n, m) f8]
+        self.C = pack.C  # repro: shape[(p, n) f8]
+        self.D = pack.D  # repro: shape[(p, m) f8]
+        self.L = pack.L  # repro: shape[(n, p) f8]
         self.DB = np.ascontiguousarray(  # repro: shape[(p+n, m) f8]
-            np.vstack((model.D, model.B))
+            np.vstack((pack.D, pack.B))
         )
-        self.neg_K_state = np.ascontiguousarray(  # repro: shape[(m, n) f8]
-            -gains.K_state
-        )
-        self.K_integral = np.ascontiguousarray(  # repro: shape[(m, p) f8]
-            gains.K_integral
-        )
-        self.K_integral_pinv = np.ascontiguousarray(  # repro: shape[(p, m) f8]
-            gains.K_integral_pinv
-        )
-        self.integral_mask = gains.integral_mask  # repro: shape[(p,) f8]
+        self.neg_K_state = pack.neg_K_state  # repro: shape[(m, n) f8]
+        self.K_integral = pack.K_integral  # repro: shape[(m, p) f8]
+        self.K_integral_pinv = pack.K_integral_pinv  # repro: shape[(p, m) f8]
+        self.integral_mask = pack.integral_mask  # repro: shape[(p,) f8]
         # Machine-verified fast-path eligibility.
         self.db_stack_exact = _stack_rows_exact((self.D, self.B))  # repro: shape[bool]
         self.db_columns_exact = self.db_stack_exact and _matvec_by_columns_exact(  # repro: shape[bool]
@@ -162,38 +146,6 @@ class BatchedGainSet:
         self.ki_columns_exact = _matvec_by_columns_exact(self.K_integral)  # repro: shape[bool]
         self.ki_pinv_columns_exact = _matvec_by_columns_exact(  # repro: shape[bool]
             self.K_integral_pinv
-        )
-        # Per-row dot variants for the fused C kernel: every row of the
-        # _FUSED_MATRICES, concatenated in that order.  None without a
-        # kernel, or when some row has no bit-exact inlined reduction on
-        # this machine (``fused_gap`` names it).
-        self.fused_variants = None  # repro: shape[(3*n+3*p+2*m,) i1 | none]
-        self.fused_gap: str | None = None
-        kernel = fused_kernel()
-        if kernel is not None:
-            codes = []
-            for name in _FUSED_MATRICES:
-                rows = dot_variant(kernel, getattr(self, name))
-                missing = np.flatnonzero(rows == NO_VARIANT)
-                if missing.size:
-                    self.fused_gap = (
-                        f"no bit-exact dot variant: {name} row {missing[0]}"
-                    )
-                    break
-                codes.append(rows)
-            else:
-                self.fused_variants = np.concatenate(codes)
-
-    def fused_pack(self) -> list[int]:
-        """This set's row of the fused kernel's gain-pack table: the
-        matrix, integral-mask and per-matrix variant-code addresses."""
-        matrices = [getattr(self, name) for name in _FUSED_MATRICES]
-        base = self.fused_variants.ctypes.data
-        starts = np.cumsum([0] + [matrix.shape[0] for matrix in matrices])
-        return (
-            [matrix.ctypes.data for matrix in matrices]
-            + [self.integral_mask.ctypes.data]
-            + [base + int(start) for start in starts[:-1]]
         )
 
 
@@ -299,11 +251,9 @@ class BatchedLQGServo:
         if not kernel.fits(*self._dims):
             return "dims"
         for g in self.sets:
-            if g.fused_gap is not None:
-                return g.fused_gap
-        self._packs = np.array(
-            [g.fused_pack() for g in self.sets], dtype=np.int64
-        )
+            if g.pack.gap is not None:
+                return g.pack.gap
+        self._packs = np.concatenate([g.pack.row for g in self.sets])
         key = self._probe_key()
         verdict = _PROBE_MEMO.get(key)
         if verdict is None:
@@ -403,30 +353,18 @@ class BatchedLQGServo:
         is updated strictly in place on the fused path; the numpy path
         rotates buffers, so it drops the cache (``_step_numpy``).
         """
-        op = self.operating_point
-        limits = self.limits
-        if limits.max_step is None:
-            step_ptr, has_step = limits.lower.ctypes.data, 0
-        else:
-            step_ptr, has_step = limits.max_step.ctypes.data, 1
-        return (
-            self._dr.ctypes.data,
-            self.X.ctypes.data,
-            self.Z.ctypes.data,
-            self.DU.ctypes.data,
-            self.U_prev.ctypes.data,
-            self._u_next.ctypes.data,
-            self._packs.ctypes.data,
-            self.gain_ids.ctypes.data,
-            op.y.ctypes.data,
-            op.y_scale.ctypes.data,
-            op.u.ctypes.data,
-            op.u_scale.ctypes.data,
-            self._u_scale_safe.ctypes.data,
-            limits.lower.ctypes.data,
-            limits.upper.ctypes.data,
-            step_ptr,
-            has_step,
+        return servo_tail(
+            self._dr,
+            self.X,
+            self.Z,
+            self.DU,
+            self.U_prev,
+            self._u_next,
+            self._packs,
+            self.gain_ids,
+            self.operating_point,
+            self._u_scale_safe,
+            self.limits,
             self.anti_windup,
         )
 
@@ -553,22 +491,13 @@ class BatchedLQGServo:
         matrices, operating point, limits and anti-windup gain (the
         probe runs from the construction-time state and references,
         which these determine)."""
-        op = self.operating_point
-        limits = self.limits
-        header = [self.n_rows, *self._dims, len(self.sets)]
-        header.append(limits.max_step is not None)
-        parts = [
-            np.array(header, dtype=np.int64),
-            np.array([self.anti_windup]),
-            op.y, op.y_scale, op.u, op.u_scale,
-            limits.lower, limits.upper,
-        ]
-        if limits.max_step is not None:
-            parts.append(limits.max_step)
-        for g in self.sets:
-            parts.extend(getattr(g, name) for name in _FUSED_MATRICES)
-            parts.append(g.integral_mask)
-        return b"".join(np.ascontiguousarray(part).tobytes() for part in parts)
+        header = np.array([self.n_rows, len(self.sets)], dtype=np.int64)
+        context = servo_context_key(
+            self.operating_point, self.limits, self.anti_windup
+        )
+        return b"".join(
+            [header.tobytes(), context, *(g.pack.key for g in self.sets)]
+        )
 
     def _probe_fused(self, kernel) -> bool:
         """Differential gate for the compiled kernel.

@@ -1,15 +1,18 @@
-"""Optional compiled fast paths for the batched fleet hot loops.
+"""Optional compiled fast paths for the per-tick control and fleet loops.
 
-The batched numpy paths spend most of their time dispatching many
-small ufunc/matvec calls per tick.  This module fuses three of those
-loops into C functions that sweep the batch once each, with every
+The numpy paths spend most of their time dispatching many small
+ufunc/matvec calls per tick.  This module fuses three of those loops
+into C functions that sweep their rows once each, with every
 elementwise expression written in scalar evaluation order (compiled
 with ``-ffp-contract=off`` so the compiler cannot fuse or reorder
 anything we did not write explicitly):
 
 * ``fused_servo_step`` — the entire per-row
   ``LQGServoController.step`` recurrence with every dot product
-  inlined (used by :mod:`repro.control.batch`);
+  inlined.  One kernel serves both servos: the fleet's
+  :class:`~repro.control.batch.BatchedLQGServo` steps N rows per call,
+  and the scalar :class:`~repro.control.lqg.LQGServoController` steps
+  its single row (N=1);
 * ``fleet_telemetry`` — the per-row cluster sensor read
   (``soc.read_cluster_telemetry`` mirror in ``platform/fleet.py``);
 * ``opp_snap`` — the per-row DVFS table snap
@@ -37,18 +40,21 @@ The servo step serves a whole gain-scheduled palette at once: it takes
 a table of per-gain-set pointers (matrices, integral mask, per-row
 variant codes) and each row's gain id.  A block of 8 rows sharing one
 gain set steps lane-parallel; a mixed block steps row by row, each row
-with its own set.  On top of the per-row probe,
-:class:`~repro.control.batch.BatchedLQGServo` only enables the kernel
-after an end-to-end differential probe shows the fused step reproduces
-the numpy path bit-for-bit for every gain set, uniform and mixed.
+with its own set.  A gain set's row of that table is built once, by
+:class:`ServoGainPack`, and cached on the immutable
+:class:`~repro.control.lqg.LQGGains`, so both servos share it.  On top
+of the per-row probe, each servo only enables the kernel after an
+end-to-end differential probe shows the fused step reproduces its numpy
+step bit-for-bit: the fleet servo for every gain set, uniform and
+mixed; the scalar servo for each gain set it is switched onto.
 
 The kernel is strictly optional: it compiles lazily with the system C
 compiler into a cached shared object, and any failure (no compiler,
 failed build, unprobeable matrix) falls back to numpy with the reason
-recorded — :func:`unavailable_reason` for the kernel,
-``BatchedLQGServo.fused_reason`` per servo.  ``REPRO_DISABLE_FUSED=1``
-forces the numpy path (used by tests to cover both implementations).
-Nothing here changes results — only how fast they are produced.
+recorded — :func:`unavailable_reason` for the kernel, ``fused_reason``
+per servo.  ``REPRO_DISABLE_FUSED=1`` forces the numpy path (used by
+tests to cover both implementations).  Nothing here changes results —
+only how fast they are produced.
 """
 
 from __future__ import annotations
@@ -63,8 +69,12 @@ import numpy as np
 
 __all__ = [
     "NO_VARIANT",
+    "SERVO_MATRICES",
+    "ServoGainPack",
     "dot_variant",
     "fused_kernel",
+    "servo_context_key",
+    "servo_tail",
     "unavailable_reason",
     "FusedKernel",
 ]
@@ -596,17 +606,25 @@ def _compile(source: str):
     cache = tempfile.gettempdir()
     so_path = os.path.join(cache, f"repro-fused-{digest}.so")
     if not os.path.exists(so_path):
-        c_path = os.path.join(cache, f"repro-fused-{digest}.c")
-        with open(c_path, "w", encoding="utf-8") as handle:
-            handle.write(source)
+        # Source and object are per-process: concurrent first builds in
+        # one temp dir must not truncate each other's input.  The
+        # atomic rename publishes whichever finishes first.
         build_path = so_path + f".build-{os.getpid()}"
-        subprocess.run(
-            ["cc", *_CFLAGS, c_path, "-o", build_path, "-lm"],
-            check=True,
-            capture_output=True,
-            timeout=120,
-        )
-        os.replace(build_path, so_path)
+        c_path = build_path + ".c"
+        try:
+            with open(c_path, "w", encoding="utf-8") as handle:
+                handle.write(source)
+            subprocess.run(
+                ["cc", *_CFLAGS, c_path, "-o", build_path, "-lm"],
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
+            os.replace(build_path, so_path)
+        finally:
+            for leftover in (c_path, build_path):
+                if os.path.exists(leftover):
+                    os.remove(leftover)
     return ctypes.CDLL(so_path)
 
 
@@ -857,6 +875,152 @@ def _dot_variant_probe(kernel: FusedKernel, matrix: np.ndarray) -> np.ndarray:
             (code for code in candidates if reproduces(code, i)), NO_VARIANT
         )
     return codes
+
+
+# The gain matrices the servo kernel reduces, in its gain_pack order;
+# the integral mask and the per-matrix variant codes follow them.
+SERVO_MATRICES = (
+    "C",
+    "A",
+    "B",
+    "D",
+    "L",
+    "neg_K_state",
+    "K_integral",
+    "K_integral_pinv",
+)
+
+
+class ServoGainPack:
+    """One gain set laid out for ``fused_servo_step``.
+
+    Holds the contiguous matrices the kernel reads (:data:`SERVO_MATRICES`
+    and ``integral_mask``), their per-row dot variants and ``row``, the
+    set's ``(1, 17)`` row of the kernel's gain-pack table.  ``row`` is
+    ``None`` without a kernel, or when some matrix row has no bit-exact
+    inlined reduction on this machine (``gap`` names it).  ``key`` is
+    the set's content, for the servos' probe memos.
+
+    Built once per gain set and cached on the immutable
+    :class:`~repro.control.lqg.LQGGains` (``fused_pack``), so the
+    scalar and fleet servos share one pack.  ``row`` holds this
+    process's addresses: the pack never crosses a pickle.
+    """
+
+    def __init__(self, gains) -> None:
+        model = gains.model
+        self.C = np.ascontiguousarray(model.C)  # repro: shape[(p, n) f8]
+        self.A = np.ascontiguousarray(model.A)  # repro: shape[(n, n) f8]
+        self.B = np.ascontiguousarray(model.B)  # repro: shape[(n, m) f8]
+        self.D = np.ascontiguousarray(model.D)  # repro: shape[(p, m) f8]
+        self.L = np.ascontiguousarray(gains.L)  # repro: shape[(n, p) f8]
+        self.neg_K_state = np.ascontiguousarray(  # repro: shape[(m, n) f8]
+            -gains.K_state
+        )
+        self.K_integral = np.ascontiguousarray(  # repro: shape[(m, p) f8]
+            gains.K_integral
+        )
+        self.K_integral_pinv = np.ascontiguousarray(  # repro: shape[(p, m) f8]
+            gains.K_integral_pinv
+        )
+        self.integral_mask = np.ascontiguousarray(  # repro: shape[(p,) f8]
+            gains.integral_mask
+        )
+        matrices = [getattr(self, name) for name in SERVO_MATRICES]
+        dims = np.array(self.B.shape + self.C.shape, dtype=np.int64)
+        self.key = b"".join(
+            part.tobytes() for part in [dims, *matrices, self.integral_mask]
+        )
+        self.variants = None  # repro: shape[(3*n+3*p+2*m,) i1 | none]
+        self.row = None  # repro: shape[(1, 17) i8 | none]
+        self.gap: str | None = None
+        kernel = fused_kernel()
+        if kernel is None:
+            return
+        codes = []
+        for name, matrix in zip(SERVO_MATRICES, matrices):
+            rows = dot_variant(kernel, matrix)
+            missing = np.flatnonzero(rows == NO_VARIANT)
+            if missing.size:
+                self.gap = f"no bit-exact dot variant: {name} row {missing[0]}"
+                return
+            codes.append(rows)
+        self.variants = np.concatenate(codes)
+        base = self.variants.ctypes.data
+        starts = np.cumsum([0] + [matrix.shape[0] for matrix in matrices])
+        self.row = np.array(
+            [
+                [matrix.ctypes.data for matrix in matrices]
+                + [self.integral_mask.ctypes.data]
+                + [base + int(start) for start in starts[:-1]]
+            ],
+            dtype=np.int64,
+        )
+
+
+def servo_context_key(operating_point, limits, anti_windup: float) -> bytes:
+    """Content key of everything a servo's differential probe reads
+    besides its gain sets: operating point, limits, anti-windup gain."""
+    op = operating_point
+    parts = [
+        np.array([limits.max_step is not None], dtype=np.int64),
+        np.array([anti_windup], dtype=float),
+        op.y, op.y_scale, op.u, op.u_scale,
+        limits.lower, limits.upper,
+    ]
+    if limits.max_step is not None:
+        parts.append(limits.max_step)
+    return b"".join(np.ascontiguousarray(part).tobytes() for part in parts)
+
+
+def servo_tail(
+    dr,
+    X,
+    Z,
+    DU,
+    U_prev,
+    U_out,
+    packs,
+    gain_ids,
+    operating_point,
+    u_scale_safe,
+    limits,
+    anti_windup: float,
+) -> tuple:
+    """Raw arguments of ``fused_servo_step`` after ``Y``, for
+    :meth:`FusedKernel.servo_step_ptrs`.
+
+    Row-major ``(N, ·)`` state buffers (a length-k vector is one
+    ``(1, k)`` row), the ``(G, 17)`` gain-pack table and the ``(N,)``
+    int8 gain ids, then the operating point and limits.  The addresses
+    stay valid only while every buffer is updated in place; a caller
+    that replaces one must rebuild the tuple.
+    """
+    op = operating_point
+    if limits.max_step is None:
+        step_ptr, has_step = limits.lower.ctypes.data, 0
+    else:
+        step_ptr, has_step = limits.max_step.ctypes.data, 1
+    return (
+        dr.ctypes.data,
+        X.ctypes.data,
+        Z.ctypes.data,
+        DU.ctypes.data,
+        U_prev.ctypes.data,
+        U_out.ctypes.data,
+        packs.ctypes.data,
+        gain_ids.ctypes.data,
+        op.y.ctypes.data,
+        op.y_scale.ctypes.data,
+        op.u.ctypes.data,
+        op.u_scale.ctypes.data,
+        u_scale_safe.ctypes.data,
+        limits.lower.ctypes.data,
+        limits.upper.ctypes.data,
+        step_ptr,
+        has_step,
+        float(anti_windup),
+    )
 
 
 _KERNEL: FusedKernel | None = None

@@ -16,6 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.control.fused import (
+    ServoGainPack,
+    fused_kernel,
+    servo_context_key,
+    servo_tail,
+    unavailable_reason,
+)
 from repro.control.riccati import kalman_gain, lqr_gain
 from repro.control.statespace import ModelError, OperatingPoint, StateSpaceModel
 
@@ -46,6 +53,13 @@ class LQGGains:
         else:
             self.integral_mask = np.asarray(self.integral_mask, float).ravel()
         self._K_integral_pinv: np.ndarray | None = None
+        self._fused_pack: ServoGainPack | None = None
+
+    def __getstate__(self) -> dict:
+        # The kernel pack holds this process's raw addresses.
+        state = self.__dict__.copy()
+        state["_fused_pack"] = None
+        return state
 
     @property
     def K_integral_pinv(self) -> np.ndarray:
@@ -60,6 +74,20 @@ class LQGGains:
             pinv = np.linalg.pinv(self.K_integral)
             self._K_integral_pinv = pinv
         return pinv
+
+    @property
+    def fused_pack(self) -> ServoGainPack:
+        """This gain set's compiled-servo pack, built once per gain set.
+
+        Contiguous matrices, per-row dot variants and the kernel's
+        gain-pack row, shared by every scalar and fleet servo that
+        runs these gains (building it per servo would cost more than
+        the kernel saves).
+        """
+        pack = self._fused_pack
+        if pack is None:
+            pack = self._fused_pack = ServoGainPack(self)
+        return pack
 
     @property
     def n_inputs(self) -> int:
@@ -224,6 +252,15 @@ class ActuatorLimits:
         return np.minimum(np.maximum(clipped, self.lower), self.upper)
 
 
+# Differential-probe verdicts of the scalar servo's compiled step, keyed
+# by gain-set content and servo context (see
+# LQGServoController._select_step).  The probe is deterministic and
+# starts from a canonical state, so identical keys always re-derive the
+# same verdict; every run_scenario rebuilds its managers and would
+# otherwise repeat the probe.
+_PROBE_MEMO: dict[tuple[bytes, bytes], bool] = {}
+
+
 class LQGServoController:
     """Runtime LQG tracking controller with hot-swappable gains.
 
@@ -232,6 +269,12 @@ class LQGServoController:
     of the identified model.  Anti-windup back-calculation keeps the
     error integrators honest when actuators saturate (always the case
     near the frequency/core-count rails of the Exynos platform).
+
+    :meth:`step` runs the compiled servo kernel of
+    :mod:`repro.control.fused` on its single row wherever a
+    differential probe shows it reproduces the numpy step bit-for-bit
+    for the active gain set; ``fused_reason`` is ``None`` then, and
+    otherwise says why the numpy step runs.
     """
 
     def __init__(
@@ -252,15 +295,36 @@ class LQGServoController:
         self.operating_point = operating_point
         self.limits = limits
         self.anti_windup = float(anti_windup)
+        n, m, p = gains.n_states, gains.n_inputs, gains.n_outputs
         self._reference = operating_point.y.copy()
         self._reference_key = self._reference.tolist()
-        self._dr = operating_point.normalize_y(self._reference)
         # Divisor for anti-windup excess, with zero scales neutralized;
         # constant per operating point, precomputed off the hot path.
         self._u_scale_safe = np.where(
             operating_point.u_scale == 0, 1.0, operating_point.u_scale
         )
+        # State, normalized reference and the kernel's measurement and
+        # command rows are fixed buffers that both step paths update in
+        # place, so the kernel's captured addresses stay valid.  Each
+        # length-k vector is the kernel's single (1, k) row.
+        self._xhat = np.zeros(n, dtype=float)
+        self._z = np.zeros(p, dtype=float)
+        self._du_prev = np.zeros(m, dtype=float)
+        self._u_prev = operating_point.u.copy()
+        self._dr = operating_point.normalize_y(self._reference)
+        self._y_row = np.zeros(p, dtype=float)
+        self._u_row = np.zeros(m, dtype=float)
+        self._packs = np.zeros((1, 17), dtype=np.int64)
+        self._gain_ids = np.zeros(1, dtype=np.int8)
+        self._dims = (n, m, p)
+        self._y_ptr = self._y_row.ctypes.data
         self.reset()
+        self._context_key = servo_context_key(
+            operating_point, limits, self.anti_windup
+        )
+        self._fused = None
+        self._tail: tuple | None = None
+        self.fused_reason = self._select_step()
 
     # ------------------------------------------------------------------
     @property
@@ -283,7 +347,7 @@ class LQGServoController:
         self._reference = reference
         self._reference_key = reference.tolist()
         # Normalized once here instead of every step.
-        self._dr = self.operating_point.normalize_y(reference)
+        self._dr[...] = self.operating_point.normalize_y(reference)
 
     def switch_gains(self, gains: LQGGains, *, bumpless: bool = True) -> None:
         """Hot-swap the gain set (supervisory gain scheduling).
@@ -305,18 +369,22 @@ class LQGServoController:
             raise ModelError("gain set dimensions incompatible with controller")
         self.gains = gains
         if bumpless:
-            # du = -Ks@xhat - Ki@z; continuity (du == du_prev) requires
-            # Ki@z = -Ks@xhat - du_prev, solved in the least-squares
-            # sense and masked to the active integrators.
-            rhs = -(gains.K_state @ self._xhat) - self._du_prev
-            z = gains.K_integral_pinv @ rhs
-            self._z = z * gains.integral_mask
+            self._resolve_integrators(gains)
+        self.fused_reason = self._select_step()
+
+    def _resolve_integrators(self, gains: LQGGains) -> None:
+        # du = -Ks@xhat - Ki@z; continuity (du == du_prev) requires
+        # Ki@z = -Ks@xhat - du_prev, solved in the least-squares
+        # sense and masked to the active integrators.
+        rhs = -(gains.K_state @ self._xhat) - self._du_prev
+        z = gains.K_integral_pinv @ rhs
+        self._z[...] = z * gains.integral_mask
 
     def reset(self) -> None:
-        self._xhat = np.zeros(self.gains.n_states, dtype=float)
-        self._z = np.zeros(self.gains.n_outputs, dtype=float)
-        self._du_prev = np.zeros(self.gains.n_inputs, dtype=float)
-        self._u_prev = self.operating_point.u.copy()
+        self._xhat[...] = 0.0
+        self._z[...] = 0.0
+        self._du_prev[...] = 0.0
+        self._u_prev[...] = self.operating_point.u
         self.invocations = 0
 
     # ------------------------------------------------------------------
@@ -333,27 +401,42 @@ class LQGServoController:
         numpy.ndarray
             Physical actuator vector ``u(t)``, saturated to limits.
         """
-        g = self.gains
+        kernel = self._fused
+        if kernel is None:
+            return self._step_numpy(measured_outputs)
+        return self._step_fused(measured_outputs, kernel)
+
+    def _step_fused(self, measured_outputs, kernel) -> np.ndarray:
+        """The step as one compiled call on this servo's single row."""
+        self._y_row[:] = measured_outputs
+        n, m, p = self._dims
+        kernel.servo_step_ptrs(1, n, m, p, self._y_ptr, self._tail)
+        self.invocations += 1
+        return self._u_row.copy()
+
+    def _step_numpy(self, measured_outputs) -> np.ndarray:
+        """The reference step: the recurrence the kernel reproduces.
+
+        It reads the gain set's contiguous kernel pack, exactly the
+        matrices the kernel reads: BLAS reduces a product with an
+        F-ordered matrix (an identified ``L`` can be one) in another
+        order than with its C-ordered copy.
+        """
+        g = self.gains.fused_pack
         op = self.operating_point
-        model = g.model
-        du_prev = self._du_prev
+        xhat, z, du_prev = self._xhat, self._z, self._du_prev
         y = np.asarray(measured_outputs, dtype=float).ravel()
         dy = op.normalize_y(y)
-        dr = self._dr  # normalized in set_reference, not per step
 
         # Predictor-form Kalman update using last interval's input.
-        y_pred = model.C @ self._xhat + model.D @ du_prev
-        self._xhat = (
-            model.A @ self._xhat
-            + model.B @ du_prev
-            + g.L @ (dy - y_pred)
-        )
+        y_pred = g.C @ xhat + g.D @ du_prev
+        xhat[...] = g.A @ xhat + g.B @ du_prev + g.L @ (dy - y_pred)
 
         # Tracking-error integrators (masked: de-prioritized outputs do
         # not accumulate, so a later gain switch starts them clean).
-        self._z = self._z + g.integral_mask * (dr - dy)
+        z += g.integral_mask * (self._dr - dy)
 
-        du = -g.K_state @ self._xhat - g.K_integral @ self._z
+        du = g.neg_K_state @ xhat - g.K_integral @ z
         u_raw = op.denormalize_u(du)
         u = self.limits.clip(u_raw, previous=self._u_prev)
 
@@ -362,14 +445,98 @@ class LQGServoController:
         # du = -Kz z, achieving ddu = -excess requires dz = pinv(Kz) @ excess.
         excess = (u_raw - u) / self._u_scale_safe
         if excess.any():
-            correction = g.K_integral_pinv @ excess
-            self._z = self._z + self.anti_windup * correction
+            z += self.anti_windup * (g.K_integral_pinv @ excess)
 
-        self._du_prev = op.normalize_u(u)
-        self._u_prev = u.copy()
+        du_prev[...] = op.normalize_u(u)
+        self._u_prev[...] = u
         self.invocations += 1
         return u
 
+    # ------------------------------------------------------------------
+    def _select_step(self) -> str | None:
+        """Enable the compiled step for the active gains, or return why
+        the numpy step runs instead."""
+        self._fused = None
+        kernel = fused_kernel()
+        if kernel is None:
+            return unavailable_reason()
+        if not kernel.fits(*self._dims):
+            return "dims"
+        pack = self.gains.fused_pack
+        if pack.gap is not None:
+            return pack.gap
+        self._packs[...] = pack.row
+        if self._tail is None:
+            self._tail = servo_tail(
+                self._dr,
+                self._xhat,
+                self._z,
+                self._du_prev,
+                self._u_prev,
+                self._u_row,
+                self._packs,
+                self._gain_ids,
+                self.operating_point,
+                self._u_scale_safe,
+                self.limits,
+                self.anti_windup,
+            )
+        key = (pack.key, self._context_key)
+        verdict = _PROBE_MEMO.get(key)
+        if verdict is None:
+            verdict = self._probe_fused(kernel)
+            if len(_PROBE_MEMO) < 256:
+                _PROBE_MEMO[key] = verdict
+        if not verdict:
+            return "differential probe mismatch"
+        self._fused = kernel
+        return None
+
+    def _probe_fused(self, kernel) -> bool:
+        """Differential gate for the compiled step on the active gains.
+
+        Runs the numpy and the fused step over identical random
+        measurements from one canonical start (zero estimator state at
+        the operating point), at three magnitudes so the slew and
+        bound limits and anti-windup fire, changing the reference and
+        re-solving the integrators as a bumpless gain switch does
+        between magnitudes.  The kernel is enabled only when every
+        command and every state vector agrees bit-for-bit.  The
+        controller's own state is restored afterwards, and the
+        canonical start makes the verdict a function of the memo key.
+        """
+        op = self.operating_point
+        state = (self._xhat, self._z, self._du_prev, self._u_prev, self._dr)
+        saved = [vector.copy() for vector in state]
+        invocations = self.invocations
+        runs = []
+        try:
+            for fused in (False, True):
+                self.reset()
+                rng = np.random.default_rng(0x5CA1A)
+                trace = []
+                for scale in (0.5, 3.0, 50.0):
+                    self._dr[...] = op.normalize_y(
+                        op.y + op.y_scale * rng.standard_normal(op.y.size)
+                    )
+                    for _ in range(4):
+                        y = op.y + op.y_scale * scale * rng.standard_normal(
+                            op.y.size
+                        )
+                        if fused:
+                            u = self._step_fused(y, kernel)
+                        else:
+                            u = self._step_numpy(y)
+                        trace.extend(v.tobytes() for v in (u, *state))
+                    self._resolve_integrators(self.gains)
+                runs.append(trace)
+        finally:
+            for vector, value in zip(state, saved):
+                vector[...] = value
+            self.invocations = invocations
+        return runs[0] == runs[1]
+
+    # ------------------------------------------------------------------
     def predicted_outputs(self) -> np.ndarray:
         """Physical output vector the Kalman observer currently expects.
 

@@ -2,7 +2,9 @@
 
 ``profile <manager>`` runs one three-phase scenario with a
 :class:`~repro.perf.profiler.StepProfiler` attached and prints the
-per-stage hotspot table plus end-to-end throughput.
+per-stage hotspot table plus end-to-end throughput, then each LQG
+servo's step path: ``compiled`` (the fused kernel) or ``numpy`` with
+the servo's ``fused_reason``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,24 @@ def _resolve_workload(name: str):
     )
 
 
+def _servo_report(manager) -> str:
+    """One line per LQG servo of ``manager``: its step path and, on
+    the numpy path, why (``fused_reason``)."""
+    from repro.control.lqg import LQGServoController
+
+    servos = []
+    for value in vars(manager).values():
+        servo = getattr(value, "controller", value)
+        if isinstance(servo, LQGServoController):
+            servos.append(servo)
+    lines = [f"{'servo':<14} {'path':<9} fused_reason"]
+    for servo in servos:
+        path = "numpy" if servo._fused is None else "compiled"
+        reason = servo.fused_reason if servo._fused is None else "-"
+        lines.append(f"{servo.name:<14} {path:<9} {reason}")
+    return "\n".join(lines)
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
     # Heavy imports stay inside the command so ``--help`` is instant.
     from repro.experiments.figures import identified_systems, manager_factory
@@ -59,6 +79,12 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     factory = manager_factory(manager_name, systems)
 
     profiler = StepProfiler()
+    managers = []
+
+    def manager_setup(manager) -> None:
+        managers.append(manager)
+        profiler.attach_manager(manager)
+
     t0 = time.perf_counter()
     trace = run_scenario(
         factory,
@@ -66,7 +92,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         scenario,
         seed=args.seed,
         soc_setup=profiler.attach_soc,
-        manager_setup=profiler.attach_manager,
+        manager_setup=manager_setup,
     )
     elapsed = time.perf_counter() - t0
     profiler.detach()
@@ -74,6 +100,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     steps = len(trace.times)
     print()
     print(profiler.report(steps_per_s=steps / elapsed if elapsed > 0 else 0.0))
+    for manager in managers:
+        print()
+        print(_servo_report(manager))
     return 0
 
 

@@ -193,3 +193,38 @@ class TestFusedCoverage:
             pytest.skip(servos[0].fused_reason)
         assert [s.fused_reason for s in servos] == [None] * len(servos)
         assert all(s._fused is not None for s in servos)
+
+
+class TestCompileRace:
+    def test_concurrent_first_builds_both_get_a_kernel(self, tmp_path):
+        # Two fresh interpreters build the kernel into one empty temp
+        # dir at the same time; neither may see the other's half-written
+        # source.
+        code = (
+            "from repro.control.fused import unavailable_reason\n"
+            "print(unavailable_reason())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {
+            **os.environ,
+            "PYTHONPATH": src,
+            "TMPDIR": str(tmp_path),
+        }
+        env.pop("REPRO_DISABLE_FUSED", None)
+        workers = [
+            subprocess.Popen(
+                [sys.executable, "-c", code],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for _ in range(2)
+        ]
+        outputs = [worker.communicate(timeout=300) for worker in workers]
+        for stdout, stderr in outputs:
+            assert stdout.strip() == "None", stderr
+        # One published object; no per-process source or object left.
+        leftovers = sorted(path.name for path in tmp_path.iterdir())
+        assert len(leftovers) == 1 and leftovers[0].endswith(".so"), leftovers
+

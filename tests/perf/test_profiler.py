@@ -133,6 +133,19 @@ class TestCLI:
         assert "SPECTR" in out
         assert "steps/s" in out
 
+    @pytest.mark.parametrize("manager", ["spectr", "fs"])
+    def test_profile_command_prints_each_servo_path(self, manager, capsys):
+        from repro.control.fused import fused_kernel
+        from repro.perf.cli import main
+
+        main(["profile", manager, "--duration", "1.5"])
+        out = capsys.readouterr().out
+        table = out[out.index("fused_reason") :].splitlines()[1:]
+        names = ["fs-4x2"] if manager == "fs" else ["big-mimo", "little-mimo"]
+        assert [line.split()[0] for line in table] == names
+        expected = "compiled" if fused_kernel() is not None else "numpy"
+        assert all(line.split()[1] == expected for line in table), table
+
     def test_unknown_manager_is_rejected(self):
         from repro.perf.cli import main
 

@@ -670,6 +670,28 @@ class TestServoStateDifferential:
                 assert np.array_equal(u_batch[row], u_scalar), (row, tick)
                 _assert_state_equal(batched, scalar, row, tick)
 
+    def test_fs_rows_match_scalar_state_bitwise(self, systems):
+        # FS's identified L is F-ordered, and BLAS reduces L @ v in
+        # another order than over a C-ordered copy; both servos must
+        # read the same contiguous gain pack.
+        soc = ExynosSoC(config=SoCConfig(seed=1))
+        template = manager_factory("FS", systems)(
+            soc, ManagerGoals(60.0, 5.0)
+        ).controller
+        gains, limits = template.gains, template.limits
+        op = template.operating_point
+        batched = BatchedLQGServo([gains], op, limits, 3)
+        scalars = [LQGServoController(gains, op, limits) for _ in range(3)]
+        rng = np.random.default_rng(18)
+        for tick in range(120):
+            scale = (0.5, 3.0, 50.0)[tick % 3]
+            measured = op.y + op.y_scale * scale * rng.standard_normal((3, 2))
+            u_batch = batched.step(measured)
+            for row, scalar in enumerate(scalars):
+                u_scalar = scalar.step(measured[row])
+                assert np.array_equal(u_batch[row], u_scalar), (row, tick)
+                _assert_state_equal(batched, scalar, row, tick)
+
     def test_mixed_gain_rows_match_scalar_state_bitwise(self, systems):
         batched, scalars, palette = _servo_pair(systems.big, 4)
         op = systems.big.operating_point
