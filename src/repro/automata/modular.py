@@ -20,11 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.automata.automaton import Automaton, State
-from repro.automata.operations import (
-    compose_all,
-    is_nonblocking,
-    synchronous_composition,
-)
+from repro.automata.operations import compose_all, is_nonblocking
 from repro.automata.synthesis import SynthesisResult, synthesize_supervisor
 
 

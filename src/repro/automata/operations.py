@@ -29,45 +29,98 @@ def synchronous_composition(
 
     Marked states are pairs of marked states (``M_A x M_B``); a composite
     state is forbidden if either component is forbidden.  Only the
-    reachable part of the product is constructed.
+    reachable part of the product is constructed, breadth-first from
+    the initial pair with events in sorted order.
+
+    The walk reads both factors' transition maps directly and fills the
+    composite's tables in the order the checked ``add_state`` /
+    ``add_transition`` calls would, keeping their determinism check:
+    two pairs whose dotted names collide (``x.y``+``z`` and ``x``+``y.z``)
+    still raise :class:`AutomatonError`.  The edge-at-a-time version
+    through the public API is the test oracle
+    (``tests/automata/explicit_oracle.py``).
     """
     alphabet = a.alphabet.union(b.alphabet)
     composed = Automaton(name or f"{a.name}||{b.name}", alphabet)
-    initial = a.initial.compose(b.initial)
-    composed.add_state(
-        initial,
-        marked=a.is_marked(a.initial) and b.is_marked(b.initial),
-        forbidden=a.is_forbidden(a.initial) or b.is_forbidden(b.initial),
-        initial=True,
-    )
+    names_a = a.alphabet.names()
+    names_b = b.alphabet.names()
+    # One plan for the whole walk: the union alphabet in sorted order,
+    # with each event's membership in either factor.
+    plan = [
+        (event, event.name, event.name in names_a, event.name in names_b)
+        for event in alphabet
+    ]
+    out_a = _out_edges(a)
+    out_b = _out_edges(b)
+    marked_a, marked_b = a._marked, b._marked
+    forbidden_a, forbidden_b = a._forbidden, b._forbidden
+    states = composed._states
+    delta = composed._delta
+    enabled = composed._enabled
+    marked = composed._marked
+    forbidden = composed._forbidden
+    no_edges: dict[str, State] = {}
 
-    frontier: deque[tuple[State, State]] = deque([(a.initial, b.initial)])
-    visited: set[tuple[State, State]] = {(a.initial, b.initial)}
+    def visit(state_a: State, state_b: State) -> State:
+        label = State(f"{state_a.name}.{state_b.name}")
+        states[label.name] = label
+        if state_a in marked_a and state_b in marked_b:
+            marked.add(label)
+        if state_a in forbidden_a or state_b in forbidden_b:
+            forbidden.add(label)
+        return label
+
+    initial_a, initial_b = a.initial, b.initial
+    composed._initial = visit(initial_a, initial_b)
+    # Pairs are keyed by component names: State equality is name
+    # equality, and str hashes are cached.
+    labels: dict[tuple[str, str], State] = {
+        (initial_a.name, initial_b.name): composed._initial
+    }
+    frontier: deque[tuple[State, State]] = deque([(initial_a, initial_b)])
 
     while frontier:
         state_a, state_b = frontier.popleft()
-        source = state_a.compose(state_b)
-        for event in alphabet:
-            in_a = event in a.alphabet
-            in_b = event in b.alphabet
-            next_a = a.step(state_a, event) if in_a else state_a
-            next_b = b.step(state_b, event) if in_b else state_b
-            if in_a and next_a is None:
-                continue
-            if in_b and next_b is None:
-                continue
-            assert next_a is not None and next_b is not None
-            target = next_a.compose(next_b)
-            if (next_a, next_b) not in visited:
-                visited.add((next_a, next_b))
-                composed.add_state(
-                    target,
-                    marked=a.is_marked(next_a) and b.is_marked(next_b),
-                    forbidden=a.is_forbidden(next_a) or b.is_forbidden(next_b),
-                )
+        source = labels[state_a.name, state_b.name]
+        succ_a = out_a.get(state_a.name, no_edges)
+        succ_b = out_b.get(state_b.name, no_edges)
+        fired: list[Event] = []
+        for event, event_name, in_a, in_b in plan:
+            if in_a:
+                next_a = succ_a.get(event_name)
+                if next_a is None:
+                    continue
+            else:
+                next_a = state_a
+            if in_b:
+                next_b = succ_b.get(event_name)
+                if next_b is None:
+                    continue
+            else:
+                next_b = state_b
+            key = (next_a.name, next_b.name)
+            target = labels.get(key)
+            if target is None:
+                target = labels[key] = visit(next_a, next_b)
                 frontier.append((next_a, next_b))
-            composed.add_transition(source, event, target)
+            existing = delta.setdefault((source, event), target)
+            if existing is not target and existing != target:
+                raise AutomatonError(
+                    f"nondeterministic transition in {composed.name!r}: "
+                    f"{source} on {event.name} goes to both {existing} and {target}"
+                )
+            fired.append(event)
+        if fired:
+            enabled.setdefault(source, set()).update(fired)
     return composed
+
+
+def _out_edges(automaton: Automaton) -> dict[str, dict[str, State]]:
+    """``automaton``'s transition map as state name -> event name -> target."""
+    out: dict[str, dict[str, State]] = {}
+    for (source, event), target in automaton._delta.items():
+        out.setdefault(source.name, {})[event.name] = target
+    return out
 
 
 def compose_all(automata: Iterable[Automaton], name: str | None = None) -> Automaton:
@@ -75,6 +128,9 @@ def compose_all(automata: Iterable[Automaton], name: str | None = None) -> Autom
     items = list(automata)
     if not items:
         raise AutomatonError("compose_all requires at least one automaton")
+    if len(items) == 1:
+        # Never rename the caller's automaton in place.
+        return items[0] if name is None else items[0].copy(name)
     result = items[0]
     for other in items[1:]:
         result = synchronous_composition(result, other)

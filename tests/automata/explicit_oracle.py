@@ -1,11 +1,16 @@
-"""Explicit-state reference implementations of synthesis and verification.
+"""Explicit-state reference implementations of composition, synthesis
+and verification.
 
-These are the original state-at-a-time algorithms the bitset kernel
-replaced: the Ramadge-Wonham fixpoint over a Python-enumerated product,
-and the closed-loop nonblocking / controllability walks over a
-materialized ``plant || supervisor``.  They exist only as test oracles —
-the equivalence suites require :func:`repro.automata.synthesize_supervisor`
-and :func:`repro.automata.verify_supervisor` to reproduce them
+These are the original state-at-a-time algorithms the fast paths
+replaced: the synchronous product built through the checked
+:class:`~repro.automata.automaton.Automaton` API one edge at a time,
+the Ramadge-Wonham fixpoint over a Python-enumerated product, and the
+closed-loop nonblocking / controllability walks over a materialized
+``plant || supervisor``.  They exist only as test oracles — the
+equivalence suites require
+:func:`repro.automata.synchronous_composition`,
+:func:`repro.automata.synthesize_supervisor` and
+:func:`repro.automata.verify_supervisor` to reproduce them
 field-for-field and byte-for-byte.
 
 The synthesis oracle runs the extension pass on the same canonical
@@ -25,7 +30,6 @@ from repro.automata.operations import (
     blocking_states,
     coaccessible_states,
     is_nonblocking,
-    synchronous_composition,
 )
 from repro.automata.synthesis import (
     ProductState,
@@ -40,9 +44,65 @@ from repro.automata.verification import (
 
 __all__ = [
     "explicit_check_controllability",
+    "explicit_compose_all",
+    "explicit_synchronous_composition",
     "explicit_synthesize_supervisor",
     "explicit_verify_supervisor",
 ]
+
+
+def explicit_synchronous_composition(
+    a: Automaton, b: Automaton, name: str | None = None
+) -> Automaton:
+    """``A || B`` one checked edge at a time: the same FIFO walk and
+    sorted event order as :func:`repro.automata.synchronous_composition`,
+    going through ``step``, ``is_marked``, ``add_state`` and
+    ``add_transition`` for every edge."""
+    alphabet = a.alphabet.union(b.alphabet)
+    composed = Automaton(name or f"{a.name}||{b.name}", alphabet)
+    initial = a.initial.compose(b.initial)
+    composed.add_state(
+        initial,
+        marked=a.is_marked(a.initial) and b.is_marked(b.initial),
+        forbidden=a.is_forbidden(a.initial) or b.is_forbidden(b.initial),
+        initial=True,
+    )
+
+    frontier: deque[tuple[State, State]] = deque([(a.initial, b.initial)])
+    visited: set[tuple[State, State]] = {(a.initial, b.initial)}
+
+    while frontier:
+        state_a, state_b = frontier.popleft()
+        source = state_a.compose(state_b)
+        for event in alphabet:
+            in_a = event in a.alphabet
+            in_b = event in b.alphabet
+            next_a = a.step(state_a, event) if in_a else state_a
+            next_b = b.step(state_b, event) if in_b else state_b
+            if in_a and next_a is None:
+                continue
+            if in_b and next_b is None:
+                continue
+            assert next_a is not None and next_b is not None
+            target = next_a.compose(next_b)
+            if (next_a, next_b) not in visited:
+                visited.add((next_a, next_b))
+                composed.add_state(
+                    target,
+                    marked=a.is_marked(next_a) and b.is_marked(next_b),
+                    forbidden=a.is_forbidden(next_a) or b.is_forbidden(next_b),
+                )
+                frontier.append((next_a, next_b))
+            composed.add_transition(source, event, target)
+    return composed
+
+
+def explicit_compose_all(automata: list[Automaton]) -> Automaton:
+    """Left fold of :func:`explicit_synchronous_composition`."""
+    result = automata[0]
+    for other in automata[1:]:
+        result = explicit_synchronous_composition(result, other)
+    return result
 
 
 def _build_product(
@@ -206,7 +266,7 @@ def explicit_verify_supervisor(
     plant: Automaton, supervisor: Automaton
 ) -> VerificationReport:
     """Materializes ``plant || supervisor`` and walks it with Python sets."""
-    closed_loop = synchronous_composition(
+    closed_loop = explicit_synchronous_composition(
         plant, supervisor, name=f"{plant.name}||{supervisor.name}"
     )
     controllable, violations = explicit_check_controllability(plant, supervisor)

@@ -105,6 +105,14 @@ class TestModularSynthesis:
         assert composite.step(state, "a") is None  # second 'a' disabled
         assert composite.step(state, "b") is not None
 
+    def test_single_spec_renames_nothing_it_was_given(self):
+        spec = cap_spec("a", 1, "capA")
+        result = synthesize_modular(loop_plant(), [spec])
+        assert spec.name == "capA"
+        assert result.supervisors[0].supervisor.name == "S(P)"
+        assert result.composite.name == "modular-composite"
+        assert result.is_valid_decomposition
+
     def test_needs_at_least_one_spec(self):
         with pytest.raises(ValueError):
             synthesize_modular(loop_plant(), [])

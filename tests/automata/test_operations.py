@@ -1,9 +1,21 @@
 """Tests for synchronous composition and reachability operators."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
-from repro.automata.automaton import AutomatonError, State, automaton_from_table
-from repro.automata.events import Alphabet, controllable, uncontrollable
+from repro.automata.automaton import (
+    Automaton,
+    AutomatonError,
+    State,
+    automaton_from_table,
+)
+from repro.automata.events import (
+    Alphabet,
+    AlphabetError,
+    controllable,
+    uncontrollable,
+)
 from repro.automata.operations import (
     accessible,
     accessible_states,
@@ -14,6 +26,23 @@ from repro.automata.operations import (
     is_nonblocking,
     synchronous_composition,
     trim,
+)
+from repro.core.alphabet import case_study_alphabet
+from repro.core.plant_model import (
+    gain_mode_plant,
+    power_capping_plant,
+    qos_tracking_plant,
+)
+from repro.core.scalable import (
+    fleet_alphabet,
+    fleet_plant_components,
+    scalable_alphabet,
+    scalable_plant_components,
+)
+from repro.core.specification import budget_lock_spec, three_band_spec
+from tests.automata.explicit_oracle import (
+    explicit_compose_all,
+    explicit_synchronous_composition,
 )
 
 SHARED = controllable("shared")
@@ -111,6 +140,139 @@ class TestSynchronousComposition:
     def test_compose_all_single(self):
         a = automaton_a()
         assert compose_all([a]) is a
+
+    def test_compose_all_single_named_leaves_input_alone(self):
+        a = automaton_a()
+        named = compose_all([a], name="X")
+        assert named is not a
+        assert named.name == "X"
+        assert a.name == "A"
+        named.name = a.name
+        assert_same_automaton(named, a)
+
+    def test_alphabet_conflict_rejected(self):
+        clash = automaton_from_table(
+            "C",
+            Alphabet.of([uncontrollable("shared")]),
+            transitions=[("C0", "shared", "C0")],
+            initial="C0",
+        )
+        with pytest.raises(AlphabetError):
+            synchronous_composition(automaton_a(), clash)
+
+
+def assert_same_automaton(fast: Automaton, oracle: Automaton) -> None:
+    """Equal tables in equal insertion order, not merely isomorphic."""
+    assert fast.name == oracle.name
+    assert list(fast.alphabet._events.items()) == list(
+        oracle.alphabet._events.items()
+    )
+    assert list(fast._states.items()) == list(oracle._states.items())
+    assert list(fast._delta.items()) == list(oracle._delta.items())
+    assert list(fast._enabled.items()) == list(oracle._enabled.items())
+    assert fast._marked == oracle._marked
+    assert fast._forbidden == oracle._forbidden
+    assert fast.initial == oracle.initial
+
+
+SHARED_EVENTS = [controllable("s1"), uncontrollable("s2")]
+PRIVATE_LEFT = [controllable("l1"), uncontrollable("l2")]
+PRIVATE_RIGHT = [controllable("r1"), uncontrollable("r2")]
+# Dotted names let two different pairs compose to the same label.
+DOTTED_NAMES = ["x", "y", "z", "x.y", "y.z"]
+
+
+@st.composite
+def factors(draw, name, private):
+    events = [e for e in SHARED_EVENTS + private if draw(st.booleans())]
+    events = events or [private[0]]
+    names = draw(
+        st.lists(
+            st.sampled_from(DOTTED_NAMES), min_size=1, max_size=5, unique=True
+        )
+    )
+    automaton = Automaton(name, Alphabet.of(events))
+    for state in names:
+        # Some states are never targeted: unreachable in the product.
+        automaton.add_state(
+            state,
+            marked=draw(st.booleans()),
+            forbidden=draw(st.integers(0, 3)) == 0,
+        )
+    automaton.set_initial(names[0])
+    for source in names:
+        for event in events:
+            # Partial: a shared event missing on one side never fires.
+            if draw(st.booleans()):
+                automaton.add_transition(source, event, draw(st.sampled_from(names)))
+    return automaton
+
+
+class TestCompositionMatchesOracle:
+    @given(factors("A", PRIVATE_LEFT), factors("B", PRIVATE_RIGHT))
+    @settings(max_examples=200, deadline=None)
+    def test_random_factors(self, a, b):
+        try:
+            oracle = explicit_synchronous_composition(a, b)
+        except AutomatonError as error:
+            with pytest.raises(AutomatonError) as raised:
+                synchronous_composition(a, b)
+            assert str(raised.value) == str(error)
+            return
+        assert_same_automaton(synchronous_composition(a, b), oracle)
+
+    @pytest.mark.parametrize(
+        "components",
+        [
+            pytest.param(
+                lambda: fleet_plant_components(3, 2, fleet_alphabet(3)),
+                id="fleet3x2",
+            ),
+            pytest.param(
+                lambda: scalable_plant_components(4, 3, scalable_alphabet(4)),
+                id="scalable4x3",
+            ),
+            pytest.param(
+                lambda: [
+                    f(case_study_alphabet())
+                    for f in (power_capping_plant, gain_mode_plant, qos_tracking_plant)
+                ],
+                id="ExynosPlant",
+            ),
+            pytest.param(
+                lambda: [
+                    f(case_study_alphabet()) for f in (three_band_spec, budget_lock_spec)
+                ],
+                id="ExynosSpec",
+            ),
+        ],
+    )
+    def test_committed_folds(self, components):
+        assert_same_automaton(
+            compose_all(components()), explicit_compose_all(components())
+        )
+
+    def test_dotted_name_collision_is_nondeterminism(self):
+        a = automaton_from_table(
+            "A",
+            Alphabet.of([controllable("c"), controllable("p")]),
+            transitions=[("x.y", "c", "x.y"), ("x.y", "p", "x"), ("x", "c", "x")],
+            initial="x.y",
+        )
+        b = automaton_from_table(
+            "B",
+            Alphabet.of([controllable("c"), controllable("q")]),
+            transitions=[("z", "c", "z"), ("z", "q", "y.z"), ("y.z", "c", "z")],
+            initial="z",
+        )
+        message = (
+            "nondeterministic transition in 'A||B': "
+            "x.y.z on c goes to both x.y.z and x.z"
+        )
+        for compose in (synchronous_composition, explicit_synchronous_composition):
+            with pytest.raises(AutomatonError) as raised:
+                compose(a, b)
+            assert str(raised.value) == message
 
 
 class TestReachability:
