@@ -17,8 +17,7 @@ Three ingredients:
 * :func:`reachable_product` — build the encoded product of two
   deterministic factors (synchronous, synthesis or controllability
   semantics) over the pairs reachable from the joint initial pair,
-  without materializing a composed :class:`Automaton` or anything
-  sized by the full cross product.
+  without materializing a composed :class:`Automaton`.
 * :func:`forward_reachable` / :func:`backward_reachable` /
   :func:`forward_search` — level-synchronized bitset BFS; the search
   variant records parent pointers so shortest counterexample event
@@ -49,7 +48,6 @@ __all__ = [
     "nearest_state",
     "reachable_product",
     "restrict_states",
-    "successor_table",
     "witness_trace",
 ]
 
@@ -256,18 +254,19 @@ class PairEncoding:
         return f"{self.left.state_label(i)}.{self.right.state_label(j)}"
 
 
-def successor_table(enc: EncodedAutomaton) -> np.ndarray:
-    """``table[e, s]`` is the successor of state ``s`` on event ``e``,
-    ``-1`` where the event is disabled.
+def _move_table(enc: EncodedAutomaton, scale: int, disabled: int) -> np.ndarray:
+    """``table[e, s]`` is ``scale`` times the successor of state ``s`` on
+    event ``e`` (``scale >= 0``), and ``disabled`` (``< 0``) where the
+    event is disabled.
 
     Raises ``ValueError`` when an event has two transitions from one
     state: a dense table holds one successor, and keeping the last
     write would silently drop the other edge.
     """
-    table = np.full((enc.n_events, enc.n_states), -1, dtype=_INDEX_DTYPE)
+    table = np.full((enc.n_events, enc.n_states), disabled, dtype=_INDEX_DTYPE)
     for e in range(enc.n_events):
         src = enc.src[e]
-        table[e, src] = enc.dst[e]
+        table[e, src] = enc.dst[e] * scale
         if np.count_nonzero(table[e] >= 0) != src.size:
             raise ValueError(
                 f"automaton {enc.name!r} is not deterministic: event "
@@ -335,8 +334,31 @@ def reachable_product(
     The search is a level-synchronized BFS over pair keys with one
     vectorized successor-table lookup per event per level; the
     transition arrays are then built in one pass over the reachable
-    pairs, so nothing is ever sized by the full cross product.
+    pairs.  The set of found pairs is a bool grid over the cross
+    product when that grid has no more cells than the two successor
+    tables (``_grid_fits``), and a sorted key array otherwise; both
+    forms give byte-identical encodings.
     """
+    return _reachable_product(left, right, semantics, _grid_fits(left, right))
+
+
+def _grid_fits(left: EncodedAutomaton, right: EncodedAutomaton) -> bool:
+    """Whether a ``left x right`` bool grid has no more cells than the
+    successor tables of both factors, so tracking found pairs in it
+    never raises the product builder's memory past what it holds."""
+    return left.n_states * right.n_states <= (
+        left.n_events * left.n_states + right.n_events * right.n_states
+    )
+
+
+def _reachable_product(
+    left: EncodedAutomaton,
+    right: EncodedAutomaton,
+    semantics: str,
+    dense: bool,
+) -> PairEncoding:
+    """:func:`reachable_product` with the found-pair form chosen by the
+    caller: a bool grid when ``dense``, sorted keys otherwise."""
     if semantics not in _SEMANTICS:
         raise ValueError(
             f"unknown product semantics {semantics!r}; "
@@ -348,57 +370,49 @@ def reachable_product(
         for e, (_, l, r, _) in enumerate(plan)
         if l is not None or r is not None
     ]
-    left_table = successor_table(left)
-    right_table = successor_table(right)
     nb = right.n_states
+    # Move tables hold key offsets: a left move adds its successor's row
+    # offset ``ni * nb``, a right move its successor column ``nj``.  A
+    # disabled move is so negative that any key it takes part in is
+    # negative, so one sign test finds the enabled pairs.
+    disabled = -(left.n_states * nb + 1)
+    left_moves = _move_table(left, nb, disabled)
+    right_moves = _move_table(right, 1, disabled)
 
     def successors(keys: np.ndarray):
-        i, j = np.divmod(keys, nb)
+        """Per moving event: its index, the keys it is enabled at and
+        the successor keys where enabled."""
+        i = keys // nb
+        row = i * nb
+        j = keys - row
         for e, l, r in moves:
             if r is None:
-                ni = left_table[l].take(i)
-                ok = ni >= 0
-                targets = ni * nb + j
+                targets = left_moves[l].take(i) + j
             elif l is None:
-                nj = right_table[r].take(j)
-                ok = nj >= 0
-                targets = i * nb + nj
+                targets = right_moves[r].take(j) + row
             else:
-                ni = left_table[l].take(i)
-                nj = right_table[r].take(j)
-                ok = (ni >= 0) & (nj >= 0)
-                targets = ni * nb + nj
+                targets = left_moves[l].take(i) + right_moves[r].take(j)
+            ok = targets >= 0
             yield e, ok, targets[ok]
 
     empty = np.asarray([], dtype=_INDEX_DTYPE)
-    if left.initial >= 0 and right.initial >= 0:
-        start = left.initial * nb + right.initial
-        pairs = np.asarray([start], dtype=_INDEX_DTYPE)
-        frontier = pairs
-        while frontier.size:
-            found = np.sort(
-                np.concatenate([empty, *(t for _, _, t in successors(frontier))])
-            )
-            # Sort-based dedup (np.unique's hash path is several times
-            # slower on these key batches), then drop known pairs and
-            # insert the fresh ones at their sorted positions.
-            fresh = np.ones(found.size, dtype=bool)
-            fresh[1:] = found[1:] != found[:-1]
-            at = np.searchsorted(pairs, found)
-            fresh &= pairs[np.minimum(at, pairs.size - 1)] != found
-            frontier = found[fresh]
-            pairs = np.insert(pairs, at[fresh], frontier)
-        initial = int(np.searchsorted(pairs, start))
-    else:
-        pairs, initial = empty, -1
-
-    # Sources come out ascending and each (source, event) has at most
-    # one target, so every event's arrays are sorted by (source, target).
     src_arrays = [empty] * len(plan)
     dst_arrays = [empty] * len(plan)
-    for e, ok, targets in successors(pairs):
-        src_arrays[e] = np.flatnonzero(ok)
-        dst_arrays[e] = np.searchsorted(pairs, targets)
+    if left.initial >= 0 and right.initial >= 0:
+        start = left.initial * nb + right.initial
+        if dense:
+            pairs, rank = _grid_search(start, successors, left.n_states, nb)
+        else:
+            pairs, rank = _sorted_search(start, successors)
+        initial = int(np.searchsorted(pairs, start))
+        # Sources come out ascending and each (source, event) has at
+        # most one target, so every event's arrays are sorted by
+        # (source, target).
+        for e, ok, targets in successors(pairs):
+            src_arrays[e] = np.flatnonzero(ok)
+            dst_arrays[e] = rank(targets)
+    else:
+        pairs, initial = empty, -1
 
     i, j = np.divmod(pairs, nb)
     joiner = "/" if semantics == "controllability" else "||"
@@ -414,6 +428,61 @@ def reachable_product(
         forbidden=left.forbidden[i] | right.forbidden[j],
     )
     return PairEncoding(product=product, left=left, right=right, pairs=pairs)
+
+
+def _frontier_keys(successors, frontier: np.ndarray) -> np.ndarray:
+    """Every successor key of ``frontier``, duplicates included."""
+    return np.concatenate(
+        [np.asarray([], dtype=_INDEX_DTYPE), *(t for _, _, t in successors(frontier))]
+    )
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    # Sort-based dedup: np.unique's hash path is several times slower
+    # on these key batches.
+    keys = np.sort(keys)
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    return keys[fresh]
+
+
+def _sorted_search(start: int, successors):
+    """BFS holding the found keys as one ascending array; returns the
+    keys and their rank lookup (key -> product index)."""
+    pairs = np.asarray([start], dtype=_INDEX_DTYPE)
+    frontier = pairs
+    while frontier.size:
+        found = _sorted_unique(_frontier_keys(successors, frontier))
+        at = np.searchsorted(pairs, found)
+        fresh = pairs[np.minimum(at, pairs.size - 1)] != found
+        frontier = found[fresh]
+        pairs = np.insert(pairs, at[fresh], frontier)
+    return pairs, lambda keys: np.searchsorted(pairs, keys)
+
+
+def _grid_search(start: int, successors, na: int, nb: int):
+    """BFS marking found pairs in an ``(na, nb)`` bool grid; returns the
+    ascending keys and their rank lookup (key -> product index).
+
+    A found pair's rank is its row's offset (the found pairs in the
+    rows above) plus its in-row prefix count (the found pairs before it
+    in its own row).  The prefix counts are written only at found
+    cells, in the narrowest unsigned dtype that holds ``nb``.
+    """
+    seen = np.zeros(na * nb, dtype=bool)
+    seen[start] = True
+    frontier = np.asarray([start], dtype=_INDEX_DTYPE)
+    while frontier.size:
+        found = _frontier_keys(successors, frontier)
+        frontier = _sorted_unique(found[~seen[found]])
+        seen[frontier] = True
+    pairs = np.flatnonzero(seen)
+    rows = pairs // nb
+    per_row = np.bincount(rows, minlength=na)
+    row_offset = np.cumsum(per_row) - per_row
+    in_row = np.zeros(na * nb, dtype=np.min_scalar_type(nb))
+    in_row[pairs] = np.arange(pairs.size) - row_offset[rows]
+    return pairs, lambda keys: row_offset[keys // nb] + in_row[keys]
 
 
 def restrict_states(enc: EncodedAutomaton, keep: np.ndarray) -> EncodedAutomaton:

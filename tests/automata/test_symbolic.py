@@ -10,6 +10,8 @@ missing initial states, self-loops, and uncontrollable escapes.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from repro.automata.automaton import Automaton, automaton_from_table
 from repro.automata.events import Alphabet, controllable, uncontrollable
 from repro.automata.language import languages_equal
-from repro.automata import verification
+from repro.automata import symbolic, verification
 from repro.automata.operations import (
     accessible_states,
     coaccessible_states,
@@ -32,10 +34,11 @@ from repro.automata.symbolic import (
     encode_automaton,
     forward_reachable,
     forward_search,
+    _grid_fits,
+    _reachable_product,
     nearest_state,
     reachable_product,
     restrict_states,
-    successor_table,
     witness_trace,
 )
 from repro.automata.verification import verify_supervisor
@@ -55,17 +58,24 @@ STATE_NAMES = ["Q0", "Q1", "Q2", "Q3", "Q4", "Q5"]
 
 
 @st.composite
-def automata(draw, name="rand", max_states=6, with_forbidden=False):
+def automata(
+    draw, name="rand", max_states=6, with_forbidden=False, sub_alphabet=False
+):
     n_states = draw(st.integers(min_value=1, max_value=max_states))
     states = STATE_NAMES[:n_states]
-    automaton = Automaton(name, SIGMA)
+    events = (
+        draw(st.lists(st.sampled_from(EVENTS), unique=True))
+        if sub_alphabet
+        else EVENTS
+    )
+    automaton = Automaton(name, Alphabet.of(events))
     for state in states:
         automaton.add_state(state)
     automaton.set_initial(states[0])
-    n_transitions = draw(st.integers(min_value=0, max_value=14))
+    n_transitions = draw(st.integers(min_value=0, max_value=14)) if events else 0
     for _ in range(n_transitions):
         source = draw(st.sampled_from(states))
-        event = draw(st.sampled_from(EVENTS))
+        event = draw(st.sampled_from(events))
         target = draw(st.sampled_from(states))
         if automaton.step(source, event) is None:
             automaton.add_transition(source, event, target)
@@ -256,10 +266,14 @@ class TestProducts:
         )
         with pytest.raises(ValueError, match="semantics"):
             reachable_product(enc, enc, "cross")
+        for dense in (True, False):
+            with pytest.raises(ValueError, match="semantics"):
+                _reachable_product(enc, enc, "cross", dense)
 
     def test_nondeterministic_encoding_rejected(self):
         # Two c1 edges leave state 0: a successor table can hold only
-        # one, so the builder must refuse rather than keep the last.
+        # one, so both found-pair forms of the builder must refuse
+        # rather than keep the last, on either side of the product.
         enc = EncodedAutomaton(
             name="hand",
             n_states=3,
@@ -271,20 +285,144 @@ class TestProducts:
             marked=np.zeros(3, dtype=bool),
             forbidden=np.zeros(3, dtype=bool),
         )
-        with pytest.raises(ValueError, match="not deterministic"):
-            successor_table(enc)
         other = encode_automaton(
             automaton_from_table("M", SIGMA, [("A", "c1", "B")], initial="A")
         )
         with pytest.raises(ValueError, match="not deterministic"):
             reachable_product(other, enc)
+        for dense in (True, False):
+            for left, right in ((other, enc), (enc, other)):
+                with pytest.raises(ValueError, match="not deterministic"):
+                    _reachable_product(left, right, "synchronous", dense)
+
+
+SEMANTICS = ("synchronous", "synthesis", "controllability")
+
+
+def _encoding_bytes(pair):
+    """A product encoding as comparable data: its scalars plus the
+    dtype, shape and bytes of every array."""
+    product = pair.product
+    arrays = (
+        pair.pairs,
+        product.event_controllable,
+        product.marked,
+        product.forbidden,
+        *product.src,
+        *product.dst,
+    )
+    return (
+        product.name,
+        product.n_states,
+        product.event_names,
+        product.initial,
+        product.state_names,
+        product.enabled,
+        [(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+    )
+
+
+def _assert_forms_agree(left, right, semantics):
+    grid = _reachable_product(left, right, semantics, True)
+    keys = _reachable_product(left, right, semantics, False)
+    assert _encoding_bytes(grid) == _encoding_bytes(keys)
+    return grid
+
+
+def _ring(name, n_states, moves):
+    """A deterministic ring of ``n_states`` states; ``moves`` maps an
+    event name to the step it takes around the ring."""
+    names = [f"{name}{k:02d}" for k in range(n_states)]
+    table = [
+        (names[k], event, names[(k + step) % n_states])
+        for event, step in moves.items()
+        for k in range(n_states)
+    ]
+    return encode_automaton(
+        automaton_from_table(
+            name, SIGMA, table, initial=names[0], marked=names[::2]
+        )
+    )
+
+
+@pytest.fixture
+def forms(monkeypatch):
+    """Records ``(left, right, dense)`` for every product built."""
+    built = []
+    build = symbolic._reachable_product
+
+    def spy(left, right, semantics, dense):
+        built.append((left, right, dense))
+        return build(left, right, semantics, dense)
+
+    monkeypatch.setattr(symbolic, "_reachable_product", spy)
+    return built
+
+
+def _table_cells(enc):
+    return enc.n_events * enc.n_states
+
+
+class TestPairForms:
+    """The bool-grid and sorted-key forms of the found-pair set give
+    byte-identical encodings; the size rule only picks between them."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        automata(name="L", with_forbidden=True, sub_alphabet=True),
+        automata(name="R", with_forbidden=True, sub_alphabet=True),
+        st.sampled_from(SEMANTICS),
+        st.sampled_from([None, "left", "right"]),
+    )
+    def test_forms_byte_identical(self, left, right, semantics, no_initial):
+        left, right = encode_automaton(left), encode_automaton(right)
+        if no_initial == "left":
+            left = replace(left, initial=-1)
+        elif no_initial == "right":
+            right = replace(right, initial=-1)
+        pair = _assert_forms_agree(left, right, semantics)
+        if no_initial is not None:
+            assert pair.product.initial == -1
+            assert pair.product.n_states == 0
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_zero_state_factor(self, semantics):
+        empty = encode_automaton(Automaton("E", SIGMA))
+        other = _ring("M", 3, {"c1": 1, "u1": 2})
+        assert empty.n_states == 0 and empty.initial == -1
+        for left, right in ((empty, other), (other, empty)):
+            assert _grid_fits(left, right)
+            pair = _assert_forms_agree(left, right, semantics)
+            assert pair.product.n_states == 0
+            assert pair.product.initial == -1
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_size_rule_boundary(self, semantics, forms):
+        # 6 x 12 pair cells against 4 * 6 + 4 * 12 successor-table
+        # cells: equal, so the grid is allowed; one more right state
+        # (78 against 76) tips the product onto the sorted keys.
+        left = _ring("L", 6, {"c1": 1, "u1": 3})
+        at_bound = _ring("R", 12, {"c1": 5, "c2": 1, "u2": 4})
+        past_bound = _ring("R", 13, {"c1": 5, "c2": 1, "u2": 4})
+        assert left.n_states * at_bound.n_states == _table_cells(
+            left
+        ) + _table_cells(at_bound)
+        assert _grid_fits(left, at_bound)
+        assert not _grid_fits(left, past_bound)
+        for right in (at_bound, past_bound):
+            chosen = reachable_product(left, right, semantics)
+            assert _encoding_bytes(chosen) == _encoding_bytes(
+                _assert_forms_agree(left, right, semantics)
+            )
+            assert chosen.product.n_states > 1
+        assert [dense for _, _, dense in forms] == [True, False]
 
 
 class TestProductSize:
     """Products must stay the size of their reachable part, never grow
     back to the ``left.n_states * right.n_states`` cross product."""
 
-    def test_scalable_closed_loop_is_supervisor_sized(self, monkeypatch):
+    def test_scalable_closed_loop_is_supervisor_sized(self, monkeypatch, forms):
         from repro.core.scalable import (
             scalable_alphabet,
             scalable_counter_plant,
@@ -305,11 +443,38 @@ class TestProductSize:
             return pair
 
         monkeypatch.setattr(verification, "reachable_product", spy)
+        del forms[:]  # keep only the products verification builds
         assert verification.verify_supervisor(plant, supervisor).verified
         closed_loop = built[0]
         assert closed_loop.product.name == f"{plant.name}||{supervisor.name}"
         assert len(supervisor) == 1620
         assert closed_loop.product.n_states == len(supervisor)
+        # 2,268 x 1,620 pair cells would dwarf both successor tables:
+        # every plant x supervisor product keeps the sorted keys.
+        assert not _grid_fits(closed_loop.left, closed_loop.right)
+        assert [dense for _, _, dense in forms] == [False] * len(built)
+
+    def test_grid_never_exceeds_the_successor_tables(self, forms):
+        from repro.automata.symbolic_synthesis import encode_composition
+        from repro.core.scalable import (
+            build_scalable_supervisor,
+            scalable_alphabet,
+            scalable_counter_plant,
+            scalable_plant_components,
+            scalable_specification,
+        )
+        from repro.automata.synthesis import synthesize_supervisor
+
+        sigma = scalable_alphabet(3)
+        encode_composition(scalable_plant_components(3, 3, sigma))
+        plant = scalable_counter_plant(3, 3, sigma)
+        synthesize_supervisor(plant, scalable_specification(3, sigma))
+        verify_supervisor(plant, build_scalable_supervisor(3).supervisor)
+        assert {dense for _, _, dense in forms} == {True, False}
+        for left, right, dense in forms:
+            cells = left.n_states * right.n_states
+            tables = _table_cells(left) + _table_cells(right)
+            assert dense == (cells <= tables), (left.name, right.name)
 
     def test_folded_plant_has_only_accessible_states(self):
         from repro.automata.symbolic_synthesis import encode_composition
