@@ -8,12 +8,13 @@
 #     cache integrity, golden traces) fails — kept as a dedicated step
 #     so engine regressions are identified before the longer gates run
 #     — with the compiled fast paths on, or with them disabled
-#     (REPRO_DISABLE_FUSED=1): the scalar servo runs the fused kernel
-#     by default, so this run pins its numpy reference step to the
-#     committed golden traces,
-#   * the fleet equivalence drill with the compiled fast paths disabled
-#     (REPRO_DISABLE_FUSED=1) diverges from the scalar oracle — the
-#     pure-numpy fallback must stay bit-identical too,
+#     (REPRO_DISABLE_FUSED=1): the scalar servo and sensor read run
+#     the compiled kernels by default, so this run pins their
+#     numpy/Python reference paths to the committed golden traces,
+#   * the fleet equivalence drill or the scalar sensor-read tests with
+#     the compiled fast paths disabled (REPRO_DISABLE_FUSED=1) fail —
+#     the pure-numpy/Python fallbacks must stay bit-identical too, and
+#     every cluster must report the fallback,
 #   * `python -m repro.analysis all` reports a non-baselined error in
 #     any tier (all four share one file walk, one parse and one tree
 #     traversal per module, and one content-hash cache): classic (artifact defects, lint errors,
@@ -61,7 +62,7 @@ REPRO_DISABLE_FUSED=1 python -m pytest -x -q -m exec_smoke
 
 echo
 echo "== fleet equivalence drill without compiled fast paths =="
-REPRO_DISABLE_FUSED=1 python -m pytest -x -q tests/platform/test_fleet_equivalence.py
+REPRO_DISABLE_FUSED=1 python -m pytest -x -q tests/platform/test_fleet_equivalence.py tests/platform/test_scalar_sensors.py
 
 echo
 echo "== static analysis, all tiers (repro.analysis all) =="

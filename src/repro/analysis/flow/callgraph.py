@@ -35,7 +35,6 @@ from fnmatch import fnmatchcase
 from typing import Iterable, Iterator
 
 from repro.analysis.flow.symbols import (
-    MODULE_SCOPE,
     CallSite,
     ClassFacts,
     FunctionFacts,
@@ -305,7 +304,3 @@ class CallGraph:
             chain.insert(0, predecessor)
             seen.add(predecessor)
         return chain
-
-
-def module_scope_qualname(analysis: ModuleAnalysis) -> str:
-    return f"{analysis.module}.{MODULE_SCOPE}"

@@ -212,24 +212,3 @@ def is_nonblocking(automaton: Automaton) -> bool:
 def blocking_states(automaton: Automaton) -> frozenset[State]:
     """Reachable states from which no marked state can be reached."""
     return frozenset(accessible_states(automaton) - coaccessible_states(automaton))
-
-
-def disabled_uncontrollable(
-    plant: Automaton, candidate: Automaton, state_map: dict[State, State]
-) -> dict[State, frozenset[Event]]:
-    """For each candidate state, plant-enabled uncontrollable events it disables.
-
-    ``state_map`` maps candidate states to the plant states they refine.
-    A non-empty result means ``candidate`` is not controllable w.r.t. the
-    plant.
-    """
-    violations: dict[State, frozenset[Event]] = {}
-    for cand_state, plant_state in state_map.items():
-        plant_enabled = {
-            e for e in plant.enabled_events(plant_state) if not e.controllable
-        }
-        cand_enabled = candidate.enabled_events(cand_state)
-        missing = frozenset(plant_enabled - set(cand_enabled))
-        if missing:
-            violations[cand_state] = missing
-    return violations

@@ -43,9 +43,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.control.fused import (
+    SERVO_Y,
     fused_kernel,
+    servo_block,
     servo_context_key,
-    servo_tail,
     unavailable_reason,
 )
 from repro.control.lqg import ActuatorLimits, LQGGains
@@ -239,7 +240,8 @@ class BatchedLQGServo:
         # uniform and mixed.
         self._dims = (n, m, p)
         self._fused = None
-        self._fused_args: tuple | None = None
+        self._block: np.ndarray | None = None
+        self._block_address = 0
         self._packs = None  # repro: shape[(G, 17) i8 | none]
         self.fused_reason = self._enable_fused()
 
@@ -285,8 +287,8 @@ class BatchedLQGServo:
 
         Pure element-wise normalization, so recomputing unchanged rows
         reproduces their previous values bit-for-bit.  ``_dr`` is
-        updated in place: its address is captured by the fused call
-        tail and must stay stable.
+        updated in place: its address is captured by the fused argument
+        block and must stay stable.
         """
         op = self.operating_point
         np.subtract(self.references, op.y, out=self._dr)
@@ -334,26 +336,27 @@ class BatchedLQGServo:
             or not Y.flags.c_contiguous
         ):
             Y = np.ascontiguousarray(Y, dtype=float)
-        tail = self._fused_args
-        if tail is None:
-            tail = self._fused_args = self._fused_tail()
-        n, m, p = self._dims
-        (kernel or self._fused).servo_step_ptrs(
-            self.n_rows, n, m, p, Y.ctypes.data, tail
-        )
+        block = self._block
+        if block is None:
+            block = self._block = self._fused_block()
+            self._block_address = block.ctypes.data
+        block[SERVO_Y] = Y.ctypes.data
+        (kernel or self._fused).servo_step(self._block_address)
         self.invocations += 1
         return self._u_next
 
-    def _fused_tail(self) -> tuple:
-        # repro: shape[-> ?]
-        """Raw pointer arguments of the fused call after ``Y``.
+    def _fused_block(self) -> np.ndarray:
+        """The fused call's argument block; ``Y`` is written per call.
 
         Captured addresses stay valid because every referenced buffer
         (``gain_ids`` included: :meth:`switch_rows` writes it in place)
         is updated strictly in place on the fused path; the numpy path
-        rotates buffers, so it drops the cache (``_step_numpy``).
+        rotates buffers, so it drops the block (``_step_numpy``).
         """
-        return servo_tail(
+        return servo_block(
+            self.n_rows,
+            self._dims,
+            None,
             self._dr,
             self.X,
             self.Z,
@@ -399,13 +402,13 @@ class BatchedLQGServo:
         np.divide(du_next, op.u_scale, out=du_next)
         # Rotate the u/du double buffers: this tick's results become
         # current state, the previous arrays become next tick's scratch.
-        # Rotation moves buffer addresses, so the fused pointer cache
+        # Rotation moves buffer addresses, so the fused argument block
         # (if any) is stale and must be rebuilt on the next fused step.
         self._du_spare = self.DU
         self.DU = du_next
         self._u_next = self.U_prev
         self.U_prev = u
-        self._fused_args = None
+        self._block = None
         self.invocations += 1
         return u
 

@@ -1,11 +1,11 @@
-"""Optional compiled fast paths for the per-tick control and fleet loops.
+"""Optional compiled fast paths for the per-tick control and platform loops.
 
-The numpy paths spend most of their time dispatching many small
-ufunc/matvec calls per tick.  This module fuses three of those loops
-into C functions that sweep their rows once each, with every
-elementwise expression written in scalar evaluation order (compiled
-with ``-ffp-contract=off`` so the compiler cannot fuse or reorder
-anything we did not write explicitly):
+The numpy and Python paths spend most of their time dispatching many
+small ufunc/matvec calls, or interpreting scalar arithmetic, per tick.
+This module fuses three of those loops into C functions that sweep
+their rows once each, with every elementwise expression written in
+scalar evaluation order (compiled with ``-ffp-contract=off`` so the
+compiler cannot fuse or reorder anything we did not write explicitly):
 
 * ``fused_servo_step`` — the entire per-row
   ``LQGServoController.step`` recurrence with every dot product
@@ -14,13 +14,28 @@ anything we did not write explicitly):
   and the scalar :class:`~repro.control.lqg.LQGServoController` steps
   its single row (N=1);
 * ``fleet_telemetry`` — the per-row cluster sensor read
-  (``soc.read_cluster_telemetry`` mirror in ``platform/fleet.py``);
+  (``soc.read_cluster_telemetry``).  It serves both paths too: the
+  fleet's ``FleetPlatform`` reads N rows per call with the per-core
+  output left NULL, and the scalar SoC's ``soc.CompiledSensors`` reads
+  one cluster's single row, per-core readings included;
 * ``opp_snap`` — the per-row DVFS table snap
   (``OPPTable.snap_indices`` in ``platform/opp.py``).
 
-Every function is gated by its caller on a construction-time
-differential probe against the numpy reference, so a kernel only ever
-runs where it is machine-verified bit-identical.
+Each of the three takes a single pointer to an *argument block*: an
+array of C ``arg`` slots (``union { i64; double; void * }``), built
+once per set of buffers with :func:`arg_block` (:func:`servo_block`,
+:func:`telemetry_args`).  A call then marshals one pointer instead of
+5-23 positional ctypes arguments, and the caller rewrites only its
+per-call slots: ``Y`` for the fleet servo; ``bce``, ``z`` and the z
+stride for the fleet telemetry.  The scalar callers keep even those
+in place: their inputs live in fixed buffers the block points into
+(the scalar sensor read's in one scratch array), so a call is the
+bare pointer.
+
+Every function is gated by its caller on a differential probe against
+the numpy (or, for the scalar sensor read, Python) reference, run once
+per content and memoized, so a kernel only ever runs where it is
+machine-verified bit-identical.
 
 Bit-identity with ``M @ x`` is the hard part: BLAS picks a different
 reduction order per matrix shape (FMA lanes with a horizontal-sum tree
@@ -50,10 +65,11 @@ mixed; the scalar servo for each gain set it is switched onto.
 
 The kernel is strictly optional: it compiles lazily with the system C
 compiler into a cached shared object, and any failure (no compiler,
-failed build, unprobeable matrix) falls back to numpy with the reason
-recorded — :func:`unavailable_reason` for the kernel, ``fused_reason``
-per servo.  ``REPRO_DISABLE_FUSED=1`` forces the numpy path (used by
-tests to cover both implementations).  Nothing here changes results —
+failed build, unprobeable matrix) falls back to numpy or Python with
+the reason recorded — :func:`unavailable_reason` for the kernel,
+``fused_reason`` per servo and per scalar cluster.
+``REPRO_DISABLE_FUSED=1`` forces those paths (used by tests to cover
+both implementations).  Nothing here changes results —
 only how fast they are produced.
 """
 
@@ -62,6 +78,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import struct
 import subprocess
 import tempfile
 
@@ -70,11 +87,18 @@ import numpy as np
 __all__ = [
     "NO_VARIANT",
     "SERVO_MATRICES",
+    "SERVO_PACKS",
+    "SERVO_Y",
     "ServoGainPack",
     "dot_variant",
     "fused_kernel",
+    "TELEMETRY_BCE",
+    "TELEMETRY_Z",
+    "TELEMETRY_Z_STRIDE",
+    "arg_block",
+    "servo_block",
     "servo_context_key",
-    "servo_tail",
+    "telemetry_args",
     "unavailable_reason",
     "FusedKernel",
 ]
@@ -85,6 +109,13 @@ _MAX_DIM = 32
 _C_SOURCE = r"""
 #include <math.h>
 typedef long long i64;
+
+/* One argument slot.  Each entry point takes a single pointer to an
+ * array of these, prebuilt by the caller, so a call marshals one
+ * pointer instead of every argument. */
+typedef union { i64 i; double d; void *p; } arg;
+
+_Static_assert(sizeof(arg) == sizeof(i64), "arg layout");
 
 /* Dot-product reduction orders observed in BLAS dgemv kernels.  Which
  * one a given matrix shape gets is machine- and library-specific; the
@@ -458,33 +489,32 @@ static void servo_block(const servo_ctx *c, i64 r0, const gain_pack *g)
     }
 }
 
-/* Entry point.  Row r runs gain set packs[gain_ids[r]].  A full block
- * of LANES rows that share one gain id steps lane-parallel; a mixed
- * block, and the remainder rows, step one row at a time. */
-void fused_servo_step(
-    i64 N, i64 n, i64 m, i64 p,
-    const double *Y, const double *dr,
-    double *X, double *Z, double *DU, double *U_prev, double *U_out,
-    const gain_pack *packs, const signed char *gain_ids,
-    const double *op_y, const double *y_scale,
-    const double *op_u, const double *u_scale, const double *u_scale_safe,
-    const double *lower, const double *upper,
-    const double *max_step, int has_max_step,
-    double anti_windup)
+/* Entry point, reading its argument block: N, n, m, p; Y, dr, X, Z,
+ * DU, U_prev, U_out; the gain-pack table and per-row gain ids; op_y,
+ * y_scale, op_u, u_scale, u_scale_safe, lower, upper, max_step;
+ * has_max_step, anti_windup.  Row r runs gain set packs[gain_ids[r]].
+ * A full block of LANES rows that share one gain id steps
+ * lane-parallel; a mixed block, and the remainder rows, step one row
+ * at a time. */
+void fused_servo_step(const arg *a)
 {
     servo_ctx c;
+    const i64 N = a[0].i;
+    const signed char *gain_ids = a[12].p;
+    const gain_pack *packs = a[11].p;
     i64 r0;
     i64 blocked = N - (N % LANES);
     int l, same;
-    c.n = n; c.m = m; c.p = p;
-    c.Y = Y; c.dr = dr;
-    c.X = X; c.Z = Z; c.DU = DU; c.U_prev = U_prev; c.U_out = U_out;
+    c.n = a[1].i; c.m = a[2].i; c.p = a[3].i;
+    c.Y = a[4].p; c.dr = a[5].p;
+    c.X = a[6].p; c.Z = a[7].p; c.DU = a[8].p; c.U_prev = a[9].p;
+    c.U_out = a[10].p;
     c.packs = packs; c.gain_ids = gain_ids;
-    c.op_y = op_y; c.y_scale = y_scale; c.op_u = op_u;
-    c.u_scale = u_scale; c.u_scale_safe = u_scale_safe;
-    c.lower = lower; c.upper = upper; c.max_step = max_step;
-    c.has_max_step = has_max_step;
-    c.anti_windup = anti_windup;
+    c.op_y = a[13].p; c.y_scale = a[14].p; c.op_u = a[15].p;
+    c.u_scale = a[16].p; c.u_scale_safe = a[17].p;
+    c.lower = a[18].p; c.upper = a[19].p; c.max_step = a[20].p;
+    c.has_max_step = (int)a[21].i;
+    c.anti_windup = a[22].d;
     for (r0 = 0; r0 < blocked; r0 += LANES) {
         same = 1;
         for (l = 1; l < LANES; ++l)
@@ -497,23 +527,37 @@ void fused_servo_step(
     servo_rows(&c, blocked, N);
 }
 
-/* One cluster sensor read per row: the fleet _cluster_telemetry body
- * (platform/fleet.py) with identical op order per element.  z has row
- * stride z_stride doubles (it is a column slice of the noise block);
- * the (a > b) ? a : b / (a < b) ? a : b selects replicate
- * np.maximum/np.minimum on non-NaN data, and rint() is the same
- * round-half-to-even as np.rint under the default rounding mode. */
-void fleet_telemetry(
-    i64 N, i64 nc,
-    const double *active, const i64 *opp, const double *bce,
-    const double *z, i64 z_stride,
-    const double *dyn_table, const double *leak_table,
-    const double *rate_table,
-    double idle_frac, double uncore,
-    const double *noise, const signed char *res_mask,
-    const double *res, const double *floor_v, int any_res,
-    double *power, double *ips)
+/* One cluster sensor read per row: read_cluster_telemetry's body
+ * (platform/soc.py) with identical op order per element.  Arguments:
+ * N, nc; active, opp, bce, z, z_stride (z rows are z_stride doubles
+ * apart: the fleet passes a column slice of its noise block); the
+ * per-OPP dyn/leak/rate tables, idle_frac, uncore; the per-sensor
+ * noise, res_mask, res, floor rows and any_res; the power and ips
+ * outputs, and per_core (N, nc) or NULL.  The gain clamp selects
+ * (a > b) ? a : b / (a < b) ? a : b reproduce the scalar if-chain and
+ * np.maximum/np.minimum on non-NaN data (the gain is never -0.0).
+ * rint() is the same round-half-to-even as Python's round() and
+ * np.rint; adding +0.0 maps a -0.0 quotient to +0.0, as round()'s int
+ * result does.  The floor select keeps the reading on a tie, like
+ * max(value, floor): a -0.0 per-core reading (negative bce, gain
+ * clamped to 0) stays -0.0.  Only per_core can show that sign; the
+ * sums start from +0.0, and power is never negative. */
+void fleet_telemetry(const arg *a)
 {
+    const i64 N = a[0].i, nc = a[1].i;
+    const double *active = a[2].p;
+    const i64 *opp = a[3].p;
+    const double *bce = a[4].p;
+    const double *z = a[5].p;
+    const i64 z_stride = a[6].i;
+    const double *dyn_table = a[7].p, *leak_table = a[8].p;
+    const double *rate_table = a[9].p;
+    const double idle_frac = a[10].d, uncore = a[11].d;
+    const double *noise = a[12].p;
+    const signed char *res_mask = a[13].p;
+    const double *res = a[14].p, *floor_v = a[15].p;
+    const i64 any_res = a[16].i;
+    double *power = a[17].p, *ips = a[18].p, *per_core = a[19].p;
     double v[17];
     i64 r, c, j;
     for (r = 0; r < N; ++r) {
@@ -539,23 +583,28 @@ void fleet_telemetry(
             g = (g < 2.0) ? g : 2.0;
             val = v[c] * g;
             if (any_res && res_mask[c])
-                val = rint(val / res[c]) * res[c];
-            v[c] = (val > floor_v[c]) ? val : floor_v[c];
+                val = (rint(val / res[c]) + 0.0) * res[c];
+            v[c] = (floor_v[c] > val) ? floor_v[c] : val;
         }
         power[r] = v[0];
         /* Sequential per-core fold, like the scalar accumulation. */
         s = 0.0;
         for (j = 0; j < nc; ++j) s = s + v[j + 1];
         ips[r] = s;
+        if (per_core)
+            for (j = 0; j < nc; ++j) per_core[r * nc + j] = v[j + 1];
     }
 }
 
 /* One OPPTable snap per row: searchsorted(side='left') as a binary
  * search, then the same clamp-at-rails and
- * prefer-the-lower-point-on-ties float compares as snap_indices. */
-void opp_snap(i64 N, const double *f, const double *freqs, i64 nfreq,
-              i64 *out)
+ * prefer-the-lower-point-on-ties float compares as snap_indices.
+ * Arguments: N, f, freqs, nfreq, out. */
+void opp_snap(const arg *a)
 {
+    const i64 N = a[0].i, nfreq = a[3].i;
+    const double *f = a[1].p, *freqs = a[2].p;
+    i64 *out = a[4].p;
     i64 last = nfreq - 1;
     i64 r;
     for (r = 0; r < N; ++r) {
@@ -629,7 +678,11 @@ def _compile(source: str):
 
 
 class FusedKernel:
-    """ctypes binding of the compiled per-row fleet kernels."""
+    """ctypes binding of the compiled per-row kernels.
+
+    ``servo_step``, ``telemetry`` and ``snap`` each take the address of
+    an argument block (:func:`arg_block`) and nothing else.
+    """
 
     def __init__(self, lib) -> None:
         dot = lib.fused_dot
@@ -643,39 +696,16 @@ class FusedKernel:
         self._dot = dot
         step = lib.fused_servo_step
         step.restype = None
-        # 4 dims; Y and 6 state pointers; the gain-pack table and the
-        # per-row gain ids; 7 operating-point/limit pointers and the
-        # max_step pointer (passed as a raw address); has_max_step,
-        # anti_windup.
-        step.argtypes = (
-            [ctypes.c_longlong] * 4
-            + [ctypes.c_void_p] * 17
-            + [ctypes.c_int, ctypes.c_double]
-        )
-        self._step = step
+        step.argtypes = [ctypes.c_void_p]
+        self.servo_step = step
         telemetry = lib.fleet_telemetry
         telemetry.restype = None
-        telemetry.argtypes = (
-            [ctypes.c_longlong] * 2
-            + [ctypes.c_void_p] * 4
-            + [ctypes.c_longlong]
-            + [ctypes.c_void_p] * 3
-            + [ctypes.c_double] * 2
-            + [ctypes.c_void_p] * 4
-            + [ctypes.c_int]
-            + [ctypes.c_void_p] * 2
-        )
-        self._telemetry = telemetry
+        telemetry.argtypes = [ctypes.c_void_p]
+        self.telemetry = telemetry
         snap = lib.opp_snap
         snap.restype = None
-        snap.argtypes = [
-            ctypes.c_longlong,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_longlong,
-            ctypes.c_void_p,
-        ]
-        self._snap = snap
+        snap.argtypes = [ctypes.c_void_p]
+        self.snap = snap
 
     @staticmethod
     def fits(n: int, m: int, p: int) -> bool:
@@ -686,113 +716,73 @@ class FusedKernel:
             variant, a_row.ctypes.data, x.ctypes.data, a_row.size
         )
 
-    def servo_step_ptrs(self, rows, n, m, p, y_ptr, tail) -> None:
-        """One ``fused_servo_step`` call with every post-``Y`` argument
-        pre-resolved.
 
-        ``tail`` is the tuple of raw pointer/flag/scalar arguments the
-        caller captured once (the underlying buffers are updated in
-        place between calls, so their addresses are stable until the
-        caller rebuilds the tuple).
-        """
-        self._step(rows, n, m, p, y_ptr, *tail)
+def arg_block(values) -> np.ndarray:
+    # repro: shape[-> (k,) i8]
+    """A kernel call's argument block: one 8-byte C ``arg`` slot per
+    value.
 
-    def cluster_telemetry(
-        self,
+    A Python ``float`` fills a ``double`` slot; any other value (an int,
+    a bool, a raw address) fills an ``i64`` or pointer slot.  The block
+    is an int64 array: pass ``block.ctypes.data`` to the kernel, and
+    rewrite a per-call slot with ``block[i] = address``.  Addresses in
+    it stay valid only while the arrays they point into keep their
+    identity.
+    """
+    layout = "".join("d" if isinstance(v, float) else "q" for v in values)
+    return np.frombuffer(
+        bytearray(struct.pack(f"={layout}", *values)), dtype=np.int64
+    )
+
+
+# Slots of ``fleet_telemetry``'s argument block a fleet call rewrites.
+TELEMETRY_BCE, TELEMETRY_Z, TELEMETRY_Z_STRIDE = 4, 5, 6
+
+
+def telemetry_args(
+    tables,
+    rows: int,
+    *,
+    active: int,
+    opp: int,
+    power_out: int,
+    ips_out: int,
+    bce: int = 0,
+    z: int = 0,
+    z_stride: int = 0,
+    per_core_out: int = 0,
+) -> list:
+    """``fleet_telemetry``'s arguments for ``rows`` rows of one cluster.
+
+    The keyword arguments are raw addresses (``z_stride`` in doubles);
+    ``per_core_out`` 0 passes NULL, and ``bce``, ``z`` and ``z_stride`` may
+    be left 0 for a caller that writes them per call.  ``tables``
+    supplies the per-OPP tables and per-sensor rows
+    (``soc.SensorTables``, or a ``FleetCluster``, which holds the same
+    attributes).
+    """
+    return [
+        rows,
+        tables.noise_row.size - 1,
         active,
-        opp_idx,
+        opp,
         bce,
         z,
-        dyn_table,
-        leak_table,
-        rate_table,
-        idle_frac,
-        uncore,
-        noise_row,
-        res_mask_i8,
-        safe_res_row,
-        floor_row,
-        any_resolution,
+        z_stride,
+        tables.dynamic_table.ctypes.data,
+        tables.leakage_table.ctypes.data,
+        tables.core_rate_table.ctypes.data,
+        float(tables.idle_core_fraction),
+        float(tables.uncore_power),
+        tables.noise_row.ctypes.data,
+        tables.res_mask_i8.ctypes.data,
+        tables.safe_res_row.ctypes.data,
+        tables.floor_row.ctypes.data,
+        1 if tables.any_resolution else 0,
         power_out,
         ips_out,
-    ) -> None:
-        args = self.telemetry_args(
-            active,
-            opp_idx,
-            dyn_table,
-            leak_table,
-            rate_table,
-            idle_frac,
-            uncore,
-            noise_row,
-            res_mask_i8,
-            safe_res_row,
-            floor_row,
-            any_resolution,
-            power_out,
-            ips_out,
-        )
-        self.cluster_telemetry_ptrs(args, bce, z)
-
-    def telemetry_args(
-        self,
-        active,
-        opp_idx,
-        dyn_table,
-        leak_table,
-        rate_table,
-        idle_frac,
-        uncore,
-        noise_row,
-        res_mask_i8,
-        safe_res_row,
-        floor_row,
-        any_resolution,
-        power_out,
-        ips_out,
-    ) -> list:
-        """Reusable argument vector for :meth:`cluster_telemetry_ptrs`.
-
-        Slots 4-6 (bce pointer, z pointer, z stride) are placeholders
-        filled per call; everything else is a raw pointer or scalar that
-        stays valid only while the backing arrays keep their identity —
-        callers cache this and must rebuild when any of them is
-        replaced.
-        """
-        return [
-            active.size,
-            noise_row.size - 1,
-            active.ctypes.data,
-            opp_idx.ctypes.data,
-            0,
-            0,
-            0,
-            dyn_table.ctypes.data,
-            leak_table.ctypes.data,
-            rate_table.ctypes.data,
-            idle_frac,
-            uncore,
-            noise_row.ctypes.data,
-            res_mask_i8.ctypes.data,
-            safe_res_row.ctypes.data,
-            floor_row.ctypes.data,
-            1 if any_resolution else 0,
-            power_out.ctypes.data,
-            ips_out.ctypes.data,
-        ]
-
-    def cluster_telemetry_ptrs(self, args: list, bce, z) -> None:
-        """Invoke the telemetry kernel with a prebuilt argument vector."""
-        args[4] = bce.ctypes.data
-        args[5] = z.ctypes.data
-        args[6] = z.strides[0] // 8
-        self._telemetry(*args)
-
-    def snap_indices(self, f, freqs, out) -> None:
-        self._snap(
-            f.size, f.ctypes.data, freqs.ctypes.data, freqs.size,
-            out.ctypes.data,
-        )
+        per_core_out,
+    ]
 
 
 # Dot variant codes of the C ``dot`` switch: 0 v4_h2, 1 x2_nofma,
@@ -896,8 +886,10 @@ class ServoGainPack:
 
     Holds the contiguous matrices the kernel reads (:data:`SERVO_MATRICES`
     and ``integral_mask``), their per-row dot variants and ``row``, the
-    set's ``(1, 17)`` row of the kernel's gain-pack table.  ``row`` is
-    ``None`` without a kernel, or when some matrix row has no bit-exact
+    set's ``(1, 17)`` row of the kernel's gain-pack table (at
+    ``row_address``, so a single-row servo switches gain sets by
+    pointing its argument block at it).  ``row`` is ``None`` without a
+    kernel, or when some matrix row has no bit-exact
     inlined reduction on this machine (``gap`` names it).  ``key`` is
     the set's content, for the servos' probe memos.
 
@@ -933,6 +925,7 @@ class ServoGainPack:
         )
         self.variants = None  # repro: shape[(3*n+3*p+2*m,) i1 | none]
         self.row = None  # repro: shape[(1, 17) i8 | none]
+        self.row_address = 0
         self.gap: str | None = None
         kernel = fused_kernel()
         if kernel is None:
@@ -956,6 +949,7 @@ class ServoGainPack:
             ],
             dtype=np.int64,
         )
+        self.row_address = self.row.ctypes.data
 
 
 def servo_context_key(operating_point, limits, anti_windup: float) -> bytes:
@@ -973,7 +967,15 @@ def servo_context_key(operating_point, limits, anti_windup: float) -> bytes:
     return b"".join(np.ascontiguousarray(part).tobytes() for part in parts)
 
 
-def servo_tail(
+# Slots of ``fused_servo_step``'s argument block that hold ``Y`` and
+# the gain-pack table.
+SERVO_Y, SERVO_PACKS = 4, 11
+
+
+def servo_block(
+    rows: int,
+    dims,
+    Y,
     dr,
     X,
     Z,
@@ -986,40 +988,45 @@ def servo_tail(
     u_scale_safe,
     limits,
     anti_windup: float,
-) -> tuple:
-    """Raw arguments of ``fused_servo_step`` after ``Y``, for
-    :meth:`FusedKernel.servo_step_ptrs`.
+) -> np.ndarray:
+    """The argument block of ``fused_servo_step`` for ``rows`` rows.
 
     Row-major ``(N, ·)`` state buffers (a length-k vector is one
     ``(1, k)`` row), the ``(G, 17)`` gain-pack table and the ``(N,)``
-    int8 gain ids, then the operating point and limits.  The addresses
-    stay valid only while every buffer is updated in place; a caller
-    that replaces one must rebuild the tuple.
+    int8 gain ids, then the operating point and limits.  ``Y`` may be
+    ``None`` for a caller that writes slot :data:`SERVO_Y` per call.
+    The addresses stay valid only while every buffer is updated in
+    place; a caller that replaces one must rebuild the block.
     """
     op = operating_point
     if limits.max_step is None:
         step_ptr, has_step = limits.lower.ctypes.data, 0
     else:
         step_ptr, has_step = limits.max_step.ctypes.data, 1
-    return (
-        dr.ctypes.data,
-        X.ctypes.data,
-        Z.ctypes.data,
-        DU.ctypes.data,
-        U_prev.ctypes.data,
-        U_out.ctypes.data,
-        packs.ctypes.data,
-        gain_ids.ctypes.data,
-        op.y.ctypes.data,
-        op.y_scale.ctypes.data,
-        op.u.ctypes.data,
-        op.u_scale.ctypes.data,
-        u_scale_safe.ctypes.data,
-        limits.lower.ctypes.data,
-        limits.upper.ctypes.data,
-        step_ptr,
-        has_step,
-        float(anti_windup),
+    return arg_block(
+        [
+            rows,
+            *dims,
+            0 if Y is None else Y.ctypes.data,
+            dr.ctypes.data,
+            X.ctypes.data,
+            Z.ctypes.data,
+            DU.ctypes.data,
+            U_prev.ctypes.data,
+            U_out.ctypes.data,
+            packs.ctypes.data,
+            gain_ids.ctypes.data,
+            op.y.ctypes.data,
+            op.y_scale.ctypes.data,
+            op.u.ctypes.data,
+            op.u_scale.ctypes.data,
+            u_scale_safe.ctypes.data,
+            limits.lower.ctypes.data,
+            limits.upper.ctypes.data,
+            step_ptr,
+            has_step,
+            float(anti_windup),
+        ]
     )
 
 

@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.control.fused import (
+    SERVO_PACKS,
+    FusedKernel,
     ServoGainPack,
     fused_kernel,
+    servo_block,
     servo_context_key,
-    servo_tail,
     unavailable_reason,
 )
 from repro.control.riccati import kalman_gain, lqr_gain
@@ -314,16 +316,16 @@ class LQGServoController:
         self._dr = operating_point.normalize_y(self._reference)
         self._y_row = np.zeros(p, dtype=float)
         self._u_row = np.zeros(m, dtype=float)
-        self._packs = np.zeros((1, 17), dtype=np.int64)
         self._gain_ids = np.zeros(1, dtype=np.int8)
         self._dims = (n, m, p)
-        self._y_ptr = self._y_row.ctypes.data
+        self._fits = FusedKernel.fits(n, m, p)
         self.reset()
         self._context_key = servo_context_key(
             operating_point, limits, self.anti_windup
         )
         self._fused = None
-        self._tail: tuple | None = None
+        self._block: np.ndarray | None = None
+        self._block_address = 0
         self.fused_reason = self._select_step()
 
     # ------------------------------------------------------------------
@@ -361,11 +363,11 @@ class LQGServoController:
         milliseconds (bumpless transfer is standard practice when gain
         scheduling between linear controllers [Leith & Leithead 2000]).
         """
-        if (
-            gains.n_states != self.gains.n_states
-            or gains.n_inputs != self.gains.n_inputs
-            or gains.n_outputs != self.gains.n_outputs
-        ):
+        # A library's gain sets share one model, so its switches skip
+        # the dimension check.
+        if gains.model is not self.gains.model and (
+            gains.n_states, gains.n_inputs, gains.n_outputs
+        ) != self._dims:
             raise ModelError("gain set dimensions incompatible with controller")
         self.gains = gains
         if bumpless:
@@ -409,8 +411,7 @@ class LQGServoController:
     def _step_fused(self, measured_outputs, kernel) -> np.ndarray:
         """The step as one compiled call on this servo's single row."""
         self._y_row[:] = measured_outputs
-        n, m, p = self._dims
-        kernel.servo_step_ptrs(1, n, m, p, self._y_ptr, self._tail)
+        kernel.servo_step(self._block_address)
         self.invocations += 1
         return self._u_row.copy()
 
@@ -460,27 +461,33 @@ class LQGServoController:
         kernel = fused_kernel()
         if kernel is None:
             return unavailable_reason()
-        if not kernel.fits(*self._dims):
+        if not self._fits:
             return "dims"
         pack = self.gains.fused_pack
         if pack.gap is not None:
             return pack.gap
-        self._packs[...] = pack.row
-        if self._tail is None:
-            self._tail = servo_tail(
+        if self._block is None:
+            self._block = servo_block(
+                1,
+                self._dims,
+                self._y_row,
                 self._dr,
                 self._xhat,
                 self._z,
                 self._du_prev,
                 self._u_prev,
                 self._u_row,
-                self._packs,
+                pack.row,
                 self._gain_ids,
                 self.operating_point,
                 self._u_scale_safe,
                 self.limits,
                 self.anti_windup,
             )
+            self._block_address = self._block.ctypes.data
+        # The gain-pack table is this pack's own row: a gain switch
+        # repoints one slot.
+        self._block[SERVO_PACKS] = pack.row_address
         key = (pack.key, self._context_key)
         verdict = _PROBE_MEMO.get(key)
         if verdict is None:

@@ -417,20 +417,3 @@ def fleet_specification(
         ],
         name=f"FleetSpec[{n_clusters}]",
     )
-
-
-def build_fleet_supervisor(
-    n_clusters: int, levels: int = 2
-) -> VerifiedSupervisor:
-    """Synthesize + verify the fleet-coordinated supervisor.
-
-    Composes the plant explicitly, so this entry point is for sizes
-    where that is still feasible (tests, the case-study scale); the
-    benchmark suite's fleet 10x2 point goes through
-    :func:`fleet_plant_components` and the encoded fold instead.
-    """
-    sigma = fleet_alphabet(n_clusters)
-    return synthesize_and_verify(
-        fleet_counter_plant(n_clusters, levels, sigma),
-        fleet_specification(n_clusters, sigma),
-    )

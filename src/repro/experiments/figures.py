@@ -88,13 +88,6 @@ def prime_design_caches(
     _SUPERVISOR_CACHE = supervisor
 
 
-def clear_design_caches() -> None:
-    """Drop the process-local design caches (test isolation hook)."""
-    global _SYSTEMS_CACHE, _SUPERVISOR_CACHE
-    _SYSTEMS_CACHE = None
-    _SUPERVISOR_CACHE = None
-
-
 def design_caches_primed() -> bool:
     """Whether this process already holds both design artifacts."""
     return _SYSTEMS_CACHE is not None and _SUPERVISOR_CACHE is not None

@@ -4,7 +4,9 @@
 :class:`~repro.perf.profiler.StepProfiler` attached and prints the
 per-stage hotspot table plus end-to-end throughput, then each LQG
 servo's step path: ``compiled`` (the fused kernel) or ``numpy`` with
-the servo's ``fused_reason``.
+the servo's ``fused_reason``, and below it each SoC cluster's sensor
+read: ``compiled`` (the telemetry kernel) or ``python`` with the
+cluster's ``fused_reason``.
 """
 
 from __future__ import annotations
@@ -61,6 +63,17 @@ def _servo_report(manager) -> str:
     return "\n".join(lines)
 
 
+def _sensor_report(soc) -> str:
+    """One line per SoC cluster: its sensor-read path and, on the
+    Python path, why (``fused_reason``)."""
+    lines = [f"{'sensors':<14} {'path':<9} fused_reason"]
+    for cluster in soc.clusters():
+        reason = cluster.fused_reason
+        path = "python" if reason is not None else "compiled"
+        lines.append(f"{cluster.name:<14} {path:<9} {reason or '-'}")
+    return "\n".join(lines)
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
     # Heavy imports stay inside the command so ``--help`` is instant.
     from repro.experiments.figures import identified_systems, manager_factory
@@ -80,6 +93,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     profiler = StepProfiler()
     managers = []
+    socs = []
+
+    def soc_setup(soc) -> None:
+        socs.append(soc)
+        profiler.attach_soc(soc)
 
     def manager_setup(manager) -> None:
         managers.append(manager)
@@ -91,7 +109,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         workload,
         scenario,
         seed=args.seed,
-        soc_setup=profiler.attach_soc,
+        soc_setup=soc_setup,
         manager_setup=manager_setup,
     )
     elapsed = time.perf_counter() - t0
@@ -103,6 +121,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     for manager in managers:
         print()
         print(_servo_report(manager))
+    for soc in socs:
+        print()
+        print(_sensor_report(soc))
     return 0
 
 

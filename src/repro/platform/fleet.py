@@ -41,7 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.control.fused import fused_kernel
+from repro.control.fused import (
+    TELEMETRY_BCE,
+    TELEMETRY_Z,
+    TELEMETRY_Z_STRIDE,
+    arg_block,
+    fused_kernel,
+    telemetry_args,
+)
 from repro.platform.opp import big_cluster_opps, little_cluster_opps
 from repro.platform.perf import (
     amdahl_speedup,
@@ -57,6 +64,7 @@ from repro.platform.scheduler import HMPScheduler
 from repro.platform.soc import (
     Cluster,
     PlatformError,
+    SensorTables,
     SoCConfig,
     fleet_sensor_layout,
 )
@@ -84,7 +92,7 @@ class FleetCluster:
     def __init__(
         self, template: Cluster, n_devices: int, *, strength_exponent: float
     ) -> None:  # repro: shape[n_devices: int[N]]
-        sensor, pmu_sensors = fleet_sensor_layout(template)
+        fleet_sensor_layout(template)
         self.name = template.name
         self.n_cores = template.n_cores  # repro: shape[int[C]]
         self.n_cores_f = float(template.n_cores)  # repro: shape[float]
@@ -94,57 +102,38 @@ class FleetCluster:
         points = template.opps.points
         self.freq_table = template.opps.frequency_array  # repro: shape[(n_opp,) f8]
         self.volt_table = template.opps.voltage_array  # repro: shape[(n_opp,) f8]
-        # Per-OPP lookup tables, all built with Python-float arithmetic
-        # so indexed values match the scalar expressions bit-for-bit.
-        self.dynamic_table, self.leakage_table = (
-            template.power_model.per_opp_tables(template.opps)
-        )
+        # Per-OPP lookup tables and per-sensor rows, shared with the
+        # scalar compiled read: column 0 of a sensor row is the power
+        # sensor, columns 1..n_cores the per-core PMUs.  Broadcasting
+        # one (1 + n_cores,) row against the (N, 1 + n_cores) noise
+        # block applies the same elementwise ops as the per-sensor loop.
+        tables = SensorTables(template)
+        self.dynamic_table = tables.dynamic_table  # repro: shape[(n_opp,) f8]
+        self.leakage_table = tables.leakage_table  # repro: shape[(n_opp,) f8]
+        self.core_rate_table = tables.core_rate_table  # repro: shape[(n_opp,) f8]
         ipc = template.perf_model.ipc_factor
-        self.core_rate_table = np.array(  # repro: shape[(n_opp,) f8]
-            [ipc * p.frequency_ghz for p in points], dtype=float
-        )
         self.strength_table = np.array(  # repro: shape[(n_opp,) f8]
             [(ipc * p.frequency_ghz) ** strength_exponent for p in points],
             dtype=float,
         )
-        self.idle_core_fraction = template.power_model.idle_core_fraction
-        self.uncore_power = template.power_model.uncore_power
-        self.power_noise_fraction = sensor.noise_fraction
-        self.power_resolution = sensor.resolution
-        self.power_floor = sensor.floor
-        self.pmu_noise_fractions = [s.noise_fraction for s in pmu_sensors]
-        self.pmu_resolutions = [s.resolution for s in pmu_sensors]
-        self.pmu_floors = [s.floor for s in pmu_sensors]
-        # Fused sensor rows: column 0 is the power sensor, columns
-        # 1..n_cores the per-core PMUs.  Broadcasting one (1 + n_cores,)
-        # parameter row against the (N, 1 + n_cores) noise block applies
-        # the same elementwise ops as the per-sensor loop.
-        sensors = [sensor, *pmu_sensors]
-        self.noise_row = np.array(  # repro: shape[(C+1,) f8]
-            [s.noise_fraction for s in sensors], dtype=float
-        )
-        resolutions = np.array([s.resolution for s in sensors], dtype=float)
-        self.res_mask_row = resolutions > 0  # repro: shape[(C+1,) b1]
-        self.any_resolution = bool(self.res_mask_row.any())  # repro: shape[bool]
-        self.safe_res_row = np.where(  # repro: shape[(C+1,) f8]
-            self.res_mask_row, resolutions, 1.0
-        )
-        self.floor_row = np.array(  # repro: shape[(C+1,) f8]
-            [s.floor for s in sensors], dtype=float
-        )
+        self.idle_core_fraction = tables.idle_core_fraction
+        self.uncore_power = tables.uncore_power
+        self.noise_row = tables.noise_row  # repro: shape[(C+1,) f8]
+        self.res_mask_row = tables.res_mask_row  # repro: shape[(C+1,) b1]
+        self.res_mask_i8 = tables.res_mask_i8  # repro: shape[(C+1,) i1]
+        self.any_resolution = tables.any_resolution  # repro: shape[bool]
+        self.safe_res_row = tables.safe_res_row  # repro: shape[(C+1,) f8]
+        self.floor_row = tables.floor_row  # repro: shape[(C+1,) f8]
         self.core_ids = np.arange(self.n_cores, dtype=float)  # repro: shape[(C,) f8]
         self._reading_buf = np.empty(  # repro: shape[(N, C+1) f8]
             (n_devices, 1 + self.n_cores), dtype=float
-        )
-        self.res_mask_i8 = np.ascontiguousarray(  # repro: shape[(C+1,) i1]
-            self.res_mask_row, dtype=np.int8
         )
         # Compiled-telemetry state: the kernel handle is set by
         # FleetPlatform after a per-cluster differential probe.  Output
         # buffers are double-buffered so the previous tick's telemetry
         # arrays stay intact without per-tick allocation.
         self.telemetry_kernel = None
-        self._telemetry_args = None
+        self._telemetry_blocks = None
         self._out_flip = 0  # repro: shape[int]
         self._power_bufs = (
             np.empty(n_devices, dtype=float),
@@ -559,42 +548,37 @@ def _cluster_telemetry_fused(
     fc._out_flip = 1 - flip
     power_w = fc._power_bufs[flip]
     ips = fc._ips_bufs[flip]
-    # Prebuilt argument vectors (one per output flip) avoid re-deriving
-    # seventeen ctypes pointers per call; they are keyed on the identity
-    # of the two arrays that may be replaced (``active`` by the probe,
-    # ``opp_idx`` by the probe and by the first ``set_frequency``) and
-    # rebuilt whenever either moves.
-    cached = fc._telemetry_args
+    # Prebuilt argument blocks (one per output flip) keep every table,
+    # state and output address; a call writes only bce, z and the z
+    # stride.  They are keyed on the identity of the two arrays that
+    # may be replaced (``active`` by the probe, ``opp_idx`` by the
+    # probe and by the first ``set_frequency``) and rebuilt whenever
+    # either moves.  The per-core output stays NULL.
+    cached = fc._telemetry_blocks
     if (
         cached is None
         or cached[0] is not fc.active
         or cached[1] is not fc.opp_idx
     ):
-        cached = (
-            fc.active,
-            fc.opp_idx,
-            tuple(
-                kernel.telemetry_args(
-                    fc.active,
-                    fc.opp_idx,
-                    fc.dynamic_table,
-                    fc.leakage_table,
-                    fc.core_rate_table,
-                    fc.idle_core_fraction,
-                    fc.uncore_power,
-                    fc.noise_row,
-                    fc.res_mask_i8,
-                    fc.safe_res_row,
-                    fc.floor_row,
-                    fc.any_resolution,
-                    fc._power_bufs[side],
-                    fc._ips_bufs[side],
+        blocks = []
+        for side in (0, 1):
+            block = arg_block(
+                telemetry_args(
+                    fc,
+                    fc.active.size,
+                    active=fc.active.ctypes.data,
+                    opp=fc.opp_idx.ctypes.data,
+                    power_out=fc._power_bufs[side].ctypes.data,
+                    ips_out=fc._ips_bufs[side].ctypes.data,
                 )
-                for side in (0, 1)
-            ),
-        )
-        fc._telemetry_args = cached
-    kernel.cluster_telemetry_ptrs(cached[2][flip], busy_core_equivalents, z)
+            )
+            blocks.append((block, block.ctypes.data))
+        cached = fc._telemetry_blocks = (fc.active, fc.opp_idx, blocks)
+    block, address = cached[2][flip]
+    block[TELEMETRY_BCE] = busy_core_equivalents.ctypes.data
+    block[TELEMETRY_Z] = z.ctypes.data
+    block[TELEMETRY_Z_STRIDE] = z.strides[0] // 8
+    kernel.telemetry(address)
     return FleetClusterTelemetry(
         frequency_ghz=fc.frequency,
         voltage_v=fc.voltage,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.control.fused import fused_kernel
+from repro.control.fused import arg_block, fused_kernel
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,10 @@ class OPPTable:
         # snap (None until probed; stays None if the probe fails).
         self._snap_kernel = None
         self._snap_probed = False
+        # opp_snap's argument block (built with the kernel): N, f and
+        # out are written per call.
+        self._snap_block = None
+        self._snap_address = 0
 
     @property
     def points(self) -> tuple[OPP, ...]:
@@ -147,7 +151,7 @@ class OPPTable:
             if kernel is not None:
                 if not f.flags.c_contiguous:
                     f = np.ascontiguousarray(f)
-                kernel.snap_indices(f, self._freqs_array, out)
+                self._snap_compiled(kernel, f, out)
                 return out
         chosen = self._snap_indices_numpy(f)
         if out is not None and out.shape == chosen.shape:
@@ -169,6 +173,13 @@ class OPPTable:
         chosen = np.where(f >= freqs[last], last, chosen)
         return chosen
 
+    def _snap_compiled(self, kernel, f: np.ndarray, out: np.ndarray) -> None:
+        block = self._snap_block
+        block[0] = f.size
+        block[1] = f.ctypes.data
+        block[4] = out.ctypes.data
+        kernel.snap(self._snap_address)
+
     def _resolve_snap_kernel(self):
         """Probe-gated compiled snap (None when unavailable or inexact).
 
@@ -183,6 +194,8 @@ class OPPTable:
         if kernel is None:
             return None
         freqs = self._freqs_array
+        self._snap_block = arg_block([0, 0, freqs.ctypes.data, freqs.size, 0])
+        self._snap_address = self._snap_block.ctypes.data
         rng = np.random.default_rng(0x59A9)
         probe = np.concatenate(
             [
@@ -195,7 +208,7 @@ class OPPTable:
         reference = self._snap_indices_numpy(probe)
         fast = np.empty(probe.shape, dtype=np.int64)
         try:
-            kernel.snap_indices(np.ascontiguousarray(probe), freqs, fast)
+            self._snap_compiled(kernel, np.ascontiguousarray(probe), fast)
         except Exception:
             return None
         if np.array_equal(reference, fast):

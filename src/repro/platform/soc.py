@@ -17,10 +17,17 @@ userspace daemon.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.control.fused import (
+    arg_block,
+    fused_kernel,
+    telemetry_args,
+    unavailable_reason,
+)
 from repro.platform.opp import OPPTable, big_cluster_opps, little_cluster_opps
 from repro.platform.perf import (
     ClusterPerfModel,
@@ -68,22 +75,33 @@ class Cluster:
         self.perf_model = perf_model
         self._frequency_ghz = opps.max_frequency
         self._voltage_v = opps.snap(self._frequency_ghz).voltage_v
+        # OPP index of the current frequency, for the compiled sensor
+        # read's per-OPP tables.
+        self._opp_index_of = {
+            opp.frequency_ghz: index for index, opp in enumerate(opps.points)
+        }
+        self._opp_index = self._opp_index_of[self._frequency_ghz]
         self._active_cores = n_cores
         self._idle_fractions = np.zeros(n_cores, dtype=float)
         # Count of cores with nonzero idle insertion; lets the hot path
         # skip the idle-weighting array math in the common all-busy case.
         self._idle_cores = 0
         self.power_sensor: NoisySensor = power_sensor(name)
-        self.pmu_sensors: list[NoisySensor] = [
+        self.pmu_sensors: tuple[NoisySensor, ...] = tuple(
             pmu_counter(f"{name}-core{i}") for i in range(n_cores)
-        ]
+        )
         # Optional fault-injection layer consulted by the actuators
         # (set by repro.platform.faults.inject_actuator_fault).
         self.actuator_faults = None
-        # Identity-keyed cache of bound ``set_time`` methods; rebuilt
-        # when fault injection swaps an instrument (see clock_setters).
-        self._clock_setter_key: tuple | None = None
+        # Identity-keyed caches of the instruments: the bound
+        # ``set_time`` methods and the compiled sensor read, re-derived
+        # when fault injection swaps an instrument (see clock_setters
+        # and compiled_sensors).
+        self._instruments: tuple = ()
         self._clock_setters: tuple = ()
+        self._sensors: CompiledSensors | None = None
+        self._sensors_reason: str | None = None
+        self._sensors_bound = False
 
     # ------------------------------ actuators -------------------------
     @property
@@ -106,6 +124,7 @@ class Cluster:
             opp = self.opps.snap(target_ghz)
         self._frequency_ghz = opp.frequency_ghz
         self._voltage_v = opp.voltage_v
+        self._opp_index = self._opp_index_of[opp.frequency_ghz]
         return opp.frequency_ghz
 
     @property
@@ -175,35 +194,72 @@ class Cluster:
         # for a Big core at alpha=1.
         return self.perf_model.ipc_factor * self._frequency_ghz
 
-    # ------------------------------ clocking --------------------------
+    # ------------------------------ instruments -----------------------
+    def _check_instruments(self) -> None:
+        """Re-derive the instrument caches if one was swapped.
+
+        Fault injection replaces ``power_sensor`` or ``actuator_faults``
+        by plain assignment (``pmu_sensors`` is a tuple, so it can only
+        be replaced whole), so the per-step cost is three identity
+        tests instead of a scan over every sensor.
+        """
+        held = self._instruments
+        if (
+            held
+            and held[0] is self.power_sensor
+            and held[1] is self.pmu_sensors
+            and held[2] is self.actuator_faults
+        ):
+            return
+        self._instruments = (
+            self.power_sensor,
+            self.pmu_sensors,
+            self.actuator_faults,
+        )
+        setters = []
+        for instrument in (
+            self.power_sensor,
+            *self.pmu_sensors,
+            self.actuator_faults,
+        ):
+            setter = getattr(instrument, "set_time", None)
+            if setter is not None:
+                setters.append(setter)
+        self._clock_setters = tuple(setters)
+        self._sensors = None
+        self._sensors_bound = False
+
     def clock_setters(self) -> tuple:
         """Bound ``set_time`` methods of the time-aware instruments.
 
-        Cached on the identity of the instrument objects: fault
-        injection replaces ``power_sensor`` / attaches
-        ``actuator_faults`` by plain assignment, so the per-step cost is
-        one id-tuple comparison instead of a ``getattr`` scan over every
-        sensor.  Plain sensors (no ``set_time``) contribute nothing, so
-        the fault-free fast path iterates an empty tuple.
+        Plain sensors (no ``set_time``) contribute nothing, so the
+        fault-free fast path iterates an empty tuple.
         """
-        key = (
-            id(self.power_sensor),
-            id(self.actuator_faults),
-            *map(id, self.pmu_sensors),
-        )
-        if key != self._clock_setter_key:
-            setters = []
-            for instrument in (
-                self.power_sensor,
-                *self.pmu_sensors,
-                self.actuator_faults,
-            ):
-                setter = getattr(instrument, "set_time", None)
-                if setter is not None:
-                    setters.append(setter)
-            self._clock_setters = tuple(setters)
-            self._clock_setter_key = key
+        self._check_instruments()
         return self._clock_setters
+
+    def compiled_sensors(self) -> CompiledSensors | None:
+        """The compiled sensor read, or ``None`` when the sensors must
+        be read in Python (``fused_reason`` says why).
+
+        Bound on first use and whenever an instrument is swapped; idle
+        insertion is checked per read, since it changes per tick.
+        """
+        self._check_instruments()
+        if not self._sensors_bound:
+            self._sensors, self._sensors_reason = _bind_sensors(self)
+            self._sensors_bound = True
+        return self._sensors
+
+    @property
+    def fused_reason(self) -> str | None:
+        """Why this cluster's sensors are read in Python; ``None`` when
+        the compiled telemetry kernel reads them."""
+        if self.compiled_sensors() is None:
+            return self._sensors_reason
+        if self._idle_cores:
+            return "idle insertion"
+        return None
 
 
 @dataclass
@@ -382,18 +438,27 @@ def read_cluster_telemetry(
 ) -> ClusterTelemetry:
     """One cluster's sensor readings for one interval (shared kernel).
 
-    Used by both :class:`ExynosSoC` and ``ManyCoreSoC``.  Draw order per
-    cluster: one power-sensor draw, then one PMU draw per core (all
-    cores, including inactive ones — their target rate is simply zero).
-    The uniform-weights fast path avoids the per-step numpy temporaries;
-    it is bit-identical to the array formulation because each share is
-    the same ``1/active`` quotient and a sequential sum matches
-    ``np.sum`` below numpy's 8-wide pairwise unroll.  When every sensor
-    is a plain noisy one, the noise gains come from one batched
-    ``standard_normal`` call — ``rng.normal(1, s)`` equals
-    ``1 + s * standard_normal()`` draw-for-draw, so the stream is
-    consumed identically (asserted by the RNG contract tests).
+    Used by both :class:`ExynosSoC` and ``ManyCoreSoC``.  Runs the
+    compiled telemetry kernel (:class:`CompiledSensors`) wherever the
+    cluster's differential probe passed and no idle insertion is
+    active; the Python read below is the reference it reproduces bit
+    for bit, drawing from the RNG stream identically.
+
+    Draw order per cluster: one power-sensor draw, then one PMU draw per
+    core (all cores, including inactive ones — their target rate is
+    simply zero).  The uniform-weights fast path avoids the per-step
+    numpy temporaries; it is bit-identical to the array formulation
+    because each share is the same ``1/active`` quotient and a
+    sequential sum matches ``np.sum`` below numpy's 8-wide pairwise
+    unroll.  When every sensor is a plain noisy one, the noise gains
+    come from one batched ``standard_normal`` call —
+    ``rng.normal(1, s)`` equals ``1 + s * standard_normal()``
+    draw-for-draw, so the stream is consumed identically (asserted by
+    the RNG contract tests).
     """
+    sensors = cluster.compiled_sensors()
+    if sensors is not None and cluster._idle_cores == 0:
+        return sensors.read(cluster, busy_core_equivalents, rng)
     frequency_ghz = cluster._frequency_ghz
     true_power_w = cluster.power_model.cluster_power(
         frequency_ghz,
@@ -455,6 +520,226 @@ def read_cluster_telemetry(
         power_w=measured_power_w,
         ips=ips,
         per_core_ips=per_core_ips,
+    )
+
+
+class SensorTables:
+    """A cluster's inputs to the compiled telemetry kernel.
+
+    Per-OPP tables (built with Python-float arithmetic, so indexed
+    values match the scalar expressions bit for bit) and per-sensor
+    rows: column 0 is the power sensor, columns 1..n_cores the PMUs.
+    Shared by the scalar read and the fleet's ``FleetCluster``.
+    """
+
+    def __init__(self, cluster: Cluster) -> None:
+        power_model = cluster.power_model
+        self.dynamic_table, self.leakage_table = power_model.per_opp_tables(
+            cluster.opps
+        )
+        ipc = cluster.perf_model.ipc_factor
+        self.core_rate_table = np.array(  # repro: shape[(n_opp,) f8]
+            [ipc * p.frequency_ghz for p in cluster.opps.points], dtype=float
+        )
+        self.idle_core_fraction = power_model.idle_core_fraction
+        self.uncore_power = power_model.uncore_power
+        sensors = [cluster.power_sensor, *cluster.pmu_sensors]
+        self.noise_row = np.array(  # repro: shape[(C+1,) f8]
+            [s.noise_fraction for s in sensors], dtype=float
+        )
+        resolutions = np.array([s.resolution for s in sensors], dtype=float)
+        self.res_mask_row = resolutions > 0  # repro: shape[(C+1,) b1]
+        self.res_mask_i8 = self.res_mask_row.astype(np.int8)  # repro: shape[(C+1,) i1]
+        self.any_resolution = bool(self.res_mask_row.any())
+        self.safe_res_row = np.where(  # repro: shape[(C+1,) f8]
+            self.res_mask_row, resolutions, 1.0
+        )
+        self.floor_row = np.array(  # repro: shape[(C+1,) f8]
+            [s.floor for s in sensors], dtype=float
+        )
+
+
+def _sensor_content(cluster: Cluster) -> tuple:
+    """Everything the compiled read depends on besides the cluster's
+    state, as a memo key: models, OPP table and sensor parameters, with
+    their types (an int floor or resolution yields an int reading)."""
+    power_model = cluster.power_model
+    params = [
+        cluster.n_cores,
+        cluster.perf_model.ipc_factor,
+        power_model.dynamic_coefficient,
+        power_model.leakage_per_core,
+        power_model.idle_core_fraction,
+        power_model.uncore_power,
+        *cluster.opps.frequencies,
+        *(opp.voltage_v for opp in cluster.opps.points),
+    ]
+    for sensor in (cluster.power_sensor, *cluster.pmu_sensors):
+        params += (sensor.noise_fraction, sensor.resolution, sensor.floor)
+    return struct.pack(f"={len(params)}d", *params), tuple(map(type, params))
+
+
+class CompiledSensors:
+    """One cluster's sensor read on the compiled telemetry kernel.
+
+    The fleet's ``fleet_telemetry`` kernel on a single row.  Its inputs
+    and outputs live in one fixed scratch array the argument block
+    points into: active cores, OPP index and busy equivalents, the
+    noise draws, then the power, ips and per-core readings.  A read
+    writes the three state values and the draws and makes one
+    one-pointer call.
+    """
+
+    _STATE = struct.Struct("=dqd")  # active, OPP index, busy equivalents
+    _OUTPUTS = struct.Struct("=dd")  # power, ips
+
+    def __init__(self, kernel, tables: SensorTables, n_cores: int) -> None:
+        draws = 3
+        outputs = draws + n_cores + 1
+        per_core = outputs + 2
+        scratch = np.zeros(per_core + n_cores, dtype=float)
+        base = scratch.ctypes.data
+        block = arg_block(
+            telemetry_args(
+                tables,
+                1,
+                active=base,
+                opp=base + 8,
+                bce=base + 16,
+                z=base + 8 * draws,
+                z_stride=n_cores + 1,
+                power_out=base + 8 * outputs,
+                ips_out=base + 8 * (outputs + 1),
+                per_core_out=base + 8 * per_core,
+            )
+        )
+        self._block = block
+        self._tables = tables  # the block points into them
+        self._memory = scratch.data
+        self._address = block.ctypes.data
+        self._call = kernel.telemetry
+        self._n_draws = n_cores + 1
+        self._draws = scratch[draws:outputs]
+        self._per_core = scratch[per_core:]
+        self._outputs_offset = 8 * outputs
+
+    def read(
+        self, cluster: Cluster, busy_core_equivalents: float, rng
+    ) -> ClusterTelemetry:
+        # The draw stays a plain standard_normal(n_cores + 1) call: the
+        # RNG contract pins the call itself, not only the stream.
+        np.copyto(self._draws, rng.standard_normal(self._n_draws))
+        active = cluster._active_cores
+        self._STATE.pack_into(
+            self._memory,
+            0,
+            active,
+            cluster._opp_index,
+            busy_core_equivalents,
+        )
+        self._call(self._address)
+        power_w, ips = self._OUTPUTS.unpack_from(
+            self._memory, self._outputs_offset
+        )
+        return ClusterTelemetry(
+            frequency_ghz=cluster._frequency_ghz,
+            voltage_v=cluster._voltage_v,
+            active_cores=active,
+            busy_core_equivalents=busy_core_equivalents,
+            power_w=power_w,
+            ips=ips,
+            per_core_ips=self._per_core.copy(),
+        )
+
+
+# Probe verdicts and kernel tables keyed by cluster content
+# (_sensor_content).  The probe is deterministic, so identical clusters
+# re-derive the same verdict; run_scenario builds a fresh SoC per run,
+# which would otherwise repeat it every run.
+_SENSOR_MEMO: dict[tuple, tuple[SensorTables, bool]] = {}
+
+
+def _bind_sensors(cluster: Cluster) -> tuple[CompiledSensors | None, str | None]:
+    """The cluster's compiled read, or ``None`` and the reason it is
+    read in Python."""
+    kernel = fused_kernel()
+    if kernel is None:
+        return None, unavailable_reason()
+    if cluster.n_cores >= 8:
+        return None, ">= 8 cores (pairwise-sum read)"
+    if not batched_noise_eligible(cluster.power_sensor, cluster.pmu_sensors):
+        return None, "sensors not plain NoisySensors with positive noise"
+    key = _sensor_content(cluster)
+    memo = _SENSOR_MEMO.get(key)
+    if memo is None:
+        tables = SensorTables(cluster)
+        verdict = _probe_sensor_read(
+            cluster, CompiledSensors(kernel, tables, cluster.n_cores)
+        )
+        memo = (tables, verdict)
+        if len(_SENSOR_MEMO) < 256:
+            _SENSOR_MEMO[key] = memo
+    tables, verdict = memo
+    if not verdict:
+        return None, "differential probe mismatch"
+    return CompiledSensors(kernel, tables, cluster.n_cores), None
+
+
+class _PresetDraw:
+    """An RNG stand-in whose ``standard_normal`` returns preset draws."""
+
+    def __init__(self, z: np.ndarray) -> None:
+        self.z = z
+
+    def standard_normal(self, size):
+        return self.z[:size].copy()
+
+
+def _probe_sensor_read(cluster: Cluster, sensors: CompiledSensors) -> bool:
+    """Differential gate for the compiled sensor read.
+
+    Reads a scratch copy of the cluster (same models, OPP table and
+    sensors) through both paths over random states: every OPP, every
+    active-core count, busy equivalents including negative and
+    over-capacity values, and noise draws at magnitudes spanning the
+    gain clamp.  Accepts only when ``power_w``, ``ips`` (value and
+    type) and ``per_core_ips`` agree bit for bit.
+    """
+    scratch = Cluster(
+        cluster.name,
+        n_cores=cluster.n_cores,
+        opps=cluster.opps,
+        power_model=cluster.power_model,
+        perf_model=cluster.perf_model,
+    )
+    scratch.power_sensor = cluster.power_sensor
+    scratch.pmu_sensors = cluster.pmu_sensors
+    # Bound to no compiled read: the scratch cluster reads in Python.
+    scratch._check_instruments()
+    scratch._sensors_bound = True
+    n_cores = cluster.n_cores
+    rng = np.random.default_rng(0x5E45)
+    for scale in (1e-2, 1.0, 1e2):
+        for frequency_ghz in cluster.opps.frequencies:
+            scratch.set_frequency(frequency_ghz)
+            for active in range(1, n_cores + 1):
+                scratch.set_active_cores(active)
+                busy = float(rng.standard_normal()) * (n_cores + 1)
+                draw = _PresetDraw(rng.standard_normal(n_cores + 1) * scale)
+                expected = read_cluster_telemetry(scratch, busy, draw)
+                got = sensors.read(scratch, busy, draw)
+                if not _same_reading(expected, got):
+                    return False
+    return True
+
+
+def _same_reading(a: ClusterTelemetry, b: ClusterTelemetry) -> bool:
+    """Bit-for-bit equality of the measured fields (and their types)."""
+    measured = (a.power_w, a.ips), (b.power_w, b.ips)
+    return (
+        list(map(type, measured[0])) == list(map(type, measured[1]))
+        and struct.pack("=2d", *measured[0]) == struct.pack("=2d", *measured[1])
+        and a.per_core_ips.tobytes() == b.per_core_ips.tobytes()
     )
 
 
@@ -541,8 +826,8 @@ def fair_share_capacity(capacity: float, runnable_threads: float) -> float:
     return min(1.0, capacity / runnable_threads)
 
 
-def fleet_sensor_layout(cluster: Cluster):
-    """Validate a cluster for fleet vectorization; return its sensors.
+def fleet_sensor_layout(cluster: Cluster) -> None:
+    """Validate a cluster for fleet vectorization.
 
     The fleet kernel (``repro.platform.fleet``) only reproduces the
     scalar *fast* path of :func:`read_cluster_telemetry`: plain noisy
@@ -572,13 +857,14 @@ def fleet_sensor_layout(cluster: Cluster):
             "instances with positive noise, so the batched standard_normal "
             "block would not match the scalar draw order"
         )
-    return cluster.power_sensor, tuple(cluster.pmu_sensors)
 
 
 # Re-export for symmetry with the scheduler module.
 __all__ = [
     "Cluster",
     "ClusterTelemetry",
+    "CompiledSensors",
+    "SensorTables",
     "ExynosSoC",
     "PlatformError",
     "SoCConfig",

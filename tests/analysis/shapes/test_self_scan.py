@@ -60,14 +60,14 @@ class TestSelfScan:
         import repro.control.fused as fused
 
         functions = parse_c_functions(fused._C_SOURCE)
-        assert "fused_servo_step" in functions
-        # The parameter this analyzer caught mis-bound as c_longlong in
-        # the original binding really is a pointer in the C source.
-        params = {p.name: p for p in functions["fused_servo_step"].params}
-        assert params["max_step"].kind == "pointer"
-        assert params["max_step"].decl == "const double *"
-        # Per-row gain ids are the servo's int8 gain_ids buffer; the
-        # gain-pack table is a pointer, not an integer handle.
-        assert params["gain_ids"].kind == "pointer"
-        assert params["gain_ids"].decl == "const signed char *"
-        assert params["packs"].kind == "pointer"
+        # Each per-call entry point reads one argument block, so its
+        # whole ABI is a single pointer to the C ``arg`` union array.
+        for name in ("fused_servo_step", "fleet_telemetry", "opp_snap"):
+            (param,) = functions[name].params
+            assert param.kind == "pointer", name
+            assert param.decl == "const arg *", name
+            assert functions[name].returns == "void", name
+        # The probe's dot entry keeps positional scalar arguments.
+        kinds = [p.kind for p in functions["fused_dot"].params]
+        assert kinds == ["i64", "pointer", "pointer", "i64"]
+        assert functions["fused_dot"].returns == "double"

@@ -20,7 +20,7 @@ import pytest
 
 import repro
 from repro.control import lqg
-from repro.control.fused import fused_kernel, unavailable_reason
+from repro.control.fused import SERVO_PACKS, fused_kernel, unavailable_reason
 from repro.control.lqg import LQGServoController
 from repro.experiments.figures import (
     MANAGER_NAMES,
@@ -125,6 +125,34 @@ def test_fused_step_equals_numpy_step(which, kernel, systems, monkeypatch):
         # The large-scale measurements must drive the actuators onto
         # their limits, so the anti-windup branch is exercised.
         assert saturated > 0
+
+
+@pytest.mark.parametrize("which", ["big", "fs"])
+def test_gain_switch_repoints_the_compiled_step(
+    which, kernel, systems, monkeypatch
+):
+    # A switch repoints the argument block's gain-pack slot at the new
+    # set's row; the servo stays on the kernel and keeps matching the
+    # numpy step, switched the same way, bit for bit.
+    system, palette, limits = _palette(systems, which)
+    op = system.operating_point
+    fused = LQGServoController(palette[0], op, limits)
+    with monkeypatch.context() as patch:
+        patch.setattr(lqg, "fused_kernel", lambda: None)
+        reference = LQGServoController(palette[0], op, limits)
+    rng = np.random.default_rng(0x5A1)
+    for gains in (palette[1], palette[0], palette[1]):
+        fused.switch_gains(gains)
+        with monkeypatch.context() as patch:
+            patch.setattr(lqg, "fused_kernel", lambda: None)
+            reference.switch_gains(gains)
+        assert fused._fused is kernel
+        assert fused._block[SERVO_PACKS] == gains.fused_pack.row_address
+        assert _state(fused) == _state(reference)
+        for scale in (0.5, 3.0, 50.0):
+            y = op.y + op.y_scale * scale * rng.standard_normal(op.y.size)
+            assert fused.step(y).tobytes() == reference.step(y).tobytes()
+            assert _state(fused) == _state(reference)
 
 
 class TestScalarFusedCoverage:
