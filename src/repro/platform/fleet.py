@@ -48,6 +48,7 @@ from repro.control.fused import (
     arg_block,
     fused_kernel,
     telemetry_args,
+    unavailable_reason,
 )
 from repro.platform.opp import big_cluster_opps, little_cluster_opps
 from repro.platform.perf import (
@@ -128,10 +129,10 @@ class FleetCluster:
         self._reading_buf = np.empty(  # repro: shape[(N, C+1) f8]
             (n_devices, 1 + self.n_cores), dtype=float
         )
-        # Compiled-telemetry state: the kernel handle is set by
-        # FleetPlatform after a per-cluster differential probe.  Output
-        # buffers are double-buffered so the previous tick's telemetry
-        # arrays stay intact without per-tick allocation.
+        # Compiled-telemetry state: the kernel handle is set at the end
+        # of construction, after a per-cluster differential probe.
+        # Output buffers are double-buffered so the previous tick's
+        # telemetry arrays stay intact without per-tick allocation.
         self.telemetry_kernel = None
         self._telemetry_blocks = None
         self._out_flip = 0  # repro: shape[int]
@@ -154,6 +155,9 @@ class FleetCluster:
         self.active = np.full(  # repro: shape[(N,) f8]
             n_devices, float(template.active_cores)
         )
+        # None when the compiled sweep reads this cluster; otherwise
+        # why the numpy read runs (as ``Cluster.fused_reason``).
+        self.fused_reason = _enable_telemetry_kernel(self)
 
     def set_frequency(self, requests: np.ndarray) -> np.ndarray:
         # repro: shape[requests: (N,) f8; -> (N,) f8]
@@ -268,15 +272,6 @@ class FleetPlatform:
             self.n_devices,
             strength_exponent=self._strength_exponent,
         )
-        # Compiled telemetry sweep: enabled per cluster only when the
-        # differential probe reproduces the numpy path bit-for-bit
-        # (fused_kernel() is None under REPRO_DISABLE_FUSED or when no
-        # compiler is available — the numpy path then runs everywhere).
-        kernel = fused_kernel()
-        if kernel is not None:
-            for fc in (self.big, self.little):
-                if _probe_cluster_telemetry(fc, kernel):
-                    fc.telemetry_kernel = kernel
         self.qos_app = qos_app
         self.background = list(background or [])
         # Per-task, per-row previous-cluster ids (1=big, 2=little).
@@ -589,6 +584,30 @@ def _cluster_telemetry_fused(
     )
 
 
+def _enable_telemetry_kernel(fc: FleetCluster) -> str | None:
+    # repro: shape[fc: obj[FleetCluster]]
+    """Turn the compiled telemetry sweep on for ``fc``, or return why
+    the numpy read runs instead.
+
+    ``fused_kernel()`` is ``None`` under ``REPRO_DISABLE_FUSED`` or
+    when no compiler is available; a probe that raises names the
+    exception rather than passing for a mismatch.
+    """
+    kernel = fused_kernel()
+    if kernel is None:
+        return unavailable_reason()
+    if fc.n_cores + 1 > 16:
+        return f"{fc.n_cores + 1} sensors (the kernel reads at most 16)"
+    try:
+        verdict = _probe_cluster_telemetry(fc, kernel)
+    except Exception as exc:
+        return f"probe raised {type(exc).__name__}: {exc}"
+    if not verdict:
+        return "differential probe mismatch"
+    fc.telemetry_kernel = kernel
+    return None
+
+
 def _probe_cluster_telemetry(fc: FleetCluster, kernel) -> bool:
     # repro: shape[fc: obj[FleetCluster]]
     """Differential gate for the compiled telemetry sweep.
@@ -598,8 +617,6 @@ def _probe_cluster_telemetry(fc: FleetCluster, kernel) -> bool:
     and over-capacity — and noise magnitudes spanning the gain clamp)
     and accepts only bit-exact agreement on every reading.
     """
-    if fc.n_cores + 1 > 16:
-        return False
     n = fc.active.shape[0]
     n_opps = len(fc.freq_table)
     rng = np.random.default_rng(0x7E1E)
@@ -618,8 +635,6 @@ def _probe_cluster_telemetry(fc: FleetCluster, kernel) -> bool:
                 and np.array_equal(reference.ips, fast.ips)
             ):
                 return False
-    except Exception:
-        return False
     finally:
         fc.active, fc.opp_idx, fc._out_flip = saved
     return True
@@ -646,7 +661,7 @@ def _cluster_telemetry_numpy(
     # All sensors of the cluster read in one fused (N, 1 + n_cores)
     # block: column 0 the power sensor, columns 1.. the PMUs.  Every op
     # is elementwise with per-column parameters, so each element equals
-    # the per-sensor _read_with_gain result bit for bit.
+    # the per-sensor soc._read_with_gain result bit for bit.
     values = fc._reading_buf
     values[:, 0] = true_power_w
     values[:, 1:] = np.where(
@@ -677,16 +692,3 @@ def _cluster_telemetry_numpy(
         ips=ips,
     )
 
-
-def _read_with_gain(
-    true_values, z, noise_fraction: float, resolution: float, floor: float
-):
-    """Vectorized ``soc._read_with_gain`` (``NoisySensor.read`` with a
-    pre-drawn gain): identical clamp structure, ``np.rint`` for the
-    round-half-to-even quantization."""
-    gain = 1.0 + noise_fraction * z
-    gain = np.minimum(np.maximum(gain, 0.0), 2.0)
-    values = true_values * gain
-    if resolution > 0:
-        values = np.rint(values / resolution) * resolution
-    return np.maximum(values, floor)

@@ -3,8 +3,9 @@
 Bit-identity of the fused step itself is the differential harness's job
 (``tests/platform/test_fleet_equivalence.py``).  These tests pin what
 decides *whether* the kernel runs: per-row dot variants, the reason a
-servo stays on numpy, and that every fleet manager's servo is fused
-wherever the kernel builds.
+servo stays on numpy or a fleet cluster reads in numpy, and that every
+fleet manager's servo and every fleet cluster run the kernel wherever
+it builds.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.control.batch import BatchedGainSet, BatchedLQGServo
+from repro.control.batch import BatchedLQGServo
 from repro.control.fused import (
     NO_VARIANT,
     dot_variant,
@@ -31,6 +32,7 @@ from repro.experiments.figures import MANAGER_NAMES, identified_systems
 from repro.experiments.fleet import fleet_manager_factory
 from repro.managers.base import ManagerGoals
 from repro.managers.mimo import POWER_GAINS, QOS_GAINS, build_gain_library
+from repro.platform import fleet as fleet_module
 from repro.platform.fleet import FleetPlatform
 
 
@@ -85,7 +87,7 @@ class TestPerRowDotVariants:
             power_outputs=(1,),
             integral_weight=0.05,
         )
-        g = BatchedGainSet(library.get(POWER_GAINS))
+        g = library.get(POWER_GAINS).fused_pack
         rng = np.random.default_rng(0xF5)
         for matrix in (g.A, g.C, g.neg_K_state):
             assert matrix.shape[1] == 18
@@ -109,7 +111,7 @@ class TestPerRowDotVariants:
     def test_mm_matrices_keep_their_per_matrix_code(self, kernel, systems):
         library = build_gain_library(systems.big, integral_weight=0.08)
         for name in (QOS_GAINS, POWER_GAINS):
-            g = BatchedGainSet(library.get(name))
+            g = library.get(name).fused_pack
             for matrix in (g.A, g.C, g.neg_K_state):
                 assert matrix.shape in ((8, 8), (2, 8))
                 old = _old_per_matrix_code(kernel, matrix)
@@ -176,10 +178,11 @@ class TestFusedReason:
 
 
 class TestFusedCoverage:
-    """Every fleet manager's servo runs the compiled step.
+    """Every fleet manager's servo and every fleet cluster's sensor read
+    run the compiled kernels.
 
     Guards the gain against silently regressing when a gain library (or
-    the BLAS) changes: a servo that falls back names why.
+    the BLAS) changes: a servo or cluster that falls back names why.
     """
 
     @pytest.mark.parametrize("manager", MANAGER_NAMES)
@@ -193,6 +196,33 @@ class TestFusedCoverage:
             pytest.skip(servos[0].fused_reason)
         assert [s.fused_reason for s in servos] == [None] * len(servos)
         assert all(s._fused is not None for s in servos)
+
+    def test_fleet_clusters_read_through_the_kernel(self):
+        platform = FleetPlatform(seeds=tuple(range(1, 10)))
+        clusters = (platform.big, platform.little)
+        if fused_kernel() is None:
+            assert [c.fused_reason for c in clusters] == [
+                unavailable_reason()
+            ] * 2
+            pytest.skip(unavailable_reason())
+        assert [c.fused_reason for c in clusters] == [None, None]
+        assert all(c.telemetry_kernel is not None for c in clusters)
+
+    def test_raising_telemetry_probe_names_the_exception(
+        self, kernel, monkeypatch
+    ):
+        def broken(*args):
+            raise RuntimeError("kernel call failed")
+
+        monkeypatch.setattr(fleet_module, "_cluster_telemetry_fused", broken)
+        platform = FleetPlatform(seeds=(1, 2, 3))
+        for cluster in (platform.big, platform.little):
+            assert cluster.telemetry_kernel is None
+            assert cluster.fused_reason == (
+                "probe raised RuntimeError: kernel call failed"
+            )
+        # The numpy read still serves the run.
+        platform.step()
 
 
 class TestCompileRace:

@@ -33,11 +33,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.control.batch import (
-    BatchedGainSet,
-    BatchedLQGServo,
-    _matvec_columns,
-)
+from repro.control import batch
+from repro.control.batch import BatchedLQGServo
+from repro.control.fused import fused_kernel, unavailable_reason
 from repro.control.lqg import LQGServoController
 from repro.exec.fleet_jobs import FleetScenarioJob, execute_fleet
 from repro.exec.job import FaultSpec, ScenarioJob, derive_seed
@@ -626,6 +624,24 @@ def _servo_pair(system, n_rows):
     return batched, scalars, palette
 
 
+@pytest.fixture(params=["compiled", "numpy"])
+def step_path(request, monkeypatch):
+    """The batched servo's step: the compiled kernel, or the numpy
+    reference step with the kernel hidden from ``repro.control.batch``
+    (the scalar servos keep their own default path)."""
+    if request.param == "numpy":
+        monkeypatch.setattr(batch, "fused_kernel", lambda: None)
+    elif fused_kernel() is None:
+        pytest.skip(unavailable_reason())
+    return request.param
+
+
+def _assert_step_path(batched, step_path):
+    assert (batched._fused is not None) == (step_path == "compiled"), (
+        batched.fused_reason
+    )
+
+
 def _assert_state_equal(batched, scalar, row, tick):
     for name, got, want in (
         ("xhat", batched.X[row], scalar._xhat),
@@ -646,16 +662,19 @@ class TestServoStateDifferential:
     stacked dgemv blocks row reductions differently from the separate
     products).  These tests drive both servos with identical *random*
     measurements and compare every piece of internal state after each
-    step, which fails loudly on any such drift.
+    step, which fails loudly on any such drift.  Each case runs on both
+    batched step paths (``step_path``).
     """
 
-    @pytest.mark.parametrize("n_rows", [1, 5])
+    # 33 rows: four full 8-row lane blocks and a remainder row.
+    @pytest.mark.parametrize("n_rows", [1, 5, 33])
     @pytest.mark.parametrize("which", ["big", "little"])
     def test_uniform_rows_match_scalar_state_bitwise(
-        self, which, n_rows, systems
+        self, which, n_rows, systems, step_path
     ):
         system = getattr(systems, which)
         batched, scalars, _ = _servo_pair(system, n_rows)
+        _assert_step_path(batched, step_path)
         op = system.operating_point
         reference = [float(op.y[0] * 1.1), float(op.y[1] * 0.9)]
         batched.set_reference(reference)
@@ -670,7 +689,7 @@ class TestServoStateDifferential:
                 assert np.array_equal(u_batch[row], u_scalar), (row, tick)
                 _assert_state_equal(batched, scalar, row, tick)
 
-    def test_fs_rows_match_scalar_state_bitwise(self, systems):
+    def test_fs_rows_match_scalar_state_bitwise(self, systems, step_path):
         # FS's identified L is F-ordered, and BLAS reduces L @ v in
         # another order than over a C-ordered copy; both servos must
         # read the same contiguous gain pack.
@@ -681,6 +700,7 @@ class TestServoStateDifferential:
         gains, limits = template.gains, template.limits
         op = template.operating_point
         batched = BatchedLQGServo([gains], op, limits, 3)
+        _assert_step_path(batched, step_path)
         scalars = [LQGServoController(gains, op, limits) for _ in range(3)]
         rng = np.random.default_rng(18)
         for tick in range(120):
@@ -692,8 +712,11 @@ class TestServoStateDifferential:
                 assert np.array_equal(u_batch[row], u_scalar), (row, tick)
                 _assert_state_equal(batched, scalar, row, tick)
 
-    def test_mixed_gain_rows_match_scalar_state_bitwise(self, systems):
+    def test_mixed_gain_rows_match_scalar_state_bitwise(
+        self, systems, step_path
+    ):
         batched, scalars, palette = _servo_pair(systems.big, 4)
+        _assert_step_path(batched, step_path)
         op = systems.big.operating_point
         rng = np.random.default_rng(7)
         for tick in range(90):
@@ -722,16 +745,29 @@ class TestServoStateDifferential:
     ):
         # The compiled step reads each row's gain id: uniform 8-lane
         # blocks step lane-parallel, mixed blocks and the remainder row
-        # by row.  Both must equal the numpy gather/scatter path.
+        # by row.  Both must equal the numpy reference step.
         platform = FleetPlatform(seeds=[1, 2])
         fleet = fleet_manager_factory(manager, systems)(
             platform, ManagerGoals(60.0, 5.0)
         )
         template = getattr(fleet, "controller", None) or fleet.big_servo
+        if manager == "FS":
+            library = build_gain_library(
+                systems.full,
+                qos_outputs=(0,),
+                power_outputs=(1,),
+                integral_weight=0.05,
+            )
+        else:
+            library = build_gain_library(systems.big, integral_weight=0.08)
+        palette = [library.get(QOS_GAINS), library.get(POWER_GAINS)]
+        assert [g.key for g in template.sets] == [
+            g.fused_pack.key for g in palette
+        ]
 
         def build():
             return BatchedLQGServo(
-                [g.gains for g in template.sets],
+                palette,
                 template.operating_point,
                 template.limits,
                 n_rows,
@@ -778,22 +814,3 @@ class TestServoStateDifferential:
                 assert np.array_equal(
                     getattr(fused, name), getattr(numpy_servo, name)
                 ), (tick, name)
-
-    def test_fast_primitives_match_plain_matvec(self, systems):
-        # Whichever fast paths the construction probe enabled, their
-        # results must equal plain matvec on batch shapes (N >= 2).
-        library = build_gain_library(systems.big, integral_weight=0.08)
-        g = BatchedGainSet(library.get(QOS_GAINS))
-        rng = np.random.default_rng(11)
-        for matrix, enabled in (
-            (g.DB, g.db_columns_exact),
-            (g.L, g.l_columns_exact),
-            (g.K_integral, g.ki_columns_exact),
-            (g.K_integral_pinv, g.ki_pinv_columns_exact),
-        ):
-            if not enabled:
-                continue
-            X = rng.standard_normal((137, matrix.shape[1]))
-            out = np.empty((137, matrix.shape[0]), order="F")
-            got = _matvec_columns(matrix, X, out)
-            assert np.array_equal(got, np.matvec(matrix, X))
