@@ -51,15 +51,23 @@ __all__ = [
     "witness_trace",
 ]
 
-_INDEX_DTYPE = np.int64
+# Every persistent index array of an encoding (transition arrays, parent
+# pointers, depths, ranks) holds state indices in int32: half the memory
+# of int64, and the largest encoding the benchmarks fold is ~200k states.
+# Arrays numpy gathers with are converted to intp where they are used,
+# since numpy would otherwise convert a non-intp index array on every
+# gather.
+_STATE_DTYPE = np.int32
+_MAX_STATES = int(np.iinfo(_STATE_DTYPE).max)
 
 
 @dataclass
 class EncodedAutomaton:
     """An automaton flattened into index space for vectorized search.
 
-    ``src[e]``/``dst[e]`` hold the source/target state indices of every
-    transition on event ``e``, sorted by ``(source, target)``.  Product
+    ``src[e]``/``dst[e]`` hold the source/target state indices (int32)
+    of every transition on event ``e``, sorted by ``(source, target)``.
+    An encoding holds fewer than ``2**31`` states.  Product
     encodings have ``state_names=None`` (labels are derived on demand
     from the factor encodings) and ``enabled=None``.
     """
@@ -78,6 +86,12 @@ class EncodedAutomaton:
     _event_index: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
+        if self.n_states > _MAX_STATES:
+            raise ValueError(
+                f"automaton {self.name!r} has {self.n_states} states; "
+                f"encodings index states in int32 and hold at most "
+                f"{_MAX_STATES}"
+            )
         if not self._event_index:
             self._event_index = {
                 name: i for i, name in enumerate(self.event_names)
@@ -167,23 +181,26 @@ def _encode_automaton_uncached(automaton: Automaton) -> EncodedAutomaton:
         (event_index[event.name], state_index[source.name], state_index[target.name])
         for (source, event), target in automaton._delta.items()
     ]
+    # Built in intp (numpy parses Python ints into it fastest, and the
+    # enabled scatter gathers with it), stored as int32.
     if triples:
-        data = np.asarray(triples, dtype=_INDEX_DTYPE)
+        data = np.asarray(triples, dtype=np.intp)
         ev, src_all, dst_all = data[:, 0], data[:, 1], data[:, 2]
         order = np.lexsort((dst_all, src_all, ev))
         ev, src_all, dst_all = ev[order], src_all[order], dst_all[order]
     else:
-        ev = src_all = dst_all = np.asarray([], dtype=_INDEX_DTYPE)
+        ev = src_all = dst_all = np.asarray([], dtype=np.intp)
+    enabled = np.zeros((n_events, n_states), dtype=bool)
+    enabled[ev, src_all] = True
     bounds = np.searchsorted(ev, np.arange(n_events + 1))
+    src_all = src_all.astype(_STATE_DTYPE)
+    dst_all = dst_all.astype(_STATE_DTYPE)
     src_arrays = [
         src_all[bounds[e] : bounds[e + 1]] for e in range(n_events)
     ]
     dst_arrays = [
         dst_all[bounds[e] : bounds[e + 1]] for e in range(n_events)
     ]
-    enabled = np.zeros((n_events, n_states), dtype=bool)
-    if ev.size:
-        enabled[ev, src_all] = True
 
     marked = np.zeros(n_states, dtype=bool)
     for state in automaton.marked:
@@ -225,7 +242,8 @@ class PairEncoding:
     j``.  ``pairs`` is ascending, so a product index is the rank of its
     key among the reachable keys: index order is key order, and every
     smallest-index tie-break picks the same pair it would pick over the
-    full ``left.n_states * right.n_states`` key space.
+    full ``left.n_states * right.n_states`` key space.  Keys are int32
+    when the key space allows it (:func:`_key_dtype`), int64 otherwise.
     """
 
     product: EncodedAutomaton
@@ -237,8 +255,9 @@ class PairEncoding:
         return divmod(int(self.pairs[state]), self.right.n_states)
 
     def factor_states(self) -> tuple[np.ndarray, np.ndarray]:
-        """The left and right factor index of every product state."""
-        return np.divmod(self.pairs, self.right.n_states)
+        """The left and right factor index (intp, ready to gather with)
+        of every product state."""
+        return np.divmod(self.pairs.astype(np.intp), self.right.n_states)
 
     def index(self, i: int, j: int) -> int:
         """The product state of factor pair ``(i, j)``; ``-1`` when the
@@ -254,24 +273,42 @@ class PairEncoding:
         return f"{self.left.state_label(i)}.{self.right.state_label(j)}"
 
 
-def _move_table(enc: EncodedAutomaton, scale: int, disabled: int) -> np.ndarray:
+def _has_repeats(src: np.ndarray) -> bool:
+    """Whether a source index repeats in one event's ``src`` array.
+
+    One O(transitions) pass on the ``(source, target)``-sorted arrays
+    :class:`EncodedAutomaton` documents; only a hand-built array that
+    breaks that order pays for a sort.
+    """
+    if (src[1:] > src[:-1]).all():
+        return False
+    ordered = np.sort(src)
+    return bool((ordered[1:] == ordered[:-1]).any())
+
+
+def _move_table(
+    enc: EncodedAutomaton, scale: int, disabled: int, key: type
+) -> np.ndarray:
     """``table[e, s]`` is ``scale`` times the successor of state ``s`` on
     event ``e`` (``scale >= 0``), and ``disabled`` (``< 0``) where the
-    event is disabled.
+    event is disabled, in the pair-key dtype ``key``.
 
     Raises ``ValueError`` when an event has two transitions from one
     state: a dense table holds one successor, and keeping the last
     write would silently drop the other edge.
     """
-    table = np.full((enc.n_events, enc.n_states), disabled, dtype=_INDEX_DTYPE)
+    table = np.full((enc.n_events, enc.n_states), disabled, dtype=key)
+    # A numpy scalar keeps the product in the key dtype: a Python int
+    # would let an int32 ``dst`` times ``scale`` wrap for int64 keys.
+    scale = key(scale)
     for e in range(enc.n_events):
         src = enc.src[e]
-        table[e, src] = enc.dst[e] * scale
-        if np.count_nonzero(table[e] >= 0) != src.size:
+        if _has_repeats(src):
             raise ValueError(
                 f"automaton {enc.name!r} is not deterministic: event "
                 f"{enc.event_names[e]!r} has two transitions from one state"
             )
+        table[e][src.astype(np.intp)] = enc.dst[e] * scale
     return table
 
 
@@ -336,10 +373,13 @@ def reachable_product(
     transition arrays are then built in one pass over the reachable
     pairs.  The set of found pairs is a bool grid over the cross
     product when that grid has no more cells than the two successor
-    tables (``_grid_fits``), and a sorted key array otherwise; both
-    forms give byte-identical encodings.
+    tables (``_grid_fits``), and a sorted key array otherwise; the
+    successor tables and keys are int32 when the key space allows it
+    (``_key_dtype``).  Every form gives the same encoding.
     """
-    return _reachable_product(left, right, semantics, _grid_fits(left, right))
+    return _reachable_product(
+        left, right, semantics, _grid_fits(left, right), _key_dtype(left, right)
+    )
 
 
 def _grid_fits(left: EncodedAutomaton, right: EncodedAutomaton) -> bool:
@@ -351,14 +391,25 @@ def _grid_fits(left: EncodedAutomaton, right: EncodedAutomaton) -> bool:
     )
 
 
+def _key_dtype(left: EncodedAutomaton, right: EncodedAutomaton) -> type:
+    """int32 pair keys when every key, the disabled sentinel and the
+    sum of two table entries (two sentinels at worst) fit in int32;
+    int64 otherwise."""
+    if 2 * (left.n_states * right.n_states + 1) < 2**31:
+        return np.int32
+    return np.int64
+
+
 def _reachable_product(
     left: EncodedAutomaton,
     right: EncodedAutomaton,
     semantics: str,
     dense: bool,
+    key: type,
 ) -> PairEncoding:
     """:func:`reachable_product` with the found-pair form chosen by the
-    caller: a bool grid when ``dense``, sorted keys otherwise."""
+    caller (a bool grid when ``dense``, sorted keys otherwise) and the
+    pair-key dtype ``key`` (``np.int32`` or ``np.int64``)."""
     if semantics not in _SEMANTICS:
         raise ValueError(
             f"unknown product semantics {semantics!r}; "
@@ -376,12 +427,13 @@ def _reachable_product(
     # disabled move is so negative that any key it takes part in is
     # negative, so one sign test finds the enabled pairs.
     disabled = -(left.n_states * nb + 1)
-    left_moves = _move_table(left, nb, disabled)
-    right_moves = _move_table(right, 1, disabled)
+    left_moves = _move_table(left, nb, disabled, key)
+    right_moves = _move_table(right, 1, disabled, key)
 
     def successors(keys: np.ndarray):
         """Per moving event: its index, the keys it is enabled at and
-        the successor keys where enabled."""
+        the successor keys where enabled.  ``keys`` are intp, so every
+        table lookup gathers without a conversion."""
         i = keys // nb
         row = i * nb
         j = keys - row
@@ -395,7 +447,9 @@ def _reachable_product(
             ok = targets >= 0
             yield e, ok, targets[ok]
 
-    empty = np.asarray([], dtype=_INDEX_DTYPE)
+    joiner = "/" if semantics == "controllability" else "||"
+    product_name = f"{left.name}{joiner}{right.name}"
+    empty = np.asarray([], dtype=_STATE_DTYPE)
     src_arrays = [empty] * len(plan)
     dst_arrays = [empty] * len(plan)
     if left.initial >= 0 and right.initial >= 0:
@@ -408,16 +462,16 @@ def _reachable_product(
         # Sources come out ascending and each (source, event) has at
         # most one target, so every event's arrays are sorted by
         # (source, target).
+        states = np.arange(pairs.size, dtype=_STATE_DTYPE)
         for e, ok, targets in successors(pairs):
-            src_arrays[e] = np.flatnonzero(ok)
+            src_arrays[e] = states[ok]
             dst_arrays[e] = rank(targets)
     else:
-        pairs, initial = empty, -1
+        pairs, initial = np.asarray([], dtype=np.intp), -1
 
     i, j = np.divmod(pairs, nb)
-    joiner = "/" if semantics == "controllability" else "||"
     product = EncodedAutomaton(
-        name=f"{left.name}{joiner}{right.name}",
+        name=product_name,
         n_states=int(pairs.size),
         event_names=tuple(name for name, *_ in plan),
         event_controllable=np.asarray([c for *_, c in plan], dtype=bool),
@@ -427,13 +481,15 @@ def _reachable_product(
         marked=left.marked[i] & right.marked[j],
         forbidden=left.forbidden[i] | right.forbidden[j],
     )
-    return PairEncoding(product=product, left=left, right=right, pairs=pairs)
+    return PairEncoding(
+        product=product, left=left, right=right, pairs=pairs.astype(key)
+    )
 
 
 def _frontier_keys(successors, frontier: np.ndarray) -> np.ndarray:
-    """Every successor key of ``frontier``, duplicates included."""
+    """Every successor key of ``frontier`` (intp), duplicates included."""
     return np.concatenate(
-        [np.asarray([], dtype=_INDEX_DTYPE), *(t for _, _, t in successors(frontier))]
+        [np.asarray([], dtype=np.intp), *(t for _, _, t in successors(frontier))]
     )
 
 
@@ -447,9 +503,9 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 
 def _sorted_search(start: int, successors):
-    """BFS holding the found keys as one ascending array; returns the
-    keys and their rank lookup (key -> product index)."""
-    pairs = np.asarray([start], dtype=_INDEX_DTYPE)
+    """BFS holding the found keys as one ascending intp array; returns
+    the keys and their rank lookup (key -> product index)."""
+    pairs = np.asarray([start], dtype=np.intp)
     frontier = pairs
     while frontier.size:
         found = _sorted_unique(_frontier_keys(successors, frontier))
@@ -457,12 +513,15 @@ def _sorted_search(start: int, successors):
         fresh = pairs[np.minimum(at, pairs.size - 1)] != found
         frontier = found[fresh]
         pairs = np.insert(pairs, at[fresh], frontier)
-    return pairs, lambda keys: np.searchsorted(pairs, keys)
+    # Keys of either dtype search the intp array without copying it.
+    return pairs, lambda keys: np.searchsorted(pairs, keys).astype(
+        _STATE_DTYPE
+    )
 
 
 def _grid_search(start: int, successors, na: int, nb: int):
     """BFS marking found pairs in an ``(na, nb)`` bool grid; returns the
-    ascending keys and their rank lookup (key -> product index).
+    ascending keys (intp) and their rank lookup (key -> product index).
 
     A found pair's rank is its row's offset (the found pairs in the
     rows above) plus its in-row prefix count (the found pairs before it
@@ -471,7 +530,7 @@ def _grid_search(start: int, successors, na: int, nb: int):
     """
     seen = np.zeros(na * nb, dtype=bool)
     seen[start] = True
-    frontier = np.asarray([start], dtype=_INDEX_DTYPE)
+    frontier = np.asarray([start], dtype=np.intp)
     while frontier.size:
         found = _frontier_keys(successors, frontier)
         frontier = _sorted_unique(found[~seen[found]])
@@ -479,10 +538,17 @@ def _grid_search(start: int, successors, na: int, nb: int):
     pairs = np.flatnonzero(seen)
     rows = pairs // nb
     per_row = np.bincount(rows, minlength=na)
-    row_offset = np.cumsum(per_row) - per_row
+    row_offset = (np.cumsum(per_row) - per_row).astype(_STATE_DTYPE)
     in_row = np.zeros(na * nb, dtype=np.min_scalar_type(nb))
     in_row[pairs] = np.arange(pairs.size) - row_offset[rows]
-    return pairs, lambda keys: row_offset[keys // nb] + in_row[keys]
+
+    def rank(keys: np.ndarray) -> np.ndarray:
+        keys = keys.astype(np.intp, copy=False)
+        return (row_offset[keys // nb] + in_row[keys]).astype(
+            _STATE_DTYPE, copy=False
+        )
+
+    return pairs, rank
 
 
 def restrict_states(enc: EncodedAutomaton, keep: np.ndarray) -> EncodedAutomaton:
@@ -503,7 +569,7 @@ def restrict_states(enc: EncodedAutomaton, keep: np.ndarray) -> EncodedAutomaton
     for e in range(enc.n_events):
         src, dst = enc.src[e], enc.dst[e]
         if src.size:
-            hits = keep[src] & keep[dst]
+            hits = keep[src.astype(np.intp)] & keep[dst.astype(np.intp)]
             src, dst = src[hits], dst[hits]
         src_arrays.append(src)
         dst_arrays.append(dst)
@@ -544,6 +610,20 @@ def _start_mask(enc: EncodedAutomaton, start: np.ndarray | None) -> np.ndarray:
 _GATHER_FACTOR = 16
 
 
+def _gather_edges(
+    enc: EncodedAutomaton, event_mask: np.ndarray | None = None
+) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """``(event, src, dst)`` per selected event with transitions, the
+    arrays as intp: a search gathers with them at every level, and
+    numpy would convert int32 index arrays on each gather, so each
+    search converts once per call."""
+    return [
+        (e, enc.src[e].astype(np.intp), enc.dst[e].astype(np.intp))
+        for e in range(enc.n_events)
+        if enc.src[e].size and (event_mask is None or event_mask[e])
+    ]
+
+
 def _frontier_edges(
     keys: np.ndarray,
     values: np.ndarray,
@@ -569,12 +649,10 @@ def _frontier_edges(
     counts = hi - lo
     total = int(counts.sum())
     if not total:
-        empty = np.asarray([], dtype=_INDEX_DTYPE)
+        empty = np.asarray([], dtype=np.intp)
         return empty, empty
     starts = np.cumsum(counts) - counts
-    pos = np.repeat(lo - starts, counts) + np.arange(
-        total, dtype=_INDEX_DTYPE
-    )
+    pos = np.repeat(lo - starts, counts) + np.arange(total)
     return keys[pos], values[pos]
 
 
@@ -587,16 +665,12 @@ def forward_reachable(
     optionally restricted to events selected by ``event_mask``."""
     visited = _start_mask(enc, start)
     frontier = visited.copy()
+    edges = _gather_edges(enc, event_mask)
     while frontier.any():
         fr = np.flatnonzero(frontier)
         nxt = np.zeros(enc.n_states, dtype=bool)
-        for e in range(enc.n_events):
-            if event_mask is not None and not event_mask[e]:
-                continue
-            src = enc.src[e]
-            if not src.size:
-                continue
-            _, targets = _frontier_edges(src, enc.dst[e], frontier, fr)
+        for _, src, dst in edges:
+            _, targets = _frontier_edges(src, dst, frontier, fr)
             if targets.size:
                 nxt[targets] = True
         frontier = nxt & ~visited
@@ -620,26 +694,22 @@ def backward_reachable(
     # targets.  Wide frontiers scan the unsorted arrays directly; the
     # first narrow frontier sorts an event's arrays by target once and
     # caches them for the remaining levels.
+    edges = _gather_edges(enc, event_mask)
     by_dst: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     frontier = visited.copy()
     while frontier.any():
         fr = np.flatnonzero(frontier)
         nxt = np.zeros(enc.n_states, dtype=bool)
-        for e in range(enc.n_events):
-            if event_mask is not None and not event_mask[e]:
-                continue
-            dst = enc.dst[e]
-            if not dst.size:
-                continue
+        for e, src, dst in edges:
             if fr.size * _GATHER_FACTOR >= dst.size:
                 hits = frontier[dst]
                 if hits.any():
-                    nxt[enc.src[e][hits]] = True
+                    nxt[src[hits]] = True
                 continue
             pair = by_dst.get(e)
             if pair is None:
                 order = np.argsort(dst, kind="stable")
-                pair = (dst[order], enc.src[e][order])
+                pair = (dst[order], src[order])
                 by_dst[e] = pair
             _, sources = _frontier_edges(pair[0], pair[1], frontier, fr)
             if sources.size:
@@ -670,21 +740,19 @@ def forward_search(
     """
     n = enc.n_states
     visited = _start_mask(enc, start)
-    parent_state = np.full(n, -1, dtype=_INDEX_DTYPE)
-    parent_event = np.full(n, -1, dtype=_INDEX_DTYPE)
-    depth = np.full(n, -1, dtype=_INDEX_DTYPE)
+    parent_state = np.full(n, -1, dtype=_STATE_DTYPE)
+    parent_event = np.full(n, -1, dtype=_STATE_DTYPE)
+    depth = np.full(n, -1, dtype=_STATE_DTYPE)
     depth[visited] = 0
     frontier = visited.copy()
     level = 0
+    edges = _gather_edges(enc)
     while frontier.any():
         level += 1
         fr = np.flatnonzero(frontier)
         claimed = visited.copy()
-        for e in range(enc.n_events):
-            src = enc.src[e]
-            if not src.size:
-                continue
-            sources, targets = _frontier_edges(src, enc.dst[e], frontier, fr)
+        for e, src, dst in edges:
+            sources, targets = _frontier_edges(src, dst, frontier, fr)
             if not targets.size:
                 continue
             hits = ~claimed[targets]

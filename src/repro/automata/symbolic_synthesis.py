@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.automata.automaton import Automaton, State
 from repro.automata.symbolic import (
-    _INDEX_DTYPE,
+    _STATE_DTYPE,
     EncodedAutomaton,
     PairEncoding,
     backward_reachable,
@@ -116,7 +116,7 @@ def _uncontrollable_escape_masks(
         if pe is None or not plant.src[pe].size:
             continue
         plant_on = np.zeros(plant.n_states, dtype=bool)
-        plant_on[plant.src[pe]] = True
+        plant_on[plant.src[pe].astype(np.intp)] = True
         masks.append((e, plant_on[plant_states]))
     return masks
 
@@ -155,7 +155,7 @@ def supremal_fixpoint(
             has_edge = np.zeros(n, dtype=bool)
             src = current.src[e]
             if src.size:
-                has_edge[src] = True
+                has_edge[src.astype(np.intp)] = True
             escape |= good & plant_pairs & ~has_edge
         if escape.any():
             removed_uncontrollable |= escape
@@ -245,7 +245,8 @@ def _decode_result(
     flat_src: list[np.ndarray] = []
     flat_event: list[np.ndarray] = []
     for e, name in enumerate(restricted.event_names):
-        src, dst = restricted.src[e], restricted.dst[e]
+        src = restricted.src[e].astype(np.intp)
+        dst = restricted.dst[e].astype(np.intp)
         if not src.size:
             continue
         event = alphabet[name]
@@ -258,7 +259,7 @@ def _decode_result(
             )
         )
         flat_src.append(src)
-        flat_event.append(np.full(src.size, e, dtype=_INDEX_DTYPE))
+        flat_event.append(np.full(src.size, e, dtype=_STATE_DTYPE))
     # Out-edge index, grouped by source in one sort: the factors are
     # deterministic, so each (source, event) appears at most once and
     # the per-state event sets are exactly the grouped event codes.

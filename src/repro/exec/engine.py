@@ -192,49 +192,6 @@ def _pool_warmup() -> int:
 
 
 # ----------------------------------------------------------------------
-# Self-test runners (exercised by tests/exec/test_engine.py; they live
-# here so spawned workers can import them without the test tree on
-# sys.path).
-# ----------------------------------------------------------------------
-def _echo_runner(job: ScenarioJob) -> Any:
-    """Return the job label, or raise if the spec says so."""
-    params = job.params()
-    if "raise" in params:
-        raise ValueError(str(params["raise"]))
-    return ("echo", job.label)
-
-
-def _crash_once_runner(job: ScenarioJob) -> str:
-    """Hard-kill the worker while a sentinel file exists (crash drill)."""
-    sentinel = Path(str(job.params()["sentinel"]))
-    if sentinel.exists():
-        sentinel.unlink()
-        os._exit(13)
-    return "survived"
-
-
-def _always_crash_runner(job: ScenarioJob) -> str:
-    """Hard-kill the worker unconditionally (retry-exhaustion drill)."""
-    os._exit(13)
-
-
-def _counting_runner(job: ScenarioJob) -> Any:
-    """Echo runner that appends one line per dispatch to a tally file
-    (O_APPEND single write: atomic across workers) — dispatch-count
-    drills for the redispatch/no-double-cache regression tests."""
-    params = job.params()
-    tally = Path(str(params["tally"]))
-    with open(tally, "a", encoding="utf-8") as fh:
-        fh.write(f"{job.label}\n")
-    if "sentinel" in params:
-        sentinel = Path(str(params["sentinel"]))
-        if sentinel.exists():
-            sentinel.unlink()
-            os._exit(13)
-    return ("counted", job.label)
-
-
-# ----------------------------------------------------------------------
 # Engine
 # ----------------------------------------------------------------------
 @dataclass

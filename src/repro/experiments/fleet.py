@@ -110,9 +110,13 @@ def run_fleet_scenario(
     ``manager_factory`` maps ``(platform, goals)`` to a
     :class:`FleetResourceManager`; ``seeds`` gives one RNG seed per
     device row.  ``noise_chunk_ticks=None`` sizes the pre-drawn noise
-    block to the scenario (capped), so a run draws no standard normals
-    it will not consume — chunking never changes the values, only how
-    much of each device's stream is materialized at once.
+    block to the scenario, capped at 1,024 ticks.  Every refill draws a
+    whole chunk, so a run whose tick count is not a multiple of the
+    chunk (any run past 1,024 ticks that 1,024 does not divide, or an
+    explicit ``noise_chunk_ticks`` that does not divide it) draws
+    standard normals it never consumes: up to one chunk less one tick
+    per device.  Chunking never changes the values, only how much of
+    each device's stream is materialized at once.
     """
     seeds = tuple(int(s) for s in seeds)
     config = SoCConfig()

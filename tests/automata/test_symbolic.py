@@ -11,6 +11,7 @@ missing initial states, self-loops, and uncontrollable escapes.
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from repro.automata.symbolic import (
     forward_reachable,
     forward_search,
     _grid_fits,
+    _key_dtype,
     _reachable_product,
     nearest_state,
     reachable_product,
@@ -44,6 +46,7 @@ from repro.automata.symbolic import (
 from repro.automata.verification import verify_supervisor
 from tests.automata.explicit_oracle import (
     explicit_check_controllability,
+    explicit_synchronous_composition,
     explicit_verify_supervisor,
 )
 
@@ -124,6 +127,7 @@ class TestEncoding:
         e = enc.event_index("c1")
         assert enc.src[e].tolist() == [0, 1, 2]
         assert enc.dst[e].tolist() == [2, 1, 0]
+        assert {a.dtype for a in (*enc.src, *enc.dst)} == {np.dtype(np.int32)}
 
     def test_enabled_matrix(self):
         automaton = automaton_from_table(
@@ -198,6 +202,7 @@ class TestReachability:
         assert _mask_names(sub, forward_reachable(sub)) == {"A", "B"}
         assert not sub.marked.any()
         assert sub.n_states == enc.n_states  # indices preserved
+        assert {a.dtype for a in (*sub.src, *sub.dst)} == {np.dtype(np.int32)}
 
 
 # ----------------------------------------------------------------------
@@ -266,45 +271,62 @@ class TestProducts:
         )
         with pytest.raises(ValueError, match="semantics"):
             reachable_product(enc, enc, "cross")
-        for dense in (True, False):
+        for dense, key in FORMS:
             with pytest.raises(ValueError, match="semantics"):
-                _reachable_product(enc, enc, "cross", dense)
+                _reachable_product(enc, enc, "cross", dense, key)
 
     def test_nondeterministic_encoding_rejected(self):
-        # Two c1 edges leave state 0: a successor table can hold only
-        # one, so both found-pair forms of the builder must refuse
-        # rather than keep the last, on either side of the product.
-        enc = EncodedAutomaton(
-            name="hand",
-            n_states=3,
-            event_names=("c1",),
-            event_controllable=np.array([True]),
-            src=(np.array([0, 0]),),
-            dst=(np.array([1, 2]),),
-            initial=0,
-            marked=np.zeros(3, dtype=bool),
-            forbidden=np.zeros(3, dtype=bool),
-        )
+        # Two c1 edges leave one state: a successor table can hold only
+        # one, so every found-pair form and key dtype of the builder
+        # must refuse rather than keep the last, on either side of the
+        # product -- also when a hand-built src breaks the sorted order
+        # the encoder guarantees.
+        def hand(src, dst):
+            return EncodedAutomaton(
+                name="hand",
+                n_states=3,
+                event_names=("c1",),
+                event_controllable=np.array([True]),
+                src=(np.array(src),),
+                dst=(np.array(dst),),
+                initial=0,
+                marked=np.zeros(3, dtype=bool),
+                forbidden=np.zeros(3, dtype=bool),
+            )
+
         other = encode_automaton(
             automaton_from_table("M", SIGMA, [("A", "c1", "B")], initial="A")
         )
-        with pytest.raises(ValueError, match="not deterministic"):
-            reachable_product(other, enc)
-        for dense in (True, False):
-            for left, right in ((other, enc), (enc, other)):
-                with pytest.raises(ValueError, match="not deterministic"):
-                    _reachable_product(left, right, "synchronous", dense)
+        for enc in (hand([0, 0], [1, 2]), hand([0, 1, 0], [1, 2, 2])):
+            with pytest.raises(ValueError, match="not deterministic"):
+                reachable_product(other, enc)
+            for dense, key in FORMS:
+                for left, right in ((other, enc), (enc, other)):
+                    with pytest.raises(ValueError, match="not deterministic"):
+                        _reachable_product(left, right, "synchronous", dense, key)
+        # Unsorted but deterministic: one edge per source, so every
+        # form builds the product, which walks 0 -> 2 -> 1 -> 0.
+        unsorted = hand([2, 0, 1], [1, 2, 0])
+        for dense, key in FORMS:
+            loop = _reachable_product(
+                unsorted, unsorted, "synchronous", dense, key
+            ).product
+            assert loop.n_states == 3
+            assert forward_reachable(loop).all()
 
 
 SEMANTICS = ("synchronous", "synthesis", "controllability")
+# Every (dense, key dtype) form the product builder can take.
+FORMS = [(dense, key) for dense in (True, False) for key in (np.int32, np.int64)]
 
 
 def _encoding_bytes(pair):
     """A product encoding as comparable data: its scalars plus the
-    dtype, shape and bytes of every array."""
+    dtype, shape and bytes of every array; the pair keys as int64, so
+    encodings built on either key dtype compare."""
     product = pair.product
     arrays = (
-        pair.pairs,
+        pair.pairs.astype(np.int64),
         product.event_controllable,
         product.marked,
         product.forbidden,
@@ -323,10 +345,18 @@ def _encoding_bytes(pair):
 
 
 def _assert_forms_agree(left, right, semantics):
-    grid = _reachable_product(left, right, semantics, True)
-    keys = _reachable_product(left, right, semantics, False)
-    assert _encoding_bytes(grid) == _encoding_bytes(keys)
-    return grid
+    """Builds the product in every form; all must agree byte for byte,
+    with int32 transition arrays and pair keys in the requested dtype."""
+    pairs = [
+        _reachable_product(left, right, semantics, dense, key)
+        for dense, key in FORMS
+    ]
+    for pair, (_, key) in zip(pairs, FORMS):
+        assert pair.pairs.dtype == key
+        product = pair.product
+        assert all(a.dtype == np.int32 for a in (*product.src, *product.dst))
+        assert _encoding_bytes(pair) == _encoding_bytes(pairs[0])
+    return pairs[0]
 
 
 def _ring(name, n_states, moves):
@@ -347,13 +377,13 @@ def _ring(name, n_states, moves):
 
 @pytest.fixture
 def forms(monkeypatch):
-    """Records ``(left, right, dense)`` for every product built."""
+    """Records ``(left, right, dense, key)`` for every product built."""
     built = []
     build = symbolic._reachable_product
 
-    def spy(left, right, semantics, dense):
-        built.append((left, right, dense))
-        return build(left, right, semantics, dense)
+    def spy(left, right, semantics, dense, key):
+        built.append((left, right, dense, key))
+        return build(left, right, semantics, dense, key)
 
     monkeypatch.setattr(symbolic, "_reachable_product", spy)
     return built
@@ -364,8 +394,9 @@ def _table_cells(enc):
 
 
 class TestPairForms:
-    """The bool-grid and sorted-key forms of the found-pair set give
-    byte-identical encodings; the size rule only picks between them."""
+    """The bool-grid and sorted-key forms of the found-pair set, on
+    int32 or int64 keys, give byte-identical encodings; the size rules
+    only pick between them."""
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -415,7 +446,114 @@ class TestPairForms:
                 _assert_forms_agree(left, right, semantics)
             )
             assert chosen.product.n_states > 1
-        assert [dense for _, _, dense in forms] == [True, False]
+        assert [dense for _, _, dense, _ in forms] == [True, False]
+        assert [key for *_, key in forms] == [np.int32, np.int32]
+
+    def test_key_rule_boundary(self):
+        # int32 keys exactly while two table entries (two disabled
+        # sentinels at worst) sum without overflow:
+        # 2 * (n_left * n_right + 1) < 2**31.
+        def sized(n_states):
+            return SimpleNamespace(n_states=n_states)
+
+        assert 466 * 2_304_167 == 2**30 - 2
+        assert 3 * 357_913_941 == 2**30 - 1
+        assert _key_dtype(sized(466), sized(2_304_167)) is np.int32
+        assert _key_dtype(sized(3), sized(357_913_941)) is np.int64
+        assert _key_dtype(sized(0), sized(0)) is np.int32
+
+    def test_state_count_limit(self):
+        def sized(n_states):
+            return EncodedAutomaton(
+                name="huge",
+                n_states=n_states,
+                event_names=(),
+                event_controllable=np.zeros(0, dtype=bool),
+                src=(),
+                dst=(),
+                initial=-1,
+                marked=np.zeros(0, dtype=bool),
+                forbidden=np.zeros(0, dtype=bool),
+            )
+
+        assert sized(2**31 - 1).n_states == 2**31 - 1
+        with pytest.raises(ValueError, match="at most 2147483647"):
+            sized(2**31)
+
+    def test_int64_keys_past_the_int32_key_space(self, forms):
+        # Two 50,000-state factors: 2.5e9 pair keys overflow int32 and
+        # the cross product dwarfs the successor tables, so every
+        # product takes int64 sorted keys -- yet only a handful of
+        # pairs is reachable, and each result must match the explicit
+        # oracle.  The states past the core are unreachable, a few of
+        # them with edges.
+        from repro.automata.verification import check_controllability
+        from tests.automata.test_symbolic_synthesis import assert_engines_agree
+
+        n = 50_000
+
+        def factor(name, core, marked):
+            names = [f"{name}{k:05d}" for k in range(n)]
+            automaton = Automaton(name, SIGMA)
+            for state in names:
+                automaton.add_state(state)
+            junk = [(k, "c1", k + 1) for k in range(4, n - 1, 97)]
+            junk += [(k, "u1", 4) for k in range(5, n, 1009)]
+            for a, event, b in core + junk:
+                automaton.add_transition(names[a], event, names[b])
+            automaton.set_initial(names[0])
+            for k in marked:
+                automaton.mark(names[k])
+            return automaton
+
+        plant = factor(
+            "P",
+            [(0, "c1", 1), (1, "u1", 2), (2, "c2", 0), (1, "u2", 3),
+             (3, "c1", 0), (2, "u2", 2)],
+            marked=[0, 3],
+        )
+        spec = factor(
+            "S",
+            [(0, "c1", 1), (1, "u1", 0), (1, "c2", 2), (2, "u2", 0)],
+            marked=[0, 2],
+        )
+        left, right = encode_automaton(plant), encode_automaton(spec)
+        assert left.n_states * right.n_states > 2**31
+        assert _key_dtype(left, right) is np.int64
+        assert not _grid_fits(left, right)
+
+        composed = explicit_synchronous_composition(plant, spec)
+        pair = reachable_product(left, right)
+        assert pair.pairs.dtype == np.int64
+        assert all(a.dtype == np.int32 for a in pair.product.src)
+        assert all(a.dtype == np.int32 for a in pair.product.dst)
+        assert {pair.pair_label(k) for k in range(pair.product.n_states)} == {
+            state.name for state in composed.states
+        }
+        assert {
+            (
+                pair.pair_label(int(a)),
+                pair.product.event_names[e],
+                pair.pair_label(int(b)),
+            )
+            for e in range(pair.product.n_events)
+            for a, b in zip(pair.product.src[e], pair.product.dst[e])
+        } == {
+            (t.source.name, t.event.name, t.target.name)
+            for t in composed.transitions
+        }
+        assert {
+            pair.pair_label(int(k)) for k in np.flatnonzero(pair.product.marked)
+        } == {state.name for state in composed.marked}
+        assert_engines_agree(plant, spec)
+        sym_ok, sym_violations = check_controllability(plant, spec)
+        exp_ok, exp_violations = explicit_check_controllability(plant, spec)
+        assert not sym_ok and sym_ok == exp_ok
+        assert [(str(v), v.trace) for v in sym_violations] == [
+            (str(v), v.trace) for v in exp_violations
+        ]
+        # One product per semantics, each on int64 sorted keys.
+        assert [(dense, key) for *_, dense, key in forms] == [(False, np.int64)] * 3
 
 
 class TestProductSize:
@@ -452,7 +590,7 @@ class TestProductSize:
         # 2,268 x 1,620 pair cells would dwarf both successor tables:
         # every plant x supervisor product keeps the sorted keys.
         assert not _grid_fits(closed_loop.left, closed_loop.right)
-        assert [dense for _, _, dense in forms] == [False] * len(built)
+        assert [dense for _, _, dense, _ in forms] == [False] * len(built)
 
     def test_grid_never_exceeds_the_successor_tables(self, forms):
         from repro.automata.symbolic_synthesis import encode_composition
@@ -470,8 +608,8 @@ class TestProductSize:
         plant = scalable_counter_plant(3, 3, sigma)
         synthesize_supervisor(plant, scalable_specification(3, sigma))
         verify_supervisor(plant, build_scalable_supervisor(3).supervisor)
-        assert {dense for _, _, dense in forms} == {True, False}
-        for left, right, dense in forms:
+        assert {dense for _, _, dense, _ in forms} == {True, False}
+        for left, right, dense, _ in forms:
             cells = left.n_states * right.n_states
             tables = _table_cells(left) + _table_cells(right)
             assert dense == (cells <= tables), (left.name, right.name)
@@ -532,6 +670,8 @@ class TestWitnessTraces:
         )
         enc = encode_automaton(automaton)
         tree = forward_search(enc)
+        for kept in (tree.parent_state, tree.parent_event, tree.depth):
+            assert kept.dtype == np.int32
         mask = np.array([False, True, True, True])  # B, C, D
         # B and C are both depth 1; B has the smaller index.
         assert enc.state_label(nearest_state(tree, mask)) == "B"

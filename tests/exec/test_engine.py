@@ -9,13 +9,9 @@ import pytest
 from repro.exec.cache import ResultCache
 from repro.exec.engine import EngineError, ExperimentEngine
 from repro.exec.job import ScenarioJob
+from tests.exec.runners import ALWAYS_CRASH, COUNTING, CRASH_ONCE, ECHO
 
 pytestmark = pytest.mark.exec_smoke
-
-ECHO = "repro.exec.engine._echo_runner"
-CRASH_ONCE = "repro.exec.engine._crash_once_runner"
-ALWAYS_CRASH = "repro.exec.engine._always_crash_runner"
-COUNTING = "repro.exec.engine._counting_runner"
 
 
 def _echo_job(label: str, **params) -> ScenarioJob:
@@ -72,8 +68,11 @@ class TestParallel:
         assert parallel == serial
 
     def test_records_report_process_mode(self):
+        # The echo runner lives in the test tree: a spawned worker must
+        # resolve it by dotted name, not fail the job on the import.
         records = _engine(max_workers=2).run([_echo_job("a")])
         assert records[0].mode == "process"
+        assert records[0].ok and records[0].result == ("echo", "a")
         assert records[0].attempts == 1
 
     def test_unpicklable_job_falls_back_to_serial(self):

@@ -44,7 +44,7 @@ class TestDigest:
             _job(scenario=three_phase_scenario(phase_duration_s=1.0)),
             _job(fault=FaultSpec(kind="stuck")),
             _job(overrides=(("enable_gain_scheduling", False),)),
-            _job(runner="repro.exec.engine._echo_runner"),
+            _job(runner="tests.exec.runners._echo_runner"),
         ]
         digests = {base.digest()} | {v.digest() for v in variants}
         assert len(digests) == len(variants) + 1

@@ -18,12 +18,10 @@ from repro.exec.supervision import (
     RunJournal,
     SupervisionPolicy,
 )
+from tests.exec.runners import ALWAYS_CRASH, CRASH_ONCE, ECHO
 
 pytestmark = pytest.mark.exec_smoke
 
-ECHO = "repro.exec.engine._echo_runner"
-CRASH_ONCE = "repro.exec.engine._crash_once_runner"
-ALWAYS_CRASH = "repro.exec.engine._always_crash_runner"
 SLEEP = "repro.exec.chaos._sleep_runner"
 
 

@@ -5,11 +5,14 @@ and asserts a ratio, never an absolute time, so host speed cancels out.
 The floors sit well below the ratios measured on a 2-CPU x86 box
 (numpy 2.4.6); the measured value is quoted next to each floor.  The
 benchmark suite (``benchmarks/suite/``) reports the absolute timings.
+One memory gate rides along: the traced allocation peak of the fleet
+10x2 fold does not depend on host speed, so it is bounded absolutely.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,4 +294,27 @@ def test_pair_grid_beats_sorted_keys_on_fleet_10x2_fold(monkeypatch):
     speedup = sum(best[False]) / sum(best[True])
     assert speedup >= 1.3, (
         f"pair grid fold only {speedup:.2f}x the sorted-key fold (need 1.3x)"
+    )
+
+
+def test_fleet_10x2_fold_memory_peak():
+    # Traced allocation peak of encode_composition + supremal_fixpoint
+    # over the fleet 10x2 plant factors: 124 MiB with int64 index
+    # arrays, 69 MiB with the kernel's int32 ones (numpy 2.4.6).  The
+    # bound sits between the two, so going back to int64 index arrays
+    # fails it.
+    sigma = fleet_alphabet(10)
+    components = fleet_plant_components(10, 2, sigma)
+    spec_model = fleet_specification(10, sigma)
+    tracemalloc.start()
+    try:
+        plant = encode_composition(components)
+        fixpoint = supremal_fixpoint(plant, encode_automaton(spec_model))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fixpoint.n_supervisor_states == 102_400
+    peak_mib = peak / 2**20
+    assert peak_mib <= 96.0, (
+        f"fleet 10x2 fold peaked at {peak_mib:.1f} MiB traced (bound 96)"
     )
