@@ -11,10 +11,11 @@
 #     (REPRO_DISABLE_FUSED=1): the scalar servo and sensor read run
 #     the compiled kernels by default, so this run pins their
 #     numpy/Python reference paths to the committed golden traces,
-#   * the fleet equivalence drill or the scalar sensor-read tests with
-#     the compiled fast paths disabled (REPRO_DISABLE_FUSED=1) fail —
-#     the pure-numpy/Python fallbacks must stay bit-identical too, and
-#     every cluster must report the fallback,
+#   * the fleet equivalence drill, the scalar sensor-read tests or the
+#     RNG contract (the fleet's noise refill) with the compiled fast
+#     paths disabled (REPRO_DISABLE_FUSED=1) fail — the pure-numpy/Python
+#     fallbacks must stay bit-identical too, and every cluster and
+#     fleet must report the fallback,
 #   * `python -m repro.analysis all` reports a non-baselined error in
 #     any tier (all four share one file walk, one parse and one tree
 #     traversal per module, and one content-hash cache): classic (artifact defects, lint errors,
@@ -62,7 +63,7 @@ REPRO_DISABLE_FUSED=1 python -m pytest -x -q -m exec_smoke
 
 echo
 echo "== fleet equivalence drill without compiled fast paths =="
-REPRO_DISABLE_FUSED=1 python -m pytest -x -q tests/platform/test_fleet_equivalence.py tests/platform/test_scalar_sensors.py
+REPRO_DISABLE_FUSED=1 python -m pytest -x -q tests/platform/test_fleet_equivalence.py tests/platform/test_scalar_sensors.py tests/platform/test_rng_contract.py
 
 echo
 echo "== static analysis, all tiers (repro.analysis all) =="

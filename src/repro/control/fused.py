@@ -2,7 +2,7 @@
 
 The numpy and Python paths spend most of their time dispatching many
 small ufunc/matvec calls, or interpreting scalar arithmetic, per tick.
-This module fuses three of those loops into C functions that sweep
+This module moves four of those loops into C functions that sweep
 their rows once each, with every elementwise expression written in
 scalar evaluation order (compiled with ``-ffp-contract=off`` so the
 compiler cannot fuse or reorder anything we did not write explicitly):
@@ -19,9 +19,19 @@ compiler cannot fuse or reorder anything we did not write explicitly):
   output left NULL, and the scalar SoC's ``soc.CompiledSensors`` reads
   one cluster's single row, per-core readings included;
 * ``opp_snap`` — the per-row DVFS table snap
-  (``OPPTable.snap_indices`` in ``platform/opp.py``).
+  (``OPPTable.snap_indices`` in ``platform/opp.py``);
+* ``noise_fill`` — the fleet's sensor-noise refill
+  (``FleetPlatform._refill_noise``): one standard-normal fill per row
+  from that row's own numpy bit generator.  It is numpy's own code on
+  numpy's own state: the ``random_standard_normal_fill`` loop that
+  ``Generator.standard_normal(out=row)`` runs, linked from numpy's
+  static ``numpy/random/lib/libnpyrandom.a``, called on each row's
+  ``bitgen_t`` (:func:`bitgen_table`).  Both are numpy's public C API
+  for extending ``numpy.random``.  Without the archive, or when its
+  build or load-time probe fails, the other three kernels still build
+  and only the refill stays on numpy (:func:`noise_fill_reason`).
 
-Each of the three takes a single pointer to an *argument block*: an
+Each of the four takes a single pointer to an *argument block*: an
 array of C ``arg`` slots (``union { i64; double; void * }``), built
 once per set of buffers with :func:`arg_block` (:func:`servo_block`,
 :func:`telemetry_args`).  A call then marshals one pointer instead of
@@ -32,10 +42,10 @@ in place: their inputs live in fixed buffers the block points into
 (the scalar sensor read's in one scratch array), so a call is the
 bare pointer.
 
-Every function is gated by its caller on a differential probe against
-the numpy (or, for the scalar sensor read, Python) reference, run once
-per content and memoized, so a kernel only ever runs where it is
-machine-verified bit-identical.
+Every function is gated on a differential probe against the numpy (or,
+for the scalar sensor read, Python) reference — by its caller, run once
+per content and memoized, or for the noise refill once at load — so a
+kernel only ever runs where it is machine-verified bit-identical.
 
 Bit-identity with ``M @ x`` is the hard part: BLAS picks a different
 reduction order per matrix shape (FMA lanes with a horizontal-sum tree
@@ -67,7 +77,8 @@ The kernel is strictly optional: it compiles lazily with the system C
 compiler into a cached shared object, and any failure (no compiler,
 failed build, unprobeable matrix) falls back to numpy or Python with
 the reason recorded — :func:`unavailable_reason` for the kernel,
-``fused_reason`` per servo and per scalar cluster.
+:func:`noise_fill_reason` for the refill, ``fused_reason`` per servo,
+per cluster and per fleet.
 ``REPRO_DISABLE_FUSED=1`` forces those paths (used by tests to cover
 both implementations).  Nothing here changes results —
 only how fast they are produced.
@@ -96,6 +107,9 @@ __all__ = [
     "TELEMETRY_Z",
     "TELEMETRY_Z_STRIDE",
     "arg_block",
+    "bitgen_table",
+    "noise_block",
+    "noise_fill_reason",
     "servo_block",
     "servo_context_key",
     "telemetry_args",
@@ -626,6 +640,35 @@ void opp_snap(const arg *a)
         out[r] = (x - below <= above - x) ? hi - 1 : hi;
     }
 }
+
+#ifdef REPRO_NOISE_FILL
+#include <stdint.h>
+
+/* numpy's C API for extending numpy.random: the bit generator handle
+ * (numpy/random/bitgen.h; opaque here, only its address crosses) and
+ * the fill loop of Generator.standard_normal, from the static
+ * libnpyrandom.a linked into this object.  npy_intp is intptr_t. */
+typedef struct bitgen bitgen_t;
+void random_standard_normal_fill(bitgen_t *bitgen_state, intptr_t cnt,
+                                 double *out);
+
+/* One noise refill per row: count standard normals into row r of out
+ * (rows count doubles apart) from row r's own bit generator, the one
+ * call Generator.standard_normal(out=row) makes, so the values and the
+ * state each generator is left in are numpy's.  No generator lock is
+ * taken: the caller owns its generators.  Arguments: N, bitgens (N
+ * bitgen_t pointers), out, count. */
+void noise_fill(const arg *a)
+{
+    const i64 N = a[0].i, count = a[3].i;
+    bitgen_t *const *bitgens = a[1].p;
+    double *out = a[2].p;
+    i64 r;
+    for (r = 0; r < N; ++r)
+        random_standard_normal_fill(bitgens[r], (intptr_t)count,
+                                    out + r * count);
+}
+#endif
 """
 
 
@@ -648,23 +691,52 @@ _CFLAGS = (
 )
 
 
-def _compile(source: str):
-    digest = hashlib.sha256(
-        (source + "\x00" + " ".join(_CFLAGS)).encode()
-    ).hexdigest()[:16]
-    cache = tempfile.gettempdir()
-    so_path = os.path.join(cache, f"repro-fused-{digest}.so")
+def _npyrandom_archive() -> str:
+    """Path of numpy's static ``numpy.random`` C library, which ships
+    ``random_standard_normal_fill`` for extension code to link."""
+    return os.path.join(
+        os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a"
+    )
+
+
+def _object_path(source: str, archive: str | None) -> str:
+    """The cached shared object for ``source``, linked with ``archive``
+    (numpy's ``libnpyrandom.a``) or without it.
+
+    The key covers the source, the flags and the archive's identity —
+    the numpy version and the archive's sha256: numpy's ``Generator``
+    streams may change between versions, and the archive is linked
+    statically, so an object built against an older one would keep its
+    algorithm.
+    """
+    identity = "no archive"
+    if archive is not None:
+        with open(archive, "rb") as handle:
+            archive_digest = hashlib.sha256(handle.read()).hexdigest()
+        identity = f"numpy {np.__version__} {archive_digest}"
+    key = "\x00".join([source, " ".join(_CFLAGS), identity])
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return os.path.join(tempfile.gettempdir(), f"repro-fused-{digest}.so")
+
+
+def _compile(source: str, archive: str | None = None):
+    """Build ``source`` into a cached shared object and load it; with
+    ``archive``, the noise refill is compiled in and the archive linked
+    statically."""
+    so_path = _object_path(source, archive)
     if not os.path.exists(so_path):
         # Source and object are per-process: concurrent first builds in
         # one temp dir must not truncate each other's input.  The
         # atomic rename publishes whichever finishes first.
         build_path = so_path + f".build-{os.getpid()}"
         c_path = build_path + ".c"
+        # The archive follows the source that calls into it.
+        link = [] if archive is None else ["-DREPRO_NOISE_FILL", archive]
         try:
             with open(c_path, "w", encoding="utf-8") as handle:
                 handle.write(source)
             subprocess.run(
-                ["cc", *_CFLAGS, c_path, "-o", build_path, "-lm"],
+                ["cc", *_CFLAGS, c_path, *link, "-o", build_path, "-lm"],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -680,11 +752,14 @@ def _compile(source: str):
 class FusedKernel:
     """ctypes binding of the compiled per-row kernels.
 
-    ``servo_step``, ``telemetry`` and ``snap`` each take the address of
-    an argument block (:func:`arg_block`) and nothing else.
+    ``servo_step``, ``telemetry``, ``snap`` and ``noise_fill`` each take
+    the address of an argument block (:func:`arg_block`) and nothing
+    else.  ``noise_fill`` is ``None`` when the object was built without
+    the refill or its load-time probe failed; ``noise_reason`` then
+    says why (see :func:`noise_fill_reason`).
     """
 
-    def __init__(self, lib) -> None:
+    def __init__(self, lib, noise_gap: str | None = None) -> None:
         dot = lib.fused_dot
         dot.restype = ctypes.c_double
         dot.argtypes = [
@@ -706,6 +781,14 @@ class FusedKernel:
         snap.restype = None
         snap.argtypes = [ctypes.c_void_p]
         self.snap = snap
+        # ``noise_gap`` says why ``lib`` was built without the refill.
+        self.noise_fill = None
+        self.noise_reason = noise_gap
+        if noise_gap is None:
+            fill = lib.noise_fill
+            fill.restype = None
+            fill.argtypes = [ctypes.c_void_p]
+            self.noise_fill = fill
 
     @staticmethod
     def fits(n: int, m: int, p: int) -> bool:
@@ -733,6 +816,53 @@ def arg_block(values) -> np.ndarray:
     return np.frombuffer(
         bytearray(struct.pack(f"={layout}", *values)), dtype=np.int64
     )
+
+
+# Python's PyCapsule_GetPointer, bound privately (the shared
+# ``ctypes.pythonapi`` attribute keeps its own signature).  It holds the
+# GIL, as the Python C API requires.
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+)(("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+def bitgen_table(generators) -> np.ndarray:
+    # repro: shape[-> (N,) i8]
+    """Each generator's ``bitgen_t *``, as an int64 address per row.
+
+    numpy publishes it as the ``"BitGenerator"`` capsule of
+    ``Generator.bit_generator`` — its C API for extending
+    ``numpy.random``.  An address stays valid only while its generator
+    lives: the caller must keep the generators.
+    """
+    return np.array(
+        [
+            _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
+            for rng in generators
+        ],
+        dtype=np.int64,
+    )
+
+
+def noise_block(bitgens: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # repro: shape[bitgens: (N,) i8; out: (N, w) f8; -> (k,) i8]
+    """The argument block of ``noise_fill``: one refill of every row of
+    the C-contiguous ``out`` from the generator at the same row of
+    :func:`bitgen_table`'s ``bitgens``.  Valid while both arrays keep
+    their identity and the generators live."""
+    if not (
+        out.ndim == 2
+        and out.dtype == np.float64
+        and out.flags.c_contiguous
+        and bitgens.dtype == np.int64
+        and bitgens.shape == out.shape[:1]
+    ):
+        raise ValueError(
+            "noise_fill needs a C-contiguous (N, k) float64 buffer and "
+            "N int64 bitgen addresses"
+        )
+    rows, count = out.shape
+    return arg_block([rows, bitgens.ctypes.data, out.ctypes.data, count])
 
 
 # Slots of ``fleet_telemetry``'s argument block a fleet call rewrites.
@@ -1030,6 +1160,61 @@ def servo_block(
     )
 
 
+# Seeds of the refill's load-time probe: small, mid and past 2**63.
+_NOISE_PROBE_SEEDS = (0, 2018, 2**63 + 1, 2**128 - 3)
+
+
+def _probe_noise_fill(kernel: FusedKernel) -> str | None:
+    """Differential gate for ``noise_fill``: refills generators of a
+    few seeds twice and requires every value, and each generator's next
+    draw, to equal ``Generator.standard_normal`` on twins of the same
+    seeds.  Returns ``None`` on a match, else why not."""
+    count = 37
+    try:
+        fast = [np.random.default_rng(seed) for seed in _NOISE_PROBE_SEEDS]
+        slow = [np.random.default_rng(seed) for seed in _NOISE_PROBE_SEEDS]
+        out = np.empty((len(fast), count))
+        bitgens = bitgen_table(fast)
+        block = noise_block(bitgens, out)
+        for _ in range(2):
+            kernel.noise_fill(block.ctypes.data)
+            for row, rng in zip(out, slow):
+                if not np.array_equal(row, rng.standard_normal(count)):
+                    return "differential probe mismatch"
+        for a, b in zip(fast, slow):
+            if a.standard_normal() != b.standard_normal():
+                return "differential probe mismatch"
+    except Exception as exc:
+        return f"probe raised {type(exc).__name__}: {exc}"
+    return None
+
+
+def _describe(error: Exception) -> str:
+    # A failed compile carries the compiler's diagnostics in stderr.
+    stderr = getattr(error, "stderr", None) or b""
+    return f"{error} {stderr.decode(errors='replace')}".strip()
+
+
+def _load() -> FusedKernel:
+    """Build and bind the kernels, with the noise refill when numpy's
+    random archive is there, builds and passes its probe.  The servo,
+    telemetry and snap kernels never depend on the archive: without it
+    they build alone and only the refill falls back."""
+    archive = _npyrandom_archive()
+    if not os.path.exists(archive):
+        gap = f"no numpy random archive: {archive} not found"
+        return FusedKernel(_compile(_C_SOURCE), gap)
+    try:
+        kernel = FusedKernel(_compile(_C_SOURCE, archive))
+    except Exception as error:
+        gap = f"refill build failed: {_describe(error)}"
+        return FusedKernel(_compile(_C_SOURCE), gap)
+    kernel.noise_reason = _probe_noise_fill(kernel)
+    if kernel.noise_reason is not None:
+        kernel.noise_fill = None
+    return kernel
+
+
 _KERNEL: FusedKernel | None = None
 _UNAVAILABLE: str | None = None
 _TRIED = False
@@ -1050,13 +1235,10 @@ def fused_kernel() -> FusedKernel | None:
         _UNAVAILABLE = "disabled"
         return None
     try:
-        _KERNEL = FusedKernel(_compile(_C_SOURCE))
+        _KERNEL = _load()
     except Exception as error:
         _KERNEL = None
-        # A failed compile carries the compiler's diagnostics in stderr.
-        stderr = getattr(error, "stderr", None) or b""
-        detail = stderr.decode(errors="replace")
-        _UNAVAILABLE = f"no kernel: {error} {detail}".strip()
+        _UNAVAILABLE = f"no kernel: {_describe(error)}"
     return _KERNEL
 
 
@@ -1066,3 +1248,14 @@ def unavailable_reason() -> str | None:
     ``"no kernel: ..."`` with the build error text."""
     fused_kernel()
     return _UNAVAILABLE
+
+
+def noise_fill_reason() -> str | None:
+    """Why the compiled noise refill does not run (``None`` when it
+    does): the kernel's :func:`unavailable_reason`, ``"no numpy random
+    archive: <path> not found"``, ``"refill build failed: ..."``,
+    ``"differential probe mismatch"`` or ``"probe raised ..."``."""
+    kernel = fused_kernel()
+    if kernel is None:
+        return _UNAVAILABLE
+    return kernel.noise_reason

@@ -109,20 +109,18 @@ def run_fleet_scenario(
 
     ``manager_factory`` maps ``(platform, goals)`` to a
     :class:`FleetResourceManager`; ``seeds`` gives one RNG seed per
-    device row.  ``noise_chunk_ticks=None`` sizes the pre-drawn noise
-    block to the scenario, capped at 1,024 ticks.  Every refill draws a
-    whole chunk, so a run whose tick count is not a multiple of the
-    chunk (any run past 1,024 ticks that 1,024 does not divide, or an
-    explicit ``noise_chunk_ticks`` that does not divide it) draws
-    standard normals it never consumes: up to one chunk less one tick
-    per device.  Chunking never changes the values, only how much of
-    each device's stream is materialized at once.
+    device row.  ``noise_chunk_ticks`` is passed to
+    :class:`FleetPlatform`, which pre-draws each device's sensor noise
+    that many ticks at a time (``None`` takes its default of 16 ticks,
+    whatever the run's length).  Every refill draws a whole chunk, so
+    a run whose tick count is not a multiple of the chunk draws
+    standard normals it never consumes: at most one chunk less one
+    tick per device.  Chunking never changes the values, only how much
+    of each device's stream is materialized at once.
     """
     seeds = tuple(int(s) for s in seeds)
     config = SoCConfig()
     steps = int(round(scenario.total_duration_s / config.dt_s))
-    if noise_chunk_ticks is None:
-        noise_chunk_ticks = max(1, min(steps, 1024))
     platform = FleetPlatform(
         qos_app=workload,
         background=scenario.background_tasks(),

@@ -4,9 +4,11 @@
 :class:`~repro.perf.profiler.StepProfiler` attached and prints the
 per-stage hotspot table plus end-to-end throughput, then each LQG
 servo's step path: ``compiled`` (the fused kernel) or ``numpy`` with
-the servo's ``fused_reason``, and below it each SoC cluster's sensor
+the servo's ``fused_reason``, below it each SoC cluster's sensor
 read: ``compiled`` (the telemetry kernel) or ``python`` with the
-cluster's ``fused_reason``.
+cluster's ``fused_reason``, and last the fleet's sensor-noise refill:
+``compiled`` (the ``noise_fill`` kernel) or ``numpy`` with
+``FleetPlatform.fused_reason``.
 """
 
 from __future__ import annotations
@@ -74,6 +76,21 @@ def _sensor_report(soc) -> str:
     return "\n".join(lines)
 
 
+def _noise_report(seed: int) -> str:
+    """The fleet's sensor-noise refill path and, on the numpy loop,
+    why (``FleetPlatform.fused_reason``)."""
+    from repro.platform.fleet import FleetPlatform
+
+    reason = FleetPlatform(seeds=(seed,)).fused_reason
+    path = "numpy" if reason is not None else "compiled"
+    return "\n".join(
+        [
+            f"{'noise':<14} {'path':<9} fused_reason",
+            f"{'fleet refill':<14} {path:<9} {reason or '-'}",
+        ]
+    )
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
     # Heavy imports stay inside the command so ``--help`` is instant.
     from repro.experiments.figures import identified_systems, manager_factory
@@ -124,6 +141,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     for soc in socs:
         print()
         print(_sensor_report(soc))
+    print()
+    print(_noise_report(args.seed))
     return 0
 
 

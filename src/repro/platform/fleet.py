@@ -18,11 +18,15 @@ Bit-identity ground rules (each is probe-verified and pinned by tests):
   ``**``.
 * Sensor noise comes from per-device ``Generator``s seeded exactly like
   the scalar devices.  Each device pre-draws ``standard_normal`` blocks
-  in the documented order (QoS workload draw first when noisy, then Big
-  power + per-core PMUs, then Little) — ``rng.normal(1, s)`` equals
-  ``1 + s * standard_normal()`` draw-for-draw, and block draws consume
-  the ziggurat stream identically to interleaved scalar draws (see
-  ``tests/platform/test_rng_contract.py``).
+  of a few ticks in the documented order (QoS workload draw first when
+  noisy, then Big power + per-core PMUs, then Little) —
+  ``rng.normal(1, s)`` equals ``1 + s * standard_normal()``
+  draw-for-draw, and block draws consume the ziggurat stream
+  identically to interleaved scalar draws (see
+  ``tests/platform/test_rng_contract.py``).  The compiled
+  ``noise_fill`` refills every row in one call through numpy's own
+  fill loop on each row's bit generator; the per-row
+  ``standard_normal(out=row)`` loop is its fallback.
 * Masked updates use ``np.where`` (in-place masked assignment can turn
   ``+0.0`` into ``-0.0``); clamps use ``minimum``/``maximum`` chains
   that replay the scalar branch structure.
@@ -46,7 +50,10 @@ from repro.control.fused import (
     TELEMETRY_Z,
     TELEMETRY_Z_STRIDE,
     arg_block,
+    bitgen_table,
     fused_kernel,
+    noise_block,
+    noise_fill_reason,
     telemetry_args,
     unavailable_reason,
 )
@@ -80,6 +87,11 @@ __all__ = [
 
 _BIG_ID = np.int8(1)
 _LITTLE_ID = np.int8(2)
+
+# Ticks of sensor noise each refill pre-draws per device.  The compiled
+# refill costs the same per draw at any chunk, so the buffer stays a
+# few ticks deep whatever the run's length.
+_NOISE_CHUNK_TICKS = 16
 
 
 class FleetCluster:
@@ -218,7 +230,11 @@ class FleetPlatform:
 
     Every device runs the *same* workload/scenario (one N-device job
     replaces N identical jobs with different seeds); per-device noise
-    comes from independent generators seeded with the per-row seeds.
+    comes from independent generators seeded with the per-row seeds
+    (``rngs``), pre-drawn ``noise_chunk_ticks`` ticks at a time (``None``
+    takes the default, 16).  ``fused_reason`` is ``None`` when the
+    compiled kernel refills that noise, otherwise why the per-row numpy
+    loop does (:func:`~repro.control.fused.noise_fill_reason`).
     """
 
     def __init__(
@@ -228,7 +244,7 @@ class FleetPlatform:
         background: list[BackgroundTask] | None = None,
         seeds,
         config: SoCConfig | None = None,
-        noise_chunk_ticks: int = 256,
+        noise_chunk_ticks: int | None = None,
     ) -> None:
         self.config = config or SoCConfig()
         if self.config.dt_s <= 0:
@@ -279,7 +295,7 @@ class FleetPlatform:
         # Shared-timestamp heartbeat window: (time, (N,) counts) pairs.
         self._hb_window = self.config.heartbeat_window_s
         self._hb_records: deque[tuple[float, np.ndarray]] = deque()
-        self.rngs = [np.random.default_rng(s) for s in seeds]
+        self._rngs = tuple(np.random.default_rng(s) for s in seeds)
         self.time_s = 0.0  # repro: shape[float]
         # Pre-drawn standard-normal blocks.  Per-tick draw layout per
         # device: [QoS workload (iff noisy)] + [big power, big PMUs] +
@@ -289,12 +305,23 @@ class FleetPlatform:
         )
         per_cluster = self.config.cores_per_cluster + 1  # repro: shape[int[C+1]]
         self._draws_per_tick = self._qos_draws + 2 * per_cluster  # repro: shape[int[q + 2*(C+1)]]
+        if noise_chunk_ticks is None:
+            noise_chunk_ticks = _NOISE_CHUNK_TICKS
         self._noise_chunk = max(1, int(noise_chunk_ticks))  # repro: shape[int]
         self._noise_buf = np.empty(  # repro: shape[(N, _) f8 !rng[q + 2*(C+1)]]
             (self.n_devices, self._draws_per_tick * self._noise_chunk),
             dtype=float,
         )
         self._noise_used = self._noise_chunk  # repro: shape[int]
+        self.fused_reason = noise_fill_reason()
+        self._noise_fill = None
+        if self.fused_reason is None:
+            self._noise_fill = fused_kernel().noise_fill
+            # The block points at the bitgen table and the noise buffer;
+            # the platform keeps both, and the generators, for its life.
+            self._bitgens = bitgen_table(self._rngs)  # repro: shape[(N,) i8]
+            self._noise_args = noise_block(self._bitgens, self._noise_buf)
+            self._noise_address = self._noise_args.ctypes.data
         if qos_app is not None:
             self._qos_threads = float(qos_app.threads)  # repro: shape[float]
             perf = big_template.perf_model
@@ -314,6 +341,12 @@ class FleetPlatform:
         else:
             self._qos_threads = 0.0
             self._peak_fs_table = None
+
+    @property
+    def rngs(self) -> tuple[np.random.Generator, ...]:
+        """Each row's generator.  Read-only: the compiled refill holds
+        their addresses."""
+        return self._rngs
 
     # ------------------------------------------------------------------
     def step(self) -> FleetTelemetry:
@@ -374,10 +407,15 @@ class FleetPlatform:
 
     def _refill_noise(self) -> None:
         # Chunked standard_normal draws consume the ziggurat stream
-        # exactly like per-tick draws would (RNG contract tests).
-        buf = self._noise_buf
-        for row, rng in enumerate(self.rngs):
-            rng.standard_normal(out=buf[row])
+        # exactly like per-tick draws would (RNG contract tests).  The
+        # compiled refill runs numpy's fill on each row's generator:
+        # the same values, and the same generator state afterwards.
+        if self._noise_fill is not None:
+            self._noise_fill(self._noise_address)
+        else:
+            buf = self._noise_buf
+            for row, rng in enumerate(self._rngs):
+                rng.standard_normal(out=buf[row])
         self._noise_used = 0
 
     # ------------------------------------------------------------------

@@ -156,7 +156,8 @@ class TestCLI:
         main(["profile", "mm-pow", "--duration", "1.5"])
         out = capsys.readouterr().out
         servo_table_end = out.index("fused_reason")
-        table = out[out.index("sensors ", servo_table_end) :].splitlines()
+        start = out.index("sensors ", servo_table_end)
+        table = out[start:].split("\n\n")[0].splitlines()
         assert table[0].split() == ["sensors", "path", "fused_reason"]
         rows = [line.split() for line in table[1:]]
         assert [row[0] for row in rows] == ["big", "little"]
@@ -164,6 +165,22 @@ class TestCLI:
             assert all(row[1] == "python" for row in rows), rows
         else:
             assert all(row[1:] == ["compiled", "-"] for row in rows), rows
+
+    def test_profile_command_prints_the_fleet_noise_path(self, capsys):
+        from repro.control.fused import noise_fill_reason
+        from repro.perf.cli import main
+
+        main(["profile", "mm-perf", "--duration", "1.5"])
+        out = capsys.readouterr().out
+        table = out[out.index("noise ") :].split("\n\n")[0].splitlines()
+        assert table[0].split() == ["noise", "path", "fused_reason"]
+        assert len(table) == 2 and table[1].startswith("fleet refill ")
+        reason = noise_fill_reason()
+        if reason is None:
+            assert table[1].split()[2:] == ["compiled", "-"]
+        else:
+            assert table[1].split()[2] == "numpy"
+            assert table[1].endswith(reason)
 
     def test_unknown_manager_is_rejected(self):
         from repro.perf.cli import main
