@@ -11,11 +11,13 @@
 #     (REPRO_DISABLE_FUSED=1): the scalar servo and sensor read run
 #     the compiled kernels by default, so this run pins their
 #     numpy/Python reference paths to the committed golden traces,
-#   * the fleet equivalence drill, the scalar sensor-read tests or the
-#     RNG contract (the fleet's noise refill) with the compiled fast
-#     paths disabled (REPRO_DISABLE_FUSED=1) fail — the pure-numpy/Python
-#     fallbacks must stay bit-identical too, and every cluster and
-#     fleet must report the fallback,
+#   * the fleet equivalence drill, the scalar sensor-read tests, the
+#     plant tick tests or the RNG contract (the fleet's noise refill)
+#     with the compiled fast paths disabled (REPRO_DISABLE_FUSED=1)
+#     fail — the pure-numpy/Python fallbacks must stay bit-identical
+#     too, and every cluster, SoC tick and fleet must report the
+#     fallback (the tier-1 run covers the same files with the kernels
+#     on),
 #   * `python -m repro.analysis all` reports a non-baselined error in
 #     any tier (all four share one file walk, one parse and one tree
 #     traversal per module, and one content-hash cache): classic (artifact defects, lint errors,
@@ -63,7 +65,7 @@ REPRO_DISABLE_FUSED=1 python -m pytest -x -q -m exec_smoke
 
 echo
 echo "== fleet equivalence drill without compiled fast paths =="
-REPRO_DISABLE_FUSED=1 python -m pytest -x -q tests/platform/test_fleet_equivalence.py tests/platform/test_scalar_sensors.py tests/platform/test_rng_contract.py
+REPRO_DISABLE_FUSED=1 python -m pytest -x -q tests/platform/test_fleet_equivalence.py tests/platform/test_scalar_sensors.py tests/platform/test_plant_tick.py tests/platform/test_rng_contract.py
 
 echo
 echo "== static analysis, all tiers (repro.analysis all) =="

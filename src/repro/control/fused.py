@@ -2,7 +2,7 @@
 
 The numpy and Python paths spend most of their time dispatching many
 small ufunc/matvec calls, or interpreting scalar arithmetic, per tick.
-This module moves four of those loops into C functions that sweep
+This module moves five of those loops into C functions that sweep
 their rows once each, with every elementwise expression written in
 scalar evaluation order (compiled with ``-ffp-contract=off`` so the
 compiler cannot fuse or reorder anything we did not write explicitly):
@@ -18,6 +18,17 @@ compiler cannot fuse or reorder anything we did not write explicitly):
   fleet's ``FleetPlatform`` reads N rows per call with the per-core
   output left NULL, and the scalar SoC's ``soc.CompiledSensors`` reads
   one cluster's single row, per-core readings included;
+* ``plant_tick`` — the rest of the plant tick after the background
+  placement: the Big cluster's fair share, the QoS workload's rate
+  (Amdahl speedup over a per-OPP ``peak_rate * frequency_scale`` table,
+  the serial-phase rescale, the clamped noise gain and the floor at 0),
+  both clusters' busy clamps and both sensor reads, through the same
+  row reader as ``fleet_telemetry``.  One kernel serves both ticks:
+  ``soc.CompiledTick`` runs the scalar SoC's single row (per-core
+  readings out, the QoS gain drawn by ``rng.normal``), and
+  ``fleet.CompiledFleetTick`` runs N rows (per-core NULL, the gain from
+  the pre-drawn standard normal, the chip power out).  The RNG calls,
+  the placement and the heartbeat window stay in Python;
 * ``opp_snap`` — the per-row DVFS table snap
   (``OPPTable.snap_indices`` in ``platform/opp.py``);
 * ``noise_fill`` — the fleet's sensor-noise refill
@@ -31,21 +42,24 @@ compiler cannot fuse or reorder anything we did not write explicitly):
   build or load-time probe fails, the other three kernels still build
   and only the refill stays on numpy (:func:`noise_fill_reason`).
 
-Each of the four takes a single pointer to an *argument block*: an
+Each of the five takes a single pointer to an *argument block*: an
 array of C ``arg`` slots (``union { i64; double; void * }``), built
 once per set of buffers with :func:`arg_block` (:func:`servo_block`,
-:func:`telemetry_args`).  A call then marshals one pointer instead of
-5-23 positional ctypes arguments, and the caller rewrites only its
-per-call slots: ``Y`` for the fleet servo; ``bce``, ``z`` and the z
-stride for the fleet telemetry.  The scalar callers keep even those
-in place: their inputs live in fixed buffers the block points into
-(the scalar sensor read's in one scratch array), so a call is the
-bare pointer.
+:func:`telemetry_args`, :func:`plant_tick_args`).  A call then
+marshals one pointer instead of 5-23 positional ctypes arguments, and
+the caller rewrites only its per-call slots: ``Y`` for the fleet servo;
+``bce``, ``z`` and the z stride for the fleet telemetry; ``z`` for the
+fleet tick, which reads each cluster's tables and state through that
+cluster's telemetry block.  The scalar callers keep even those in
+place: their inputs live in fixed buffers the block points into (the
+scalar sensor read's and the scalar tick's each in one scratch array),
+so a call is the bare pointer.
 
 Every function is gated on a differential probe against the numpy (or,
-for the scalar sensor read, Python) reference — by its caller, run once
-per content and memoized, or for the noise refill once at load — so a
-kernel only ever runs where it is machine-verified bit-identical.
+for the scalar sensor read and tick, Python) reference — by its caller,
+run once per content and memoized, or for the noise refill once at
+load — so a kernel only ever runs where it is machine-verified
+bit-identical.
 
 Bit-identity with ``M @ x`` is the hard part: BLAS picks a different
 reduction order per matrix shape (FMA lanes with a horizontal-sum tree
@@ -78,7 +92,7 @@ compiler into a cached shared object, and any failure (no compiler,
 failed build, unprobeable matrix) falls back to numpy or Python with
 the reason recorded — :func:`unavailable_reason` for the kernel,
 :func:`noise_fill_reason` for the refill, ``fused_reason`` per servo,
-per cluster and per fleet.
+per cluster and per fleet, ``tick_reason`` per SoC and per fleet.
 ``REPRO_DISABLE_FUSED=1`` forces those paths (used by tests to cover
 both implementations).  Nothing here changes results —
 only how fast they are produced.
@@ -97,6 +111,10 @@ import numpy as np
 
 __all__ = [
     "NO_VARIANT",
+    "QOS_DRAWN_GAIN",
+    "QOS_NONE",
+    "QOS_QUIET",
+    "QOS_STANDARD_NORMAL",
     "SERVO_MATRICES",
     "SERVO_PACKS",
     "SERVO_Y",
@@ -106,10 +124,12 @@ __all__ = [
     "TELEMETRY_BCE",
     "TELEMETRY_Z",
     "TELEMETRY_Z_STRIDE",
+    "TICK_Z",
     "arg_block",
     "bitgen_table",
     "noise_block",
     "noise_fill_reason",
+    "plant_tick_args",
     "servo_block",
     "servo_context_key",
     "telemetry_args",
@@ -541,14 +561,45 @@ void fused_servo_step(const arg *a)
     servo_rows(&c, blocked, N);
 }
 
-/* One cluster sensor read per row: read_cluster_telemetry's body
- * (platform/soc.py) with identical op order per element.  Arguments:
- * N, nc; active, opp, bce, z, z_stride (z rows are z_stride doubles
- * apart: the fleet passes a column slice of its noise block); the
- * per-OPP dyn/leak/rate tables, idle_frac, uncore; the per-sensor
- * noise, res_mask, res, floor rows and any_res; the power and ips
- * outputs, and per_core (N, nc) or NULL.  The gain clamp selects
- * (a > b) ? a : b / (a < b) ? a : b reproduce the scalar if-chain and
+/* One cluster's sensor read: its tables, its state and outputs, loaded
+ * from a fleet_telemetry argument block (slots below). */
+typedef struct {
+    i64 nc;
+    const double *active;
+    const i64 *opp;
+    const double *dyn_table, *leak_table, *rate_table;
+    double idle_frac, uncore;
+    const double *noise;
+    const signed char *res_mask;
+    const double *res, *floor_v;
+    i64 any_res;
+    double *power, *ips, *per_core;
+} sensor_ctx;
+
+static void sensor_ctx_load(const arg *a, sensor_ctx *s)
+{
+    s->nc = a[1].i;
+    s->active = a[2].p;
+    s->opp = a[3].p;
+    s->dyn_table = a[7].p;
+    s->leak_table = a[8].p;
+    s->rate_table = a[9].p;
+    s->idle_frac = a[10].d;
+    s->uncore = a[11].d;
+    s->noise = a[12].p;
+    s->res_mask = a[13].p;
+    s->res = a[14].p;
+    s->floor_v = a[15].p;
+    s->any_res = a[16].i;
+    s->power = a[17].p;
+    s->ips = a[18].p;
+    s->per_core = a[19].p;
+}
+
+/* Row r's read with busy equivalents b and noise draws zr:
+ * read_cluster_telemetry's body (platform/soc.py) with identical op
+ * order per element.  The gain clamp selects (a > b) ? a : b /
+ * (a < b) ? a : b reproduce the scalar if-chain and
  * np.maximum/np.minimum on non-NaN data (the gain is never -0.0).
  * rint() is the same round-half-to-even as Python's round() and
  * np.rint; adding +0.0 maps a -0.0 quotient to +0.0, as round()'s int
@@ -556,57 +607,146 @@ void fused_servo_step(const arg *a)
  * max(value, floor): a -0.0 per-core reading (negative bce, gain
  * clamped to 0) stays -0.0.  Only per_core can show that sign; the
  * sums start from +0.0, and power is never negative. */
+static void read_row(const sensor_ctx *s, i64 r, double b, const double *zr)
+{
+    const i64 nc = s->nc;
+    const double act = s->active[r];
+    const i64 k = s->opp[r];
+    double busy = (b > 0.0) ? b : 0.0;
+    double idle, target, sum;
+    double v[17];
+    i64 c, j;
+    busy = (busy < act) ? busy : act;
+    idle = act - busy;
+    /* true power: dyn*(busy + idle_frac*idle) + leak*active + uncore */
+    v[0] = s->dyn_table[k] * (busy + s->idle_frac * idle)
+         + s->leak_table[k] * act + s->uncore;
+    /* per-core PMU target: (bce * core_rate) * (1 / active) */
+    target = (b * s->rate_table[k]) * (1.0 / act);
+    for (j = 0; j < nc; ++j)
+        v[j + 1] = ((double)j < act) ? target : 0.0;
+    for (c = 0; c < nc + 1; ++c) {
+        double g = 1.0 + s->noise[c] * zr[c];
+        double val;
+        g = (g > 0.0) ? g : 0.0;
+        g = (g < 2.0) ? g : 2.0;
+        val = v[c] * g;
+        if (s->any_res && s->res_mask[c])
+            val = (rint(val / s->res[c]) + 0.0) * s->res[c];
+        v[c] = (s->floor_v[c] > val) ? s->floor_v[c] : val;
+    }
+    s->power[r] = v[0];
+    /* Sequential per-core fold, like the scalar accumulation. */
+    sum = 0.0;
+    for (j = 0; j < nc; ++j) sum = sum + v[j + 1];
+    s->ips[r] = sum;
+    if (s->per_core)
+        for (j = 0; j < nc; ++j) s->per_core[r * nc + j] = v[j + 1];
+}
+
+/* One cluster sensor read per row.  Arguments: N, nc; active, opp,
+ * bce, z, z_stride (z rows are z_stride doubles apart: the fleet
+ * passes a column slice of its noise block); the per-OPP dyn/leak/rate
+ * tables, idle_frac, uncore; the per-sensor noise, res_mask, res,
+ * floor rows and any_res; the power and ips outputs, and per_core
+ * (N, nc) or NULL. */
 void fleet_telemetry(const arg *a)
 {
-    const i64 N = a[0].i, nc = a[1].i;
-    const double *active = a[2].p;
-    const i64 *opp = a[3].p;
+    const i64 N = a[0].i;
     const double *bce = a[4].p;
     const double *z = a[5].p;
     const i64 z_stride = a[6].i;
-    const double *dyn_table = a[7].p, *leak_table = a[8].p;
-    const double *rate_table = a[9].p;
-    const double idle_frac = a[10].d, uncore = a[11].d;
-    const double *noise = a[12].p;
-    const signed char *res_mask = a[13].p;
-    const double *res = a[14].p, *floor_v = a[15].p;
-    const i64 any_res = a[16].i;
-    double *power = a[17].p, *ips = a[18].p, *per_core = a[19].p;
-    double v[17];
-    i64 r, c, j;
-    for (r = 0; r < N; ++r) {
-        double act = active[r];
-        i64 k = opp[r];
-        double b = bce[r];
-        double busy = (b > 0.0) ? b : 0.0;
-        double idle, target, s;
-        const double *zr = z + r * z_stride;
-        busy = (busy < act) ? busy : act;
-        idle = act - busy;
-        /* true power: dyn*(busy + idle_frac*idle) + leak*active + uncore */
-        v[0] = dyn_table[k] * (busy + idle_frac * idle)
-             + leak_table[k] * act + uncore;
-        /* per-core PMU target: (bce * core_rate) * (1 / active) */
-        target = (b * rate_table[k]) * (1.0 / act);
-        for (j = 0; j < nc; ++j)
-            v[j + 1] = ((double)j < act) ? target : 0.0;
-        for (c = 0; c < nc + 1; ++c) {
-            double g = 1.0 + noise[c] * zr[c];
-            double val;
-            g = (g > 0.0) ? g : 0.0;
-            g = (g < 2.0) ? g : 2.0;
-            val = v[c] * g;
-            if (any_res && res_mask[c])
-                val = (rint(val / res[c]) + 0.0) * res[c];
-            v[c] = (floor_v[c] > val) ? floor_v[c] : val;
+    sensor_ctx s;
+    i64 r;
+    sensor_ctx_load(a, &s);
+    for (r = 0; r < N; ++r) read_row(&s, r, bce[r], z + r * z_stride);
+}
+
+/* perf.amdahl_speedup with a continuous thread count. */
+static double amdahl(double pf, double threads)
+{
+    if (threads <= 0.0) return 0.0;
+    if (threads < 1.0) return threads;
+    return 1.0 / ((1.0 - pf) + pf / threads);
+}
+
+/* One plant tick per row, after the background placement: the Big
+ * cluster's fair share, the QoS workload's rate, both clusters' busy
+ * clamps and both sensor reads, in ExynosSoC's op order.  Arguments:
+ * N; the QoS mode (0 no workload, 1 noise-free, 2 gain 1 +
+ * variability * z from a standard-normal draw, 3 z is the drawn gain
+ * itself), variability, QoS threads, nominal parallel fraction, a
+ * pointer to the current parallel fraction, the per-OPP peak_rate *
+ * frequency_scale table of the Big cluster; the Big and Little
+ * background demand rows; the noise z, its row stride and the Big and Little column offsets (the
+ * QoS draw is column 0); the Big and Little fleet_telemetry argument
+ * blocks (their bce, z and z_stride slots are not read); the QoS rate,
+ * Big busy and Little busy outputs, and the chip power output or NULL.
+ * Selects follow the scalar min()/max() on ties: min(a, b) keeps a
+ * unless b < a, max(base, 0.0) keeps base unless 0.0 > base. */
+void plant_tick(const arg *a)
+{
+    const i64 N = a[0].i, qos = a[1].i;
+    const double variability = a[2].d, threads = a[3].d;
+    const double nominal_pf = a[4].d;
+    const double pf = *(const double *)a[5].p;
+    const double *peak_fs = a[6].p;
+    const double *big_demand = a[7].p, *little_demand = a[8].p;
+    const double *z = a[9].p;
+    const i64 z_stride = a[10].i, big_off = a[11].i, little_off = a[12].i;
+    double *qos_out = a[15].p, *big_busy_out = a[16].p;
+    double *little_busy_out = a[17].p, *chip = a[18].p;
+    double reference = 0.0, rescale = 1.0;
+    int rescaled = 0;
+    sensor_ctx big, little;
+    i64 r;
+    sensor_ctx_load(a[13].p, &big);
+    sensor_ctx_load(a[14].p, &little);
+    if (qos) {
+        /* QoSWorkload.rate's anchors: the reference speedup at the
+         * current fraction, and the serial-phase rescale phase_ref /
+         * nominal_ref. */
+        reference = amdahl(pf, threads);
+        if (pf != nominal_pf) {
+            const double nominal = amdahl(nominal_pf, threads);
+            if (nominal > 0.0) {
+                rescaled = 1;
+                rescale = amdahl(pf, threads) / nominal;
+            }
         }
-        power[r] = v[0];
-        /* Sequential per-core fold, like the scalar accumulation. */
-        s = 0.0;
-        for (j = 0; j < nc; ++j) s = s + v[j + 1];
-        ips[r] = s;
-        if (per_core)
-            for (j = 0; j < nc; ++j) per_core[r * nc + j] = v[j + 1];
+    }
+    for (r = 0; r < N; ++r) {
+        const double *zr = z + r * z_stride;
+        const double big_cap = big.active[r], little_cap = little.active[r];
+        const double runnable = threads + big_demand[r];
+        const double little_run = little_demand[r];
+        const double big_busy = (runnable < big_cap) ? runnable : big_cap;
+        const double little_busy =
+            (little_run < little_cap) ? little_run : little_cap;
+        if (qos) {
+            double share, base = 0.0;
+            if (runnable <= 0.0) {
+                share = 0.0;
+            } else {
+                share = big_cap / runnable;
+                share = (share < 1.0) ? share : 1.0;
+            }
+            if (reference != 0.0)
+                base = peak_fs[big.opp[r]] * amdahl(pf, threads * share)
+                     / reference;
+            if (rescaled) base = base * rescale;
+            if (qos >= 2) {
+                double g = (qos == 2) ? 1.0 + variability * zr[0] : zr[0];
+                g = (g < 0.5) ? 0.5 : ((g > 1.5) ? 1.5 : g);
+                base = base * g;
+            }
+            qos_out[r] = (0.0 > base) ? 0.0 : base;
+        }
+        read_row(&big, r, big_busy, zr + big_off);
+        read_row(&little, r, little_busy, zr + little_off);
+        big_busy_out[r] = big_busy;
+        little_busy_out[r] = little_busy;
+        if (chip) chip[r] = big.power[r] + little.power[r];
     }
 }
 
@@ -752,9 +892,9 @@ def _compile(source: str, archive: str | None = None):
 class FusedKernel:
     """ctypes binding of the compiled per-row kernels.
 
-    ``servo_step``, ``telemetry``, ``snap`` and ``noise_fill`` each take
-    the address of an argument block (:func:`arg_block`) and nothing
-    else.  ``noise_fill`` is ``None`` when the object was built without
+    ``servo_step``, ``telemetry``, ``plant_tick``, ``snap`` and
+    ``noise_fill`` each take the address of an argument block
+    (:func:`arg_block`) and nothing else.  ``noise_fill`` is ``None`` when the object was built without
     the refill or its load-time probe failed; ``noise_reason`` then
     says why (see :func:`noise_fill_reason`).
     """
@@ -781,6 +921,10 @@ class FusedKernel:
         snap.restype = None
         snap.argtypes = [ctypes.c_void_p]
         self.snap = snap
+        tick = lib.plant_tick
+        tick.restype = None
+        tick.argtypes = [ctypes.c_void_p]
+        self.plant_tick = tick
         # ``noise_gap`` says why ``lib`` was built without the refill.
         self.noise_fill = None
         self.noise_reason = noise_gap
@@ -912,6 +1056,75 @@ def telemetry_args(
         power_out,
         ips_out,
         per_core_out,
+    ]
+
+
+# ``plant_tick``'s QoS modes: no workload, a noise-free workload, a
+# noise gain 1 + variability * z from a standard-normal draw (the
+# fleet's pre-drawn column), or the drawn gain itself (the scalar SoC's
+# ``rng.normal(1, variability)``).
+QOS_NONE, QOS_QUIET, QOS_STANDARD_NORMAL, QOS_DRAWN_GAIN = 0, 1, 2, 3
+
+# Slot of ``plant_tick``'s argument block a fleet call rewrites.
+TICK_Z = 9
+
+
+def plant_tick_args(
+    rows: int,
+    *,
+    qos_mode: int,
+    variability: float,
+    threads: float,
+    parallel_fraction: float,
+    current_fraction: int,
+    peak_rate_table: int,
+    big_demand: int,
+    little_demand: int,
+    z: int,
+    z_stride: int,
+    big_offset: int,
+    little_offset: int,
+    big_telemetry: int,
+    little_telemetry: int,
+    qos_out: int,
+    big_busy_out: int,
+    little_busy_out: int,
+    chip_out: int = 0,
+) -> list:
+    """``plant_tick``'s arguments for ``rows`` rows.
+
+    Every keyword but the first four, ``z_stride`` and the offsets is a
+    raw address: ``current_fraction`` of the one current parallel
+    fraction (``parallel_fraction`` is the workload's nominal one),
+    ``peak_rate_table`` of the Big cluster's per-OPP
+    ``peak_rate * frequency_scale``, the two demand rows, the noise
+    ``z`` (rows ``z_stride`` doubles apart, the QoS draw in column 0
+    and each cluster's draws from its offset), each cluster's
+    ``fleet_telemetry`` argument block (:func:`telemetry_args`; its
+    bce, z and stride slots are not read) and the outputs.
+    ``chip_out`` 0 passes NULL.  ``qos_mode`` is one of the ``QOS_*``
+    codes.
+    """
+    return [
+        rows,
+        qos_mode,
+        float(variability),
+        float(threads),
+        float(parallel_fraction),
+        current_fraction,
+        peak_rate_table,
+        big_demand,
+        little_demand,
+        z,
+        z_stride,
+        big_offset,
+        little_offset,
+        big_telemetry,
+        little_telemetry,
+        qos_out,
+        big_busy_out,
+        little_busy_out,
+        chip_out,
     ]
 
 

@@ -6,9 +6,11 @@ per-stage hotspot table plus end-to-end throughput, then each LQG
 servo's step path: ``compiled`` (the fused kernel) or ``numpy`` with
 the servo's ``fused_reason``, below it each SoC cluster's sensor
 read: ``compiled`` (the telemetry kernel) or ``python`` with the
-cluster's ``fused_reason``, and last the fleet's sensor-noise refill:
+cluster's ``fused_reason``, then the fleet's sensor-noise refill:
 ``compiled`` (the ``noise_fill`` kernel) or ``numpy`` with
-``FleetPlatform.fused_reason``.
+``FleetPlatform.fused_reason``, and last the plant tick of the SoC and
+of a fleet of the same workload: ``compiled`` (the ``plant_tick``
+kernel) or ``python``/``numpy`` with ``tick_reason``.
 """
 
 from __future__ import annotations
@@ -91,6 +93,21 @@ def _noise_report(seed: int) -> str:
     )
 
 
+def _tick_report(socs, workload, seed: int) -> str:
+    """The plant tick's path of each profiled SoC and of a fleet of the
+    same workload and, off the compiled kernel, why (``tick_reason``)."""
+    from repro.platform.fleet import FleetPlatform
+
+    fleet = FleetPlatform(qos_app=workload, seeds=(seed,))
+    rows = [("soc", "python", soc.tick_reason) for soc in socs]
+    rows.append(("fleet", "numpy", fleet.tick_reason))
+    lines = [f"{'tick':<14} {'path':<9} fused_reason"]
+    for name, fallback, reason in rows:
+        path = fallback if reason is not None else "compiled"
+        lines.append(f"{name:<14} {path:<9} {reason or '-'}")
+    return "\n".join(lines)
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
     # Heavy imports stay inside the command so ``--help`` is instant.
     from repro.experiments.figures import identified_systems, manager_factory
@@ -143,6 +160,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(_sensor_report(soc))
     print()
     print(_noise_report(args.seed))
+    print()
+    print(_tick_report(socs, workload, args.seed))
     return 0
 
 

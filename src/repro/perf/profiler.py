@@ -5,10 +5,17 @@ by :meth:`StepProfiler.attach` and removed by :meth:`StepProfiler.detach`:
 
 * ``soc.step``                  -> ``step_total`` (whole plant tick)
 * ``soc.scheduler.place[_idle]`` -> ``scheduler``
-* ``soc._cluster_telemetry``    -> ``sensors`` (two calls per tick)
-* ``soc.qos_app`` (proxy)       -> ``workload`` (QoS rate evaluation)
+* ``soc._plant_tick``           -> ``tick_kernel`` (the compiled tick:
+  QoS rate, busy clamps and both sensor reads in one kernel call)
+* ``soc._qos_rate``             -> ``workload`` (QoS rate, Python tick)
+* ``soc._cluster_telemetry``    -> ``sensors`` (two calls per Python tick)
 * ``manager.control``           -> ``controller`` (includes supervisor)
 * ``manager._supervise``        -> ``supervisor`` (SPECTR-style managers)
+
+A SoC on the compiled tick (``soc.tick_reason is None``) reports its
+rate and sensor time as one ``tick_kernel`` stage; one on the Python
+tick reports them as ``workload`` and ``sensors``.  No hook changes
+which tick runs: the workload itself is never wrapped.
 
 Because every hook is an instance attribute, a detached profiler leaves
 the objects exactly as constructed — the hot path never checks a flag,
@@ -27,6 +34,7 @@ from typing import Any, Callable
 STAGES = (
     "step_total",
     "scheduler",
+    "tick_kernel",
     "workload",
     "sensors",
     "controller",
@@ -37,8 +45,9 @@ STAGES = (
 _STAGE_NOTES = {
     "step_total": "one ExynosSoC.step (plant tick)",
     "scheduler": "background-task placement",
-    "workload": "QoS application rate model",
-    "sensors": "cluster telemetry reads",
+    "tick_kernel": "compiled tick: QoS rate + both sensor reads",
+    "workload": "QoS application rate model (Python tick)",
+    "sensors": "cluster telemetry reads (Python tick)",
     "controller": "manager.control (incl. supervisor)",
     "supervisor": "supervisory-engine invocations",
 }
@@ -56,27 +65,6 @@ class StageStats:
         if self.calls == 0:
             return 0.0
         return self.total_s / self.calls * 1e6
-
-
-class _WorkloadProxy:
-    """Timing proxy for a (frozen) QoSWorkload: times ``rate`` calls,
-    forwards every other attribute to the wrapped workload."""
-
-    def __init__(self, workload: Any, stats: StageStats) -> None:
-        self._workload = workload
-        self._stats = stats
-
-    def rate(self, *args: Any, **kwargs: Any) -> float:
-        t0 = time.perf_counter()
-        try:
-            return self._workload.rate(*args, **kwargs)
-        finally:
-            stats = self._stats
-            stats.calls += 1
-            stats.total_s += time.perf_counter() - t0
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._workload, name)
 
 
 @dataclass
@@ -105,15 +93,9 @@ class StepProfiler:
         self._wrap(soc.scheduler, "place", "scheduler")
         if hasattr(soc.scheduler, "place_idle"):
             self._wrap(soc.scheduler, "place_idle", "scheduler")
+        self._wrap(soc, "_plant_tick", "tick_kernel")
+        self._wrap(soc, "_qos_rate", "workload")
         self._wrap(soc, "_cluster_telemetry", "sensors")
-        if soc.qos_app is not None:
-            original = soc.qos_app
-            soc.qos_app = _WorkloadProxy(original, self.stats["workload"])
-
-            def restore_workload() -> None:
-                soc.qos_app = original
-
-            self._undo.append(restore_workload)
 
     def attach_manager(self, manager: Any) -> None:
         self._wrap(manager, "control", "controller")
@@ -159,8 +141,8 @@ class StepProfiler:
         """Hotspot table, one row per stage, sorted by total time.
 
         ``supervisor`` time is nested inside ``controller`` time, and
-        ``scheduler``/``workload``/``sensors`` are nested inside
-        ``step_total``; percentages are of the full control loop
+        ``scheduler``/``tick_kernel``/``workload``/``sensors`` are
+        nested inside ``step_total``; percentages are of the full control loop
         (plant tick + controller).
         """
         tick = self.tick_total_s()

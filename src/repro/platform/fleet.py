@@ -46,14 +46,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.control.fused import (
+    QOS_NONE,
+    QOS_QUIET,
+    QOS_STANDARD_NORMAL,
     TELEMETRY_BCE,
     TELEMETRY_Z,
     TELEMETRY_Z_STRIDE,
+    TICK_Z,
     arg_block,
     bitgen_table,
     fused_kernel,
     noise_block,
     noise_fill_reason,
+    plant_tick_args,
     telemetry_args,
     unavailable_reason,
 )
@@ -61,7 +66,6 @@ from repro.platform.opp import big_cluster_opps, little_cluster_opps
 from repro.platform.perf import (
     amdahl_speedup,
     big_cluster_perf_model,
-    frequency_scale,
     little_cluster_perf_model,
 )
 from repro.platform.power import (
@@ -75,15 +79,21 @@ from repro.platform.soc import (
     SensorTables,
     SoCConfig,
     fleet_sensor_layout,
+    qos_rate_table,
 )
 from repro.workloads.base import BackgroundTask, QoSWorkload
 
 __all__ = [
+    "CompiledFleetTick",
     "FleetCluster",
     "FleetClusterTelemetry",
     "FleetPlatform",
     "FleetTelemetry",
 ]
+
+# Marks a platform whose compiled tick was never bound (a workload of
+# None is a real binding).
+_UNBOUND = object()
 
 _BIG_ID = np.int8(1)
 _LITTLE_ID = np.int8(2)
@@ -161,7 +171,9 @@ class FleetCluster:
         initial = template.opps.snap_indices(
             np.array([template.frequency_ghz], dtype=float)
         )
-        self.opp_idx = np.full(n_devices, int(initial[0]))  # repro: shape[(N,) i8]
+        self.opp_idx = np.full(  # repro: shape[(N,) i8]
+            n_devices, int(initial[0]), dtype=np.int64
+        )
         self.frequency = self.freq_table[self.opp_idx]  # repro: shape[(N,) f8]
         self.voltage = self.volt_table[self.opp_idx]  # repro: shape[(N,) f8]
         self.active = np.full(  # repro: shape[(N,) f8]
@@ -324,23 +336,17 @@ class FleetPlatform:
             self._noise_address = self._noise_args.ctypes.data
         if qos_app is not None:
             self._qos_threads = float(qos_app.threads)  # repro: shape[float]
-            perf = big_template.perf_model
-            # peak_rate * frequency_scale(f) per OPP — the first two
-            # factors of the left-associative scalar product
-            # peak * fs * speedup / reference_speedup.
-            self._peak_fs_table = np.array(  # repro: shape[(n_opp,) f8 | none]
-                [
-                    qos_app.peak_rate
-                    * frequency_scale(
-                        p.frequency_ghz, perf.f_max_ghz, qos_app.freq_alpha
-                    )
-                    for p in big_template.opps.points
-                ],
-                dtype=float,
+            self._peak_fs_table = qos_rate_table(  # repro: shape[(n_opp,) f8 | none]
+                qos_app, big_template
             )
         else:
             self._qos_threads = 0.0
             self._peak_fs_table = None
+        # The compiled plant tick, bound on the first step (see
+        # compiled_tick) and re-bound if the workload is swapped.
+        self._tick: CompiledFleetTick | None = None
+        self._tick_reason: str | None = None
+        self._tick_workload = _UNBOUND
 
     @property
     def rngs(self) -> tuple[np.random.Generator, ...]:
@@ -348,22 +354,40 @@ class FleetPlatform:
         their addresses."""
         return self._rngs
 
+    def compiled_tick(self) -> CompiledFleetTick | None:
+        """The compiled plant tick, or ``None`` when the numpy tick runs
+        (``tick_reason`` says why).  Bound on first use, and again if
+        the workload is swapped."""
+        if self._tick_workload is not self.qos_app:
+            self._tick_workload = self.qos_app
+            self._tick, self._tick_reason = _bind_fleet_tick(self)
+        return self._tick
+
+    @property
+    def tick_reason(self) -> str | None:
+        """Why this fleet's tick runs on numpy; ``None`` when the
+        compiled ``plant_tick`` kernel runs it."""
+        self.compiled_tick()
+        return self._tick_reason
+
     # ------------------------------------------------------------------
     def step(self) -> FleetTelemetry:
-        """Advance all devices one control interval (scalar-step mirror)."""
+        """Advance all devices one control interval (scalar-step mirror).
+
+        After the background placement, the QoS rate, the busy clamps,
+        both sensor reads and the chip power run as one compiled
+        ``plant_tick`` call (:class:`CompiledFleetTick`) wherever its
+        probe passed; the numpy tick (:meth:`_numpy_plant`) is the
+        reference it reproduces.
+        """
         now = self.time_s
         qos_app = self.qos_app
         qos_threads = self._qos_threads
-        width = self._draws_per_tick
         if self._noise_used == self._noise_chunk:
             self._refill_noise()
-        z = self._noise_buf[
-            :, self._noise_used * width : (self._noise_used + 1) * width
-        ]
-        self._noise_used += 1
+        used = self._noise_used
+        self._noise_used = used + 1
 
-        big = self.big
-        little = self.little
         active_bg = [t for t in self.background if t.active_at(now)]
         if active_bg:
             big_demand, little_demand = self._place(active_bg, qos_threads)
@@ -373,16 +397,49 @@ class FleetPlatform:
             big_demand = 0.0
             little_demand = 0.0
 
+        tick = self.compiled_tick()
+        if tick is None:
+            width = self._draws_per_tick
+            z = self._noise_buf[:, used * width : (used + 1) * width]
+            qos_rate_raw, big_telemetry, little_telemetry, chip_power_w = (
+                self._numpy_plant(now, big_demand, little_demand, z)
+            )
+        else:
+            qos_rate_raw, big_telemetry, little_telemetry, chip_power_w = (
+                tick.run(self, now, big_demand, little_demand, used)
+            )
+        qos_rate = 0.0
+        if qos_app is not None:
+            self._hb_issue(now, qos_rate_raw * self.config.dt_s)
+            qos_rate = self._hb_rate(now)
+        telemetry = FleetTelemetry(
+            time_s=now,
+            qos_rate=qos_rate,
+            qos_raw=qos_rate_raw,
+            big=big_telemetry,
+            little=little_telemetry,
+            chip_power_w=chip_power_w,
+        )
+        self.time_s = now + self.config.dt_s
+        return telemetry
+
+    def _numpy_plant(self, now: float, big_demand, little_demand, z):
+        # repro: shape[z: (N, q + 2*(C+1)) f8]
+        """The numpy tick after placement: the QoS rate on the Big
+        cluster's fair share, both busy clamps, both sensor reads and
+        the chip power.  The reference :class:`CompiledFleetTick`
+        reproduces bit for bit."""
+        big = self.big
+        little = self.little
+        qos_threads = self._qos_threads
         big_capacity = big.active
         big_runnable = qos_threads + big_demand
         big_share = _fair_share_capacity(big_capacity, big_runnable)
         qos_rate_raw = 0.0
-        if qos_app is not None:
+        if self.qos_app is not None:
             qos_rate_raw = self._qos_rate(now, qos_threads * big_share, z)
-            self._hb_issue(now, qos_rate_raw * self.config.dt_s)
         big_busy = np.minimum(big_capacity, big_runnable)
-        little_capacity = little.active
-        little_busy = np.minimum(little_capacity, little_demand)
+        little_busy = np.minimum(little.active, little_demand)
 
         offset = self._qos_draws
         per_cluster = big.n_cores + 1
@@ -393,17 +450,12 @@ class FleetPlatform:
         little_telemetry = _cluster_telemetry(
             little, little_busy, z[:, offset : offset + little.n_cores + 1]
         )
-        qos_rate = self._hb_rate(now) if qos_app is not None else 0.0
-        telemetry = FleetTelemetry(
-            time_s=now,
-            qos_rate=qos_rate,
-            qos_raw=qos_rate_raw,
-            big=big_telemetry,
-            little=little_telemetry,
-            chip_power_w=big_telemetry.power_w + little_telemetry.power_w,
+        return (
+            qos_rate_raw,
+            big_telemetry,
+            little_telemetry,
+            big_telemetry.power_w + little_telemetry.power_w,
         )
-        self.time_s = now + self.config.dt_s
-        return telemetry
 
     def _refill_noise(self) -> None:
         # Chunked standard_normal draws consume the ziggurat stream
@@ -581,12 +633,33 @@ def _cluster_telemetry_fused(
     fc._out_flip = 1 - flip
     power_w = fc._power_bufs[flip]
     ips = fc._ips_bufs[flip]
-    # Prebuilt argument blocks (one per output flip) keep every table,
-    # state and output address; a call writes only bce, z and the z
-    # stride.  They are keyed on the identity of the two arrays that
-    # may be replaced (``active`` by the probe, ``opp_idx`` by the
-    # probe and by the first ``set_frequency``) and rebuilt whenever
-    # either moves.  The per-core output stays NULL.
+    block, address = _telemetry_blocks(fc)[flip]
+    block[TELEMETRY_BCE] = busy_core_equivalents.ctypes.data
+    block[TELEMETRY_Z] = z.ctypes.data
+    block[TELEMETRY_Z_STRIDE] = z.strides[0] // 8
+    kernel.telemetry(address)
+    return FleetClusterTelemetry(
+        frequency_ghz=fc.frequency,
+        voltage_v=fc.voltage,
+        active_cores=fc.active,
+        busy_core_equivalents=busy_core_equivalents,
+        power_w=power_w,
+        ips=ips,
+    )
+
+
+def _telemetry_blocks(fc: FleetCluster) -> list:
+    # repro: shape[fc: obj[FleetCluster]]
+    """``fc``'s ``fleet_telemetry`` argument blocks, one ``(block,
+    address)`` pair per output flip.
+
+    Prebuilt blocks keep every table, state and output address; a
+    telemetry call writes only bce, z and the z stride, and the plant
+    tick reads none of those.  They are keyed on the identity of the two
+    arrays that may be replaced (``active`` by the probe, ``opp_idx`` by
+    the probe and by the first ``set_frequency``) and rebuilt whenever
+    either moves.  The per-core output stays NULL.
+    """
     cached = fc._telemetry_blocks
     if (
         cached is None
@@ -607,19 +680,7 @@ def _cluster_telemetry_fused(
             )
             blocks.append((block, block.ctypes.data))
         cached = fc._telemetry_blocks = (fc.active, fc.opp_idx, blocks)
-    block, address = cached[2][flip]
-    block[TELEMETRY_BCE] = busy_core_equivalents.ctypes.data
-    block[TELEMETRY_Z] = z.ctypes.data
-    block[TELEMETRY_Z_STRIDE] = z.strides[0] // 8
-    kernel.telemetry(address)
-    return FleetClusterTelemetry(
-        frequency_ghz=fc.frequency,
-        voltage_v=fc.voltage,
-        active_cores=fc.active,
-        busy_core_equivalents=busy_core_equivalents,
-        power_w=power_w,
-        ips=ips,
-    )
+    return cached[2]
 
 
 def _enable_telemetry_kernel(fc: FleetCluster) -> str | None:
@@ -730,3 +791,278 @@ def _cluster_telemetry_numpy(
         ips=ips,
     )
 
+
+
+class CompiledFleetTick:
+    """A fleet's plant tick after placement on the compiled
+    ``plant_tick`` kernel: every row's QoS rate, busy clamps, sensor
+    reads and chip power in one call.
+
+    The outputs are double-buffered on the clusters' ``_out_flip``, like
+    their power and ips buffers, so the previous tick's arrays stay
+    intact without per-tick allocation.  There is one argument block
+    per flip; each points at both clusters' ``fleet_telemetry`` blocks
+    for that flip and is rebuilt with them whenever a cluster's
+    ``active`` or ``opp_idx`` array moves.  A call copies the two demand
+    rows into fixed buffers, writes the current parallel fraction and
+    points the z slot at this tick's columns of the noise buffer.
+    """
+
+    def __init__(self, kernel, platform: FleetPlatform) -> None:
+        n = platform.n_devices
+        self._call = kernel.plant_tick
+        self.qos_app = platform.qos_app
+        self._peak = platform._peak_fs_table
+        # Per flip: QoS rate, big busy, little busy, chip power.
+        self._outputs = tuple(
+            tuple(np.empty(n, dtype=float) for _ in range(4)) for _ in range(2)
+        )
+        self._demand = np.zeros((2, n), dtype=float)  # repro: shape[(2, N) f8]
+        self._fraction = np.zeros(1, dtype=float)  # repro: shape[(1,) f8]
+        self._noise_address = platform._noise_buf.ctypes.data
+        self._tick_bytes = 8 * platform._draws_per_tick
+        self._key: tuple | None = None
+        self._blocks: list = []
+        self._held: tuple = ()
+
+    def _rebuild(self, platform: FleetPlatform) -> None:
+        big = platform.big
+        little = platform.little
+        big_blocks = _telemetry_blocks(big)
+        little_blocks = _telemetry_blocks(little)
+        qos_app = self.qos_app
+        if qos_app is None:
+            mode, variability, threads, nominal = QOS_NONE, 0.0, 0.0, 0.0
+        else:
+            variability = qos_app.variability
+            mode = QOS_STANDARD_NORMAL if variability > 0 else QOS_QUIET
+            threads = platform._qos_threads
+            nominal = qos_app.parallel_fraction
+        offset = platform._qos_draws
+        blocks = []
+        for side in (0, 1):
+            qos, big_busy, little_busy, chip = self._outputs[side]
+            block = arg_block(
+                plant_tick_args(
+                    platform.n_devices,
+                    qos_mode=mode,
+                    variability=variability,
+                    threads=threads,
+                    parallel_fraction=nominal,
+                    current_fraction=self._fraction.ctypes.data,
+                    peak_rate_table=(
+                        0 if self._peak is None else self._peak.ctypes.data
+                    ),
+                    big_demand=self._demand[0].ctypes.data,
+                    little_demand=self._demand[1].ctypes.data,
+                    z=0,
+                    z_stride=platform._noise_buf.shape[1],
+                    big_offset=offset,
+                    little_offset=offset + big.n_cores + 1,
+                    big_telemetry=big_blocks[side][1],
+                    little_telemetry=little_blocks[side][1],
+                    qos_out=qos.ctypes.data,
+                    big_busy_out=big_busy.ctypes.data,
+                    little_busy_out=little_busy.ctypes.data,
+                    chip_out=chip.ctypes.data,
+                )
+            )
+            blocks.append((block, block.ctypes.data))
+        self._blocks = blocks
+        # The blocks point into the clusters' telemetry blocks: hold
+        # them for as long as these blocks live.
+        self._held = (big_blocks, little_blocks)
+        self._key = (big.active, big.opp_idx, little.active, little.opp_idx)
+
+    def run(
+        self,
+        platform: FleetPlatform,
+        now: float,
+        big_demand,
+        little_demand,
+        used: int,
+    ):
+        """One tick of ``platform`` after placement, on noise slice
+        ``used`` of the buffer: ``(qos_rate_raw, big, little,
+        chip_power_w)``, as :meth:`FleetPlatform._numpy_plant` returns
+        them."""
+        big = platform.big
+        little = platform.little
+        key = self._key
+        if (
+            key is None
+            or key[0] is not big.active
+            or key[1] is not big.opp_idx
+            or key[2] is not little.active
+            or key[3] is not little.opp_idx
+        ):
+            self._rebuild(platform)
+        flip = big._out_flip
+        big._out_flip = little._out_flip = 1 - flip
+        demand = self._demand
+        demand[0] = big_demand
+        demand[1] = little_demand
+        qos_app = self.qos_app
+        if qos_app is not None:
+            self._fraction[0] = qos_app.parallel_fraction_at(now)
+        block, address = self._blocks[flip]
+        block[TICK_Z] = self._noise_address + used * self._tick_bytes
+        self._call(address)
+        qos, big_busy, little_busy, chip = self._outputs[flip]
+        return (
+            qos if qos_app is not None else 0.0,
+            FleetClusterTelemetry(
+                big.frequency,
+                big.voltage,
+                big.active,
+                big_busy,
+                big._power_bufs[flip],
+                big._ips_bufs[flip],
+            ),
+            FleetClusterTelemetry(
+                little.frequency,
+                little.voltage,
+                little.active,
+                little_busy,
+                little._power_bufs[flip],
+                little._ips_bufs[flip],
+            ),
+            chip,
+        )
+
+
+def _fleet_content(platform: FleetPlatform) -> tuple:
+    """Everything the compiled tick reads besides the per-row state, as
+    a memo key: the workload (a frozen dataclass) and the bytes of both
+    clusters' tables and sensor rows and of the QoS rate table."""
+    parts = []
+    for fc in (platform.big, platform.little):
+        parts += [
+            fc.dynamic_table,
+            fc.leakage_table,
+            fc.core_rate_table,
+            np.array([fc.idle_core_fraction, fc.uncore_power], dtype=float),
+            fc.noise_row,
+            fc.res_mask_i8,
+            fc.safe_res_row,
+            fc.floor_row,
+        ]
+    if platform._peak_fs_table is not None:
+        parts.append(platform._peak_fs_table)
+    return platform.qos_app, b"".join(part.tobytes() for part in parts)
+
+
+# Probe verdicts keyed by _fleet_content.  The probe ticks a scratch
+# fleet of its own, so one verdict serves every fleet of that content
+# whatever its row count; run_fleet_scenario builds a fresh platform per
+# run, which would otherwise repeat it every run.
+_FLEET_TICK_MEMO: dict[tuple, str | None] = {}
+
+
+def _bind_fleet_tick(
+    platform: FleetPlatform,
+) -> tuple[CompiledFleetTick | None, str | None]:
+    """The fleet's compiled tick, or ``None`` and the reason the numpy
+    tick runs instead."""
+    kernel = fused_kernel()
+    if kernel is None:
+        return None, unavailable_reason()
+    qos_app = platform.qos_app
+    if qos_app is not None and type(qos_app) is not QoSWorkload:
+        return None, (
+            f"workload is a {type(qos_app).__name__}, not a QoSWorkload"
+        )
+    for fc in (platform.big, platform.little):
+        if fc.fused_reason is not None:
+            return None, f"{fc.name} sensors: {fc.fused_reason}"
+    key = _fleet_content(platform)
+    verdict = _FLEET_TICK_MEMO.get(key, _UNBOUND)
+    if verdict is _UNBOUND:
+        try:
+            matches = _probe_fleet_tick(platform, kernel)
+            verdict = None if matches else "differential probe mismatch"
+        except Exception as exc:
+            verdict = f"probe raised {type(exc).__name__}: {exc}"
+        if len(_FLEET_TICK_MEMO) < 256:
+            _FLEET_TICK_MEMO[key] = verdict
+    if verdict is not None:
+        return None, verdict
+    return CompiledFleetTick(kernel, platform), None
+
+
+def _probe_fleet_tick(platform: FleetPlatform, kernel) -> bool:
+    # repro: shape[platform: obj[FleetPlatform]]
+    """Differential gate for the compiled fleet tick.
+
+    Ticks a scratch fleet of the same workload and configuration through
+    both paths, its clusters reading in numpy: one row per Big OPP and
+    active-core count, Little OPPs and counts drawn per trial,
+    background demands that are zero (the scalar 0.0 of a tick with no
+    placement) or drawn per row across negative and over-capacity
+    values, the start and end of every serial phase of the workload,
+    and noise at magnitudes that span the sensors' and the workload's
+    gain clamps.  Accepts only when the QoS rate, both busy
+    equivalents, every reading and the chip power agree bit for bit.
+    """
+    big_opps = platform.big.freq_table.size
+    little_opps = platform.little.freq_table.size
+    n_cores = platform.big.n_cores
+    scratch = FleetPlatform(
+        qos_app=platform.qos_app,
+        seeds=range(big_opps * n_cores),
+        config=platform.config,
+    )
+    rows = scratch.n_devices
+    big = scratch.big
+    little = scratch.little
+    for fc in (big, little):
+        fc.telemetry_kernel = None  # the reference reads in numpy
+    tick = CompiledFleetTick(kernel, scratch)
+    index = np.arange(rows)
+    big.opp_idx[...] = index // n_cores
+    big.active[...] = (index % n_cores + 1).astype(float)
+    times = [0.0]
+    if scratch.qos_app is not None:
+        for phase in scratch.qos_app.serial_phases:
+            times += [phase.start_s, phase.end_s]
+    width = scratch._draws_per_tick
+    spread = 2.0 * (n_cores + 1)
+    rng = np.random.default_rng(0xF1EE)
+    for scale in (1e-2, 1.0, 1e2):
+        for now in times:
+            for placed in (False, True):
+                little.opp_idx[...] = rng.integers(0, little_opps, rows)
+                little.active[...] = rng.integers(
+                    1, little.n_cores + 1, rows
+                ).astype(float)
+                demands = (0.0, 0.0)
+                if placed:
+                    demands = tuple(rng.uniform(-spread, spread, (2, rows)))
+                scratch._noise_buf[:, :width] = (
+                    rng.standard_normal((rows, width)) * scale
+                )
+                expected = scratch._numpy_plant(
+                    now, *demands, scratch._noise_buf[:, :width]
+                )
+                got = tick.run(scratch, now, *demands, 0)
+                if not _same_fleet_tick(expected, got):
+                    return False
+    return True
+
+
+def _same_fleet_tick(a: tuple, b: tuple) -> bool:
+    """Bit-for-bit equality of two fleet ticks' QoS rates, busy
+    equivalents, readings and chip powers."""
+    pairs = [(a[0], b[0]), (a[3], b[3])]
+    for x, y in zip(a[1:3], b[1:3]):
+        pairs += [
+            (x.busy_core_equivalents, y.busy_core_equivalents),
+            (x.power_w, y.power_w),
+            (x.ips, y.ips),
+        ]
+    return all(
+        np.shape(x) == np.shape(y)
+        and np.asarray(x, dtype=float).tobytes()
+        == np.asarray(y, dtype=float).tobytes()
+        for x, y in pairs
+    )

@@ -23,8 +23,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.control.fused import (
+    QOS_DRAWN_GAIN,
+    QOS_NONE,
+    QOS_QUIET,
     arg_block,
     fused_kernel,
+    plant_tick_args,
     telemetry_args,
     unavailable_reason,
 )
@@ -32,6 +36,7 @@ from repro.platform.opp import OPPTable, big_cluster_opps, little_cluster_opps
 from repro.platform.perf import (
     ClusterPerfModel,
     big_cluster_perf_model,
+    frequency_scale,
     little_cluster_perf_model,
 )
 from repro.platform.power import (
@@ -341,6 +346,12 @@ class ExynosSoC:
         self.rng = np.random.default_rng(self.config.seed)
         self.time_s = 0.0
         self._clusters = (self.big, self.little)
+        # The compiled plant tick, bound on first use and re-bound when
+        # the workload or a cluster's compiled sensor read changes
+        # identity (see compiled_tick).
+        self._tick: CompiledTick | None = None
+        self._tick_reason: str | None = None
+        self._tick_key: tuple | None = None
 
     # ------------------------------------------------------------------
     def add_background_task(self, task: BackgroundTask) -> None:
@@ -348,6 +359,38 @@ class ExynosSoC:
 
     def clusters(self) -> tuple[Cluster, Cluster]:
         return self._clusters
+
+    def compiled_tick(self) -> CompiledTick | None:
+        """The compiled plant tick, or ``None`` when this tick runs in
+        Python (``tick_reason`` says why).
+
+        Bound on first use and whenever the workload or a cluster's
+        compiled sensor read changes identity (a swapped instrument
+        re-binds the read); idle insertion is checked per tick, since it
+        changes per tick.
+        """
+        big_sensors = self.big.compiled_sensors()
+        little_sensors = self.little.compiled_sensors()
+        key = self._tick_key
+        if (
+            key is None
+            or key[0] is not self.qos_app
+            or key[1] is not big_sensors
+            or key[2] is not little_sensors
+        ):
+            self._tick_key = (self.qos_app, big_sensors, little_sensors)
+            self._tick, self._tick_reason = _bind_tick(self)
+        if self.big._idle_cores or self.little._idle_cores:
+            return None
+        return self._tick
+
+    @property
+    def tick_reason(self) -> str | None:
+        """Why this SoC's tick runs in Python; ``None`` when the
+        compiled ``plant_tick`` kernel runs it."""
+        if self.compiled_tick() is None and self._tick_reason is None:
+            return "idle insertion"
+        return self._tick_reason
 
     # ------------------------------------------------------------------
     def step(self) -> Telemetry:
@@ -360,11 +403,18 @@ class ExynosSoC:
         draw per core.  Optimizations must preserve that order exactly;
         the golden traces in ``tests/exec/fixtures`` pin it down to the
         bit.
+
+        After the background placement, the QoS rate, the busy clamps
+        and both sensor reads run as one compiled ``plant_tick`` call
+        (:class:`CompiledTick`) wherever its probe passed; the Python
+        tick (:meth:`_python_plant`) is the reference it reproduces.
         """
         now = self.time_s
         big = self.big
         little = self.little
-        sync_cluster_clocks(self._clusters, now)
+        tick = self.compiled_tick()
+        if tick is None:
+            sync_cluster_clocks(self._clusters, now)
         qos_app = self.qos_app
         qos_threads = float(qos_app.threads) if qos_app else 0.0
         active_bg = [t for t in self.background if t.active_at(now)]
@@ -391,45 +441,76 @@ class ExynosSoC:
             big_demand = 0.0
             little_demand = 0.0
 
+        if tick is None:
+            qos_rate_raw, big_telemetry, little_telemetry = (
+                self._python_plant(now, big_demand, little_demand)
+            )
+        else:
+            qos_rate_raw, big_telemetry, little_telemetry = self._plant_tick(
+                tick, now, big_demand, little_demand
+            )
+        qos_rate = 0.0
+        if qos_app is not None:
+            self.heartbeats.issue(now, qos_rate_raw * self.config.dt_s)
+            qos_rate = self.heartbeats.rate(now)
+        # Positional fields: time, QoS rate, raw QoS rate, big, little.
+        telemetry = Telemetry(
+            now, qos_rate, qos_rate_raw, big_telemetry, little_telemetry
+        )
+        self.time_s = now + self.config.dt_s
+        return telemetry
+
+    def _python_plant(
+        self, now: float, big_demand: float, little_demand: float
+    ) -> tuple[float, ClusterTelemetry, ClusterTelemetry]:
+        """The Python tick after placement: the QoS rate on the Big
+        cluster's fair share, both busy clamps and both sensor reads.
+        The reference :class:`CompiledTick` reproduces bit for bit."""
+        big = self.big
+        little = self.little
+        qos_app = self.qos_app
+        qos_threads = float(qos_app.threads) if qos_app else 0.0
         # --- Big cluster: QoS app + its share of background tasks -----
         big_capacity = big.effective_capacity()
         big_runnable = qos_threads + big_demand
         big_share = fair_share_capacity(big_capacity, big_runnable)
         qos_rate_raw = 0.0
         if qos_app is not None:
-            qos_rate_raw = qos_app.rate(
-                big.perf_model,
-                big._frequency_ghz,
-                qos_threads * big_share,
-                time_s=now,
-                rng=self.rng,
-            )
-            self.heartbeats.issue(now, qos_rate_raw * self.config.dt_s)
+            qos_rate_raw = self._qos_rate(now, qos_threads * big_share)
         big_busy = min(big_capacity, big_runnable)
-
         # --- Little cluster: background only ---------------------------
-        little_capacity = little.effective_capacity()
-        little_busy = min(little_capacity, little_demand)
-
-        big_telemetry = self._cluster_telemetry(big, big_busy)
-        little_telemetry = self._cluster_telemetry(little, little_busy)
-
-        qos_rate = self.heartbeats.rate(now) if qos_app is not None else 0.0
-        telemetry = Telemetry(
-            time_s=now,
-            qos_rate=qos_rate,
-            qos_raw=qos_rate_raw,
-            big=big_telemetry,
-            little=little_telemetry,
+        little_busy = min(little.effective_capacity(), little_demand)
+        return (
+            qos_rate_raw,
+            self._cluster_telemetry(big, big_busy),
+            self._cluster_telemetry(little, little_busy),
         )
-        self.time_s = now + self.config.dt_s
-        return telemetry
+
+    # Thin indirections kept so repro.perf can hook each stage per SoC
+    # instance: the compiled tick, and on the Python tick the workload
+    # rate and the sensor reads.  The shared kernels live at module
+    # level.
+    def _plant_tick(
+        self,
+        tick: CompiledTick,
+        now: float,
+        big_demand: float,
+        little_demand: float,
+    ) -> tuple[float, ClusterTelemetry, ClusterTelemetry]:
+        return tick.run(self, now, big_demand, little_demand)
+
+    def _qos_rate(self, now: float, effective_threads: float) -> float:
+        return self.qos_app.rate(
+            self.big.perf_model,
+            self.big._frequency_ghz,
+            effective_threads,
+            time_s=now,
+            rng=self.rng,
+        )
 
     def _cluster_telemetry(
         self, cluster: Cluster, busy_core_equivalents: float
     ) -> ClusterTelemetry:
-        # Thin indirection kept so repro.perf can hook the sensor stage
-        # per SoC instance; the shared kernel lives at module level.
         return read_cluster_telemetry(cluster, busy_core_equivalents, self.rng)
 
 
@@ -685,14 +766,361 @@ def _bind_sensors(cluster: Cluster) -> tuple[CompiledSensors | None, str | None]
     return CompiledSensors(kernel, tables, cluster.n_cores), None
 
 
+def qos_rate_table(qos_app: QoSWorkload, cluster) -> np.ndarray:
+    # repro: shape[-> (n_opp,) f8]
+    """``peak_rate * frequency_scale(f)`` per OPP of ``cluster`` (a
+    :class:`Cluster` or a fleet cluster: its ``opps`` and
+    ``perf_model``), with Python-float arithmetic: the first two factors
+    of the left-associative product ``peak * fs * speedup /
+    reference_speedup`` in ``ClusterPerfModel.workload_rate``, so both
+    plant ticks index them instead of raising each frequency to
+    ``freq_alpha`` per tick."""
+    f_max_ghz = cluster.perf_model.f_max_ghz
+    return np.array(
+        [
+            qos_app.peak_rate
+            * frequency_scale(p.frequency_ghz, f_max_ghz, qos_app.freq_alpha)
+            for p in cluster.opps.points
+        ],
+        dtype=float,
+    )
+
+
+class CompiledTick:
+    """One SoC's plant tick after placement on the compiled
+    ``plant_tick`` kernel (N=1): the QoS rate, both busy clamps and both
+    sensor reads in one call.
+
+    Its inputs and outputs live in one fixed scratch array that the
+    tick's argument block and the two clusters' ``fleet_telemetry``
+    blocks point into: both clusters' active cores and OPP index, the
+    two background demands, the current parallel fraction, the QoS
+    noise gain and both clusters' noise draws, then the QoS rate, both
+    busy equivalents, power and ips readings, and the per-core readings.
+    A tick makes the workload's and both clusters' RNG calls in the
+    contract order (they stay plain Generator calls), writes the state
+    with one ``struct`` pack, makes one one-pointer call and reads the
+    outputs with one unpack.
+    """
+
+    # big active, big OPP index, little active, little OPP index, big
+    # demand, little demand, parallel fraction, QoS noise gain
+    _STATE = struct.Struct("=dqdqdddd")
+    # QoS rate; big and little busy; big power, ips; little power, ips
+    _OUTPUTS = struct.Struct("=7d")
+
+    def __init__(
+        self,
+        kernel,
+        qos_app: QoSWorkload | None,
+        tables: tuple[SensorTables, SensorTables],
+        peak_table: np.ndarray | None,
+    ) -> None:
+        big_n = tables[0].noise_row.size
+        little_n = tables[1].noise_row.size
+        big_z = 8  # after the eight state slots
+        little_z = big_z + big_n
+        outputs = little_z + little_n
+        big_per_core = outputs + 7
+        little_per_core = big_per_core + big_n - 1
+        scratch = np.zeros(little_per_core + little_n - 1, dtype=float)
+        base = scratch.ctypes.data
+        big_block = arg_block(
+            telemetry_args(
+                tables[0],
+                1,
+                active=base,
+                opp=base + 8,
+                power_out=base + 8 * (outputs + 3),
+                ips_out=base + 8 * (outputs + 4),
+                per_core_out=base + 8 * big_per_core,
+            )
+        )
+        little_block = arg_block(
+            telemetry_args(
+                tables[1],
+                1,
+                active=base + 16,
+                opp=base + 24,
+                power_out=base + 8 * (outputs + 5),
+                ips_out=base + 8 * (outputs + 6),
+                per_core_out=base + 8 * little_per_core,
+            )
+        )
+        if qos_app is None:
+            mode, variability, threads, nominal = QOS_NONE, 0.0, 0.0, 0.0
+        else:
+            variability = qos_app.variability
+            mode = QOS_DRAWN_GAIN if variability > 0 else QOS_QUIET
+            threads = float(qos_app.threads)
+            nominal = qos_app.parallel_fraction
+        block = arg_block(
+            plant_tick_args(
+                1,
+                qos_mode=mode,
+                variability=variability,
+                threads=threads,
+                parallel_fraction=nominal,
+                current_fraction=base + 8 * 6,
+                peak_rate_table=(
+                    0 if peak_table is None else peak_table.ctypes.data
+                ),
+                big_demand=base + 8 * 4,
+                little_demand=base + 8 * 5,
+                # The QoS gain (slot 7) is the kernel's column 0.
+                z=base + 8 * 7,
+                z_stride=0,
+                big_offset=big_z - 7,
+                little_offset=little_z - 7,
+                big_telemetry=big_block.ctypes.data,
+                little_telemetry=little_block.ctypes.data,
+                qos_out=base + 8 * outputs,
+                big_busy_out=base + 8 * (outputs + 1),
+                little_busy_out=base + 8 * (outputs + 2),
+            )
+        )
+        # The blocks point into the scratch array, the tables and each
+        # other: all of them live as long as the tick.
+        self._blocks = (block, big_block, little_block)
+        self._tables = (tables, peak_table)
+        self._memory = scratch.data
+        self._address = block.ctypes.data
+        self._call = kernel.plant_tick
+        self.qos_app = qos_app
+        self._noisy = mode == QOS_DRAWN_GAIN
+        self._big_draws = scratch[big_z:little_z]
+        self._little_draws = scratch[little_z:outputs]
+        self._big_per_core = scratch[big_per_core:little_per_core]
+        self._little_per_core = scratch[little_per_core:]
+        self._outputs_offset = 8 * outputs
+
+    def run(
+        self, soc: ExynosSoC, now: float, big_demand, little_demand
+    ) -> tuple[float, ClusterTelemetry, ClusterTelemetry]:
+        """One tick of ``soc`` after placement: ``(qos_rate_raw, big,
+        little)``, as :meth:`ExynosSoC._python_plant` returns them."""
+        rng = soc.rng
+        qos_app = self.qos_app
+        gain = 0.0
+        fraction = 0.0
+        # The three draws stay plain Generator calls in the contract
+        # order: the RNG contract pins the calls themselves.
+        if self._noisy:
+            gain = rng.normal(1.0, qos_app.variability)
+        self._big_draws[:] = rng.standard_normal(self._big_draws.size)
+        self._little_draws[:] = rng.standard_normal(self._little_draws.size)
+        if qos_app is not None:
+            fraction = qos_app.parallel_fraction_at(now)
+        big = soc.big
+        little = soc.little
+        self._STATE.pack_into(
+            self._memory,
+            0,
+            big._active_cores,
+            big._opp_index,
+            little._active_cores,
+            little._opp_index,
+            big_demand,
+            little_demand,
+            fraction,
+            gain,
+        )
+        self._call(self._address)
+        (
+            qos_rate_raw,
+            big_busy,
+            little_busy,
+            big_power_w,
+            big_ips,
+            little_power_w,
+            little_ips,
+        ) = self._OUTPUTS.unpack_from(self._memory, self._outputs_offset)
+        # Positional ClusterTelemetry fields (frequency, voltage, active
+        # cores, busy equivalents, power, ips, per-core ips): half the
+        # cost of keywords on this path.
+        return (
+            qos_rate_raw if qos_app is not None else 0.0,
+            ClusterTelemetry(
+                big._frequency_ghz,
+                big._voltage_v,
+                big._active_cores,
+                big_busy,
+                big_power_w,
+                big_ips,
+                self._big_per_core.copy(),
+            ),
+            ClusterTelemetry(
+                little._frequency_ghz,
+                little._voltage_v,
+                little._active_cores,
+                little_busy,
+                little_power_w,
+                little_ips,
+                self._little_per_core.copy(),
+            ),
+        )
+
+
+# Probe verdicts and QoS rate tables keyed by SoC content: the workload
+# (a frozen dataclass), both clusters' _sensor_content and the Big
+# cluster's f_max.  run_scenario builds a fresh SoC per run, which would
+# otherwise repeat the probe every run.
+_TICK_MEMO: dict[tuple, tuple[np.ndarray | None, str | None]] = {}
+
+
+def _bind_tick(soc: ExynosSoC) -> tuple[CompiledTick | None, str | None]:
+    """The SoC's compiled tick, or ``None`` and the reason it ticks in
+    Python."""
+    kernel = fused_kernel()
+    if kernel is None:
+        return None, unavailable_reason()
+    qos_app = soc.qos_app
+    if qos_app is not None and type(qos_app) is not QoSWorkload:
+        return None, (
+            f"workload is a {type(qos_app).__name__}, not a QoSWorkload"
+        )
+    tables = []
+    for cluster in soc.clusters():
+        sensors = cluster.compiled_sensors()
+        if sensors is None:
+            return None, f"{cluster.name} sensors: {cluster._sensors_reason}"
+        if cluster._clock_setters:
+            return None, f"{cluster.name} has time-aware instruments"
+        tables.append(sensors._tables)
+    tables = tuple(tables)
+    key = (
+        qos_app,
+        _sensor_content(soc.big),
+        _sensor_content(soc.little),
+        soc.big.perf_model.f_max_ghz,
+    )
+    memo = _TICK_MEMO.get(key)
+    if memo is None:
+        peak = None if qos_app is None else qos_rate_table(qos_app, soc.big)
+        try:
+            matches = _probe_tick(
+                soc, CompiledTick(kernel, qos_app, tables, peak)
+            )
+            verdict = None if matches else "differential probe mismatch"
+        except Exception as exc:
+            verdict = f"probe raised {type(exc).__name__}: {exc}"
+        memo = (peak, verdict)
+        if len(_TICK_MEMO) < 256:
+            _TICK_MEMO[key] = memo
+    peak, verdict = memo
+    if verdict is not None:
+        return None, verdict
+    return CompiledTick(kernel, qos_app, tables, peak), None
+
+
+def _probe_tick(soc: ExynosSoC, tick: CompiledTick) -> bool:
+    """Differential gate for the compiled tick.
+
+    Ticks a scratch SoC (same workload, models, OPP tables and sensors,
+    both clusters reading in Python) through both paths over random
+    states: every Big OPP and active-core count (the Little cluster's
+    OPPs and counts cycle alongside), background demands that are zero
+    (int and float), positive, over capacity and negative, the start
+    and end of every serial phase of the workload, and draws at
+    magnitudes that span the sensors' and the workload's gain clamps.
+    Accepts only when the QoS rate, both busy equivalents and every
+    reading agree bit for bit (and the rate's and readings' types).
+    """
+    scratch = ExynosSoC(qos_app=soc.qos_app, config=soc.config)
+    scratch.big = _python_twin(soc.big)
+    scratch.little = _python_twin(soc.little)
+    scratch._clusters = (scratch.big, scratch.little)
+    big, little = scratch._clusters
+    qos_app = soc.qos_app
+    times = [0.0]
+    if qos_app is not None:
+        for phase in qos_app.serial_phases:
+            times += [phase.start_s, phase.end_s]
+    big_opps = big.opps.frequencies
+    little_opps = little.opps.frequencies
+    n_draws = 1 + big.n_cores + 1 + little.n_cores + 1
+    rng = np.random.default_rng(0x71C4)
+    case = 0
+    for scale in (1e-2, 1.0, 1e2):
+        for k in range(max(len(big_opps), len(little_opps))):
+            for active in range(1, big.n_cores + 1):
+                big.set_frequency(big_opps[k % len(big_opps)])
+                big.set_active_cores(active)
+                little.set_frequency(little_opps[k % len(little_opps)])
+                little.set_active_cores(little.n_cores + 1 - active)
+                kind = case % 4
+                if kind == 0:
+                    demands = (0, 0)  # sum() over no placed task
+                elif kind == 1:
+                    demands = (0.0, 0.0)
+                else:
+                    spread = 2 * (big.n_cores + 1)
+                    demands = tuple(
+                        float(d) for d in rng.uniform(-spread, spread, 2)
+                    )
+                now = times[case % len(times)]
+                z = rng.standard_normal(n_draws) * scale
+                scratch.rng = _PresetDraw(z)
+                expected = scratch._python_plant(now, *demands)
+                scratch.rng = _PresetDraw(z)
+                got = tick.run(scratch, now, *demands)
+                if not _same_tick(expected, got):
+                    return False
+                case += 1
+    return True
+
+
+def _same_tick(a: tuple, b: tuple) -> bool:
+    """Bit-for-bit equality of two ticks' QoS rates (and types), busy
+    equivalents and readings."""
+    return (
+        type(a[0]) is type(b[0])
+        and struct.pack("=d", a[0]) == struct.pack("=d", b[0])
+        and all(
+            struct.pack("=d", float(x.busy_core_equivalents))
+            == struct.pack("=d", float(y.busy_core_equivalents))
+            and _same_reading(x, y)
+            for x, y in zip(a[1:], b[1:])
+        )
+    )
+
+
 class _PresetDraw:
-    """An RNG stand-in whose ``standard_normal`` returns preset draws."""
+    """An RNG stand-in that hands out preset draws in order:
+    ``standard_normal(size)`` the next ``size`` values,
+    ``normal(loc, scale)`` ``loc + scale`` times the next one (as
+    ``Generator.normal`` scales a standard normal)."""
 
     def __init__(self, z: np.ndarray) -> None:
         self.z = z
+        self.used = 0
 
     def standard_normal(self, size):
-        return self.z[:size].copy()
+        start = self.used
+        self.used = start + size
+        return self.z[start : self.used].copy()
+
+    def normal(self, loc, scale):
+        value = float(self.z[self.used])
+        self.used += 1
+        return loc + scale * value
+
+
+def _python_twin(cluster: Cluster) -> Cluster:
+    """A scratch copy of ``cluster`` (same models, OPP table and
+    sensors) bound to no compiled read: it reads in Python."""
+    twin = Cluster(
+        cluster.name,
+        n_cores=cluster.n_cores,
+        opps=cluster.opps,
+        power_model=cluster.power_model,
+        perf_model=cluster.perf_model,
+    )
+    twin.power_sensor = cluster.power_sensor
+    twin.pmu_sensors = cluster.pmu_sensors
+    twin._check_instruments()
+    twin._sensors_bound = True
+    return twin
 
 
 def _probe_sensor_read(cluster: Cluster, sensors: CompiledSensors) -> bool:
@@ -705,18 +1133,7 @@ def _probe_sensor_read(cluster: Cluster, sensors: CompiledSensors) -> bool:
     gain clamp.  Accepts only when ``power_w``, ``ips`` (value and
     type) and ``per_core_ips`` agree bit for bit.
     """
-    scratch = Cluster(
-        cluster.name,
-        n_cores=cluster.n_cores,
-        opps=cluster.opps,
-        power_model=cluster.power_model,
-        perf_model=cluster.perf_model,
-    )
-    scratch.power_sensor = cluster.power_sensor
-    scratch.pmu_sensors = cluster.pmu_sensors
-    # Bound to no compiled read: the scratch cluster reads in Python.
-    scratch._check_instruments()
-    scratch._sensors_bound = True
+    scratch = _python_twin(cluster)
     n_cores = cluster.n_cores
     rng = np.random.default_rng(0x5E45)
     for scale in (1e-2, 1.0, 1e2):
@@ -725,9 +1142,11 @@ def _probe_sensor_read(cluster: Cluster, sensors: CompiledSensors) -> bool:
             for active in range(1, n_cores + 1):
                 scratch.set_active_cores(active)
                 busy = float(rng.standard_normal()) * (n_cores + 1)
-                draw = _PresetDraw(rng.standard_normal(n_cores + 1) * scale)
-                expected = read_cluster_telemetry(scratch, busy, draw)
-                got = sensors.read(scratch, busy, draw)
+                z = rng.standard_normal(n_cores + 1) * scale
+                expected = read_cluster_telemetry(
+                    scratch, busy, _PresetDraw(z)
+                )
+                got = sensors.read(scratch, busy, _PresetDraw(z))
                 if not _same_reading(expected, got):
                     return False
     return True
@@ -864,6 +1283,7 @@ __all__ = [
     "Cluster",
     "ClusterTelemetry",
     "CompiledSensors",
+    "CompiledTick",
     "SensorTables",
     "ExynosSoC",
     "PlatformError",
@@ -872,6 +1292,7 @@ __all__ = [
     "fair_share",
     "fair_share_capacity",
     "fleet_sensor_layout",
+    "qos_rate_table",
     "read_cluster_telemetry",
     "sync_cluster_clocks",
 ]

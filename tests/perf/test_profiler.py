@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.control.fused import fused_kernel, unavailable_reason
 from repro.perf import STAGES, StageStats, StepProfiler
+from repro.platform import soc as soc_module
 from repro.platform.soc import ExynosSoC, SoCConfig
 from repro.workloads import x264
 
@@ -25,7 +27,7 @@ class TestAttachDetach:
 
         profiler.detach()
         assert not profiler.attached
-        for name in ("step", "_cluster_telemetry"):
+        for name in ("step", "_plant_tick", "_qos_rate", "_cluster_telemetry"):
             assert name not in soc.__dict__
         for name in ("place", "place_idle"):
             assert name not in soc.scheduler.__dict__
@@ -59,17 +61,38 @@ class TestAttachDetach:
 
 class TestCounting:
     def test_stage_call_counts_per_step(self):
+        # The compiled tick is one stage: the rate and the sensor reads
+        # run inside its one kernel call.
+        if fused_kernel() is None:
+            pytest.skip(unavailable_reason())
+        soc = make_soc()
+        profiler = StepProfiler().attach(soc)
+        assert soc.tick_reason is None  # the hooks keep the compiled tick
+        steps = 8
+        for _ in range(steps):
+            soc.step()
+        profiler.detach()
+        assert profiler.stats["step_total"].calls == steps
+        assert profiler.stats["tick_kernel"].calls == steps
+        assert profiler.stats["sensors"].calls == 0
+        assert profiler.stats["scheduler"].calls == steps
+        assert profiler.stats["workload"].calls == 0
+        assert profiler.stats["step_total"].total_s > 0.0
+
+    def test_python_tick_call_counts_per_step(self, monkeypatch):
+        monkeypatch.setattr(soc_module, "fused_kernel", lambda: None)
         soc = make_soc()
         profiler = StepProfiler().attach(soc)
         steps = 8
         for _ in range(steps):
             soc.step()
         profiler.detach()
+        assert soc.tick_reason is not None
         assert profiler.stats["step_total"].calls == steps
+        assert profiler.stats["tick_kernel"].calls == 0
         assert profiler.stats["sensors"].calls == 2 * steps  # big + little
         assert profiler.stats["scheduler"].calls == steps
         assert profiler.stats["workload"].calls == steps
-        assert profiler.stats["step_total"].total_s > 0.0
 
     def test_mean_us_handles_zero_calls(self):
         assert StageStats().mean_us == 0.0
@@ -181,6 +204,24 @@ class TestCLI:
         else:
             assert table[1].split()[2] == "numpy"
             assert table[1].endswith(reason)
+
+    def test_profile_command_prints_the_tick_path(self, capsys):
+        from repro.perf.cli import main
+
+        main(["profile", "mm-pow", "--duration", "1.5"])
+        out = capsys.readouterr().out
+        # The tick table comes last, after the noise table.
+        start = out.index("tick ", out.index("noise "))
+        table = out[start:].strip().splitlines()
+        assert table[0].split() == ["tick", "path", "fused_reason"]
+        rows = [line.split() for line in table[1:]]
+        assert [row[0] for row in rows] == ["soc", "fleet"]
+        if fused_kernel() is None:
+            reason = unavailable_reason()
+            assert [row[1] for row in rows] == ["python", "numpy"]
+            assert all(line.endswith(reason) for line in table[1:])
+        else:
+            assert all(row[1:] == ["compiled", "-"] for row in rows), rows
 
     def test_unknown_manager_is_rejected(self):
         from repro.perf.cli import main
