@@ -18,6 +18,11 @@
 #     too, and every cluster, SoC tick and fleet must report the
 #     fallback (the tier-1 run covers the same files with the kernels
 #     on),
+#   * the servo's kernel-coverage tests, the fleet differential
+#     harness or the golden-trace tests fail under the Sandybridge or
+#     the Prescott OpenBLAS kernel (OPENBLAS_CORETYPE): every servo
+#     product runs in one defined reduction order, so its bits must not
+#     depend on the host's BLAS,
 #   * `python -m repro.analysis all` reports a non-baselined error in
 #     any tier (all four share one file walk, one parse and one tree
 #     traversal per module, and one content-hash cache): classic (artifact defects, lint errors,
@@ -66,6 +71,12 @@ REPRO_DISABLE_FUSED=1 python -m pytest -x -q -m exec_smoke
 echo
 echo "== fleet equivalence drill without compiled fast paths =="
 REPRO_DISABLE_FUSED=1 python -m pytest -x -q tests/platform/test_fleet_equivalence.py tests/platform/test_scalar_sensors.py tests/platform/test_plant_tick.py tests/platform/test_rng_contract.py
+
+echo
+echo "== servo under other OpenBLAS kernels =="
+SERVO_FILES="tests/control/test_fused.py tests/control/test_scalar_fused.py tests/platform/test_fleet_equivalence.py tests/exec/test_golden_traces.py tests/exec/test_golden_fleet.py"
+OPENBLAS_CORETYPE=Sandybridge python -m pytest -x -q $SERVO_FILES
+OPENBLAS_CORETYPE=Prescott python -m pytest -x -q $SERVO_FILES
 
 echo
 echo "== static analysis, all tiers (repro.analysis all) =="

@@ -74,7 +74,6 @@ DEFAULT_HOT_PATH_ALLOWED: frozenset[str] = frozenset(
     {
         "_resolve_snap_kernel",
         "_probe_cluster_telemetry",
-        "_dot_variant_probe",
         "_probe_noise_fill",
     }
 )

@@ -13,13 +13,13 @@ The numpy step is the reference: the scalar servo's recurrence, run
 once per gain group over that group's rows.  Rows may run different
 gain sets simultaneously (SPECTR's supervisor switches rows
 independently), and a batch on one gain set is one group.  Each
-product is ``np.matvec`` over the gain set's kernel pack
-(``gains.fused_pack``), the matrices the scalar step reads:
-``np.matvec(A, X)`` with ``A (m, n)`` and ``X (N, n)`` performs the
-same per-row dot-product reduction as the scalar ``A @ x`` (a single
-``matmul``/dgemm does *not*: BLAS blocks the accumulation
-differently).  Gathering a group's rows and scattering the results
-back preserves bit-identity because every operation is row-independent.
+product reads the gain set's kernel pack (``gains.fused_pack``), the
+matrices the scalar step reads, and runs in the servo's one reduction
+order (:func:`~repro.control.lqg.sequential_matvec`: per row, a
+sequential sum with no FMA from the first product) as a loop over the
+matrix's columns, each column one multiply-add over every row of the
+group.  Gathering a group's rows and scattering the results back
+preserves bit-identity because every operation is row-independent.
 
 State (``X``, ``Z``, ``DU``, ``U_prev``, the normalized references and
 the command rows) lives in fixed buffers that both step paths update
@@ -116,7 +116,7 @@ class BatchedLQGServo:
         # uniform and mixed.
         self._dims = (n, m, p)
         self._fused = None
-        self._packs = None  # repro: shape[(G, 17) i8 | none]
+        self._packs = None  # repro: shape[(G, 9) i8 | none]
         self._block: np.ndarray | None = None
         self._block_address = 0
         self.fused_reason = self._enable_fused()
@@ -128,9 +128,6 @@ class BatchedLQGServo:
             return unavailable_reason()
         if not kernel.fits(*self._dims):
             return "dims"
-        for g in self.sets:
-            if g.gap is not None:
-                return g.gap
         self._packs = np.concatenate([g.row for g in self.sets])
         # The argument block captures every buffer's address; ``Y`` is
         # written per call.  Every referenced buffer is updated strictly
@@ -201,10 +198,8 @@ class BatchedLQGServo:
         """
         g = self.sets[new_id]
         if bumpless:
-            # (-K_state) @ x == -(K_state @ x) exactly (negation is a
-            # sign flip, and rounding is sign-symmetric).
-            rhs = np.matvec(g.neg_K_state, self.X[rows]) - self.DU[rows]
-            z = np.matvec(g.K_integral_pinv, rhs)
+            rhs = _matvec_rows(g.neg_K_state, self.X[rows]) - self.DU[rows]
+            z = _matvec_rows(g.K_integral_pinv, rhs)
             self.Z[rows] = z * g.integral_mask
         self.gain_ids[rows] = np.int8(new_id)
 
@@ -255,15 +250,15 @@ class BatchedLQGServo:
         X, Z, DU = self.X[rows], self.Z[rows], self.DU[rows]
 
         # Predictor-form Kalman update using last interval's input.
-        y_pred = np.matvec(g.C, X) + np.matvec(g.D, DU)
+        y_pred = _matvec_rows(g.C, X) + _matvec_rows(g.D, DU)
         X = (
-            np.matvec(g.A, X)
-            + np.matvec(g.B, DU)
-            + np.matvec(g.L, dy - y_pred)
+            _matvec_rows(g.A, X)
+            + _matvec_rows(g.B, DU)
+            + _matvec_rows(g.L, dy - y_pred)
         )
         Z = Z + g.integral_mask * (self._dr[rows] - dy)
 
-        du = np.matvec(g.neg_K_state, X) - np.matvec(g.K_integral, Z)
+        du = _matvec_rows(g.neg_K_state, X) - _matvec_rows(g.K_integral, Z)
         u_raw = op.denormalize_u(du)
         u = self.limits.clip(u_raw, previous=self.U_prev[rows])
 
@@ -273,7 +268,7 @@ class BatchedLQGServo:
         excess = (u_raw - u) / self._u_scale_safe
         saturated = _saturated_rows(excess)
         if saturated.any():
-            correction = np.matvec(g.K_integral_pinv, excess)
+            correction = _matvec_rows(g.K_integral_pinv, excess)
             Z = np.where(
                 saturated[:, None], Z + self.anti_windup * correction, Z
             )
@@ -351,6 +346,17 @@ class BatchedLQGServo:
         return all(
             np.array_equal(a, b) for a, b in zip(outputs[0], outputs[1])
         ) and all(np.array_equal(a, b) for a, b in zip(finals[0], finals[1]))
+
+
+def _matvec_rows(matrix: np.ndarray, X: np.ndarray) -> np.ndarray:
+    # repro: shape[matrix: (r, k) f8; X: (R, k) f8]
+    """``sequential_matvec(matrix, x)`` for every row ``x`` of ``X``, an
+    ``(R, r)`` array: the same sequential sum, one column of ``matrix``
+    at a time."""
+    acc = X[:, :1] * matrix[:, 0]
+    for j in range(1, matrix.shape[1]):
+        acc = acc + X[:, j : j + 1] * matrix[:, j]
+    return acc
 
 
 def _saturated_rows(excess: np.ndarray) -> np.ndarray:

@@ -61,35 +61,30 @@ run once per content and memoized, or for the noise refill once at
 load — so a kernel only ever runs where it is machine-verified
 bit-identical.
 
-Bit-identity with ``M @ x`` is the hard part: BLAS picks a different
-reduction order per matrix shape (FMA lanes with a horizontal-sum tree
-for wide kernels, alternating non-FMA accumulators for short-output
-shapes, a single FMA for inner dimension 2, and for inner dimension
-``4q + 2`` either blocked reduction over the first ``4q`` elements with
-the last two folded in as one FMA pair).  It may even differ between
-rows of one matrix: OpenBLAS reduces rows in blocks of 4 and the
-remainder rows with another kernel.  The kernel implements each
-observed reduction as a *dot variant*, and :func:`dot_variant` probes a
-matrix against ``np.matvec`` and returns one variant code *per row* —
-the code that reproduces that row bit-for-bit on random data, or
-:data:`NO_VARIANT` when no candidate does, in which case the caller
-keeps the numpy path.
+Every servo product has one defined reduction order: a sequential sum
+with no FMA, starting from the first product (``s = a0*x0; s = s +
+a1*x1; ...``).  The C ``dot`` computes it, and both numpy references
+compute it too (``lqg.sequential_matvec`` for the scalar servo, a
+column loop in ``batch.BatchedLQGServo`` for the fleet) instead of
+``M @ x``, whose order is whatever the host's BLAS kernel picks.  So the
+servo's bits depend on neither the BLAS build nor the CPU it dispatches
+for, and the kernel has one code path.
 
 The servo step serves a whole gain-scheduled palette at once: it takes
-a table of per-gain-set pointers (matrices, integral mask, per-row
-variant codes) and each row's gain id.  A block of 8 rows sharing one
-gain set steps lane-parallel; a mixed block steps row by row, each row
-with its own set.  A gain set's row of that table is built once, by
+a table of per-gain-set pointers (matrices and integral mask) and each
+row's gain id.  A block of 8 rows sharing one gain set steps
+lane-parallel; a mixed block steps row by row, each row with its own
+set.  A gain set's row of that table is built once, by
 :class:`ServoGainPack`, and cached on the immutable
-:class:`~repro.control.lqg.LQGGains`, so both servos share it.  On top
-of the per-row probe, each servo only enables the kernel after an
-end-to-end differential probe shows the fused step reproduces its numpy
-step bit-for-bit: the fleet servo for every gain set, uniform and
-mixed; the scalar servo for each gain set it is switched onto.
+:class:`~repro.control.lqg.LQGGains`, so both servos share it.  Each
+servo only enables the kernel after an end-to-end differential probe
+shows the fused step reproduces its numpy step bit-for-bit: the fleet
+servo for every gain set, uniform and mixed; the scalar servo for each
+gain set it is switched onto.
 
 The kernel is strictly optional: it compiles lazily with the system C
 compiler into a cached shared object, and any failure (no compiler,
-failed build, unprobeable matrix) falls back to numpy or Python with
+failed build, failed probe) falls back to numpy or Python with
 the reason recorded — :func:`unavailable_reason` for the kernel,
 :func:`noise_fill_reason` for the refill, ``fused_reason`` per servo,
 per cluster and per fleet, ``tick_reason`` per SoC and per fleet.
@@ -110,7 +105,6 @@ import tempfile
 import numpy as np
 
 __all__ = [
-    "NO_VARIANT",
     "QOS_DRAWN_GAIN",
     "QOS_NONE",
     "QOS_QUIET",
@@ -119,7 +113,6 @@ __all__ = [
     "SERVO_PACKS",
     "SERVO_Y",
     "ServoGainPack",
-    "dot_variant",
     "fused_kernel",
     "TELEMETRY_BCE",
     "TELEMETRY_Z",
@@ -151,82 +144,34 @@ typedef union { i64 i; double d; void *p; } arg;
 
 _Static_assert(sizeof(arg) == sizeof(i64), "arg layout");
 
-/* Dot-product reduction orders observed in BLAS dgemv kernels.  Which
- * one a given matrix shape gets is machine- and library-specific; the
- * Python side probes each matrix and passes a variant code. */
-
-/* 4 FMA lanes over chunks of 4, horizontal sum (l0+l2)+(l1+l3). */
-static double dot_v4_h2(const double *a, const double *x, i64 k) {
-    double l[4] = {0.0, 0.0, 0.0, 0.0};
+/* The servo's one reduction order for every matrix-vector product: a
+ * sequential sum with no FMA (the source is built with
+ * -ffp-contract=off), starting from the first product:
+ * s = a0*x0; s = s + a1*x1; ...  The numpy reference steps compute
+ * each product in this same order, so the kernel needs no knowledge
+ * of the host's BLAS. */
+static double dot(const double *a, const double *x, i64 k) {
+    double s = a[0] * x[0];
     i64 t;
-    int j;
-    for (t = 0; t + 4 <= k; t += 4)
-        for (j = 0; j < 4; ++j) l[j] = fma(a[t + j], x[t + j], l[j]);
-    return (l[0] + l[2]) + (l[1] + l[3]);
-}
-
-/* Two alternating non-FMA accumulators, final l0+l1. */
-static double dot_x2_nofma(const double *a, const double *x, i64 k) {
-    double l0 = 0.0, l1 = 0.0;
-    i64 t;
-    for (t = 0; t + 2 <= k; t += 2) {
-        l0 = l0 + a[t] * x[t];
-        l1 = l1 + a[t + 1] * x[t + 1];
-    }
-    return l0 + l1;
-}
-
-/* Inner dimension 2 as a single FMA: fma(a0, x0, a1*x1). */
-static double dot2_fma(const double *a, const double *x, i64 k) {
-    (void)k;
-    return fma(a[0], x[0], a[1] * x[1]);
-}
-
-/* Codes 3 and 4 serve inner dimension k = 4q + 2: codes 0 and 1 over
- * the first k-2 elements, then the 2-wide tail folded in as one FMA
- * pair.  Each reduction has one call site, so all of them inline. */
-static double dot(int variant, const double *a, const double *x, i64 k) {
-    const i64 body = variant >= 3 ? k - 2 : k;
-    double s;
-    switch (variant) {
-    case 0:
-    case 3:
-        s = dot_v4_h2(a, x, body);
-        break;
-    case 1:
-    case 4:
-        s = dot_x2_nofma(a, x, body);
-        break;
-    default:
-        return dot2_fma(a, x, k);
-    }
-    if (variant >= 3)
-        s = s + fma(a[k - 2], x[k - 2], a[k - 1] * x[k - 1]);
+    for (t = 1; t < k; ++t) s = s + a[t] * x[t];
     return s;
 }
 
-/* Exported so the Python probe can compare variants against numpy. */
-double fused_dot(i64 variant, const double *a, const double *x, i64 k) {
-    return dot((int)variant, a, x, k);
-}
-
-/* out = M @ x with M (r, k) row-major, row i reduced with the probed
- * dot variant v[i]. */
-static void matvec(const double *M, i64 r, i64 k, const signed char *v,
-                   const double *x, double *out) {
+/* out = M @ x with M (r, k) row-major. */
+static void matvec(const double *M, i64 r, i64 k, const double *x,
+                   double *out) {
     i64 i;
-    for (i = 0; i < r; ++i) out[i] = dot(v[i], M + i * k, x, k);
+    for (i = 0; i < r; ++i) out[i] = dot(M + i * k, x, k);
 }
 
-/* One gain set: its matrices, then each matrix's per-row dot variant
- * codes.  Python passes the palette as a (G, 17) int64 table of these
- * addresses, so the struct must be exactly 17 pointer-sized slots. */
+/* One gain set: its matrices and integral mask.  Python passes the
+ * palette as a (G, 9) int64 table of these addresses, so the struct
+ * must be exactly 9 pointer-sized slots. */
 typedef struct {
     const double *Cm, *Am, *Bm, *Dm, *Lm, *negK, *Ki, *Kipinv, *imask;
-    const signed char *vC, *vA, *vB, *vD, *vL, *vK, *vKi, *vP;
 } gain_pack;
 
-_Static_assert(sizeof(gain_pack) == 17 * sizeof(i64), "gain_pack layout");
+_Static_assert(sizeof(gain_pack) == 9 * sizeof(i64), "gain_pack layout");
 
 /* Shared per-call servo context: dimensions, state pointers, gain
  * palette with per-row gain ids, operating point and limits. */
@@ -267,16 +212,16 @@ static void servo_rows(const servo_ctx *c, i64 r0, i64 r1)
             dy[i] = (y[i] - c->op_y[i]) / c->y_scale[i];
 
         /* y_pred = C @ x + D @ du_prev */
-        matvec(g->Cm, p, n, g->vC, x, ypred);
-        matvec(g->Dm, p, m, g->vD, duprev, tmp);
+        matvec(g->Cm, p, n, x, ypred);
+        matvec(g->Dm, p, m, duprev, tmp);
         for (i = 0; i < p; ++i) ypred[i] = ypred[i] + tmp[i];
 
         /* xhat = (A @ x + B @ du_prev) + L @ (dy - y_pred) */
-        matvec(g->Am, n, n, g->vA, x, xnew);
-        matvec(g->Bm, n, m, g->vB, duprev, tmp);
+        matvec(g->Am, n, n, x, xnew);
+        matvec(g->Bm, n, m, duprev, tmp);
         for (i = 0; i < n; ++i) xnew[i] = xnew[i] + tmp[i];
         for (i = 0; i < p; ++i) resid[i] = dy[i] - ypred[i];
-        matvec(g->Lm, n, p, g->vL, resid, tmp);
+        matvec(g->Lm, n, p, resid, tmp);
         for (i = 0; i < n; ++i) xnew[i] = xnew[i] + tmp[i];
         for (i = 0; i < n; ++i) x[i] = xnew[i];
 
@@ -285,8 +230,8 @@ static void servo_rows(const servo_ctx *c, i64 r0, i64 r1)
             z[i] = z[i] + g->imask[i] * (drr[i] - dy[i]);
 
         /* du = (-K_state) @ xhat - K_integral @ z */
-        matvec(g->negK, m, n, g->vK, xnew, du);
-        matvec(g->Ki, m, p, g->vKi, z, kiz);
+        matvec(g->negK, m, n, xnew, du);
+        matvec(g->Ki, m, p, z, kiz);
         for (j = 0; j < m; ++j) du[j] = du[j] - kiz[j];
 
         /* u_raw = op.u + du * u_scale; slew + bound clip; excess.
@@ -311,7 +256,7 @@ static void servo_rows(const servo_ctx *c, i64 r0, i64 r1)
         /* Anti-windup back-calculation, per row like the scalar. */
         for (j = 0; j < m; ++j) {
             if (exc[j] != 0.0) {
-                matvec(g->Kipinv, p, m, g->vP, exc, corr);
+                matvec(g->Kipinv, p, m, exc, corr);
                 for (i = 0; i < p; ++i)
                     z[i] = z[i] + c->anti_windup * corr[i];
                 break;
@@ -325,84 +270,31 @@ static void servo_rows(const servo_ctx *c, i64 r0, i64 r1)
     }
 }
 
-/* Lane-parallel variants: LANES rows advance together, one row per
- * lane.  Every lane executes exactly the scalar op sequence on its own
- * data (lanes never mix), so per-row results are bit-identical to
- * servo_rows while the independent FMA chains pipeline.  xT/outT are
+/* Lane-parallel step: LANES rows advance together, one row per lane.
+ * Every lane executes exactly the scalar op sequence on its own data
+ * (lanes never mix), so per-row results are bit-identical to
+ * servo_rows while the independent add chains pipeline.  xT/outT are
  * lane-major: element i of lane l at [i*LANES + l]. */
 #define LANES 8
 
-static void dot4_v4_h2(const double *a, const double *xT, i64 k,
-                       double *out) {
-    double l0[LANES], l1[LANES], l2[LANES], l3[LANES];
+/* dot() on LANES rows at once.  The sums stay in a local acc[] and are
+ * stored once at the end: accumulating through out, which may alias
+ * xT as far as the compiler knows, keeps every partial sum in memory. */
+static void dot4(const double *a, const double *xT, i64 k, double *out) {
+    double acc[LANES];
     i64 t;
     int l;
-    for (l = 0; l < LANES; ++l) l0[l] = l1[l] = l2[l] = l3[l] = 0.0;
-    for (t = 0; t + 4 <= k; t += 4) {
+    for (l = 0; l < LANES; ++l) acc[l] = a[0] * xT[l];
+    for (t = 1; t < k; ++t)
         for (l = 0; l < LANES; ++l)
-            l0[l] = fma(a[t], xT[t * LANES + l], l0[l]);
-        for (l = 0; l < LANES; ++l)
-            l1[l] = fma(a[t + 1], xT[(t + 1) * LANES + l], l1[l]);
-        for (l = 0; l < LANES; ++l)
-            l2[l] = fma(a[t + 2], xT[(t + 2) * LANES + l], l2[l]);
-        for (l = 0; l < LANES; ++l)
-            l3[l] = fma(a[t + 3], xT[(t + 3) * LANES + l], l3[l]);
-    }
-    for (l = 0; l < LANES; ++l) out[l] = (l0[l] + l2[l]) + (l1[l] + l3[l]);
+            acc[l] = acc[l] + a[t] * xT[t * LANES + l];
+    for (l = 0; l < LANES; ++l) out[l] = acc[l];
 }
 
-static void dot4_x2_nofma(const double *a, const double *xT, i64 k,
-                          double *out) {
-    double l0[LANES], l1[LANES];
-    i64 t;
-    int l;
-    for (l = 0; l < LANES; ++l) l0[l] = l1[l] = 0.0;
-    for (t = 0; t + 2 <= k; t += 2) {
-        for (l = 0; l < LANES; ++l)
-            l0[l] = l0[l] + a[t] * xT[t * LANES + l];
-        for (l = 0; l < LANES; ++l)
-            l1[l] = l1[l] + a[t + 1] * xT[(t + 1) * LANES + l];
-    }
-    for (l = 0; l < LANES; ++l) out[l] = l0[l] + l1[l];
-}
-
-static void dot4_2fma(const double *a, const double *xT, i64 k,
-                      double *out) {
-    int l;
-    (void)k;
-    for (l = 0; l < LANES; ++l)
-        out[l] = fma(a[0], xT[l], a[1] * xT[LANES + l]);
-}
-
-/* Same code split as dot(). */
-static void dot4(int variant, const double *a, const double *xT, i64 k,
-                 double *out) {
-    const i64 body = variant >= 3 ? k - 2 : k;
-    int l;
-    switch (variant) {
-    case 0:
-    case 3:
-        dot4_v4_h2(a, xT, body, out);
-        break;
-    case 1:
-    case 4:
-        dot4_x2_nofma(a, xT, body, out);
-        break;
-    default:
-        dot4_2fma(a, xT, k, out);
-        return;
-    }
-    if (variant >= 3)
-        for (l = 0; l < LANES; ++l)
-            out[l] = out[l] + fma(a[k - 2], xT[(k - 2) * LANES + l],
-                                  a[k - 1] * xT[(k - 1) * LANES + l]);
-}
-
-static void matvec4(const double *M, i64 r, i64 k, const signed char *v,
-                    const double *xT, double *outT) {
+static void matvec4(const double *M, i64 r, i64 k, const double *xT,
+                    double *outT) {
     i64 i;
-    for (i = 0; i < r; ++i)
-        dot4(v[i], M + i * k, xT, k, outT + i * LANES);
+    for (i = 0; i < r; ++i) dot4(M + i * k, xT, k, outT + i * LANES);
 }
 
 /* One full LANES-row block: transpose in, lane-parallel step,
@@ -433,16 +325,16 @@ static void servo_block(const servo_ctx *c, i64 r0, const gain_pack *g)
                 (c->Y[(r0 + l) * p + i] - c->op_y[i]) / c->y_scale[i];
 
     /* y_pred = C @ x + D @ du_prev */
-    matvec4(g->Cm, p, n, g->vC, xT, ypredT);
-    matvec4(g->Dm, p, m, g->vD, dupT, tmpT);
+    matvec4(g->Cm, p, n, xT, ypredT);
+    matvec4(g->Dm, p, m, dupT, tmpT);
     for (i = 0; i < p; ++i)
         for (l = 0; l < LANES; ++l)
             ypredT[i * LANES + l] =
                 ypredT[i * LANES + l] + tmpT[i * LANES + l];
 
     /* xhat = (A @ x + B @ du_prev) + L @ (dy - y_pred) */
-    matvec4(g->Am, n, n, g->vA, xT, xnewT);
-    matvec4(g->Bm, n, m, g->vB, dupT, tmpT);
+    matvec4(g->Am, n, n, xT, xnewT);
+    matvec4(g->Bm, n, m, dupT, tmpT);
     for (i = 0; i < n; ++i)
         for (l = 0; l < LANES; ++l)
             xnewT[i * LANES + l] =
@@ -451,7 +343,7 @@ static void servo_block(const servo_ctx *c, i64 r0, const gain_pack *g)
         for (l = 0; l < LANES; ++l)
             tmpT[i * LANES + l] =
                 dyT[i * LANES + l] - ypredT[i * LANES + l];
-    matvec4(g->Lm, n, p, g->vL, tmpT, ypredT);
+    matvec4(g->Lm, n, p, tmpT, ypredT);
     for (i = 0; i < n; ++i)
         for (l = 0; l < LANES; ++l)
             xnewT[i * LANES + l] =
@@ -469,8 +361,8 @@ static void servo_block(const servo_ctx *c, i64 r0, const gain_pack *g)
                       * (c->dr[(r0 + l) * p + i] - dyT[i * LANES + l]);
 
     /* du = (-K_state) @ xhat - K_integral @ z */
-    matvec4(g->negK, m, n, g->vK, xnewT, duT);
-    matvec4(g->Ki, m, p, g->vKi, zT, kizT);
+    matvec4(g->negK, m, n, xnewT, duT);
+    matvec4(g->Ki, m, p, zT, kizT);
     for (j = 0; j < m; ++j)
         for (l = 0; l < LANES; ++l)
             duT[j * LANES + l] = duT[j * LANES + l] - kizT[j * LANES + l];
@@ -500,7 +392,7 @@ static void servo_block(const servo_ctx *c, i64 r0, const gain_pack *g)
             if (excT[j * LANES + l] != 0.0) {
                 for (jj = 0; jj < m; ++jj)
                     excl[jj] = excT[jj * LANES + l];
-                matvec(g->Kipinv, p, m, g->vP, excl, corr);
+                matvec(g->Kipinv, p, m, excl, corr);
                 for (i = 0; i < p; ++i)
                     zT[i * LANES + l] =
                         zT[i * LANES + l] + c->anti_windup * corr[i];
@@ -812,9 +704,10 @@ void noise_fill(const arg *a)
 """
 
 
-# -march=native lets fma() compile to the hardware instruction instead
-# of a libm call; -ffp-contract=off still forbids the compiler from
-# contracting or reordering anything we did not write explicitly.
+# -march=native lets rint() compile to the hardware rounding
+# instruction instead of a libm call; -ffp-contract=off still forbids
+# the compiler from contracting or reordering anything we did not write
+# explicitly.
 # Compilation happens on the machine that runs the kernel, so native
 # targeting is safe; the flags are part of the cache key.
 _CFLAGS = (
@@ -822,11 +715,11 @@ _CFLAGS = (
     "-march=native",
     "-fPIC",
     "-shared",
-    # Forbid implicit mul+add contraction: every fma in the kernels is
-    # explicit, so codegen matches the probed reduction orders exactly.
+    # Forbid implicit mul+add contraction: every product and every sum
+    # rounds on its own, as in the numpy references.
     "-ffp-contract=off",
-    # rint/fma never touch errno; dropping errno bookkeeping lets gcc
-    # inline them to single instructions without changing any result.
+    # rint never touches errno; dropping errno bookkeeping lets gcc
+    # inline it to a single instruction without changing any result.
     "-fno-math-errno",
 )
 
@@ -900,15 +793,6 @@ class FusedKernel:
     """
 
     def __init__(self, lib, noise_gap: str | None = None) -> None:
-        dot = lib.fused_dot
-        dot.restype = ctypes.c_double
-        dot.argtypes = [
-            ctypes.c_longlong,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_longlong,
-        ]
-        self._dot = dot
         step = lib.fused_servo_step
         step.restype = None
         step.argtypes = [ctypes.c_void_p]
@@ -937,11 +821,6 @@ class FusedKernel:
     @staticmethod
     def fits(n: int, m: int, p: int) -> bool:
         return max(n, m, p) <= _MAX_DIM
-
-    def dot(self, variant: int, a_row: np.ndarray, x: np.ndarray) -> float:
-        return self._dot(
-            variant, a_row.ctypes.data, x.ctypes.data, a_row.size
-        )
 
 
 def arg_block(values) -> np.ndarray:
@@ -1128,90 +1007,8 @@ def plant_tick_args(
     ]
 
 
-# Dot variant codes of the C ``dot`` switch: 0 v4_h2, 1 x2_nofma,
-# 2 dot2_fma, 3 v4_h2+pair, 4 x2+pair.  ``NO_VARIANT`` marks a row that
-# no candidate reproduces.
-NO_VARIANT = -1
-
-
-def _candidates(k: int) -> tuple[int, ...]:
-    """Applicable codes for inner dimension ``k``, in probe order."""
-    if k == 2:
-        return (2, 1)
-    if k % 4 == 0:
-        return (1, 0)
-    if k % 4 == 2:
-        return (3, 4, 1)
-    return ()
-
-
-# Probe verdicts keyed by matrix content; the probe is deterministic
-# (fixed rng seed, data-dependent only), so identical matrices always
-# re-derive the same variants.  Rebuilding the same controllers per run
-# would otherwise repeat every probe.
-_VARIANT_MEMO: dict[bytes, np.ndarray] = {}
-
-
-def dot_variant(kernel: FusedKernel, matrix: np.ndarray) -> np.ndarray:
-    # repro: shape[matrix: (r, k) f8; -> (r,) i1]
-    """Per-row dot variants reproducing ``np.matvec(matrix, ·)`` bit-exactly.
-
-    BLAS may reduce different rows of one matrix differently (OpenBLAS
-    reduces rows in blocks of 4 and the remainder rows with another
-    kernel), so each row gets its own code.  The first candidate that
-    reproduces *every* row on random vectors across magnitudes is used
-    for all of them; failing that, each row takes the first candidate
-    that reproduces it.  A row no candidate reproduces gets
-    :data:`NO_VARIANT`; the caller then keeps the numpy path and reports
-    the row.
-    """
-    key = matrix.shape[1].to_bytes(4, "little") + matrix.tobytes()
-    codes = _VARIANT_MEMO.get(key)
-    if codes is None:
-        codes = _dot_variant_probe(kernel, matrix)
-        codes.flags.writeable = False
-        if len(_VARIANT_MEMO) < 4096:
-            _VARIANT_MEMO[key] = codes
-    return codes
-
-
-def _dot_variant_probe(kernel: FusedKernel, matrix: np.ndarray) -> np.ndarray:
-    matrix = np.ascontiguousarray(matrix, dtype=float)
-    r, k = matrix.shape
-    rng = np.random.default_rng(0xD07)
-    batches = [
-        rng.standard_normal((17, k)) * scale for scale in (1e-3, 1.0, 1e3)
-    ]
-    # (vector address, reference products) pairs; raw addresses keep
-    # the thousands of probe calls off the ndarray.ctypes path.
-    samples = [
-        (X.ctypes.data + 8 * k * j, reference)
-        for X in batches
-        for j, reference in enumerate(np.matvec(matrix, X).tolist())
-    ]
-
-    def reproduces(code: int, i: int) -> bool:
-        row = matrix.ctypes.data + 8 * k * i
-        return all(
-            kernel._dot(code, row, x, k) == reference[i]
-            for x, reference in samples
-        )
-
-    candidates = _candidates(k)
-    codes = np.full(r, NO_VARIANT, dtype=np.int8)
-    for code in candidates:
-        if all(reproduces(code, i) for i in range(r)):
-            codes[:] = code
-            return codes
-    for i in range(r):
-        codes[i] = next(
-            (code for code in candidates if reproduces(code, i)), NO_VARIANT
-        )
-    return codes
-
-
 # The gain matrices the servo kernel reduces, in its gain_pack order;
-# the integral mask and the per-matrix variant codes follow them.
+# the integral mask follows them.
 SERVO_MATRICES = (
     "C",
     "A",
@@ -1228,13 +1025,11 @@ class ServoGainPack:
     """One gain set laid out for ``fused_servo_step``.
 
     Holds the contiguous matrices the kernel reads (:data:`SERVO_MATRICES`
-    and ``integral_mask``), their per-row dot variants and ``row``, the
-    set's ``(1, 17)`` row of the kernel's gain-pack table (at
-    ``row_address``, so a single-row servo switches gain sets by
-    pointing its argument block at it).  ``row`` is ``None`` without a
-    kernel, or when some matrix row has no bit-exact
-    inlined reduction on this machine (``gap`` names it).  ``key`` is
-    the set's content, for the servos' probe memos.
+    and ``integral_mask``) and ``row``, the set's ``(1, 9)`` row of the
+    kernel's gain-pack table (at ``row_address``, so a single-row servo
+    switches gain sets by pointing its argument block at it).  Both
+    numpy reference steps read the same matrices.  ``key`` is the set's
+    content, for the servos' probe memos.
 
     Built once per gain set and cached on the immutable
     :class:`~repro.control.lqg.LQGGains` (``fused_pack``), so the
@@ -1266,30 +1061,8 @@ class ServoGainPack:
         self.key = b"".join(
             part.tobytes() for part in [dims, *matrices, self.integral_mask]
         )
-        self.variants = None  # repro: shape[(3*n+3*p+2*m,) i1 | none]
-        self.row = None  # repro: shape[(1, 17) i8 | none]
-        self.row_address = 0
-        self.gap: str | None = None
-        kernel = fused_kernel()
-        if kernel is None:
-            return
-        codes = []
-        for name, matrix in zip(SERVO_MATRICES, matrices):
-            rows = dot_variant(kernel, matrix)
-            missing = np.flatnonzero(rows == NO_VARIANT)
-            if missing.size:
-                self.gap = f"no bit-exact dot variant: {name} row {missing[0]}"
-                return
-            codes.append(rows)
-        self.variants = np.concatenate(codes)
-        base = self.variants.ctypes.data
-        starts = np.cumsum([0] + [matrix.shape[0] for matrix in matrices])
-        self.row = np.array(
-            [
-                [matrix.ctypes.data for matrix in matrices]
-                + [self.integral_mask.ctypes.data]
-                + [base + int(start) for start in starts[:-1]]
-            ],
+        self.row = np.array(  # repro: shape[(1, 9) i8]
+            [[part.ctypes.data for part in [*matrices, self.integral_mask]]],
             dtype=np.int64,
         )
         self.row_address = self.row.ctypes.data
@@ -1335,7 +1108,7 @@ def servo_block(
     """The argument block of ``fused_servo_step`` for ``rows`` rows.
 
     Row-major ``(N, ·)`` state buffers (a length-k vector is one
-    ``(1, k)`` row), the ``(G, 17)`` gain-pack table and the ``(N,)``
+    ``(1, k)`` row), the ``(G, 9)`` gain-pack table and the ``(N,)``
     int8 gain ids, then the operating point and limits.  ``Y`` may be
     ``None`` for a caller that writes slot :data:`SERVO_Y` per call.
     The addresses stay valid only while every buffer is updated in

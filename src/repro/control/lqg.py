@@ -81,10 +81,9 @@ class LQGGains:
     def fused_pack(self) -> ServoGainPack:
         """This gain set's compiled-servo pack, built once per gain set.
 
-        Contiguous matrices, per-row dot variants and the kernel's
-        gain-pack row, shared by every scalar and fleet servo that
-        runs these gains (building it per servo would cost more than
-        the kernel saves).
+        Contiguous matrices and the kernel's gain-pack row, shared by
+        every scalar and fleet servo that runs these gains (building it
+        per servo would cost more than the kernel saves).
         """
         pack = self._fused_pack
         if pack is None:
@@ -254,6 +253,19 @@ class ActuatorLimits:
         return np.minimum(np.maximum(clipped, self.lower), self.upper)
 
 
+def sequential_matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # repro: shape[matrix: (r, k) f8; x: (k,) f8; -> (r,) f8]
+    """``matrix @ x`` in the servo's one reduction order.
+
+    Each row is a sequential sum with no FMA, starting from the first
+    product (``s = a0*x0; s = s + a1*x1; ...``), which is what the
+    compiled servo's ``dot`` computes.  ``np.add.accumulate`` is strictly
+    sequential (``np.add.reduce`` may sum pairwise, and ``matrix @ x``
+    takes whatever order the host's BLAS kernel picks).
+    """
+    return np.add.accumulate(matrix * x, axis=1)[:, -1]
+
+
 # Differential-probe verdicts of the scalar servo's compiled step, keyed
 # by gain-set content and servo context (see
 # LQGServoController._select_step).  The probe is deterministic and
@@ -378,9 +390,10 @@ class LQGServoController:
         # du = -Ks@xhat - Ki@z; continuity (du == du_prev) requires
         # Ki@z = -Ks@xhat - du_prev, solved in the least-squares
         # sense and masked to the active integrators.
-        rhs = -(gains.K_state @ self._xhat) - self._du_prev
-        z = gains.K_integral_pinv @ rhs
-        self._z[...] = z * gains.integral_mask
+        g = gains.fused_pack
+        rhs = sequential_matvec(g.neg_K_state, self._xhat) - self._du_prev
+        z = sequential_matvec(g.K_integral_pinv, rhs)
+        self._z[...] = z * g.integral_mask
 
     def reset(self) -> None:
         self._xhat[...] = 0.0
@@ -418,10 +431,9 @@ class LQGServoController:
     def _step_numpy(self, measured_outputs) -> np.ndarray:
         """The reference step: the recurrence the kernel reproduces.
 
-        It reads the gain set's contiguous kernel pack, exactly the
-        matrices the kernel reads: BLAS reduces a product with an
-        F-ordered matrix (an identified ``L`` can be one) in another
-        order than with its C-ordered copy.
+        It reads the gain set's kernel pack, the matrices the kernel
+        reads, and computes every product with
+        :func:`sequential_matvec`, in the kernel's one reduction order.
         """
         g = self.gains.fused_pack
         op = self.operating_point
@@ -430,14 +442,22 @@ class LQGServoController:
         dy = op.normalize_y(y)
 
         # Predictor-form Kalman update using last interval's input.
-        y_pred = g.C @ xhat + g.D @ du_prev
-        xhat[...] = g.A @ xhat + g.B @ du_prev + g.L @ (dy - y_pred)
+        y_pred = sequential_matvec(g.C, xhat) + sequential_matvec(
+            g.D, du_prev
+        )
+        xhat[...] = (
+            sequential_matvec(g.A, xhat)
+            + sequential_matvec(g.B, du_prev)
+            + sequential_matvec(g.L, dy - y_pred)
+        )
 
         # Tracking-error integrators (masked: de-prioritized outputs do
         # not accumulate, so a later gain switch starts them clean).
         z += g.integral_mask * (self._dr - dy)
 
-        du = g.neg_K_state @ xhat - g.K_integral @ z
+        du = sequential_matvec(g.neg_K_state, xhat) - sequential_matvec(
+            g.K_integral, z
+        )
         u_raw = op.denormalize_u(du)
         u = self.limits.clip(u_raw, previous=self._u_prev)
 
@@ -446,7 +466,8 @@ class LQGServoController:
         # du = -Kz z, achieving ddu = -excess requires dz = pinv(Kz) @ excess.
         excess = (u_raw - u) / self._u_scale_safe
         if excess.any():
-            z += self.anti_windup * (g.K_integral_pinv @ excess)
+            correction = sequential_matvec(g.K_integral_pinv, excess)
+            z += self.anti_windup * correction
 
         du_prev[...] = op.normalize_u(u)
         self._u_prev[...] = u
@@ -464,8 +485,6 @@ class LQGServoController:
         if not self._fits:
             return "dims"
         pack = self.gains.fused_pack
-        if pack.gap is not None:
-            return pack.gap
         if self._block is None:
             self._block = servo_block(
                 1,
@@ -553,8 +572,10 @@ class LQGServoController:
         telemetry guard uses it to substitute readings from quarantined
         sensors so the closed loop survives sensor dropouts.
         """
-        g = self.gains
-        dy_pred = g.model.C @ self._xhat + g.model.D @ self._du_prev
+        g = self.gains.fused_pack
+        dy_pred = sequential_matvec(g.C, self._xhat) + sequential_matvec(
+            g.D, self._du_prev
+        )
         return self.operating_point.denormalize_y(dy_pred)
 
     def state_snapshot(self) -> dict[str, np.ndarray]:

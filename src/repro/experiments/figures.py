@@ -566,8 +566,20 @@ class OverheadResult:
         )
 
 
+def _fastest_call_us(call, repeats: int) -> float:
+    """Wall-clock of the fastest of ``repeats`` timed calls ``call(i)``,
+    in µs: a host stall slows one call, not the reported figure."""
+    best = float("inf")
+    for i in range(repeats):
+        start = time.perf_counter()
+        call(i)
+        best = min(best, time.perf_counter() - start)
+    return best * 1e6
+
+
 def overhead_measurements(*, repeats: int = 200) -> OverheadResult:
-    """Wall-clock the controller and supervisor hot paths."""
+    """Wall-clock the controller and supervisor hot paths: each figure
+    is the fastest single call out of ``repeats``."""
     systems = identified_systems()
     soc = ExynosSoC(qos_app=x264())
     goals = ManagerGoals(60.0, 5.0)
@@ -579,25 +591,23 @@ def overhead_measurements(*, repeats: int = 200) -> OverheadResult:
         verified_supervisor=case_study_supervisor(),
     )
     telemetry = soc.step()
+    mimo = manager.big_mimo
 
-    start = time.perf_counter()
-    for _ in range(repeats):
-        manager.big_mimo.step(telemetry.qos_rate, telemetry.big.power_w)
-    mimo_us = (time.perf_counter() - start) / repeats * 1e6
-
-    start = time.perf_counter()
-    for _ in range(repeats):
-        manager._supervise(telemetry)
-    supervisor_us = (time.perf_counter() - start) / repeats * 1e6
-
-    qos_gains = manager.big_mimo.library.get(QOS_GAINS)
-    power_gains = manager.big_mimo.library.get(POWER_GAINS)
-    start = time.perf_counter()
-    for i in range(repeats):
-        manager.big_mimo.controller.switch_gains(
+    mimo_us = _fastest_call_us(
+        lambda _: mimo.step(telemetry.qos_rate, telemetry.big.power_w),
+        repeats,
+    )
+    supervisor_us = _fastest_call_us(
+        lambda _: manager._supervise(telemetry), repeats
+    )
+    qos_gains = mimo.library.get(QOS_GAINS)
+    power_gains = mimo.library.get(POWER_GAINS)
+    switch_us = _fastest_call_us(
+        lambda i: mimo.controller.switch_gains(
             power_gains if i % 2 == 0 else qos_gains, bumpless=False
-        )
-    switch_us = (time.perf_counter() - start) / repeats * 1e6
+        ),
+        repeats,
+    )
 
     return OverheadResult(
         mimo_step_us=mimo_us,

@@ -1,11 +1,10 @@
-"""The compiled servo kernel's variant probe, fallback reasons and reach.
+"""The compiled servo kernel's fallback reasons and reach.
 
 Bit-identity of the fused step itself is the differential harness's job
 (``tests/platform/test_fleet_equivalence.py``).  These tests pin what
-decides *whether* the kernel runs: per-row dot variants, the reason a
-servo stays on numpy or a fleet cluster reads in numpy, and that every
-fleet manager's servo and every fleet cluster run the kernel wherever
-it builds.
+decides *whether* the kernel runs: the reason a servo stays on numpy or
+a fleet cluster reads in numpy, and that every fleet manager's servo
+and every fleet cluster run the kernel wherever it builds.
 """
 
 from __future__ import annotations
@@ -20,18 +19,12 @@ import pytest
 
 import repro
 from repro.control.batch import BatchedLQGServo
-from repro.control.fused import (
-    NO_VARIANT,
-    dot_variant,
-    fused_kernel,
-    unavailable_reason,
-)
+from repro.control.fused import fused_kernel, unavailable_reason
 from repro.control.lqg import ActuatorLimits, design_lqg_servo
 from repro.control.statespace import OperatingPoint, StateSpaceModel
 from repro.experiments.figures import MANAGER_NAMES, identified_systems
 from repro.experiments.fleet import fleet_manager_factory
 from repro.managers.base import ManagerGoals
-from repro.managers.mimo import POWER_GAINS, QOS_GAINS, build_gain_library
 from repro.platform import fleet as fleet_module
 from repro.platform.fleet import FleetPlatform
 
@@ -55,75 +48,6 @@ def _fleet_servos(manager):
     return [manager.big_servo, manager.little_servo]
 
 
-def _old_per_matrix_code(kernel, matrix):
-    """The single per-matrix verdict of the former probe: the first of
-    dot2_fma / x2_nofma / v4_h2 that reproduces every row."""
-    r, k = matrix.shape
-    candidates = [
-        code
-        for code, applies in ((2, k == 2), (1, k % 2 == 0), (0, k % 4 == 0))
-        if applies
-    ]
-    rng = np.random.default_rng(0xD07)
-    batches = [rng.standard_normal((17, k)) * s for s in (1e-3, 1.0, 1e3)]
-    for code in candidates:
-        if all(
-            kernel.dot(code, matrix[i], x) == ref[i]
-            for X in batches
-            for x, ref in zip(X, np.matvec(matrix, X))
-            for i in range(r)
-        ):
-            return code
-    return None
-
-
-class TestPerRowDotVariants:
-    def test_fs_matrices_get_a_reproducing_code_for_every_row(
-        self, kernel, systems
-    ):
-        library = build_gain_library(
-            systems.full,
-            qos_outputs=(0,),
-            power_outputs=(1,),
-            integral_weight=0.05,
-        )
-        g = library.get(POWER_GAINS).fused_pack
-        rng = np.random.default_rng(0xF5)
-        for matrix in (g.A, g.C, g.neg_K_state):
-            assert matrix.shape[1] == 18
-            codes = dot_variant(kernel, matrix)
-            assert codes.shape == (matrix.shape[0],)
-            assert codes.dtype == np.int8
-            assert NO_VARIANT not in codes, (matrix.shape, codes)
-            # Fresh batches, unseen by the probe.
-            for scale in (1e-6, 1e-2, 1.0, 1e2, 1e5):
-                X = rng.standard_normal((64, 18)) * scale
-                reference = np.matvec(matrix, X)
-                for i, code in enumerate(codes):
-                    got = [kernel.dot(int(code), matrix[i], x) for x in X]
-                    assert np.array_equal(got, reference[:, i]), (
-                        matrix.shape,
-                        i,
-                        int(code),
-                        scale,
-                    )
-
-    def test_mm_matrices_keep_their_per_matrix_code(self, kernel, systems):
-        library = build_gain_library(systems.big, integral_weight=0.08)
-        for name in (QOS_GAINS, POWER_GAINS):
-            g = library.get(name).fused_pack
-            for matrix in (g.A, g.C, g.neg_K_state):
-                assert matrix.shape in ((8, 8), (2, 8))
-                old = _old_per_matrix_code(kernel, matrix)
-                assert old is not None
-                codes = dot_variant(kernel, matrix)
-                assert codes.tolist() == [old] * matrix.shape[0]
-
-    def test_odd_inner_dimension_has_no_variant(self, kernel):
-        matrix = np.arange(6.0).reshape(2, 3)
-        assert dot_variant(kernel, matrix).tolist() == [NO_VARIANT] * 2
-
-
 def _three_state_servo(n_rows):
     model = StateSpaceModel(
         A=[[0.6, 0.1, 0.0], [0.05, 0.5, 0.1], [0.0, 0.1, 0.4]],
@@ -140,13 +64,27 @@ def _three_state_servo(n_rows):
 
 
 class TestFusedReason:
-    def test_odd_inner_dimension_names_matrix_and_row(self, kernel):
+    def test_odd_inner_dimension_runs_compiled(self, kernel):
+        # Inner dimension 3: the servo's one sequential order serves
+        # every shape.
         servo = _three_state_servo(4)
-        assert servo._fused is None
-        assert servo.fused_reason == "no bit-exact dot variant: C row 0"
-        # The numpy fallback still steps.
-        u = servo.step(np.full((4, 2), 2.5))
-        assert u.shape == (4, 2)
+        assert servo.fused_reason is None
+        assert servo._fused is kernel
+        rng = np.random.default_rng(3)
+        fused = []
+        for _ in range(6):
+            Y = 2.0 + 4.0 * rng.standard_normal((4, 2))
+            fused.append(servo._step_fused(Y, kernel).copy())
+        state = [servo.X.copy(), servo.Z.copy(), servo.DU.copy()]
+        reference = _three_state_servo(4)
+        rng = np.random.default_rng(3)
+        for u in fused:
+            Y = 2.0 + 4.0 * rng.standard_normal((4, 2))
+            assert reference._step_numpy(Y).tobytes() == u.tobytes()
+        for got, want in zip(
+            state, [reference.X, reference.Z, reference.DU]
+        ):
+            assert got.tobytes() == want.tobytes()
 
     def test_disabled_kernel_is_reported(self):
         # The kernel's availability is decided once per process, so the
@@ -181,8 +119,8 @@ class TestFusedCoverage:
     """Every fleet manager's servo and every fleet cluster's sensor read
     run the compiled kernels.
 
-    Guards the gain against silently regressing when a gain library (or
-    the BLAS) changes: a servo or cluster that falls back names why.
+    Guards the gain against silently regressing when a gain library
+    changes: a servo or cluster that falls back names why.
     """
 
     @pytest.mark.parametrize("manager", MANAGER_NAMES)

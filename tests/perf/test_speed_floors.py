@@ -141,8 +141,9 @@ def test_fleet_kernel_aggregate_throughput(monkeypatch):
 def test_scalar_servo_kernel_beats_numpy_step(manager):
     # One LQGServoController.step on the compiled kernel against the
     # numpy reference step of the same servo, same measurement;
-    # measured 5.4x for a cluster 2x2 servo (MM-Perf's big cluster)
-    # and 5.0x for FS's 4x2 servo.
+    # measured 29x for a cluster 2x2 servo (MM-Perf's big cluster)
+    # and 22-24x for FS's 4x2 servo (18-22x and 9x while the numpy
+    # step multiplied through BLAS).
     if fused_kernel() is None:
         pytest.skip(unavailable_reason())
     soc = ExynosSoC(config=SoCConfig(seed=2018))
@@ -304,10 +305,14 @@ def test_composition_beats_edge_at_a_time_oracle_at_fleet_3x2():
 def test_pair_grid_beats_sorted_keys_on_fleet_10x2_fold(monkeypatch):
     # encode_composition + supremal_fixpoint over the fleet 10x2 plant
     # factors, where every product takes the bool pair grid, against the
-    # same two stages forced onto the sorted-key form; measured
-    # 1.36-1.48x.  Each stage alternates between the forms and keeps its
-    # best of 3 after a warm-up round, so a noisy stretch of the host
-    # slows both forms rather than one.
+    # same two stages forced onto the sorted-key form.  After a warm-up
+    # round, six rounds each time both forms back to back, in
+    # alternating order, and the gate reads the median of the six
+    # paired ratios: a noisy stretch of the host then moves one ratio,
+    # not the verdict.  A best-of-3 per stage and form let one lucky
+    # fast sorted-key run decide it, and failed about 1 run in 5 on a
+    # 2-CPU x86_64 box (1.21x, 1.24x); there the median measured
+    # 1.33-1.49x over 15 runs.
     sigma = fleet_alphabet(10)
     components = fleet_plant_components(10, 2, sigma)
     spec = encode_automaton(fleet_specification(10, sigma))
@@ -325,13 +330,13 @@ def test_pair_grid_beats_sorted_keys_on_fleet_10x2_fold(monkeypatch):
         assert fixpoint.n_supervisor_states == 102_400
         return encoded - start, done - encoded
 
-    best = {True: (float("inf"),) * 2, False: (float("inf"),) * 2}
-    for attempt in range(4):
-        for grid in best:
-            seconds = stage_seconds(grid)
-            if attempt:
-                best[grid] = tuple(map(min, best[grid], seconds))
-    speedup = sum(best[False]) / sum(best[True])
+    ratios = []
+    for attempt in range(7):
+        order = (True, False) if attempt % 2 else (False, True)
+        total = {grid: sum(stage_seconds(grid)) for grid in order}
+        if attempt:
+            ratios.append(total[False] / total[True])
+    speedup = float(np.median(ratios))
     assert speedup >= 1.3, (
         f"pair grid fold only {speedup:.2f}x the sorted-key fold (need 1.3x)"
     )

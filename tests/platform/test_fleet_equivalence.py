@@ -690,9 +690,9 @@ class TestServoStateDifferential:
                 _assert_state_equal(batched, scalar, row, tick)
 
     def test_fs_rows_match_scalar_state_bitwise(self, systems, step_path):
-        # FS's identified L is F-ordered, and BLAS reduces L @ v in
-        # another order than over a C-ordered copy; both servos must
-        # read the same contiguous gain pack.
+        # FS's identified L is F-ordered.  Both servos read the same
+        # contiguous gain pack (when the scalar step used BLAS, it
+        # reduced L @ v over the F-ordered L in another order).
         soc = ExynosSoC(config=SoCConfig(seed=1))
         template = manager_factory("FS", systems)(
             soc, ManagerGoals(60.0, 5.0)
