@@ -46,7 +46,9 @@
 #     one reduced round of each of the five workloads with every output
 #     check, including the fleet workload for all four managers with
 #     rows 0 and N-1 compared against the scalar oracle) reports an
-#     incorrect output or a failed operation, or the suite's own tests
+#     incorrect output or a failed operation, with the compiled fast
+#     paths on or disabled (REPRO_DISABLE_FUSED=1: every workload's
+#     output checks on the reference paths), or the suite's own tests
 #     (`benchmarks/suite/tests`) fail.  Timings are printed, never
 #     asserted: the speed floors (step kernel, fleet kernel, symbolic
 #     vs explicit verification and synthesis) and the explicit-oracle
@@ -93,6 +95,7 @@ python -m repro.exec chaos --smoke
 echo
 echo "== benchmark suite smoke (five workloads, every output checked) =="
 python3 benchmarks/suite/run.py --smoke
+REPRO_DISABLE_FUSED=1 python3 benchmarks/suite/run.py --smoke
 python -m pytest -q benchmarks/suite/tests
 
 if command -v ruff >/dev/null 2>&1; then

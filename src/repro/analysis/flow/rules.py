@@ -73,7 +73,6 @@ DEFAULT_ENTRY_POINTS: tuple[str, ...] = (
 DEFAULT_HOT_PATH_ALLOWED: frozenset[str] = frozenset(
     {
         "_resolve_snap_kernel",
-        "_probe_cluster_telemetry",
         "_probe_noise_fill",
     }
 )

@@ -136,7 +136,6 @@ STEP_KERNEL_ALLOWED_FUNCTIONS = frozenset(
         "_telemetry_with_idle_insertion",
         "_idle_adjusted_capacity",
         "_resolve_snap_kernel",
-        "_probe_cluster_telemetry",
     }
 )
 

@@ -180,6 +180,19 @@ def _bind_spec(
     )
 
 
+def _spec_symbols(spec: Spec) -> set[str]:
+    """The named (non-opaque) symbols of ``spec``'s dimensions."""
+    dims = [*(spec.shape or ()), spec.dim, spec.rng_budget]
+    return {
+        sym
+        for dim in dims
+        if dim is not None
+        for mono, _ in dim.terms
+        for sym in mono
+        if not sym.startswith("?")
+    }
+
+
 def _substitute_spec(spec: Spec, binding: dict[str, Dim]) -> Spec:
     """A return spec with call-site symbol bindings applied."""
     if not binding:
@@ -1121,6 +1134,11 @@ class _Frame:
             # re-instantiate (fresh buffers) on next read.
             receiver.attrs.clear()
         if contract is not None and contract.returns is not None:
+            # A return symbol that no argument bound names a size of the
+            # callee's, unknown here: it must not match the caller's
+            # dimension of the same name.
+            for sym in _spec_symbols(contract.returns):
+                binding.setdefault(sym, fresh_dim())
             returns = _substitute_spec(contract.returns, binding)
             return instantiate(returns, f"<return:{qualname}>")
         return UnknownV()

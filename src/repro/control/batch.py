@@ -33,6 +33,7 @@ import numpy as np
 from repro.control.fused import (
     SERVO_Y,
     fused_kernel,
+    probe_verdict,
     servo_block,
     servo_context_key,
     unavailable_reason,
@@ -46,7 +47,7 @@ __all__ = ["BatchedLQGServo"]
 # BatchedLQGServo._probe_key).  The probe is deterministic, so an
 # identical servo always re-derives the same verdict; a fleet run
 # rebuilds its managers and would otherwise repeat the probe every run.
-_PROBE_MEMO: dict[bytes, bool] = {}
+_PROBE_MEMO: dict[bytes, tuple] = {}
 
 
 class BatchedLQGServo:
@@ -150,16 +151,14 @@ class BatchedLQGServo:
             self.anti_windup,
         )
         self._block_address = self._block.ctypes.data
-        key = self._probe_key()
-        verdict = _PROBE_MEMO.get(key)
-        if verdict is None:
-            verdict = self._probe_fused(kernel)
-            if len(_PROBE_MEMO) < 256:
-                _PROBE_MEMO[key] = verdict
-        if not verdict:
-            return "differential probe mismatch"
-        self._fused = kernel
-        return None
+        _, reason = probe_verdict(
+            _PROBE_MEMO,
+            self._probe_key(),
+            lambda: (None, self._probe_fused(kernel)),
+        )
+        if reason is None:
+            self._fused = kernel
+        return reason
 
     # ------------------------------------------------------------------
     def set_reference(self, reference) -> None:
@@ -349,7 +348,7 @@ class BatchedLQGServo:
 
 
 def _matvec_rows(matrix: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # repro: shape[matrix: (r, k) f8; X: (R, k) f8]
+    # repro: shape[matrix: (r, k) f8; X: (R, k) f8; -> (R, r) f8]
     """``sequential_matvec(matrix, x)`` for every row ``x`` of ``X``, an
     ``(R, r)`` array: the same sequential sum, one column of ``matrix``
     at a time."""

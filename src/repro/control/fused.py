@@ -14,10 +14,10 @@ compiler cannot fuse or reorder anything we did not write explicitly):
   and the scalar :class:`~repro.control.lqg.LQGServoController` steps
   its single row (N=1);
 * ``fleet_telemetry`` — the per-row cluster sensor read
-  (``soc.read_cluster_telemetry``).  It serves both paths too: the
-  fleet's ``FleetPlatform`` reads N rows per call with the per-core
-  output left NULL, and the scalar SoC's ``soc.CompiledSensors`` reads
-  one cluster's single row, per-core readings included;
+  (``soc.read_cluster_telemetry``).  The scalar SoC's
+  ``soc.CompiledSensors`` reads one cluster's single row through it,
+  per-core readings included, wherever the SoC's tick runs in Python
+  (a sibling cluster faulted, time-aware or under idle insertion);
 * ``plant_tick`` — the rest of the plant tick after the background
   placement: the Big cluster's fair share, the QoS workload's rate
   (Amdahl speedup over a per-OPP ``peak_rate * frequency_scale`` table,
@@ -39,7 +39,7 @@ compiler cannot fuse or reorder anything we did not write explicitly):
   static ``numpy/random/lib/libnpyrandom.a``, called on each row's
   ``bitgen_t`` (:func:`bitgen_table`).  Both are numpy's public C API
   for extending ``numpy.random``.  Without the archive, or when its
-  build or load-time probe fails, the other three kernels still build
+  build or load-time probe fails, the other four kernels still build
   and only the refill stays on numpy (:func:`noise_fill_reason`).
 
 Each of the five takes a single pointer to an *argument block*: an
@@ -47,19 +47,18 @@ array of C ``arg`` slots (``union { i64; double; void * }``), built
 once per set of buffers with :func:`arg_block` (:func:`servo_block`,
 :func:`telemetry_args`, :func:`plant_tick_args`).  A call then
 marshals one pointer instead of 5-23 positional ctypes arguments, and
-the caller rewrites only its per-call slots: ``Y`` for the fleet servo;
-``bce``, ``z`` and the z stride for the fleet telemetry; ``z`` for the
-fleet tick, which reads each cluster's tables and state through that
-cluster's telemetry block.  The scalar callers keep even those in
-place: their inputs live in fixed buffers the block points into (the
-scalar sensor read's and the scalar tick's each in one scratch array),
-so a call is the bare pointer.
+the caller rewrites only its per-call slots: ``Y`` for the fleet servo,
+``z`` for the fleet tick, which reads each cluster's tables and state
+through that cluster's telemetry block.  The scalar callers keep even
+those in place: their inputs live in fixed buffers the block points
+into (the scalar sensor read's and the scalar tick's each in one
+scratch array), so a call is the bare pointer.
 
 Every function is gated on a differential probe against the numpy (or,
 for the scalar sensor read and tick, Python) reference — by its caller,
-run once per content and memoized, or for the noise refill once at
-load — so a kernel only ever runs where it is machine-verified
-bit-identical.
+run once per content and memoized through :func:`probe_verdict`, or
+for the noise refill once at load — so a kernel only ever runs where
+it is machine-verified bit-identical.
 
 Every servo product has one defined reduction order: a sequential sum
 with no FMA, starting from the first product (``s = a0*x0; s = s +
@@ -84,10 +83,10 @@ gain set it is switched onto.
 
 The kernel is strictly optional: it compiles lazily with the system C
 compiler into a cached shared object, and any failure (no compiler,
-failed build, failed probe) falls back to numpy or Python with
-the reason recorded — :func:`unavailable_reason` for the kernel,
+failed build, failed or raising probe) falls back to numpy or Python
+with the reason recorded — :func:`unavailable_reason` for the kernel,
 :func:`noise_fill_reason` for the refill, ``fused_reason`` per servo,
-per cluster and per fleet, ``tick_reason`` per SoC and per fleet.
+per SoC cluster and per fleet, ``tick_reason`` per SoC and per fleet.
 ``REPRO_DISABLE_FUSED=1`` forces those paths (used by tests to cover
 both implementations).  Nothing here changes results —
 only how fast they are produced.
@@ -105,6 +104,7 @@ import tempfile
 import numpy as np
 
 __all__ = [
+    "MAX_SENSORS",
     "QOS_DRAWN_GAIN",
     "QOS_NONE",
     "QOS_QUIET",
@@ -114,15 +114,13 @@ __all__ = [
     "SERVO_Y",
     "ServoGainPack",
     "fused_kernel",
-    "TELEMETRY_BCE",
-    "TELEMETRY_Z",
-    "TELEMETRY_Z_STRIDE",
     "TICK_Z",
     "arg_block",
     "bitgen_table",
     "noise_block",
     "noise_fill_reason",
     "plant_tick_args",
+    "probe_verdict",
     "servo_block",
     "servo_context_key",
     "telemetry_args",
@@ -132,6 +130,10 @@ __all__ = [
 
 # Stack-buffer capacity in the C source; callers must check fits().
 _MAX_DIM = 32
+
+# Sensors per cluster (the power sensor and one PMU per core) that a
+# row read may hold; read_row's v[17] has room for them.  Callers check.
+MAX_SENSORS = 16
 
 _C_SOURCE = r"""
 #include <math.h>
@@ -537,8 +539,7 @@ static void read_row(const sensor_ctx *s, i64 r, double b, const double *zr)
 }
 
 /* One cluster sensor read per row.  Arguments: N, nc; active, opp,
- * bce, z, z_stride (z rows are z_stride doubles apart: the fleet
- * passes a column slice of its noise block); the per-OPP dyn/leak/rate
+ * bce, z, z_stride (z rows are z_stride doubles apart); the per-OPP dyn/leak/rate
  * tables, idle_frac, uncore; the per-sensor noise, res_mask, res,
  * floor rows and any_res; the power and ips outputs, and per_core
  * (N, nc) or NULL. */
@@ -888,10 +889,6 @@ def noise_block(bitgens: np.ndarray, out: np.ndarray) -> np.ndarray:
     return arg_block([rows, bitgens.ctypes.data, out.ctypes.data, count])
 
 
-# Slots of ``fleet_telemetry``'s argument block a fleet call rewrites.
-TELEMETRY_BCE, TELEMETRY_Z, TELEMETRY_Z_STRIDE = 4, 5, 6
-
-
 def telemetry_args(
     tables,
     rows: int,
@@ -909,7 +906,7 @@ def telemetry_args(
 
     The keyword arguments are raw addresses (``z_stride`` in doubles);
     ``per_core_out`` 0 passes NULL, and ``bce``, ``z`` and ``z_stride`` may
-    be left 0 for a caller that writes them per call.  ``tables``
+    be left 0 for a block that only ``plant_tick`` reads.  ``tables``
     supplies the per-OPP tables and per-sensor rows
     (``soc.SensorTables``, or a ``FleetCluster``, which holds the same
     attributes).
@@ -1144,6 +1141,34 @@ def servo_block(
             float(anti_windup),
         ]
     )
+
+
+# Verdicts each probe memo keeps; content past it is probed on every bind.
+_MEMO_SIZE = 256
+
+
+def probe_verdict(memo: dict, key, probe) -> tuple:
+    """A differential probe's verdict on content ``key``, memoized in
+    ``memo``: ``(value, reason)``.
+
+    ``probe()`` returns ``(value, matches)``: whatever the caller builds
+    on the way and keeps with the verdict (``None`` if nothing), and
+    whether the kernel reproduced its reference bit for bit.  ``reason``
+    is ``None`` on a match, ``"differential probe mismatch"`` otherwise,
+    or ``"probe raised <Type>: <msg>"`` (value ``None``) when the probe
+    raised.  Probes are deterministic in their key, so a verdict is
+    computed once per content, up to the first 256 contents.
+    """
+    entry = memo.get(key)
+    if entry is None:
+        try:
+            value, matches = probe()
+            entry = (value, None if matches else "differential probe mismatch")
+        except Exception as exc:
+            entry = (None, f"probe raised {type(exc).__name__}: {exc}")
+        if len(memo) < _MEMO_SIZE:
+            memo[key] = entry
+    return entry
 
 
 # Seeds of the refill's load-time probe: small, mid and past 2**63.

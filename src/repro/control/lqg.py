@@ -21,6 +21,7 @@ from repro.control.fused import (
     FusedKernel,
     ServoGainPack,
     fused_kernel,
+    probe_verdict,
     servo_block,
     servo_context_key,
     unavailable_reason,
@@ -272,7 +273,7 @@ def sequential_matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
 # starts from a canonical state, so identical keys always re-derive the
 # same verdict; every run_scenario rebuilds its managers and would
 # otherwise repeat the probe.
-_PROBE_MEMO: dict[tuple[bytes, bytes], bool] = {}
+_PROBE_MEMO: dict[tuple[bytes, bytes], tuple] = {}
 
 
 class LQGServoController:
@@ -507,16 +508,14 @@ class LQGServoController:
         # The gain-pack table is this pack's own row: a gain switch
         # repoints one slot.
         self._block[SERVO_PACKS] = pack.row_address
-        key = (pack.key, self._context_key)
-        verdict = _PROBE_MEMO.get(key)
-        if verdict is None:
-            verdict = self._probe_fused(kernel)
-            if len(_PROBE_MEMO) < 256:
-                _PROBE_MEMO[key] = verdict
-        if not verdict:
-            return "differential probe mismatch"
-        self._fused = kernel
-        return None
+        _, reason = probe_verdict(
+            _PROBE_MEMO,
+            (pack.key, self._context_key),
+            lambda: (None, self._probe_fused(kernel)),
+        )
+        if reason is None:
+            self._fused = kernel
+        return reason
 
     def _probe_fused(self, kernel) -> bool:
         """Differential gate for the compiled step on the active gains.

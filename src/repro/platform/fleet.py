@@ -46,12 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.control.fused import (
+    MAX_SENSORS,
     QOS_NONE,
     QOS_QUIET,
     QOS_STANDARD_NORMAL,
-    TELEMETRY_BCE,
-    TELEMETRY_Z,
-    TELEMETRY_Z_STRIDE,
     TICK_Z,
     arg_block,
     bitgen_table,
@@ -59,6 +57,7 @@ from repro.control.fused import (
     noise_block,
     noise_fill_reason,
     plant_tick_args,
+    probe_verdict,
     telemetry_args,
     unavailable_reason,
 )
@@ -109,7 +108,9 @@ class FleetCluster:
 
     Built from a *template* scalar :class:`Cluster` so the initial state,
     sensor parameters and model coefficients are exactly what a freshly
-    constructed scalar device would have.
+    constructed scalar device would have.  It holds state, tables and
+    the numpy read's scratch only: the compiled read of every row is
+    part of the fleet's plant tick (:class:`CompiledFleetTick`).
     """
 
     def __init__(
@@ -151,21 +152,6 @@ class FleetCluster:
         self._reading_buf = np.empty(  # repro: shape[(N, C+1) f8]
             (n_devices, 1 + self.n_cores), dtype=float
         )
-        # Compiled-telemetry state: the kernel handle is set at the end
-        # of construction, after a per-cluster differential probe.
-        # Output buffers are double-buffered so the previous tick's
-        # telemetry arrays stay intact without per-tick allocation.
-        self.telemetry_kernel = None
-        self._telemetry_blocks = None
-        self._out_flip = 0  # repro: shape[int]
-        self._power_bufs = (
-            np.empty(n_devices, dtype=float),
-            np.empty(n_devices, dtype=float),
-        )
-        self._ips_bufs = (
-            np.empty(n_devices, dtype=float),
-            np.empty(n_devices, dtype=float),
-        )
         # DVFS snap scratch: reused as ``opp_idx`` every set_frequency.
         self._snap_out = np.empty(n_devices, dtype=np.int64)  # repro: shape[(N,) i8]
         initial = template.opps.snap_indices(
@@ -179,9 +165,16 @@ class FleetCluster:
         self.active = np.full(  # repro: shape[(N,) f8]
             n_devices, float(template.active_cores)
         )
-        # None when the compiled sweep reads this cluster; otherwise
-        # why the numpy read runs (as ``Cluster.fused_reason``).
-        self.fused_reason = _enable_telemetry_kernel(self)
+
+    @property
+    def telemetry_kernel(self):
+        """The kernel when the compiled tick can read this cluster
+        (its sensors fit ``MAX_SENSORS``), else ``None``; no probe runs.
+        Kept only for the benchmark suite's run record, which reads it;
+        it goes once the suite reads ``tick_reason`` (ROADMAP item 12)."""
+        if self.n_cores + 1 > MAX_SENSORS:
+            return None
+        return fused_kernel()
 
     def set_frequency(self, requests: np.ndarray) -> np.ndarray:
         # repro: shape[requests: (N,) f8; -> (N,) f8]
@@ -204,7 +197,7 @@ class FleetCluster:
             np.maximum(np.rint(requests), 1.0), self.n_cores_f
         )
         # In-place write keeps the array's identity (and with it the
-        # compiled-telemetry pointer cache) stable; np.where materializes
+        # compiled tick's argument blocks) stable; np.where materializes
         # its result before the assignment copies it over.
         self.active[...] = np.where(mask, snapped, self.active)
 
@@ -602,149 +595,7 @@ def _cluster_telemetry(
 ) -> FleetClusterTelemetry:
     # repro: shape[fc: obj[FleetCluster]; busy_core_equivalents: (N,) f8]
     # repro: shape[z: (N, C+1) f8; -> obj[FleetClusterTelemetry]]
-    """Vectorized ``soc.read_cluster_telemetry`` fast path.
-
-    Dispatches to the compiled single-sweep kernel when the cluster's
-    construction-time probe proved it bit-identical (and the inputs
-    have the layout it was probed with); otherwise runs the numpy
-    formulation.  Both produce the same bits.
-    """
-    kernel = fc.telemetry_kernel
-    if (
-        kernel is not None
-        and busy_core_equivalents.flags.c_contiguous
-        and z.strides[1] == 8
-        and fc.opp_idx.dtype == np.int64
-    ):
-        return _cluster_telemetry_fused(fc, busy_core_equivalents, z, kernel)
-    return _cluster_telemetry_numpy(fc, busy_core_equivalents, z)
-
-
-def _cluster_telemetry_fused(
-    fc: FleetCluster,
-    busy_core_equivalents: np.ndarray,
-    z: np.ndarray,
-    kernel,
-) -> FleetClusterTelemetry:
-    # repro: shape[fc: obj[FleetCluster]; busy_core_equivalents: (N,) f8]
-    # repro: shape[z: (N, C+1) f8; -> obj[FleetClusterTelemetry]]
-    """One compiled sweep over the batch (probe-verified bit-identical)."""
-    flip = fc._out_flip
-    fc._out_flip = 1 - flip
-    power_w = fc._power_bufs[flip]
-    ips = fc._ips_bufs[flip]
-    block, address = _telemetry_blocks(fc)[flip]
-    block[TELEMETRY_BCE] = busy_core_equivalents.ctypes.data
-    block[TELEMETRY_Z] = z.ctypes.data
-    block[TELEMETRY_Z_STRIDE] = z.strides[0] // 8
-    kernel.telemetry(address)
-    return FleetClusterTelemetry(
-        frequency_ghz=fc.frequency,
-        voltage_v=fc.voltage,
-        active_cores=fc.active,
-        busy_core_equivalents=busy_core_equivalents,
-        power_w=power_w,
-        ips=ips,
-    )
-
-
-def _telemetry_blocks(fc: FleetCluster) -> list:
-    # repro: shape[fc: obj[FleetCluster]]
-    """``fc``'s ``fleet_telemetry`` argument blocks, one ``(block,
-    address)`` pair per output flip.
-
-    Prebuilt blocks keep every table, state and output address; a
-    telemetry call writes only bce, z and the z stride, and the plant
-    tick reads none of those.  They are keyed on the identity of the two
-    arrays that may be replaced (``active`` by the probe, ``opp_idx`` by
-    the probe and by the first ``set_frequency``) and rebuilt whenever
-    either moves.  The per-core output stays NULL.
-    """
-    cached = fc._telemetry_blocks
-    if (
-        cached is None
-        or cached[0] is not fc.active
-        or cached[1] is not fc.opp_idx
-    ):
-        blocks = []
-        for side in (0, 1):
-            block = arg_block(
-                telemetry_args(
-                    fc,
-                    fc.active.size,
-                    active=fc.active.ctypes.data,
-                    opp=fc.opp_idx.ctypes.data,
-                    power_out=fc._power_bufs[side].ctypes.data,
-                    ips_out=fc._ips_bufs[side].ctypes.data,
-                )
-            )
-            blocks.append((block, block.ctypes.data))
-        cached = fc._telemetry_blocks = (fc.active, fc.opp_idx, blocks)
-    return cached[2]
-
-
-def _enable_telemetry_kernel(fc: FleetCluster) -> str | None:
-    # repro: shape[fc: obj[FleetCluster]]
-    """Turn the compiled telemetry sweep on for ``fc``, or return why
-    the numpy read runs instead.
-
-    ``fused_kernel()`` is ``None`` under ``REPRO_DISABLE_FUSED`` or
-    when no compiler is available; a probe that raises names the
-    exception rather than passing for a mismatch.
-    """
-    kernel = fused_kernel()
-    if kernel is None:
-        return unavailable_reason()
-    if fc.n_cores + 1 > 16:
-        return f"{fc.n_cores + 1} sensors (the kernel reads at most 16)"
-    try:
-        verdict = _probe_cluster_telemetry(fc, kernel)
-    except Exception as exc:
-        return f"probe raised {type(exc).__name__}: {exc}"
-    if not verdict:
-        return "differential probe mismatch"
-    fc.telemetry_kernel = kernel
-    return None
-
-
-def _probe_cluster_telemetry(fc: FleetCluster, kernel) -> bool:
-    # repro: shape[fc: obj[FleetCluster]]
-    """Differential gate for the compiled telemetry sweep.
-
-    Runs both implementations over random cluster states (random
-    active counts, OPP indices, busy equivalents — including negative
-    and over-capacity — and noise magnitudes spanning the gain clamp)
-    and accepts only bit-exact agreement on every reading.
-    """
-    n = fc.active.shape[0]
-    n_opps = len(fc.freq_table)
-    rng = np.random.default_rng(0x7E1E)
-    saved = (fc.active, fc.opp_idx, fc._out_flip)
-    try:
-        for scale in (1e-2, 1.0, 1e2):
-            fc.active = rng.integers(1, fc.n_cores + 1, n).astype(float)
-            fc.opp_idx = rng.integers(0, n_opps, n)
-            bce = rng.standard_normal(n) * fc.n_cores_f
-            wide = rng.standard_normal((n, fc.n_cores + 4)) * scale
-            z = wide[:, 2 : fc.n_cores + 3]
-            reference = _cluster_telemetry_numpy(fc, bce, z)
-            fast = _cluster_telemetry_fused(fc, bce, z, kernel)
-            if not (
-                np.array_equal(reference.power_w, fast.power_w)
-                and np.array_equal(reference.ips, fast.ips)
-            ):
-                return False
-    finally:
-        fc.active, fc.opp_idx, fc._out_flip = saved
-    return True
-
-
-def _cluster_telemetry_numpy(
-    fc: FleetCluster, busy_core_equivalents: np.ndarray, z: np.ndarray
-) -> FleetClusterTelemetry:
-    # repro: shape[fc: obj[FleetCluster]; busy_core_equivalents: (N,) f8]
-    # repro: shape[z: (N, C+1) f8; -> obj[FleetClusterTelemetry]]
-    """Vectorized ``soc.read_cluster_telemetry``, numpy formulation."""
+    """Vectorized ``soc.read_cluster_telemetry`` fast path, in numpy."""
     active = fc.active
     idx = fc.opp_idx
     busy = np.minimum(np.maximum(busy_core_equivalents, 0.0), active)
@@ -792,20 +643,21 @@ def _cluster_telemetry_numpy(
     )
 
 
-
 class CompiledFleetTick:
     """A fleet's plant tick after placement on the compiled
     ``plant_tick`` kernel: every row's QoS rate, busy clamps, sensor
     reads and chip power in one call.
 
-    The outputs are double-buffered on the clusters' ``_out_flip``, like
-    their power and ips buffers, so the previous tick's arrays stay
-    intact without per-tick allocation.  There is one argument block
-    per flip; each points at both clusters' ``fleet_telemetry`` blocks
-    for that flip and is rebuilt with them whenever a cluster's
-    ``active`` or ``opp_idx`` array moves.  A call copies the two demand
-    rows into fixed buffers, writes the current parallel fraction and
-    points the z slot at this tick's columns of the noise buffer.
+    Every output is double-buffered, so the previous tick's arrays stay
+    intact without per-tick allocation: per flip, the QoS rate, both
+    busy equivalents, the chip power and each cluster's power and ips.
+    Each flip has one argument block, which points at one
+    ``fleet_telemetry`` block per cluster (that cluster's tables, state
+    and outputs for the flip; per-core output NULL).  All of them are
+    rebuilt whenever a cluster's ``active`` or ``opp_idx`` array moves.
+    A call copies the two demand rows into fixed buffers, writes the
+    current parallel fraction and points the z slot at this tick's
+    columns of the noise buffer.
     """
 
     def __init__(self, kernel, platform: FleetPlatform) -> None:
@@ -813,23 +665,30 @@ class CompiledFleetTick:
         self._call = kernel.plant_tick
         self.qos_app = platform.qos_app
         self._peak = platform._peak_fs_table
-        # Per flip: QoS rate, big busy, little busy, chip power.
+        # Per flip: the QoS rate, the chip power and, per cluster, its
+        # busy equivalents, power and ips (FleetClusterTelemetry's order).
         self._outputs = tuple(
-            tuple(np.empty(n, dtype=float) for _ in range(4)) for _ in range(2)
+            (
+                np.empty(n, dtype=float),
+                np.empty(n, dtype=float),
+                tuple(np.empty(n, dtype=float) for _ in range(3)),
+                tuple(np.empty(n, dtype=float) for _ in range(3)),
+            )
+            for _ in range(2)
         )
+        self._flip = 0  # repro: shape[int]
         self._demand = np.zeros((2, n), dtype=float)  # repro: shape[(2, N) f8]
         self._fraction = np.zeros(1, dtype=float)  # repro: shape[(1,) f8]
         self._noise_address = platform._noise_buf.ctypes.data
         self._tick_bytes = 8 * platform._draws_per_tick
         self._key: tuple | None = None
         self._blocks: list = []
-        self._held: tuple = ()
+        self._held: list = []
 
     def _rebuild(self, platform: FleetPlatform) -> None:
         big = platform.big
         little = platform.little
-        big_blocks = _telemetry_blocks(big)
-        little_blocks = _telemetry_blocks(little)
+        n = platform.n_devices
         qos_app = self.qos_app
         if qos_app is None:
             mode, variability, threads, nominal = QOS_NONE, 0.0, 0.0, 0.0
@@ -840,11 +699,24 @@ class CompiledFleetTick:
             nominal = qos_app.parallel_fraction
         offset = platform._qos_draws
         blocks = []
-        for side in (0, 1):
-            qos, big_busy, little_busy, chip = self._outputs[side]
+        held = []
+        for qos, chip, big_out, little_out in self._outputs:
+            telemetry = [
+                arg_block(
+                    telemetry_args(
+                        fc,
+                        n,
+                        active=fc.active.ctypes.data,
+                        opp=fc.opp_idx.ctypes.data,
+                        power_out=out[1].ctypes.data,
+                        ips_out=out[2].ctypes.data,
+                    )
+                )
+                for fc, out in ((big, big_out), (little, little_out))
+            ]
             block = arg_block(
                 plant_tick_args(
-                    platform.n_devices,
+                    n,
                     qos_mode=mode,
                     variability=variability,
                     threads=threads,
@@ -859,19 +731,20 @@ class CompiledFleetTick:
                     z_stride=platform._noise_buf.shape[1],
                     big_offset=offset,
                     little_offset=offset + big.n_cores + 1,
-                    big_telemetry=big_blocks[side][1],
-                    little_telemetry=little_blocks[side][1],
+                    big_telemetry=telemetry[0].ctypes.data,
+                    little_telemetry=telemetry[1].ctypes.data,
                     qos_out=qos.ctypes.data,
-                    big_busy_out=big_busy.ctypes.data,
-                    little_busy_out=little_busy.ctypes.data,
+                    big_busy_out=big_out[0].ctypes.data,
+                    little_busy_out=little_out[0].ctypes.data,
                     chip_out=chip.ctypes.data,
                 )
             )
             blocks.append((block, block.ctypes.data))
+            held += telemetry
         self._blocks = blocks
-        # The blocks point into the clusters' telemetry blocks: hold
-        # them for as long as these blocks live.
-        self._held = (big_blocks, little_blocks)
+        # The tick blocks point at the telemetry blocks: hold them for
+        # as long as the tick blocks live.
+        self._held = held
         self._key = (big.active, big.opp_idx, little.active, little.opp_idx)
 
     def run(
@@ -897,8 +770,8 @@ class CompiledFleetTick:
             or key[3] is not little.opp_idx
         ):
             self._rebuild(platform)
-        flip = big._out_flip
-        big._out_flip = little._out_flip = 1 - flip
+        flip = self._flip
+        self._flip = 1 - flip
         demand = self._demand
         demand[0] = big_demand
         demand[1] = little_demand
@@ -908,24 +781,14 @@ class CompiledFleetTick:
         block, address = self._blocks[flip]
         block[TICK_Z] = self._noise_address + used * self._tick_bytes
         self._call(address)
-        qos, big_busy, little_busy, chip = self._outputs[flip]
+        qos, chip, big_out, little_out = self._outputs[flip]
         return (
             qos if qos_app is not None else 0.0,
             FleetClusterTelemetry(
-                big.frequency,
-                big.voltage,
-                big.active,
-                big_busy,
-                big._power_bufs[flip],
-                big._ips_bufs[flip],
+                big.frequency, big.voltage, big.active, *big_out
             ),
             FleetClusterTelemetry(
-                little.frequency,
-                little.voltage,
-                little.active,
-                little_busy,
-                little._power_bufs[flip],
-                little._ips_bufs[flip],
+                little.frequency, little.voltage, little.active, *little_out
             ),
             chip,
         )
@@ -956,7 +819,7 @@ def _fleet_content(platform: FleetPlatform) -> tuple:
 # fleet of its own, so one verdict serves every fleet of that content
 # whatever its row count; run_fleet_scenario builds a fresh platform per
 # run, which would otherwise repeat it every run.
-_FLEET_TICK_MEMO: dict[tuple, str | None] = {}
+_FLEET_TICK_MEMO: dict[tuple, tuple[None, str | None]] = {}
 
 
 def _bind_fleet_tick(
@@ -973,20 +836,18 @@ def _bind_fleet_tick(
             f"workload is a {type(qos_app).__name__}, not a QoSWorkload"
         )
     for fc in (platform.big, platform.little):
-        if fc.fused_reason is not None:
-            return None, f"{fc.name} sensors: {fc.fused_reason}"
-    key = _fleet_content(platform)
-    verdict = _FLEET_TICK_MEMO.get(key, _UNBOUND)
-    if verdict is _UNBOUND:
-        try:
-            matches = _probe_fleet_tick(platform, kernel)
-            verdict = None if matches else "differential probe mismatch"
-        except Exception as exc:
-            verdict = f"probe raised {type(exc).__name__}: {exc}"
-        if len(_FLEET_TICK_MEMO) < 256:
-            _FLEET_TICK_MEMO[key] = verdict
-    if verdict is not None:
-        return None, verdict
+        if fc.n_cores + 1 > MAX_SENSORS:
+            return None, (
+                f"{fc.name} sensors: {fc.n_cores + 1} sensors "
+                f"(the kernel reads at most {MAX_SENSORS})"
+            )
+    _, reason = probe_verdict(
+        _FLEET_TICK_MEMO,
+        _fleet_content(platform),
+        lambda: (None, _probe_fleet_tick(platform, kernel)),
+    )
+    if reason is not None:
+        return None, reason
     return CompiledFleetTick(kernel, platform), None
 
 
@@ -995,7 +856,7 @@ def _probe_fleet_tick(platform: FleetPlatform, kernel) -> bool:
     """Differential gate for the compiled fleet tick.
 
     Ticks a scratch fleet of the same workload and configuration through
-    both paths, its clusters reading in numpy: one row per Big OPP and
+    both paths: one row per Big OPP and
     active-core count, Little OPPs and counts drawn per trial,
     background demands that are zero (the scalar 0.0 of a tick with no
     placement) or drawn per row across negative and over-capacity
@@ -1015,8 +876,6 @@ def _probe_fleet_tick(platform: FleetPlatform, kernel) -> bool:
     rows = scratch.n_devices
     big = scratch.big
     little = scratch.little
-    for fc in (big, little):
-        fc.telemetry_kernel = None  # the reference reads in numpy
     tick = CompiledFleetTick(kernel, scratch)
     index = np.arange(rows)
     big.opp_idx[...] = index // n_cores

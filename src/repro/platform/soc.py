@@ -29,6 +29,7 @@ from repro.control.fused import (
     arg_block,
     fused_kernel,
     plant_tick_args,
+    probe_verdict,
     telemetry_args,
     unavailable_reason,
 )
@@ -737,7 +738,7 @@ class CompiledSensors:
 # (_sensor_content).  The probe is deterministic, so identical clusters
 # re-derive the same verdict; run_scenario builds a fresh SoC per run,
 # which would otherwise repeat it every run.
-_SENSOR_MEMO: dict[tuple, tuple[SensorTables, bool]] = {}
+_SENSOR_MEMO: dict[tuple, tuple[SensorTables | None, str | None]] = {}
 
 
 def _bind_sensors(cluster: Cluster) -> tuple[CompiledSensors | None, str | None]:
@@ -750,19 +751,17 @@ def _bind_sensors(cluster: Cluster) -> tuple[CompiledSensors | None, str | None]
         return None, ">= 8 cores (pairwise-sum read)"
     if not batched_noise_eligible(cluster.power_sensor, cluster.pmu_sensors):
         return None, "sensors not plain NoisySensors with positive noise"
-    key = _sensor_content(cluster)
-    memo = _SENSOR_MEMO.get(key)
-    if memo is None:
+
+    def probe():
         tables = SensorTables(cluster)
-        verdict = _probe_sensor_read(
-            cluster, CompiledSensors(kernel, tables, cluster.n_cores)
-        )
-        memo = (tables, verdict)
-        if len(_SENSOR_MEMO) < 256:
-            _SENSOR_MEMO[key] = memo
-    tables, verdict = memo
-    if not verdict:
-        return None, "differential probe mismatch"
+        sensors = CompiledSensors(kernel, tables, cluster.n_cores)
+        return tables, _probe_sensor_read(cluster, sensors)
+
+    tables, reason = probe_verdict(
+        _SENSOR_MEMO, _sensor_content(cluster), probe
+    )
+    if reason is not None:
+        return None, reason
     return CompiledSensors(kernel, tables, cluster.n_cores), None
 
 
@@ -994,22 +993,15 @@ def _bind_tick(soc: ExynosSoC) -> tuple[CompiledTick | None, str | None]:
         _sensor_content(soc.little),
         soc.big.perf_model.f_max_ghz,
     )
-    memo = _TICK_MEMO.get(key)
-    if memo is None:
+
+    def probe():
         peak = None if qos_app is None else qos_rate_table(qos_app, soc.big)
-        try:
-            matches = _probe_tick(
-                soc, CompiledTick(kernel, qos_app, tables, peak)
-            )
-            verdict = None if matches else "differential probe mismatch"
-        except Exception as exc:
-            verdict = f"probe raised {type(exc).__name__}: {exc}"
-        memo = (peak, verdict)
-        if len(_TICK_MEMO) < 256:
-            _TICK_MEMO[key] = memo
-    peak, verdict = memo
-    if verdict is not None:
-        return None, verdict
+        tick = CompiledTick(kernel, qos_app, tables, peak)
+        return peak, _probe_tick(soc, tick)
+
+    peak, reason = probe_verdict(_TICK_MEMO, key, probe)
+    if reason is not None:
+        return None, reason
     return CompiledTick(kernel, qos_app, tables, peak), None
 
 

@@ -1,11 +1,14 @@
 """Repo self-scan: the flow analyzer gates src/repro with zero
 non-baselined findings — the acceptance criterion of the flow gate."""
 
+import ast
 from pathlib import Path
 
 import pytest
 
 from repro.analysis.flow import Baseline, analyze_project, apply_baseline
+from repro.analysis.flow.rules import DEFAULT_HOT_PATH_ALLOWED
+from repro.analysis.lint import STEP_KERNEL_ALLOWED_FUNCTIONS
 
 REPO = Path(__file__).resolve().parents[3]
 SRC_REPRO = REPO / "src" / "repro"
@@ -51,3 +54,23 @@ class TestSelfScan:
                 "_telemetry_with_idle_insertion" in finding.message
                 or "_idle_adjusted_capacity" in finding.message
             )
+
+
+def _defined_function_names(root: Path) -> set[str]:
+    names = set()
+    for path in root.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names.update(
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        )
+    return names
+
+
+def test_allowlisted_functions_exist():
+    # An allowlist entry whose function is gone would silently exempt
+    # any future function that takes its name.
+    defined = _defined_function_names(SRC_REPRO)
+    for allowlist in (DEFAULT_HOT_PATH_ALLOWED, STEP_KERNEL_ALLOWED_FUNCTIONS):
+        assert sorted(allowlist - defined) == []

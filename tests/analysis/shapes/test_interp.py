@@ -79,6 +79,27 @@ class TestPolymorphicCalls:
             )
         ]
 
+    def test_unbound_return_symbol_is_unknown_at_the_call_site(self):
+        # `gains.C` has no tracked shape, so `r` binds to nothing: the
+        # return's `r` is an unknown size, not the caller's `r` or `p`.
+        findings = scan_source(
+            """\
+            import numpy as np
+
+
+            def matvec_rows(matrix, X):
+                # repro: shape[matrix: (r, k) f8; X: (R, k) f8; -> (R, r) f8]
+                return X @ matrix.T
+
+
+            def caller(gains, X, DU, out):
+                # repro: shape[X: (R, n) f8; DU: (R, m) f8; out: (R, p) f8]
+                y = matvec_rows(gains.C, X) + matvec_rows(gains.D, DU)
+                out[:, :] = y
+            """
+        )
+        assert findings == []
+
 
 class TestIntegerContracts:
     def test_lone_int_symbol_binds_polymorphically(self):

@@ -60,10 +60,25 @@ class TestSelfScan:
         import repro.control.fused as fused
 
         functions = parse_c_functions(fused._C_SOURCE)
+        # numpy's refill loop is declared, not defined, in the source:
+        # the one non-static function that is not an entry point.
+        numpy_fill = functions.pop("random_standard_normal_fill")
+        assert [p.decl for p in numpy_fill.params] == [
+            "bitgen_t *",
+            "intptr_t",
+            "double *",
+        ]
+        assert set(functions) >= {
+            "fused_servo_step",
+            "fleet_telemetry",
+            "plant_tick",
+            "opp_snap",
+            "noise_fill",
+        }
         # Each per-call entry point reads one argument block, so its
         # whole ABI is a single pointer to the C ``arg`` union array.
-        for name in ("fused_servo_step", "fleet_telemetry", "opp_snap"):
-            (param,) = functions[name].params
+        for name, function in functions.items():
+            (param,) = function.params
             assert param.kind == "pointer", name
             assert param.decl == "const arg *", name
-            assert functions[name].returns == "void", name
+            assert function.returns == "void", name

@@ -2,9 +2,10 @@
 
 Bit-identity of the fused step itself is the differential harness's job
 (``tests/platform/test_fleet_equivalence.py``).  These tests pin what
-decides *whether* the kernel runs: the reason a servo stays on numpy or
-a fleet cluster reads in numpy, and that every fleet manager's servo
-and every fleet cluster run the kernel wherever it builds.
+decides *whether* the kernel runs: the reason a servo stays on numpy,
+a raising probe's named fallback, and that every fleet manager's servo
+and both fleet clusters (through the fleet's compiled tick) run the
+kernel wherever it builds.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.control import batch as batch_module
 from repro.control.batch import BatchedLQGServo
 from repro.control.fused import fused_kernel, unavailable_reason
 from repro.control.lqg import ActuatorLimits, design_lqg_servo
@@ -25,8 +27,9 @@ from repro.control.statespace import OperatingPoint, StateSpaceModel
 from repro.experiments.figures import MANAGER_NAMES, identified_systems
 from repro.experiments.fleet import fleet_manager_factory
 from repro.managers.base import ManagerGoals
-from repro.platform import fleet as fleet_module
+from repro.platform import soc as soc_module
 from repro.platform.fleet import FleetPlatform
+from repro.platform.soc import ExynosSoC, SoCConfig
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +117,25 @@ class TestFusedReason:
         )
         assert result.stdout.strip() == "disabled"
 
+    def test_raising_servo_probe_names_the_exception(
+        self, kernel, monkeypatch
+    ):
+        def raising(self, *args):
+            raise RuntimeError("kernel call failed")
+
+        monkeypatch.setattr(BatchedLQGServo, "_step_fused", raising)
+        monkeypatch.setattr(batch_module, "_PROBE_MEMO", {})
+        servo = _three_state_servo(4)
+        assert servo.fused_reason == (
+            "probe raised RuntimeError: kernel call failed"
+        )
+        assert servo._fused is None
+        # The numpy step still serves the servo, from the state the
+        # probe restored.
+        reference = _three_state_servo(4)
+        Y = np.full((4, 2), 3.0)
+        assert servo.step(Y).tobytes() == reference._step_numpy(Y).tobytes()
+
 
 class TestFusedCoverage:
     """Every fleet manager's servo and every fleet cluster's sensor read
@@ -136,31 +158,37 @@ class TestFusedCoverage:
         assert all(s._fused is not None for s in servos)
 
     def test_fleet_clusters_read_through_the_kernel(self):
+        # Both clusters read inside the fleet's compiled plant tick.
         platform = FleetPlatform(seeds=tuple(range(1, 10)))
         clusters = (platform.big, platform.little)
         if fused_kernel() is None:
-            assert [c.fused_reason for c in clusters] == [
-                unavailable_reason()
-            ] * 2
+            assert platform.tick_reason == unavailable_reason()
+            assert [c.telemetry_kernel for c in clusters] == [None, None]
             pytest.skip(unavailable_reason())
-        assert [c.fused_reason for c in clusters] == [None, None]
-        assert all(c.telemetry_kernel is not None for c in clusters)
+        assert platform.tick_reason is None
+        assert all(c.telemetry_kernel is fused_kernel() for c in clusters)
 
     def test_raising_telemetry_probe_names_the_exception(
         self, kernel, monkeypatch
     ):
+        # The scalar sensor read's probe: a raising compiled read falls
+        # back to the Python read with the exception named.
         def broken(*args):
             raise RuntimeError("kernel call failed")
 
-        monkeypatch.setattr(fleet_module, "_cluster_telemetry_fused", broken)
-        platform = FleetPlatform(seeds=(1, 2, 3))
-        for cluster in (platform.big, platform.little):
-            assert cluster.telemetry_kernel is None
+        monkeypatch.setattr(soc_module.CompiledSensors, "read", broken)
+        monkeypatch.setattr(soc_module, "_SENSOR_MEMO", {})
+        soc = ExynosSoC(config=SoCConfig(seed=1))
+        for cluster in soc.clusters():
+            assert cluster.compiled_sensors() is None
             assert cluster.fused_reason == (
                 "probe raised RuntimeError: kernel call failed"
             )
-        # The numpy read still serves the run.
-        platform.step()
+        assert soc.tick_reason == (
+            "big sensors: probe raised RuntimeError: kernel call failed"
+        )
+        # The Python read still serves the run.
+        soc.step()
 
 
 class TestCompileRace:

@@ -155,6 +155,31 @@ def test_gain_switch_repoints_the_compiled_step(
             assert _state(fused) == _state(reference)
 
 
+def test_raising_probe_names_the_exception(kernel, systems, monkeypatch):
+    # A compiled step that raises inside the probe falls back to the
+    # numpy step with the exception named, and the servo still steps
+    # from the state the probe restored.
+    system, palette, limits = _palette(systems, "big")
+    op = system.operating_point
+
+    def raising(self, *args):
+        raise RuntimeError("kernel call failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LQGServoController, "_step_fused", raising)
+        patch.setattr(lqg, "_PROBE_MEMO", {})
+        servo = LQGServoController(palette[0], op, limits)
+        assert servo.fused_reason == (
+            "probe raised RuntimeError: kernel call failed"
+        )
+        assert servo._fused is None
+        patch.setattr(lqg, "fused_kernel", lambda: None)
+        reference = LQGServoController(palette[0], op, limits)
+    y = op.y + op.y_scale * 3.0
+    assert servo.step(y).tobytes() == reference.step(y).tobytes()
+    assert _state(servo) == _state(reference)
+
+
 class TestScalarFusedCoverage:
     """Every scalar manager's servo runs the compiled step.
 

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.control.fused import fused_kernel, unavailable_reason
+from repro.control.fused import MAX_SENSORS, fused_kernel, unavailable_reason
 from repro.experiments.figures import (
     MANAGER_NAMES,
     identified_systems,
@@ -420,13 +420,10 @@ def _fleet(workload, n, seed=0):
 
 
 def _numpy_reference(fleet):
-    """A copy of ``fleet``'s content whose clusters read in numpy."""
-    reference = FleetPlatform(
+    """A fresh copy of ``fleet``'s content, for its numpy tick."""
+    return FleetPlatform(
         qos_app=fleet.qos_app, seeds=fleet.seeds, config=fleet.config
     )
-    for fc in (reference.big, reference.little):
-        fc.telemetry_kernel = None
-    return reference
 
 
 def _assert_same_fleet_tick(expected, got):
@@ -579,11 +576,19 @@ class TestFleetFallbacks:
         fleet.step()
 
     def test_cluster_reading_in_numpy(self, kernel, monkeypatch):
-        monkeypatch.setattr(
-            fleet_module, "_probe_cluster_telemetry", lambda fc, k: False
-        )
+        # More sensors than the kernel's row reader holds: that cluster
+        # reads in numpy, so the fleet ticks in numpy.
         fleet = _fleet("x264", 2)
-        assert fleet.tick_reason == "big sensors: differential probe mismatch"
+        monkeypatch.setattr(fleet.little, "n_cores", MAX_SENSORS)
+        assert fleet.tick_reason == (
+            f"little sensors: {MAX_SENSORS + 1} sensors "
+            f"(the kernel reads at most {MAX_SENSORS})"
+        )
+        assert fleet.little.telemetry_kernel is None
+        assert fleet.big.telemetry_kernel is kernel
+        monkeypatch.undo()
+        # The verdict stays bound: the numpy tick serves the fleet.
+        assert fleet.compiled_tick() is None
         fleet.step()
 
     def test_probe_rejects_a_tick_that_differs(self, kernel, monkeypatch):

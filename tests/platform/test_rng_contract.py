@@ -328,11 +328,9 @@ class TestNoiseFillKernel:
         assert rebuilt is not None and rebuilt.noise_fill is None
         fleet = FleetPlatform(qos_app=x264(), seeds=(1, 2))
         assert fleet.fused_reason == reason
-        # The servo, telemetry and snap kernels still run.
-        assert [c.fused_reason for c in (fleet.big, fleet.little)] == [
-            None,
-            None,
-        ]
+        # The servo, plant tick and snap kernels still run.
+        assert fleet.tick_reason is None
+        assert fleet.compiled_tick()._call is rebuilt.plant_tick
         fleet.big.set_frequency(np.full(2, 1.0))
         assert fleet.big.opps._snap_kernel is rebuilt
         assert rebuilt.servo_step is not None
@@ -361,7 +359,8 @@ class TestNoiseFillKernel:
         assert rebuilt.noise_reason == "refill build failed: link failed"
         fleet = FleetPlatform(qos_app=x264(), seeds=(1, 2))
         assert fleet.fused_reason == rebuilt.noise_reason
-        assert fleet.big.telemetry_kernel is rebuilt
+        assert fleet.tick_reason is None
+        assert fleet.compiled_tick()._call is rebuilt.plant_tick
 
     def test_object_key_covers_the_archive(self, monkeypatch, tmp_path):
         first = tmp_path / "a.a"

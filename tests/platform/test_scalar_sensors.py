@@ -6,7 +6,8 @@ cluster's content.  These tests pin that the compiled read reproduces
 the Python reference read in every field (``per_core_ips`` included)
 and consumes the RNG stream identically, that every ineligible cluster
 falls back loudly (``Cluster.fused_reason``), and that the fleet's
-probe still passes with the per-core output left NULL.
+compiled tick, which reads every row through the same kernel row
+reader, passes its probe with the per-core output left NULL.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import three_phase_scenario
 from repro.platform import soc as soc_module
 from repro.platform.faults import FaultModel, inject_power_sensor_fault
-from repro.platform.fleet import FleetPlatform, _probe_cluster_telemetry
+from repro.platform.fleet import FleetPlatform
 from repro.platform.sensors import NoisySensor
 from repro.platform.soc import ExynosSoC, SoCConfig, read_cluster_telemetry
 from repro.workloads import x264
@@ -292,10 +293,11 @@ class TestProbe:
 
     def test_fleet_probe_passes_with_per_core_output_null(self, kernel):
         platform = FleetPlatform(qos_app=x264(), seeds=(1, 2, 3))
-        for fc in (platform.big, platform.little):
-            assert fc.telemetry_kernel is kernel
-            assert _probe_cluster_telemetry(fc, kernel)
-            platform.step()
-            # The per-core pointer is the block's last slot.
-            for block, _ in fc._telemetry_blocks[2]:
-                assert block[-1] == 0
+        assert platform.tick_reason is None
+        platform.step()
+        # Both flips' telemetry blocks of both clusters; the per-core
+        # pointer is a block's last slot.
+        blocks = platform.compiled_tick()._held
+        assert len(blocks) == 4
+        for block in blocks:
+            assert block[-1] == 0
