@@ -23,13 +23,16 @@
 #     the Prescott OpenBLAS kernel (OPENBLAS_CORETYPE): every servo
 #     product runs in one defined reduction order, so its bits must not
 #     depend on the host's BLAS,
-#   * `python -m repro.analysis all` reports a non-baselined error in
-#     any tier (all four share one file walk, one parse and one tree
-#     traversal per module, and one content-hash cache): classic (artifact defects, lint errors,
+#   * `python -m repro.analysis all --strict` reports a non-baselined
+#     error or warning in any tier (all four share one file walk, one
+#     parse and one tree traversal per module, and one content-hash
+#     cache): classic (lint plus architecture: lint findings,
 #     architecture-layer violations), flow (whole-program rules: RNG
 #     provenance, picklability, hot-path purity, unit flow,
-#     frozen-dataclass mutation), models (model-check rules
-#     REPRO-M001..M007 on the committed formal artifacts), or shapes
+#     frozen-dataclass mutation), models (the one artifact checker:
+#     payload rules REPRO-A001..A009, model-check rules
+#     REPRO-M001..M008 and, on policy bundles, gain-set rules
+#     REPRO-G001..G005, on the committed formal artifacts), or shapes
 #     (array contracts REPRO-S000..S005: symbolic shape/dtype abstract
 #     interpretation, out=/view aliasing, ctypes ABI conformance, RNG
 #     draw accounting).  The run also writes the merged
@@ -82,7 +85,7 @@ OPENBLAS_CORETYPE=Prescott python -m pytest -x -q $SERVO_FILES
 
 echo
 echo "== static analysis, all tiers (repro.analysis all) =="
-python -m repro.analysis all --report-dir .
+python -m repro.analysis all --strict --report-dir .
 
 echo
 echo "== resilience fault-campaign smoke =="

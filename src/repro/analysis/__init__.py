@@ -8,9 +8,6 @@ module pass, one command line and one finding/severity/report core.
 * :mod:`repro.analysis.project` — one walk of the inputs, one parse and
   one traversal per module feeding every tier's per-module pass, one
   content-hash cache;
-* :mod:`repro.analysis.artifacts` — validates serialized control
-  artifacts (automaton JSON, policy bundles with LQG gain sets) without
-  running the plant;
 * :mod:`repro.analysis.lint` — repo-specific AST lint (mutable
   defaults, bare excepts, float equality in control math, dtype-less
   numpy allocation in hot paths, missing ``__all__``, unit-suffix
@@ -21,31 +18,24 @@ module pass, one command line and one finding/severity/report core.
   graph + dataflow rules for determinism (RNG provenance), cross-process
   picklability, interprocedural hot-path purity, unit-suffix flow and
   frozen-dataclass mutation;
-* :mod:`repro.analysis.models` — formal model analyzer: symbolic
-  reachability over serialized automata and policy bundles, with
-  shortest counterexample traces for blocking/controllability defects,
-  runtime-monitor consistency and stale-bundle detection
-  (REPRO-M001..M007);
+* :mod:`repro.analysis.models` — the one artifact checker, run without
+  the plant: payload checks on serialized automata (REPRO-A rules),
+  symbolic reachability with shortest counterexample traces for
+  blocking, controllability and closed-loop defects, runtime-monitor
+  consistency and stale-bundle detection (REPRO-M rules), and the LQG
+  gain-set checks of :mod:`repro.analysis.gain_checks` on policy
+  bundles (REPRO-G rules);
 * :mod:`repro.analysis.shapes` — array-contract analyzer: symbolic
   shape/dtype abstract interpretation and ctypes ABI conformance
   (REPRO-S000..S005).
 
-``python -m repro.analysis [paths...]`` runs the classic tier (lint,
-artifacts, architecture); ``flow``, ``models`` and ``shapes`` run one
-other tier and ``all`` runs every tier (see :mod:`repro.analysis.cli`).
+``python -m repro.analysis [paths...]`` runs the classic tier (lint
+and architecture); ``flow``, ``models`` and ``shapes`` run one other
+tier and ``all`` runs every tier (see :mod:`repro.analysis.cli`).
 The exit code is nonzero iff any error-severity finding was produced.
 """
 
 from repro.analysis.arch import ALLOWED_IMPORTS, check_architecture
-from repro.analysis.artifacts import (
-    analyze_automaton_file,
-    analyze_bundle_dir,
-)
-from repro.analysis.automata_checks import (
-    check_automaton_payload,
-    check_modular_alphabets,
-    check_supervisor_against_plant,
-)
 from repro.analysis.cli import analyze_paths, main
 from repro.analysis.project import ModuleCache, ProjectScan, walk
 from repro.analysis.findings import (
@@ -66,14 +56,9 @@ __all__ = [
     "RULE_REGISTRY",
     "Report",
     "Severity",
-    "analyze_automaton_file",
-    "analyze_bundle_dir",
     "analyze_paths",
     "check_architecture",
-    "check_automaton_payload",
     "check_gains",
-    "check_modular_alphabets",
-    "check_supervisor_against_plant",
     "collect_suppressions",
     "filter_findings",
     "known_rule_ids",

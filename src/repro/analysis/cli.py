@@ -3,15 +3,15 @@
 ``python -m repro.analysis [COMMAND] [options] [paths...]`` runs:
 
 * no command — the classic tier: the repo-specific AST lint on every
-  ``*.py`` file, the artifact verifier on every automaton ``*.json``
-  file and policy-bundle directory (``bundle.json`` + ``gains.npz``),
-  and the architecture-layer checker on every walked ``repro`` package
-  tree;
+  ``*.py`` file and the architecture-layer checker on every walked
+  ``repro`` package tree;
 * ``flow`` — the whole-program flow analyzer (call graph + dataflow
   rules REPRO-F001..F005), see :mod:`repro.analysis.flow`;
-* ``models`` — the formal model analyzer (symbolic reachability +
-  counterexample rules REPRO-M001..M007) over automaton files,
-  model-set directories and policy bundles, see
+* ``models`` — the one artifact checker: payload checks
+  (REPRO-A001..A006, A009), model checks with counterexample traces
+  (REPRO-M001..M008) and, on policy bundles, the gain-set checks
+  (REPRO-G001..G005), over automaton files, model-set directories and
+  policy-bundle directories (``bundle.json`` + ``gains.npz``), see
   :mod:`repro.analysis.models`;
 * ``shapes`` — the array-contract analyzer (symbolic shape/dtype
   abstract interpretation + ctypes ABI conformance, rules
@@ -37,7 +37,6 @@ too).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,11 +44,6 @@ from typing import Sequence
 
 from repro.analysis import flow, shapes
 from repro.analysis.arch import check_architecture
-from repro.analysis.artifacts import (
-    analyze_automaton_file,
-    analyze_bundle_dir,
-    looks_like_automaton_payload,
-)
 from repro.analysis.project import (
     DEFAULT_CACHE_DIR,
     Inputs,
@@ -90,14 +84,6 @@ _TIERS = {
 # ----------------------------------------------------------------------
 # The classic tier
 # ----------------------------------------------------------------------
-def _is_automaton_json(path: Path) -> bool:
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        return False
-    return looks_like_automaton_payload(payload)
-
-
 def _package_roots(paths: Sequence[str | Path], inputs: Inputs) -> list[Path]:
     """Directories holding a ``repro`` package: the one each input lies
     in, and every one the walk went through (each counted once)."""
@@ -118,14 +104,9 @@ def _package_roots(paths: Sequence[str | Path], inputs: Inputs) -> list[Path]:
 def analyze_paths(
     paths: Sequence[str | Path], *, scan: ProjectScan | None = None
 ) -> Report:
-    """Lint, artifact and architecture checks over ``paths``.
-
-    JSON files named explicitly are always treated as automaton
-    artifacts; JSON files *discovered* while walking a directory are
-    analyzed only when they have the serialization format's key shape,
-    so unrelated data files (benchmark results, configs) pass through.
-    ``scan`` shares module records with other tiers of the same run.
-    """
+    """Lint and architecture checks over the Python modules under
+    ``paths``; artifacts are the model tier's.  ``scan`` shares module
+    records with other tiers of the same run."""
     scan = scan or ProjectScan()
     inputs = walk(paths)
     report = Report(findings=missing_input_findings(inputs))
@@ -134,15 +115,6 @@ def analyze_paths(
     for record in records:
         report.extend(record.lint_findings)
     report.files_checked = len(records)
-
-    json_files = [
-        f for f in inputs.json if f in inputs.explicit or _is_automaton_json(f)
-    ]
-    for file in json_files:
-        report.extend(analyze_automaton_file(file))
-    for bundle in inputs.bundles:
-        report.extend(analyze_bundle_dir(bundle))
-    report.artifacts_checked = len(json_files) + len(inputs.bundles)
 
     for root in _package_roots(paths, inputs):
         report.extend(check_architecture(root / "repro", scan=scan))
@@ -155,10 +127,10 @@ def analyze_paths(
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis [all|flow|models|shapes]",
-        description="SPECTR static analysis. No command: AST lint, "
-        "artifact verifier, architecture layers. flow: whole-program "
-        "rules. models: model checking of formal artifacts. shapes: "
-        "array contracts. all: every tier, one exit code.",
+        description="SPECTR static analysis. No command: AST lint and "
+        "architecture layers. flow: whole-program rules. models: every "
+        "artifact check (payload, model and gain rules). shapes: array "
+        "contracts. all: every tier, one exit code.",
     )
     parser.add_argument(
         "paths",

@@ -1,6 +1,6 @@
 """Shared finding/severity/report core for all analyzers.
 
-Every analyzer (artifact verifier, AST lint, architecture checker)
+Every analyzer tier (lint and architecture, flow, models, shapes)
 produces a stream of :class:`Finding` objects that one :class:`Report`
 aggregates.  The CLI exit code is derived from the report: any
 error-severity finding fails the run, mirroring how the paper's design
@@ -38,22 +38,17 @@ class Severity(enum.IntEnum):
 RULE_REGISTRY: dict[str, str] = {
     # -- cross-cutting ------------------------------------------------
     "REPRO-C001": "input path does not exist",
-    # -- artifact verifier (repro.analysis.artifacts) -----------------
-    "REPRO-A001": "artifact file unreadable or not valid JSON",
-    "REPRO-A002": "automaton payload fails schema checks",
-    "REPRO-A003": "nondeterministic transition structure",
-    "REPRO-A004": "initial state missing or unreachable structure",
-    "REPRO-A005": "unreachable states",
-    "REPRO-A006": "blocking (non-coaccessible) states",
-    "REPRO-A007": "serialization round-trip mismatch",
-    "REPRO-A008": "modular alphabet inconsistency",
-    "REPRO-A009": "bundle structure invalid",
-    "REPRO-A010": "supervisor not controllable w.r.t. plant",
-    "REPRO-A011": "closed-loop blocking states",
-    "REPRO-A012": "bundle gain set unreadable",
+    # -- payload checks (repro.analysis.models.scan) ------------------
+    "REPRO-A001": "unreadable or malformed artifact, or bad bundle format",
+    "REPRO-A002": "nondeterministic transition",
+    "REPRO-A003": "state not in the state set",
+    "REPRO-A004": "transition references an unknown event",
+    "REPRO-A005": "no initial state",
+    "REPRO-A006": "no marked state",
+    "REPRO-A009": "payload fails to decode or round-trip; no bundle supervisor",
     # -- numeric gain checks (repro.analysis.gain_checks) -------------
-    "REPRO-G001": "gain set has non-finite entries",
-    "REPRO-G002": "gain set shape mismatch",
+    "REPRO-G001": "gain set has non-finite entries or gains.npz unreadable",
+    "REPRO-G002": "gain set shape mismatch or missing",
     "REPRO-G003": "closed-loop eig(A-BK) outside unit circle",
     "REPRO-G004": "observer eig(A-LC) outside unit circle",
     "REPRO-G005": "cost matrices not symmetric PSD/PD",
@@ -86,6 +81,7 @@ RULE_REGISTRY: dict[str, str] = {
     "REPRO-M005": "uncontrollable dead-end into a degraded state",
     "REPRO-M006": "runtime-monitor/model consistency violation",
     "REPRO-M007": "stale persisted supervisor (re-synthesis diverges)",
+    "REPRO-M008": "closed loop (plant || supervisor) blocks",
     # -- array-contract analyzer (repro.analysis.shapes) --------------
     "REPRO-S000": "malformed or dangling shape contract",
     "REPRO-S001": "symbolic shape broadcast/contract mismatch",

@@ -5,17 +5,23 @@ array in a policy bundle — wrong shape, NaN from a failed Riccati solve,
 or a gain that does not stabilize the identified model — produces a
 controller that misbehaves at the 50 ms epoch where it cannot be
 debugged.  These checks reject such a gain file before a manager ever
-loads it, without running the plant.
+loads it, without running the plant: :func:`check_gains` on one gain
+set, :func:`check_bundle_gains` on every set a policy bundle declares
+(the model tier runs it on each bundle unit).
 """
 
 from __future__ import annotations
+
+from pathlib import Path
+from typing import Any, Mapping
 
 import numpy as np
 
 from repro.analysis.findings import Finding, Severity
 from repro.control.lqg import LQGGains
+from repro.core.persistence import BUNDLE_GAINS, gains_from_arrays
 
-__all__ = ["check_gains"]
+__all__ = ["check_bundle_gains", "check_gains"]
 
 # Spectral radii this close to 1.0 get a warning: the gain is nominally
 # stabilizing but has no margin against model uncertainty (the paper
@@ -204,4 +210,58 @@ def _check_symmetric_psd(
                 f"(min eigenvalue {np.min(eigenvalues):.3e})",
             )
         )
+    return findings
+
+
+def check_bundle_gains(
+    directory: Path, manifest: Mapping[str, Any]
+) -> list[Finding]:
+    """:func:`check_gains` on every gain set a bundle manifest declares.
+
+    A declared set that ``gains.npz`` cannot supply is G002; an
+    unreadable ``gains.npz`` is G001.
+    """
+    gains_path = directory / BUNDLE_GAINS
+    subsystems = manifest.get("subsystems") or {}
+    if not subsystems:
+        return []
+    if not gains_path.is_file():
+        return [
+            _finding(
+                str(gains_path),
+                "REPRO-G002",
+                Severity.ERROR,
+                "manifest declares gain sets but gains.npz is missing",
+            )
+        ]
+    try:
+        with np.load(gains_path) as data:
+            arrays = {key: data[key] for key in data.files}
+    except (OSError, ValueError) as exc:
+        return [
+            _finding(
+                str(gains_path),
+                "REPRO-G001",
+                Severity.ERROR,
+                f"unreadable gains.npz: {exc}",
+            )
+        ]
+
+    findings: list[Finding] = []
+    for subsystem, meta in subsystems.items():
+        for gain_name in meta.get("gain_sets", ()):
+            prefix = f"{subsystem}/{gain_name}"
+            try:
+                gains = gains_from_arrays(arrays, prefix, gain_name)
+            except Exception as exc:  # noqa: BLE001 - report, don't crash
+                findings.append(
+                    _finding(
+                        str(gains_path),
+                        "REPRO-G002",
+                        Severity.ERROR,
+                        f"gain set {prefix!r} cannot be reconstructed: {exc}",
+                    )
+                )
+                continue
+            findings.extend(check_gains(gains, f"{gains_path}#{prefix}"))
     return findings

@@ -1,7 +1,8 @@
 """REPRO-M rules: model checks on formal artifacts.
 
-Unlike the A-rules (payload/schema sanity on serialized automata), the
-M-rules model-check the *behaviour*: reachability, blocking, and
+Unlike the A-rules (the loader's payload checks in
+:mod:`repro.analysis.models.scan`), the M-rules model-check the
+*behaviour*: reachability, blocking, and
 controllability verdicts come from the bitset kernel in
 :mod:`repro.automata.symbolic` and every negative verdict carries a
 shortest counterexample event trace, mirroring what Supremica's
@@ -41,6 +42,12 @@ Rules
     supervisor from the bundled plant (and specification when present)
     and compare languages and canonical digests; a divergence means the
     shipped artifact no longer matches what synthesis would produce.
+``REPRO-M008`` (error)
+    Closed-loop blocking: states of ``plant || supervisor`` reachable
+    but unable to reach a marked pair, with a shortest counterexample
+    trace, judged like M002 on the pairs where neither component is
+    forbidden.  A supervisor that is nonblocking on its own can still
+    block the loop it closes (Figure 11 step 5).
 """
 
 from __future__ import annotations
@@ -78,10 +85,10 @@ __all__ = [
     "MAX_PER_RULE",
     "check_alphabet_consistency",
     "check_bundle_freshness",
+    "check_closed_loop",
     "check_event_coverage",
     "check_model",
     "check_monitor_consistency",
-    "check_pair_controllability",
     "check_reachability",
 ]
 
@@ -175,27 +182,15 @@ def check_reachability(
             )
         )
 
-    # Blocking, judged on the non-forbidden subgraph.
-    keep = ~enc.forbidden
-    restricted = restrict_states(enc, keep)
-    tree = forward_search(restricted)
+    tree, blocking, message = _blocking(enc, enc.state_label)
     reach = tree.visited
-    blocking = reach & ~backward_reachable(restricted)
-    if blocking.any():
-        names = sorted(
-            enc.state_label(int(i)) for i in np.flatnonzero(blocking)
-        )
-        witness_target = nearest_state(tree, blocking)
-        trace = witness_trace(restricted, tree, witness_target)
+    if message is not None:
         findings.append(
             _finding(
                 path,
                 "REPRO-M002",
                 Severity.ERROR,
-                f"automaton {automaton.name!r}: {len(names)} blocking "
-                f"state(s) {_names(names)}; shortest counterexample trace "
-                f"to {enc.state_label(witness_target)!r}: "
-                f"{_trace_text(trace)}",
+                f"automaton {automaton.name!r}: {message}",
             )
         )
 
@@ -204,6 +199,26 @@ def check_reachability(
             _uncontrollable_deadends(automaton, path, enc, reach, blocking, tree)
         )
     return findings
+
+
+def _blocking(enc: EncodedAutomaton, label) -> tuple:
+    """Blocking judged on the non-forbidden subgraph: the search tree
+    of that subgraph, the blocking mask, and a message naming the
+    blocking states (``label`` names an index) with a shortest
+    counterexample trace to the nearest one, or ``None``."""
+    restricted = restrict_states(enc, ~enc.forbidden)
+    tree = forward_search(restricted)
+    blocking = tree.visited & ~backward_reachable(restricted)
+    if not blocking.any():
+        return tree, blocking, None
+    names = sorted(label(int(i)) for i in np.flatnonzero(blocking))
+    target = nearest_state(tree, blocking)
+    trace = witness_trace(restricted, tree, target)
+    message = (
+        f"{len(names)} blocking state(s) {_names(names)}; shortest "
+        f"counterexample trace to {label(target)!r}: {_trace_text(trace)}"
+    )
+    return tree, blocking, message
 
 
 def _uncontrollable_deadends(
@@ -263,15 +278,23 @@ def _uncontrollable_deadends(
 
 
 # ----------------------------------------------------------------------
-# M003 — controllability with witness traces
+# M003 / M008 — the closed loop: controllability and nonblocking
 # ----------------------------------------------------------------------
-def check_pair_controllability(
+def check_closed_loop(
     plant: Automaton, supervisor: Automaton, path: str
 ) -> list[Finding]:
-    """M003: every violation of L(S/P) controllability, with traces."""
-    ok, violations = check_controllability(plant, supervisor)
-    if ok:
+    """The pre-deployment verification of Figure 11 steps 4-5: M003,
+    every controllability violation with its witness trace, and M008,
+    the blocking states of the closed loop ``plant || supervisor``.
+
+    Blocking is judged as M002 judges one model, on the pairs where
+    neither component is forbidden: a supervisor that reaches a
+    forbidden state is unsafe, which M007's re-synthesis reports, not
+    blocking.
+    """
+    if not (plant.has_initial and supervisor.has_initial):
         return []
+    _, violations = check_controllability(plant, supervisor)
     findings = [
         _finding(
             path,
@@ -289,6 +312,19 @@ def check_pair_controllability(
                 Severity.ERROR,
                 f"{len(violations) - MAX_PER_RULE} further controllability "
                 "violation(s) elided",
+            )
+        )
+    pair = reachable_product(
+        encode_automaton(plant), encode_automaton(supervisor)
+    )
+    _, _, message = _blocking(pair.product, pair.pair_label)
+    if message is not None:
+        findings.append(
+            _finding(
+                path,
+                "REPRO-M008",
+                Severity.ERROR,
+                f"closed loop (plant || supervisor) blocks: {message}",
             )
         )
     return findings

@@ -1,16 +1,25 @@
-"""Unit discovery and orchestration for the formal model analyzer.
+"""Unit discovery, payload checks and orchestration for the model tier.
 
-The analyzer checks *model-check units*:
+The model tier is the one analyzer that checks artifacts.  It checks
+*model-check units*:
 
 * a single serialized automaton ``*.json`` (role inferred from the file
-  stem: ``plant``, ``specification``/``spec``, ``supervisor``);
-* a policy-bundle directory (``bundle.json`` manifest) — the embedded
-  supervisor/plant automata are extracted straight from the manifest so
-  a bundle with damaged gain arrays can still be model-checked;
+  stem: ``plant``, ``specification``/``spec``, ``supervisor``): one
+  named as an input, one found by walking that has a role-named stem or
+  the serialization format's key shape;
+* a policy-bundle directory (``bundle.json`` manifest): the embedded
+  supervisor/plant automata are extracted straight from the manifest,
+  and every gain set in ``gains.npz`` gets the G-rule gain checks of
+  :mod:`repro.analysis.gain_checks`;
 * a directory holding two or more role-named automaton files — treated
   as one plant/specification/supervisor *model set* so the cross-model
-  rules (M003 controllability, M004 alphabet consistency, M007
+  rules (M003/M008 closed loop, M004 alphabet consistency, M007
   staleness) apply.
+
+Every payload passes the loader's checks before it is decoded (A001
+unreadable or malformed, A002 nondeterministic, A003/A004 unknown state
+or event, A005 no initial state, A006 no marked state) and must
+round-trip after (A009); only a payload that passes is model-checked.
 
 Units are discovered by the analysis package's one walker
 (:func:`repro.analysis.project.walk`).  Each unit is cached by the
@@ -34,15 +43,16 @@ from repro.analysis.project import (
     walk,
 )
 from repro.analysis.findings import Finding, Report, Severity
+from repro.analysis.gain_checks import check_bundle_gains
 from repro.analysis.models.rules import (
     check_alphabet_consistency,
     check_bundle_freshness,
+    check_closed_loop,
     check_model,
-    check_pair_controllability,
 )
 from repro.automata.automaton import Automaton
-from repro.automata.serialization import automaton_from_dict
-from repro.core.persistence import BUNDLE_MANIFEST
+from repro.automata.serialization import automaton_from_dict, automaton_to_dict
+from repro.core.persistence import BUNDLE_FORMAT, BUNDLE_GAINS, BUNDLE_MANIFEST
 
 __all__ = [
     "MODEL_ROLES",
@@ -51,6 +61,8 @@ __all__ = [
     "UnitRecord",
     "analyze_model_set",
     "infer_role",
+    "load_payload",
+    "looks_like_automaton_payload",
     "scan_paths",
     "unit_cache",
 ]
@@ -63,6 +75,10 @@ MODEL_ROLES: dict[str, str] = {
     "spec": "specification",
     "supervisor": "supervisor",
 }
+
+# Keys every serialized automaton carries.
+_REQUIRED_KEYS = ("name", "events", "states", "transitions")
+
 
 def infer_role(stem: str) -> str | None:
     """Canonical model role for a file stem, or ``None``."""
@@ -108,26 +124,185 @@ def _finding(path: str, rule: str, message: str) -> Finding:
     )
 
 
-def _load_automaton_file(
-    path: Path,
-) -> tuple[Automaton | None, list[Finding]]:
-    """Decode one serialized automaton, reusing the A-rule vocabulary."""
+# ----------------------------------------------------------------------
+# The loader: payload checks before decoding
+# ----------------------------------------------------------------------
+def looks_like_automaton_payload(payload: Any) -> bool:
+    """Whether ``payload`` has the serialization format's key shape."""
+    return isinstance(payload, dict) and {
+        "states",
+        "transitions",
+        "events",
+    } <= payload.keys()
+
+
+def _payload_findings(payload: Any, path: str) -> list[Finding]:
+    """A001-A006 on a raw payload: what would make decoding fail or
+    make every model check meaningless."""
+    missing = (
+        [key for key in _REQUIRED_KEYS if key not in payload]
+        if isinstance(payload, dict)
+        else list(_REQUIRED_KEYS)
+    )
+    if missing:
+        return [
+            _finding(
+                path,
+                "REPRO-A001",
+                f"not an automaton payload: missing required key(s) {missing}",
+            )
+        ]
+    name = payload["name"]
+    initial = payload.get("initial")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        events = {entry["name"] for entry in payload["events"]}
+        states = set(payload["states"])
+        transitions = [
+            (source, event, target)
+            for source, event, target in payload["transitions"]
+        ]
+        hash(tuple(transitions))  # every name a transition uses is hashable
+        marked = set(payload.get("marked", ()))
+        declared = (
+            ("initial", set() if initial is None else {initial}),
+            ("marked", marked),
+            ("forbidden", set(payload.get("forbidden", ()))),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        return [
+            _finding(
+                path, "REPRO-A001", f"malformed automaton payload: {exc!r}"
+            )
+        ]
+
+    findings: list[Finding] = []
+    targets: dict[tuple[Any, Any], Any] = {}
+    unknown_states: set[Any] = set()
+    unknown_events: set[Any] = set()
+    for source, event, target in transitions:
+        previous = targets.setdefault((source, event), target)
+        if previous != target:
+            findings.append(
+                _finding(
+                    path,
+                    "REPRO-A002",
+                    f"nondeterministic transition in {name!r}: {source} on "
+                    f"{event!r} goes to both {previous} and {target}",
+                )
+            )
+        unknown_states.update({source, target} - states)
+        if event not in events:
+            unknown_events.add(event)
+    for state in sorted(unknown_states, key=str):
+        findings.append(
+            _finding(
+                path,
+                "REPRO-A003",
+                f"transition references unknown state {state!r}",
+            )
+        )
+    for event in sorted(unknown_events, key=str):
+        findings.append(
+            _finding(
+                path,
+                "REPRO-A004",
+                f"transition references unknown event {event!r}",
+            )
+        )
+
+    if initial is None:
+        findings.append(
+            _finding(
+                path, "REPRO-A005", f"automaton {name!r} has no initial state"
+            )
+        )
+    if not marked:
+        findings.append(
+            _finding(
+                path,
+                "REPRO-A006",
+                f"automaton {name!r} has no marked state — every reachable "
+                "state is blocking by definition",
+            )
+        )
+    for kind, named in declared:
+        for state in sorted(named - states, key=str):
+            findings.append(
+                _finding(
+                    path,
+                    "REPRO-A003",
+                    f"{kind} state {state!r} not in state set",
+                )
+            )
+    return findings
+
+
+def _canonical(payload: Mapping[str, Any]) -> tuple:
+    """Order-insensitive view of an automaton payload."""
+    return (
+        payload.get("name"),
+        frozenset(
+            (
+                e["name"],
+                bool(e.get("controllable", True)),
+                bool(e.get("observable", True)),
+            )
+            for e in payload.get("events", ())
+        ),
+        frozenset(payload.get("states", ())),
+        payload.get("initial"),
+        frozenset(payload.get("marked", ())),
+        frozenset(payload.get("forbidden", ())),
+        frozenset(tuple(t) for t in payload.get("transitions", ())),
+    )
+
+
+def load_payload(
+    payload: Any, path: str
+) -> tuple[Automaton | None, list[Finding]]:
+    """Check a raw automaton payload, then decode it.
+
+    The A001-A006 payload checks run first; a payload that passes is
+    decoded and must serialize back to itself (A009).  The automaton is
+    returned only when every check passed.
+    """
+    findings = _payload_findings(payload, path)
+    if findings:
+        return None, findings
+    try:
+        automaton = automaton_from_dict(payload)
+    except Exception as exc:  # noqa: BLE001 - any load failure is a finding
+        return None, [
+            _finding(path, "REPRO-A009", f"payload fails to decode: {exc}")
+        ]
+    if _canonical(automaton_to_dict(automaton)) != _canonical(payload):
+        return None, [
+            _finding(
+                path,
+                "REPRO-A009",
+                "serialization round-trip mismatch: re-serializing the "
+                "loaded automaton does not reproduce the payload",
+            )
+        ]
+    return automaton, []
+
+
+def _read_json(path: Path) -> tuple[Any, list[Finding]]:
+    try:
+        return json.loads(path.read_text(encoding="utf-8")), []
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         return None, [
             _finding(str(path), "REPRO-A001", f"unreadable JSON: {exc}")
         ]
-    try:
-        return automaton_from_dict(payload), []
-    except Exception as exc:
-        return None, [
-            _finding(
-                str(path),
-                "REPRO-A002",
-                f"automaton payload fails to decode: {exc}",
-            )
-        ]
+
+
+def _load_automaton_file(
+    path: Path,
+) -> tuple[Automaton | None, list[Finding]]:
+    payload, errors = _read_json(path)
+    if errors:
+        return None, errors
+    return load_payload(payload, str(path))
 
 
 # ----------------------------------------------------------------------
@@ -163,7 +338,7 @@ def analyze_model_set(
     plant = normalized.get("plant")
     supervisor = normalized.get("supervisor")
     if plant is not None and supervisor is not None:
-        findings.extend(check_pair_controllability(plant, supervisor, path))
+        findings.extend(check_closed_loop(plant, supervisor, path))
         if resynthesize:
             findings.extend(
                 check_bundle_freshness(
@@ -248,53 +423,34 @@ def _analyze_bundle_unit(
     directory: Path, *, resynthesize: bool
 ) -> tuple[list[Finding], int, bool]:
     manifest_path = directory / BUNDLE_MANIFEST
-    try:
-        manifest: Any = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return (
-            [
-                _finding(
-                    str(manifest_path),
-                    "REPRO-A001",
-                    f"unreadable manifest: {exc}",
-                )
-            ],
-            0,
-            False,
-        )
-    if not isinstance(manifest, dict) or "supervisor" not in manifest:
-        return (
-            [
-                _finding(
-                    str(manifest_path),
-                    "REPRO-A009",
-                    "bundle manifest has no supervisor payload",
-                )
-            ],
-            0,
-            False,
+    anchor = str(manifest_path)
+    manifest, errors = _read_json(manifest_path)
+    if errors:
+        return errors, 0, False
+    found = manifest.get("format") if isinstance(manifest, dict) else None
+    if found != BUNDLE_FORMAT:
+        message = f"unsupported bundle format {found!r}"
+        return [_finding(anchor, "REPRO-A001", message)], 0, False
+    findings: list[Finding] = []
+    if manifest.get("supervisor") is None:
+        findings.append(
+            _finding(
+                anchor, "REPRO-A009", "bundle manifest has no supervisor payload"
+            )
         )
     models: dict[str, Automaton] = {}
-    findings: list[Finding] = []
     for role in ("supervisor", "plant"):
         payload = manifest.get(role)
         if payload is None:
             continue
-        try:
-            models[role] = automaton_from_dict(payload)
-        except Exception as exc:
-            findings.append(
-                _finding(
-                    str(manifest_path),
-                    "REPRO-A002",
-                    f"bundle {role} payload fails to decode: {exc}",
-                )
-            )
+        automaton, errors = load_payload(payload, f"{anchor}#{role}")
+        findings.extend(errors)
+        if automaton is not None:
+            models[role] = automaton
     findings.extend(
-        analyze_model_set(
-            models, path=str(manifest_path), resynthesize=resynthesize
-        )
+        analyze_model_set(models, path=anchor, resynthesize=resynthesize)
     )
+    findings.extend(check_bundle_gains(directory, manifest))
     return _set_result(findings, models, resynthesize=resynthesize)
 
 
@@ -306,8 +462,9 @@ def _units(paths: Sequence[str | Path]) -> tuple[list, list[Finding]]:
 
     A JSON file named as an input is one model file; a walked directory
     holding two or more role-named JSON files is one model set, one
-    holding a single role-named file a model file; a policy bundle is
-    one unit.
+    holding a single role-named file a model file; any other walked
+    JSON file is a model file when it has the automaton key shape, so
+    unrelated data files pass through; a policy bundle is one unit.
     """
     inputs = walk(paths)
     groups: dict[Path, list[Path]] = {}
@@ -316,6 +473,8 @@ def _units(paths: Sequence[str | Path]) -> tuple[list, list[Finding]]:
             groups[file] = [file]
         elif infer_role(file.stem) is not None:
             groups.setdefault(file.parent, []).append(file)
+        elif looks_like_automaton_payload(_read_json(file)[0]):
+            groups[file] = [file]
     units: list[tuple[str, Sequence[Path], Any]] = []
     for key, members in groups.items():
         if len(members) >= 2:
@@ -323,9 +482,8 @@ def _units(paths: Sequence[str | Path]) -> tuple[list, list[Finding]]:
         else:
             units.append((str(members[0]), members, _analyze_model_file))
     for directory in inputs.bundles:
-        units.append(
-            (str(directory), (directory / BUNDLE_MANIFEST,), _analyze_bundle_unit)
-        )
+        content = (directory / BUNDLE_MANIFEST, directory / BUNDLE_GAINS)
+        units.append((str(directory), content, _analyze_bundle_unit))
     return units, missing_input_findings(inputs)
 
 

@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Iterable
 
 from repro import __version__
-from repro.analysis.artifacts import looks_like_bundle_dir
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.flow.symbols import (
     ModuleAnalysis,
@@ -68,6 +67,7 @@ __all__ = [
     "ProjectScan",
     "SKIP_DIRS",
     "TreeIndex",
+    "looks_like_bundle_dir",
     "missing_input_findings",
     "scan_source",
     "skipped",
@@ -88,6 +88,11 @@ SKIP_DIRS = frozenset({"__pycache__", "results", "output"})
 def skipped(name: str) -> bool:
     """Whether a walk skips the directory entry called ``name``."""
     return name in SKIP_DIRS or name.startswith(".")
+
+
+def looks_like_bundle_dir(path: Path) -> bool:
+    """Whether ``path`` is a policy-bundle directory (has a manifest)."""
+    return path.is_dir() and (path / BUNDLE_MANIFEST).is_file()
 
 
 @dataclass

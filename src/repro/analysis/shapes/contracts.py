@@ -201,10 +201,10 @@ def parse_spec(text: str) -> Spec:
         text = text[: opt_match.start()].strip()
         optional = True
 
-    rng_budget: Optional[Dim] = None
+    draw_count: Optional[Dim] = None
     rng_match = re.search(r"!rng\[(?P<dim>[^\]]*)\]", text)
     if rng_match:
-        rng_budget = parse_dim_expr(rng_match.group("dim"))
+        draw_count = parse_dim_expr(rng_match.group("dim"))
         text = (text[: rng_match.start()] + text[rng_match.end() :]).strip()
 
     if text.startswith("("):
@@ -240,10 +240,10 @@ def parse_spec(text: str) -> Spec:
             kind="array",
             shape=dims,
             dtype=dtype,
-            rng_budget=rng_budget,
+            rng_budget=draw_count,
             optional=optional,
         )
-    if rng_budget is not None:
+    if draw_count is not None:
         raise ContractError("!rng[...] applies only to array specs")
 
     int_match = re.match(r"^int\[(?P<dim>.*)\]$", text)

@@ -392,13 +392,13 @@ def join_values(a: Value, b: Value) -> Value:
             shape = a.shape if a.shape == b.shape else None
         dtype = a.dtype if a.dtype == b.dtype else DTYPE_UNKNOWN
         view = a.view if a.view == b.view else None
-        budget = a.rng_budget if a.rng_budget == b.rng_budget else None
+        draws = a.rng_budget if a.rng_budget == b.rng_budget else None
         return ArrayV(
             shape=shape,
             dtype=dtype,
             buffers=a.buffers | b.buffers,
             view=view,
-            rng_budget=budget,
+            rng_budget=draws,
         )
     if isinstance(a, IntV) and isinstance(b, IntV):
         return a if a.dim == b.dim else IntV(fresh_dim())

@@ -128,14 +128,14 @@ _NON_ELEMENTWISE = frozenset({"matmul", "matvec", "vecmat", "dot"})
 
 
 def _new_array(
-    shape, dtype: str, *, view: Optional[str] = None, budget=None
+    shape, dtype: str, *, view: Optional[str] = None, draws=None
 ) -> ArrayV:
     return ArrayV(
         shape=shape,
         dtype=dtype,
         buffers=frozenset({fresh_buffer()}),
         view=view,
-        rng_budget=budget,
+        rng_budget=draws,
     )
 
 

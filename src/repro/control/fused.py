@@ -1147,25 +1147,30 @@ def servo_block(
 _MEMO_SIZE = 256
 
 
-def probe_verdict(memo: dict, key, probe) -> tuple:
-    """A differential probe's verdict on content ``key``, memoized in
-    ``memo``: ``(value, reason)``.
+def _run_probe(probe) -> tuple:
+    """Run a differential probe once: ``(value, reason)``.
 
     ``probe()`` returns ``(value, matches)``: whatever the caller builds
     on the way and keeps with the verdict (``None`` if nothing), and
     whether the kernel reproduced its reference bit for bit.  ``reason``
     is ``None`` on a match, ``"differential probe mismatch"`` otherwise,
     or ``"probe raised <Type>: <msg>"`` (value ``None``) when the probe
-    raised.  Probes are deterministic in their key, so a verdict is
-    computed once per content, up to the first 256 contents.
+    raised.
     """
+    try:
+        value, matches = probe()
+        return value, None if matches else "differential probe mismatch"
+    except Exception as exc:
+        return None, f"probe raised {type(exc).__name__}: {exc}"
+
+
+def probe_verdict(memo: dict, key, probe) -> tuple:
+    """:func:`_run_probe`'s verdict on content ``key``, memoized in
+    ``memo``.  Probes are deterministic in their key, so a verdict is
+    computed once per content, up to the first 256 contents."""
     entry = memo.get(key)
     if entry is None:
-        try:
-            value, matches = probe()
-            entry = (value, None if matches else "differential probe mismatch")
-        except Exception as exc:
-            entry = (None, f"probe raised {type(exc).__name__}: {exc}")
+        entry = _run_probe(probe)
         if len(memo) < _MEMO_SIZE:
             memo[key] = entry
     return entry
@@ -1179,9 +1184,11 @@ def _probe_noise_fill(kernel: FusedKernel) -> str | None:
     """Differential gate for ``noise_fill``: refills generators of a
     few seeds twice and requires every value, and each generator's next
     draw, to equal ``Generator.standard_normal`` on twins of the same
-    seeds.  Returns ``None`` on a match, else why not."""
-    count = 37
-    try:
+    seeds.  Returns :func:`_run_probe`'s reason: ``None`` on a match,
+    else why not."""
+
+    def probe() -> tuple[None, bool]:
+        count = 37
         fast = [np.random.default_rng(seed) for seed in _NOISE_PROBE_SEEDS]
         slow = [np.random.default_rng(seed) for seed in _NOISE_PROBE_SEEDS]
         out = np.empty((len(fast), count))
@@ -1191,13 +1198,13 @@ def _probe_noise_fill(kernel: FusedKernel) -> str | None:
             kernel.noise_fill(block.ctypes.data)
             for row, rng in zip(out, slow):
                 if not np.array_equal(row, rng.standard_normal(count)):
-                    return "differential probe mismatch"
-        for a, b in zip(fast, slow):
-            if a.standard_normal() != b.standard_normal():
-                return "differential probe mismatch"
-    except Exception as exc:
-        return f"probe raised {type(exc).__name__}: {exc}"
-    return None
+                    return None, False
+        return None, all(
+            a.standard_normal() == b.standard_normal()
+            for a, b in zip(fast, slow)
+        )
+
+    return _run_probe(probe)[1]
 
 
 def _describe(error: Exception) -> str:

@@ -25,6 +25,8 @@ from repro.control.lqg import LQGGains
 from repro.control.statespace import OperatingPoint, StateSpaceModel
 
 BUNDLE_MANIFEST = "bundle.json"
+BUNDLE_GAINS = "gains.npz"
+BUNDLE_FORMAT = "spectr-policy-bundle/1"
 
 
 class BundleError(RuntimeError):
@@ -111,7 +113,7 @@ def save_bundle(bundle: PolicyBundle, directory: str | Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
 
     manifest: dict = {
-        "format": "spectr-policy-bundle/1",
+        "format": BUNDLE_FORMAT,
         "supervisor": automaton_to_dict(bundle.supervisor),
         "plant": (
             automaton_to_dict(bundle.plant)
@@ -141,7 +143,7 @@ def save_bundle(bundle: PolicyBundle, directory: str | Path) -> Path:
     (directory / BUNDLE_MANIFEST).write_text(
         json.dumps(manifest, indent=2)
     )
-    np.savez(directory / "gains.npz", **arrays)
+    np.savez(directory / BUNDLE_GAINS, **arrays)
     return directory
 
 
@@ -155,7 +157,7 @@ def load_bundle(directory: str | Path) -> PolicyBundle:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise BundleError(f"corrupt manifest: {exc}") from exc
-    if manifest.get("format") != "spectr-policy-bundle/1":
+    if manifest.get("format") != BUNDLE_FORMAT:
         raise BundleError(
             f"unsupported bundle format {manifest.get('format')!r}"
         )
@@ -165,7 +167,7 @@ def load_bundle(directory: str | Path) -> PolicyBundle:
         if manifest.get("plant") is not None
         else None
     )
-    with np.load(directory / "gains.npz") as data:
+    with np.load(directory / BUNDLE_GAINS) as data:
         arrays = {key: data[key] for key in data.files}
 
     libraries: dict[str, GainLibrary] = {}

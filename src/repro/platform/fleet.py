@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.control.fused import (
-    MAX_SENSORS,
     QOS_NONE,
     QOS_QUIET,
     QOS_STANDARD_NORMAL,
@@ -168,12 +167,12 @@ class FleetCluster:
 
     @property
     def telemetry_kernel(self):
-        """The kernel when the compiled tick can read this cluster
-        (its sensors fit ``MAX_SENSORS``), else ``None``; no probe runs.
+        """The kernel the compiled tick reads this cluster with, or
+        ``None`` when it is not loaded; no probe runs.  Every fleet
+        cluster's sensors fit the kernel's reader, since
+        ``fleet_sensor_layout`` rejects clusters of 8 or more cores.
         Kept only for the benchmark suite's run record, which reads it;
         it goes once the suite reads ``tick_reason`` (ROADMAP item 12)."""
-        if self.n_cores + 1 > MAX_SENSORS:
-            return None
         return fused_kernel()
 
     def set_frequency(self, requests: np.ndarray) -> np.ndarray:
@@ -835,12 +834,6 @@ def _bind_fleet_tick(
         return None, (
             f"workload is a {type(qos_app).__name__}, not a QoSWorkload"
         )
-    for fc in (platform.big, platform.little):
-        if fc.n_cores + 1 > MAX_SENSORS:
-            return None, (
-                f"{fc.name} sensors: {fc.n_cores + 1} sensors "
-                f"(the kernel reads at most {MAX_SENSORS})"
-            )
     _, reason = probe_verdict(
         _FLEET_TICK_MEMO,
         _fleet_content(platform),

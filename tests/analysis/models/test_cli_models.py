@@ -2,10 +2,14 @@
 
 import json
 
+import pytest
+
 from repro.analysis.cli import main
+from repro.analysis.models.scan import scan_paths
 from repro.automata.automaton import automaton_from_table
 from repro.automata.events import Alphabet, controllable, uncontrollable
 from repro.automata.serialization import automaton_to_dict
+from repro.core.persistence import BUNDLE_FORMAT
 from tests.analysis.models.conftest import write_model
 
 SIGMA = Alphabet.of([controllable("go"), uncontrollable("fault")])
@@ -136,7 +140,7 @@ class TestModelsCli:
         bundle = tmp_path / "bundle"
         bundle.mkdir()
         manifest = {
-            "schema": "policy-bundle/1",
+            "format": BUNDLE_FORMAT,
             "supervisor": automaton_to_dict(_clean_plant()),
         }
         (bundle / "bundle.json").write_text(
@@ -151,18 +155,22 @@ class TestModelsCli:
     ):
         bundle = tmp_path / "bundle"
         bundle.mkdir()
-        (bundle / "bundle.json").write_text("{}", encoding="utf-8")
+        (bundle / "bundle.json").write_text(
+            json.dumps({"format": BUNDLE_FORMAT}), encoding="utf-8"
+        )
         monkeypatch.chdir(tmp_path)
         assert main(["models", "--no-cache", "bundle"]) == 1
         assert "REPRO-A009" in capsys.readouterr().out
 
-    def test_undecodable_model_is_a002(self, tmp_path, monkeypatch, capsys):
+    def test_undecodable_model_is_a001(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "models" / "plant.json"
         path.parent.mkdir(parents=True)
         path.write_text('{"name": "broken"}', encoding="utf-8")
         monkeypatch.chdir(tmp_path)
         assert main(["models", "--no-cache", "models"]) == 1
-        assert "REPRO-A002" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "REPRO-A001" in out
+        assert "missing required key(s)" in out
 
     def test_dispatch_through_analysis_main(
         self, tmp_path, monkeypatch, capsys
@@ -170,3 +178,69 @@ class TestModelsCli:
         _chdir_with(tmp_path, monkeypatch, _clean_plant())
         assert main(["models", "--no-cache", "models"]) == 0
         assert "artifacts checked" in capsys.readouterr().out
+
+
+class TestPayloadGate:
+    """Payload defects the loader rejects before decoding: each fails
+    the model tier with its A-rule."""
+
+    @pytest.mark.parametrize(
+        ("overrides", "rule", "text"),
+        [
+            (
+                {"marked": ["P0", "Ghost"]},
+                "REPRO-A003",
+                "marked state 'Ghost'",
+            ),
+            (
+                {"forbidden": ["Ghost"]},
+                "REPRO-A003",
+                "forbidden state 'Ghost'",
+            ),
+            ({"initial": "Ghost"}, "REPRO-A003", "initial state 'Ghost'"),
+            (
+                {"initial": None},
+                "REPRO-A005",
+                "automaton 'P' has no initial state",
+            ),
+        ],
+    )
+    def test_bad_state_declaration_fails(
+        self, tmp_path, monkeypatch, capsys, overrides, rule, text
+    ):
+        payload = {**automaton_to_dict(_clean_plant()), **overrides}
+        path = tmp_path / "models" / "plant.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["models", "--no-cache", "models"]) == 1
+        out = capsys.readouterr().out
+        assert f"error: {rule}: {text}" in out
+
+    def test_blocking_closed_loop_is_m008_without_resynthesis(self, tmp_path):
+        # The supervisor follows 'fault' but never re-enables 'go': it is
+        # nonblocking alone (S1 is marked) and controllable ('go' is
+        # controllable), yet the loop is stuck at P1.S1.
+        plant = automaton_from_table(
+            "P",
+            SIGMA,
+            [("P0", "fault", "P1"), ("P1", "go", "P0")],
+            initial="P0",
+            marked=["P0"],
+        )
+        supervisor = automaton_from_table(
+            "S",
+            SIGMA,
+            [("S0", "fault", "S1")],
+            initial="S0",
+            marked=["S0", "S1"],
+        )
+        write_model(tmp_path / "unit" / "plant.json", plant)
+        write_model(tmp_path / "unit" / "supervisor.json", supervisor)
+        result = scan_paths([tmp_path / "unit"], resynthesize=False)
+        (finding,) = result.report.errors
+        assert finding.rule == "REPRO-M008"
+        assert finding.message == (
+            "closed loop (plant || supervisor) blocks: 1 blocking state(s) "
+            "['P1.S1']; shortest counterexample trace to 'P1.S1': [fault]"
+        )

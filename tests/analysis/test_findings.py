@@ -1,6 +1,14 @@
 """Tests for the shared Finding/Severity/Report core."""
 
-from repro.analysis.findings import Finding, Report, Severity
+import ast
+import re
+from pathlib import Path
+
+import repro.analysis
+from repro.analysis.findings import RULE_REGISTRY, Finding, Report, Severity
+
+ANALYSIS = Path(repro.analysis.__file__).parent
+RULE_ID = re.compile(r"REPRO-[A-Z]\d{3}")
 
 
 def finding(severity, line=3, rule="REPRO-X001", path="src/mod.py"):
@@ -68,3 +76,39 @@ class TestReport:
         text = report.format_text(min_severity=Severity.ERROR)
         assert "error" in text
         assert "warning" not in text.splitlines()[0]
+
+
+def _docstrings(tree):
+    owners = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(tree):
+        if isinstance(node, owners) and ast.get_docstring(node) is not None:
+            yield node.body[0].value
+
+
+class TestRuleRegistry:
+    def test_every_rule_id_in_the_analyzers_is_registered(self):
+        mentioned = {
+            rule
+            for path in ANALYSIS.rglob("*.py")
+            for rule in RULE_ID.findall(path.read_text(encoding="utf-8"))
+        }
+        assert mentioned - RULE_REGISTRY.keys() == set()
+
+    def test_every_registered_rule_is_emitted(self):
+        # An emitted id is a string constant in code, not in a docstring
+        # and not in the registry itself.
+        emitted = set()
+        for path in ANALYSIS.rglob("*.py"):
+            if path.name == "findings.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            docs = set(map(id, _docstrings(tree)))
+            emitted.update(
+                node.value
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and id(node) not in docs
+                and RULE_ID.fullmatch(node.value)
+            )
+        assert RULE_REGISTRY.keys() - emitted == set()

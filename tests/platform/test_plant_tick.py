@@ -45,8 +45,11 @@ from repro.platform.faults import (
     inject_power_sensor_fault,
 )
 from repro.platform.fleet import FleetPlatform
+from repro.platform.opp import big_cluster_opps
+from repro.platform.perf import big_cluster_perf_model
+from repro.platform.power import big_cluster_power_model
 from repro.platform.sensors import NoisySensor
-from repro.platform.soc import ExynosSoC, SoCConfig
+from repro.platform.soc import Cluster, ExynosSoC, PlatformError, SoCConfig
 from repro.workloads import canneal, x264
 from repro.workloads.base import QoSWorkload
 
@@ -575,21 +578,23 @@ class TestFleetFallbacks:
         assert fleet.tick_reason == "workload is a _Twin, not a QoSWorkload"
         fleet.step()
 
-    def test_cluster_reading_in_numpy(self, kernel, monkeypatch):
-        # More sensors than the kernel's row reader holds: that cluster
-        # reads in numpy, so the fleet ticks in numpy.
-        fleet = _fleet("x264", 2)
-        monkeypatch.setattr(fleet.little, "n_cores", MAX_SENSORS)
-        assert fleet.tick_reason == (
-            f"little sensors: {MAX_SENSORS + 1} sensors "
-            f"(the kernel reads at most {MAX_SENSORS})"
-        )
-        assert fleet.little.telemetry_kernel is None
-        assert fleet.big.telemetry_kernel is kernel
-        monkeypatch.undo()
-        # The verdict stays bound: the numpy tick serves the fleet.
-        assert fleet.compiled_tick() is None
-        fleet.step()
+    def test_accepted_clusters_fit_the_sensor_reader(self):
+        # The fleet accepts clusters of at most 7 cores, so the kernel's
+        # row reader (MAX_SENSORS) holds every fleet cluster's sensors.
+        def cluster(n_cores):
+            return Cluster(
+                "big",
+                n_cores=n_cores,
+                opps=big_cluster_opps(),
+                power_model=big_cluster_power_model(),
+                perf_model=big_cluster_perf_model(),
+            )
+
+        with pytest.raises(PlatformError, match="8 cores"):
+            soc_module.fleet_sensor_layout(cluster(8))
+        largest = cluster(7)
+        soc_module.fleet_sensor_layout(largest)
+        assert largest.n_cores + 1 <= MAX_SENSORS
 
     def test_probe_rejects_a_tick_that_differs(self, kernel, monkeypatch):
         original = fleet_module.CompiledFleetTick.run

@@ -1,13 +1,15 @@
 """End-to-end gate: run ``python -m repro.analysis`` in-process.
 
-The same invocation ``scripts/check.sh`` wires into CI: the repo's own
-``src/`` tree must come back clean, and the seeded bad-artifact fixtures
-must fail with a ``file:line`` finding.
+The same invocations ``scripts/check.sh`` wires into CI: the repo's own
+``src/`` tree must come back clean from the classic tier (lint and
+architecture) and from ``all``, and the seeded bad-artifact fixtures
+must fail the model tier with a ``file:line`` finding.
 """
 
 from pathlib import Path
 
 from repro.analysis.cli import analyze_paths, main
+from repro.analysis.findings import Severity
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "analysis" / "fixtures"
@@ -24,29 +26,45 @@ class TestCleanTree:
         assert report.ok
         assert report.files_checked > 50
         assert report.errors == ()
+        assert report.count(Severity.WARNING) == 0
+
+    def test_every_tier_on_src_and_artifacts_exits_zero(
+        self, monkeypatch, capsys
+    ):
+        # The committed case study's forbidden Threshold.Locked state is
+        # not blocking, and each tier's committed baseline applies.
+        monkeypatch.chdir(REPO)
+        assert main(["all", "--no-cache", "src", "artifacts"]) == 0
+        merged = capsys.readouterr().out.splitlines()[-1].split()
+        # merged, files, errors, warnings, notes
+        assert merged[0] == "merged"
+        assert merged[2:] == ["0", "0", "0"]
 
 
 class TestSeededBadArtifacts:
     def test_nondeterministic_automaton_fails_with_location(self, capsys):
         path = FIXTURES / "nondeterministic_automaton.json"
-        assert main([str(path)]) == 1
+        assert main(["models", "--no-cache", str(path)]) == 1
         out = capsys.readouterr().out
         assert f"{path}:1: error: REPRO-A002" in out
 
     def test_alphabet_mismatch_bundle_fails(self, capsys):
         bundle = FIXTURES / "alphabet_mismatch_bundle"
-        assert main([str(bundle)]) == 1
+        assert main(["models", "--no-cache", str(bundle)]) == 1
         out = capsys.readouterr().out
-        assert "REPRO-A010" in out
-        assert "1 errors" in out
+        assert "REPRO-M004" in out
+        # The second error is M007's re-synthesis, which the conflicting
+        # alphabet makes fail.
+        assert "REPRO-M007" in out
+        assert "2 errors" in out
 
     def test_fixture_dir_is_discovered_by_walking(self, capsys):
         # Walking the directory (not naming files) must still find both
         # seeded artifacts: one automaton JSON + one bundle dir.
-        assert main([str(FIXTURES)]) == 1
+        assert main(["models", "--no-cache", str(FIXTURES)]) == 1
         out = capsys.readouterr().out
         assert "REPRO-A002" in out
-        assert "REPRO-A010" in out
+        assert "REPRO-M004" in out
 
 
 class TestSeverityGating:
