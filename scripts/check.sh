@@ -40,6 +40,9 @@
 #   * `python -m repro.resilience --smoke` records an invariant
 #     violation (the fault-campaign smoke: SPECTR under every sensor
 #     and actuator fault kind must stay on the verified envelope),
+#   * `python -m repro.exec sweep tdp`, `sweep qos` or `ablations`
+#     (uncached) fails: every sweep and ablation cell runs through the
+#     experiment engine, so each front door runs end to end once,
 #   * `python -m repro.exec chaos --smoke` diverges (the campaign
 #     runtime's own fault drill: a seeded worker-kill + hang +
 #     cache-corruption storm, interrupted and resumed once, must
@@ -90,6 +93,12 @@ python -m repro.analysis all --strict --report-dir .
 echo
 echo "== resilience fault-campaign smoke =="
 python -m repro.resilience --smoke
+
+echo
+echo "== experiment front doors (sweeps and ablations, uncached) =="
+python -m repro.exec sweep tdp --no-cache
+python -m repro.exec sweep qos --no-cache
+python -m repro.exec ablations --no-cache
 
 echo
 echo "== chaos smoke (campaign-runtime fault drill) =="

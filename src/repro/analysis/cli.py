@@ -4,7 +4,8 @@
 
 * no command — the classic tier: the repo-specific AST lint on every
   ``*.py`` file and the architecture-layer checker on every walked
-  ``repro`` package tree;
+  ``repro`` package tree; a named input that holds no ``*.py`` file is
+  an error (REPRO-C001), since artifacts are the model tier's;
 * ``flow`` — the whole-program flow analyzer (call graph + dataflow
   rules REPRO-F001..F005), see :mod:`repro.analysis.flow`;
 * ``models`` — the one artifact checker: payload checks
@@ -189,6 +190,24 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _no_module_findings(paths: Sequence[str]) -> list[Finding]:
+    """The classic tier checks Python only, so an input that holds no
+    module would pass unchecked: most likely an artifact meant for the
+    model tier."""
+    return [
+        Finding(
+            path=str(path),
+            line=0,
+            rule="REPRO-C001",
+            severity=Severity.ERROR,
+            message="input holds no Python module; check artifacts with "
+            "`python -m repro.analysis models`",
+        )
+        for path in map(Path, paths)
+        if path.exists() and not walk([path]).python
+    ]
+
+
 def _default_roots(tier: str) -> list[str]:
     candidate = "artifacts" if tier == "models" else "src"
     return [candidate] if Path(candidate).is_dir() else ["."]
@@ -266,6 +285,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     for tier in tiers:
         roots = args.paths or _default_roots(tier)
         report, stats = _run_tier(tier, roots, scan, models_cache)
+        if command == "classic":
+            report.extend(_no_module_findings(args.paths))
         baseline = args.baseline or _TIERS[tier].baseline
         if args.write_baseline:
             count = write_baseline(sorted(report.findings), baseline)

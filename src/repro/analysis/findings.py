@@ -37,7 +37,7 @@ class Severity(enum.IntEnum):
 # silently disable nothing.
 RULE_REGISTRY: dict[str, str] = {
     # -- cross-cutting ------------------------------------------------
-    "REPRO-C001": "input path does not exist",
+    "REPRO-C001": "input path does not exist or holds nothing to check",
     # -- payload checks (repro.analysis.models.scan) ------------------
     "REPRO-A001": "unreadable or malformed artifact, or bad bundle format",
     "REPRO-A002": "nondeterministic transition",

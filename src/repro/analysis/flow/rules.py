@@ -40,10 +40,10 @@ from repro.analysis.findings import Finding, Severity
 from repro.analysis.flow.callgraph import CallGraph, ProjectIndex
 from repro.analysis.flow.dataflow import suffix_family, suffix_of
 from repro.analysis.flow.symbols import MODULE_SCOPE, FunctionFacts
+from repro.analysis.lint import STEP_KERNEL_ALLOWED_FUNCTIONS
 
 __all__ = [
     "DEFAULT_ENTRY_POINTS",
-    "DEFAULT_HOT_PATH_ALLOWED",
     "DEFAULT_PICKLE_ROOTS",
     "DEFAULT_WORKER_MODULE_PATTERNS",
     "RNG_EXEMPT_PATH_FRAGMENTS",
@@ -67,15 +67,11 @@ DEFAULT_ENTRY_POINTS: tuple[str, ...] = (
 )
 
 # Functions reachable from an entry point but exempt from REPRO-F003:
-# differential probes that machine-verify a compiled fast path.  They
-# run once (at construction or on first use, behind a sticky flag), so
-# their numpy temporaries never recur per tick.
-DEFAULT_HOT_PATH_ALLOWED: frozenset[str] = frozenset(
-    {
-        "_resolve_snap_kernel",
-        "_probe_noise_fill",
-    }
-)
+# the ones REPRO-L009 exempts (their numpy reduction order is the
+# golden-trace contract, or they probe a compiled path once), plus the
+# noise-refill probe, which runs once per kernel load in a module L009
+# does not cover.
+_HOT_PATH_ALLOWED = STEP_KERNEL_ALLOWED_FUNCTIONS | {"_probe_noise_fill"}
 
 # Spawn-boundary roots (REPRO-F002): everything reachable through their
 # fields crosses a ProcessPoolExecutor pickle.
@@ -428,7 +424,6 @@ def run_all_rules(
     pickle_roots: Iterable[str] = DEFAULT_PICKLE_ROOTS,
     worker_patterns: Iterable[str] = DEFAULT_WORKER_MODULE_PATTERNS,
     rng_exempt_fragments: Iterable[str] = RNG_EXEMPT_PATH_FRAGMENTS,
-    hot_path_allowed: frozenset[str] = DEFAULT_HOT_PATH_ALLOWED,
 ) -> list[Finding]:
     """All five flow rules plus the extraction-time local findings."""
     if graph is None:
@@ -447,7 +442,7 @@ def run_all_rules(
         check_hot_path_purity(
             graph,
             entry_points=entry_points,
-            allowed_functions=hot_path_allowed,
+            allowed_functions=_HOT_PATH_ALLOWED,
         )
     )
     findings.extend(check_unit_flow(graph))

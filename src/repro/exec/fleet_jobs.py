@@ -30,11 +30,8 @@ from repro.exec.job import (
     derive_seed,
 )
 from repro.exec.scenario_jobs import (
-    _RUN_KEYS,
-    _SPECTR_KEYS,
-    build_manager_factory,
     fault_setup,
-    spectr_override_factory,
+    split_overrides,
     workload_by_name,
 )
 from repro.experiments.fleet import (
@@ -42,15 +39,14 @@ from repro.experiments.fleet import (
     fleet_manager_factory,
     run_fleet_scenario,
 )
-from repro.experiments.figures import identified_systems
+from repro.experiments.figures import identified_systems, manager_factory
 from repro.experiments.runner import ScenarioTrace, run_scenario
 from repro.experiments.scenario import three_phase_scenario
-from repro.managers.fleet import FLEET_GAIN_NAMES, FleetSPECTR
+from repro.managers.fleet import FLEET_GAIN_NAMES
 
 __all__ = [
     "FLEET_RUNNER",
     "FleetScenarioJob",
-    "build_fleet_manager_factory",
     "execute_fleet",
     "fleet_seeds",
 ]
@@ -156,15 +152,6 @@ class FleetScenarioJob(ScenarioJob):
         return fleet_seeds(self.seed, self.n_devices)
 
 
-def build_fleet_manager_factory(name: str, systems, params: dict):
-    """Fleet mirror of ``scenario_jobs.build_manager_factory``."""
-    if name == "SPECTR":
-        factory = spectr_override_factory(FleetSPECTR, systems, params)
-        if factory is not None:
-            return factory
-    return fleet_manager_factory(name, systems)
-
-
 def _gain_id(name: str) -> int:
     try:
         return FLEET_GAIN_NAMES.index(name)
@@ -189,13 +176,7 @@ def execute_fleet(job: FleetScenarioJob) -> FleetTrace:
     rows run the scalar oracle with the same per-row seed; both are
     assembled into one :class:`FleetTrace`.
     """
-    params = job.params()
-    unknown = set(params) - set(_SPECTR_KEYS) - set(_RUN_KEYS)
-    if unknown:
-        raise ValueError(
-            f"unrecognized override keys {sorted(unknown)} for runner "
-            f"{FLEET_RUNNER}"
-        )
+    overrides, run_kwargs = split_overrides(job)
     systems = identified_systems()
     scenario = job.scenario or three_phase_scenario()
     workload = workload_by_name(job.workload)
@@ -204,12 +185,11 @@ def execute_fleet(job: FleetScenarioJob) -> FleetTrace:
     clean_rows = [
         row for row in range(job.n_devices) if row not in faulted
     ]
-    run_kwargs = {key: params[key] for key in _RUN_KEYS if key in params}
 
     fleet_trace: FleetTrace | None = None
     if clean_rows:
         fleet_trace = run_fleet_scenario(
-            build_fleet_manager_factory(job.manager, systems, params),
+            fleet_manager_factory(job.manager, systems, overrides),
             workload,
             scenario,
             seeds=[seeds[row] for row in clean_rows],
@@ -218,9 +198,7 @@ def execute_fleet(job: FleetScenarioJob) -> FleetTrace:
 
     scalar_traces: dict[int, ScenarioTrace] = {}
     if faulted:
-        scalar_factory = build_manager_factory(
-            job.manager, systems, params
-        )
+        scalar_factory = manager_factory(job.manager, systems, overrides)
         for row, fault in job.device_faults:
             scalar_traces[row] = run_scenario(
                 scalar_factory,

@@ -3,16 +3,19 @@
 Translates a plain-data :class:`~repro.exec.job.ScenarioJob` into a
 :func:`repro.experiments.runner.run_scenario` call — rebuilding the
 manager factory (closures do not pickle), looking up the workload by
-name, and wiring any fault spec into the SoC setup hook.  Runs
-identically in the parent process and in spawned workers; all model
-inputs come from the process-local design caches, which the engine
-pre-seeds from the artifact cache (:mod:`repro.exec.artifacts`).
+name, and wiring any fault spec into the SoC setup hook.  Every sweep
+and ablation cell runs here, in the parent process or in a spawned
+worker alike; all model inputs come from the process-local design
+caches, which the engine pre-seeds from the artifact cache
+(:mod:`repro.exec.artifacts`).  The fault campaign's runner injects its
+faults through the same :func:`fault_setup`.
 
 Recognized ``overrides`` keys:
 
 ``supervisor_period_epochs``, ``enable_gain_scheduling``,
 ``enable_reference_regulation``, ``manager_name``
-    SPECTR construction parameters (ablation studies).
+    SPECTR construction parameters (ablation studies), passed to
+    :func:`repro.experiments.figures.manager_factory`.
 ``initial_big_frequency``, ``initial_little_frequency``
     Initial operating point passed to ``run_scenario``.
 """
@@ -22,12 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.exec.job import FaultSpec, ScenarioJob
-from repro.experiments.figures import (
-    IdentifiedSystems,
-    case_study_supervisor,
-    identified_systems,
-    manager_factory,
-)
+from repro.experiments.figures import identified_systems, manager_factory
 from repro.experiments.runner import ScenarioTrace, run_scenario
 from repro.experiments.scenario import three_phase_scenario
 from repro.platform.faults import (
@@ -37,20 +35,13 @@ from repro.platform.faults import (
 from repro.workloads import QoSWorkload, all_qos_workloads
 
 __all__ = [
-    "build_manager_factory",
     "build_soc_setup",
     "execute",
     "fault_setup",
-    "spectr_override_factory",
+    "split_overrides",
     "workload_by_name",
 ]
 
-_SPECTR_KEYS = (
-    "supervisor_period_epochs",
-    "enable_gain_scheduling",
-    "enable_reference_regulation",
-    "manager_name",
-)
 _RUN_KEYS = ("initial_big_frequency", "initial_little_frequency")
 
 
@@ -63,47 +54,6 @@ def workload_by_name(name: str) -> QoSWorkload:
         raise ValueError(
             f"unknown workload {name!r}; choose from {sorted(workloads)}"
         ) from None
-
-
-def spectr_override_factory(
-    manager_cls, systems: IdentifiedSystems, params: dict[str, Any]
-):
-    """Factory for ``manager_cls`` (``SPECTRManager`` or its fleet
-    mirror) built with the SPECTR overrides in ``params``; ``None`` when
-    ``params`` names none of them."""
-    kwargs = {
-        ("name" if key == "manager_name" else key): params[key]
-        for key in _SPECTR_KEYS
-        if key in params
-    }
-    if not kwargs:
-        return None
-    supervisor = case_study_supervisor()
-
-    def factory(device, goals):
-        return manager_cls(
-            device,
-            goals,
-            big_system=systems.big,
-            little_system=systems.little,
-            verified_supervisor=supervisor,
-            **kwargs,
-        )
-
-    return factory
-
-
-def build_manager_factory(
-    name: str, systems: IdentifiedSystems, params: dict[str, Any]
-):
-    """Manager factory for a job, honoring SPECTR ablation overrides."""
-    if name == "SPECTR":
-        from repro.managers.spectr import SPECTRManager
-
-        factory = spectr_override_factory(SPECTRManager, systems, params)
-        if factory is not None:
-            return factory
-    return manager_factory(name, systems)
 
 
 def fault_setup(fault: FaultSpec, seed: int) -> Callable[[Any], None]:
@@ -125,21 +75,24 @@ def build_soc_setup(job: ScenarioJob) -> Callable[[Any], None] | None:
     return fault_setup(job.fault, job.seed)
 
 
+def split_overrides(
+    job: ScenarioJob,
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """A job's overrides as (SPECTR overrides, ``run_scenario``
+    keywords).  The manager factory rejects any key left over that is
+    not a SPECTR override."""
+    params = job.params()
+    run_kwargs = {key: params.pop(key) for key in _RUN_KEYS if key in params}
+    return params, run_kwargs
+
+
 def execute(job: ScenarioJob) -> ScenarioTrace:
     """Run one scenario job to a :class:`ScenarioTrace` (the default
     ``job.runner``)."""
-    params = job.params()
-    unknown = set(params) - set(_SPECTR_KEYS) - set(_RUN_KEYS)
-    if unknown:
-        raise ValueError(
-            f"unrecognized override keys {sorted(unknown)} for runner "
-            "repro.exec.scenario_jobs.execute"
-        )
-    systems = identified_systems()
+    overrides, run_kwargs = split_overrides(job)
     scenario = job.scenario or three_phase_scenario()
-    run_kwargs = {key: params[key] for key in _RUN_KEYS if key in params}
     return run_scenario(
-        build_manager_factory(job.manager, systems, params),
+        manager_factory(job.manager, identified_systems(), overrides),
         workload_by_name(job.workload),
         scenario,
         seed=job.seed,

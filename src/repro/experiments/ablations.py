@@ -11,7 +11,13 @@ DESIGN.md calls out three mechanisms worth isolating:
   to the 50 ms leaf controllers (the paper uses 2x).
 
 Each study runs the three-phase x264 scenario and reports per-phase
-QoS/power tracking, quantifying what each mechanism buys.
+QoS/power tracking, quantifying what each mechanism buys.  A variant is
+a SPECTR :class:`~repro.exec.job.ScenarioJob` whose ``overrides`` are
+SPECTR construction keys (``enable_gain_scheduling``,
+``manager_name``, ...; see
+:func:`repro.experiments.figures.manager_factory`), run by an
+:class:`~repro.exec.engine.ExperimentEngine`: the caller's, or a
+default in-process one without cache or journal.
 """
 
 from __future__ import annotations
@@ -19,44 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.experiments.figures import (
-    IdentifiedSystems,
-    case_study_supervisor,
-    identified_systems,
-)
-from repro.experiments.runner import ScenarioTrace, run_scenario
+from repro.experiments.runner import ScenarioTrace
 from repro.experiments.scenario import three_phase_scenario
-from repro.managers.spectr import SPECTRManager
-from repro.workloads import x264
 
 if TYPE_CHECKING:
     from repro.exec.engine import ExperimentEngine
-
-
-def _spectr_factory(
-    systems: IdentifiedSystems,
-    *,
-    gain_scheduling: bool = True,
-    reference_regulation: bool = True,
-    supervisor_period_epochs: int = 2,
-    name: str = "SPECTR",
-):
-    supervisor = case_study_supervisor()
-
-    def factory(soc, goals):
-        return SPECTRManager(
-            soc,
-            goals,
-            big_system=systems.big,
-            little_system=systems.little,
-            verified_supervisor=supervisor,
-            supervisor_period_epochs=supervisor_period_epochs,
-            enable_gain_scheduling=gain_scheduling,
-            enable_reference_regulation=reference_regulation,
-            name=name,
-        )
-
-    return factory
 
 
 @dataclass
@@ -95,45 +68,25 @@ def _run_variants(
 ) -> dict[str, ScenarioTrace]:
     """Run the three-phase scenario once per ablation variant.
 
-    ``variants`` maps display name to :func:`_spectr_factory` keyword
-    overrides.  With an ``engine`` the variants become SPECTR jobs whose
-    ``overrides`` carry the same flags (worker-side construction in
-    :func:`repro.exec.scenario_jobs.build_manager_factory`); results are
-    identical to the serial path.
+    ``variants`` maps display name to SPECTR overrides.  Without an
+    ``engine`` the variants run in-process, uncached.
     """
-    scenario = three_phase_scenario()
-    if engine is not None:
-        from repro.exec.job import ScenarioJob
+    from repro.exec.engine import ExperimentEngine
+    from repro.exec.job import ScenarioJob
 
-        key_map = {
-            "gain_scheduling": "enable_gain_scheduling",
-            "reference_regulation": "enable_reference_regulation",
-            "supervisor_period_epochs": "supervisor_period_epochs",
-            "name": "manager_name",
-        }
-        jobs = [
-            ScenarioJob(
-                manager="SPECTR",
-                scenario=scenario,
-                seed=seed,
-                overrides=tuple(
-                    sorted(
-                        (key_map[key], value)
-                        for key, value in kwargs.items()
-                    )
-                ),
-                label=f"ablation: {display}",
-            )
-            for display, kwargs in variants.items()
-        ]
-        return dict(zip(variants, engine.results(jobs)))
-    systems = identified_systems()
-    return {
-        display: run_scenario(
-            _spectr_factory(systems, **kwargs), x264(), scenario, seed=seed
+    scenario = three_phase_scenario()
+    jobs = [
+        ScenarioJob(
+            manager="SPECTR",
+            scenario=scenario,
+            seed=seed,
+            overrides=tuple(sorted(overrides.items())),
+            label=f"ablation: {display}",
         )
-        for display, kwargs in variants.items()
-    }
+        for display, overrides in variants.items()
+    ]
+    engine = engine or ExperimentEngine()
+    return dict(zip(variants, engine.results(jobs)))
 
 
 def ablate_mechanisms(
@@ -149,17 +102,17 @@ def ablate_mechanisms(
     variants: dict[str, dict[str, Any]] = {
         "SPECTR (full)": {},
         "no gain scheduling": {
-            "gain_scheduling": False,
-            "name": "SPECTR-noGS",
+            "enable_gain_scheduling": False,
+            "manager_name": "SPECTR-noGS",
         },
         "no reference regulation": {
-            "reference_regulation": False,
-            "name": "SPECTR-noRR",
+            "enable_reference_regulation": False,
+            "manager_name": "SPECTR-noRR",
         },
         "supervisor disabled": {
-            "gain_scheduling": False,
-            "reference_regulation": False,
-            "name": "SPECTR-none",
+            "enable_gain_scheduling": False,
+            "enable_reference_regulation": False,
+            "manager_name": "SPECTR-none",
         },
     }
     return AblationResult(
@@ -182,7 +135,7 @@ def ablate_supervisor_period(
     variants: dict[str, dict[str, Any]] = {
         f"period {p} ({p * 50} ms)": {
             "supervisor_period_epochs": p,
-            "name": f"SPECTR-p{p}",
+            "manager_name": f"SPECTR-p{p}",
         }
         for p in periods
     }

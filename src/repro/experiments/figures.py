@@ -93,8 +93,41 @@ def design_caches_primed() -> bool:
     return _SYSTEMS_CACHE is not None and _SUPERVISOR_CACHE is not None
 
 
-def manager_factory(name: str, systems: IdentifiedSystems):
-    """Factory for :func:`~repro.experiments.runner.run_scenario`."""
+# SPECTR construction overrides (the ablation studies' variants);
+# ``manager_name`` renames the manager.
+_SPECTR_KEYS = (
+    "supervisor_period_epochs",
+    "enable_gain_scheduling",
+    "enable_reference_regulation",
+    "manager_name",
+)
+
+
+def spectr_kwargs(overrides: dict | None) -> dict:
+    """SPECTR constructor keywords for ``overrides``; an unknown key
+    raises :class:`ValueError`."""
+    overrides = overrides or {}
+    unknown = set(overrides) - set(_SPECTR_KEYS)
+    if unknown:
+        raise ValueError(
+            f"unknown SPECTR overrides {sorted(unknown)}; "
+            f"choose from {_SPECTR_KEYS}"
+        )
+    return {
+        ("name" if key == "manager_name" else key): value
+        for key, value in overrides.items()
+    }
+
+
+def manager_factory(
+    name: str, systems: IdentifiedSystems, overrides: dict | None = None
+):
+    """Factory for :func:`~repro.experiments.runner.run_scenario`.
+
+    ``overrides`` maps SPECTR construction keys (``_SPECTR_KEYS``) to
+    values; other managers ignore them.
+    """
+    kwargs = spectr_kwargs(overrides)
     if name == "MM-Perf":
         return lambda soc, goals: mm_perf(
             soc, goals, big_system=systems.big, little_system=systems.little
@@ -113,6 +146,7 @@ def manager_factory(name: str, systems: IdentifiedSystems):
             big_system=systems.big,
             little_system=systems.little,
             verified_supervisor=supervisor,
+            **kwargs,
         )
     raise ValueError(f"unknown manager {name!r}")
 

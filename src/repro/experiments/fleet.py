@@ -19,6 +19,7 @@ import numpy as np
 from repro.experiments.figures import (
     IdentifiedSystems,
     case_study_supervisor,
+    spectr_kwargs,
 )
 from repro.experiments.runner import ScenarioTrace
 from repro.experiments.scenario import Scenario
@@ -199,8 +200,11 @@ def run_fleet_scenario(
     )
 
 
-def fleet_manager_factory(name: str, systems: IdentifiedSystems):
+def fleet_manager_factory(
+    name: str, systems: IdentifiedSystems, overrides: dict | None = None
+):
     """Fleet mirror of :func:`repro.experiments.figures.manager_factory`."""
+    kwargs = spectr_kwargs(overrides)
     if name == "MM-Perf":
         return lambda platform, goals: fleet_mm_perf(
             platform,
@@ -227,5 +231,6 @@ def fleet_manager_factory(name: str, systems: IdentifiedSystems):
             big_system=systems.big,
             little_system=systems.little,
             verified_supervisor=supervisor,
+            **kwargs,
         )
     raise ValueError(f"unknown manager {name!r}")

@@ -11,6 +11,11 @@ locate the regime boundaries the three-phase scenario only samples:
   QoS until it is unattainable within TDP: the point where SPECTR's
   supervisor flips from MM-Perf-like (QoS-driven) to MM-Pow-like
   (capping) behaviour.
+
+Each (sweep point, manager) cell is a
+:class:`~repro.exec.job.ScenarioJob` run by an
+:class:`~repro.exec.engine.ExperimentEngine`: the caller's, or a
+default in-process one without cache or journal.
 """
 
 from __future__ import annotations
@@ -20,14 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.experiments.figures import (
-    IdentifiedSystems,
-    identified_systems,
-    manager_factory,
-)
-from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Phase, Scenario
-from repro.workloads import x264
 
 if TYPE_CHECKING:
     from repro.exec.engine import ExperimentEngine
@@ -95,56 +93,32 @@ def _collect(
     points: Sequence[tuple[float, Scenario]],
     managers: tuple[str, ...],
     seed: int,
-    systems: IdentifiedSystems | None,
     engine: "ExperimentEngine | None",
     sweep_name: str,
 ) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
-    """Run every (point, manager) cell; returns steady-state means.
+    """Run every (point, manager) cell, points outer and managers
+    inner; returns steady-state means.  Without an ``engine`` the cells
+    run in-process, uncached."""
+    from repro.exec.engine import ExperimentEngine
+    from repro.exec.job import ScenarioJob
 
-    With an ``engine``, cells become :class:`~repro.exec.job.ScenarioJob`
-    specs executed (possibly in parallel, possibly from cache) in the
-    same budgets-outer / managers-inner order as the serial loop — the
-    equivalence suite pins both paths to identical results.
-    """
+    jobs = [
+        ScenarioJob(
+            manager=manager,
+            scenario=scenario,
+            seed=seed,
+            label=f"{sweep_name}[{x:g}] {manager}",
+        )
+        for x, scenario in points
+        for manager in managers
+    ]
     qos: dict[str, list[float]] = {m: [] for m in managers}
     power: dict[str, list[float]] = {m: [] for m in managers}
-    if engine is not None:
-        if systems is not None:
-            raise ValueError(
-                "pass either systems= or engine=, not both: with an "
-                "engine, workers load models from the artifact cache"
-            )
-        from repro.exec.job import ScenarioJob
-
-        jobs = [
-            ScenarioJob(
-                manager=manager,
-                scenario=scenario,
-                seed=seed,
-                label=f"{sweep_name}[{x:g}] {manager}",
-            )
-            for x, scenario in points
-            for manager in managers
-        ]
-        traces = iter(engine.results(jobs))
-        for _ in points:
-            for manager in managers:
-                metrics = next(traces).phase_metrics()[0]
-                qos[manager].append(metrics.qos.mean)
-                power[manager].append(metrics.power.mean)
-        return qos, power
-    systems = systems or identified_systems()
-    for _, scenario in points:
-        for manager in managers:
-            trace = run_scenario(
-                manager_factory(manager, systems),
-                x264(),
-                scenario,
-                seed=seed,
-            )
-            metrics = trace.phase_metrics()[0]
-            qos[manager].append(metrics.qos.mean)
-            power[manager].append(metrics.power.mean)
+    traces = (engine or ExperimentEngine()).results(jobs)
+    for job, trace in zip(jobs, traces):
+        metrics = trace.phase_metrics()[0]
+        qos[job.manager].append(metrics.qos.mean)
+        power[job.manager].append(metrics.power.mean)
     return qos, power
 
 
@@ -154,7 +128,6 @@ def tdp_sweep(
     qos_reference: float = 60.0,
     managers: tuple[str, ...] = ("SPECTR", "MM-Pow", "MM-Perf"),
     seed: int = 2018,
-    systems: IdentifiedSystems | None = None,
     engine: "ExperimentEngine | None" = None,
 ) -> SweepResult:
     """Steady-state behaviour as the power budget tightens (x264)."""
@@ -162,7 +135,7 @@ def tdp_sweep(
         (budget, _single_phase_scenario(qos_reference, budget))
         for budget in budgets
     ]
-    qos, power = _collect(points, managers, seed, systems, engine, "tdp")
+    qos, power = _collect(points, managers, seed, engine, "tdp")
     return SweepResult(
         title=(
             "TDP sweep - x264, QoS ref "
@@ -182,7 +155,6 @@ def qos_reference_sweep(
     budget_w: float = 5.0,
     managers: tuple[str, ...] = ("SPECTR", "MM-Perf"),
     seed: int = 2018,
-    systems: IdentifiedSystems | None = None,
     engine: "ExperimentEngine | None" = None,
 ) -> SweepResult:
     """Steady-state behaviour as the requested QoS grows (x264)."""
@@ -190,7 +162,7 @@ def qos_reference_sweep(
         (reference, _single_phase_scenario(reference, budget_w))
         for reference in references
     ]
-    qos, power = _collect(points, managers, seed, systems, engine, "qosref")
+    qos, power = _collect(points, managers, seed, engine, "qosref")
     return SweepResult(
         title=(
             f"QoS-reference sweep - x264, TDP {budget_w:.0f} W: where "

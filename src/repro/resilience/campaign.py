@@ -16,8 +16,13 @@ produces an identical JSON report (no wall-clock anywhere in the
 payload).  ``python -m repro.resilience`` is the CLI front end;
 ``CampaignConfig.smoke()`` is the short-horizon CI configuration.
 
-Campaign cells are plain :class:`~repro.exec.job.ScenarioJob`\\ s, so
-they inherit the full supervision stack of :mod:`repro.exec`: pass
+Campaign cells are plain :class:`~repro.exec.job.ScenarioJob`\\ s, and
+an :class:`~repro.exec.engine.ExperimentEngine` runs every one of them
+(without ``engine=``, a default in-process one without cache or
+journal).  Each cell injects its fault as a
+:class:`~repro.exec.job.FaultSpec` through
+:func:`repro.exec.scenario_jobs.fault_setup`, like any engine job.  The
+cells inherit the full supervision stack of :mod:`repro.exec`: pass
 ``--journal`` (and optionally ``--deadline-s`` /
 ``--max-crash-retries``) to the CLI and an interrupted campaign resumes
 from the crash-safe run journal instead of starting over — see
@@ -28,10 +33,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.exec.engine import ExperimentEngine
+from repro.exec.job import FaultSpec, ScenarioJob
+from repro.exec.scenario_jobs import fault_setup
 from repro.experiments.figures import (
     MANAGER_NAMES,
     identified_systems,
@@ -44,18 +51,12 @@ from repro.platform.faults import (
     ActuatorFaultModel,
     ActuatorProxy,
     FaultModel,
-    inject_actuator_fault,
-    inject_power_sensor_fault,
 )
 from repro.resilience.degrade import DegradationPolicy
 from repro.resilience.guard import TelemetryGuard
 from repro.resilience.monitor import InvariantMonitor
 from repro.resilience.pipeline import ResiliencePipeline
 from repro.workloads import x264
-
-if TYPE_CHECKING:
-    from repro.exec.engine import ExperimentEngine
-    from repro.exec.job import ScenarioJob
 
 __all__ = [
     "CampaignConfig",
@@ -66,11 +67,11 @@ __all__ = [
     "run_campaign",
 ]
 
-# Campaign defaults for fault parameters whose model defaults are
-# no-ops or unsuitable for a sweep.
-_CLAMP_CEILING_GHZ = 0.9
-_PARTIAL_FRACTION = 0.3
-_DELAY_S = 0.2
+# Campaign fault magnitudes for kinds whose model default (1.0) is a
+# no-op: a 0.9 GHz frequency ceiling, a 30% partial actuation.  Every
+# other parameter is the FaultSpec default (a ``delay`` fault holds each
+# request 0.2 s).
+_FAULT_MAGNITUDES = {"clamp": 0.9, "partial": 0.3}
 _RECOVERY_TOLERANCE_FRACTION = 0.05
 _RECOVERY_DWELL_EPOCHS = 10
 
@@ -259,25 +260,6 @@ class CampaignResult:
 
 
 # ----------------------------------------------------------------------
-def _build_fault(kind: str, start_s: float, end_s: float):
-    """A campaign fault instance (sensor or actuator) of one kind."""
-    if kind in FaultModel.VALID_KINDS:
-        return "sensor", FaultModel(kind=kind, start_s=start_s, end_s=end_s)
-    magnitude = 1.0
-    if kind == "clamp":
-        magnitude = _CLAMP_CEILING_GHZ
-    elif kind == "partial":
-        magnitude = _PARTIAL_FRACTION
-    return "actuator", ActuatorFaultModel(
-        kind=kind,
-        start_s=start_s,
-        end_s=end_s,
-        magnitude=magnitude,
-        probability=1.0,
-        delay_s=_DELAY_S,
-    )
-
-
 def _recovery_time_s(
     trace: ScenarioTrace, fault_end_s: float
 ) -> float | None:
@@ -357,19 +339,17 @@ def _run_one(
         phase_duration_s=config.phase_duration_s
     )
     fault_class = "none"
-    fault = None
+    soc_setup = None
     if fault_kind is not None:
-        fault_class, fault = _build_fault(
-            fault_kind, config.fault_start_s, config.fault_end_s
+        fault = FaultSpec(
+            kind=fault_kind,
+            target=config.target,
+            start_s=config.fault_start_s,
+            duration_s=config.fault_duration_s,
+            magnitude=_FAULT_MAGNITUDES.get(fault_kind, 1.0),
         )
-
-    def soc_setup(soc) -> None:
-        if fault_class == "sensor":
-            inject_power_sensor_fault(soc, config.target, fault)
-        elif fault_class == "actuator":
-            inject_actuator_fault(
-                soc, config.target, fault, seed=config.seed
-            )
+        fault_class = fault.fault_class
+        soc_setup = fault_setup(fault, config.seed)
 
     proxies: dict[str, ActuatorProxy] = {}
 
@@ -411,17 +391,15 @@ def _run_one(
 CAMPAIGN_RUNNER = "repro.resilience.campaign.execute_campaign_job"
 
 
-def execute_campaign_job(job: "ScenarioJob") -> CampaignRun:
+def execute_campaign_job(job: ScenarioJob) -> CampaignRun:
     """Engine runner for one campaign cell (see :func:`campaign_jobs`)."""
     params = job.params()
     return _run_one(job.manager, params["config"], params["fault_kind"])
 
 
-def campaign_jobs(config: CampaignConfig) -> "list[ScenarioJob]":
-    """The campaign as an engine job list, in the serial sweep's order:
-    per manager, the fault-free baseline first, then one job per kind."""
-    from repro.exec.job import ScenarioJob
-
+def campaign_jobs(config: CampaignConfig) -> list[ScenarioJob]:
+    """The campaign as an engine job list: per manager, the fault-free
+    baseline first, then one job per kind."""
     jobs = []
     for manager_name in config.managers:
         for kind in (None, *config.sensor_kinds, *config.actuator_kinds):
@@ -440,27 +418,19 @@ def campaign_jobs(config: CampaignConfig) -> "list[ScenarioJob]":
 def run_campaign(
     config: CampaignConfig | None = None,
     *,
-    engine: "ExperimentEngine | None" = None,
+    engine: ExperimentEngine | None = None,
 ) -> CampaignResult:
     """Sweep fault kind x manager over the three-phase scenario.
 
-    With an ``engine``, cells run through :mod:`repro.exec` (parallel
-    and/or cached); the assembled :class:`CampaignResult` — including
-    its JSON rendering — is identical to the serial sweep's.
+    The cells run through ``engine`` (parallel, cached or journaled as
+    it is set up); without one, in-process and uncached.  The result,
+    and its JSON rendering, is the same either way.
     """
     config = config or CampaignConfig()
     result = CampaignResult(config=config)
-    if engine is not None:
-        runs = iter(engine.results(campaign_jobs(config)))
-        for manager_name in config.managers:
-            result.baselines[manager_name] = next(runs)
-            for _ in (*config.sensor_kinds, *config.actuator_kinds):
-                result.runs.append(next(runs))
-        return result
+    runs = iter((engine or ExperimentEngine()).results(campaign_jobs(config)))
     for manager_name in config.managers:
-        result.baselines[manager_name] = _run_one(
-            manager_name, config, None
-        )
-        for kind in (*config.sensor_kinds, *config.actuator_kinds):
-            result.runs.append(_run_one(manager_name, config, kind))
+        result.baselines[manager_name] = next(runs)
+        for _ in (*config.sensor_kinds, *config.actuator_kinds):
+            result.runs.append(next(runs))
     return result

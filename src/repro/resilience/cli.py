@@ -11,6 +11,10 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from repro.exec.cache import ResultCache
+from repro.exec.cli import resolve_cache_dir
+from repro.exec.engine import ExperimentEngine
+from repro.exec.supervision import RunJournal, SupervisionPolicy
 from repro.experiments.figures import MANAGER_NAMES
 from repro.resilience.campaign import CampaignConfig, run_campaign
 
@@ -65,9 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help=(
-            "run campaign cells through the experiment engine with an "
-            "N-process pool (default 1: plain serial sweep; results are "
-            "identical either way)"
+            "experiment-engine pool size (default 1: every cell runs "
+            "in-process; results are identical either way)"
         ),
     )
     parser.add_argument(
@@ -120,24 +123,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_engine(args: argparse.Namespace):
-    """An ExperimentEngine when engine flags were used, else None."""
-    if (
-        args.workers <= 1
-        and args.cache_dir is None
-        and args.journal is None
+def _build_engine(args: argparse.Namespace) -> ExperimentEngine:
+    """The campaign's engine.  The result cache is on when an engine
+    flag asks for it (``--workers`` > 1, ``--cache-dir`` or
+    ``--journal``) unless ``--no-cache`` is given."""
+    cache = None
+    if not args.no_cache and (
+        args.workers > 1
+        or args.cache_dir is not None
+        or args.journal is not None
     ):
-        return None
-    from repro.exec.cache import ResultCache
-    from repro.exec.cli import resolve_cache_dir
-    from repro.exec.engine import ExperimentEngine
-    from repro.exec.supervision import RunJournal, SupervisionPolicy
-
-    cache = (
-        None
-        if args.no_cache
-        else ResultCache(resolve_cache_dir(args.cache_dir))
-    )
+        cache = ResultCache(resolve_cache_dir(args.cache_dir))
     journal = None
     if args.journal is not None:
         journal = RunJournal(

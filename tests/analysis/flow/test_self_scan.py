@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.flow import Baseline, analyze_project, apply_baseline
-from repro.analysis.flow.rules import DEFAULT_HOT_PATH_ALLOWED
+from repro.analysis.flow.rules import _HOT_PATH_ALLOWED, check_hot_path_purity
 from repro.analysis.lint import STEP_KERNEL_ALLOWED_FUNCTIONS
 
 REPO = Path(__file__).resolve().parents[3]
@@ -42,18 +42,20 @@ class TestSelfScan:
 
     def test_without_baseline_only_known_hot_path_exemptions(self):
         result = analyze_project([SRC_REPRO])
-        errors = result.report.errors
-        # The only accepted findings are the allowlisted step-kernel
+        # The allowlist, not the baseline, exempts the step-kernel
         # reductions in soc.py whose numpy call order is the golden-trace
-        # bit-identity contract.
-        assert errors, "expected the deliberate F003 exemptions to surface"
-        for finding in errors:
+        # bit-identity contract, and the run-once probes.
+        assert not result.report.errors
+        exempted = check_hot_path_purity(result.graph)
+        assert exempted, "expected the deliberate F003 exemptions to surface"
+        for finding in exempted:
             assert finding.rule == "REPRO-F003"
-            assert finding.path.endswith("platform/soc.py")
-            assert (
-                "_telemetry_with_idle_insertion" in finding.message
-                or "_idle_adjusted_capacity" in finding.message
-            )
+            qualname = finding.message.split(" in ")[1].split(" ")[0]
+            assert qualname.rsplit(".", 1)[1] in _HOT_PATH_ALLOWED
+        assert {
+            "repro.platform.soc._telemetry_with_idle_insertion",
+            "repro.platform.soc._idle_adjusted_capacity",
+        } <= {f.message.split(" in ")[1].split(" ")[0] for f in exempted}
 
 
 def _defined_function_names(root: Path) -> set[str]:
@@ -72,5 +74,6 @@ def test_allowlisted_functions_exist():
     # An allowlist entry whose function is gone would silently exempt
     # any future function that takes its name.
     defined = _defined_function_names(SRC_REPRO)
-    for allowlist in (DEFAULT_HOT_PATH_ALLOWED, STEP_KERNEL_ALLOWED_FUNCTIONS):
+    assert STEP_KERNEL_ALLOWED_FUNCTIONS <= _HOT_PATH_ALLOWED
+    for allowlist in (_HOT_PATH_ALLOWED, STEP_KERNEL_ALLOWED_FUNCTIONS):
         assert sorted(allowlist - defined) == []

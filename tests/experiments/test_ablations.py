@@ -3,11 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.experiments.ablations import (
-    _spectr_factory,
-    tdp_violation_fraction,
-)
-from repro.experiments.figures import IdentifiedSystems
+from repro.experiments.ablations import tdp_violation_fraction
+from repro.experiments.figures import IdentifiedSystems, manager_factory
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import three_phase_scenario
 from repro.managers.base import ManagerGoals
@@ -105,7 +102,7 @@ class TestViolationMetric:
     def test_tdp_violation_fraction_bounds(self, systems):
         scenario = three_phase_scenario(phase_duration_s=2.0)
         trace = run_scenario(
-            _spectr_factory(systems), x264(), scenario, seed=5
+            manager_factory("SPECTR", systems), x264(), scenario, seed=5
         )
         for phase in range(3):
             fraction = tdp_violation_fraction(trace, phase)
@@ -114,14 +111,17 @@ class TestViolationMetric:
     def test_violation_detects_overrun(self, systems):
         scenario = three_phase_scenario(phase_duration_s=2.0)
         full = run_scenario(
-            _spectr_factory(systems), x264(), scenario, seed=5
+            manager_factory("SPECTR", systems), x264(), scenario, seed=5
         )
         crippled = run_scenario(
-            _spectr_factory(
+            manager_factory(
+                "SPECTR",
                 systems,
-                gain_scheduling=False,
-                reference_regulation=False,
-                name="none",
+                {
+                    "enable_gain_scheduling": False,
+                    "enable_reference_regulation": False,
+                    "manager_name": "none",
+                },
             ),
             x264(),
             scenario,

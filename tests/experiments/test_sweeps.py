@@ -2,19 +2,11 @@
 
 import pytest
 
-from repro.experiments.figures import IdentifiedSystems
 from repro.experiments.sweeps import (
     SweepResult,
     qos_reference_sweep,
     tdp_sweep,
 )
-
-
-@pytest.fixture()
-def systems(big_system, little_system, full_system):
-    return IdentifiedSystems(
-        big=big_system, little=little_system, full=full_system
-    )
 
 
 class TestSweepResult:
@@ -43,11 +35,10 @@ class TestSweepResult:
 
 
 class TestSweeps:
-    def test_tdp_sweep_small(self, systems):
+    def test_tdp_sweep_small(self):
         result = tdp_sweep(
             budgets=(6.0, 3.0),
             managers=("SPECTR", "MM-Pow"),
-            systems=systems,
         )
         assert len(result.x_values) == 2
         # Generous budget: SPECTR saves power.
@@ -56,11 +47,10 @@ class TestSweeps:
         assert result.power["SPECTR"][1] == pytest.approx(3.0, abs=0.5)
         assert result.power["MM-Pow"][1] == pytest.approx(3.0, abs=0.5)
 
-    def test_qos_sweep_small(self, systems):
+    def test_qos_sweep_small(self):
         result = qos_reference_sweep(
             references=(40.0, 75.0),
             managers=("SPECTR", "MM-Perf"),
-            systems=systems,
         )
         # Attainable point: both meet it.
         assert result.qos["SPECTR"][0] == pytest.approx(40.0, rel=0.05)

@@ -8,7 +8,7 @@ from repro.resilience.campaign import (
     CampaignConfig,
     run_campaign,
 )
-from repro.resilience.cli import main
+from repro.resilience.cli import _build_engine, build_parser, main
 
 TINY = CampaignConfig(
     managers=("SPECTR",),
@@ -105,3 +105,28 @@ class TestCLI:
         code = main(["--smoke", "--no-degrade"])
         capsys.readouterr()
         assert code == 0
+
+
+class TestEngineFlags:
+    """The campaign always runs on an engine; its flags decide only
+    where the cells run and whether results are cached or journaled."""
+
+    @pytest.mark.parametrize(
+        ("flags", "cached"),
+        [
+            ([], False),
+            (["--workers", "2"], True),
+            (["--workers", "2", "--no-cache"], False),
+            (["--cache-dir", "cache"], True),
+            (["--journal", "run.jsonl"], True),
+            (["--journal", "run.jsonl", "--no-cache"], False),
+        ],
+    )
+    def test_cache_and_journal_follow_the_flags(
+        self, monkeypatch, tmp_path, flags, cached
+    ):
+        monkeypatch.chdir(tmp_path)
+        engine = _build_engine(build_parser().parse_args(flags))
+        assert (engine.cache is not None) == cached
+        assert (engine.journal is not None) == ("--journal" in flags)
+        assert engine.max_workers == (2 if "--workers" in flags else 1)

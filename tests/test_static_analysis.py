@@ -84,6 +84,19 @@ class TestSeverityGating:
         assert "REPRO-C001" in out
         assert "does not exist" in out
 
+    def test_artifact_only_path_fails_the_classic_form(self, capsys):
+        # Artifacts are the model tier's: the bare form, which lints
+        # Python only, must not pass them with "0 files checked".
+        assert main(["--no-cache", str(FIXTURES)]) == 1
+        out = capsys.readouterr().out
+        assert (
+            f"{FIXTURES}: error: REPRO-C001: input holds no Python module; "
+            "check artifacts with `python -m repro.analysis models`"
+        ) in out
+        assert main(["--no-cache", str(REPO / "src"), str(FIXTURES)]) == 1
+        out = capsys.readouterr().out
+        assert out.count("REPRO-C001") == 1
+
     def test_lint_error_fails_the_gate(self, tmp_path, capsys):
         path = tmp_path / "mod.py"
         path.write_text("def f(x=[]):\n    return x\n")
