@@ -39,7 +39,11 @@
 #     analysis-report.sarif plus the per-tier reports CI uploads,
 #   * `python -m repro.resilience --smoke` records an invariant
 #     violation (the fault-campaign smoke: SPECTR under every sensor
-#     and actuator fault kind must stay on the verified envelope),
+#     and actuator fault kind must stay on the verified envelope), or
+#     its JSON report with the compiled fast paths on differs by a
+#     byte from the one with them disabled (REPRO_DISABLE_FUSED=1):
+#     faulted SoCs tick on the compiled plant tick, and the Python
+#     tick is the reference it must reproduce,
 #   * `python -m repro.exec sweep tdp`, `sweep qos` or `ablations`
 #     (uncached) fails: every sweep and ablation cell runs through the
 #     experiment engine, so each front door runs end to end once,
@@ -91,8 +95,12 @@ echo "== static analysis, all tiers (repro.analysis all) =="
 python -m repro.analysis all --strict --report-dir .
 
 echo
-echo "== resilience fault-campaign smoke =="
-python -m repro.resilience --smoke
+echo "== resilience fault-campaign smoke (kernels on and off, same JSON) =="
+smoke_dir="$(mktemp -d)"
+python -m repro.resilience --smoke --json "$smoke_dir/fused.json"
+REPRO_DISABLE_FUSED=1 python -m repro.resilience --smoke --json "$smoke_dir/reference.json"
+cmp "$smoke_dir/fused.json" "$smoke_dir/reference.json"
+rm -rf "$smoke_dir"
 
 echo
 echo "== experiment front doors (sweeps and ablations, uncached) =="

@@ -17,7 +17,9 @@ compiler cannot fuse or reorder anything we did not write explicitly):
   (``soc.read_cluster_telemetry``).  The scalar SoC's
   ``soc.CompiledSensors`` reads one cluster's single row through it,
   per-core readings included, wherever the SoC's tick runs in Python
-  (a sibling cluster faulted, time-aware or under idle insertion);
+  (a workload that is not exactly a ``QoSWorkload``, a sibling cluster
+  with a faulted PMU or under idle insertion, every ``ManyCoreSoC``
+  cluster);
 * ``plant_tick`` — the rest of the plant tick after the background
   placement: the Big cluster's fair share, the QoS workload's rate
   (Amdahl speedup over a per-OPP ``peak_rate * frequency_scale`` table,

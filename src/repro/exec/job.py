@@ -123,13 +123,15 @@ class FaultSpec:
     probability: float = 1.0
     delay_s: float = 0.2
 
+    VALID_TARGETS = ("big", "little")
+
     def __post_init__(self) -> None:
         valid = FaultModel.VALID_KINDS + ActuatorFaultModel.VALID_KINDS
         if self.kind not in valid:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; choose from {valid}"
             )
-        if self.target not in ("big", "little"):
+        if self.target not in self.VALID_TARGETS:
             raise ValueError("fault target must be 'big' or 'little'")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")

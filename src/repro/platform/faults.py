@@ -22,9 +22,19 @@ during a capping episode) hold under faults:
   controlled degradation to the previous safe operating point.
 
 Clock propagation is native: the SoC step loops call ``set_time`` on
-every time-aware sensor/actuator layer once per interval (see
-``ExynosSoC.step`` / ``ManyCoreSoC.step``), so injecting faults on both
-clusters never wraps or double-wraps ``soc.step``.
+every time-aware sensor/actuator layer once per interval, at the top of
+the step and before placement, on the compiled plant tick as on the
+Python one (see ``ExynosSoC.step`` / ``ManyCoreSoC.step``), so injecting
+faults on both clusters never wraps or double-wraps ``soc.step``.
+
+Faulted SoCs keep the compiled plant tick and sensor read
+(``repro.platform.soc``).  An actuator fault layer acts inside
+``Cluster.set_frequency`` / ``set_active_cores``, outside the tick.  A
+faulted power sensor is read by the kernel through its own noise,
+resolution and floor (the healthy reading), and
+:meth:`FaultySensor.apply` then turns that reading into the faulted
+one in Python; :meth:`FaultySensor.read` is the same two steps.  A
+:class:`FaultySensor` on a PMU keeps the Python tick.
 
 Overlapping fault windows
 -------------------------
@@ -127,7 +137,17 @@ class FaultySensor(NoisySensor):
         return min(active)[2]
 
     def read(self, true_value: float, rng: np.random.Generator) -> float:
-        healthy = super().read(true_value, rng)
+        return self.apply(super().read(true_value, rng))
+
+    def apply(self, healthy: float) -> float:
+        """The reading the active fault makes of the healthy reading
+        ``healthy``; draws nothing.  A read outside every fault window
+        records ``healthy`` as the value a later ``stuck`` fault holds.
+
+        The SoC's batched and compiled reads take the healthy reading
+        from their own noise draw and apply the fault here, so a faulted
+        power sensor consumes the RNG stream like a plain one.
+        """
         fault = self.active_fault()
         if fault is None:
             self._last_healthy = healthy

@@ -33,6 +33,7 @@ from repro.control.fused import (
     telemetry_args,
     unavailable_reason,
 )
+from repro.platform.faults import FaultySensor
 from repro.platform.opp import OPPTable, big_cluster_opps, little_cluster_opps
 from repro.platform.perf import (
     ClusterPerfModel,
@@ -367,8 +368,9 @@ class ExynosSoC:
 
         Bound on first use and whenever the workload or a cluster's
         compiled sensor read changes identity (a swapped instrument
-        re-binds the read); idle insertion is checked per tick, since it
-        changes per tick.
+        re-binds the read, and with it the tick's fault layers and clock
+        setters); idle insertion is checked per tick, since it changes
+        per tick.
         """
         big_sensors = self.big.compiled_sensors()
         little_sensors = self.little.compiled_sensors()
@@ -409,6 +411,12 @@ class ExynosSoC:
         and both sensor reads run as one compiled ``plant_tick`` call
         (:class:`CompiledTick`) wherever its probe passed; the Python
         tick (:meth:`_python_plant`) is the reference it reproduces.
+        Injected faults keep the compiled tick: the time-aware
+        instruments get the clock first, on either tick, big then
+        little and within each cluster the power sensor, the PMUs, then
+        the actuator fault layer, so matured ``delay`` requests land
+        before placement; a faulted power sensor's fault applies to the
+        kernel's healthy reading.
         """
         now = self.time_s
         big = self.big
@@ -416,6 +424,9 @@ class ExynosSoC:
         tick = self.compiled_tick()
         if tick is None:
             sync_cluster_clocks(self._clusters, now)
+        else:
+            for clock_setter in tick.clock_setters:
+                clock_setter(now)
         qos_app = self.qos_app
         qos_threads = float(qos_app.threads) if qos_app else 0.0
         active_bg = [t for t in self.background if t.active_at(now)]
@@ -532,11 +543,13 @@ def read_cluster_telemetry(
     numpy temporaries; it is bit-identical to the array formulation
     because each share is the same ``1/active`` quotient and a
     sequential sum matches ``np.sum`` below numpy's 8-wide pairwise
-    unroll.  When every sensor is a plain noisy one, the noise gains
-    come from one batched ``standard_normal`` call —
-    ``rng.normal(1, s)`` equals ``1 + s * standard_normal()``
-    draw-for-draw, so the stream is consumed identically (asserted by
-    the RNG contract tests).
+    unroll.  When every sensor is a plain noisy one (the power sensor
+    may be a :class:`FaultySensor`), the noise gains come from one
+    batched ``standard_normal`` call — ``rng.normal(1, s)`` equals
+    ``1 + s * standard_normal()`` draw-for-draw, so the stream is
+    consumed identically (asserted by the RNG contract tests) — and a
+    faulted power sensor's fault applies to the healthy reading
+    (:meth:`FaultySensor.apply`).
     """
     sensors = cluster.compiled_sensors()
     if sensors is not None and cluster._idle_cores == 0:
@@ -560,18 +573,13 @@ def read_cluster_telemetry(
         target = total_ips * share
         ips = 0.0
         values = []
-        if (
-            type(power_sensor_) is NoisySensor
-            and power_sensor_.noise_fraction > 0
-            and all(
-                type(s) is NoisySensor and s.noise_fraction > 0
-                for s in pmu_sensors
-            )
-        ):
+        if _reads_batched(power_sensor_, pmu_sensors):
             z = rng.standard_normal(n_cores + 1)
             measured_power_w = _read_with_gain(
                 power_sensor_, true_power_w, z[0]
             )
+            if type(power_sensor_) is FaultySensor:
+                measured_power_w = power_sensor_.apply(measured_power_w)
             for i in range(n_cores):
                 value = _read_with_gain(
                     pmu_sensors[i],
@@ -669,13 +677,21 @@ class CompiledSensors:
     points into: active cores, OPP index and busy equivalents, the
     noise draws, then the power, ips and per-core readings.  A read
     writes the three state values and the draws and makes one
-    one-pointer call.
+    one-pointer call.  ``fault`` is the cluster's power sensor when it
+    is a :class:`FaultySensor`: the kernel's reading is the healthy
+    one, and the fault applies to it after the call.
     """
 
     _STATE = struct.Struct("=dqd")  # active, OPP index, busy equivalents
     _OUTPUTS = struct.Struct("=dd")  # power, ips
 
-    def __init__(self, kernel, tables: SensorTables, n_cores: int) -> None:
+    def __init__(
+        self,
+        kernel,
+        tables: SensorTables,
+        n_cores: int,
+        fault: FaultySensor | None = None,
+    ) -> None:
         draws = 3
         outputs = draws + n_cores + 1
         per_core = outputs + 2
@@ -704,6 +720,7 @@ class CompiledSensors:
         self._draws = scratch[draws:outputs]
         self._per_core = scratch[per_core:]
         self._outputs_offset = 8 * outputs
+        self.fault = fault
 
     def read(
         self, cluster: Cluster, busy_core_equivalents: float, rng
@@ -723,6 +740,8 @@ class CompiledSensors:
         power_w, ips = self._OUTPUTS.unpack_from(
             self._memory, self._outputs_offset
         )
+        if self.fault is not None:
+            power_w = self.fault.apply(power_w)
         return ClusterTelemetry(
             frequency_ghz=cluster._frequency_ghz,
             voltage_v=cluster._voltage_v,
@@ -749,7 +768,7 @@ def _bind_sensors(cluster: Cluster) -> tuple[CompiledSensors | None, str | None]
         return None, unavailable_reason()
     if cluster.n_cores >= 8:
         return None, ">= 8 cores (pairwise-sum read)"
-    if not batched_noise_eligible(cluster.power_sensor, cluster.pmu_sensors):
+    if not _reads_batched(cluster.power_sensor, cluster.pmu_sensors):
         return None, "sensors not plain NoisySensors with positive noise"
 
     def probe():
@@ -762,7 +781,24 @@ def _bind_sensors(cluster: Cluster) -> tuple[CompiledSensors | None, str | None]
     )
     if reason is not None:
         return None, reason
-    return CompiledSensors(kernel, tables, cluster.n_cores), None
+    sensor = cluster.power_sensor
+    fault = sensor if type(sensor) is FaultySensor else None
+    return CompiledSensors(kernel, tables, cluster.n_cores, fault), None
+
+
+def _reads_batched(power_sensor_, pmu_sensors) -> bool:
+    """Whether a cluster's read draws one ``standard_normal(n_cores +
+    1)`` block: the fleet's ``batched_noise_eligible`` gate, except that
+    the power sensor may also be a :class:`FaultySensor`, whose fault
+    applies to the healthy reading and draws nothing."""
+    return (
+        type(power_sensor_) in (NoisySensor, FaultySensor)
+        and power_sensor_.noise_fraction > 0
+        and all(
+            type(s) is NoisySensor and s.noise_fraction > 0
+            for s in pmu_sensors
+        )
+    )
 
 
 def qos_rate_table(qos_app: QoSWorkload, cluster) -> np.ndarray:
@@ -800,6 +836,12 @@ class CompiledTick:
     contract order (they stay plain Generator calls), writes the state
     with one ``struct`` pack, makes one one-pointer call and reads the
     outputs with one unpack.
+
+    ``faults`` holds each cluster's faulted power sensor (or ``None``),
+    applied to the kernel's healthy power readings; it is empty on a
+    SoC without one.  ``clock_setters`` are both clusters' time-aware
+    instruments in clock order, which :meth:`ExynosSoC.step` calls
+    before placement.
     """
 
     # big active, big OPP index, little active, little OPP index, big
@@ -814,6 +856,8 @@ class CompiledTick:
         qos_app: QoSWorkload | None,
         tables: tuple[SensorTables, SensorTables],
         peak_table: np.ndarray | None,
+        faults: tuple = (),
+        clock_setters: tuple = (),
     ) -> None:
         big_n = tables[0].noise_row.size
         little_n = tables[1].noise_row.size
@@ -892,6 +936,8 @@ class CompiledTick:
         self._big_per_core = scratch[big_per_core:little_per_core]
         self._little_per_core = scratch[little_per_core:]
         self._outputs_offset = 8 * outputs
+        self._faults = faults if any(f is not None for f in faults) else ()
+        self.clock_setters = clock_setters
 
     def run(
         self, soc: ExynosSoC, now: float, big_demand, little_demand
@@ -934,6 +980,12 @@ class CompiledTick:
             little_power_w,
             little_ips,
         ) = self._OUTPUTS.unpack_from(self._memory, self._outputs_offset)
+        if self._faults:
+            big_fault, little_fault = self._faults
+            if big_fault is not None:
+                big_power_w = big_fault.apply(big_power_w)
+            if little_fault is not None:
+                little_power_w = little_fault.apply(little_power_w)
         # Positional ClusterTelemetry fields (frequency, voltage, active
         # cores, busy equivalents, power, ips, per-core ips): half the
         # cost of keywords on this path.
@@ -979,13 +1031,13 @@ def _bind_tick(soc: ExynosSoC) -> tuple[CompiledTick | None, str | None]:
             f"workload is a {type(qos_app).__name__}, not a QoSWorkload"
         )
     tables = []
+    faults = []
     for cluster in soc.clusters():
         sensors = cluster.compiled_sensors()
         if sensors is None:
             return None, f"{cluster.name} sensors: {cluster._sensors_reason}"
-        if cluster._clock_setters:
-            return None, f"{cluster.name} has time-aware instruments"
         tables.append(sensors._tables)
+        faults.append(sensors.fault)
     tables = tuple(tables)
     key = (
         qos_app,
@@ -995,6 +1047,8 @@ def _bind_tick(soc: ExynosSoC) -> tuple[CompiledTick | None, str | None]:
     )
 
     def probe():
+        # The probed tick has no faults: the probe never touches a live
+        # fault layer.
         peak = None if qos_app is None else qos_rate_table(qos_app, soc.big)
         tick = CompiledTick(kernel, qos_app, tables, peak)
         return peak, _probe_tick(soc, tick)
@@ -1002,7 +1056,13 @@ def _bind_tick(soc: ExynosSoC) -> tuple[CompiledTick | None, str | None]:
     peak, reason = probe_verdict(_TICK_MEMO, key, probe)
     if reason is not None:
         return None, reason
-    return CompiledTick(kernel, qos_app, tables, peak), None
+    clock_setters = soc.big._clock_setters + soc.little._clock_setters
+    return (
+        CompiledTick(
+            kernel, qos_app, tables, peak, tuple(faults), clock_setters
+        ),
+        None,
+    )
 
 
 def _probe_tick(soc: ExynosSoC, tick: CompiledTick) -> bool:
@@ -1100,7 +1160,9 @@ class _PresetDraw:
 
 def _python_twin(cluster: Cluster) -> Cluster:
     """A scratch copy of ``cluster`` (same models, OPP table and
-    sensors) bound to no compiled read: it reads in Python."""
+    sensors) bound to no compiled read: it reads in Python.  A faulted
+    power sensor is copied as a plain :class:`NoisySensor` with its
+    parameters, so probing never advances the live fault layer."""
     twin = Cluster(
         cluster.name,
         n_cores=cluster.n_cores,
@@ -1108,7 +1170,15 @@ def _python_twin(cluster: Cluster) -> Cluster:
         power_model=cluster.power_model,
         perf_model=cluster.perf_model,
     )
-    twin.power_sensor = cluster.power_sensor
+    sensor = cluster.power_sensor
+    if type(sensor) is FaultySensor:
+        sensor = NoisySensor(
+            sensor.name,
+            noise_fraction=sensor.noise_fraction,
+            resolution=sensor.resolution,
+            floor=sensor.floor,
+        )
+    twin.power_sensor = sensor
     twin.pmu_sensors = cluster.pmu_sensors
     twin._check_instruments()
     twin._sensors_bound = True
@@ -1202,12 +1272,14 @@ def _idle_adjusted_capacity(
 def sync_cluster_clocks(clusters, time_s: float) -> None:
     """Propagate the simulator clock to every time-aware sensor/actuator.
 
-    Called once per control interval by the SoC step loops.  Any object
-    exposing ``set_time`` (fault-injection sensor wrappers, actuator
-    fault layers) is time-aware; plain sensors are skipped.  This is
-    native clock propagation — fault injection never wraps ``soc.step``,
-    so injecting faults on multiple clusters cannot double-wrap the
-    step loop.
+    Called once per control interval by ``ManyCoreSoC.step`` and by
+    ``ExynosSoC.step`` on the Python tick; the compiled tick calls the
+    same setters itself (``CompiledTick.clock_setters``), in the same
+    order.  Any object exposing ``set_time`` (fault-injection sensor
+    wrappers, actuator fault layers) is time-aware; plain sensors are
+    skipped.  This is native clock propagation — fault injection never
+    wraps ``soc.step``, so injecting faults on multiple clusters cannot
+    double-wrap the step loop.
 
     :class:`Cluster` precomputes its time-aware instruments
     (``clock_setters``), so the fault-free fast path makes zero

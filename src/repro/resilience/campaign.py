@@ -95,11 +95,24 @@ class CampaignConfig:
             raise ValueError("fault_duration_s must be positive")
         if self.fault_start_s < 0:
             raise ValueError("fault_start_s must be non-negative")
-        unknown = set(self.managers) - set(MANAGER_NAMES)
-        if unknown:
+        for axis, values, valid in (
+            ("managers", self.managers, MANAGER_NAMES),
+            ("sensor_kinds", self.sensor_kinds, FaultModel.VALID_KINDS),
+            (
+                "actuator_kinds",
+                self.actuator_kinds,
+                ActuatorFaultModel.VALID_KINDS,
+            ),
+        ):
+            unknown = set(values) - set(valid)
+            if unknown:
+                raise ValueError(
+                    f"unknown {axis} {sorted(unknown)}; choose from {valid}"
+                )
+        if self.target not in FaultSpec.VALID_TARGETS:
             raise ValueError(
-                f"unknown managers {sorted(unknown)}; "
-                f"choose from {MANAGER_NAMES}"
+                f"unknown target {self.target!r}; "
+                f"choose from {FaultSpec.VALID_TARGETS}"
             )
 
     @property

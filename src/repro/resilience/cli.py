@@ -14,6 +14,7 @@ from pathlib import Path
 from repro.exec.cache import ResultCache
 from repro.exec.cli import resolve_cache_dir
 from repro.exec.engine import ExperimentEngine
+from repro.exec.job import FaultSpec
 from repro.exec.supervision import RunJournal, SupervisionPolicy
 from repro.experiments.figures import MANAGER_NAMES
 from repro.resilience.campaign import CampaignConfig, run_campaign
@@ -44,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--target",
-        choices=("big", "little"),
+        choices=FaultSpec.VALID_TARGETS,
         default=None,
         help="faulted cluster (default: big)",
     )

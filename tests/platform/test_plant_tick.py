@@ -40,16 +40,23 @@ from repro.platform import fleet as fleet_module
 from repro.platform import soc as soc_module
 from repro.platform.faults import (
     ActuatorFaultModel,
+    ActuatorProxy,
     FaultModel,
+    FaultySensor,
     inject_actuator_fault,
     inject_power_sensor_fault,
 )
 from repro.platform.fleet import FleetPlatform
+from repro.platform.manycore import ManyCoreSoC
 from repro.platform.opp import big_cluster_opps
 from repro.platform.perf import big_cluster_perf_model
 from repro.platform.power import big_cluster_power_model
 from repro.platform.sensors import NoisySensor
 from repro.platform.soc import Cluster, ExynosSoC, PlatformError, SoCConfig
+from repro.resilience.degrade import DegradationPolicy
+from repro.resilience.guard import TelemetryGuard
+from repro.resilience.monitor import InvariantMonitor
+from repro.resilience.pipeline import ResiliencePipeline
 from repro.workloads import canneal, x264
 from repro.workloads.base import QoSWorkload
 
@@ -318,27 +325,50 @@ class TestScalarFallbacks:
         assert soc.tick_reason is None
 
     def test_faulted_sensor(self, kernel):
+        # A faulted power sensor keeps the compiled tick: the kernel
+        # reads it healthy and the fault applies to that reading.
         soc = _soc("x264", 5)
-        inject_power_sensor_fault(
+        sensor = inject_power_sensor_fault(
             soc, "big", FaultModel("spike", start_s=0.0, end_s=1.0)
         )
-        assert soc.tick_reason == (
-            "big sensors: sensors not plain NoisySensors with positive noise"
-        )
+        assert soc.big.fused_reason is None
+        assert soc.tick_reason is None
+        tick = soc.compiled_tick()
+        assert tick is not None
+        assert tick.clock_setters == (sensor.set_time,)
+        soc.step()
 
     def test_time_aware_actuator_layer(self, kernel):
         soc = _soc("x264", 5)
-        inject_actuator_fault(
+        layer = inject_actuator_fault(
             soc,
             "little",
             ActuatorFaultModel(kind="reject", start_s=5.0, end_s=6.0),
             seed=1,
         )
-        # The sensor read stays compiled; the tick does not, because it
-        # would skip the layer's clock.
+        # The compiled tick calls the layer's clock before placement.
         assert soc.little.fused_reason is None
-        assert soc.tick_reason == "little has time-aware instruments"
+        assert soc.tick_reason is None
+        assert soc.compiled_tick().clock_setters == (layer.set_time,)
         soc.step()
+        soc.step()
+        assert layer._now_s == soc.config.dt_s
+
+    def test_faulted_pmu_sensor(self, kernel):
+        soc = _soc("x264", 5)
+        pmu = soc.big.pmu_sensors
+        soc.big.pmu_sensors = (FaultySensor(pmu[0]), *pmu[1:])
+        self._assert_python_tick(
+            soc, "big sensors: sensors not plain NoisySensors with positive noise"
+        )
+
+    def test_zero_noise_sensor(self, kernel):
+        soc = _soc("x264", 5)
+        soc.little.power_sensor = NoisySensor("little-power", noise_fraction=0.0)
+        assert soc.tick_reason == (
+            "little sensors: sensors not plain NoisySensors with positive noise"
+        )
+        assert soc.compiled_tick() is None
 
     def test_idle_insertion_then_back(self, kernel):
         soc = _soc("x264", 5)
@@ -413,6 +443,258 @@ class TestScalarFallbacks:
             timeout=120,
         )
         assert result.stdout.strip() == "['disabled', 'disabled']"
+
+
+# ----------------------------------------------------------------------
+# Faulted SoCs.  The compiled tick serves them: it sets the time-aware
+# instruments' clocks before placement and applies a faulted power
+# sensor's fault to the kernel's healthy reading.
+
+FAULT_KINDS = FaultModel.VALID_KINDS + ActuatorFaultModel.VALID_KINDS
+
+# The campaign's clamp and partial magnitudes; reject and hotplug_fail
+# at probability 0.5, so the layer's own RNG decides each request.
+_FAULT_PARAMS = {
+    "clamp": {"magnitude": 0.9},
+    "partial": {"magnitude": 0.3},
+    "reject": {"probability": 0.5},
+    "hotplug_fail": {"probability": 0.5},
+}
+
+
+def _fault(kind, start_s=0.6, end_s=1.8, **params):
+    if kind in FaultModel.VALID_KINDS:
+        return FaultModel(kind, start_s=start_s, end_s=end_s, **params)
+    params = {**_FAULT_PARAMS.get(kind, {}), **params}
+    return ActuatorFaultModel(kind, start_s=start_s, end_s=end_s, **params)
+
+
+def _inject(soc, target, fault):
+    if isinstance(fault, FaultModel):
+        return inject_power_sensor_fault(soc, target, fault)
+    return inject_actuator_fault(soc, target, fault, seed=7)
+
+
+def _fault_state(layer):
+    """Everything a fault layer carries from one tick to the next."""
+    if isinstance(layer, FaultySensor):
+        return ("sensor", layer._now_s, layer._last_healthy)
+    return (
+        "actuator",
+        layer._now_s,
+        layer.rejected_dvfs_count,
+        layer.rejected_hotplug_count,
+        list(layer._pending_dvfs),
+        layer.rng.bit_generator.state,
+    )
+
+
+def _campaign_setup(manager):
+    """The fault campaign's actuator proxies and resilience pipeline."""
+    for cluster in (manager.soc.big, manager.soc.little):
+        manager.attach_actuator_proxy(cluster.name, ActuatorProxy(cluster))
+    manager.attach_resilience(
+        ResiliencePipeline(
+            guard=TelemetryGuard(),
+            monitor=InvariantMonitor(),
+            degrade=DegradationPolicy(),
+        )
+    )
+
+
+def _faulted_run(manager, faults):
+    """A 3 s scenario with ``faults`` ((target, fault) pairs) injected
+    at the start: ``(trace, soc, fault layers, compiled ticks)``."""
+    socs, layers, compiled = [], [], []
+
+    def soc_setup(soc):
+        socs.append(soc)
+        for target, fault in faults:
+            layer = _inject(soc, target, fault)
+            if all(layer is not held for held in layers):
+                layers.append(layer)
+        plant_tick = soc._plant_tick
+
+        def counted(*args):
+            compiled.append(args[1])
+            return plant_tick(*args)
+
+        soc._plant_tick = counted
+
+    trace = run_scenario(
+        manager_factory(manager, identified_systems()),
+        x264(),
+        three_phase_scenario(phase_duration_s=1.0),
+        seed=11,
+        soc_setup=soc_setup,
+        manager_setup=_campaign_setup,
+    )
+    return trace, socs[0], layers, len(compiled)
+
+
+def _python_tick_run(monkeypatch, run, *args):
+    """``run(*args)`` with the compiled kernel forced off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(soc_module, "fused_kernel", lambda: None)
+        return run(*args)
+
+
+def _assert_same_trace(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype, field.name
+            assert x.tobytes() == y.tobytes(), field.name
+        else:
+            assert x == y, field.name
+
+
+def _assert_same_faulted_run(compiled, reference):
+    trace, soc, layers, _ = compiled
+    ref_trace, ref_soc, ref_layers, ref_compiled = reference
+    assert ref_compiled == 0
+    _assert_same_trace(trace, ref_trace)
+    assert soc.rng.bit_generator.state == ref_soc.rng.bit_generator.state
+    assert list(map(_fault_state, layers)) == list(
+        map(_fault_state, ref_layers)
+    )
+
+
+def _assert_same_telemetry(a, b):
+    assert _bits(a.qos_rate) == _bits(b.qos_rate)
+    assert_same_tick((a.qos_raw, a.big, a.little), (b.qos_raw, b.big, b.little))
+
+
+class TestFaultedTickMatchesPython:
+    """Compiled tick against the Python tick under every fault kind:
+    the whole trace, the SoC's RNG state and every fault layer's state
+    agree bit for bit, and the compiled tick ran every tick."""
+
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    @pytest.mark.parametrize("target", ["big", "little"])
+    @pytest.mark.parametrize("manager", ["SPECTR", "MM-Pow"])
+    def test_every_fault_kind(self, kernel, manager, target, kind, monkeypatch):
+        faults = [(target, _fault(kind))]
+        compiled = _faulted_run(manager, faults)
+        trace, soc = compiled[:2]
+        assert soc.tick_reason is None
+        assert compiled[3] == trace.times.size
+        reference = _python_tick_run(monkeypatch, _faulted_run, manager, faults)
+        _assert_same_faulted_run(compiled, reference)
+
+    def test_overlapping_windows(self, kernel, monkeypatch):
+        # stuck and bias start together (stuck, injected first, wins),
+        # spike starts later; on the actuator side delay starts first.
+        faults = [
+            ("big", _fault("spike", 0.9, 2.2)),
+            ("big", _fault("stuck", 0.5, 1.5)),
+            ("big", _fault("bias", 0.5, 1.2, magnitude=0.5)),
+            ("little", _fault("partial", 0.8, 2.0)),
+            ("little", _fault("delay", 0.4, 1.6)),
+            ("big", _fault("reject", 0.7, 2.5)),
+        ]
+        compiled = _faulted_run("SPECTR", faults)
+        assert compiled[3] == compiled[0].times.size
+        reference = _python_tick_run(
+            monkeypatch, _faulted_run, "SPECTR", faults
+        )
+        _assert_same_faulted_run(compiled, reference)
+        sensor, little_layer, big_layer = compiled[2]
+        sensor.set_time(1.0)
+        assert sensor.active_fault().kind == "stuck"
+        little_layer.set_time(1.0)
+        assert little_layer.active_fault().kind == "delay"
+        assert big_layer.active_fault() is None
+
+    def test_probes_never_touch_the_fault_layer(self, kernel, monkeypatch):
+        # Cold memos: both probes run on the faulted SoC.  Outside its
+        # window the sensor would record every healthy reading it made.
+        monkeypatch.setattr(soc_module, "_SENSOR_MEMO", {})
+        monkeypatch.setattr(soc_module, "_TICK_MEMO", {})
+        soc = _soc("x264", 5)
+        sensor = inject_power_sensor_fault(soc, "big", _fault("stuck", 5.0, 6.0))
+        assert soc.tick_reason is None
+        assert sensor._last_healthy is None
+        soc.step()
+        assert sensor._last_healthy is not None
+
+    @staticmethod
+    def _mid_run_injection(rebinds):
+        """60 ticks of a SoC stepped through fixed actuations, with
+        faults injected after 15 and 30 ticks."""
+        scenario = three_phase_scenario(phase_duration_s=1.0)
+        soc = ExynosSoC(
+            qos_app=x264(),
+            background=scenario.background_tasks(),
+            config=SoCConfig(seed=3),
+        )
+        big_f = soc.big.opps.frequencies
+        little_f = soc.little.opps.frequencies
+        layers, readings = [], []
+        for k in range(60):
+            if k == 15:
+                before = soc.compiled_tick()
+                layers.append(
+                    inject_power_sensor_fault(soc, "big", _fault("stuck", 0.9, 1.9))
+                )
+                layers.append(
+                    inject_actuator_fault(
+                        soc, "little", _fault("delay", 0.8, 2.0), seed=4
+                    )
+                )
+                after = soc.compiled_tick()
+                rebinds.append(after is not None and after is not before)
+            if k == 30:
+                layers.append(
+                    inject_power_sensor_fault(
+                        soc, "little", _fault("dropout", 1.6, 2.4)
+                    )
+                )
+            soc.big.set_frequency(big_f[7 * k % len(big_f)])
+            soc.little.set_frequency(little_f[5 * k % len(little_f)])
+            soc.little.set_active_cores(1 + k % 4)
+            readings.append(soc.step())
+        return readings, soc, layers
+
+    def test_fault_injected_mid_run_rebinds_the_tick(self, kernel, monkeypatch):
+        rebinds = []
+        readings, soc, layers = self._mid_run_injection(rebinds)
+        assert rebinds == [True]
+        assert soc.tick_reason is None
+        ref_readings, ref_soc, ref_layers = _python_tick_run(
+            monkeypatch, self._mid_run_injection, []
+        )
+        for a, b in zip(readings, ref_readings, strict=True):
+            _assert_same_telemetry(a, b)
+        assert soc.rng.bit_generator.state == ref_soc.rng.bit_generator.state
+        assert list(map(_fault_state, layers)) == list(
+            map(_fault_state, ref_layers)
+        )
+        assert layers[0]._last_healthy is not None
+
+    @staticmethod
+    def _many_core_run():
+        soc = ManyCoreSoC(n_little=2, qos_app=x264(), config=SoCConfig(seed=9))
+        sensor = inject_power_sensor_fault(
+            soc, "little1", _fault("stuck", 0.3, 0.9)
+        )
+        return soc, sensor, [soc.step() for _ in range(30)]
+
+    def test_many_core_faulted_power_sensor(self, kernel, monkeypatch):
+        soc, sensor, readings = self._many_core_run()
+        assert [c.fused_reason for c in soc.clusters] == [None] * 3
+        assert soc.clusters[2].compiled_sensors().fault is sensor
+        ref_soc, ref_sensor, ref_readings = _python_tick_run(
+            monkeypatch, self._many_core_run
+        )
+        for a, b in zip(readings, ref_readings, strict=True):
+            assert _bits(a.qos_raw) == _bits(b.qos_raw)
+            for x, y in zip(a.clusters, b.clusters, strict=True):
+                for name in ("power_w", "ips"):
+                    assert _bits(getattr(x, name)) == _bits(getattr(y, name))
+                assert x.per_core_ips.tobytes() == y.per_core_ips.tobytes()
+        assert soc.rng.bit_generator.state == ref_soc.rng.bit_generator.state
+        assert _fault_state(sensor) == _fault_state(ref_sensor)
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,13 @@ in exactly this order, or the golden traces stop being bit-identical:
 1. QoS workload rate noise — one ``normal(1, variability)`` draw, only
    when a QoS app is attached and its variability is positive;
 2. Big cluster telemetry — one power-sensor gain and one PMU gain per
-   core.  When every instrument is a plain :class:`NoisySensor` these
-   come from a single batched ``standard_normal(n_cores + 1)`` call
-   (which consumes the stream identically to the scalar draws); any
-   wrapped/faulty sensor falls back to per-sensor scalar ``normal``
-   draws in the same order;
+   core.  When every instrument is a plain :class:`NoisySensor` (the
+   power sensor may also be a ``FaultySensor``, whose fault applies to
+   the healthy reading and draws nothing) these come from a single
+   batched ``standard_normal(n_cores + 1)`` call (which consumes the
+   stream identically to the scalar draws); any other wrapped or
+   zero-noise sensor falls back to per-sensor scalar ``normal`` draws
+   in the same order;
 3. Little cluster telemetry — same as the big cluster.
 
 These tests pin the call sequence itself, not just the resulting
@@ -29,7 +31,11 @@ from repro.control import fused
 from repro.experiments.figures import MANAGER_NAMES, identified_systems
 from repro.experiments.fleet import fleet_manager_factory, run_fleet_scenario
 from repro.experiments.scenario import three_phase_scenario
-from repro.platform.faults import FaultModel, inject_power_sensor_fault
+from repro.platform.faults import (
+    FaultModel,
+    FaultySensor,
+    inject_power_sensor_fault,
+)
 from repro.platform.fleet import FleetPlatform
 from repro.platform.soc import ExynosSoC, SoCConfig
 from repro.workloads import x264
@@ -80,14 +86,27 @@ class TestDrawOrder:
             ("standard_normal", 5),
         ]
 
-    def test_faulty_power_sensor_uses_scalar_draws_in_order(self):
+    def test_faulty_power_sensor_keeps_the_batched_draw(self):
         soc = ExynosSoC(qos_app=x264(), config=SoCConfig(seed=2018))
         inject_power_sensor_fault(
             soc, "big", FaultModel("spike", start_s=1.0, end_s=2.0)
         )
         calls, _ = recorded_step(soc)
+        assert calls == [
+            ("normal", 1.0, x264().variability, None),
+            # A faulted power sensor keeps the batched call: its fault
+            # applies to the healthy reading and draws nothing.
+            ("standard_normal", 5),
+            ("standard_normal", 5),
+        ]
+
+    def test_faulty_pmu_sensor_uses_scalar_draws_in_order(self):
+        soc = ExynosSoC(qos_app=x264(), config=SoCConfig(seed=2018))
+        pmu = soc.big.pmu_sensors
+        soc.big.pmu_sensors = (*pmu[:3], FaultySensor(pmu[3]))
+        calls, _ = recorded_step(soc)
         power_noise = soc.big.power_sensor.noise_fraction
-        pmu_noise = soc.big.pmu_sensors[0].noise_fraction
+        pmu_noise = pmu[0].noise_fraction
         assert calls == [
             ("normal", 1.0, x264().variability, None),
             # big falls back to per-sensor scalar draws, same order:

@@ -33,7 +33,11 @@ from repro.experiments.figures import (
 from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import three_phase_scenario
 from repro.platform import soc as soc_module
-from repro.platform.faults import FaultModel, inject_power_sensor_fault
+from repro.platform.faults import (
+    FaultModel,
+    FaultySensor,
+    inject_power_sensor_fault,
+)
 from repro.platform.fleet import FleetPlatform
 from repro.platform.sensors import NoisySensor
 from repro.platform.soc import ExynosSoC, SoCConfig, read_cluster_telemetry
@@ -149,6 +153,24 @@ class TestCompiledReadMatchesPython:
         assert first.per_core_ips.flags.owndata
         assert first.per_core_ips.tobytes() == kept.tobytes()
 
+    def test_faulted_power_sensor(self, kernel):
+        # A faulted power sensor reads compiled: the kernel reads it
+        # healthy, then the fault applies to that reading.
+        soc = ExynosSoC(qos_app=x264(), config=SoCConfig(seed=1))
+        assert soc.big.fused_reason is None
+        sensor = inject_power_sensor_fault(
+            soc, "big", FaultModel("spike", start_s=0.0, end_s=1.0)
+        )
+        soc.step()
+        assert soc.big.fused_reason is None
+        assert soc.big.compiled_sensors().fault is sensor
+        rng_a = np.random.default_rng(9)
+        rng_b = np.random.default_rng(9)
+        got = read_cluster_telemetry(soc.big, 2.5, rng_a)
+        expected = python_read(soc.big, 2.5, rng_b)
+        assert_same_reading(expected, got)
+        assert soc.little.fused_reason is None
+
     @pytest.mark.parametrize("manager", MANAGER_NAMES)
     def test_scenario_traces_match_the_python_read(
         self, kernel, manager, monkeypatch
@@ -195,17 +217,13 @@ class TestFallbacks:
         if expected is not None:
             assert all(c.compiled_sensors() is None for c in soc.clusters())
 
-    def test_faulted_sensor_reads_in_python(self, kernel):
-        soc = ExynosSoC(qos_app=x264(), config=SoCConfig(seed=1))
-        assert soc.big.fused_reason is None
-        inject_power_sensor_fault(
-            soc, "big", FaultModel("spike", start_s=0.0, end_s=1.0)
-        )
-        soc.step()
+    def test_faulted_pmu_sensor_reads_in_python(self, kernel):
+        cluster = _cluster()
+        pmu = cluster.pmu_sensors
+        cluster.pmu_sensors = (*pmu[:2], FaultySensor(pmu[2]), pmu[3])
         self._assert_python(
-            soc.big, "sensors not plain NoisySensors with positive noise"
+            cluster, "sensors not plain NoisySensors with positive noise"
         )
-        assert soc.little.fused_reason is None
 
     def test_zero_noise_sensor_reads_in_python(self, kernel):
         cluster = _cluster()

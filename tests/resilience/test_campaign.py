@@ -25,6 +25,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             CampaignConfig(managers=("SPECTR", "nope"))
 
+    @pytest.mark.parametrize(
+        "axis, value, valid",
+        [
+            ("target", "mid", "('big', 'little')"),
+            ("sensor_kinds", ("stuck", "wobble"), "'stuck', 'dropout'"),
+            ("actuator_kinds", ("melt",), "'reject', 'clamp'"),
+        ],
+    )
+    def test_unknown_axis_value_rejected_naming_the_valid_ones(
+        self, axis, value, valid
+    ):
+        # Rejected at construction, not later as a failing faulted cell.
+        with pytest.raises(ValueError, match=f"unknown {axis}") as caught:
+            CampaignConfig(**{axis: value})
+        assert valid in str(caught.value)
+
     def test_bad_fault_window_rejected(self):
         with pytest.raises(ValueError):
             CampaignConfig(fault_duration_s=0.0)
