@@ -8,15 +8,16 @@
 #     cache integrity, golden traces) fails — kept as a dedicated step
 #     so engine regressions are identified before the longer gates run
 #     — with the compiled fast paths on, or with them disabled
-#     (REPRO_DISABLE_FUSED=1): the scalar servo and sensor read run
-#     the compiled kernels by default, so this run pins their
-#     numpy/Python reference paths to the committed golden traces,
-#   * the fleet equivalence drill, the scalar sensor-read tests, the
-#     plant tick tests or the RNG contract (the fleet's noise refill)
-#     with the compiled fast paths disabled (REPRO_DISABLE_FUSED=1)
-#     fail — the pure-numpy/Python fallbacks must stay bit-identical
-#     too, and every cluster, SoC tick and fleet must report the
-#     fallback (the tier-1 run covers the same files with the kernels
+#     (REPRO_DISABLE_FUSED=1): the scalar servo and plant tick (sensor
+#     reads included) run the compiled kernels by default, so this run
+#     pins their numpy/Python reference paths to the committed golden
+#     traces,
+#   * the fleet equivalence drill, the scalar sensor-read tests (the
+#     compiled tick's readings against the Python read), the plant tick
+#     tests or the RNG contract (the fleet's noise refill) with the
+#     compiled fast paths disabled (REPRO_DISABLE_FUSED=1) fail — the
+#     pure-numpy/Python fallbacks must stay bit-identical too, and
+#     every SoC tick and fleet must report the fallback (the tier-1 run covers the same files with the kernels
 #     on),
 #   * the servo's kernel-coverage tests, the fleet differential
 #     harness or the golden-trace tests fail under the Sandybridge or

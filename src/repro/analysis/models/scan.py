@@ -320,7 +320,8 @@ def analyze_model_set(
     ``paths`` optionally maps each role to the file its findings should
     anchor at; cross-model findings anchor at ``path``.  Set
     ``resynthesize=False`` to skip the M007 re-synthesis (it dominates
-    runtime on large models).
+    runtime on large models).  An M004 alphabet error skips it too:
+    re-synthesis would only fail on the conflict M004 already reports.
     """
     normalized = {
         MODEL_ROLES.get(role.lower(), role.lower()): automaton
@@ -339,7 +340,7 @@ def analyze_model_set(
     supervisor = normalized.get("supervisor")
     if plant is not None and supervisor is not None:
         findings.extend(check_closed_loop(plant, supervisor, path))
-        if resynthesize:
+        if resynthesize and not _alphabet_conflict(findings):
             findings.extend(
                 check_bundle_freshness(
                     plant,
@@ -379,6 +380,15 @@ def _analyze_model_file(
     return check_model(automaton, str(path), role=role), 1, False
 
 
+def _alphabet_conflict(findings: Sequence[Finding]) -> bool:
+    """Whether ``findings`` hold an M004 error (an event whose
+    attributes differ between models)."""
+    return any(
+        f.rule == "REPRO-M004" and f.severity is Severity.ERROR
+        for f in findings
+    )
+
+
 def _set_result(
     findings: list[Finding],
     models: dict[str, Automaton],
@@ -386,7 +396,10 @@ def _set_result(
     resynthesize: bool,
 ) -> tuple[list[Finding], int, bool]:
     ran_resynthesis = (
-        resynthesize and "plant" in models and "supervisor" in models
+        resynthesize
+        and "plant" in models
+        and "supervisor" in models
+        and not _alphabet_conflict(findings)
     )
     return findings, len(models), ran_resynthesis
 

@@ -14,18 +14,18 @@ compiler cannot fuse or reorder anything we did not write explicitly):
   and the scalar :class:`~repro.control.lqg.LQGServoController` steps
   its single row (N=1);
 * ``fleet_telemetry`` — the per-row cluster sensor read
-  (``soc.read_cluster_telemetry``).  The scalar SoC's
-  ``soc.CompiledSensors`` reads one cluster's single row through it,
-  per-core readings included, wherever the SoC's tick runs in Python
-  (a workload that is not exactly a ``QoSWorkload``, a sibling cluster
-  with a faulted PMU or under idle insertion, every ``ManyCoreSoC``
-  cluster);
+  (``soc.read_cluster_telemetry``).  It has no Python binding:
+  ``plant_tick`` reads every cluster row through its row reader and
+  its argument-block layout (:func:`telemetry_args`), and a SoC that
+  ticks in Python (a workload that is not exactly a ``QoSWorkload``, a
+  faulted PMU, idle insertion, every ``ManyCoreSoC``) reads its
+  sensors in Python;
 * ``plant_tick`` — the rest of the plant tick after the background
   placement: the Big cluster's fair share, the QoS workload's rate
   (Amdahl speedup over a per-OPP ``peak_rate * frequency_scale`` table,
   the serial-phase rescale, the clamped noise gain and the floor at 0),
-  both clusters' busy clamps and both sensor reads, through the same
-  row reader as ``fleet_telemetry``.  One kernel serves both ticks:
+  both clusters' busy clamps and both sensor reads, through
+  ``fleet_telemetry``'s row reader.  One kernel serves both ticks:
   ``soc.CompiledTick`` runs the scalar SoC's single row (per-core
   readings out, the QoS gain drawn by ``rng.normal``), and
   ``fleet.CompiledFleetTick`` runs N rows (per-core NULL, the gain from
@@ -44,7 +44,7 @@ compiler cannot fuse or reorder anything we did not write explicitly):
   build or load-time probe fails, the other four kernels still build
   and only the refill stays on numpy (:func:`noise_fill_reason`).
 
-Each of the five takes a single pointer to an *argument block*: an
+Each of them takes a single pointer to an *argument block*: an
 array of C ``arg`` slots (``union { i64; double; void * }``), built
 once per set of buffers with :func:`arg_block` (:func:`servo_block`,
 :func:`telemetry_args`, :func:`plant_tick_args`).  A call then
@@ -53,11 +53,11 @@ the caller rewrites only its per-call slots: ``Y`` for the fleet servo,
 ``z`` for the fleet tick, which reads each cluster's tables and state
 through that cluster's telemetry block.  The scalar callers keep even
 those in place: their inputs live in fixed buffers the block points
-into (the scalar sensor read's and the scalar tick's each in one
-scratch array), so a call is the bare pointer.
+into (the scalar tick's in one scratch array), so a call is the bare
+pointer.
 
 Every function is gated on a differential probe against the numpy (or,
-for the scalar sensor read and tick, Python) reference — by its caller,
+for the scalar tick, Python) reference — by its caller,
 run once per content and memoized through :func:`probe_verdict`, or
 for the noise refill once at load — so a kernel only ever runs where
 it is machine-verified bit-identical.
@@ -87,8 +87,8 @@ The kernel is strictly optional: it compiles lazily with the system C
 compiler into a cached shared object, and any failure (no compiler,
 failed build, failed or raising probe) falls back to numpy or Python
 with the reason recorded — :func:`unavailable_reason` for the kernel,
-:func:`noise_fill_reason` for the refill, ``fused_reason`` per servo,
-per SoC cluster and per fleet, ``tick_reason`` per SoC and per fleet.
+:func:`noise_fill_reason` for the refill, ``fused_reason`` per servo
+and per fleet, ``tick_reason`` per SoC and per fleet.
 ``REPRO_DISABLE_FUSED=1`` forces those paths (used by tests to cover
 both implementations).  Nothing here changes results —
 only how fast they are produced.
@@ -788,11 +788,12 @@ def _compile(source: str, archive: str | None = None):
 class FusedKernel:
     """ctypes binding of the compiled per-row kernels.
 
-    ``servo_step``, ``telemetry``, ``plant_tick``, ``snap`` and
-    ``noise_fill`` each take the address of an argument block
-    (:func:`arg_block`) and nothing else.  ``noise_fill`` is ``None`` when the object was built without
-    the refill or its load-time probe failed; ``noise_reason`` then
-    says why (see :func:`noise_fill_reason`).
+    ``servo_step``, ``plant_tick``, ``snap`` and ``noise_fill`` each
+    take the address of an argument block (:func:`arg_block`) and
+    nothing else (``fleet_telemetry`` has no binding; ``plant_tick``
+    runs its row reader).  ``noise_fill`` is ``None`` when the object was
+    built without the refill or its load-time probe failed;
+    ``noise_reason`` then says why (see :func:`noise_fill_reason`).
     """
 
     def __init__(self, lib, noise_gap: str | None = None) -> None:
@@ -800,10 +801,6 @@ class FusedKernel:
         step.restype = None
         step.argtypes = [ctypes.c_void_p]
         self.servo_step = step
-        telemetry = lib.fleet_telemetry
-        telemetry.restype = None
-        telemetry.argtypes = [ctypes.c_void_p]
-        self.telemetry = telemetry
         snap = lib.opp_snap
         snap.restype = None
         snap.argtypes = [ctypes.c_void_p]

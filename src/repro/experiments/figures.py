@@ -103,10 +103,19 @@ _SPECTR_KEYS = (
 )
 
 
-def spectr_kwargs(overrides: dict | None) -> dict:
-    """SPECTR constructor keywords for ``overrides``; an unknown key
-    raises :class:`ValueError`."""
+def spectr_kwargs(manager: str, overrides: dict | None) -> dict:
+    """SPECTR constructor keywords for ``overrides`` on ``manager``.
+
+    An unknown key raises :class:`ValueError`, and so does any key on a
+    manager other than SPECTR: it would be ignored, yet its job would
+    digest, and cache, as a cell of its own.
+    """
     overrides = overrides or {}
+    if overrides and manager != "SPECTR":
+        raise ValueError(
+            f"SPECTR overrides {sorted(overrides)} given for manager "
+            f"{manager!r}; only SPECTR takes them"
+        )
     unknown = set(overrides) - set(_SPECTR_KEYS)
     if unknown:
         raise ValueError(
@@ -125,9 +134,9 @@ def manager_factory(
     """Factory for :func:`~repro.experiments.runner.run_scenario`.
 
     ``overrides`` maps SPECTR construction keys (``_SPECTR_KEYS``) to
-    values; other managers ignore them.
+    values; other managers reject them (:func:`spectr_kwargs`).
     """
-    kwargs = spectr_kwargs(overrides)
+    kwargs = spectr_kwargs(name, overrides)
     if name == "MM-Perf":
         return lambda soc, goals: mm_perf(
             soc, goals, big_system=systems.big, little_system=systems.little

@@ -204,7 +204,7 @@ def fleet_manager_factory(
     name: str, systems: IdentifiedSystems, overrides: dict | None = None
 ):
     """Fleet mirror of :func:`repro.experiments.figures.manager_factory`."""
-    kwargs = spectr_kwargs(overrides)
+    kwargs = spectr_kwargs(name, overrides)
     if name == "MM-Perf":
         return lambda platform, goals: fleet_mm_perf(
             platform,

@@ -4,13 +4,12 @@
 :class:`~repro.perf.profiler.StepProfiler` attached and prints the
 per-stage hotspot table plus end-to-end throughput, then each LQG
 servo's step path: ``compiled`` (the fused kernel) or ``numpy`` with
-the servo's ``fused_reason``, below it each SoC cluster's sensor
-read: ``compiled`` (the telemetry kernel) or ``python`` with the
-cluster's ``fused_reason``, then the fleet's sensor-noise refill:
+the servo's ``fused_reason``, then the fleet's sensor-noise refill:
 ``compiled`` (the ``noise_fill`` kernel) or ``numpy`` with
-``FleetPlatform.fused_reason``, and last the plant tick of the SoC and
-of a fleet of the same workload: ``compiled`` (the ``plant_tick``
-kernel) or ``python``/``numpy`` with ``tick_reason``.
+``FleetPlatform.fused_reason``, and last the plant tick, sensor reads
+included, of the SoC and of a fleet of the same workload: ``compiled``
+(the ``plant_tick`` kernel) or ``python``/``numpy`` with
+``tick_reason``.
 """
 
 from __future__ import annotations
@@ -64,17 +63,6 @@ def _servo_report(manager) -> str:
         path = "numpy" if servo._fused is None else "compiled"
         reason = servo.fused_reason if servo._fused is None else "-"
         lines.append(f"{servo.name:<14} {path:<9} {reason}")
-    return "\n".join(lines)
-
-
-def _sensor_report(soc) -> str:
-    """One line per SoC cluster: its sensor-read path and, on the
-    Python path, why (``fused_reason``)."""
-    lines = [f"{'sensors':<14} {'path':<9} fused_reason"]
-    for cluster in soc.clusters():
-        reason = cluster.fused_reason
-        path = "python" if reason is not None else "compiled"
-        lines.append(f"{cluster.name:<14} {path:<9} {reason or '-'}")
     return "\n".join(lines)
 
 
@@ -155,9 +143,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     for manager in managers:
         print()
         print(_servo_report(manager))
-    for soc in socs:
-        print()
-        print(_sensor_report(soc))
     print()
     print(_noise_report(args.seed))
     print()

@@ -27,10 +27,9 @@ the step and before placement, on the compiled plant tick as on the
 Python one (see ``ExynosSoC.step`` / ``ManyCoreSoC.step``), so injecting
 faults on both clusters never wraps or double-wraps ``soc.step``.
 
-Faulted SoCs keep the compiled plant tick and sensor read
-(``repro.platform.soc``).  An actuator fault layer acts inside
-``Cluster.set_frequency`` / ``set_active_cores``, outside the tick.  A
-faulted power sensor is read by the kernel through its own noise,
+Faulted SoCs keep the compiled plant tick (``repro.platform.soc``).
+An actuator fault layer acts inside ``Cluster.set_frequency`` /
+``set_active_cores``, outside the tick.  A faulted power sensor is read by the kernel through its own noise,
 resolution and floor (the healthy reading), and
 :meth:`FaultySensor.apply` then turns that reading into the faulted
 one in Python; :meth:`FaultySensor.read` is the same two steps.  A
@@ -144,9 +143,10 @@ class FaultySensor(NoisySensor):
         ``healthy``; draws nothing.  A read outside every fault window
         records ``healthy`` as the value a later ``stuck`` fault holds.
 
-        The SoC's batched and compiled reads take the healthy reading
-        from their own noise draw and apply the fault here, so a faulted
-        power sensor consumes the RNG stream like a plain one.
+        The SoC's batched Python read and its compiled tick take the
+        healthy reading from their own noise draw and apply the fault
+        here, so a faulted power sensor consumes the RNG stream like a
+        plain one.
         """
         fault = self.active_fault()
         if fault is None:

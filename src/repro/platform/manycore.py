@@ -196,6 +196,7 @@ class ManyCoreSoC:
     def _cluster_telemetry(
         self, cluster: Cluster, busy: float
     ) -> ClusterTelemetry:
-        # Shared hot-path kernel with ExynosSoC (same draw order: power
-        # sensor first, then one PMU draw per core).
+        # The Python reference read, shared with ExynosSoC's Python tick
+        # (same draw order: power sensor first, then one PMU draw per
+        # core).
         return read_cluster_telemetry(cluster, busy, self.rng)

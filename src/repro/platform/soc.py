@@ -82,8 +82,8 @@ class Cluster:
         self.perf_model = perf_model
         self._frequency_ghz = opps.max_frequency
         self._voltage_v = opps.snap(self._frequency_ghz).voltage_v
-        # OPP index of the current frequency, for the compiled sensor
-        # read's per-OPP tables.
+        # OPP index of the current frequency, for the compiled plant
+        # tick's per-OPP tables.
         self._opp_index_of = {
             opp.frequency_ghz: index for index, opp in enumerate(opps.points)
         }
@@ -100,15 +100,12 @@ class Cluster:
         # Optional fault-injection layer consulted by the actuators
         # (set by repro.platform.faults.inject_actuator_fault).
         self.actuator_faults = None
-        # Identity-keyed caches of the instruments: the bound
-        # ``set_time`` methods and the compiled sensor read, re-derived
-        # when fault injection swaps an instrument (see clock_setters
-        # and compiled_sensors).
+        # Identity-keyed cache of the instruments and their bound
+        # ``set_time`` methods, re-derived when fault injection swaps an
+        # instrument (see clock_setters); ExynosSoC.compiled_tick
+        # re-binds its tick when this tuple changes identity.
         self._instruments: tuple = ()
         self._clock_setters: tuple = ()
-        self._sensors: CompiledSensors | None = None
-        self._sensors_reason: str | None = None
-        self._sensors_bound = False
 
     # ------------------------------ actuators -------------------------
     @property
@@ -233,8 +230,6 @@ class Cluster:
             if setter is not None:
                 setters.append(setter)
         self._clock_setters = tuple(setters)
-        self._sensors = None
-        self._sensors_bound = False
 
     def clock_setters(self) -> tuple:
         """Bound ``set_time`` methods of the time-aware instruments.
@@ -244,29 +239,6 @@ class Cluster:
         """
         self._check_instruments()
         return self._clock_setters
-
-    def compiled_sensors(self) -> CompiledSensors | None:
-        """The compiled sensor read, or ``None`` when the sensors must
-        be read in Python (``fused_reason`` says why).
-
-        Bound on first use and whenever an instrument is swapped; idle
-        insertion is checked per read, since it changes per tick.
-        """
-        self._check_instruments()
-        if not self._sensors_bound:
-            self._sensors, self._sensors_reason = _bind_sensors(self)
-            self._sensors_bound = True
-        return self._sensors
-
-    @property
-    def fused_reason(self) -> str | None:
-        """Why this cluster's sensors are read in Python; ``None`` when
-        the compiled telemetry kernel reads them."""
-        if self.compiled_sensors() is None:
-            return self._sensors_reason
-        if self._idle_cores:
-            return "idle insertion"
-        return None
 
 
 @dataclass
@@ -349,8 +321,8 @@ class ExynosSoC:
         self.time_s = 0.0
         self._clusters = (self.big, self.little)
         # The compiled plant tick, bound on first use and re-bound when
-        # the workload or a cluster's compiled sensor read changes
-        # identity (see compiled_tick).
+        # the workload or a cluster's instruments change identity (see
+        # compiled_tick).
         self._tick: CompiledTick | None = None
         self._tick_reason: str | None = None
         self._tick_key: tuple | None = None
@@ -367,23 +339,24 @@ class ExynosSoC:
         Python (``tick_reason`` says why).
 
         Bound on first use and whenever the workload or a cluster's
-        compiled sensor read changes identity (a swapped instrument
-        re-binds the read, and with it the tick's fault layers and clock
-        setters); idle insertion is checked per tick, since it changes
-        per tick.
+        instruments change identity (a swapped instrument re-binds the
+        tick's eligibility, fault layers and clock setters); idle
+        insertion is checked per tick, since it changes per tick.
         """
-        big_sensors = self.big.compiled_sensors()
-        little_sensors = self.little.compiled_sensors()
+        big = self.big
+        little = self.little
+        big._check_instruments()
+        little._check_instruments()
         key = self._tick_key
         if (
             key is None
             or key[0] is not self.qos_app
-            or key[1] is not big_sensors
-            or key[2] is not little_sensors
+            or key[1] is not big._instruments
+            or key[2] is not little._instruments
         ):
-            self._tick_key = (self.qos_app, big_sensors, little_sensors)
+            self._tick_key = (self.qos_app, big._instruments, little._instruments)
             self._tick, self._tick_reason = _bind_tick(self)
-        if self.big._idle_cores or self.little._idle_cores:
+        if big._idle_cores or little._idle_cores:
             return None
         return self._tick
 
@@ -529,13 +502,12 @@ class ExynosSoC:
 def read_cluster_telemetry(
     cluster: Cluster, busy_core_equivalents: float, rng: np.random.Generator
 ) -> ClusterTelemetry:
-    """One cluster's sensor readings for one interval (shared kernel).
+    """One cluster's sensor readings for one interval, in Python.
 
-    Used by both :class:`ExynosSoC` and ``ManyCoreSoC``.  Runs the
-    compiled telemetry kernel (:class:`CompiledSensors`) wherever the
-    cluster's differential probe passed and no idle insertion is
-    active; the Python read below is the reference it reproduces bit
-    for bit, drawing from the RNG stream identically.
+    The reference read: ``ManyCoreSoC`` reads every cluster through it,
+    and :class:`ExynosSoC` wherever it ticks in Python.  The compiled
+    plant tick (:class:`CompiledTick`) reproduces it bit for bit,
+    drawing from the RNG stream identically.
 
     Draw order per cluster: one power-sensor draw, then one PMU draw per
     core (all cores, including inactive ones — their target rate is
@@ -551,9 +523,6 @@ def read_cluster_telemetry(
     faulted power sensor's fault applies to the healthy reading
     (:meth:`FaultySensor.apply`).
     """
-    sensors = cluster.compiled_sensors()
-    if sensors is not None and cluster._idle_cores == 0:
-        return sensors.read(cluster, busy_core_equivalents, rng)
     frequency_ghz = cluster._frequency_ghz
     true_power_w = cluster.power_model.cluster_power(
         frequency_ghz,
@@ -619,7 +588,7 @@ class SensorTables:
     Per-OPP tables (built with Python-float arithmetic, so indexed
     values match the scalar expressions bit for bit) and per-sensor
     rows: column 0 is the power sensor, columns 1..n_cores the PMUs.
-    Shared by the scalar read and the fleet's ``FleetCluster``.
+    Shared by the scalar tick and the fleet's ``FleetCluster``.
     """
 
     def __init__(self, cluster: Cluster) -> None:
@@ -650,7 +619,7 @@ class SensorTables:
 
 
 def _sensor_content(cluster: Cluster) -> tuple:
-    """Everything the compiled read depends on besides the cluster's
+    """Everything a cluster's compiled read depends on besides the cluster's
     state, as a memo key: models, OPP table and sensor parameters, with
     their types (an int floor or resolution yields an int reading)."""
     power_model = cluster.power_model
@@ -667,123 +636,6 @@ def _sensor_content(cluster: Cluster) -> tuple:
     for sensor in (cluster.power_sensor, *cluster.pmu_sensors):
         params += (sensor.noise_fraction, sensor.resolution, sensor.floor)
     return struct.pack(f"={len(params)}d", *params), tuple(map(type, params))
-
-
-class CompiledSensors:
-    """One cluster's sensor read on the compiled telemetry kernel.
-
-    The fleet's ``fleet_telemetry`` kernel on a single row.  Its inputs
-    and outputs live in one fixed scratch array the argument block
-    points into: active cores, OPP index and busy equivalents, the
-    noise draws, then the power, ips and per-core readings.  A read
-    writes the three state values and the draws and makes one
-    one-pointer call.  ``fault`` is the cluster's power sensor when it
-    is a :class:`FaultySensor`: the kernel's reading is the healthy
-    one, and the fault applies to it after the call.
-    """
-
-    _STATE = struct.Struct("=dqd")  # active, OPP index, busy equivalents
-    _OUTPUTS = struct.Struct("=dd")  # power, ips
-
-    def __init__(
-        self,
-        kernel,
-        tables: SensorTables,
-        n_cores: int,
-        fault: FaultySensor | None = None,
-    ) -> None:
-        draws = 3
-        outputs = draws + n_cores + 1
-        per_core = outputs + 2
-        scratch = np.zeros(per_core + n_cores, dtype=float)
-        base = scratch.ctypes.data
-        block = arg_block(
-            telemetry_args(
-                tables,
-                1,
-                active=base,
-                opp=base + 8,
-                bce=base + 16,
-                z=base + 8 * draws,
-                z_stride=n_cores + 1,
-                power_out=base + 8 * outputs,
-                ips_out=base + 8 * (outputs + 1),
-                per_core_out=base + 8 * per_core,
-            )
-        )
-        self._block = block
-        self._tables = tables  # the block points into them
-        self._memory = scratch.data
-        self._address = block.ctypes.data
-        self._call = kernel.telemetry
-        self._n_draws = n_cores + 1
-        self._draws = scratch[draws:outputs]
-        self._per_core = scratch[per_core:]
-        self._outputs_offset = 8 * outputs
-        self.fault = fault
-
-    def read(
-        self, cluster: Cluster, busy_core_equivalents: float, rng
-    ) -> ClusterTelemetry:
-        # The draw stays a plain standard_normal(n_cores + 1) call: the
-        # RNG contract pins the call itself, not only the stream.
-        np.copyto(self._draws, rng.standard_normal(self._n_draws))
-        active = cluster._active_cores
-        self._STATE.pack_into(
-            self._memory,
-            0,
-            active,
-            cluster._opp_index,
-            busy_core_equivalents,
-        )
-        self._call(self._address)
-        power_w, ips = self._OUTPUTS.unpack_from(
-            self._memory, self._outputs_offset
-        )
-        if self.fault is not None:
-            power_w = self.fault.apply(power_w)
-        return ClusterTelemetry(
-            frequency_ghz=cluster._frequency_ghz,
-            voltage_v=cluster._voltage_v,
-            active_cores=active,
-            busy_core_equivalents=busy_core_equivalents,
-            power_w=power_w,
-            ips=ips,
-            per_core_ips=self._per_core.copy(),
-        )
-
-
-# Probe verdicts and kernel tables keyed by cluster content
-# (_sensor_content).  The probe is deterministic, so identical clusters
-# re-derive the same verdict; run_scenario builds a fresh SoC per run,
-# which would otherwise repeat it every run.
-_SENSOR_MEMO: dict[tuple, tuple[SensorTables | None, str | None]] = {}
-
-
-def _bind_sensors(cluster: Cluster) -> tuple[CompiledSensors | None, str | None]:
-    """The cluster's compiled read, or ``None`` and the reason it is
-    read in Python."""
-    kernel = fused_kernel()
-    if kernel is None:
-        return None, unavailable_reason()
-    if cluster.n_cores >= 8:
-        return None, ">= 8 cores (pairwise-sum read)"
-    if not _reads_batched(cluster.power_sensor, cluster.pmu_sensors):
-        return None, "sensors not plain NoisySensors with positive noise"
-
-    def probe():
-        tables = SensorTables(cluster)
-        sensors = CompiledSensors(kernel, tables, cluster.n_cores)
-        return tables, _probe_sensor_read(cluster, sensors)
-
-    tables, reason = probe_verdict(
-        _SENSOR_MEMO, _sensor_content(cluster), probe
-    )
-    if reason is not None:
-        return None, reason
-    sensor = cluster.power_sensor
-    fault = sensor if type(sensor) is FaultySensor else None
-    return CompiledSensors(kernel, tables, cluster.n_cores, fault), None
 
 
 def _reads_batched(power_sensor_, pmu_sensors) -> bool:
@@ -1012,11 +864,12 @@ class CompiledTick:
         )
 
 
-# Probe verdicts and QoS rate tables keyed by SoC content: the workload
-# (a frozen dataclass), both clusters' _sensor_content and the Big
-# cluster's f_max.  run_scenario builds a fresh SoC per run, which would
-# otherwise repeat the probe every run.
-_TICK_MEMO: dict[tuple, tuple[np.ndarray | None, str | None]] = {}
+# Probe verdicts, both clusters' SensorTables and the QoS rate table,
+# keyed by SoC content: the workload (a frozen dataclass), both
+# clusters' _sensor_content and the Big cluster's f_max.  run_scenario
+# builds a fresh SoC per run, which would otherwise repeat the probe
+# every run.
+_TICK_MEMO: dict[tuple, tuple[tuple | None, str | None]] = {}
 
 
 def _bind_tick(soc: ExynosSoC) -> tuple[CompiledTick | None, str | None]:
@@ -1030,15 +883,17 @@ def _bind_tick(soc: ExynosSoC) -> tuple[CompiledTick | None, str | None]:
         return None, (
             f"workload is a {type(qos_app).__name__}, not a QoSWorkload"
         )
-    tables = []
     faults = []
     for cluster in soc.clusters():
-        sensors = cluster.compiled_sensors()
-        if sensors is None:
-            return None, f"{cluster.name} sensors: {cluster._sensors_reason}"
-        tables.append(sensors._tables)
-        faults.append(sensors.fault)
-    tables = tuple(tables)
+        if cluster.n_cores >= 8:
+            return None, f"{cluster.name} sensors: >= 8 cores (pairwise-sum read)"
+        if not _reads_batched(cluster.power_sensor, cluster.pmu_sensors):
+            return None, (
+                f"{cluster.name} sensors: sensors not plain NoisySensors "
+                "with positive noise"
+            )
+        sensor = cluster.power_sensor
+        faults.append(sensor if type(sensor) is FaultySensor else None)
     key = (
         qos_app,
         _sensor_content(soc.big),
@@ -1049,13 +904,15 @@ def _bind_tick(soc: ExynosSoC) -> tuple[CompiledTick | None, str | None]:
     def probe():
         # The probed tick has no faults: the probe never touches a live
         # fault layer.
+        tables = (SensorTables(soc.big), SensorTables(soc.little))
         peak = None if qos_app is None else qos_rate_table(qos_app, soc.big)
         tick = CompiledTick(kernel, qos_app, tables, peak)
-        return peak, _probe_tick(soc, tick)
+        return (tables, peak), _probe_tick(soc, tick)
 
-    peak, reason = probe_verdict(_TICK_MEMO, key, probe)
+    built, reason = probe_verdict(_TICK_MEMO, key, probe)
     if reason is not None:
         return None, reason
+    tables, peak = built
     clock_setters = soc.big._clock_setters + soc.little._clock_setters
     return (
         CompiledTick(
@@ -1072,7 +929,8 @@ def _probe_tick(soc: ExynosSoC, tick: CompiledTick) -> bool:
     both clusters reading in Python) through both paths over random
     states: every Big OPP and active-core count (the Little cluster's
     OPPs and counts cycle alongside), background demands that are zero
-    (int and float), positive, over capacity and negative, the start
+    (int and float), positive, over capacity and negative (placed ones
+    at every active-core count of each cluster), the start
     and end of every serial phase of the workload, and draws at
     magnitudes that span the sensors' and the workload's gain clamps.
     Accepts only when the QoS rate, both busy equivalents and every
@@ -1093,14 +951,16 @@ def _probe_tick(soc: ExynosSoC, tick: CompiledTick) -> bool:
     n_draws = 1 + big.n_cores + 1 + little.n_cores + 1
     rng = np.random.default_rng(0x71C4)
     case = 0
-    for scale in (1e-2, 1.0, 1e2):
+    for turn, scale in enumerate((1e-2, 1.0, 1e2)):
         for k in range(max(len(big_opps), len(little_opps))):
             for active in range(1, big.n_cores + 1):
                 big.set_frequency(big_opps[k % len(big_opps)])
                 big.set_active_cores(active)
                 little.set_frequency(little_opps[k % len(little_opps)])
                 little.set_active_cores(little.n_cores + 1 - active)
-                kind = case % 4
+                # The kind turns with the OPP and the scale, so each
+                # cluster meets placed demands at every core count.
+                kind = (turn + k + active) % 4
                 if kind == 0:
                     demands = (0, 0)  # sum() over no placed task
                 elif kind == 1:
@@ -1160,9 +1020,9 @@ class _PresetDraw:
 
 def _python_twin(cluster: Cluster) -> Cluster:
     """A scratch copy of ``cluster`` (same models, OPP table and
-    sensors) bound to no compiled read: it reads in Python.  A faulted
-    power sensor is copied as a plain :class:`NoisySensor` with its
-    parameters, so probing never advances the live fault layer."""
+    sensors) for the probe's Python tick.  A faulted power sensor is
+    copied as a plain :class:`NoisySensor` with its parameters, so
+    probing never advances the live fault layer."""
     twin = Cluster(
         cluster.name,
         n_cores=cluster.n_cores,
@@ -1180,38 +1040,7 @@ def _python_twin(cluster: Cluster) -> Cluster:
         )
     twin.power_sensor = sensor
     twin.pmu_sensors = cluster.pmu_sensors
-    twin._check_instruments()
-    twin._sensors_bound = True
     return twin
-
-
-def _probe_sensor_read(cluster: Cluster, sensors: CompiledSensors) -> bool:
-    """Differential gate for the compiled sensor read.
-
-    Reads a scratch copy of the cluster (same models, OPP table and
-    sensors) through both paths over random states: every OPP, every
-    active-core count, busy equivalents including negative and
-    over-capacity values, and noise draws at magnitudes spanning the
-    gain clamp.  Accepts only when ``power_w``, ``ips`` (value and
-    type) and ``per_core_ips`` agree bit for bit.
-    """
-    scratch = _python_twin(cluster)
-    n_cores = cluster.n_cores
-    rng = np.random.default_rng(0x5E45)
-    for scale in (1e-2, 1.0, 1e2):
-        for frequency_ghz in cluster.opps.frequencies:
-            scratch.set_frequency(frequency_ghz)
-            for active in range(1, n_cores + 1):
-                scratch.set_active_cores(active)
-                busy = float(rng.standard_normal()) * (n_cores + 1)
-                z = rng.standard_normal(n_cores + 1) * scale
-                expected = read_cluster_telemetry(
-                    scratch, busy, _PresetDraw(z)
-                )
-                got = sensors.read(scratch, busy, _PresetDraw(z))
-                if not _same_reading(expected, got):
-                    return False
-    return True
 
 
 def _same_reading(a: ClusterTelemetry, b: ClusterTelemetry) -> bool:
@@ -1275,31 +1104,16 @@ def sync_cluster_clocks(clusters, time_s: float) -> None:
     Called once per control interval by ``ManyCoreSoC.step`` and by
     ``ExynosSoC.step`` on the Python tick; the compiled tick calls the
     same setters itself (``CompiledTick.clock_setters``), in the same
-    order.  Any object exposing ``set_time`` (fault-injection sensor
-    wrappers, actuator fault layers) is time-aware; plain sensors are
-    skipped.  This is native clock propagation — fault injection never
-    wraps ``soc.step``, so injecting faults on multiple clusters cannot
+    order.  Any instrument exposing ``set_time`` (fault-injection
+    sensor wrappers, actuator fault layers) is time-aware; plain
+    sensors contribute nothing (:meth:`Cluster.clock_setters`).  This is
+    native clock propagation — fault injection never wraps
+    ``soc.step``, so injecting faults on multiple clusters cannot
     double-wrap the step loop.
-
-    :class:`Cluster` precomputes its time-aware instruments
-    (``clock_setters``), so the fault-free fast path makes zero
-    ``getattr`` probes; duck-typed cluster objects without the cache
-    fall back to the original per-instrument scan.
     """
     for cluster in clusters:
-        cached = getattr(cluster, "clock_setters", None)
-        if cached is not None:
-            for clock_setter in cached():
-                clock_setter(time_s)
-            continue
-        for instrument in (
-            cluster.power_sensor,
-            *cluster.pmu_sensors,
-            cluster.actuator_faults,
-        ):
-            clock_setter = getattr(instrument, "set_time", None)
-            if clock_setter is not None:
-                clock_setter(time_s)
+        for clock_setter in cluster.clock_setters():
+            clock_setter(time_s)
 
 
 def fair_share_capacity(capacity: float, runnable_threads: float) -> float:
@@ -1346,7 +1160,6 @@ def fleet_sensor_layout(cluster: Cluster) -> None:
 __all__ = [
     "Cluster",
     "ClusterTelemetry",
-    "CompiledSensors",
     "CompiledTick",
     "SensorTables",
     "ExynosSoC",

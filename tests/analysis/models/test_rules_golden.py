@@ -101,17 +101,37 @@ class TestGoldenFixtures:
         assert rules.count("REPRO-M007") == 1
 
     def test_m004_attribute_disagreement(self):
-        findings = _scan("m004_alphabet")
-        assert _rows(findings)[0] == (
-            "REPRO-M004",
-            Severity.ERROR,
-            "event 'go' is uncontrollable in 'plant' but controllable in "
-            "'supervisor'",
+        result = scan_paths([FIXTURES / "m004_alphabet"], cache=None)
+        # One report per defect: re-synthesis could only fail on the
+        # same conflict, so the scan skips M007.
+        assert _rows(sorted(result.report.findings)) == [
+            (
+                "REPRO-M004",
+                Severity.ERROR,
+                "event 'go' is uncontrollable in 'plant' but controllable "
+                "in 'supervisor'",
+            )
+        ]
+        assert result.stats.resynthesized == 0
+        # Called on such a pair, M007 degrades to its failure branch
+        # rather than raising.
+        plant = automaton_from_table(
+            "P",
+            Alphabet.of([uncontrollable("go")]),
+            [("P0", "go", "P0")],
+            initial="P0",
+            marked=["P0"],
         )
-        # The broken alphabet also makes re-synthesis impossible — M007
-        # degrades to its failure branch rather than crashing the scan.
-        assert findings[1].rule == "REPRO-M007"
-        assert findings[1].message.startswith(
+        supervisor = automaton_from_table(
+            "S",
+            Alphabet.of([controllable("go")]),
+            [("S0", "go", "S0")],
+            initial="S0",
+            marked=["S0"],
+        )
+        (finding,) = check_bundle_freshness(plant, supervisor, "x")
+        assert finding.rule == "REPRO-M007"
+        assert finding.message.startswith(
             "re-synthesis from the bundled models failed:"
         )
 

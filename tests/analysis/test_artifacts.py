@@ -3,8 +3,9 @@
 Each committed fixture under ``fixtures/`` seeds exactly one defect and
 must therefore produce exactly one error finding — the analyzer must
 neither miss the defect nor cascade extra noise from it.  The scans
-skip M007's re-synthesis, which cannot run on a conflicting alphabet
-(``tests/analysis/models/test_rules_golden.py`` pins that branch).
+skip M007's re-synthesis for speed; the model tier skips it on its own
+for a conflicting alphabet (``tests/analysis/models/test_rules_golden.py``
+pins that).
 """
 
 import json

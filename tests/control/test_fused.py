@@ -171,23 +171,20 @@ class TestFusedCoverage:
     def test_raising_telemetry_probe_names_the_exception(
         self, kernel, monkeypatch
     ):
-        # The scalar sensor read's probe: a raising compiled read falls
-        # back to the Python read with the exception named.
+        # The scalar tick's probe, which reads both clusters' sensors
+        # through the kernel: a raising compiled tick falls back to the
+        # Python tick with the exception named.
         def broken(*args):
             raise RuntimeError("kernel call failed")
 
-        monkeypatch.setattr(soc_module.CompiledSensors, "read", broken)
-        monkeypatch.setattr(soc_module, "_SENSOR_MEMO", {})
+        monkeypatch.setattr(soc_module.CompiledTick, "run", broken)
+        monkeypatch.setattr(soc_module, "_TICK_MEMO", {})
         soc = ExynosSoC(config=SoCConfig(seed=1))
-        for cluster in soc.clusters():
-            assert cluster.compiled_sensors() is None
-            assert cluster.fused_reason == (
-                "probe raised RuntimeError: kernel call failed"
-            )
+        assert soc.compiled_tick() is None
         assert soc.tick_reason == (
-            "big sensors: probe raised RuntimeError: kernel call failed"
+            "probe raised RuntimeError: kernel call failed"
         )
-        # The Python read still serves the run.
+        # The Python tick and its sensor reads still serve the run.
         soc.step()
 
 

@@ -3,6 +3,8 @@ figure-13/14 sweeps are covered by the integration test and benches)."""
 
 import pytest
 
+from repro.exec.job import ScenarioJob
+from repro.exec.scenario_jobs import execute
 from repro.experiments.figures import (
     fig3_conflicting_goals,
     fig5_model_accuracy,
@@ -12,6 +14,7 @@ from repro.experiments.figures import (
     manager_factory,
     overhead_measurements,
 )
+from repro.experiments.fleet import fleet_manager_factory
 
 
 class TestIdentifiedSystemsCache:
@@ -30,6 +33,22 @@ class TestIdentifiedSystemsCache:
             assert callable(manager_factory(name, systems))
         with pytest.raises(ValueError):
             manager_factory("nope", systems)
+
+    @pytest.mark.parametrize("name", ["FS", "MM-Perf", "MM-Pow"])
+    def test_spectr_overrides_on_another_manager_are_rejected(self, name):
+        # Ignored overrides would run the plain cell under a digest of
+        # its own; the scalar and fleet factories and the engine refuse.
+        systems = identified_systems()
+        overrides = {"enable_gain_scheduling": False}
+        for factory in (manager_factory, fleet_manager_factory):
+            with pytest.raises(ValueError, match=f"manager {name!r}"):
+                factory(name, systems, overrides)
+        job = ScenarioJob(
+            manager=name, overrides=tuple(overrides.items()), seed=1
+        )
+        with pytest.raises(ValueError, match="only SPECTR takes them"):
+            execute(job)
+        assert callable(manager_factory("SPECTR", systems, overrides))
 
 
 class TestFig3:

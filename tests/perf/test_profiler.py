@@ -164,30 +164,13 @@ class TestCLI:
         main(["profile", manager, "--duration", "1.5"])
         out = capsys.readouterr().out
         # The servo table runs from its header to the first blank line;
-        # the sensor table follows it.
+        # the noise table follows it.
         table = out[out.index("fused_reason") :].split("\n\n")[0]
         table = table.splitlines()[1:]
         names = ["fs-4x2"] if manager == "fs" else ["big-mimo", "little-mimo"]
         assert [line.split()[0] for line in table] == names
         expected = "compiled" if fused_kernel() is not None else "numpy"
         assert all(line.split()[1] == expected for line in table), table
-
-    def test_profile_command_prints_each_cluster_sensor_path(self, capsys):
-        from repro.control.fused import fused_kernel
-        from repro.perf.cli import main
-
-        main(["profile", "mm-pow", "--duration", "1.5"])
-        out = capsys.readouterr().out
-        servo_table_end = out.index("fused_reason")
-        start = out.index("sensors ", servo_table_end)
-        table = out[start:].split("\n\n")[0].splitlines()
-        assert table[0].split() == ["sensors", "path", "fused_reason"]
-        rows = [line.split() for line in table[1:]]
-        assert [row[0] for row in rows] == ["big", "little"]
-        if fused_kernel() is None:
-            assert all(row[1] == "python" for row in rows), rows
-        else:
-            assert all(row[1:] == ["compiled", "-"] for row in rows), rows
 
     def test_profile_command_prints_the_fleet_noise_path(self, capsys):
         from repro.control.fused import noise_fill_reason

@@ -44,7 +44,7 @@ from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import three_phase_scenario
 from repro.managers.base import ManagerGoals
 from repro.platform import soc as soc_module
-from repro.platform.soc import ExynosSoC, SoCConfig, read_cluster_telemetry
+from repro.platform.soc import ExynosSoC, SoCConfig
 from repro.workloads import x264
 from tests.automata.explicit_oracle import (
     explicit_compose_all,
@@ -172,51 +172,11 @@ def test_scalar_servo_kernel_beats_numpy_step(manager):
     )
 
 
-def test_scalar_sensor_kernel_beats_python_read():
-    # read_cluster_telemetry on the big cluster through the compiled
-    # telemetry kernel against the Python reference read of the same
-    # cluster; measured 2.0-3.3x.  The forms alternate, and each
-    # keeps its best of 3 after a warm-up round.
-    if fused_kernel() is None:
-        pytest.skip(unavailable_reason())
-    cluster = ExynosSoC(config=SoCConfig(seed=2018)).big
-    compiled = cluster.compiled_sensors()
-    assert compiled is not None
-    rng = np.random.default_rng(2018)
-    reads = 4000
-
-    def form(sensors):
-        def run():
-            cluster._sensors = sensors
-            for _ in range(reads):
-                read_cluster_telemetry(cluster, 3.0, rng)
-            return reads
-
-        return run
-
-    best = {True: 0.0, False: 0.0}
-    try:
-        for attempt in range(4):
-            for use_kernel in best:
-                rate = _best_rate(
-                    form(compiled if use_kernel else None), warmup=0, timed=1
-                )
-                if attempt:
-                    best[use_kernel] = max(best[use_kernel], rate)
-    finally:
-        cluster._sensors = compiled
-    speedup = best[True] / best[False]
-    assert speedup >= 1.5, (
-        f"compiled sensor read only {speedup:.2f}x the Python read "
-        "(need 1.5x)"
-    )
-
-
 def test_compiled_tick_beats_python_tick():
     # ExynosSoC.step over the paper scenario's 300 ticks (x264 with its
     # background tasks, seed 2018) on the compiled plant tick against
-    # the same steps on the Python tick, whose sensor reads stay on the
-    # telemetry kernel as before the tick kernel; measured 1.45-1.56x.
+    # the same steps on the Python tick and its Python sensor reads;
+    # measured 2.08-2.18x.
     # The forms alternate, and each keeps its best of 15 after a
     # warm-up round.
     if fused_kernel() is None:

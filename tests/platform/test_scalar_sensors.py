@@ -1,13 +1,15 @@
-"""The scalar SoC's compiled sensor read equals its Python read, bit for bit.
+"""The scalar SoC's sensor reads on the compiled tick equal the Python read.
 
-``read_cluster_telemetry`` runs the fleet's ``fleet_telemetry`` kernel
-on a single row wherever a differential probe verified it for the
-cluster's content.  These tests pin that the compiled read reproduces
-the Python reference read in every field (``per_core_ips`` included)
-and consumes the RNG stream identically, that every ineligible cluster
-falls back loudly (``Cluster.fused_reason``), and that the fleet's
-compiled tick, which reads every row through the same kernel row
-reader, passes its probe with the per-core output left NULL.
+``ExynosSoC.step`` reads both clusters' sensors inside the compiled
+``plant_tick`` call wherever a differential probe verified it for the
+SoC's content; ``read_cluster_telemetry`` is the Python reference read.
+These tests pin that the tick's readings reproduce that read in every
+field (``per_core_ips`` included) under varied sensor parameters and
+consume the RNG stream identically, that every SoC whose sensors the
+kernel cannot read ticks in Python with a named ``tick_reason`` and
+reads through ``read_cluster_telemetry``, and that the fleet's compiled
+tick, which reads every row through the same kernel row reader, passes
+its probe with the per-core output left NULL.
 """
 
 from __future__ import annotations
@@ -25,13 +27,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro.control.fused import fused_kernel, unavailable_reason
-from repro.experiments.figures import (
-    MANAGER_NAMES,
-    identified_systems,
-    manager_factory,
-)
-from repro.experiments.runner import run_scenario
-from repro.experiments.scenario import three_phase_scenario
 from repro.platform import soc as soc_module
 from repro.platform.faults import (
     FaultModel,
@@ -40,7 +35,7 @@ from repro.platform.faults import (
 )
 from repro.platform.fleet import FleetPlatform
 from repro.platform.sensors import NoisySensor
-from repro.platform.soc import ExynosSoC, SoCConfig, read_cluster_telemetry
+from repro.platform.soc import ExynosSoC, SoCConfig
 from repro.workloads import x264
 
 
@@ -52,16 +47,8 @@ def kernel():
     return k
 
 
-def python_read(cluster, busy, rng):
-    """The Python reference read of ``cluster`` (compiled read unbound
-    for the call)."""
-    cluster.compiled_sensors()
-    bound = cluster._sensors
-    cluster._sensors = None
-    try:
-        return read_cluster_telemetry(cluster, busy, rng)
-    finally:
-        cluster._sensors = bound
+def _bits(value) -> bytes:
+    return struct.pack("d", float(value))
 
 
 def assert_same_reading(expected, got):
@@ -69,19 +56,25 @@ def assert_same_reading(expected, got):
     assert got.voltage_v == expected.voltage_v
     assert got.active_cores == expected.active_cores
     assert type(got.active_cores) is type(expected.active_cores)
-    assert got.busy_core_equivalents is expected.busy_core_equivalents
+    assert _bits(got.busy_core_equivalents) == _bits(
+        expected.busy_core_equivalents
+    )
     for name in ("power_w", "ips"):
         a, b = getattr(expected, name), getattr(got, name)
         assert type(b) is type(a) is float, name
-        assert struct.pack("d", b) == struct.pack("d", a), (name, a, b)
+        assert _bits(b) == _bits(a), (name, a, b)
     assert got.per_core_ips.dtype == expected.per_core_ips.dtype
     assert got.per_core_ips.shape == expected.per_core_ips.shape
     assert got.per_core_ips.tobytes() == expected.per_core_ips.tobytes()
 
 
-def _cluster(name="big", *, noise=None, resolution=None, floor=0.0):
-    cluster = getattr(ExynosSoC(config=SoCConfig(seed=1)), name)
+def _soc(name="big", *, noise=None, resolution=None, floor=0.0, **config):
+    """A SoC without a workload (a cluster's busy equivalents are then
+    its clamped demand); with ``noise``, cluster ``name`` gets sensors of
+    that noise, resolution and floor."""
+    soc = ExynosSoC(config=SoCConfig(**{"seed": 1, **config}))
     if noise is not None:
+        cluster = getattr(soc, name)
         cluster.power_sensor = NoisySensor(
             f"{name}-power",
             noise_fraction=noise,
@@ -97,7 +90,19 @@ def _cluster(name="big", *, noise=None, resolution=None, floor=0.0):
             )
             for i in range(cluster.n_cores)
         )
-    return cluster
+    return soc
+
+
+def _assert_same_reads(compiled, python, now, demands):
+    """One tick of ``compiled`` on its compiled tick and of ``python``
+    on the Python tick, from the same state: both clusters' readings
+    agree."""
+    tick = compiled.compiled_tick()
+    assert tick is not None, compiled.tick_reason
+    got = compiled._plant_tick(tick, now, *demands)
+    expected = python._python_plant(now, *demands)
+    for a, b in zip(expected[1:], got[1:], strict=True):
+        assert_same_reading(a, b)
 
 
 class TestCompiledReadMatchesPython:
@@ -116,150 +121,135 @@ class TestCompiledReadMatchesPython:
     def test_field_by_field(
         self, kernel, name, opp, active, busy, seed, sensors, ticks
     ):
-        if sensors is None:
-            cluster = _cluster(name)
-        else:
-            noise, resolution, floor = sensors
-            cluster = _cluster(
-                name, noise=noise, resolution=resolution, floor=floor
-            )
-        frequencies = cluster.opps.frequencies
-        cluster.set_frequency(frequencies[opp % len(frequencies)])
-        cluster.set_active_cores(active)
-        assert cluster.fused_reason is None
-        compiled_rng = np.random.default_rng(seed)
-        python_rng = np.random.default_rng(seed)
+        socs = []
+        for _ in range(2):
+            if sensors is None:
+                soc = _soc(seed=seed)
+            else:
+                noise, resolution, floor = sensors
+                soc = _soc(
+                    name,
+                    noise=noise,
+                    resolution=resolution,
+                    floor=floor,
+                    seed=seed,
+                )
+            cluster = getattr(soc, name)
+            frequencies = cluster.opps.frequencies
+            cluster.set_frequency(frequencies[opp % len(frequencies)])
+            cluster.set_active_cores(active)
+            socs.append(soc)
+        compiled, python = socs
+        assert compiled.tick_reason is None
         for _ in range(ticks):
-            got = read_cluster_telemetry(cluster, busy, compiled_rng)
-            expected = python_read(cluster, busy, python_rng)
-            assert_same_reading(expected, got)
+            _assert_same_reads(compiled, python, 0.0, (busy, busy))
         # Same stream position afterwards: the draws were identical.
-        assert compiled_rng.random() == python_rng.random()
+        assert compiled.rng.random() == python.rng.random()
 
     def test_numpy_scalar_busy_equivalents(self, kernel):
-        cluster = _cluster()
-        busy = np.float64(2.75)
-        got = read_cluster_telemetry(cluster, busy, np.random.default_rng(3))
-        expected = python_read(cluster, busy, np.random.default_rng(3))
-        assert_same_reading(expected, got)
+        demands = (np.float64(2.75), np.float64(1.25))
+        _assert_same_reads(_soc(), _soc(), 0.0, demands)
 
     def test_per_core_ips_is_a_fresh_array_each_tick(self, kernel):
-        cluster = _cluster()
-        rng = np.random.default_rng(5)
-        first = read_cluster_telemetry(cluster, 3.0, rng)
+        soc = _soc()
+        first = soc.step().big
         kept = first.per_core_ips.copy()
-        second = read_cluster_telemetry(cluster, 3.0, rng)
+        second = soc.step().big
         assert second.per_core_ips is not first.per_core_ips
         assert first.per_core_ips.flags.owndata
         assert first.per_core_ips.tobytes() == kept.tobytes()
 
     def test_faulted_power_sensor(self, kernel):
-        # A faulted power sensor reads compiled: the kernel reads it
-        # healthy, then the fault applies to that reading.
-        soc = ExynosSoC(qos_app=x264(), config=SoCConfig(seed=1))
-        assert soc.big.fused_reason is None
-        sensor = inject_power_sensor_fault(
-            soc, "big", FaultModel("spike", start_s=0.0, end_s=1.0)
-        )
-        soc.step()
-        assert soc.big.fused_reason is None
-        assert soc.big.compiled_sensors().fault is sensor
-        rng_a = np.random.default_rng(9)
-        rng_b = np.random.default_rng(9)
-        got = read_cluster_telemetry(soc.big, 2.5, rng_a)
-        expected = python_read(soc.big, 2.5, rng_b)
-        assert_same_reading(expected, got)
-        assert soc.little.fused_reason is None
-
-    @pytest.mark.parametrize("manager", MANAGER_NAMES)
-    def test_scenario_traces_match_the_python_read(
-        self, kernel, manager, monkeypatch
-    ):
-        factory = manager_factory(manager, identified_systems())
-        scenario = three_phase_scenario(phase_duration_s=1.0)
-        compiled = run_scenario(factory, x264(), scenario, seed=11)
-        with monkeypatch.context() as patch:
-            patch.setattr(soc_module, "fused_kernel", lambda: None)
-            reference = run_scenario(factory, x264(), scenario, seed=11)
-        for field in (
-            "qos",
-            "chip_power",
-            "big_power",
-            "little_power",
-            "big_frequency",
-            "big_cores",
-            "little_frequency",
-            "little_cores",
-        ):
-            a = getattr(compiled, field)
-            b = getattr(reference, field)
-            assert a.tobytes() == b.tobytes(), field
-        assert compiled.gain_sets == reference.gain_sets
+        # A faulted power sensor reads on the compiled tick: the kernel
+        # reads it healthy, then the fault applies to that reading.
+        socs, sensors = [], []
+        for _ in range(2):
+            soc = ExynosSoC(qos_app=x264(), config=SoCConfig(seed=1))
+            sensor = inject_power_sensor_fault(
+                soc, "big", FaultModel("spike", start_s=0.0, end_s=1.0)
+            )
+            sensor.set_time(0.5)
+            socs.append(soc)
+            sensors.append(sensor)
+        compiled, python = socs
+        assert compiled.tick_reason is None
+        assert compiled.compiled_tick()._faults == (sensors[0], None)
+        _assert_same_reads(compiled, python, 0.5, (2.5, 1.5))
+        assert compiled.rng.random() == python.rng.random()
 
 
 class TestFallbacks:
-    def _assert_python(self, cluster, reason):
-        assert cluster.fused_reason == reason
-        rng_a = np.random.default_rng(9)
-        rng_b = np.random.default_rng(9)
-        got = read_cluster_telemetry(cluster, 2.5, rng_a)
-        expected = python_read(cluster, 2.5, rng_b)
-        assert_same_reading(expected, got)
+    def _assert_python(self, soc, reason):
+        """``soc`` ticks in Python for ``reason``, and a step reads both
+        clusters through ``read_cluster_telemetry``."""
+        assert soc.tick_reason == reason
+        assert soc.compiled_tick() is None
+        reads = []
+        read = soc._cluster_telemetry
+
+        def counted(cluster, busy):
+            reads.append(cluster.name)
+            return read(cluster, busy)
+
+        soc._cluster_telemetry = counted
+        soc.step()
+        assert reads == ["big", "little"]
 
     def test_every_cluster_reports_the_kernel_state(self):
-        # With the kernel available every default cluster reads
-        # compiled; without it (REPRO_DISABLE_FUSED=1, no compiler)
-        # every cluster names the kernel's unavailability.
+        # With the kernel available every default SoC ticks compiled and
+        # makes no Python read; without it (REPRO_DISABLE_FUSED=1, no
+        # compiler) the SoC names the kernel's unavailability.
         soc = ExynosSoC(qos_app=x264(), config=SoCConfig(seed=1))
+        if fused_kernel() is None:
+            self._assert_python(soc, unavailable_reason())
+            return
+        assert soc.tick_reason is None
+        soc._cluster_telemetry = None  # a Python read would raise
         soc.step()
-        expected = None if fused_kernel() is not None else unavailable_reason()
-        assert [c.fused_reason for c in soc.clusters()] == [expected] * 2
-        if expected is not None:
-            assert all(c.compiled_sensors() is None for c in soc.clusters())
 
     def test_faulted_pmu_sensor_reads_in_python(self, kernel):
-        cluster = _cluster()
-        pmu = cluster.pmu_sensors
-        cluster.pmu_sensors = (*pmu[:2], FaultySensor(pmu[2]), pmu[3])
+        soc = _soc()
+        pmu = soc.big.pmu_sensors
+        soc.big.pmu_sensors = (*pmu[:2], FaultySensor(pmu[2]), pmu[3])
         self._assert_python(
-            cluster, "sensors not plain NoisySensors with positive noise"
+            soc, "big sensors: sensors not plain NoisySensors with positive noise"
         )
 
     def test_zero_noise_sensor_reads_in_python(self, kernel):
-        cluster = _cluster()
-        cluster.power_sensor = NoisySensor("big-power", noise_fraction=0.0)
+        soc = _soc()
+        soc.big.power_sensor = NoisySensor("big-power", noise_fraction=0.0)
         self._assert_python(
-            cluster, "sensors not plain NoisySensors with positive noise"
+            soc, "big sensors: sensors not plain NoisySensors with positive noise"
         )
 
     def test_idle_insertion_reads_in_python_then_rebinds(self, kernel):
-        cluster = _cluster()
-        cluster.set_idle_fraction(1, 0.4)
-        self._assert_python(cluster, "idle insertion")
-        cluster.set_idle_fraction(1, 0.0)
-        assert cluster.fused_reason is None
+        soc = _soc()
+        soc.big.set_idle_fraction(1, 0.4)
+        self._assert_python(soc, "idle insertion")
+        soc.big.set_idle_fraction(1, 0.0)
+        assert soc.tick_reason is None
 
     def test_eight_core_cluster_reads_in_python(self, kernel):
-        soc = ExynosSoC(config=SoCConfig(seed=1, cores_per_cluster=8))
-        self._assert_python(soc.big, ">= 8 cores (pairwise-sum read)")
+        soc = _soc(cores_per_cluster=8)
+        self._assert_python(soc, "big sensors: >= 8 cores (pairwise-sum read)")
 
     def test_swapping_a_sensor_back_rebinds(self, kernel):
-        cluster = _cluster()
-        plain = cluster.power_sensor
-        cluster.power_sensor = NoisySensor("big-power", noise_fraction=0.0)
-        assert cluster.fused_reason is not None
-        cluster.power_sensor = plain
-        assert cluster.fused_reason is None
+        soc = _soc()
+        plain = soc.little.power_sensor
+        soc.little.power_sensor = NoisySensor("little-power", noise_fraction=0.0)
+        assert soc.tick_reason is not None
+        soc.little.power_sensor = plain
+        assert soc.tick_reason is None
 
     def test_pmu_sensors_can_only_be_replaced_whole(self):
-        cluster = _cluster()
+        cluster = _soc().big
         with pytest.raises(TypeError):
             cluster.pmu_sensors[0] = NoisySensor("x", noise_fraction=0.0)
 
     def test_missing_kernel_reads_in_python(self, monkeypatch):
         monkeypatch.setattr(soc_module, "fused_kernel", lambda: None)
         monkeypatch.setattr(soc_module, "unavailable_reason", lambda: "gone")
-        self._assert_python(_cluster(), "gone")
+        self._assert_python(_soc(), "gone")
 
     def test_disabled_kernel_reads_every_cluster_in_python(self):
         # The kernel's availability is decided once per process, so the
@@ -268,8 +258,13 @@ class TestFallbacks:
             "from repro.platform.soc import ExynosSoC\n"
             "from repro.workloads import x264\n"
             "soc = ExynosSoC(qos_app=x264())\n"
+            "reads = []\n"
+            "read = soc._cluster_telemetry\n"
+            "soc._cluster_telemetry = (\n"
+            "    lambda c, busy: reads.append(c.name) or read(c, busy)\n"
+            ")\n"
             "soc.step()\n"
-            "print([c.fused_reason for c in soc.clusters()])\n"
+            "print(soc.tick_reason, reads)\n"
         )
         src = str(Path(repro.__file__).resolve().parents[1])
         env = {**os.environ, "REPRO_DISABLE_FUSED": "1", "PYTHONPATH": src}
@@ -281,33 +276,35 @@ class TestFallbacks:
             check=True,
             timeout=120,
         )
-        assert result.stdout.strip() == "['disabled', 'disabled']"
+        assert result.stdout.strip() == "disabled ['big', 'little']"
 
 
 class TestProbe:
     def test_verdict_is_memoized_by_content(self, kernel, monkeypatch):
-        _cluster().compiled_sensors()
+        _soc(noise=0.3, resolution=0.0).compiled_tick()
 
         def no_probe(*args):
             raise AssertionError("content already probed")
 
-        monkeypatch.setattr(soc_module, "_probe_sensor_read", no_probe)
-        assert _cluster().fused_reason is None
+        monkeypatch.setattr(soc_module, "_probe_tick", no_probe)
+        assert _soc(noise=0.3, resolution=0.0).tick_reason is None
 
     def test_probe_rejects_a_kernel_that_differs(self, kernel, monkeypatch):
-        # A compiled read that zeroes the last per-core reading must
-        # fail the probe: the scratch cluster reads through both paths.
-        cluster = _cluster(noise=0.3, resolution=0.0)
-        original = soc_module.CompiledSensors.read
+        # A compiled tick that zeroes the last per-core reading must
+        # fail the probe: the scratch SoC reads through both ticks.
+        soc = _soc("little", noise=0.3, resolution=0.0)
+        original = soc_module.CompiledTick.run
 
-        def broken(self, cluster, busy, rng):
-            reading = original(self, cluster, busy, rng)
-            reading.per_core_ips[-1] = 0.0
-            return reading
+        def broken(self, soc, now, big_demand, little_demand):
+            qos, big, little = original(
+                self, soc, now, big_demand, little_demand
+            )
+            little.per_core_ips[-1] = 0.0
+            return qos, big, little
 
-        monkeypatch.setattr(soc_module.CompiledSensors, "read", broken)
-        monkeypatch.setattr(soc_module, "_SENSOR_MEMO", {})
-        assert cluster.fused_reason == "differential probe mismatch"
+        monkeypatch.setattr(soc_module.CompiledTick, "run", broken)
+        monkeypatch.setattr(soc_module, "_TICK_MEMO", {})
+        assert soc.tick_reason == "differential probe mismatch"
 
     def test_fleet_probe_passes_with_per_core_output_null(self, kernel):
         platform = FleetPlatform(qos_app=x264(), seeds=(1, 2, 3))
