@@ -27,6 +27,13 @@ from hypothesis import strategies as st
 
 import repro
 from repro.control.fused import fused_kernel, unavailable_reason
+from repro.experiments.figures import (
+    MANAGER_NAMES,
+    identified_systems,
+    manager_factory,
+)
+from repro.experiments.runner import run_scenario
+from repro.experiments.scenario import three_phase_scenario
 from repro.platform import soc as soc_module
 from repro.platform.faults import (
     FaultModel,
@@ -176,6 +183,60 @@ class TestCompiledReadMatchesPython:
         assert compiled.compiled_tick()._faults == (sensors[0], None)
         _assert_same_reads(compiled, python, 0.5, (2.5, 1.5))
         assert compiled.rng.random() == python.rng.random()
+
+    @pytest.mark.parametrize("manager", MANAGER_NAMES)
+    def test_scenario_traces_match_the_python_read(
+        self, kernel, manager, monkeypatch
+    ):
+        # A closed loop on sensors of non-default noise, resolution and
+        # floor: every reading the managers see comes from the compiled
+        # tick, and the traces equal those of the Python read.
+        def noisy_sensors(soc):
+            for cluster in soc.clusters():
+                cluster.power_sensor = NoisySensor(
+                    f"{cluster.name}-power",
+                    noise_fraction=0.01,
+                    resolution=0.1,
+                    floor=0.05,
+                )
+                cluster.pmu_sensors = tuple(
+                    NoisySensor(
+                        f"{cluster.name}-pmu{i}",
+                        noise_fraction=0.01,
+                        resolution=0.1,
+                        floor=0.05,
+                    )
+                    for i in range(cluster.n_cores)
+                )
+            socs.append(soc)
+
+        factory = manager_factory(manager, identified_systems())
+        scenario = three_phase_scenario(phase_duration_s=1.0)
+        socs = []
+        compiled = run_scenario(
+            factory, x264(), scenario, seed=11, soc_setup=noisy_sensors
+        )
+        assert socs[0].tick_reason is None
+        with monkeypatch.context() as patch:
+            patch.setattr(soc_module, "fused_kernel", lambda: None)
+            reference = run_scenario(
+                factory, x264(), scenario, seed=11, soc_setup=noisy_sensors
+            )
+        assert socs[1].tick_reason is not None
+        for field in (
+            "qos",
+            "chip_power",
+            "big_power",
+            "little_power",
+            "big_frequency",
+            "big_cores",
+            "little_frequency",
+            "little_cores",
+        ):
+            a = getattr(compiled, field)
+            b = getattr(reference, field)
+            assert a.tobytes() == b.tobytes(), field
+        assert compiled.gain_sets == reference.gain_sets
 
 
 class TestFallbacks:
