@@ -41,10 +41,11 @@ def warm_identification_cache(bench_cache):
     """Warm all shared design artifacts once so individual benchmarks
     time their own computation, not the setup.
 
-    The big/little/full models and the verified supervisor come from
-    the persistent exec artifact cache (derived on the very first
-    benchmark run, loaded from disk afterwards); the benchmark-only
-    per-core model is attached on top.
+    The big/little/full models load from the committed
+    ``artifacts/design/``, the verified supervisor from the persistent
+    exec artifact cache (derived on the very first benchmark run,
+    loaded from disk afterwards); the benchmark-only per-core model is
+    identified on top.
     """
     from repro.exec.artifacts import prime_process
     from repro.experiments.figures import identified_systems

@@ -20,10 +20,12 @@
 #     every SoC tick and fleet must report the fallback (the tier-1 run covers the same files with the kernels
 #     on),
 #   * the servo's kernel-coverage tests, the fleet differential
-#     harness or the golden-trace tests fail under the Sandybridge or
-#     the Prescott OpenBLAS kernel (OPENBLAS_CORETYPE): every servo
-#     product runs in one defined reduction order, so its bits must not
-#     depend on the host's BLAS,
+#     harness, the golden-trace tests or the golden servo-state digest
+#     fail under the Sandybridge or the Prescott OpenBLAS kernel
+#     (OPENBLAS_CORETYPE): every servo product runs in one defined
+#     reduction order and the controller models and gains are loaded
+#     from artifacts/design/, so the servo's bits must not depend on
+#     the host's BLAS,
 #   * `python -m repro.analysis all --strict` reports a non-baselined
 #     error or warning in any tier (all four share one file walk, one
 #     parse and one tree traversal per module, and one content-hash
@@ -87,7 +89,7 @@ REPRO_DISABLE_FUSED=1 python -m pytest -x -q tests/platform/test_fleet_equivalen
 
 echo
 echo "== servo under other OpenBLAS kernels =="
-SERVO_FILES="tests/control/test_fused.py tests/control/test_scalar_fused.py tests/platform/test_fleet_equivalence.py tests/exec/test_golden_traces.py tests/exec/test_golden_fleet.py"
+SERVO_FILES="tests/control/test_fused.py tests/control/test_scalar_fused.py tests/platform/test_fleet_equivalence.py tests/exec/test_golden_traces.py tests/exec/test_golden_fleet.py tests/exec/test_golden_servo.py"
 OPENBLAS_CORETYPE=Sandybridge python -m pytest -x -q $SERVO_FILES
 OPENBLAS_CORETYPE=Prescott python -m pytest -x -q $SERVO_FILES
 

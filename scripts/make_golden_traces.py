@@ -3,7 +3,9 @@
 
 Runs every manager through the short three-phase golden scenario
 (1 s phases, seed 2018) serially and writes the full trace series to
-``tests/exec/fixtures/golden_traces.json``.  The regression suite
+``tests/exec/fixtures/golden_traces.json``, the golden fleet to
+``golden_fleet.json`` and a digest of each manager's final servo state
+to ``golden_servo.json``.  The regression suite
 (``tests/exec/test_golden_traces.py``) asserts that serial, parallel,
 and warm-cache engine runs all reproduce these values **exactly** —
 JSON stores each float's shortest ``repr``, which round-trips float64
@@ -32,9 +34,12 @@ from tests.exec.golden import (  # noqa: E402
     FIXTURE_PATH,
     FLEET_FIXTURE_PATH,
     GOLDEN_MANAGERS,
+    SERVO_FIXTURE_PATH,
+    SERVO_STATE,
     fleet_payload,
     golden_fleet_job,
     golden_job,
+    servo_digest,
     trace_payload,
 )
 
@@ -79,6 +84,18 @@ def main() -> int:
         encoding="utf-8",
     )
     print(f"wrote {FLEET_FIXTURE_PATH}")
+
+    servo_doc = {
+        "schema": "golden-servo/1",
+        "scenario": "three-phase, 1.0 s phases, seed 2018",
+        "state": list(SERVO_STATE),
+        "managers": {manager: servo_digest(manager) for manager in GOLDEN_MANAGERS},
+    }
+    SERVO_FIXTURE_PATH.write_text(
+        json.dumps(servo_doc, indent=1, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {SERVO_FIXTURE_PATH}")
     return 0
 
 

@@ -1,13 +1,18 @@
 #!/usr/bin/env python
-"""Regenerate the committed case-study model artifacts.
+"""Regenerate the committed design-flow artifacts.
 
 Runs the paper's full design flow (compose Exynos plant + specification,
 synthesize the supremal controllable nonblocking supervisor, verify it)
 and serializes the three automata to ``artifacts/case_study/`` where the
 formal model analyzer (``python -m repro.analysis models``) scans them
-in CI.  Re-run and commit whenever the plant or specification models
-intentionally change — otherwise the analyzer's REPRO-M007 rule flags
-the artifacts as stale.
+in CI.  It also identifies the big, little and full controller models,
+designs the gain libraries the four managers build from them, and
+writes both losslessly to ``artifacts/design/``, which
+``identified_systems()`` loads in every process.  Re-run and commit
+whenever the plant, specification, identification or gain design
+intentionally changes — otherwise the analyzer's REPRO-M007 rule flags
+the automata as stale, and ``tests/managers/test_committed_design.py``
+the models.
 
 Usage::
 
@@ -28,6 +33,7 @@ from repro.automata.serialization import (  # noqa: E402
     canonical_digest,
 )
 from repro.core.synthesis_flow import build_case_study_supervisor  # noqa: E402
+from repro.experiments.figures import DESIGN_DIR, write_design  # noqa: E402
 
 ARTIFACT_DIR = REPO_ROOT / "artifacts" / "case_study"
 
@@ -55,6 +61,8 @@ def main() -> int:
             f"wrote {target} ({len(automaton.states)} states, "
             f"digest {canonical_digest(automaton)[:12]})"
         )
+    write_design(DESIGN_DIR)
+    print(f"wrote {DESIGN_DIR} (big, little and full models with their gains)")
     return 0
 
 

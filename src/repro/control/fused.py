@@ -2,7 +2,7 @@
 
 The numpy and Python paths spend most of their time dispatching many
 small ufunc/matvec calls, or interpreting scalar arithmetic, per tick.
-This module moves five of those loops into C functions that sweep
+This module moves four of those loops into C functions that sweep
 their rows once each, with every elementwise expression written in
 scalar evaluation order (compiled with ``-ffp-contract=off`` so the
 compiler cannot fuse or reorder anything we did not write explicitly):
@@ -13,19 +13,13 @@ compiler cannot fuse or reorder anything we did not write explicitly):
   :class:`~repro.control.batch.BatchedLQGServo` steps N rows per call,
   and the scalar :class:`~repro.control.lqg.LQGServoController` steps
   its single row (N=1);
-* ``fleet_telemetry`` — the per-row cluster sensor read
-  (``soc.read_cluster_telemetry``).  It has no Python binding:
-  ``plant_tick`` reads every cluster row through its row reader and
-  its argument-block layout (:func:`telemetry_args`), and a SoC that
-  ticks in Python (a workload that is not exactly a ``QoSWorkload``, a
-  faulted PMU, idle insertion, every ``ManyCoreSoC``) reads its
-  sensors in Python;
 * ``plant_tick`` — the rest of the plant tick after the background
   placement: the Big cluster's fair share, the QoS workload's rate
   (Amdahl speedup over a per-OPP ``peak_rate * frequency_scale`` table,
   the serial-phase rescale, the clamped noise gain and the floor at 0),
-  both clusters' busy clamps and both sensor reads, through
-  ``fleet_telemetry``'s row reader.  One kernel serves both ticks:
+  both clusters' busy clamps and both sensor reads
+  (``soc.read_cluster_telemetry``, through each cluster's
+  :func:`telemetry_args` block).  One kernel serves both ticks:
   ``soc.CompiledTick`` runs the scalar SoC's single row (per-core
   readings out, the QoS gain drawn by ``rng.normal``), and
   ``fleet.CompiledFleetTick`` runs N rows (per-core NULL, the gain from
@@ -41,7 +35,7 @@ compiler cannot fuse or reorder anything we did not write explicitly):
   static ``numpy/random/lib/libnpyrandom.a``, called on each row's
   ``bitgen_t`` (:func:`bitgen_table`).  Both are numpy's public C API
   for extending ``numpy.random``.  Without the archive, or when its
-  build or load-time probe fails, the other four kernels still build
+  build or load-time probe fails, the other three kernels still build
   and only the refill stays on numpy (:func:`noise_fill_reason`).
 
 Each of them takes a single pointer to an *argument block*: an
@@ -458,7 +452,10 @@ void fused_servo_step(const arg *a)
 }
 
 /* One cluster's sensor read: its tables, its state and outputs, loaded
- * from a fleet_telemetry argument block (slots below). */
+ * from that cluster's telemetry argument block (telemetry_args): nc;
+ * active, opp; the per-OPP dyn/leak/rate tables, idle_frac, uncore; the
+ * per-sensor noise, res_mask, res, floor rows and any_res; the power
+ * and ips outputs, and per_core (N, nc) or NULL. */
 typedef struct {
     i64 nc;
     const double *active;
@@ -474,22 +471,22 @@ typedef struct {
 
 static void sensor_ctx_load(const arg *a, sensor_ctx *s)
 {
-    s->nc = a[1].i;
-    s->active = a[2].p;
-    s->opp = a[3].p;
-    s->dyn_table = a[7].p;
-    s->leak_table = a[8].p;
-    s->rate_table = a[9].p;
-    s->idle_frac = a[10].d;
-    s->uncore = a[11].d;
-    s->noise = a[12].p;
-    s->res_mask = a[13].p;
-    s->res = a[14].p;
-    s->floor_v = a[15].p;
-    s->any_res = a[16].i;
-    s->power = a[17].p;
-    s->ips = a[18].p;
-    s->per_core = a[19].p;
+    s->nc = a[0].i;
+    s->active = a[1].p;
+    s->opp = a[2].p;
+    s->dyn_table = a[3].p;
+    s->leak_table = a[4].p;
+    s->rate_table = a[5].p;
+    s->idle_frac = a[6].d;
+    s->uncore = a[7].d;
+    s->noise = a[8].p;
+    s->res_mask = a[9].p;
+    s->res = a[10].p;
+    s->floor_v = a[11].p;
+    s->any_res = a[12].i;
+    s->power = a[13].p;
+    s->ips = a[14].p;
+    s->per_core = a[15].p;
 }
 
 /* Row r's read with busy equivalents b and noise draws zr:
@@ -540,23 +537,6 @@ static void read_row(const sensor_ctx *s, i64 r, double b, const double *zr)
         for (j = 0; j < nc; ++j) s->per_core[r * nc + j] = v[j + 1];
 }
 
-/* One cluster sensor read per row.  Arguments: N, nc; active, opp,
- * bce, z, z_stride (z rows are z_stride doubles apart); the per-OPP dyn/leak/rate
- * tables, idle_frac, uncore; the per-sensor noise, res_mask, res,
- * floor rows and any_res; the power and ips outputs, and per_core
- * (N, nc) or NULL. */
-void fleet_telemetry(const arg *a)
-{
-    const i64 N = a[0].i;
-    const double *bce = a[4].p;
-    const double *z = a[5].p;
-    const i64 z_stride = a[6].i;
-    sensor_ctx s;
-    i64 r;
-    sensor_ctx_load(a, &s);
-    for (r = 0; r < N; ++r) read_row(&s, r, bce[r], z + r * z_stride);
-}
-
 /* perf.amdahl_speedup with a continuous thread count. */
 static double amdahl(double pf, double threads)
 {
@@ -574,8 +554,8 @@ static double amdahl(double pf, double threads)
  * pointer to the current parallel fraction, the per-OPP peak_rate *
  * frequency_scale table of the Big cluster; the Big and Little
  * background demand rows; the noise z, its row stride and the Big and Little column offsets (the
- * QoS draw is column 0); the Big and Little fleet_telemetry argument
- * blocks (their bce, z and z_stride slots are not read); the QoS rate,
+ * QoS draw is column 0); the Big and Little telemetry argument
+ * blocks; the QoS rate,
  * Big busy and Little busy outputs, and the chip power output or NULL.
  * Selects follow the scalar min()/max() on ties: min(a, b) keeps a
  * unless b < a, max(base, 0.0) keeps base unless 0.0 > base. */
@@ -790,8 +770,7 @@ class FusedKernel:
 
     ``servo_step``, ``plant_tick``, ``snap`` and ``noise_fill`` each
     take the address of an argument block (:func:`arg_block`) and
-    nothing else (``fleet_telemetry`` has no binding; ``plant_tick``
-    runs its row reader).  ``noise_fill`` is ``None`` when the object was
+    nothing else.  ``noise_fill`` is ``None`` when the object was
     built without the refill or its load-time probe failed;
     ``noise_reason`` then says why (see :func:`noise_fill_reason`).
     """
@@ -890,34 +869,25 @@ def noise_block(bitgens: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def telemetry_args(
     tables,
-    rows: int,
     *,
     active: int,
     opp: int,
     power_out: int,
     ips_out: int,
-    bce: int = 0,
-    z: int = 0,
-    z_stride: int = 0,
     per_core_out: int = 0,
 ) -> list:
-    """``fleet_telemetry``'s arguments for ``rows`` rows of one cluster.
+    """One cluster's telemetry block, which ``plant_tick`` reads its
+    sensors through.
 
-    The keyword arguments are raw addresses (``z_stride`` in doubles);
-    ``per_core_out`` 0 passes NULL, and ``bce``, ``z`` and ``z_stride`` may
-    be left 0 for a block that only ``plant_tick`` reads.  ``tables``
-    supplies the per-OPP tables and per-sensor rows
+    The keyword arguments are raw addresses; ``per_core_out`` 0 passes
+    NULL.  ``tables`` supplies the per-OPP tables and per-sensor rows
     (``soc.SensorTables``, or a ``FleetCluster``, which holds the same
     attributes).
     """
     return [
-        rows,
         tables.noise_row.size - 1,
         active,
         opp,
-        bce,
-        z,
-        z_stride,
         tables.dynamic_table.ctypes.data,
         tables.leakage_table.ctypes.data,
         tables.core_rate_table.ctypes.data,
@@ -975,8 +945,7 @@ def plant_tick_args(
     ``peak_rate * frequency_scale``, the two demand rows, the noise
     ``z`` (rows ``z_stride`` doubles apart, the QoS draw in column 0
     and each cluster's draws from its offset), each cluster's
-    ``fleet_telemetry`` argument block (:func:`telemetry_args`; its
-    bce, z and stride slots are not read) and the outputs.
+    telemetry block (:func:`telemetry_args`) and the outputs.
     ``chip_out`` 0 passes NULL.  ``qos_mode`` is one of the ``QOS_*``
     codes.
     """

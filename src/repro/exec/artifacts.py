@@ -1,17 +1,17 @@
 """Design-flow artifact caching.
 
-Every evaluation run needs the same two expensive design artifacts
-before any scenario can execute: the identified controller models
-(:func:`repro.experiments.figures.identified_systems`, ~1 s of
-staircase excitation per process) and the synthesized + verified
-case-study supervisor.  This module caches both in the content-addressed
-:class:`~repro.exec.cache.ResultCache` so that
+Every evaluation run needs the verified case-study supervisor before any
+scenario can execute.  The identified controller models and their gain
+sets are committed (``artifacts/design/``, loaded by
+:func:`repro.experiments.figures.identified_systems` in every process);
+the supervisor is cached here, in the content-addressed
+:class:`~repro.exec.cache.ResultCache`, so that
 
-* worker processes load them from disk instead of re-deriving them
+* worker processes load it from disk instead of re-synthesizing it
   (``spawn`` workers share nothing with the parent), and
-* repeated CLI / benchmark invocations skip the design flow entirely.
+* repeated CLI / benchmark invocations skip the synthesis entirely.
 
-Alongside the pickled artifact, a **policy bundle** in the
+Alongside the pickled supervisor, a **policy bundle** in the
 :mod:`repro.core.persistence` on-disk format (automaton JSON + LQG gain
 ``.npz``) is written and re-verified on every load —
 :meth:`~repro.core.persistence.PolicyBundle.verify` re-runs the formal
@@ -34,7 +34,6 @@ from repro.exec.job import canonical_encode
 from repro.experiments.figures import (
     IdentifiedSystems,
     case_study_supervisor,
-    design_caches_primed,
     identified_systems,
     prime_design_caches,
 )
@@ -48,8 +47,8 @@ __all__ = [
     "prime_process",
 ]
 
-# Bump when the identification/synthesis recipe changes incompatibly.
-DESIGN_SCHEMA = "design-artifacts/1"
+# Bump when the synthesis recipe or the cached payload changes.
+DESIGN_SCHEMA = "design-artifacts/2"
 
 # Serialized VerificationReport written beside each bundle: the formal
 # certificate travels with the artifact it certifies.
@@ -90,31 +89,24 @@ def _bundle_ok(cache: ResultCache, digest: str) -> bool:
 def ensure_design_artifacts(
     cache: ResultCache,
 ) -> tuple[IdentifiedSystems, VerifiedSupervisor]:
-    """Load the design artifacts from ``cache``, building on first use.
+    """Load the verified supervisor from ``cache``, building on first use.
 
-    Returns the identified systems (big/little/full — the per-core
-    10x10 model is benchmark-only and derived on demand) and the
-    verified supervisor.  The returned values are bit-identical whether
-    freshly derived or reloaded: identification is fully seeded and
-    pickling preserves every float64 exactly.
+    Returns the committed identified systems (big/little/full,
+    :func:`~repro.experiments.figures.identified_systems`) and the
+    verified supervisor, the cached payload.  The supervisor is
+    bit-identical whether freshly derived or reloaded: pickling
+    preserves every float64 exactly.
     """
     digest = design_digest(cache.salt)
-    hit, value = cache.get(digest)
+    hit, verified = cache.get(digest)
     if hit:
-        systems, verified = value
         if _bundle_ok(cache, digest):
-            return systems, verified
+            return identified_systems(), verified
         cache.invalidate(digest, reason="artifact-verify")
 
-    built = identified_systems()
+    systems = identified_systems()
     verified = case_study_supervisor()
-    # Store a percore-free container: the payload must be a pure
-    # function of the digest, not of what this process happened to
-    # compute before (percore is only attached by benchmark code).
-    systems = IdentifiedSystems(
-        big=built.big, little=built.little, full=built.full
-    )
-    cache.put(digest, (systems, verified))
+    cache.put(digest, verified)
     bundle_dir = cache.bundle_dir(digest)
     save_bundle(
         bundle_from_design(
@@ -130,14 +122,8 @@ def ensure_design_artifacts(
     return systems, verified
 
 
-def prime_process(cache: ResultCache, *, force: bool = True) -> None:
-    """Load (or build) the artifacts and install them as this process's
-    design caches — the engine worker initializer.
-
-    With ``force=False`` an already-primed process keeps its caches
-    (e.g. a benchmark parent that attached the per-core model, which the
-    cached container deliberately omits).
-    """
-    systems, verified = ensure_design_artifacts(cache)
-    if force or not design_caches_primed():
-        prime_design_caches(systems, verified)
+def prime_process(cache: ResultCache) -> None:
+    """Load (or build) the supervisor and install it as this process's
+    design cache, unless it holds one — the engine worker initializer."""
+    _, verified = ensure_design_artifacts(cache)
+    prime_design_caches(verified)

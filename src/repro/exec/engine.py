@@ -13,9 +13,9 @@ Determinism contract
 --------------------
 A job's result is a pure function of its spec: runners derive all
 randomness from ``job.seed``, workers share no state with the parent
-(``spawn``), and the design-flow artifacts each process loads are
-bit-identical whether derived or cache-loaded (see
-:mod:`repro.exec.artifacts`).  Consequently serial runs, parallel runs
+(``spawn``), the identified models each process loads are committed,
+and the supervisor is bit-identical whether derived or cache-loaded
+(see :mod:`repro.exec.artifacts`).  Consequently serial runs, parallel runs
 at any worker count, reruns, warm-cache runs, and interrupted-then-
 resumed runs all produce identical results — the property the
 golden-trace, equivalence, and chaos suites under ``tests/exec/`` pin
@@ -299,10 +299,10 @@ class ExperimentEngine:
             if self.cache is not None and self.prime_artifacts:
                 from repro.exec.artifacts import prime_process
 
-                # Warm this process from the artifact cache (keeping any
-                # richer caches it already holds) and make sure the
+                # Warm this process from the artifact cache (keeping a
+                # supervisor it already holds) and make sure the
                 # artifacts are on disk before workers spawn.
-                prime_process(self.cache, force=False)
+                prime_process(self.cache)
             parallel, serial = self._partition(records, pending)
             if parallel:
                 self._run_pool(records, parallel)

@@ -5,9 +5,9 @@ Translates a plain-data :class:`~repro.exec.job.ScenarioJob` into a
 manager factory (closures do not pickle), looking up the workload by
 name, and wiring any fault spec into the SoC setup hook.  Every sweep
 and ablation cell runs here, in the parent process or in a spawned
-worker alike; all model inputs come from the process-local design
-caches, which the engine pre-seeds from the artifact cache
-(:mod:`repro.exec.artifacts`).  The fault campaign's runner injects its
+worker alike; the identified models come from the committed design
+files and the supervisor from the process-local design cache, which the
+engine pre-seeds from the artifact cache (:mod:`repro.exec.artifacts`).  The fault campaign's runner injects its
 faults through the same :func:`fault_setup`.
 
 Recognized ``overrides`` keys:

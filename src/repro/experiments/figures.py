@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from repro.core.synthesis_flow import VerifiedSupervisor, build_case_study_super
 from repro.experiments.runner import ScenarioTrace, run_scenario
 from repro.experiments.scenario import Scenario, three_phase_scenario
 from repro.managers.base import ManagerGoals
+from repro.managers.bundle import load_design, save_design
 from repro.managers.fs import FullSystemMIMO
 from repro.managers.identification import (
     IdentifiedSystem,
@@ -51,19 +53,40 @@ class IdentifiedSystems:
 _SYSTEMS_CACHE: IdentifiedSystems | None = None
 _SUPERVISOR_CACHE: VerifiedSupervisor | None = None
 
+# The committed design-flow output (scripts/make_model_artifacts.py).
+DESIGN_DIR = Path(__file__).resolve().parents[3] / "artifacts" / "design"
+
 
 def identified_systems(*, with_percore: bool = False) -> IdentifiedSystems:
-    """Identify (and cache) all controller models for this process."""
+    """The committed big, little and full models, loaded once per process.
+
+    ``DESIGN_DIR`` holds them with the gain libraries the four managers
+    design from them, so no process identifies or designs, and every
+    host runs the same bits.  The per-core 10x10 model (Figures 5 and
+    15) is identified on demand.
+    """
     global _SYSTEMS_CACHE
     if _SYSTEMS_CACHE is None:
-        _SYSTEMS_CACHE = IdentifiedSystems(
-            big=identify_big_cluster(),
-            little=identify_little_cluster(),
-            full=identify_full_system(),
-        )
+        _SYSTEMS_CACHE = IdentifiedSystems(**load_design(DESIGN_DIR))
     if with_percore and _SYSTEMS_CACHE.percore is None:
         _SYSTEMS_CACHE.percore = identify_percore_system()
     return _SYSTEMS_CACHE
+
+
+def write_design(directory: Path) -> None:
+    """Identify the three models afresh, design on each the gain
+    libraries the four managers build, and write them to ``directory``
+    (``scripts/make_model_artifacts.py`` writes ``DESIGN_DIR``)."""
+    systems = IdentifiedSystems(
+        big=identify_big_cluster(),
+        little=identify_little_cluster(),
+        full=identify_full_system(),
+    )
+    soc = ExynosSoC(qos_app=x264())
+    for name in MANAGER_NAMES:
+        manager_factory(name, systems)(soc, ManagerGoals(60.0, 5.0))
+    roles = {"big": systems.big, "little": systems.little, "full": systems.full}
+    save_design(roles, directory)
 
 
 def case_study_supervisor() -> VerifiedSupervisor:
@@ -73,24 +96,17 @@ def case_study_supervisor() -> VerifiedSupervisor:
     return _SUPERVISOR_CACHE
 
 
-def prime_design_caches(
-    systems: IdentifiedSystems, supervisor: VerifiedSupervisor
-) -> None:
-    """Install precomputed design artifacts as this process's caches.
+def prime_design_caches(supervisor: VerifiedSupervisor) -> None:
+    """Install a precomputed verified supervisor as this process's cache,
+    unless it already holds one.
 
-    The experiment engine's workers load the identified models and the
-    verified supervisor from the on-disk artifact cache
-    (:mod:`repro.exec.artifacts`) instead of re-running identification
-    and synthesis per process; this is the injection point.
+    The experiment engine's workers load it from the on-disk artifact
+    cache (:mod:`repro.exec.artifacts`) instead of re-running synthesis
+    per process; this is the injection point.
     """
-    global _SYSTEMS_CACHE, _SUPERVISOR_CACHE
-    _SYSTEMS_CACHE = systems
-    _SUPERVISOR_CACHE = supervisor
-
-
-def design_caches_primed() -> bool:
-    """Whether this process already holds both design artifacts."""
-    return _SYSTEMS_CACHE is not None and _SUPERVISOR_CACHE is not None
+    global _SUPERVISOR_CACHE
+    if _SUPERVISOR_CACHE is None:
+        _SUPERVISOR_CACHE = supervisor
 
 
 # SPECTR construction overrides (the ablation studies' variants);

@@ -651,7 +651,7 @@ class CompiledFleetTick:
     intact without per-tick allocation: per flip, the QoS rate, both
     busy equivalents, the chip power and each cluster's power and ips.
     Each flip has one argument block, which points at one
-    ``fleet_telemetry`` block per cluster (that cluster's tables, state
+    telemetry block per cluster (that cluster's tables, state
     and outputs for the flip; per-core output NULL).  All of them are
     rebuilt whenever a cluster's ``active`` or ``opp_idx`` array moves.
     A call copies the two demand rows into fixed buffers, writes the
@@ -704,7 +704,6 @@ class CompiledFleetTick:
                 arg_block(
                     telemetry_args(
                         fc,
-                        n,
                         active=fc.active.ctypes.data,
                         opp=fc.opp_idx.ctypes.data,
                         power_out=out[1].ctypes.data,

@@ -679,8 +679,8 @@ class CompiledTick:
     sensor reads in one call.
 
     Its inputs and outputs live in one fixed scratch array that the
-    tick's argument block and the two clusters' ``fleet_telemetry``
-    blocks point into: both clusters' active cores and OPP index, the
+    tick's argument block and the two clusters' telemetry blocks
+    point into: both clusters' active cores and OPP index, the
     two background demands, the current parallel fraction, the QoS
     noise gain and both clusters' noise draws, then the QoS rate, both
     busy equivalents, power and ips readings, and the per-core readings.
@@ -723,7 +723,6 @@ class CompiledTick:
         big_block = arg_block(
             telemetry_args(
                 tables[0],
-                1,
                 active=base,
                 opp=base + 8,
                 power_out=base + 8 * (outputs + 3),
@@ -734,7 +733,6 @@ class CompiledTick:
         little_block = arg_block(
             telemetry_args(
                 tables[1],
-                1,
                 active=base + 16,
                 opp=base + 24,
                 power_out=base + 8 * (outputs + 5),

@@ -68,9 +68,8 @@ class TestSelfScan:
             "intptr_t",
             "double *",
         ]
-        assert set(functions) >= {
+        assert set(functions) == {
             "fused_servo_step",
-            "fleet_telemetry",
             "plant_tick",
             "opp_snap",
             "noise_fill",

@@ -1,7 +1,11 @@
 """Shared fixtures.
 
-Identification experiments and supervisor synthesis take ~1 s each, so
-they are session-scoped and shared across the whole suite.
+The big, little and full models are the committed ones every process
+runs (``identified_systems()``); fresh identification is tested in
+``tests/managers/test_identification.py`` and
+``tests/managers/test_committed_design.py``.  The per-core model
+identification and supervisor synthesis take ~1 s each, so they are
+session-scoped and shared across the whole suite.
 """
 
 from __future__ import annotations
@@ -9,27 +13,23 @@ from __future__ import annotations
 import pytest
 
 from repro.core.synthesis_flow import build_case_study_supervisor
-from repro.managers.identification import (
-    identify_big_cluster,
-    identify_full_system,
-    identify_little_cluster,
-    identify_percore_system,
-)
+from repro.experiments.figures import identified_systems
+from repro.managers.identification import identify_percore_system
 
 
 @pytest.fixture(scope="session")
 def big_system():
-    return identify_big_cluster()
+    return identified_systems().big
 
 
 @pytest.fixture(scope="session")
 def little_system():
-    return identify_little_cluster()
+    return identified_systems().little
 
 
 @pytest.fixture(scope="session")
 def full_system():
-    return identify_full_system()
+    return identified_systems().full
 
 
 @pytest.fixture(scope="session")

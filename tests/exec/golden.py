@@ -11,6 +11,7 @@ bit-identical simulation output.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -18,13 +19,19 @@ import numpy as np
 
 from repro.exec.fleet_jobs import FleetScenarioJob
 from repro.exec.job import FaultSpec, ScenarioJob
-from repro.experiments.figures import MANAGER_NAMES
+from repro.exec.scenario_jobs import workload_by_name
+from repro.experiments.figures import (
+    MANAGER_NAMES,
+    identified_systems,
+    manager_factory,
+)
 from repro.experiments.fleet import FleetTrace
-from repro.experiments.runner import ScenarioTrace
+from repro.experiments.runner import ScenarioTrace, run_scenario
 from repro.experiments.scenario import Scenario, three_phase_scenario
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_traces.json"
 FLEET_FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_fleet.json"
+SERVO_FIXTURE_PATH = Path(__file__).parent / "fixtures" / "golden_servo.json"
 GOLDEN_MANAGERS = MANAGER_NAMES
 GOLDEN_SEED = 2018
 
@@ -35,6 +42,9 @@ GOLDEN_FLEET_FAULT_ROW = 1
 GOLDEN_FLEET_FAULT = FaultSpec(
     kind="reject", target="big", start_s=0.5, duration_s=1.0, probability=0.7
 )
+
+# The servo state the servo fixture digests, per servo.
+SERVO_STATE = ("_xhat", "_z", "_du_prev", "_u_prev")
 
 # The trace series pinned by the fixture (all float64 ndarrays).
 TRACE_SERIES = (
@@ -84,6 +94,34 @@ def trace_payload(trace: ScenarioTrace) -> dict:
     return payload
 
 
+def servo_digest(manager: str) -> str:
+    """sha256 over every servo's :data:`SERVO_STATE` after the golden
+    job (FS: its one servo; the others: big, then little)."""
+    job = golden_job(manager)
+    built: list = []
+    run_scenario(
+        manager_factory(manager, identified_systems()),
+        workload_by_name(job.workload),
+        golden_scenario(),
+        seed=job.seed,
+        manager_setup=built.append,
+    )
+    (manager_object,) = built
+    if hasattr(manager_object, "controller"):
+        servos = [manager_object.controller]
+    else:
+        servos = [
+            manager_object.big_mimo.controller,
+            manager_object.little_mimo.controller,
+        ]
+    digest = hashlib.sha256()
+    for servo in servos:
+        for name in SERVO_STATE:
+            state = np.asarray(getattr(servo, name), dtype="<f8")
+            digest.update(state.tobytes())
+    return digest.hexdigest()
+
+
 def fleet_payload(trace: FleetTrace) -> dict:
     """The JSON-serializable fixture payload of one fleet trace."""
     payload: dict = {
@@ -105,6 +143,10 @@ def load_fixture() -> dict:
 
 def load_fleet_fixture() -> dict:
     return json.loads(FLEET_FIXTURE_PATH.read_text(encoding="utf-8"))
+
+
+def load_servo_fixture() -> dict:
+    return json.loads(SERVO_FIXTURE_PATH.read_text(encoding="utf-8"))
 
 
 def assert_matches_golden(trace: ScenarioTrace, golden: dict) -> None:

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from repro.automata.verification import VerificationReport
+from repro.core.synthesis_flow import VerifiedSupervisor
 from repro.exec.artifacts import (
     VERIFICATION_FILE,
     design_digest,
     ensure_design_artifacts,
 )
 from repro.exec.cache import ResultCache
+from repro.experiments.figures import identified_systems
 
 
 @pytest.fixture(scope="module")
@@ -45,8 +47,13 @@ def test_reload_is_bit_identical_to_build(warm_cache):
 
 
 def test_cached_container_omits_percore(warm_cache):
+    """The cached payload is the supervisor alone: no models (percore
+    included) are pickled, and the returned systems are the committed
+    ones every process loads."""
+    hit, payload = warm_cache.get(design_digest(warm_cache.salt))
+    assert hit and isinstance(payload, VerifiedSupervisor)
     systems, _ = ensure_design_artifacts(warm_cache)
-    assert systems.percore is None
+    assert systems is identified_systems()
 
 
 def test_verification_certificate_written_beside_bundle(warm_cache):

@@ -89,11 +89,14 @@ class TestPerCoreSystem:
 
 
 class TestDeterminism:
-    def test_identification_reproducible(self, big_system):
+    def test_identification_reproducible(self):
+        """Two fresh identifications in one process agree bit for bit
+        (the fixtures hold the committed models, not fresh ones)."""
         from repro.managers.identification import identify_big_cluster
 
+        first = identify_big_cluster()
         again = identify_big_cluster()
-        assert np.allclose(
+        assert np.array_equal(
             again.identification.model.coeffs,
-            big_system.identification.model.coeffs,
+            first.identification.model.coeffs,
         )
