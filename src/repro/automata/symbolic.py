@@ -17,7 +17,11 @@ Three ingredients:
 * :func:`reachable_product` — build the encoded product of two
   deterministic factors (synchronous, synthesis or controllability
   semantics) over the pairs reachable from the joint initial pair,
-  without materializing a composed :class:`Automaton`.
+  without materializing a composed :class:`Automaton`;
+  :func:`reachable_composition` builds the synchronous product of any
+  number of factors the same way, in one BFS over bit-packed keys (one
+  bit field per factor), numbered exactly as a left fold of
+  :func:`reachable_product` would number it.
 * :func:`forward_reachable` / :func:`backward_reachable` /
   :func:`forward_search` — level-synchronized bitset BFS; the search
   variant records parent pointers so shortest counterexample event
@@ -46,6 +50,7 @@ __all__ = [
     "forward_reachable",
     "forward_search",
     "nearest_state",
+    "reachable_composition",
     "reachable_product",
     "restrict_states",
     "witness_trace",
@@ -53,7 +58,7 @@ __all__ = [
 
 # Every persistent index array of an encoding (transition arrays, parent
 # pointers, depths, ranks) holds state indices in int32: half the memory
-# of int64, and the largest encoding the benchmarks fold is ~200k states.
+# of int64, and the largest encoding the benchmarks build is ~200k states.
 # Arrays numpy gathers with are converted to intp where they are used,
 # since numpy would otherwise convert a non-intp index array on every
 # gather.
@@ -549,6 +554,208 @@ def _grid_search(start: int, successors, na: int, nb: int):
         )
 
     return pairs, rank
+
+
+# ----------------------------------------------------------------------
+# N-ary synchronous products over bit-packed keys
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _KeySpace:
+    """One side of a packed key space's split, sized the way the pair
+    rule :func:`_grid_fits` reads a factor."""
+
+    n_states: int
+    n_events: int
+
+
+def _field_widths(factors: list[EncodedAutomaton]) -> list[int]:
+    """Bits of each factor's field in a packed key."""
+    return [max(factor.n_states - 1, 0).bit_length() for factor in factors]
+
+
+def _packed_prefix(widths: list[int]) -> int:
+    """How many leading factors one packed key holds.
+
+    A successor sums the key and one table entry per factor that moves
+    on the event, each a ``-space`` sentinel at worst, so ``m`` factors
+    pack while ``m * space`` stays within int64 (keys of up to 62
+    bits).  Every factor has fewer than ``2**31`` states, so any two
+    factors pack.
+    """
+    total = 0
+    for m, width in enumerate(widths, start=1):
+        total += width
+        if m << total > 2**63:
+            return m - 1
+    return len(widths)
+
+
+def _key_split(factors: list[EncodedAutomaton]) -> tuple[_KeySpace, _KeySpace]:
+    """The packed key space as a pair product: the prefix factors' key
+    space times the last factor's field, as the found-key grid splits
+    it."""
+    widths = _field_widths(factors)
+    b = widths[-1]
+    prefix_events = set().union(*(f.event_names for f in factors[:-1]))
+    return (
+        _KeySpace(1 << (sum(widths) - b), len(prefix_events)),
+        _KeySpace(1 << b, factors[-1].n_events),
+    )
+
+
+def reachable_composition(
+    factors: list[EncodedAutomaton],
+) -> EncodedAutomaton:
+    """The synchronous product ``factors[0] || ... || factors[-1]`` over
+    its reachable states, each factor deterministic.
+
+    One level-synchronized BFS covers all factors (see
+    :func:`_reachable_composition`), with no product of a prefix built
+    on the way.  The result is byte-identical to folding
+    :func:`reachable_product` over the factors left to right: the same
+    name, event order, controllability (the first factor with the event
+    decides), state numbering, transition arrays, marking and initial
+    state.  The found keys take the bool grid or the sorted-key form by
+    the pair rule :func:`_grid_fits`, read on the key space split as
+    prefix x last field (:func:`_key_split`).  When the
+    factors' fields do not fit one key (:func:`_packed_prefix`), the
+    longest prefix that fits is built first and stands in as the first
+    factor of the rest.
+    """
+    factors = list(factors)
+    while len(factors) > 1:
+        m = _packed_prefix(_field_widths(factors))
+        head = _reachable_composition(
+            factors[:m], _grid_fits(*_key_split(factors[:m]))
+        )
+        factors = [head, *factors[m:]]
+    return factors[0]
+
+
+def _reachable_composition(
+    factors: list[EncodedAutomaton], dense: bool
+) -> EncodedAutomaton:
+    """:func:`reachable_composition` over factors that fit one packed
+    key, with the found-key form chosen by the caller (a bool grid when
+    ``dense``, sorted keys otherwise).
+
+    A state is one integer key holding every factor's state in a bit
+    field of its own, the first factor's in the high bits, so ascending
+    keys order the states lexicographically by factor state -- the
+    numbering the pairwise fold gives.  A successor key is the key plus
+    one key delta per factor that moves on the event, read one of two
+    ways:
+
+    * a factor with a single transition on the event is tested on its
+      key bits (its field holds the source) and moves by a constant;
+    * any other reads ``tables[f][e, s]``, the key delta of factor
+      ``f`` moving from ``s`` on its event ``e``, or ``-space`` where
+      the event is disabled, so a sum of table entries is negative iff
+      one of them is disabled.
+
+    The tables are per factor, so they are small and held in intp, the
+    dtype the keys sum in: an int32 table would cost a cast on every
+    gather.
+    """
+    widths = _field_widths(factors)
+    shifts = [sum(widths[f + 1 :]) for f in range(len(factors))]
+    masks = [(1 << width) - 1 for width in widths]
+    space = 1 << sum(widths)
+    tables = []
+    for factor, shift in zip(factors, shifts):
+        # Successor offsets from _move_table (which also refuses a
+        # nondeterministic factor), less each source's own offset.
+        table = _move_table(factor, 1 << shift, -space, np.intp)
+        offsets = np.arange(factor.n_states, dtype=np.intp) << shift
+        np.subtract(table, offsets, out=table, where=table >= 0)
+        tables.append(table)
+
+    names = sorted(set().union(*(f.event_names for f in factors)))
+    plan = []
+    controllable = []
+    for name in names:
+        moving = [
+            (f, e)
+            for f, e in enumerate(factor.event_index(name) for factor in factors)
+            if e is not None
+        ]
+        bits = value = step = 0
+        rows = []
+        for f, e in moving:
+            src, dst = factors[f].src[e], factors[f].dst[e]
+            if src.size == 1:
+                bits |= masks[f] << shifts[f]
+                value |= int(src[0]) << shifts[f]
+                step += (int(dst[0]) - int(src[0])) << shifts[f]
+            else:
+                rows.append((tables[f][e], f))
+        plan.append((bits, value, step, rows))
+        f, e = moving[0]
+        controllable.append(bool(factors[f].event_controllable[e]))
+    decoded = {f for *_, rows in plan for _, f in rows}
+
+    def successors(keys: np.ndarray):
+        """Per event: its index, the positions in ``keys`` it is enabled
+        at and the successor keys there (``keys`` intp)."""
+        fields = {f: (keys >> shifts[f]) & masks[f] for f in decoded}
+        for e, (bits, value, step, rows) in enumerate(plan):
+            if rows:
+                (row, f), *rest = rows
+                targets = keys + row.take(fields[f])
+                for row, f in rest:
+                    targets += row.take(fields[f])
+                ok = targets >= 0
+                if bits:
+                    ok &= (keys & bits) == value
+            else:
+                targets = keys
+                ok = (keys & bits) == value
+            # Positions and one gather: half the cost of two boolean
+            # compresses when the caller keeps both.
+            at = np.flatnonzero(ok)
+            targets = targets.take(at)
+            if step:
+                targets += step
+            yield e, at, targets
+
+    empty = np.asarray([], dtype=_STATE_DTYPE)
+    src_arrays = [empty] * len(names)
+    dst_arrays = [empty] * len(names)
+    if all(factor.initial >= 0 for factor in factors):
+        start = sum(f.initial << s for f, s in zip(factors, shifts))
+        if dense:
+            b = widths[-1]
+            found, rank = _grid_search(start, successors, space >> b, 1 << b)
+        else:
+            found, rank = _sorted_search(start, successors)
+        initial = int(np.searchsorted(found, start))
+        for e, at, targets in successors(found):
+            src_arrays[e] = at.astype(_STATE_DTYPE)
+            dst_arrays[e] = rank(targets)
+    else:
+        found, initial = np.asarray([], dtype=np.intp), -1
+
+    marked = np.ones(found.size, dtype=bool)
+    forbidden = np.zeros(found.size, dtype=bool)
+    for factor, shift, mask in zip(factors, shifts, masks):
+        # A factor marked everywhere and forbidden nowhere (the fleet's
+        # budget counters) changes neither mask.
+        if factor.marked.all() and not factor.forbidden.any():
+            continue
+        field = (found >> shift) & mask
+        marked &= factor.marked[field]
+        forbidden |= factor.forbidden[field]
+    return EncodedAutomaton(
+        name="||".join(factor.name for factor in factors),
+        n_states=int(found.size),
+        event_names=tuple(names),
+        event_controllable=np.asarray(controllable, dtype=bool),
+        src=tuple(src_arrays),
+        dst=tuple(dst_arrays),
+        initial=initial,
+        marked=marked,
+        forbidden=forbidden,
+    )
 
 
 def restrict_states(enc: EncodedAutomaton, keep: np.ndarray) -> EncodedAutomaton:

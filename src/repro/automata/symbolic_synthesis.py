@@ -27,10 +27,10 @@ explicit test oracle (``tests/automata/explicit_oracle.py``) agree
 field-for-field, not just up to isomorphism.
 
 For models too large to compose explicitly, :func:`encode_composition`
-folds the reachable synchronous product over encoded factors — the
-10-cluster plants (up to 1.65M reachable states) never exist as Python
-object graphs at all, and :func:`supremal_fixpoint` synthesizes
-directly on the encoding.
+builds the reachable synchronous product over encoded factors in one
+pass — the 10-cluster plants (up to 1.65M reachable states) never exist
+as Python object graphs at all, and :func:`supremal_fixpoint`
+synthesizes directly on the encoding.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from repro.automata.symbolic import (
     backward_reachable,
     encode_automaton,
     forward_reachable,
+    reachable_composition,
     reachable_product,
     restrict_states,
 )
@@ -102,7 +103,7 @@ def _uncontrollable_escape_masks(
     pairs whose plant component enables the event)``.
 
     Derived from the plant's transition sources rather than its
-    ``enabled`` matrix so folded encodings (which carry no matrix) work
+    ``enabled`` matrix so composed encodings (which carry no matrix) work
     unchanged.  Spec-private uncontrollable events are skipped: they can
     never fire, so they cannot escape.
     """
@@ -126,7 +127,7 @@ def supremal_fixpoint(
 ) -> SupremalFixpoint:
     """Supremal controllable nonblocking fixpoint over encoded factors.
 
-    Accepts any encodings, including folded products from
+    Accepts any encodings, including composed products from
     :func:`encode_composition`; only :func:`symbolic_synthesize_supervisor`
     needs state names for decoding.
     """
@@ -317,14 +318,19 @@ def encode_composition(
     components: Iterable[Automaton | EncodedAutomaton],
     name: str | None = None,
 ) -> EncodedAutomaton:
-    """Fold the synchronous product over ``components``, fully encoded.
+    """The synchronous product over ``components``, fully encoded.
 
-    The composed plant never exists as an :class:`Automaton`: each fold
-    step builds the product over its reachable pairs only, so states and
-    transition arrays stay proportional to the *reachable* product, and
-    the next fold starts from that compact index space.  This is the
-    entry point for models whose explicit composition is itself
-    infeasible (the 10-cluster fleet plants).
+    The composed plant never exists as an :class:`Automaton`:
+    :func:`~repro.automata.symbolic.reachable_composition` builds it in
+    one BFS over all factors at once, each reachable state one integer
+    key with a bit field per factor, so states and transition arrays
+    stay proportional to the *reachable* product and no product of a
+    prefix of the factors is built on the way.  The encoding is byte
+    for byte the one a left fold of pairwise
+    :func:`~repro.automata.symbolic.reachable_product` calls gives.
+    This is the entry point for models whose explicit composition is
+    itself infeasible (the 10-cluster fleet plants).  One component
+    comes back as it is; none raises :class:`SynthesisError`.
 
     The result has no state names; pair it with
     :func:`supremal_fixpoint` for scale runs, or with named encodings
@@ -338,9 +344,7 @@ def encode_composition(
     ]
     if not encoded:
         raise SynthesisError("encode_composition requires at least one component")
-    accumulated = encoded[0]
-    for factor in encoded[1:]:
-        accumulated = reachable_product(accumulated, factor).product
+    composed = reachable_composition(encoded)
     if name is not None:
-        accumulated = replace(accumulated, name=name)
-    return accumulated
+        composed = replace(composed, name=name)
+    return composed

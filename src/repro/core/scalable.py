@@ -22,7 +22,7 @@ factor of seven, which pushes the synthesis product into the millions
 of pairs — the scale regime only the symbolic engine of
 :mod:`repro.automata.symbolic_synthesis` can synthesize.  The benchmark
 suite's ``synthesis`` workload (``benchmarks/suite/``) times the
-scalable 7x3 and fleet 10x2 folds.
+scalable 7x3 and fleet 10x2 scale points (encoded plant, then fixpoint).
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 # Bump when the synthesis recipe or the cached payload changes.
-DESIGN_SCHEMA = "design-artifacts/2"
+DESIGN_SCHEMA = "design-artifacts/3"
 
 # Serialized VerificationReport written beside each bundle: the formal
 # certificate travels with the artifact it certifies.

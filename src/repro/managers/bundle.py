@@ -29,7 +29,7 @@ from repro.core.persistence import (
 )
 from repro.core.synthesis_flow import VerifiedSupervisor
 from repro.managers.identification import IdentifiedSystem
-from repro.managers.mimo import build_gain_library
+from repro.managers.mimo import CLUSTER_INTEGRAL_WEIGHT, build_gain_library
 
 __all__ = ["bundle_from_design", "load_design", "save_design"]
 
@@ -45,11 +45,14 @@ def bundle_from_design(
     """Assemble a bundle from design-flow artifacts.
 
     ``subsystems`` maps names to
-    :class:`~repro.managers.identification.IdentifiedSystem`; gain
-    libraries are (re)designed with the standard priorities.
+    :class:`~repro.managers.identification.IdentifiedSystem`; each gets
+    the gain library its cluster servo deploys
+    (:data:`~repro.managers.mimo.CLUSTER_INTEGRAL_WEIGHT`), which the
+    committed design files pre-fill, so a bundle of committed systems
+    solves no DARE.
     """
     libraries = {
-        name: build_gain_library(system)
+        name: build_gain_library(system, integral_weight=CLUSTER_INTEGRAL_WEIGHT)
         for name, system in subsystems.items()
     }
     operating_points = {

@@ -34,6 +34,7 @@ from repro.managers.base import ManagerGoals
 from repro.managers.fs import FullSystemMIMO
 from repro.managers.identification import IdentifiedSystem
 from repro.managers.mimo import (
+    CLUSTER_INTEGRAL_WEIGHT,
     POWER_GAINS,
     QOS_GAINS,
     ClusterMIMO,
@@ -140,7 +141,7 @@ def _cluster_servo(
     cluster, system: IdentifiedSystem, n_rows: int, *, initial: int, name: str
 ) -> BatchedLQGServo:
     """Batched mirror of ``ClusterMIMO.build`` (same library, limits)."""
-    library = build_gain_library(system, integral_weight=0.08)
+    library = build_gain_library(system, integral_weight=CLUSTER_INTEGRAL_WEIGHT)
     return BatchedLQGServo(
         [library.get(QOS_GAINS), library.get(POWER_GAINS)],
         system.operating_point,

@@ -45,6 +45,10 @@ EFFORT_RATIO_FREQ_TO_CORES = (2.0, 1.0)
 
 QOS_GAINS = "qos"
 POWER_GAINS = "power"
+# The integral weight of the gain sets every cluster servo deploys
+# (ClusterMIMO, the fleet's batched servo and the policy bundle); the
+# committed design files pre-fill the library at this key.
+CLUSTER_INTEGRAL_WEIGHT = 0.08
 
 
 def _effort_weights(n_inputs: int) -> list[float]:
@@ -156,7 +160,7 @@ class ClusterMIMO:
         system: IdentifiedSystem,
         *,
         initial_gains: str = QOS_GAINS,
-        integral_weight: float = 0.08,
+        integral_weight: float = CLUSTER_INTEGRAL_WEIGHT,
     ) -> "ClusterMIMO":
         library = build_gain_library(system, integral_weight=integral_weight)
         controller = LQGServoController(

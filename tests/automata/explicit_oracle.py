@@ -13,6 +13,12 @@ equivalence suites require
 :func:`repro.automata.verify_supervisor` to reproduce them
 field-for-field and byte-for-byte.
 
+One oracle is not explicit-state: :func:`pairwise_composition` folds
+the encoded product one pairwise
+:func:`repro.automata.symbolic.reachable_product` at a time, and
+:func:`repro.automata.encode_composition` must reproduce it byte for
+byte in its single n-ary pass.
+
 The synthesis oracle runs the extension pass on the same canonical
 snapshot (Jacobi) schedule as the symbolic engine — every state is
 judged against the round-start good set — so the two agree on the
@@ -22,6 +28,7 @@ judged against the round-start good set — so the two agree on the
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 from repro.automata.automaton import Automaton, State
@@ -31,6 +38,7 @@ from repro.automata.operations import (
     coaccessible_states,
     is_nonblocking,
 )
+from repro.automata.symbolic import EncodedAutomaton, reachable_product
 from repro.automata.synthesis import (
     ProductState,
     SynthesisError,
@@ -48,6 +56,7 @@ __all__ = [
     "explicit_synchronous_composition",
     "explicit_synthesize_supervisor",
     "explicit_verify_supervisor",
+    "pairwise_composition",
 ]
 
 
@@ -103,6 +112,11 @@ def explicit_compose_all(automata: list[Automaton]) -> Automaton:
     for other in automata[1:]:
         result = explicit_synchronous_composition(result, other)
     return result
+
+
+def pairwise_composition(factors: list[EncodedAutomaton]) -> EncodedAutomaton:
+    """Left fold of pairwise reachable products over encoded factors."""
+    return functools.reduce(lambda a, b: reachable_product(a, b).product, factors)
 
 
 def _build_product(

@@ -62,15 +62,22 @@ STATE_NAMES = ["Q0", "Q1", "Q2", "Q3", "Q4", "Q5"]
 
 @st.composite
 def automata(
-    draw, name="rand", max_states=6, with_forbidden=False, sub_alphabet=False
+    draw,
+    name="rand",
+    max_states=6,
+    with_forbidden=False,
+    sub_alphabet=False,
+    private=(),
 ):
+    """A random deterministic automaton over ``EVENTS`` (a drawn subset
+    when ``sub_alphabet``) plus the events in ``private``."""
     n_states = draw(st.integers(min_value=1, max_value=max_states))
     states = STATE_NAMES[:n_states]
     events = (
         draw(st.lists(st.sampled_from(EVENTS), unique=True))
         if sub_alphabet
         else EVENTS
-    )
+    ) + list(private)
     automaton = Automaton(name, Alphabet.of(events))
     for state in states:
         automaton.add_state(state)
@@ -593,18 +600,17 @@ class TestProductSize:
         assert [dense for _, _, dense, _ in forms] == [False] * len(built)
 
     def test_grid_never_exceeds_the_successor_tables(self, forms):
-        from repro.automata.symbolic_synthesis import encode_composition
+        # The n-ary plant product builds no pair product; its form
+        # rule is pinned in test_composition.
         from repro.core.scalable import (
             build_scalable_supervisor,
             scalable_alphabet,
             scalable_counter_plant,
-            scalable_plant_components,
             scalable_specification,
         )
         from repro.automata.synthesis import synthesize_supervisor
 
         sigma = scalable_alphabet(3)
-        encode_composition(scalable_plant_components(3, 3, sigma))
         plant = scalable_counter_plant(3, 3, sigma)
         synthesize_supervisor(plant, scalable_specification(3, sigma))
         verify_supervisor(plant, build_scalable_supervisor(3).supervisor)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.automata.verification import VerificationReport
+from repro.core.persistence import _gains_to_arrays, load_bundle
 from repro.core.synthesis_flow import VerifiedSupervisor
 from repro.exec.artifacts import (
     VERIFICATION_FILE,
@@ -16,6 +17,7 @@ from repro.exec.artifacts import (
 )
 from repro.exec.cache import ResultCache
 from repro.experiments.figures import identified_systems
+from repro.managers import mimo
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +103,28 @@ def test_corrupt_bundle_forces_rebuild(tmp_path):
     # ... and the fresh entry round-trips again.
     hit, _ = cache.get(digest)
     assert hit
+
+
+def test_cold_build_bundles_the_committed_gains(tmp_path, monkeypatch):
+    """A cold build bundles the gain sets the cluster servos deploy,
+    which the committed design files pre-fill: it designs none."""
+
+    def no_design(*args, **kwargs):
+        raise AssertionError("the design-artifact build designed a gain set")
+
+    monkeypatch.setattr(mimo, "design_lqg_servo", no_design)
+    cache = ResultCache(tmp_path / "c")
+    systems, _ = ensure_design_artifacts(cache)
+    bundle = load_bundle(cache.bundle_dir(design_digest(cache.salt)))
+    for role in ("big", "little"):
+        committed = mimo.build_gain_library(
+            getattr(systems, role), integral_weight=mimo.CLUSTER_INTEGRAL_WEIGHT
+        )
+        bundled = bundle.gain_libraries[role]
+        assert bundled.names() == committed.names()
+        for name in committed.names():
+            expected = _gains_to_arrays(committed.get(name), name)
+            loaded = _gains_to_arrays(bundled.get(name), name)
+            assert expected.keys() == loaded.keys()
+            for key, array in expected.items():
+                assert np.array_equal(loaded[key], array), key
