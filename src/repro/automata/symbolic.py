@@ -34,6 +34,7 @@ always favour the smallest event index, then the smallest source index.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -459,10 +460,9 @@ def _reachable_product(
     dst_arrays = [empty] * len(plan)
     if left.initial >= 0 and right.initial >= 0:
         start = left.initial * nb + right.initial
-        if dense:
-            pairs, rank = _grid_search(start, successors, left.n_states, nb)
-        else:
-            pairs, rank = _sorted_search(start, successors)
+        pairs, rank = _search(
+            start, successors, left.n_states, nb, 0 if dense else math.inf
+        )
         initial = int(np.searchsorted(pairs, start))
         # Sources come out ascending and each (source, event) has at
         # most one target, so every event's arrays are sorted by
@@ -507,26 +507,42 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[fresh]
 
 
-def _sorted_search(start: int, successors):
-    """BFS holding the found keys as one ascending intp array; returns
-    the keys and their rank lookup (key -> product index)."""
+def _search(start: int, successors, na: int, nb: int, grid_after: float):
+    """Level-synchronized BFS from key ``start`` over keys below
+    ``na * nb``; returns the found keys ascending (intp) and their rank
+    lookup (key -> product index).
+
+    The found keys are one ascending array until the expanded frontiers
+    have yielded ``grid_after`` successor keys (that many transitions of
+    the product), and marks in an ``(na, nb)`` bool grid from then on
+    (:func:`_grid_search`): ``0`` takes the grid from the start,
+    ``math.inf`` never.
+    """
     pairs = np.asarray([start], dtype=np.intp)
     frontier = pairs
-    while frontier.size:
-        found = _sorted_unique(_frontier_keys(successors, frontier))
+    moves = 0
+    while frontier.size and moves < grid_after:
+        keys = _frontier_keys(successors, frontier)
+        moves += keys.size
+        found = _sorted_unique(keys)
         at = np.searchsorted(pairs, found)
         fresh = pairs[np.minimum(at, pairs.size - 1)] != found
         frontier = found[fresh]
         pairs = np.insert(pairs, at[fresh], frontier)
+    if frontier.size:
+        return _grid_search(pairs, frontier, successors, na, nb)
     # Keys of either dtype search the intp array without copying it.
     return pairs, lambda keys: np.searchsorted(pairs, keys).astype(
         _STATE_DTYPE
     )
 
 
-def _grid_search(start: int, successors, na: int, nb: int):
-    """BFS marking found pairs in an ``(na, nb)`` bool grid; returns the
-    ascending keys (intp) and their rank lookup (key -> product index).
+def _grid_search(
+    pairs: np.ndarray, frontier: np.ndarray, successors, na: int, nb: int
+):
+    """:func:`_search` continued from the found keys ``pairs`` and
+    their unexpanded ``frontier``, marking found keys in an ``(na, nb)``
+    bool grid.
 
     A found pair's rank is its row's offset (the found pairs in the
     rows above) plus its in-row prefix count (the found pairs before it
@@ -534,8 +550,7 @@ def _grid_search(start: int, successors, na: int, nb: int):
     cells, in the narrowest unsigned dtype that holds ``nb``.
     """
     seen = np.zeros(na * nb, dtype=bool)
-    seen[start] = True
-    frontier = np.asarray([start], dtype=np.intp)
+    seen[pairs] = True
     while frontier.size:
         found = _frontier_keys(successors, frontier)
         frontier = _sorted_unique(found[~seen[found]])
@@ -559,15 +574,6 @@ def _grid_search(start: int, successors, na: int, nb: int):
 # ----------------------------------------------------------------------
 # N-ary synchronous products over bit-packed keys
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _KeySpace:
-    """One side of a packed key space's split, sized the way the pair
-    rule :func:`_grid_fits` reads a factor."""
-
-    n_states: int
-    n_events: int
-
-
 def _field_widths(factors: list[EncodedAutomaton]) -> list[int]:
     """Bits of each factor's field in a packed key."""
     return [max(factor.n_states - 1, 0).bit_length() for factor in factors]
@@ -590,17 +596,20 @@ def _packed_prefix(widths: list[int]) -> int:
     return len(widths)
 
 
-def _key_split(factors: list[EncodedAutomaton]) -> tuple[_KeySpace, _KeySpace]:
-    """The packed key space as a pair product: the prefix factors' key
-    space times the last factor's field, as the found-key grid splits
-    it."""
-    widths = _field_widths(factors)
-    b = widths[-1]
-    prefix_events = set().union(*(f.event_names for f in factors[:-1]))
-    return (
-        _KeySpace(1 << (sum(widths) - b), len(prefix_events)),
-        _KeySpace(1 << b, factors[-1].n_events),
-    )
+def _grid_after(widths: list[int]) -> float:
+    """How many transitions of the n-ary product its BFS finds on
+    sorted keys before it marks found keys in a bool grid
+    (:func:`_search`).
+
+    The grid over the packed key space costs one byte per key for the
+    marks and one in-row count per key (:func:`_grid_search`); the
+    product's ``src`` and ``dst`` hold two int32 per transition.  Taking
+    the grid once the transitions found hold as many bytes keeps it no
+    larger than the product, however sparse the key space is.
+    """
+    space, nb = 1 << sum(widths), 1 << widths[-1]
+    grid_bytes = space * (1 + np.min_scalar_type(nb).itemsize)
+    return grid_bytes / (2 * np.dtype(_STATE_DTYPE).itemsize)
 
 
 def reachable_composition(
@@ -615,29 +624,28 @@ def reachable_composition(
     :func:`reachable_product` over the factors left to right: the same
     name, event order, controllability (the first factor with the event
     decides), state numbering, transition arrays, marking and initial
-    state.  The found keys take the bool grid or the sorted-key form by
-    the pair rule :func:`_grid_fits`, read on the key space split as
-    prefix x last field (:func:`_key_split`).  When the
-    factors' fields do not fit one key (:func:`_packed_prefix`), the
-    longest prefix that fits is built first and stands in as the first
-    factor of the rest.
+    state.  The found keys start as sorted keys and move to a bool grid
+    over the key space once the product has found transitions of the
+    grid's size (:func:`_grid_after`).  When the factors' fields do not
+    fit one key (:func:`_packed_prefix`), the longest prefix that fits
+    is built first and stands in as the first factor of the rest.
     """
     factors = list(factors)
     while len(factors) > 1:
         m = _packed_prefix(_field_widths(factors))
         head = _reachable_composition(
-            factors[:m], _grid_fits(*_key_split(factors[:m]))
+            factors[:m], _grid_after(_field_widths(factors[:m]))
         )
         factors = [head, *factors[m:]]
     return factors[0]
 
 
 def _reachable_composition(
-    factors: list[EncodedAutomaton], dense: bool
+    factors: list[EncodedAutomaton], grid_after: float
 ) -> EncodedAutomaton:
     """:func:`reachable_composition` over factors that fit one packed
-    key, with the found-key form chosen by the caller (a bool grid when
-    ``dense``, sorted keys otherwise).
+    key, with the found keys moving from sorted keys to a bool grid
+    after ``grid_after`` transitions (:func:`_search`).
 
     A state is one integer key holding every factor's state in a bit
     field of its own, the first factor's in the high bits, so ascending
@@ -723,11 +731,8 @@ def _reachable_composition(
     dst_arrays = [empty] * len(names)
     if all(factor.initial >= 0 for factor in factors):
         start = sum(f.initial << s for f, s in zip(factors, shifts))
-        if dense:
-            b = widths[-1]
-            found, rank = _grid_search(start, successors, space >> b, 1 << b)
-        else:
-            found, rank = _sorted_search(start, successors)
+        b = widths[-1]
+        found, rank = _search(start, successors, space >> b, 1 << b, grid_after)
         initial = int(np.searchsorted(found, start))
         for e, at, targets in successors(found):
             src_arrays[e] = at.astype(_STATE_DTYPE)
@@ -738,10 +743,6 @@ def _reachable_composition(
     marked = np.ones(found.size, dtype=bool)
     forbidden = np.zeros(found.size, dtype=bool)
     for factor, shift, mask in zip(factors, shifts, masks):
-        # A factor marked everywhere and forbidden nowhere (the fleet's
-        # budget counters) changes neither mask.
-        if factor.marked.all() and not factor.forbidden.any():
-            continue
         field = (found >> shift) & mask
         marked &= factor.marked[field]
         forbidden |= factor.forbidden[field]

@@ -34,7 +34,7 @@ from repro.managers.identification import (
     identify_big_cluster,
     identify_little_cluster,
 )
-from repro.managers.mimo import build_gain_library
+from repro.managers.mimo import CLUSTER_INTEGRAL_WEIGHT, build_gain_library
 from repro.core.synthesis_flow import (
     VerifiedSupervisor,
     build_case_study_supervisor,
@@ -160,9 +160,12 @@ def run_design_flow(
         "(Q favours power 30:1), R prefers the fine-grained actuator",
     )
 
-    # Step 7: gain generation.
+    # Step 7: gain generation, at the integral weight the cluster servos
+    # deploy, so step 8 checks the gain sets a design bundle carries.
     for name, system in subsystems.items():
-        library = build_gain_library(system)
+        library = build_gain_library(
+            system, integral_weight=CLUSTER_INTEGRAL_WEIGHT
+        )
         report.gain_libraries[name] = library
         report.record(
             7,

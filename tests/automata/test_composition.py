@@ -7,13 +7,16 @@ byte for byte, the encoding a left fold of pairwise
 :func:`~repro.automata.symbolic.reachable_product` calls gives
 (``tests/automata/explicit_oracle.py::pairwise_composition``): the same
 name, event order, controllability, state numbering, transition arrays,
-marking, forbidden set and initial state.  Every case checks both
-found-key forms of the n-ary product against the oracle folded on
-int32 and on int64 pair keys.
+marking, forbidden set and initial state.  Every case checks the n-ary
+product on sorted keys, on the bool grid and moving from one to the
+other at several points, against the oracle folded on int32 and on
+int64 pair keys; the grid the size rule takes is never larger than the
+product it builds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -28,11 +31,8 @@ from repro.automata.events import Alphabet, controllable, uncontrollable
 from repro.automata.symbolic import (
     EncodedAutomaton,
     _field_widths,
-    _grid_fits,
-    _key_split,
     _packed_prefix,
     _reachable_composition,
-    reachable_composition,
 )
 from repro.core.scalable import (
     fleet_alphabet,
@@ -68,18 +68,57 @@ def _oracle(factors, key, monkeypatch):
         return pairwise_composition(factors)
 
 
+def _grid_bytes(cells: int, nb: int) -> int:
+    """Bytes of a found-key grid: one mark and one in-row count a key."""
+    return cells * (1 + np.min_scalar_type(nb).itemsize)
+
+
+def _composition_with_grids(factors, monkeypatch):
+    """``encode_composition(factors)`` and, per packed product it built,
+    ``(factors packed, product, grid bytes)`` (``0`` where it kept the
+    sorted keys)."""
+    built = []
+    build = symbolic._reachable_composition
+    search = symbolic._grid_search
+
+    def spy(chunk, grid_after):
+        with monkeypatch.context() as patch:
+            grids = []
+
+            def grid_search(pairs, frontier, successors, na, nb):
+                grids.append(_grid_bytes(na * nb, nb))
+                return search(pairs, frontier, successors, na, nb)
+
+            patch.setattr(symbolic, "_grid_search", grid_search)
+            product = build(chunk, grid_after)
+        built.append((len(chunk), product, sum(grids)))
+        return product
+
+    with monkeypatch.context() as patch:
+        patch.setattr(symbolic, "_reachable_composition", spy)
+        composed = encode_composition(factors)
+    return composed, built
+
+
 def assert_matches_fold(factors, monkeypatch):
-    """``encode_composition`` and both forced found-key forms of the
-    n-ary product equal the fold on int32 and on int64 pair keys."""
+    """``encode_composition`` and the n-ary product forced onto sorted
+    keys, onto the grid and across from one to the other equal the fold
+    on int32 and on int64 pair keys.  The grid the size rule takes is
+    never larger than the ``src`` and ``dst`` arrays (two int32 per
+    transition) of the product it builds.  Returns the fold and, per
+    packed product, ``(factors packed, product, grid bytes)``."""
     oracles = [_oracle(factors, key, monkeypatch) for key in (np.int32, np.int64)]
     expected = _encoding_bytes(oracles[0])
     assert _encoding_bytes(oracles[1]) == expected
-    assert _encoding_bytes(encode_composition(factors)) == expected
+    composed, built = _composition_with_grids(factors, monkeypatch)
+    assert _encoding_bytes(composed) == expected
+    for _, product, grid in built:
+        assert grid <= 8 * product.n_transitions, (product.name, grid)
     if _packed_prefix(_field_widths(factors)) == len(factors):
-        for dense in (True, False):
-            built = _reachable_composition(factors, dense)
-            assert _encoding_bytes(built) == expected
-    return oracles[0]
+        for grid_after in (0, 5, 40, math.inf):
+            forced = _reachable_composition(factors, grid_after)
+            assert _encoding_bytes(forced) == expected, grid_after
+    return oracles[0], built
 
 
 @st.composite
@@ -114,7 +153,7 @@ class TestMatchesPairwiseFold:
     @given(factor_lists())
     def test_random_factors(self, factors):
         with pytest.MonkeyPatch.context() as monkeypatch:
-            product = assert_matches_fold(factors, monkeypatch)
+            product, _ = assert_matches_fold(factors, monkeypatch)
         if any(f.initial < 0 for f in factors):
             assert product.n_states == 0 and product.initial == -1
 
@@ -137,10 +176,11 @@ class TestMatchesPairwiseFold:
                 clusters, levels, scalable_alphabet(clusters)
             )
         factors = [encode_automaton(c) for c in components]
-        product = assert_matches_fold(factors, monkeypatch)
+        product, built = assert_matches_fold(factors, monkeypatch)
         assert product.n_states == states
-        # Every suite model takes the grid by the pair rule.
-        assert _grid_fits(*_key_split(factors))
+        # Every suite model fills enough of its key space to move to
+        # the grid, within the bound assert_matches_fold checks.
+        assert [grid > 0 for *_, grid in built] == [True]
 
     def test_zero_state_factor(self, monkeypatch):
         empty = encode_automaton(Automaton("E", SIGMA))
@@ -150,63 +190,43 @@ class TestMatchesPairwiseFold:
             )
         )
         for factors in ([empty, ring], [ring, empty, ring]):
-            product = assert_matches_fold(factors, monkeypatch)
+            product, _ = assert_matches_fold(factors, monkeypatch)
             assert product.n_states == 0 and product.initial == -1
-
-
-class TestFoundKeyForm:
-    def test_patched_rule_takes_the_sorted_keys(self, monkeypatch):
-        # The n-ary product reads the one pair rule: patching it to
-        # refuse the grid puts the fleet plant on the sorted keys.
-        factors = [
-            encode_automaton(c)
-            for c in fleet_plant_components(3, 2, fleet_alphabet(3))
-        ]
-        searches = []
-
-        def spy(name):
-            search = getattr(symbolic, name)
-
-            def record(*args):
-                searches.append(name)
-                return search(*args)
-
-            return record
-
-        for name in ("_grid_search", "_sorted_search"):
-            monkeypatch.setattr(symbolic, name, spy(name))
-        reachable_composition(factors)
-        monkeypatch.setattr(symbolic, "_grid_fits", lambda left, right: False)
-        reachable_composition(factors)
-        assert searches == ["_grid_search", "_sorted_search"]
 
 
 class TestEdges:
     @pytest.mark.parametrize(
-        "chain, n_factors, bits, chunks, states",
+        "chain, tick, n_factors, bits, chunks, states",
         [
             # 70 two-state factors that all flip on one shared event: 2
             # reachable states.
-            (["off", "on", "off"], 70, 70, [57, 14], 2),
+            (["off", "on", "off"], False, 70, 70, [57, 14], 2),
+            # The same with a second shared event, a self-loop on every
+            # state: still 2 states in a 2**57 key space, so the found
+            # keys must stay sorted.
+            (["off", "on", "off"], True, 70, 70, [57, 14], 2),
             # 31 three-state factors that all step a -> b -> c on one
             # shared event, disabled at c: every factor's entry is the
             # -space sentinel there, so one 62-bit key would sum 31 of
             # them, wrap int64 and step out of c.
-            (["a", "b", "c"], 31, 62, [29, 3], 3),
+            (["a", "b", "c"], False, 31, 62, [29, 3], 3),
         ],
     )
     def test_wide_keys_pack_the_longest_prefix(
-        self, chain, n_factors, bits, chunks, states, monkeypatch
+        self, chain, tick, n_factors, bits, chunks, states, monkeypatch
     ):
         # The longest prefix whose sentinel sums fit int64 is built
         # first and heads the rest.
-        step = controllable("step")
+        events = [controllable("step")]
         table = [(a, "step", b) for a, b in zip(chain, chain[1:])]
+        if tick:
+            events.append(controllable("tick"))
+            table += [(a, "tick", a) for a in dict.fromkeys(chain)]
         factors = [
             encode_automaton(
                 automaton_from_table(
                     f"F{k:02d}",
-                    Alphabet.of([step]),
+                    Alphabet.of(events),
                     table,
                     initial=chain[0],
                     marked=[chain[0]],
@@ -218,17 +238,10 @@ class TestEdges:
         assert sum(widths) == bits
         prefix = _packed_prefix(widths)
         assert prefix == chunks[0] and sum(widths[:prefix]) <= 62
-        built = []
-        build = symbolic._reachable_composition
-
-        def spy(chunk, dense):
-            built.append((len(chunk), dense))
-            return build(chunk, dense)
-
-        monkeypatch.setattr(symbolic, "_reachable_composition", spy)
-        product = assert_matches_fold(factors, monkeypatch)
-        # One shared event: no grid fits the pair rule.
-        assert built == [(n, False) for n in chunks]
+        product, built = assert_matches_fold(factors, monkeypatch)
+        # A handful of transitions, fewer bytes than any chunk's grid
+        # (2**58 keys down to 64): no chunk takes the grid.
+        assert [(n, grid) for n, _, grid in built] == [(n, 0) for n in chunks]
         assert product.n_states == states
         assert product.marked.tolist() == [True] + [False] * (states - 1)
 

@@ -600,8 +600,8 @@ class TestProductSize:
         assert [dense for _, _, dense, _ in forms] == [False] * len(built)
 
     def test_grid_never_exceeds_the_successor_tables(self, forms):
-        # The n-ary plant product builds no pair product; its form
-        # rule is pinned in test_composition.
+        # The n-ary plant product builds no pair product; the bound on
+        # its grid is checked in test_composition.
         from repro.core.scalable import (
             build_scalable_supervisor,
             scalable_alphabet,

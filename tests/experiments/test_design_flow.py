@@ -4,6 +4,8 @@ import pytest
 
 from repro.experiments.design_flow import run_design_flow
 from repro.managers.base import ManagerGoals
+from repro.managers.bundle import bundle_from_design
+from repro.managers.mimo import CLUSTER_INTEGRAL_WEIGHT, build_gain_library
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +33,16 @@ class TestDesignFlow:
     def test_gain_libraries_complete(self, report):
         for library in report.gain_libraries.values():
             assert library.names() == ("power", "qos")
+
+    def test_checked_gains_are_the_bundled_gains(self, report):
+        # Step 8 checks the gain sets a design bundle carries, the ones
+        # the cluster servos deploy.
+        bundle = bundle_from_design(report.supervisor, report.subsystems)
+        assert bundle.gain_libraries == report.gain_libraries
+        for name, system in report.subsystems.items():
+            assert report.gain_libraries[name] is build_gain_library(
+                system, integral_weight=CLUSTER_INTEGRAL_WEIGHT
+            )
 
     def test_robustness_steps_all_pass(self, report):
         robustness = [s for s in report.steps if s.number == 8]
