@@ -25,30 +25,16 @@ def save_result():
     return _save
 
 
-BENCH_CACHE_DIR = Path(__file__).parent / ".exec-cache"
-
-
-@pytest.fixture(scope="session")
-def bench_cache():
-    """The benchmark suite's persistent on-disk result cache."""
-    from repro.exec.cache import ResultCache
-
-    return ResultCache(BENCH_CACHE_DIR)
-
-
 @pytest.fixture(scope="session", autouse=True)
-def warm_identification_cache(bench_cache):
+def warm_design_artifacts():
     """Warm all shared design artifacts once so individual benchmarks
     time their own computation, not the setup.
 
     The big/little/full models load from the committed
-    ``artifacts/design/``, the verified supervisor from the persistent
-    exec artifact cache (derived on the very first benchmark run,
-    loaded from disk afterwards); the benchmark-only per-core model is
-    identified on top.
+    ``artifacts/design/``, the verified supervisor is derived once per
+    process, and the benchmark-only per-core model is identified on top.
     """
-    from repro.exec.artifacts import prime_process
-    from repro.experiments.figures import identified_systems
+    from repro.experiments.figures import case_study_supervisor, identified_systems
 
-    prime_process(bench_cache)
+    case_study_supervisor()
     identified_systems(with_percore=True)

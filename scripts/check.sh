@@ -46,7 +46,9 @@
 #     its JSON report with the compiled fast paths on differs by a
 #     byte from the one with them disabled (REPRO_DISABLE_FUSED=1):
 #     faulted SoCs tick on the compiled plant tick, and the Python
-#     tick is the reference it must reproduce,
+#     tick is the reference it must reproduce; or the 2-worker pool
+#     run's JSON differs by a byte from the serial run's (each spawned
+#     worker derives the supervisor itself),
 #   * `python -m repro.exec sweep tdp`, `sweep qos` or `ablations`
 #     (uncached) fails: every sweep and ablation cell runs through the
 #     experiment engine, so each front door runs end to end once,
@@ -98,11 +100,13 @@ echo "== static analysis, all tiers (repro.analysis all) =="
 python -m repro.analysis all --strict --report-dir .
 
 echo
-echo "== resilience fault-campaign smoke (kernels on and off, same JSON) =="
+echo "== resilience fault-campaign smoke (kernels on and off, serial and pool, same JSON) =="
 smoke_dir="$(mktemp -d)"
 python -m repro.resilience --smoke --json "$smoke_dir/fused.json"
 REPRO_DISABLE_FUSED=1 python -m repro.resilience --smoke --json "$smoke_dir/reference.json"
 cmp "$smoke_dir/fused.json" "$smoke_dir/reference.json"
+python -m repro.resilience --smoke --workers 2 --cache-dir "$smoke_dir/exec-cache" --json "$smoke_dir/pool.json"
+cmp "$smoke_dir/fused.json" "$smoke_dir/pool.json"
 rm -rf "$smoke_dir"
 
 echo

@@ -16,12 +16,13 @@ joint reachable space).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from repro.automata.automaton import Automaton, State
-from repro.automata.operations import compose_all, is_nonblocking
+from repro.automata.automaton import Automaton
+from repro.automata.language import languages_equal
+from repro.automata.operations import compose_all
 from repro.automata.synthesis import SynthesisResult, synthesize_supervisor
+from repro.automata.verification import check_nonblocking
 
 
 @dataclass
@@ -51,35 +52,6 @@ class ModularSynthesisResult:
         return "\n".join(lines)
 
 
-def _languages_equal(a: Automaton, b: Automaton) -> bool:
-    """Check L(a) == L(b) by simultaneous breadth-first simulation.
-
-    Both automata must be deterministic (ours are by construction); the
-    languages differ iff some jointly-reachable pair enables different
-    event sets, or one side's initial state is missing.
-    """
-    if not a.has_initial or not b.has_initial:
-        return a.has_initial == b.has_initial
-    start = (a.initial, b.initial)
-    visited: set[tuple[State, State]] = {start}
-    frontier = deque([start])
-    while frontier:
-        state_a, state_b = frontier.popleft()
-        enabled_a = {e.name for e in a.enabled_events(state_a)}
-        enabled_b = {e.name for e in b.enabled_events(state_b)}
-        if enabled_a != enabled_b:
-            return False
-        for name in enabled_a:
-            next_a = a.step(state_a, name)
-            next_b = b.step(state_b, name)
-            assert next_a is not None and next_b is not None
-            pair = (next_a, next_b)
-            if pair not in visited:
-                visited.add(pair)
-                frontier.append(pair)
-    return True
-
-
 def synthesize_modular(
     plant: Automaton, specifications: list[Automaton]
 ) -> ModularSynthesisResult:
@@ -107,7 +79,7 @@ def synthesize_modular(
     composite = compose_all(
         [r.supervisor for r in supervisors], name="modular-composite"
     )
-    nonconflicting = is_nonblocking(composite)
+    nonconflicting = check_nonblocking(composite)
 
     monolithic_spec = compose_all(
         specifications, name="composed-spec"
@@ -118,7 +90,7 @@ def synthesize_modular(
     # the plant, it generates the same language as the monolithic
     # supervisor.  Both are already plant-restricted, so compare their
     # languages directly (state labels differ; simulation handles that).
-    equivalent = _languages_equal(composite, monolithic.supervisor)
+    equivalent = languages_equal(composite, monolithic.supervisor)
 
     return ModularSynthesisResult(
         supervisors=supervisors,

@@ -23,7 +23,6 @@ original explicit-state walks are kept as test oracles
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 
@@ -70,41 +69,10 @@ class ControllabilityViolation:
             f"{self.supervisor_state}"
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "plant_state": self.plant_state.name,
-            "supervisor_state": self.supervisor_state.name,
-            "event": {
-                "name": self.event.name,
-                "controllable": self.event.controllable,
-                "observable": self.event.observable,
-            },
-            "trace": list(self.trace),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ControllabilityViolation":
-        event = payload["event"]
-        return cls(
-            plant_state=State(payload["plant_state"]),
-            supervisor_state=State(payload["supervisor_state"]),
-            event=Event(
-                name=event["name"],
-                controllable=event["controllable"],
-                observable=event.get("observable", True),
-            ),
-            trace=tuple(payload.get("trace", ())),
-        )
-
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Combined nonblocking + controllability verdict.
-
-    Frozen and round-trippable through :meth:`to_dict` /
-    :meth:`from_dict` so the exec layer can cache verification results
-    alongside persisted policy bundles.
-    """
+    """Combined nonblocking + controllability verdict."""
 
     nonblocking: bool
     controllable: bool
@@ -125,29 +93,6 @@ class VerificationReport:
         for violation in self.violations:
             lines.append(f"violation: {violation}")
         return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema": "verification-report/1",
-            "nonblocking": self.nonblocking,
-            "controllable": self.controllable,
-            "blocking_states": sorted(s.name for s in self.blocking_states),
-            "violations": [v.to_dict() for v in self.violations],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "VerificationReport":
-        return cls(
-            nonblocking=bool(payload["nonblocking"]),
-            controllable=bool(payload["controllable"]),
-            blocking_states=frozenset(
-                State(name) for name in payload.get("blocking_states", ())
-            ),
-            violations=tuple(
-                ControllabilityViolation.from_dict(entry)
-                for entry in payload.get("violations", ())
-            ),
-        )
 
 
 def _violation_sort_key(

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.automata.automaton import Automaton
 from repro.automata.serialization import automaton_from_dict, automaton_to_dict
-from repro.automata.verification import verify_supervisor
+from repro.automata.verification import check_nonblocking, verify_supervisor
 from repro.control.gains import GainLibrary
 from repro.control.lqg import LQGGains
 from repro.control.statespace import OperatingPoint, StateSpaceModel
@@ -49,9 +49,7 @@ class PolicyBundle:
         checked against the bundled plant when present.
         """
         if self.plant is None:
-            from repro.automata.operations import is_nonblocking
-
-            return is_nonblocking(self.supervisor)
+            return check_nonblocking(self.supervisor)
         return verify_supervisor(self.plant, self.supervisor).verified
 
 

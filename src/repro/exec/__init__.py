@@ -4,11 +4,11 @@ The evaluation matrices (TDP sweeps, ablations, fault campaigns) are
 embarrassingly parallel: every cell is one seeded, side-effect-free
 scenario run.  This package turns each cell into a plain-data
 :class:`ScenarioJob`, executes job lists through a ``spawn``-safe
-process pool (:class:`ExperimentEngine`), and memoizes both the
-expensive design-flow artifacts and completed traces in a
-content-addressed on-disk cache (:class:`ResultCache`) — with the hard
-guarantee that serial, parallel, and warm-cache runs produce
-bit-identical results.
+process pool (:class:`ExperimentEngine`), and memoizes completed
+traces in a content-addressed on-disk cache (:class:`ResultCache`) —
+with the hard guarantee that serial, parallel, and warm-cache runs
+produce bit-identical results.  Every process, worker or parent,
+derives and verifies the case-study supervisor itself.
 
 Long campaigns are supervised (:mod:`repro.exec.supervision`): an
 append-only :class:`RunJournal` makes any run resumable after a crash

@@ -1,6 +1,6 @@
 """Content-addressed on-disk result cache.
 
-Entries are keyed by the SHA-256 digest of the job (or artifact) spec —
+Entries are keyed by the SHA-256 digest of the job spec —
 see :meth:`repro.exec.job.ScenarioJob.digest` — with a *salt* folded
 into every key.  The default salt combines the cache format version and
 the package version, so upgrading either invalidates the whole cache
@@ -38,11 +38,10 @@ __all__ = ["CACHE_FORMAT", "EVICTION_REASONS", "ResultCache", "default_salt"]
 CACHE_FORMAT = "exec-cache/1"
 
 # Why an entry was evicted; the ledger and counters are keyed by these.
-#   checksum        payload bytes no longer match the SHA-256 sidecar
-#   decode          checksum passed but the pickle failed to decode
-#   artifact-verify a persistence bundle failed formal re-verification
-#   explicit        programmatic invalidate() with no specific cause
-EVICTION_REASONS = ("checksum", "decode", "artifact-verify", "explicit")
+#   checksum  payload bytes no longer match the SHA-256 sidecar
+#   decode    checksum passed but the pickle failed to decode
+#   explicit  programmatic invalidate() with no specific cause
+EVICTION_REASONS = ("checksum", "decode", "explicit")
 
 
 def default_salt() -> str:
@@ -61,9 +60,6 @@ class ResultCache:
 
         <directory>/objects/<digest[:2]>/<digest>.pkl        payload
         <directory>/objects/<digest[:2]>/<digest>.sha256     checksum
-        <directory>/bundles/<digest>/                        persistence
-                                                             bundles
-                                                             (artifacts)
 
     Writes are atomic (temp file + ``os.replace``), so concurrent
     workers racing to cache the same digest are safe: both write
@@ -87,10 +83,6 @@ class ResultCache:
 
     def _sidecar_path(self, digest: str) -> Path:
         return self.objects_dir / digest[:2] / f"{digest}.sha256"
-
-    def bundle_dir(self, digest: str) -> Path:
-        """Directory for persistence-format artifacts of one entry."""
-        return self.directory / "bundles" / digest
 
     @property
     def eviction_ledger(self) -> Path:
@@ -139,8 +131,8 @@ class ResultCache:
         return True
 
     def invalidate(self, digest: str, *, reason: str = "explicit") -> None:
-        """Evict one entry (payload, sidecar, and any artifact bundle),
-        recording ``reason`` in the persistent eviction ledger."""
+        """Evict one entry (payload and sidecar), recording ``reason``
+        in the persistent eviction ledger."""
         if reason not in EVICTION_REASONS:
             raise ValueError(
                 f"unknown eviction reason {reason!r}; "
@@ -149,9 +141,6 @@ class ResultCache:
         self.invalidations += 1
         for path in (self._payload_path(digest), self._sidecar_path(digest)):
             path.unlink(missing_ok=True)
-        bundle = self.bundle_dir(digest)
-        if bundle.exists():
-            shutil.rmtree(bundle, ignore_errors=True)
         self._record_eviction(digest, reason)
 
     def clear(self) -> int:
@@ -161,9 +150,8 @@ class ResultCache:
         store being discarded, and a fresh cache starts a fresh history.
         """
         removed = len(self)
-        for subdir in (self.objects_dir, self.directory / "bundles"):
-            if subdir.exists():
-                shutil.rmtree(subdir, ignore_errors=True)
+        if self.objects_dir.exists():
+            shutil.rmtree(self.objects_dir, ignore_errors=True)
         self.eviction_ledger.unlink(missing_ok=True)
         return removed
 

@@ -348,7 +348,7 @@ def run_chaos(config: ChaosConfig, state_dir: str | Path) -> ChaosReport:
     jobs = chaos_jobs(config)
 
     # 1. Golden: serial, uncached, unfaulted (MainProcess ⇒ no injection).
-    golden_engine = ExperimentEngine(max_workers=1, prime_artifacts=False)
+    golden_engine = ExperimentEngine(max_workers=1)
     golden_records = golden_engine.run(jobs)
     bad = [r for r in golden_records if not r.ok]
     if bad:
@@ -378,7 +378,6 @@ def run_chaos(config: ChaosConfig, state_dir: str | Path) -> ChaosReport:
         max_workers=config.workers,
         cache=cache,
         max_crash_retries=config.max_crash_retries,
-        prime_artifacts=False,
         journal=journal,
         policy=policy,
         progress=interrupt_hook,
@@ -403,7 +402,6 @@ def run_chaos(config: ChaosConfig, state_dir: str | Path) -> ChaosReport:
         max_workers=config.workers,
         cache=cache,
         max_crash_retries=config.max_crash_retries,
-        prime_artifacts=False,
         journal=journal,
         policy=policy,
     )

@@ -14,12 +14,12 @@ Determinism contract
 A job's result is a pure function of its spec: runners derive all
 randomness from ``job.seed``, workers share no state with the parent
 (``spawn``), the identified models each process loads are committed,
-and the supervisor is bit-identical whether derived or cache-loaded
-(see :mod:`repro.exec.artifacts`).  Consequently serial runs, parallel runs
-at any worker count, reruns, warm-cache runs, and interrupted-then-
-resumed runs all produce identical results — the property the
-golden-trace, equivalence, and chaos suites under ``tests/exec/`` pin
-down.  Retry backoff delays are likewise a pure function of the job
+and each process derives and verifies the same supervisor
+(:func:`repro.experiments.figures.case_study_supervisor`).  Consequently
+serial runs, parallel runs at any worker count, reruns, warm-cache
+runs, and interrupted-then-resumed runs all produce identical
+results — the property the golden-trace, equivalence, and chaos suites
+under ``tests/exec/`` pin down.  Retry backoff delays are likewise a pure function of the job
 digest (:meth:`~repro.exec.supervision.SupervisionPolicy.backoff_s`),
 never of wall-clock randomness.
 
@@ -120,8 +120,6 @@ class JobRecord:
 # ----------------------------------------------------------------------
 # Worker side (module-level: must be importable from a spawned child)
 # ----------------------------------------------------------------------
-_WORKER_CACHE: ResultCache | None = None
-
 # Dispatch attempt of the job currently executing in this process (1 on
 # the first dispatch).  Runners that vary behavior per attempt — the
 # chaos injector — read it via :func:`current_attempt`.
@@ -140,28 +138,6 @@ def _resolve_runner(dotted: str):
     if not callable(runner):
         raise TypeError(f"job runner {dotted!r} is not callable")
     return runner
-
-
-def _worker_init(cache_dir: str | None, salt: str | None) -> None:
-    """Per-process initialization: prime design artifacts from cache."""
-    global _WORKER_CACHE
-    if cache_dir is None:
-        return
-    from repro.exec.artifacts import prime_process
-
-    _WORKER_CACHE = ResultCache(Path(cache_dir), salt=salt)
-    try:
-        prime_process(_WORKER_CACHE)
-    except Exception as exc:
-        # A failed prime must not kill the pool — the worker can still
-        # derive everything from scratch; record the downgrade loudly.
-        import sys
-
-        print(
-            f"repro.exec worker: artifact prime failed ({exc!r}); "
-            "falling back to per-process derivation",
-            file=sys.stderr,
-        )
 
 
 def _worker_execute(job: ScenarioJob, attempt: int = 1) -> tuple[str, Any, float]:
@@ -210,8 +186,7 @@ class ExperimentEngine:
     ``max_workers=1`` (the default) executes in-process with identical
     results; jobs that fail to pickle also fall back to in-process
     execution instead of erroring.  With a ``cache`` attached, results
-    are content-addressed on disk and design-flow artifacts are
-    pre-seeded so workers start warm.  With a ``journal`` attached, the
+    are content-addressed on disk.  With a ``journal`` attached, the
     run is resumable (see :mod:`repro.exec.supervision`); ``policy``
     configures deadlines, backoff, and the circuit breaker.
 
@@ -230,7 +205,6 @@ class ExperimentEngine:
     max_workers: int = 1
     cache: ResultCache | None = None
     max_crash_retries: int = 2
-    prime_artifacts: bool = True
     journal: RunJournal | None = None
     policy: SupervisionPolicy = field(default_factory=SupervisionPolicy)
     progress: Callable[[JobRecord], None] | None = None
@@ -296,13 +270,6 @@ class ExperimentEngine:
             pending.append(index)
 
         if pending:
-            if self.cache is not None and self.prime_artifacts:
-                from repro.exec.artifacts import prime_process
-
-                # Warm this process from the artifact cache (keeping a
-                # supervisor it already holds) and make sure the
-                # artifacts are on disk before workers spawn.
-                prime_process(self.cache)
             parallel, serial = self._partition(records, pending)
             if parallel:
                 self._run_pool(records, parallel)
@@ -456,12 +423,6 @@ class ExperimentEngine:
         ``"watchdog"`` (deliberate teardown to kill an overrunning
         worker — does not count).
         """
-        cache_dir = (
-            str(self.cache.directory)
-            if self.cache is not None and self.prime_artifacts
-            else None
-        )
-        salt = self.cache.salt if self.cache is not None else None
         policy = self.policy
         in_flight: dict[Future, tuple[int, float]] = {}
         retry_delay_s = 0.0
@@ -469,8 +430,6 @@ class ExperimentEngine:
         with ProcessPoolExecutor(
             max_workers=min(self.max_workers, max(len(queue), 1)),
             mp_context=get_context("spawn"),
-            initializer=_worker_init,
-            initargs=(cache_dir, salt),
         ) as pool:
             try:
                 if policy.deadline_s is not None:

@@ -208,8 +208,8 @@ class ScenarioJob:
     def digest(self, *, salt: str = "") -> str:
         """Stable SHA-256 content address of this job spec.
 
-        ``salt`` folds in cache-level versioning (code / artifact
-        schema); see :mod:`repro.exec.cache`.  ``label`` is excluded.
+        ``salt`` folds in cache-level versioning (cache format and
+        package version); see :mod:`repro.exec.cache`.  ``label`` is excluded.
         """
         spec = {
             "schema": JOB_SCHEMA,

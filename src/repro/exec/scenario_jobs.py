@@ -6,9 +6,10 @@ manager factory (closures do not pickle), looking up the workload by
 name, and wiring any fault spec into the SoC setup hook.  Every sweep
 and ablation cell runs here, in the parent process or in a spawned
 worker alike; the identified models come from the committed design
-files and the supervisor from the process-local design cache, which the
-engine pre-seeds from the artifact cache (:mod:`repro.exec.artifacts`).  The fault campaign's runner injects its
-faults through the same :func:`fault_setup`.
+files and each process derives the supervisor once
+(:func:`repro.experiments.figures.case_study_supervisor`).  The fault
+campaign's runner injects its faults through the same
+:func:`fault_setup`.
 
 Recognized ``overrides`` keys:
 

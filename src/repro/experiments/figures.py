@@ -90,23 +90,18 @@ def write_design(directory: Path) -> None:
 
 
 def case_study_supervisor() -> VerifiedSupervisor:
+    """The verified case-study supervisor, derived once per process.
+
+    Runs synthesis and then verification
+    (:func:`~repro.core.synthesis_flow.build_case_study_supervisor`),
+    which raises :class:`~repro.core.synthesis_flow.SynthesisFlowError`
+    if the supervisor fails it, so every process verifies the
+    supervisor it deploys.
+    """
     global _SUPERVISOR_CACHE
     if _SUPERVISOR_CACHE is None:
         _SUPERVISOR_CACHE = build_case_study_supervisor()
     return _SUPERVISOR_CACHE
-
-
-def prime_design_caches(supervisor: VerifiedSupervisor) -> None:
-    """Install a precomputed verified supervisor as this process's cache,
-    unless it already holds one.
-
-    The experiment engine's workers load it from the on-disk artifact
-    cache (:mod:`repro.exec.artifacts`) instead of re-running synthesis
-    per process; this is the injection point.
-    """
-    global _SUPERVISOR_CACHE
-    if _SUPERVISOR_CACHE is None:
-        _SUPERVISOR_CACHE = supervisor
 
 
 # SPECTR construction overrides (the ablation studies' variants);

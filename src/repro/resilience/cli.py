@@ -12,7 +12,7 @@ import argparse
 from pathlib import Path
 
 from repro.exec.cache import ResultCache
-from repro.exec.cli import resolve_cache_dir
+from repro.exec.cli import _add_engine_flags, resolve_cache_dir
 from repro.exec.engine import ExperimentEngine
 from repro.exec.job import FaultSpec
 from repro.exec.supervision import RunJournal, SupervisionPolicy
@@ -50,9 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="faulted cluster (default: big)",
     )
     parser.add_argument(
-        "--seed", type=int, default=2018, help="campaign seed (default 2018)"
-    )
-    parser.add_argument(
         "--no-degrade",
         action="store_true",
         help="run without the graceful-degradation stage",
@@ -64,63 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the JSON report to PATH",
     )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "experiment-engine pool size (default 1: every cell runs "
-            "in-process; results are identical either way)"
-        ),
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "enable the on-disk result cache (default directory: "
-            "$REPRO_EXEC_CACHE or .exec-cache) when combined with "
-            "--workers > 1; pass explicitly to cache serial runs too"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="with --workers: run the engine without the result cache",
-    )
-    parser.add_argument(
-        "--journal",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "crash-safe run journal for the campaign; re-invoking with "
-            "the same journal resumes an interrupted campaign (completed "
-            "cells are skipped)"
-        ),
-    )
-    parser.add_argument(
-        "--deadline-s",
-        type=float,
-        default=None,
-        metavar="S",
-        help=(
-            "per-cell wall-clock deadline enforced by the engine "
-            "watchdog (pool mode only, --workers >= 2)"
-        ),
-    )
-    parser.add_argument(
-        "--max-crash-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help=(
-            "worker-killing attempts a cell is allowed before quarantine "
-            "(default 2)"
-        ),
-    )
+    _add_engine_flags(parser)
     return parser
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.automata.automaton import automaton_from_table
 from repro.automata.events import Alphabet, controllable, uncontrollable
-from repro.automata.modular import _languages_equal, synthesize_modular
+from repro.automata.language import languages_equal
+from repro.automata.modular import synthesize_modular
 from repro.core.plant_model import case_study_plant
 from repro.core.specification import budget_lock_spec, three_band_spec
 
@@ -49,11 +50,11 @@ def cap_spec(event, count, name):
 
 class TestLanguageEquality:
     def test_identical_automata_equal(self):
-        assert _languages_equal(loop_plant(), loop_plant())
+        assert languages_equal(loop_plant(), loop_plant())
 
     def test_relabelled_automata_equal(self):
         plant = loop_plant()
-        assert _languages_equal(plant, plant.relabel(lambda s: s.name + "_x"))
+        assert languages_equal(plant, plant.relabel(lambda s: s.name + "_x"))
 
     def test_different_languages_detected(self):
         other = automaton_from_table(
@@ -63,7 +64,7 @@ class TestLanguageEquality:
             initial="S",
             marked=["S"],
         )
-        assert not _languages_equal(loop_plant(), other)
+        assert not languages_equal(loop_plant(), other)
 
     def test_deep_difference_detected(self):
         a = automaton_from_table(
@@ -80,7 +81,7 @@ class TestLanguageEquality:
             initial="S",
             marked=["S"],
         )
-        assert not _languages_equal(a, b)
+        assert not languages_equal(a, b)
 
 
 class TestModularSynthesis:

@@ -1,15 +1,12 @@
 """Tests for nonblocking and controllability verification."""
 
 import dataclasses
-import json
 
 import pytest
 
 from repro.automata.automaton import automaton_from_table
 from repro.automata.events import Alphabet, controllable, uncontrollable
 from repro.automata.verification import (
-    ControllabilityViolation,
-    VerificationReport,
     check_controllability,
     check_nonblocking,
     verify_supervisor,
@@ -173,47 +170,8 @@ class TestVerifyReport:
 
 
 class TestReportSerialization:
-    def test_roundtrip_preserves_equality(self):
-        supervisor = automaton_from_table(
-            "sup",
-            SIGMA,
-            transitions=[("S0", "go", "S1")],
-            initial="S0",
-            marked=["S0"],
-        )
-        for report in (
-            verify_supervisor(plant(), plant().copy("sup")),
-            verify_supervisor(plant(), supervisor),
-        ):
-            payload = report.to_dict()
-            assert payload["schema"] == "verification-report/1"
-            restored = VerificationReport.from_dict(payload)
-            assert restored == report
-            assert restored.verified == report.verified
-            # The payload is JSON-clean: a dump/load cycle changes nothing.
-            assert (
-                VerificationReport.from_dict(json.loads(json.dumps(payload)))
-                == report
-            )
-
     def test_report_is_frozen_and_hashable(self):
         report = verify_supervisor(plant(), plant().copy("sup"))
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.nonblocking = False
         assert report in {report}
-
-    def test_violation_roundtrip_keeps_trace(self):
-        supervisor = automaton_from_table(
-            "sup",
-            SIGMA,
-            transitions=[("S0", "go", "S1")],
-            initial="S0",
-            marked=["S0"],
-        )
-        report = verify_supervisor(plant(), supervisor)
-        (violation,) = report.violations
-        assert violation.trace == ("go",)
-        restored = ControllabilityViolation.from_dict(violation.to_dict())
-        assert restored == violation
-        assert restored.trace == violation.trace
-        assert restored.event.controllable == violation.event.controllable

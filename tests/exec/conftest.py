@@ -9,7 +9,6 @@ from repro.exec.cache import ResultCache
 
 @pytest.fixture(scope="session")
 def exec_cache(tmp_path_factory) -> ResultCache:
-    """One shared on-disk cache so the expensive design artifacts are
-    derived at most once for the whole suite; result entries are still
+    """One shared on-disk result cache for the whole suite; entries are
     per-job (content-addressed), so tests do not interfere."""
     return ResultCache(tmp_path_factory.mktemp("exec-cache"))

@@ -83,11 +83,10 @@ class TestIntegrity:
 class TestInvalidation:
     def test_invalidate_removes_everything(self, cache):
         cache.put(DIGEST, "payload")
-        bundle = cache.bundle_dir(DIGEST)
-        bundle.mkdir(parents=True)
-        (bundle / "artifact.json").write_text("{}")
         cache.invalidate(DIGEST)
-        assert len(cache) == 0 and not bundle.exists()
+        assert len(cache) == 0
+        assert not cache._payload_path(DIGEST).exists()
+        assert not cache._sidecar_path(DIGEST).exists()
 
     def test_clear(self, cache):
         cache.put(DIGEST, 1)

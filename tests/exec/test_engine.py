@@ -26,31 +26,26 @@ def _echo_job(label: str, **params) -> ScenarioJob:
     )
 
 
-def _engine(**kwargs) -> ExperimentEngine:
-    kwargs.setdefault("prime_artifacts", False)
-    return ExperimentEngine(**kwargs)
-
-
 class TestSerial:
     def test_results_in_input_order(self):
         jobs = [_echo_job(str(i)) for i in range(5)]
-        assert _engine().results(jobs) == [
+        assert ExperimentEngine().results(jobs) == [
             ("echo", str(i)) for i in range(5)
         ]
 
     def test_runner_exception_becomes_failure_record(self):
-        records = _engine().run([_echo_job("bad", **{"raise": "boom"})])
+        records = ExperimentEngine().run([_echo_job("bad", **{"raise": "boom"})])
         assert not records[0].ok
         assert "boom" in records[0].error
         assert records[0].attempts == 1
 
     def test_results_raises_engine_error_on_failure(self):
         with pytest.raises(EngineError, match="boom"):
-            _engine().results([_echo_job("bad", **{"raise": "boom"})])
+            ExperimentEngine().results([_echo_job("bad", **{"raise": "boom"})])
 
     def test_unknown_runner_is_a_job_failure_not_a_crash(self):
         job = ScenarioJob(manager="SPECTR", runner="repro.exec.engine.nope")
-        record = _engine().run([job])[0]
+        record = ExperimentEngine().run([job])[0]
         assert not record.ok and "not callable" in record.error
 
     def test_validation(self):
@@ -63,14 +58,14 @@ class TestSerial:
 class TestParallel:
     def test_pool_results_match_serial(self):
         jobs = [_echo_job(str(i)) for i in range(6)]
-        serial = _engine().results(jobs)
-        parallel = _engine(max_workers=3).results(jobs)
+        serial = ExperimentEngine().results(jobs)
+        parallel = ExperimentEngine(max_workers=3).results(jobs)
         assert parallel == serial
 
     def test_records_report_process_mode(self):
         # The echo runner lives in the test tree: a spawned worker must
         # resolve it by dotted name, not fail the job on the import.
-        records = _engine(max_workers=2).run([_echo_job("a")])
+        records = ExperimentEngine(max_workers=2).run([_echo_job("a")])
         assert records[0].mode == "process"
         assert records[0].ok and records[0].result == ("echo", "a")
         assert records[0].attempts == 1
@@ -84,7 +79,7 @@ class TestParallel:
             _echo_job("pickles"),
             _echo_job("does-not", obj=Local()),
         ]
-        records = _engine(max_workers=2).run(jobs)
+        records = ExperimentEngine(max_workers=2).run(jobs)
         assert [r.mode for r in records] == ["process", "serial"]
         assert all(r.ok for r in records)
 
@@ -96,13 +91,13 @@ class TestParallel:
             runner=CRASH_ONCE,
             overrides=(("sentinel", str(sentinel)),),
         )
-        record = _engine(max_workers=2).run([job])[0]
+        record = ExperimentEngine(max_workers=2).run([job])[0]
         assert record.ok and record.result == "survived"
         assert record.attempts == 2
 
     def test_crash_retries_are_bounded(self):
         job = ScenarioJob(manager="SPECTR", runner=ALWAYS_CRASH)
-        record = _engine(max_workers=2, max_crash_retries=1).run([job])[0]
+        record = ExperimentEngine(max_workers=2, max_crash_retries=1).run([job])[0]
         assert not record.ok
         assert "crashed" in record.error
         assert record.attempts == 2  # initial try + one retry
@@ -129,7 +124,7 @@ class TestBrokenPoolRedispatch:
         sentinel = tmp_path / "crash-once"
         sentinel.touch()
         job = self._counting_job("c", tally, sentinel)
-        record = _engine(max_workers=2, max_crash_retries=3).run([job])[0]
+        record = ExperimentEngine(max_workers=2, max_crash_retries=3).run([job])[0]
         assert record.ok
         # One crashing dispatch + one clean redispatch — no extras.
         dispatches = tally.read_text(encoding="utf-8").splitlines()
@@ -143,7 +138,7 @@ class TestBrokenPoolRedispatch:
             runner=ALWAYS_CRASH,
             overrides=(("tally", str(tally)),),
         )
-        record = _engine(max_workers=2, max_crash_retries=2).run([job])[0]
+        record = ExperimentEngine(max_workers=2, max_crash_retries=2).run([job])[0]
         assert not record.ok
         assert record.attempts == 3  # initial + exactly two retries
         assert record.kills == 3
@@ -165,7 +160,7 @@ class TestBrokenPoolRedispatch:
             self._counting_job("x", tally),
             self._counting_job("y", tally),
         ]
-        records = _engine(max_workers=2, cache=cache).run(jobs)
+        records = ExperimentEngine(max_workers=2, cache=cache).run(jobs)
         assert all(r.ok for r in records)
         # Every digest cached exactly once, crash-retried or not.
         assert sorted(puts) == sorted(r.digest for r in records)
@@ -184,7 +179,7 @@ class TestBrokenPoolRedispatch:
                 self._counting_job("c", tally, sentinel),
                 self._counting_job("x", tally),
             ]
-            return _engine(max_workers=2, max_crash_retries=2).run(jobs)
+            return ExperimentEngine(max_workers=2, max_crash_retries=2).run(jobs)
 
         crashed = run(tally_a, crash=True)
         clean = run(tally_b, crash=False)
@@ -203,7 +198,7 @@ class TestBrokenPoolRedispatch:
 class TestCaching:
     def test_second_run_hits_the_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        engine = _engine(cache=cache)
+        engine = ExperimentEngine(cache=cache)
         jobs = [_echo_job("x"), _echo_job("y")]
         first = engine.results(jobs)
         second = engine.results(jobs)
@@ -213,13 +208,13 @@ class TestCaching:
 
     def test_failures_are_never_cached(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        engine = _engine(cache=cache)
+        engine = ExperimentEngine(cache=cache)
         engine.run([_echo_job("bad", **{"raise": "x"})])
         assert len(cache) == 0
 
     def test_poisoned_entry_is_recomputed(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
-        engine = _engine(cache=cache)
+        engine = ExperimentEngine(cache=cache)
         job = _echo_job("precious")
         engine.results([job])
         digest = engine.last_records[0].digest
@@ -230,21 +225,21 @@ class TestCaching:
         assert not engine.last_records[0].cache_hit
 
     def test_salt_change_invalidates_implicitly(self, tmp_path):
-        engine_v1 = _engine(cache=ResultCache(tmp_path, salt="v1"))
+        engine_v1 = ExperimentEngine(cache=ResultCache(tmp_path, salt="v1"))
         engine_v1.results([_echo_job("x")])
-        engine_v2 = _engine(cache=ResultCache(tmp_path, salt="v2"))
+        engine_v2 = ExperimentEngine(cache=ResultCache(tmp_path, salt="v2"))
         engine_v2.results([_echo_job("x")])
         assert not engine_v2.last_records[0].cache_hit
 
     def test_no_cache_engine_always_recomputes(self):
-        engine = _engine()
+        engine = ExperimentEngine()
         engine.results([_echo_job("x")])
         assert not engine.last_records[0].cache_hit
 
 
 class TestIntrospection:
     def test_describe_last(self, tmp_path):
-        engine = _engine(cache=ResultCache(tmp_path))
+        engine = ExperimentEngine(cache=ResultCache(tmp_path))
         engine.run([_echo_job("x")])
         engine.run([_echo_job("x")])
         summary = engine.describe_last()

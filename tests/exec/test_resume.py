@@ -56,7 +56,6 @@ engine = ExperimentEngine(
     max_workers=1,
     cache=cache,
     journal=journal,
-    prime_artifacts=True,
     progress=(lambda record: time.sleep(pause_s)) if pause_s else None,
 )
 records = engine.run(campaign_jobs(config))

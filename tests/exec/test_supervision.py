@@ -44,11 +44,6 @@ def _sleep_job(label: str, sleep_s: float) -> ScenarioJob:
     )
 
 
-def _engine(**kwargs) -> ExperimentEngine:
-    kwargs.setdefault("prime_artifacts", False)
-    return ExperimentEngine(**kwargs)
-
-
 # ----------------------------------------------------------------------
 # RunJournal
 # ----------------------------------------------------------------------
@@ -194,9 +189,9 @@ class TestResumeSemantics:
         cache = ResultCache(tmp_path / "c")
         journal = RunJournal(tmp_path / "j.jsonl", salt=cache.salt)
         jobs = [_echo_job(str(i)) for i in range(4)]
-        _engine(cache=cache, journal=journal).results(jobs)
+        ExperimentEngine(cache=cache, journal=journal).results(jobs)
 
-        resumed = _engine(cache=cache, journal=journal)
+        resumed = ExperimentEngine(cache=cache, journal=journal)
         records = resumed.run(jobs)
         assert all(r.cache_hit and r.mode == "cache" for r in records)
         # No duplicate "done" lines: a journaled-done cache hit is not
@@ -215,7 +210,7 @@ class TestResumeSemantics:
             attempts=3,
             kills=3,
         )
-        record = _engine(cache=cache, journal=journal).run([job])[0]
+        record = ExperimentEngine(cache=cache, journal=journal).run([job])[0]
         assert not record.ok
         assert record.mode == "journal"
         assert record.failure.kind == "poison"
@@ -228,7 +223,7 @@ class TestResumeSemantics:
         journal.record(
             job.digest(salt=cache.salt), "failed", kind="timeout"
         )
-        record = _engine(cache=cache, journal=journal).run([job])[0]
+        record = ExperimentEngine(cache=cache, journal=journal).run([job])[0]
         assert record.ok and record.result == ("echo", "flaky")
         assert journal.load()[record.digest].status == "done"
 
@@ -237,7 +232,7 @@ class TestResumeSemantics:
         job = _echo_job("evicted")
         journal.record(job.digest(), "done")
         # No cache attached: the journal alone cannot restore a value.
-        record = _engine(journal=journal).run([job])[0]
+        record = ExperimentEngine(journal=journal).run([job])[0]
         assert record.ok and not record.cache_hit
         assert record.mode == "serial"
 
@@ -249,7 +244,7 @@ class TestResumeSemantics:
         def interrupt_after_first(record) -> None:
             raise RunInterrupted("stop after the first completion")
 
-        engine = _engine(
+        engine = ExperimentEngine(
             max_workers=2,
             cache=cache,
             journal=journal,
@@ -261,7 +256,7 @@ class TestResumeSemantics:
         assert "cancelled" in statuses  # the other in-flight job
 
         # Resume completes the campaign; union covers every job.
-        final = _engine(cache=cache, journal=journal).run(jobs)
+        final = ExperimentEngine(cache=cache, journal=journal).run(jobs)
         assert all(r.ok for r in final)
         assert {e.digest for e in journal.raw_entries()
                 if e.status == "done"} == {r.digest for r in final}
@@ -273,15 +268,15 @@ class TestResumeSemantics:
 class TestSupervisionCost:
     def test_journal_and_resume_leave_results_byte_identical(self, tmp_path):
         jobs = [_echo_job(f"job-{index:04d}") for index in range(200)]
-        bare = _engine(max_workers=1).run(jobs)
+        bare = ExperimentEngine(max_workers=1).run(jobs)
 
         cache = ResultCache(tmp_path / "cache")
         journal = RunJournal(tmp_path / "journal.jsonl", salt=cache.salt)
-        journaled = _engine(max_workers=1, cache=cache, journal=journal).run(
+        journaled = ExperimentEngine(max_workers=1, cache=cache, journal=journal).run(
             jobs
         )
         # Resume on the populated journal + cache: nothing recomputes.
-        resumed = _engine(max_workers=1, cache=cache, journal=journal).run(
+        resumed = ExperimentEngine(max_workers=1, cache=cache, journal=journal).run(
             jobs
         )
         assert all(r.mode in ("cache", "journal") for r in resumed)
@@ -310,7 +305,7 @@ class TestWatchdog:
         journal = RunJournal(tmp_path / "j.jsonl")
         policy = SupervisionPolicy(deadline_s=0.5, poll_interval_s=0.02)
         jobs = [_sleep_job("hung", 30.0), _echo_job("quick")]
-        engine = _engine(max_workers=2, policy=policy, journal=journal)
+        engine = ExperimentEngine(max_workers=2, policy=policy, journal=journal)
         records = engine.run(jobs)
         hung, quick = records
         assert not hung.ok
@@ -328,7 +323,7 @@ class TestWatchdog:
             backoff_base_s=0.01,
         )
         job = _sleep_job("always-hung", 30.0)
-        engine = _engine(
+        engine = ExperimentEngine(
             max_workers=2,
             policy=policy,
             journal=journal,
@@ -345,7 +340,7 @@ class TestWatchdog:
         # Documented: the watchdog is a pool feature; serial execution
         # cannot preempt a job, so a short deadline must not kill it.
         policy = SupervisionPolicy(deadline_s=0.05)
-        record = _engine(policy=policy).run([_sleep_job("slow", 0.2)])[0]
+        record = ExperimentEngine(policy=policy).run([_sleep_job("slow", 0.2)])[0]
         assert record.ok
 
 
@@ -356,7 +351,7 @@ class TestQuarantineAndBreaker:
     def test_poison_job_is_quarantined_in_journal(self, tmp_path):
         journal = RunJournal(tmp_path / "j.jsonl")
         job = ScenarioJob(manager="SPECTR", runner=ALWAYS_CRASH)
-        engine = _engine(
+        engine = ExperimentEngine(
             max_workers=2, max_crash_retries=1, journal=journal
         )
         record = engine.run([job])[0]
@@ -377,7 +372,7 @@ class TestQuarantineAndBreaker:
             _echo_job(f"e{i}") for i in range(4)
         ]
         policy = SupervisionPolicy(max_pool_rebuilds=0, backoff_base_s=0.01)
-        engine = _engine(max_workers=2, policy=policy, max_crash_retries=5)
+        engine = ExperimentEngine(max_workers=2, policy=policy, max_crash_retries=5)
         records = engine.run(jobs)
 
         assert engine.breaker.is_open
@@ -400,7 +395,7 @@ class TestQuarantineAndBreaker:
             runner=CRASH_ONCE,
             overrides=(("sentinel", str(sentinel)),),
         )
-        engine = _engine(max_workers=2)
+        engine = ExperimentEngine(max_workers=2)
         record = engine.run([job])[0]
         assert record.ok and record.result == "survived"
         assert not engine.breaker.is_open
