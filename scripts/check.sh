@@ -66,9 +66,12 @@
 #     output checks on the reference paths), or the suite's own tests
 #     (`benchmarks/suite/tests`) fail.  Timings are printed, never
 #     asserted: the speed floors (step kernel, fleet kernel, symbolic
-#     vs explicit verification and synthesis) and the explicit-oracle
-#     equivalence checks are tier-1 tests (tests/perf/test_speed_floors.py,
-#     tests/automata/).
+#     vs explicit verification and synthesis), the explicit-oracle
+#     equivalence checks and the fixpoint's pass-count gate
+#     (TestTrimPassCount in tests/automata/test_symbolic_synthesis.py:
+#     forward_reachable and backward_reachable each run
+#     max(1, iterations - 1) times per supremal_fixpoint) are tier-1
+#     tests (tests/perf/test_speed_floors.py, tests/automata/).
 #
 # Optional third-party linters (ruff/mypy, `pip install -e .[lint]`) run
 # only when installed, so the gate works on the bare numpy toolchain.

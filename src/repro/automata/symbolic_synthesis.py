@@ -15,7 +15,13 @@ convergence (Section 4.3.4) — entirely as whole-array operations on
   plant event: ``escape = good & plant_enables_pairs & ~has_good_edge``,
   a handful of vectorized scatters instead of a per-state loop;
 * trimming is ``forward_reachable & backward_reachable`` on the
-  restriction of the product to the surviving states.
+  restriction of the product to the surviving states.  A round whose
+  extension pass removed nothing after the previous round's trim skips
+  its trim: trim is idempotent (a state on a path from the initial
+  state to a kept state, or from a kept state to a marked one, is
+  itself kept), so it could not drop a state.  That round changes
+  nothing and ends the fixpoint; it still counts, so the round count
+  is the explicit oracle's.
 
 The fixpoint runs on the *Jacobi* (snapshot) schedule: each extension
 pass judges every state against the round-start good set.  The supremal
@@ -142,6 +148,7 @@ def supremal_fixpoint(
     current = restrict_states(product, good)
     iterations = 0
     changed = True
+    trimmed = False
     while changed:
         iterations += 1
         changed = False
@@ -163,9 +170,16 @@ def supremal_fixpoint(
             good &= ~escape
             current = restrict_states(current, good)
             changed = True
+            trimmed = False
 
         # Trimming pass: keep the accessible and coaccessible part of
-        # the surviving sub-product.
+        # the surviving sub-product.  Trim is idempotent, so a round
+        # whose extension pass removed nothing after the last trim
+        # skips it (it could not drop a state) and, having changed
+        # nothing, ends the fixpoint with the same round count.
+        if trimmed:
+            continue
+        trimmed = True
         keep = forward_reachable(current) & backward_reachable(current) & good
         dropped = good & ~keep
         if dropped.any():

@@ -880,28 +880,13 @@ def telemetry_args(
     sensors through.
 
     The keyword arguments are raw addresses; ``per_core_out`` 0 passes
-    NULL.  ``tables`` supplies the per-OPP tables and per-sensor rows
-    (``soc.SensorTables``, or a ``FleetCluster``, which holds the same
-    attributes).
+    NULL.  ``tables`` supplies the per-OPP tables and per-sensor rows as
+    its ``telemetry_fields``: the core count, then the tables'
+    addresses and scalars (``soc.SensorTables``, or a ``FleetCluster``,
+    which holds the same attribute).
     """
-    return [
-        tables.noise_row.size - 1,
-        active,
-        opp,
-        tables.dynamic_table.ctypes.data,
-        tables.leakage_table.ctypes.data,
-        tables.core_rate_table.ctypes.data,
-        float(tables.idle_core_fraction),
-        float(tables.uncore_power),
-        tables.noise_row.ctypes.data,
-        tables.res_mask_i8.ctypes.data,
-        tables.safe_res_row.ctypes.data,
-        tables.floor_row.ctypes.data,
-        1 if tables.any_resolution else 0,
-        power_out,
-        ips_out,
-        per_core_out,
-    ]
+    n_cores, *fields = tables.telemetry_fields
+    return [n_cores, active, opp, *fields, power_out, ips_out, per_core_out]
 
 
 # ``plant_tick``'s QoS modes: no workload, a noise-free workload, a

@@ -147,6 +147,7 @@ class FleetCluster:
         self.any_resolution = tables.any_resolution  # repro: shape[bool]
         self.safe_res_row = tables.safe_res_row  # repro: shape[(C+1,) f8]
         self.floor_row = tables.floor_row  # repro: shape[(C+1,) f8]
+        self.telemetry_fields = tables.telemetry_fields
         self.core_ids = np.arange(self.n_cores, dtype=float)  # repro: shape[(C,) f8]
         self._reading_buf = np.empty(  # repro: shape[(N, C+1) f8]
             (n_devices, 1 + self.n_cores), dtype=float

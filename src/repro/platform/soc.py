@@ -589,6 +589,11 @@ class SensorTables:
     values match the scalar expressions bit for bit) and per-sensor
     rows: column 0 is the power sensor, columns 1..n_cores the PMUs.
     Shared by the scalar tick and the fleet's ``FleetCluster``.
+
+    ``telemetry_fields`` holds the tables' part of a telemetry block
+    (see :func:`~repro.control.fused.telemetry_args`), their addresses
+    taken once: the memoized tables serve every SoC's compiled tick,
+    and an ``ndarray.ctypes.data`` lookup costs microseconds.
     """
 
     def __init__(self, cluster: Cluster) -> None:
@@ -615,6 +620,19 @@ class SensorTables:
         )
         self.floor_row = np.array(  # repro: shape[(C+1,) f8]
             [s.floor for s in sensors], dtype=float
+        )
+        self.telemetry_fields = (
+            len(sensors) - 1,
+            self.dynamic_table.ctypes.data,
+            self.leakage_table.ctypes.data,
+            self.core_rate_table.ctypes.data,
+            float(self.idle_core_fraction),
+            float(self.uncore_power),
+            self.noise_row.ctypes.data,
+            self.res_mask_i8.ctypes.data,
+            self.safe_res_row.ctypes.data,
+            self.floor_row.ctypes.data,
+            1 if self.any_resolution else 0,
         )
 
 

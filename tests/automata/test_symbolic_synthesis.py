@@ -9,7 +9,16 @@ This suite asserts exactly that on every committed model, on
 hypothesis-generated plant/spec pairs (including spec-private events,
 forbidden states, empty supervisors), and on the degenerate edges both
 engines must reject identically.
+
+It also gates how much work the fixpoint does: a round skips its trim
+when the extension pass removed nothing since the last trim (trim is
+idempotent), so ``forward_reachable`` and ``backward_reachable`` each
+run ``max(1, iterations - 1)`` times per fixpoint — a count, not a
+timing.
 """
+
+from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +34,7 @@ from repro.automata import (
     supremal_fixpoint,
     synthesize_supervisor,
 )
+from repro.automata import symbolic_synthesis
 from repro.automata.automaton import Automaton
 from repro.automata.events import Alphabet, controllable, uncontrollable
 from repro.core.plant_model import case_study_plant
@@ -84,6 +94,46 @@ def assert_engines_agree(plant, spec):
             state
         ) == explicit.supervisor.enabled_events(state)
     return symbolic
+
+
+@contextmanager
+def counted_trims():
+    """Count the fixpoint's ``forward_reachable`` and
+    ``backward_reachable`` calls while the block runs."""
+    counts = {"forward_reachable": 0, "backward_reachable": 0}
+
+    def counting(name):
+        original = getattr(symbolic_synthesis, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    with mock.patch.object(
+        symbolic_synthesis, "forward_reachable", counting("forward_reachable")
+    ), mock.patch.object(
+        symbolic_synthesis, "backward_reachable", counting("backward_reachable")
+    ):
+        yield counts
+
+
+def assert_trim_count(counts, iterations):
+    """Every round but the last trims; the last (or only) round's
+    trim is skipped unless it is also the first."""
+    expected = max(1, iterations - 1)
+    assert counts == {
+        "forward_reachable": expected,
+        "backward_reachable": expected,
+    }
+
+
+def counted_fixpoint(plant, spec):
+    with counted_trims() as counts:
+        fixpoint = supremal_fixpoint(plant, spec)
+    assert_trim_count(counts, fixpoint.iterations)
+    return fixpoint
 
 
 @st.composite
@@ -365,6 +415,104 @@ class TestEncodedFoldPath:
             reference.removed_blocking
         )
         assert folded.is_empty == reference.is_empty
+
+
+class TestTrimPassCount:
+    """A round trims only when the extension pass changed the restricted
+    product since the last trim; the round still counts."""
+
+    def test_case_study(self):
+        fixpoint = counted_fixpoint(
+            encode_automaton(case_study_plant()),
+            encode_automaton(case_study_specification()),
+        )
+        assert not fixpoint.is_empty
+
+    @pytest.mark.parametrize(
+        "model, clusters, levels, states",
+        [
+            (
+                (fleet_alphabet, fleet_plant_components, fleet_specification),
+                3,
+                2,
+                800,
+            ),
+            (
+                (
+                    scalable_alphabet,
+                    scalable_plant_components,
+                    scalable_specification,
+                ),
+                4,
+                3,
+                1620,
+            ),
+        ],
+        ids=["fleet3x2", "scalable4x3"],
+    )
+    def test_composed_models(self, model, clusters, levels, states):
+        alphabet, components, specification = model
+        sigma = alphabet(clusters)
+        fixpoint = counted_fixpoint(
+            encode_automaton(compose_all(components(clusters, levels, sigma))),
+            encode_automaton(specification(clusters, sigma)),
+        )
+        assert fixpoint.n_supervisor_states == states
+
+    def test_folded_scalable_7x3(self):
+        sigma = scalable_alphabet(7)
+        fixpoint = counted_fixpoint(
+            encode_composition(scalable_plant_components(7, 3, sigma)),
+            encode_automaton(scalable_specification(7, sigma)),
+        )
+        assert fixpoint.n_supervisor_states == 43_740
+
+    @given(fold_problems())
+    @settings(max_examples=80, deadline=None)
+    def test_random_folds(self, problem):
+        components, spec = problem
+        counted_fixpoint(encode_composition(components), encode_automaton(spec))
+
+    def test_trim_reruns_after_an_escape(self):
+        # A chain where each removal exposes the next: round 1 trims the
+        # dead end T1; round 2's extension pass drops E1 (its
+        # uncontrollable u1 led to T1), which strands T2, so round 2
+        # must trim again; round 3 drops E2 (u2 led to T2); round 4
+        # changes nothing.  Skipping any trim but the last would keep
+        # T2 and E2.
+        sigma = Alphabet.of(
+            [
+                controllable("c1"),
+                controllable("c2"),
+                controllable("c3"),
+                controllable("c4"),
+                controllable("c5"),
+                uncontrollable("u1"),
+                uncontrollable("u2"),
+            ]
+        )
+        plant = Automaton("chain", sigma, initial="I")
+        plant.mark("I")
+        plant.add_transition("I", "c1", "T2")
+        plant.add_transition("T2", "c2", "E1")
+        plant.add_transition("E1", "u1", "T1")
+        plant.add_transition("E1", "c3", "I")
+        plant.add_transition("I", "c4", "E2")
+        plant.add_transition("E2", "u2", "T2")
+        plant.add_transition("E2", "c5", "I")
+        spec = Automaton("any", Alphabet.of([sigma["c1"]]), initial="S")
+        spec.add_transition("S", "c1", "S")
+        spec.mark("S")
+        with counted_trims() as counts:
+            result = assert_engines_agree(plant, spec)
+        assert result.iterations == 4
+        assert_trim_count(counts, result.iterations)
+        assert {s.name for s in result.removed_blocking} == {"T1.S", "T2.S"}
+        assert {s.name for s in result.removed_uncontrollable} == {
+            "E1.S",
+            "E2.S",
+        }
+        assert {s.name for s in result.supervisor.states} == {"I.S"}
 
 
 class TestEncodeMemo:
