@@ -3,15 +3,29 @@
 Implements the synchronous composition operator ``||`` exactly as
 defined in Section 4.3.1 of the paper, plus the reachability operators
 (accessible, coaccessible, trim) on which supervisor synthesis is built.
+
+Composition has one engine: the n-ary reachable product of the bitset
+kernel (:func:`repro.automata.symbolic.reachable_composition`) over the
+factors' memoized encodings, decoded once into an :class:`Automaton`
+(:func:`repro.automata.symbolic.decode_automaton`).  The edge-at-a-time
+walk through the checked API is the test oracle
+(``tests/automata/explicit_oracle.py``).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import Iterable
 
+import numpy as np
+
 from repro.automata.automaton import Automaton, AutomatonError, State
-from repro.automata.events import Event
+from repro.automata.symbolic import (
+    composition_states,
+    decode_automaton,
+    encode_automaton,
+)
 
 
 def synchronous_composition(
@@ -29,114 +43,59 @@ def synchronous_composition(
 
     Marked states are pairs of marked states (``M_A x M_B``); a composite
     state is forbidden if either component is forbidden.  Only the
-    reachable part of the product is constructed, breadth-first from
-    the initial pair with events in sorted order.
-
-    The walk reads both factors' transition maps directly and fills the
-    composite's tables in the order the checked ``add_state`` /
-    ``add_transition`` calls would, keeping their determinism check:
-    two pairs whose dotted names collide (``x.y``+``z`` and ``x``+``y.z``)
-    still raise :class:`AutomatonError`.  The edge-at-a-time version
-    through the public API is the test oracle
-    (``tests/automata/explicit_oracle.py``).
+    reachable part of the product is constructed.  This is
+    :func:`compose_all` of the two.
     """
-    alphabet = a.alphabet.union(b.alphabet)
-    composed = Automaton(name or f"{a.name}||{b.name}", alphabet)
-    names_a = a.alphabet.names()
-    names_b = b.alphabet.names()
-    # One plan for the whole walk: the union alphabet in sorted order,
-    # with each event's membership in either factor.
-    plan = [
-        (event, event.name, event.name in names_a, event.name in names_b)
-        for event in alphabet
-    ]
-    out_a = _out_edges(a)
-    out_b = _out_edges(b)
-    marked_a, marked_b = a._marked, b._marked
-    forbidden_a, forbidden_b = a._forbidden, b._forbidden
-    states = composed._states
-    delta = composed._delta
-    enabled = composed._enabled
-    marked = composed._marked
-    forbidden = composed._forbidden
-    no_edges: dict[str, State] = {}
-
-    def visit(state_a: State, state_b: State) -> State:
-        label = State(f"{state_a.name}.{state_b.name}")
-        states[label.name] = label
-        if state_a in marked_a and state_b in marked_b:
-            marked.add(label)
-        if state_a in forbidden_a or state_b in forbidden_b:
-            forbidden.add(label)
-        return label
-
-    initial_a, initial_b = a.initial, b.initial
-    composed._initial = visit(initial_a, initial_b)
-    # Pairs are keyed by component names: State equality is name
-    # equality, and str hashes are cached.
-    labels: dict[tuple[str, str], State] = {
-        (initial_a.name, initial_b.name): composed._initial
-    }
-    frontier: deque[tuple[State, State]] = deque([(initial_a, initial_b)])
-
-    while frontier:
-        state_a, state_b = frontier.popleft()
-        source = labels[state_a.name, state_b.name]
-        succ_a = out_a.get(state_a.name, no_edges)
-        succ_b = out_b.get(state_b.name, no_edges)
-        fired: list[Event] = []
-        for event, event_name, in_a, in_b in plan:
-            if in_a:
-                next_a = succ_a.get(event_name)
-                if next_a is None:
-                    continue
-            else:
-                next_a = state_a
-            if in_b:
-                next_b = succ_b.get(event_name)
-                if next_b is None:
-                    continue
-            else:
-                next_b = state_b
-            key = (next_a.name, next_b.name)
-            target = labels.get(key)
-            if target is None:
-                target = labels[key] = visit(next_a, next_b)
-                frontier.append((next_a, next_b))
-            existing = delta.setdefault((source, event), target)
-            if existing is not target and existing != target:
-                raise AutomatonError(
-                    f"nondeterministic transition in {composed.name!r}: "
-                    f"{source} on {event.name} goes to both {existing} and {target}"
-                )
-            fired.append(event)
-        if fired:
-            enabled.setdefault(source, set()).update(fired)
-    return composed
-
-
-def _out_edges(automaton: Automaton) -> dict[str, dict[str, State]]:
-    """``automaton``'s transition map as state name -> event name -> target."""
-    out: dict[str, dict[str, State]] = {}
-    for (source, event), target in automaton._delta.items():
-        out.setdefault(source.name, {})[event.name] = target
-    return out
+    return compose_all([a, b], name)
 
 
 def compose_all(automata: Iterable[Automaton], name: str | None = None) -> Automaton:
-    """Left fold of :func:`synchronous_composition` over ``automata``."""
+    """``automata[0] || ... || automata[-1]`` over its reachable states,
+    named ``name`` (default: the factor names joined by ``||``).
+
+    One reachable product over the factors' memoized encodings, decoded
+    in bulk (states in ascending packed-key order, transitions grouped
+    by event): the states, transitions, marking and alphabet of a
+    pairwise fold, and the fold's first error.  Two reachable
+    factor-state tuples with one dotted label raise
+    :class:`AutomatonError` naming both.
+    """
     items = list(automata)
     if not items:
         raise AutomatonError("compose_all requires at least one automaton")
     if len(items) == 1:
         # Never rename the caller's automaton in place.
         return items[0] if name is None else items[0].copy(name)
-    result = items[0]
-    for other in items[1:]:
-        result = synchronous_composition(result, other)
-    if name is not None:
-        result.name = name
-    return result
+    # The pairwise fold's checks in its order: union, then initial states.
+    alphabet = items[0].alphabet
+    for k, item in enumerate(items[1:]):
+        alphabet = alphabet.union(item.alphabet)
+        for factor in items[:2] if not k else [item]:
+            if not factor.has_initial:
+                raise AutomatonError(
+                    f"automaton {factor.name!r} has no initial state"
+                )
+    factors = [encode_automaton(item) for item in items]
+    product, states = composition_states(factors)
+    columns = [
+        np.asarray(factor.state_names, dtype=object)[column].tolist()
+        for factor, column in zip(factors, states)
+    ]
+    labels = list(map(".".join, zip(*columns)))
+    name = name or "||".join(item.name for item in items)
+    if len(set(labels)) < len(labels):
+        first: dict[str, int] = {}
+        for k, label in enumerate(labels):
+            i = first.setdefault(label, k)
+            if i != k:
+                raise AutomatonError(
+                    f"state label collision in {name!r}: factor states "
+                    f"{tuple(c[i] for c in columns)} and "
+                    f"{tuple(c[k] for c in columns)} both compose to {label!r}"
+                )
+    return decode_automaton(
+        replace(product, name=name, state_names=tuple(labels)), alphabet
+    )
 
 
 def accessible_states(automaton: Automaton) -> frozenset[State]:

@@ -13,7 +13,8 @@ Three ingredients:
 
 * :func:`encode_automaton` — freeze an :class:`Automaton` into sorted
   index space (:class:`EncodedAutomaton`) with per-event ``src``/``dst``
-  transition arrays.
+  transition arrays; :func:`decode_automaton` is the way back, in bulk,
+  and memoizes the encoding when its state names are strictly ascending.
 * :func:`reachable_product` — build the encoded product of two
   deterministic factors (synchronous, synthesis or controllability
   semantics) over the pairs reachable from the joint initial pair,
@@ -21,7 +22,8 @@ Three ingredients:
   :func:`reachable_composition` builds the synchronous product of any
   number of factors the same way, in one BFS over bit-packed keys (one
   bit field per factor), numbered exactly as a left fold of
-  :func:`reachable_product` would number it.
+  :func:`reachable_product` would number it (``compose_all`` is it
+  plus :func:`decode_automaton`).
 * :func:`forward_reachable` / :func:`backward_reachable` /
   :func:`forward_search` — level-synchronized bitset BFS; the search
   variant records parent pointers so shortest counterexample event
@@ -35,18 +37,24 @@ always favour the smallest event index, then the smallest source index.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import repeat
+from typing import Iterator
 
 import numpy as np
 
-from repro.automata.automaton import Automaton
+from repro.automata.automaton import Automaton, State
+from repro.automata.events import Alphabet
 
 __all__ = [
     "EncodedAutomaton",
     "PairEncoding",
     "SearchTree",
     "backward_reachable",
+    "composition_states",
+    "decode_automaton",
     "encode_automaton",
     "forward_reachable",
     "forward_search",
@@ -234,6 +242,57 @@ def _encode_automaton_uncached(automaton: Automaton) -> EncodedAutomaton:
         state_names=state_names,
         enabled=enabled,
     )
+
+
+def decode_automaton(enc: EncodedAutomaton, alphabet: Alphabet) -> Automaton:
+    """The :class:`Automaton` ``enc`` encodes, over ``alphabet``, state
+    ``k`` labelled ``enc.state_names[k]``, built in bulk (no per-edge
+    checks; repeated labels merge).  Insertion order is the encoding's:
+    states and out-edge sets in index order, transitions grouped by
+    event.  With strictly ascending labels the index order is the
+    encoder's sorted-name order, so ``enc`` (``enabled`` filled in) goes
+    into the encoder's memo for the result.
+    """
+    names = enc.state_names
+    assert names is not None, "decoding needs state names"
+    states = list(map(State, names))
+    labels = np.empty(enc.n_states, dtype=object)
+    labels[:] = states
+    automaton = Automaton(enc.name, alphabet)
+    automaton._states = dict(zip(names, states))
+    automaton._marked = set(labels[enc.marked].tolist())
+    automaton._forbidden = set(labels[enc.forbidden].tolist())
+    if enc.initial >= 0:
+        automaton._initial = states[enc.initial]
+    events = [alphabet[name] for name in enc.event_names]
+    delta = automaton._delta
+    for event, src, dst in zip(events, enc.src, enc.dst):
+        # Key tuples come out of a C-level zip against the gathered
+        # label arrays; no per-edge Python frame.
+        delta.update(
+            zip(zip(labels[src].tolist(), repeat(event)), labels[dst].tolist())
+        )
+    # Out-edge sets, grouped by source in one stable sort of every
+    # transition's source: a (source, event) appears at most once, so
+    # each group's event codes are that state's enabled events.
+    sources = np.concatenate([np.asarray([], dtype=_STATE_DTYPE), *enc.src])
+    codes = np.repeat(np.arange(enc.n_events), [src.size for src in enc.src])
+    order = np.argsort(sources, kind="stable")
+    sources, codes = sources[order], codes[order]
+    starts = np.flatnonzero(np.diff(sources, prepend=-1))
+    automaton._enabled = {
+        labels[sources[a]]: {events[c] for c in codes[a:b].tolist()}
+        for a, b in zip(starts.tolist(), [*starts[1:].tolist(), sources.size])
+    }
+    if all(map(operator.lt, names, names[1:])):
+        enabled = np.zeros((enc.n_events, enc.n_states), dtype=bool)
+        for e, src in enumerate(enc.src):
+            enabled[e, src] = True
+        _ENCODE_MEMO[automaton] = (
+            _encode_fingerprint(automaton),
+            replace(enc, enabled=enabled),
+        )
+    return automaton
 
 
 # ----------------------------------------------------------------------
@@ -630,22 +689,46 @@ def reachable_composition(
     fit one key (:func:`_packed_prefix`), the longest prefix that fits
     is built first and stands in as the first factor of the rest.
     """
+    return _composition(factors, False)[0]
+
+
+def composition_states(
+    factors: list[EncodedAutomaton],
+) -> tuple[EncodedAutomaton, list[np.ndarray]]:
+    """:func:`reachable_composition` and, per factor, that factor's state
+    (intp) in every product state: what names a product state."""
+    return _composition(factors, True)
+
+
+def _composition(
+    factors: list[EncodedAutomaton], with_states: bool
+) -> tuple[EncodedAutomaton, list[np.ndarray]]:
     factors = list(factors)
+    states = [np.arange(factors[0].n_states)] if with_states else []
     while len(factors) > 1:
-        m = _packed_prefix(_field_widths(factors))
-        head = _reachable_composition(
-            factors[:m], _grid_after(_field_widths(factors[:m]))
-        )
+        widths = _field_widths(factors)
+        m = _packed_prefix(widths)
+        head, keys = _reachable_composition(factors[:m], _grid_after(widths[:m]))
+        if with_states:
+            first, *rest = _unpack(keys, widths[:m])
+            states = [column[first] for column in states] + rest
         factors = [head, *factors[m:]]
-    return factors[0]
+    return factors[0], states
+
+
+def _unpack(keys: np.ndarray, widths: list[int]) -> Iterator[np.ndarray]:
+    """Each factor's field of the packed ``keys``, first factor first."""
+    for f, width in enumerate(widths):
+        yield (keys >> sum(widths[f + 1 :])) & ((1 << width) - 1)
 
 
 def _reachable_composition(
     factors: list[EncodedAutomaton], grid_after: float
-) -> EncodedAutomaton:
+) -> tuple[EncodedAutomaton, np.ndarray]:
     """:func:`reachable_composition` over factors that fit one packed
     key, with the found keys moving from sorted keys to a bool grid
-    after ``grid_after`` transitions (:func:`_search`).
+    after ``grid_after`` transitions (:func:`_search`); returns the
+    product and its found keys (intp, ascending).
 
     A state is one integer key holding every factor's state in a bit
     field of its own, the first factor's in the high bits, so ascending
@@ -720,7 +803,7 @@ def _reachable_composition(
                 ok = (keys & bits) == value
             # Positions and one gather: half the cost of two boolean
             # compresses when the caller keeps both.
-            at = np.flatnonzero(ok)
+            at = ok.nonzero()[0]
             targets = targets.take(at)
             if step:
                 targets += step
@@ -742,11 +825,10 @@ def _reachable_composition(
 
     marked = np.ones(found.size, dtype=bool)
     forbidden = np.zeros(found.size, dtype=bool)
-    for factor, shift, mask in zip(factors, shifts, masks):
-        field = (found >> shift) & mask
+    for factor, field in zip(factors, _unpack(found, widths)):
         marked &= factor.marked[field]
         forbidden |= factor.forbidden[field]
-    return EncodedAutomaton(
+    product = EncodedAutomaton(
         name="||".join(factor.name for factor in factors),
         n_states=int(found.size),
         event_names=tuple(names),
@@ -757,6 +839,7 @@ def _reachable_composition(
         marked=marked,
         forbidden=forbidden,
     )
+    return product, found
 
 
 def restrict_states(enc: EncodedAutomaton, keep: np.ndarray) -> EncodedAutomaton:

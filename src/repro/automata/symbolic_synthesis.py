@@ -42,7 +42,6 @@ synthesizes directly on the encoding.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Iterable
 
 import numpy as np
@@ -53,6 +52,7 @@ from repro.automata.symbolic import (
     EncodedAutomaton,
     PairEncoding,
     backward_reachable,
+    decode_automaton,
     encode_automaton,
     forward_reachable,
     reachable_composition,
@@ -213,14 +213,10 @@ def _pair_states(pair: PairEncoding, mask: np.ndarray) -> frozenset[State]:
 def _decode_result(
     plant: Automaton, spec: Automaton, fixpoint: SupremalFixpoint
 ) -> SynthesisResult:
-    """Materialize a :class:`SynthesisResult` from the fixpoint masks.
-
-    Bulk-builds the supervisor through the same friend access the
-    encoder uses: at tens of thousands of kept pairs, add_transition's
-    per-call coercion and determinism checks dominate decode time, and
-    both are vacuous here (the product of deterministic factors is
-    deterministic and every event comes from the union alphabet).
-    """
+    """Materialize a :class:`SynthesisResult` from the fixpoint masks:
+    the supervisor is the restricted product compacted onto the kept
+    pairs, decoded (and memoized) by
+    :func:`~repro.automata.symbolic.decode_automaton`."""
     pair = fixpoint.pair
     left_names = pair.left.state_names
     right_names = pair.right.state_names
@@ -229,71 +225,28 @@ def _decode_result(
             "decoding requires named factor encodings; synthesize from "
             "Automaton models or keep the SupremalFixpoint encoded"
         )
-    alphabet = plant.alphabet.union(spec.alphabet)
-    n_right = pair.right.n_states
+    product, restricted, good = pair.product, fixpoint.restricted, fixpoint.good
+    kept = np.flatnonzero(good)
+    lefts, rights = (a.tolist() for a in np.divmod(pair.pairs[kept], pair.right.n_states))
+    labels = tuple(f"{left_names[i]}.{right_names[j]}" for i, j in zip(lefts, rights))
+    # Only kept pairs have transitions; a monotone compaction keeps order.
+    index = np.cumsum(good, dtype=_STATE_DTYPE) - 1
+    initial = product.initial
+    compact = replace(
+        restricted,
+        name=f"S({plant.name})",
+        n_states=kept.size,
+        src=tuple(index[src] for src in restricted.src),
+        dst=tuple(index[dst] for dst in restricted.dst),
+        initial=int(index[initial]) if initial >= 0 and good[initial] else -1,
+        marked=product.marked[kept],
+        forbidden=product.forbidden[kept],
+        state_names=labels,
+        enabled=None,
+    )
+    supervisor = decode_automaton(compact, plant.alphabet.union(spec.alphabet))
     plant_states = tuple(State(name) for name in left_names)
     spec_states = tuple(State(name) for name in right_names)
-
-    supervisor = Automaton(f"S({plant.name})", alphabet)
-    state_map: dict[State, ProductState] = {}
-    kept = np.flatnonzero(fixpoint.good)
-    lefts, rights = np.divmod(pair.pairs[kept], n_right)
-    kept_states = [
-        State(f"{left_names[i]}.{right_names[j]}")
-        for i, j in zip(lefts.tolist(), rights.tolist())
-    ]
-    # Product state -> State as an object array, so transition decoding is
-    # a vectorized pointer gather instead of a dict probe per edge.
-    labels = np.empty(pair.product.n_states, dtype=object)
-    labels[kept] = kept_states
-    supervisor._states = {state.name: state for state in kept_states}
-    supervisor._marked = set(
-        np.compress(pair.product.marked[kept], labels[kept]).tolist()
-    )
-    state_map = {
-        state: ProductState(plant_states[i], spec_states[j])
-        for state, i, j in zip(kept_states, lefts.tolist(), rights.tolist())
-    }
-
-    restricted = fixpoint.restricted
-    delta = supervisor._delta
-    flat_src: list[np.ndarray] = []
-    flat_event: list[np.ndarray] = []
-    for e, name in enumerate(restricted.event_names):
-        src = restricted.src[e].astype(np.intp)
-        dst = restricted.dst[e].astype(np.intp)
-        if not src.size:
-            continue
-        event = alphabet[name]
-        # Key tuples come out of a C-level zip against the gathered
-        # label arrays; no per-edge Python frame.
-        delta.update(
-            zip(
-                zip(labels[src].tolist(), repeat(event)),
-                labels[dst].tolist(),
-            )
-        )
-        flat_src.append(src)
-        flat_event.append(np.full(src.size, e, dtype=_STATE_DTYPE))
-    # Out-edge index, grouped by source in one sort: the factors are
-    # deterministic, so each (source, event) appears at most once and
-    # the per-state event sets are exactly the grouped event codes.
-    if flat_src:
-        all_src = np.concatenate(flat_src)
-        all_event = np.concatenate(flat_event)
-        order = np.argsort(all_src, kind="stable")
-        all_src, all_event = all_src[order], all_event[order]
-        starts = np.flatnonzero(np.diff(all_src, prepend=-1))
-        bounds = np.append(starts, all_src.size)
-        events = [alphabet[name] for name in restricted.event_names]
-        supervisor._enabled = {
-            labels[all_src[a]]: {events[c] for c in all_event[a:b].tolist()}
-            for a, b in zip(starts.tolist(), bounds[1:].tolist())
-        }
-    initial = pair.product.initial
-    if initial >= 0 and fixpoint.good[initial]:
-        supervisor.set_initial(labels[initial])
-
     return SynthesisResult(
         supervisor=supervisor,
         iterations=fixpoint.iterations,
@@ -301,7 +254,10 @@ def _decode_result(
             pair, fixpoint.removed_uncontrollable
         ),
         removed_blocking=_pair_states(pair, fixpoint.removed_blocking),
-        state_map=state_map,
+        state_map={
+            State(label): ProductState(plant_states[i], spec_states[j])
+            for label, i, j in zip(labels, lefts, rights)
+        },
     )
 
 

@@ -11,7 +11,9 @@ marking, forbidden set and initial state.  Every case checks the n-ary
 product on sorted keys, on the bool grid and moving from one to the
 other at several points, against the oracle folded on int32 and on
 int64 pair keys; the grid the size rule takes is never larger than the
-product it builds.
+product it builds.  The factor states
+:func:`~repro.automata.symbolic.composition_states` reports for every
+product state, which ``compose_all`` labels states with, are the fold's.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ from repro.automata.symbolic import (
     _field_widths,
     _packed_prefix,
     _reachable_composition,
+    composition_states,
+    reachable_product,
 )
 from repro.core.scalable import (
     fleet_alphabet,
@@ -90,9 +94,9 @@ def _composition_with_grids(factors, monkeypatch):
                 return search(pairs, frontier, successors, na, nb)
 
             patch.setattr(symbolic, "_grid_search", grid_search)
-            product = build(chunk, grid_after)
+            product, keys = build(chunk, grid_after)
         built.append((len(chunk), product, sum(grids)))
-        return product
+        return product, keys
 
     with monkeypatch.context() as patch:
         patch.setattr(symbolic, "_reachable_composition", spy)
@@ -116,9 +120,24 @@ def assert_matches_fold(factors, monkeypatch):
         assert grid <= 8 * product.n_transitions, (product.name, grid)
     if _packed_prefix(_field_widths(factors)) == len(factors):
         for grid_after in (0, 5, 40, math.inf):
-            forced = _reachable_composition(factors, grid_after)
+            forced, _ = _reachable_composition(factors, grid_after)
             assert _encoding_bytes(forced) == expected, grid_after
+    named, states = composition_states(factors)
+    assert _encoding_bytes(named) == expected
+    assert [s.tolist() for s in states] == [s.tolist() for s in _fold_states(factors)]
     return oracles[0], built
+
+
+def _fold_states(factors):
+    """Per factor, its state in every state of the pairwise fold."""
+    states = [np.arange(factors[0].n_states)]
+    product = factors[0]
+    for factor in factors[1:]:
+        pair = reachable_product(product, factor)
+        left, right = pair.factor_states()
+        states = [column[left] for column in states] + [right]
+        product = pair.product
+    return states
 
 
 @st.composite

@@ -147,8 +147,12 @@ class TestSynchronousComposition:
         assert named is not a
         assert named.name == "X"
         assert a.name == "A"
-        named.name = a.name
-        assert_same_automaton(named, a)
+        for table in ("_states", "_delta", "_enabled"):
+            assert list(getattr(named, table).items()) == list(
+                getattr(a, table).items()
+            )
+        assert named._marked == a._marked
+        assert named.initial == a.initial
 
     def test_alphabet_conflict_rejected(self):
         clash = automaton_from_table(
@@ -161,18 +165,72 @@ class TestSynchronousComposition:
             synchronous_composition(automaton_a(), clash)
 
 
-def assert_same_automaton(fast: Automaton, oracle: Automaton) -> None:
-    """Equal tables in equal insertion order, not merely isomorphic."""
+def assert_same_automaton(fast: Automaton, oracle: Automaton, order) -> None:
+    """Equal content, and ``compose_all``'s insertion order: states in
+    ``order`` (the labels in ascending packed-key order, which is the
+    encoding's index order), transitions grouped by event in alphabet
+    order with their sources in ``order``, out-edge sets in ``order``."""
     assert fast.name == oracle.name
     assert list(fast.alphabet._events.items()) == list(
         oracle.alphabet._events.items()
     )
-    assert list(fast._states.items()) == list(oracle._states.items())
-    assert list(fast._delta.items()) == list(oracle._delta.items())
-    assert list(fast._enabled.items()) == list(oracle._enabled.items())
+    assert fast._states == oracle._states
+    assert list(fast._states) == list(order)
+    rank = {label: k for k, label in enumerate(order)}
+    assert fast._delta == oracle._delta
+    assert list(fast._delta) == sorted(
+        oracle._delta, key=lambda key: (key[1].name, rank[key[0].name])
+    )
+    assert fast._enabled == oracle._enabled
+    assert [state.name for state in fast._enabled] == sorted(
+        (state.name for state in oracle._enabled), key=rank.__getitem__
+    )
     assert fast._marked == oracle._marked
     assert fast._forbidden == oracle._forbidden
     assert fast.initial == oracle.initial
+
+
+def key_order(composed: Automaton) -> list[str]:
+    """``composed``'s labels in packed-key order, for factors whose state
+    names hold no dot: lexicographic in the factor state names."""
+    return sorted(composed._states, key=lambda label: label.split("."))
+
+
+def reachable_pairs(a: Automaton, b: Automaton) -> list[tuple[State, State]]:
+    """The factor-state pairs of ``a || b`` reachable from the initial
+    pair, by a search of their own, in packed-key order (ascending
+    factor state names)."""
+    events = a.alphabet.union(b.alphabet).names()
+    start = (a.initial, b.initial)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        state_a, state_b = frontier.pop()
+        for event in events:
+            next_a = a.step(state_a, event) if event in a.alphabet else state_a
+            next_b = b.step(state_b, event) if event in b.alphabet else state_b
+            if next_a is not None and next_b is not None:
+                if (next_a, next_b) not in seen:
+                    seen.add((next_a, next_b))
+                    frontier.append((next_a, next_b))
+    return sorted(seen)
+
+
+def collision_message(name: str, pairs) -> str | None:
+    """``compose_all``'s error for the first pair (in ``pairs``' order)
+    whose dotted label an earlier pair already has; ``None`` when the
+    labels are distinct."""
+    first: dict[str, tuple[str, str]] = {}
+    for state_a, state_b in pairs:
+        names = (state_a.name, state_b.name)
+        label = ".".join(names)
+        if label in first:
+            return (
+                f"state label collision in {name!r}: factor states "
+                f"{first[label]} and {names} both compose to {label!r}"
+            )
+        first[label] = names
+    return None
 
 
 SHARED_EVENTS = [controllable("s1"), uncontrollable("s2")]
@@ -180,17 +238,16 @@ PRIVATE_LEFT = [controllable("l1"), uncontrollable("l2")]
 PRIVATE_RIGHT = [controllable("r1"), uncontrollable("r2")]
 # Dotted names let two different pairs compose to the same label.
 DOTTED_NAMES = ["x", "y", "z", "x.y", "y.z"]
+# Pools where (x, y.z) and (x.y, z) collide whenever both are reachable.
+COLLIDING_LEFT = ["x", "x.y"]
+COLLIDING_RIGHT = ["z", "y.z"]
 
 
 @st.composite
-def factors(draw, name, private):
+def factors(draw, name, private, pool=DOTTED_NAMES):
     events = [e for e in SHARED_EVENTS + private if draw(st.booleans())]
     events = events or [private[0]]
-    names = draw(
-        st.lists(
-            st.sampled_from(DOTTED_NAMES), min_size=1, max_size=5, unique=True
-        )
-    )
+    names = draw(st.permutations(pool))[: draw(st.integers(1, 5))]
     automaton = Automaton(name, Alphabet.of(events))
     for state in names:
         # Some states are never targeted: unreachable in the product.
@@ -209,17 +266,29 @@ def factors(draw, name, private):
 
 
 class TestCompositionMatchesOracle:
-    @given(factors("A", PRIVATE_LEFT), factors("B", PRIVATE_RIGHT))
-    @settings(max_examples=200, deadline=None)
-    def test_random_factors(self, a, b):
+    @given(st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_random_factors(self, colliding, data):
+        pools = (COLLIDING_LEFT, COLLIDING_RIGHT) if colliding else (DOTTED_NAMES,) * 2
+        a = data.draw(factors("A", PRIVATE_LEFT, pools[0]))
+        b = data.draw(factors("B", PRIVATE_RIGHT, pools[1]))
+        # The kernel raises exactly when two reachable pairs share a
+        # label; the oracle, which merges them, raises only when their
+        # transitions then conflict.
+        pairs = reachable_pairs(a, b)
+        collision = collision_message("A||B", pairs)
         try:
             oracle = explicit_synchronous_composition(a, b)
-        except AutomatonError as error:
+        except AutomatonError:
+            assert collision is not None
+            oracle = None
+        if collision is not None:
             with pytest.raises(AutomatonError) as raised:
                 synchronous_composition(a, b)
-            assert str(raised.value) == str(error)
+            assert str(raised.value) == collision
             return
-        assert_same_automaton(synchronous_composition(a, b), oracle)
+        order = [f"{x.name}.{y.name}" for x, y in pairs]
+        assert_same_automaton(synchronous_composition(a, b), oracle, order)
 
     @pytest.mark.parametrize(
         "components",
@@ -248,9 +317,8 @@ class TestCompositionMatchesOracle:
         ],
     )
     def test_committed_folds(self, components):
-        assert_same_automaton(
-            compose_all(components()), explicit_compose_all(components())
-        )
+        oracle = explicit_compose_all(components())
+        assert_same_automaton(compose_all(components()), oracle, key_order(oracle))
 
     def test_dotted_name_collision_is_nondeterminism(self):
         a = automaton_from_table(
@@ -265,14 +333,43 @@ class TestCompositionMatchesOracle:
             transitions=[("z", "c", "z"), ("z", "q", "y.z"), ("y.z", "c", "z")],
             initial="z",
         )
-        message = (
+        # (x, y.z) and (x.y, z) are both reachable and both label
+        # x.y.z: the kernel names the two tuples, first in key order;
+        # the oracle merges them and trips on the conflicting c edge.
+        with pytest.raises(AutomatonError) as raised:
+            synchronous_composition(a, b)
+        assert str(raised.value) == (
+            "state label collision in 'A||B': factor states "
+            "('x', 'y.z') and ('x.y', 'z') both compose to 'x.y.z'"
+        )
+        with pytest.raises(AutomatonError) as raised:
+            explicit_synchronous_composition(a, b)
+        assert str(raised.value) == (
             "nondeterministic transition in 'A||B': "
             "x.y.z on c goes to both x.y.z and x.z"
         )
-        for compose in (synchronous_composition, explicit_synchronous_composition):
-            with pytest.raises(AutomatonError) as raised:
-                compose(a, b)
-            assert str(raised.value) == message
+
+    def test_fold_errors_in_fold_order(self):
+        # A missing initial state in the first factor is found before a
+        # later factor's alphabet clash, as the pairwise fold finds it.
+        lost = Automaton("L", SIGMA_A)
+        lost.add_state("L0")
+        clash = automaton_from_table(
+            "C",
+            Alphabet.of([uncontrollable("shared")]),
+            transitions=[("C0", "shared", "C0")],
+            initial="C0",
+        )
+        for factors, error in (
+            ([lost, automaton_b(), clash], AutomatonError),
+            ([automaton_a(), clash, lost], AlphabetError),
+            ([automaton_a(), automaton_b(), lost], AutomatonError),
+        ):
+            with pytest.raises(error) as fold:
+                explicit_compose_all(factors)
+            with pytest.raises(error) as raised:
+                compose_all(factors)
+            assert str(raised.value) == str(fold.value)
 
 
 class TestReachability:
