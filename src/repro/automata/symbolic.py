@@ -41,7 +41,6 @@ import operator
 import weakref
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import Iterator
 
 import numpy as np
 
@@ -689,7 +688,7 @@ def reachable_composition(
     fit one key (:func:`_packed_prefix`), the longest prefix that fits
     is built first and stands in as the first factor of the rest.
     """
-    return _composition(factors, False)[0]
+    return composition_states(factors)[0]
 
 
 def composition_states(
@@ -697,38 +696,25 @@ def composition_states(
 ) -> tuple[EncodedAutomaton, list[np.ndarray]]:
     """:func:`reachable_composition` and, per factor, that factor's state
     (intp) in every product state: what names a product state."""
-    return _composition(factors, True)
-
-
-def _composition(
-    factors: list[EncodedAutomaton], with_states: bool
-) -> tuple[EncodedAutomaton, list[np.ndarray]]:
     factors = list(factors)
-    states = [np.arange(factors[0].n_states)] if with_states else []
+    states = [np.arange(factors[0].n_states, dtype=np.intp)]
     while len(factors) > 1:
         widths = _field_widths(factors)
         m = _packed_prefix(widths)
-        head, keys = _reachable_composition(factors[:m], _grid_after(widths[:m]))
-        if with_states:
-            first, *rest = _unpack(keys, widths[:m])
-            states = [column[first] for column in states] + rest
+        head, fields = _reachable_composition(factors[:m], _grid_after(widths[:m]))
+        first, *rest = fields
+        states = [column[first] for column in states] + rest
         factors = [head, *factors[m:]]
     return factors[0], states
 
 
-def _unpack(keys: np.ndarray, widths: list[int]) -> Iterator[np.ndarray]:
-    """Each factor's field of the packed ``keys``, first factor first."""
-    for f, width in enumerate(widths):
-        yield (keys >> sum(widths[f + 1 :])) & ((1 << width) - 1)
-
-
 def _reachable_composition(
     factors: list[EncodedAutomaton], grid_after: float
-) -> tuple[EncodedAutomaton, np.ndarray]:
+) -> tuple[EncodedAutomaton, list[np.ndarray]]:
     """:func:`reachable_composition` over factors that fit one packed
     key, with the found keys moving from sorted keys to a bool grid
     after ``grid_after`` transitions (:func:`_search`); returns the
-    product and its found keys (intp, ascending).
+    product and, per factor, its field of every product state (intp).
 
     A state is one integer key holding every factor's state in a bit
     field of its own, the first factor's in the high bits, so ascending
@@ -803,7 +789,7 @@ def _reachable_composition(
                 ok = (keys & bits) == value
             # Positions and one gather: half the cost of two boolean
             # compresses when the caller keeps both.
-            at = ok.nonzero()[0]
+            at = np.flatnonzero(ok)
             targets = targets.take(at)
             if step:
                 targets += step
@@ -825,7 +811,8 @@ def _reachable_composition(
 
     marked = np.ones(found.size, dtype=bool)
     forbidden = np.zeros(found.size, dtype=bool)
-    for factor, field in zip(factors, _unpack(found, widths)):
+    fields = [(found >> shift) & mask for shift, mask in zip(shifts, masks)]
+    for factor, field in zip(factors, fields):
         marked &= factor.marked[field]
         forbidden |= factor.forbidden[field]
     product = EncodedAutomaton(
@@ -839,7 +826,7 @@ def _reachable_composition(
         marked=marked,
         forbidden=forbidden,
     )
-    return product, found
+    return product, fields
 
 
 def restrict_states(enc: EncodedAutomaton, keep: np.ndarray) -> EncodedAutomaton:

@@ -143,15 +143,20 @@ class TestSynchronousComposition:
 
     def test_compose_all_single_named_leaves_input_alone(self):
         a = automaton_a()
+        a.forbid("A1")
         named = compose_all([a], name="X")
         assert named is not a
         assert named.name == "X"
         assert a.name == "A"
+        assert list(named.alphabet._events.items()) == list(
+            a.alphabet._events.items()
+        )
         for table in ("_states", "_delta", "_enabled"):
             assert list(getattr(named, table).items()) == list(
                 getattr(a, table).items()
             )
         assert named._marked == a._marked
+        assert named._forbidden == a._forbidden == {State("A1")}
         assert named.initial == a.initial
 
     def test_alphabet_conflict_rejected(self):
